@@ -144,6 +144,9 @@ _L1_CHECKS = {
     "rescale_uniqueness",
 }
 
+#: checks that run the quadrature oracle (exact model, n = 1 only)
+_QUADRATURE_CHECKS = {"quadrature_leading", "quadrature_subleading"}
+
 
 def _require_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
@@ -244,6 +247,8 @@ def parse_config(doc: dict) -> dict:
             raise ConfigError(f"{where}: jet_order must be >= 4 for expansion checks")
         if model == "perturbed" and eff_order < 6:
             raise ConfigError(f"{where}: jet_order must be >= 6 for perturbed charts")
+        if any(c in _QUADRATURE_CHECKS for c in checks) and (model != "heisenberg" or n != 1):
+            raise ConfigError(f"{where}: quadrature checks need the exact heisenberg chart with n = 1")
 
         scenarios.append(
             Scenario(
@@ -343,16 +348,18 @@ class CheckContext:
         """Oracle fits for seeded amplitudes.
 
         Draws are keyed by the master seed only (not the scenario name), and
-        results are memoized per process, so scenarios checking the leading
-        and subleading coefficients share one set of integrals.
+        results are memoized per process by seed, chart spec and oracle
+        options, so scenarios checking the leading and subleading
+        coefficients on one chart share one set of integrals.
         """
         if self._quadrature is None:
             opts = self.oracle_opts
             count = self.param("num_amplitudes", 5)
+            spec = self.scenario.chart
             key = (
                 self.seed,
                 count,
-                self.n,
+                (spec.model, spec.n, spec.r_synth, spec.seed),
                 self.jet_order,
                 tuple(opts.get("t_samples") or ()),
                 float(opts.get("cutoff_radius", 1.4)),

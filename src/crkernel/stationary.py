@@ -11,8 +11,9 @@ through the L_j operators
     L_j v = i^{-j} sum_{mu=0}^{2j} <.,.>^{mu+j} (h^mu v)(0,1)
                                    / (mu! (mu+j)! 2^{mu+j}),
 
-where h is the cubic-and-higher remainder of Psi0.  A tensor-grid quadrature
-oracle cross-checks the formal coefficients on the exact Heisenberg phase.
+where h is the cubic-and-higher remainder of Psi0.  A quadrature oracle
+(separable Gauss sums) cross-checks the formal coefficients on the exact
+Heisenberg phase.
 
 Jets here live in the variables (u_1..u_{2n+1}, sigma-1) based at 0, so the
 critical point is the jet base point.
@@ -259,48 +260,8 @@ def _gauss_nodes(num: int, radius: float):
 #: cutoff profile width as a fraction of the cutoff radius
 WIDTH_FRACTION = 0.63
 
-#: half the vanishing order of the cutoff profile at the critical point
-CUTOFF_FLATNESS = 4
-
-
-def _bump(rho_sq: np.ndarray) -> np.ndarray:
-    """Smooth radial cutoff, flat to degree 8 at 0 and ~1e-17 at the box edge.
-
-    chi = exp(-(rho / (WIDTH_FRACTION * r))^8) deviates from 1 only at degree
-    8 in the integration variables, so it cannot disturb the first four
-    expansion coefficients; at rho = r it has decayed below double precision,
-    so the finite integration box introduces no boundary oscillation.
-    """
-    rel = np.maximum(rho_sq, 0.0) / WIDTH_FRACTION**2
-    return np.exp(-(rel**CUTOFF_FLATNESS))
-
-
-#: memo for monomial moments; keyed by phase data and grid parameters
-_MOMENT_MEMO: Dict[tuple, Dict[Tuple[int, ...], complex]] = {}
-
-
-def _poly_on_grid(jet: Jet, d: int, chunk_value: float, shape, grids) -> np.ndarray:
-    out = np.zeros(shape, dtype=complex)
-    maxp = jet.order
-    powers = []
-    for ax in range(d - 1):
-        tab = np.ones((maxp + 1, len(grids[ax])), dtype=float)
-        for p in range(1, maxp + 1):
-            tab[p] = tab[p - 1] * grids[ax]
-        powers.append(tab)
-    spow = np.ones(maxp + 1)
-    for p in range(1, maxp + 1):
-        spow[p] = spow[p - 1] * chunk_value
-    for idx, c in jet.graded_items():
-        term = c * spow[idx[-1]]
-        mono = np.ones(shape, dtype=float)
-        for ax in range(d - 1):
-            if idx[ax]:
-                view = [1] * (d - 1)
-                view[ax] = -1
-                mono = mono * powers[ax][idx[ax]].reshape(view)
-        out += term * mono
-    return out
+#: degree at which the cutoff profile first deviates from 1
+CUTOFF_DEGREE = 8
 
 
 def oscillatory_monomial_moments(
@@ -310,73 +271,60 @@ def oscillatory_monomial_moments(
     cutoff_radius: float,
     nodes_per_axis: Sequence[int],
 ) -> Dict[Tuple[int, ...], complex]:
-    """Moments int v^alpha exp(i t phase(v)) cutoff(|v|/r) dv for |alpha| <= amp_order.
+    """Moments int v^alpha exp(i t phase(v)) chi(v) dv over [-r, r]^d for |alpha| <= amp_order.
 
-    The oscillatory factor is evaluated once per grid chunk and shared by all
-    monomials, so integrals of any amplitude of the given order come from one
-    grid sweep; results are memoized per (phase, t, grid) with fixed
-    summation order, hence deterministic.
+    chi(v) = prod_a exp(-(v_a / w)^8) with w = WIDTH_FRACTION * r is the
+    product cutoff: it deviates from 1 only at degree 8, so it cannot disturb
+    the first four expansion coefficients, and at |v_a| = r it has decayed
+    below double precision, so the box edge introduces no oscillation.
+
+    The last variable s is the outer one.  The phase must split as
+    psi_s(s) + sum_a psi_a(v_a, s) over the inner variables v_a; a monomial
+    coupling two inner variables raises OracleFitError.  Each moment is then
+    a sum over the Gauss nodes s_k of products of 1-D Gauss sums,
+
+        sum_k w_k chi(s_k) e^{i t psi_s(s_k)} s_k^{alpha_s} prod_a M_a[k, alpha_a],
+        M_a[k, p] = sum_j w_j chi(v_j) e^{i t psi_a(v_j, s_k)} v_j^p,
+
+    in a fixed summation order, so the results are deterministic.
     """
     d = phase.num_vars
     if len(nodes_per_axis) != d:
         raise ValueError("nodes_per_axis must list one count per variable")
-    key = (
-        phase.graded_items(),
-        phase.base_point,
-        int(amp_order),
-        float(t),
-        float(cutoff_radius),
-        tuple(int(k) for k in nodes_per_axis),
-        WIDTH_FRACTION,
-        CUTOFF_FLATNESS,
-    )
-    hit = _MOMENT_MEMO.get(key)
-    if hit is not None:
-        return hit
-    axes = [_gauss_nodes(int(k), cutoff_radius) for k in nodes_per_axis]
-    rad2 = cutoff_radius**2
-    inner_nodes = [axes[ax][0] for ax in range(d - 1)]
-    wprod = None
-    for ax in range(d - 1):
-        view = [1] * (d - 1)
-        view[ax] = -1
-        wv = axes[ax][1].reshape(view)
-        wprod = wv if wprod is None else wprod * wv
-    shape = tuple(len(inner_nodes[ax]) for ax in range(d - 1))
-    rho_inner = None
-    power_tabs = []
-    for ax in range(d - 1):
-        view = [1] * (d - 1)
-        view[ax] = -1
-        g2 = (inner_nodes[ax] ** 2).reshape(view)
-        rho_inner = g2 if rho_inner is None else rho_inner + g2
-        tab = np.ones((amp_order + 1, len(inner_nodes[ax])), dtype=float)
-        for p in range(1, amp_order + 1):
-            tab[p] = tab[p - 1] * inner_nodes[ax]
-        power_tabs.append(tab)
+    # terms[a] holds (power of v_a, power of s, coefficient); terms[-1] is psi_s
+    terms: List[List[Tuple[int, int, complex]]] = [[] for _ in range(d)]
+    for idx, c in phase.graded_items():
+        inner = [a for a in range(d - 1) if idx[a]]
+        if len(inner) > 1:
+            raise OracleFitError(
+                f"phase monomial {idx} couples two inner variables; "
+                "the quadrature oracle needs a separable phase"
+            )
+        a = inner[0] if inner else d - 1
+        terms[a].append((idx[a] if inner else 0, idx[-1], c))
 
-    monomials = list(iter_multi_indices(d, amp_order))
-    sums = {idx: 0.0 + 0.0j for idx in monomials}
-    last_nodes, last_w = axes[d - 1]
-    for k, sval in enumerate(last_nodes):
-        psi = _poly_on_grid(phase, d, float(sval), shape, inner_nodes)
-        chi = _bump((rho_inner + sval**2) / rad2)
-        core = wprod * chi * np.exp(1j * t * psi)
-        spow = np.ones(amp_order + 1)
-        for p in range(1, amp_order + 1):
-            spow[p] = spow[p - 1] * float(sval)
-        for idx in monomials:
-            mono = core
-            for ax in range(d - 1):
-                if idx[ax]:
-                    view = [1] * (d - 1)
-                    view[ax] = -1
-                    mono = mono * power_tabs[ax][idx[ax]].reshape(view)
-            sums[idx] += last_w[k] * spow[idx[-1]] * np.sum(mono)
-    if len(_MOMENT_MEMO) > 64:
-        _MOMENT_MEMO.clear()
-    _MOMENT_MEMO[key] = sums
-    return sums
+    width = WIDTH_FRACTION * cutoff_radius
+    powers = np.arange(amp_order + 1)
+    s, ws = _gauss_nodes(int(nodes_per_axis[-1]), cutoff_radius)
+    psi_s = sum(c * s**ps for _, ps, c in terms[-1])
+    s_factor = ws * np.exp(1j * t * psi_s - (s / width) ** CUTOFF_DEGREE)
+    s_moments = s_factor[:, None] * s[:, None] ** powers
+    inner_moments = []  # M_a as (s node, power) arrays
+    for a in range(d - 1):
+        v, wv = _gauss_nodes(int(nodes_per_axis[a]), cutoff_radius)
+        psi = np.zeros((len(s), len(v)), dtype=complex)
+        for pv, ps, c in terms[a]:
+            psi += c * np.outer(s**ps, v**pv)
+        f = wv * np.exp(1j * t * psi - (v / width) ** CUTOFF_DEGREE)
+        inner_moments.append(np.stack([np.sum(f * v**p, axis=1) for p in powers], axis=1))
+
+    out: Dict[Tuple[int, ...], complex] = {}
+    for idx in iter_multi_indices(d, amp_order):
+        col = s_moments[:, idx[-1]]
+        for a, m in enumerate(inner_moments):
+            col = col * m[:, idx[a]]
+        out[idx] = complex(np.sum(col))
+    return out
 
 
 def oscillatory_integral_value(
@@ -386,11 +334,12 @@ def oscillatory_integral_value(
     cutoff_radius: float,
     nodes_per_axis: Sequence[int],
 ) -> complex:
-    """int exp(i t phase(v)) amplitude(v) cutoff(|v|/r) dv on a tensor grid.
+    """int exp(i t phase(v)) amplitude(v) chi(v) dv over [-r, r]^d.
 
     The jets are treated as exact polynomials in their displacement
-    variables; integration runs over [-r, r]^d with the last axis chunked to
-    bound memory.
+    variables.  The integral is the amplitude's coefficients contracted with
+    the separable Gauss moments of oscillatory_monomial_moments (product
+    cutoff chi; the phase may not couple two inner variables).
     """
     d = phase.num_vars
     if amplitude.num_vars != d:
@@ -418,14 +367,18 @@ def numeric_expansion_oracle(
 ) -> Tuple[complex, complex]:
     """Brute-force check of expansion_coeffs by quadrature and power-law fit.
 
-    Evaluates I(t) = t * int exp(i t Psi0) amplitude * cutoff d(u, sigma) on a
-    tensor grid over [-r, r]^{2n+2}, subtracts the exactly known third to
-    fifth expansion orders (computed with the higher L_j operators, which the
-    coefficient pipelines never use), then fits c0 t^{-n} + c1 t^{-n-1} by
-    t^2-weighted least squares and returns (c0, c1).  Restricted to the exact
-    Heisenberg phase with n = 1 (no cutoff guidance exists for perturbed
-    phases; the exact phase is also what makes the jet promotion behind the
-    tail subtraction exact).
+    Evaluates I(t) = t * int exp(i t Psi0) amplitude * chi d(u, sigma) over
+    [-r, r]^{2n+2}, with the product cutoff chi, as separable Gauss sums
+    (oscillatory_monomial_moments; nothing is memoized).  It subtracts the
+    exactly known third to fifth expansion orders (computed with the higher
+    L_j operators, which the coefficient pipelines never use; the cutoff
+    enters them as its jet 1 - sum_a (v_a / w)^8), then fits
+    c0 t^{-n} + c1 t^{-n-1} by t^2-weighted least squares and returns
+    (c0, c1).  Psi0 must not couple two of the u variables, which holds on
+    the exact model: Psi0 = s u_3 + i (1 + s/2)(u_1^2 + u_2^2), s = sigma - 1.
+    Restricted to the exact Heisenberg phase with n = 1 (no cutoff guidance
+    exists for perturbed phases; the exact phase is also what makes the jet
+    promotion behind the tail subtraction exact).
 
     The box may extend below sigma = 0 (radius up to 2): the integrand is the
     same polynomial data, Im(Psi0) >= 0 holds for sigma > -1, and the only
@@ -468,15 +421,12 @@ def numeric_expansion_oracle(
         data, psi0=data.psi0.with_order(12), h=data.h.with_order(12)
     )
     nv = data.num_vars
-    rho2 = Jet(nv, 8, (0.0,) * nv, {
-        tuple(2 if k == a else 0 for k in range(nv)): 1.0 for a in range(nv)
-    })
-    rho8 = rho2 * rho2
-    rho8 = rho8 * rho8
-    chi_jet = Jet.constant(nv, 8, (0.0,) * nv, 1.0) - rho8.scale(
-        1.0 / (WIDTH_FRACTION * cutoff_radius) ** (2 * CUTOFF_FLATNESS)
-    )
-    amp_eff = amplitude.with_order(8) * chi_jet
+    chi = {(0,) * nv: 1.0}
+    for a in range(nv):
+        idx = tuple(CUTOFF_DEGREE if k == a else 0 for k in range(nv))
+        chi[idx] = -((WIDTH_FRACTION * cutoff_radius) ** -CUTOFF_DEGREE)
+    chi_jet = Jet(nv, CUTOFF_DEGREE, (0.0,) * nv, chi)
+    amp_eff = amplitude.with_order(CUTOFF_DEGREE) * chi_jet
     tail = np.zeros_like(values)
     for k in (2, 3, 4):
         ck = apply_L(deep, k, amp_eff) / data.sqrt_det

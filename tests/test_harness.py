@@ -1,9 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
-from crkernel.errors import ConfigError
+from crkernel.errors import ConfigError, OracleFitError
 from crkernel.harness import (
+    ChartSpec,
+    CheckContext,
     default_config,
     emit_report,
     parse_config,
@@ -217,3 +220,44 @@ def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
     env = doc["reports"][0]["environment"]
     assert env["seed"] == "7"
     assert env["jet_order"] == "5"
+
+
+def _quadrature_scenario(name, chart):
+    return {
+        "name": name,
+        "chart": chart,
+        "checks": ["quadrature_leading"],
+        "tolerances": {"absolute": 0.0, "relative": 1e-2},
+        "params": {"num_amplitudes": 1},
+    }
+
+
+QUADRATURE_LEAK_DOC = {
+    "seed": 0,
+    "jet_order": 6,
+    "oracle": {"t_samples": [60.0, 65.0, 70.0, 75.0]},
+    "scenarios": [
+        _quadrature_scenario("flat", {"model": "heisenberg", "n": 1}),
+        _quadrature_scenario("curved", {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 3}),
+    ],
+}
+
+
+def test_quadrature_rejected_on_charts_it_cannot_apply_to():
+    with pytest.raises(ConfigError, match=r"scenarios\[1\].*quadrature"):
+        parse_config(QUADRATURE_LEAK_DOC)
+    doc = {"scenarios": [_quadrature_scenario("n2", {"model": "heisenberg", "n": 2})]}
+    with pytest.raises(ConfigError, match="quadrature"):
+        parse_config(doc)
+
+
+def test_quadrature_memo_is_keyed_by_chart():
+    # The perturbed scenario bypasses parse_config: after a flat-chart fit
+    # with the same seed it must still reach the oracle and be refused,
+    # rather than read the flat chart's memoized values.
+    config = parse_config(dict(QUADRATURE_LEAK_DOC, scenarios=QUADRATURE_LEAK_DOC["scenarios"][:1]))
+    flat = config["scenarios"][0]
+    assert len(CheckContext(flat, 0, 6, config["oracle"]).quadrature_fit()) == 1
+    curved = dataclasses.replace(flat, chart=ChartSpec(model="perturbed", r_synth=0.7, seed=3))
+    with pytest.raises(OracleFitError):
+        CheckContext(curved, 0, 6, config["oracle"]).quadrature_fit()

@@ -5,7 +5,7 @@ import pytest
 
 from crkernel.charts import heisenberg_chart, perturbed_chart, random_perturbation
 from crkernel.errors import OracleFitError, OrderShortfallError
-from crkernel.jets import Jet, random_jet
+from crkernel.jets import Jet, iter_multi_indices, random_jet
 from crkernel.rng import spawn_rng
 from crkernel.stationary import (
     apply_L,
@@ -13,8 +13,10 @@ from crkernel.stationary import (
     expansion_coeffs,
     inverse_hessian_operator,
     mu2_vanishing_values,
+    WIDTH_FRACTION,
     numeric_expansion_oracle,
     oscillatory_integral_value,
+    oscillatory_monomial_moments,
 )
 
 NV = 4
@@ -174,3 +176,47 @@ def test_gaussian_quadrature_reference():
         got = oscillatory_integral_value(phase, amp, t, 1.4, (64, 64))
         want = math.pi / t * c
         assert abs(got - want) / abs(want) < 1e-3
+
+
+def _brute_force_moments(phase, amp_order, t, radius, nodes):
+    """The same product-cutoff integrand summed over the full tensor grid."""
+    width = WIDTH_FRACTION * radius
+    axes = [np.polynomial.legendre.leggauss(k) for k in nodes]
+    grids = np.meshgrid(*[x * radius for x, _ in axes], indexing="ij")
+    wgrids = np.meshgrid(*[w * radius for _, w in axes], indexing="ij")
+    weight = np.ones(grids[0].shape)
+    for g, w in zip(grids, wgrids):
+        weight = weight * w * np.exp(-((g / width) ** 8))
+    psi = np.zeros(grids[0].shape, dtype=complex)
+    for idx, c in phase.graded_items():
+        term = np.full(grids[0].shape, c, dtype=complex)
+        for g, p in zip(grids, idx):
+            term = term * g**p
+        psi += term
+    core = weight * np.exp(1j * t * psi)
+    out = {}
+    for idx in iter_multi_indices(len(nodes), amp_order):
+        mono = core
+        for g, p in zip(grids, idx):
+            mono = mono * g**p
+        out[idx] = complex(np.sum(mono))
+    return out
+
+
+def test_separable_moments_match_tensor_grid(data):
+    # the exact phase plus a pure-s term and a u_1 s^2 term
+    extra = Jet(NV, 6, BASE, {(0, 0, 0, 2): 0.2j, (1, 0, 0, 2): 0.1})
+    phase = data.psi0 + extra
+    nodes = (12, 12, 16, 16)
+    got = oscillatory_monomial_moments(phase, 2, 30.0, 1.4, nodes)
+    want = _brute_force_moments(phase, 2, 30.0, 1.4, nodes)
+    assert got.keys() == want.keys()
+    scale = max(abs(v) for v in want.values())
+    for idx in want:
+        assert abs(got[idx] - want[idx]) <= 1e-12 * scale, idx
+
+
+def test_moments_reject_coupled_inner_variables(data):
+    coupled = data.psi0 + Jet(NV, 6, BASE, {(1, 1, 0, 0): 0.1})
+    with pytest.raises(OracleFitError, match="couples"):
+        oscillatory_monomial_moments(coupled, 2, 30.0, 1.4, (12, 12, 16, 16))
