@@ -144,9 +144,6 @@ _L1_CHECKS = {
     "rescale_uniqueness",
 }
 
-#: checks that run the quadrature oracle (exact model, n = 1 only)
-_QUADRATURE_CHECKS = {"quadrature_leading", "quadrature_subleading"}
-
 
 def _require_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
@@ -247,8 +244,6 @@ def parse_config(doc: dict) -> dict:
             raise ConfigError(f"{where}: jet_order must be >= 4 for expansion checks")
         if model == "perturbed" and eff_order < 6:
             raise ConfigError(f"{where}: jet_order must be >= 6 for perturbed charts")
-        if any(c in _QUADRATURE_CHECKS for c in checks) and (model != "heisenberg" or n != 1):
-            raise ConfigError(f"{where}: quadrature checks need the exact heisenberg chart with n = 1")
 
         scenarios.append(
             Scenario(

@@ -1,11 +1,9 @@
-import dataclasses
 import json
 
 import pytest
 
 from crkernel.errors import ConfigError, OracleFitError
 from crkernel.harness import (
-    ChartSpec,
     CheckContext,
     default_config,
     emit_report,
@@ -243,21 +241,12 @@ QUADRATURE_LEAK_DOC = {
 }
 
 
-def test_quadrature_rejected_on_charts_it_cannot_apply_to():
-    with pytest.raises(ConfigError, match=r"scenarios\[1\].*quadrature"):
-        parse_config(QUADRATURE_LEAK_DOC)
-    doc = {"scenarios": [_quadrature_scenario("n2", {"model": "heisenberg", "n": 2})]}
-    with pytest.raises(ConfigError, match="quadrature"):
-        parse_config(doc)
-
-
 def test_quadrature_memo_is_keyed_by_chart():
-    # The perturbed scenario bypasses parse_config: after a flat-chart fit
-    # with the same seed it must still reach the oracle and be refused,
-    # rather than read the flat chart's memoized values.
-    config = parse_config(dict(QUADRATURE_LEAK_DOC, scenarios=QUADRATURE_LEAK_DOC["scenarios"][:1]))
-    flat = config["scenarios"][0]
+    # After a flat-chart fit with the same seed, the perturbed scenario must
+    # still reach the oracle and be refused, rather than read the flat
+    # chart's memoized values.
+    config = parse_config(QUADRATURE_LEAK_DOC)
+    flat, curved = config["scenarios"]
     assert len(CheckContext(flat, 0, 6, config["oracle"]).quadrature_fit()) == 1
-    curved = dataclasses.replace(flat, chart=ChartSpec(model="perturbed", r_synth=0.7, seed=3))
     with pytest.raises(OracleFitError):
         CheckContext(curved, 0, 6, config["oracle"]).quadrature_fit()
