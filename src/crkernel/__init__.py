@@ -21,22 +21,9 @@ from .errors import (
     OrderShortfallError,
     SymbolError,
 )
-from .jets import (
-    Jet,
-    jet_add,
-    jet_compose,
-    jet_eval_complex,
-    jet_exp,
-    jet_invert,
-    jet_log,
-    jet_mul,
-    jet_partial,
-    jet_pow_real,
-    max_coeff_difference,
-)
+from .jets import Jet, max_coeff_difference
 from .charts import (
     CRModelChart,
-    PhasePair,
     christoffel_at,
     heisenberg_chart,
     kohn_laplacian_at0,
@@ -65,7 +52,6 @@ from .stationary import (
     apply_L,
     build_phase_data,
     expansion_coeffs,
-    inverse_hessian_operator,
     numeric_expansion_oracle,
 )
 from .pipeline import (

@@ -41,14 +41,6 @@ CONSISTENCY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class PhasePair:
-    """A phase and its prepared form (both jets in (x, y) at (0, 0))."""
-
-    phi: Jet
-    prepared_phi: Jet
-
-
-@dataclass(frozen=True)
 class CRModelChart:
     """Canonical-coordinate model of a strictly pseudoconvex CR chart."""
 
@@ -59,7 +51,7 @@ class CRModelChart:
     reeb: Tuple[Jet, ...]                  # Reeb field coefficients over d/dx_b
     volume_density: Jet                    # lambda(x)
     synthetic_R: float
-    phase: PhasePair
+    phase: Jet                             # prepared phase in (x, y) at (0, 0)
     is_exact_heisenberg: bool
 
     @property
@@ -145,45 +137,41 @@ def _diagonal_restriction(phi: Jet, n: int) -> Jet:
     return phi.compose(coords + coords)
 
 
-def _check_phase_pair(pair: PhasePair, n: int, order: int, exact: bool) -> None:
+def _check_phase(phi: Jet, n: int, order: int, exact: bool) -> None:
     d = 2 * n + 1
     nv = 2 * d
-    for name, phi in (("phi", pair.phi), ("prepared_phi", pair.prepared_phi)):
-        if phi.num_vars != nv:
-            raise ChartError(f"{name}: expected {nv} variables")
-        scale = max(phi.max_abs(), 1.0)
-        diag = _diagonal_restriction(phi, n)
-        if diag.max_abs() > INVARIANT_TOL * scale:
-            raise ChartError(f"{name}: does not vanish on the diagonal")
-        # d_x phi(0,0) = -omega_0(0), d_y phi(0,0) = +omega_0(0)
-        omega0 = [0.0] * d
-        omega0[2 * n] = 1.0
-        for b in range(d):
-            ex = tuple(1 if k == b else 0 for k in range(nv))
-            ey = tuple(1 if k == d + b else 0 for k in range(nv))
-            if abs(phi.coefficient(ex) + omega0[b]) > INVARIANT_TOL:
-                raise ChartError(f"{name}: d_x phi(0,0) != -omega_0(0) at slot {b}")
-            if abs(phi.coefficient(ey) - omega0[b]) > INVARIANT_TOL:
-                raise ChartError(f"{name}: d_y phi(0,0) != +omega_0(0) at slot {b}")
+    if phi.num_vars != nv:
+        raise ChartError(f"phase: expected {nv} variables")
+    scale = max(phi.max_abs(), 1.0)
+    diag = _diagonal_restriction(phi, n)
+    if diag.max_abs() > INVARIANT_TOL * scale:
+        raise ChartError("phase: does not vanish on the diagonal")
+    # d_x phi(0,0) = -omega_0(0), d_y phi(0,0) = +omega_0(0)
+    omega0 = [0.0] * d
+    omega0[2 * n] = 1.0
+    for b in range(d):
+        ex = tuple(1 if k == b else 0 for k in range(nv))
+        ey = tuple(1 if k == d + b else 0 for k in range(nv))
+        if abs(phi.coefficient(ex) + omega0[b]) > INVARIANT_TOL:
+            raise ChartError(f"phase: d_x phi(0,0) != -omega_0(0) at slot {b}")
+        if abs(phi.coefficient(ey) - omega0[b]) > INVARIANT_TOL:
+            raise ChartError(f"phase: d_y phi(0,0) != +omega_0(0) at slot {b}")
     # prepared form: the last y variable appears only as the exact linear term
     last = nv - 1
-    for idx, c in pair.prepared_phi.coeffs.items():
+    for idx, c in phi.coeffs.items():
         if idx[last] == 0:
             continue
         is_linear = idx[last] == 1 and sum(idx) == 1
         if not is_linear:
-            raise ChartError("prepared_phi: not linear in the last y variable")
+            raise ChartError("phase: not linear in the last y variable")
         if abs(c - 1.0) > INVARIANT_TOL:
-            raise ChartError("prepared_phi: linear y_{2n} coefficient is not 1")
+            raise ChartError("phase: linear y_{2n} coefficient is not 1")
     # quartic normal form: deviation from the exact model starts at degree 4
-    model = heisenberg_phase_jet(n, order)
-    for phi in (pair.phi, pair.prepared_phi):
-        delta = phi - model
-        low = [idx for idx in delta.coeffs if sum(idx) < 4]
-        if low:
-            raise ChartError("phase deviates from the normal form below degree 4")
+    delta = phi - heisenberg_phase_jet(n, order)
+    if any(sum(idx) < 4 for idx in delta.coeffs):
+        raise ChartError("phase deviates from the normal form below degree 4")
     if exact:
-        _check_imaginary_part_sampled(pair.phi, n)
+        _check_imaginary_part_sampled(phi, n)
 
 
 def _check_imaginary_part_sampled(phi: Jet, n: int, num_points: int = 10_000) -> None:
@@ -229,7 +217,7 @@ def _check_chart(chart: CRModelChart) -> None:
                 want = -1j * SQRT2 / 2
             if abs(got - want) > INVARIANT_TOL:
                 raise ChartError(f"frame Z_{j} has wrong value at 0")
-    _check_phase_pair(chart.phase, chart.n, order, chart.is_exact_heisenberg)
+    _check_phase(chart.phase, chart.n, order, chart.is_exact_heisenberg)
 
 
 # -- chart constructors ------------------------------------------------------------------
@@ -251,7 +239,7 @@ def heisenberg_chart(n: int, jet_order: int = 6) -> CRModelChart:
         reeb=reeb_jets(n, jet_order),
         volume_density=Jet.constant(d, jet_order, (0,) * d, 1.0),
         synthetic_R=0.0,
-        phase=PhasePair(phi=phi, prepared_phi=phi),
+        phase=phi,
         is_exact_heisenberg=True,
     )
     _check_chart(chart)
@@ -288,7 +276,6 @@ def perturbed_chart(
     R_synth: float,
     lambda_quadratic: Optional[np.ndarray] = None,
     phase_quartic: Optional[Dict[MultiIndex, complex]] = None,
-    seed: Optional[int] = None,
 ) -> CRModelChart:
     """Inject synthetic curvature through the density and phase channels.
 
@@ -325,8 +312,7 @@ def perturbed_chart(
     lam_coeffs: Dict[MultiIndex, complex] = {(0,) * d: 1.0}
     for a in range(d):
         for b in range(a, d):
-            q = Q[a, b] if a == b else Q[a, b]
-            val = Q[a, a] / 2.0 if a == b else q
+            val = Q[a, a] / 2.0 if a == b else Q[a, b]
             if val != 0:
                 idx = [0] * d
                 idx[a] += 1
@@ -334,7 +320,7 @@ def perturbed_chart(
                 lam_coeffs[tuple(idx)] = lam_coeffs.get(tuple(idx), 0.0) + val
     lam = Jet(d, order, (0,) * d, lam_coeffs)
     psi = Jet(nv, order, (0,) * nv, table)
-    phi = base.phase.phi + psi
+    phi = base.phase + psi
     chart = CRModelChart(
         n=n,
         jet_order=order,
@@ -343,7 +329,7 @@ def perturbed_chart(
         reeb=base.reeb,
         volume_density=lam,
         synthetic_R=float(R_synth),
-        phase=PhasePair(phi=phi, prepared_phi=phi),
+        phase=phi,
         is_exact_heisenberg=False,
     )
     _check_chart(chart)
@@ -427,23 +413,33 @@ def random_perturbation(
 # -- pointwise geometric operators -------------------------------------------------------
 
 
-def kohn_laplacian_at0(chart: CRModelChart, f: Jet) -> complex:
-    """Kohn Laplacian point value in canonical coordinates.
+def kohn_point_value(f: Jet, n: int, offset: int = 0) -> complex:
+    """box_b at 0 in the 2n+1 variables of ``f`` starting at ``offset``.
 
-    box_b f(0) = -(1/2) sum_{j<2n} d^2 f / dx_j^2 (0) - i n df/dx_{2n}(0).
+    box_b f(0) = -(1/2) sum_{j<2n} d^2 f / dx_j^2 (0) - i n df/dx_{2n}(0),
+    with x_k the variable ``offset + k``: offset 0 is the x slot of an
+    (x, y) jet, offset 2n+1 its y slot.
     """
+    nv = f.num_vars
+    total = 0.0 + 0.0j
+    for j in range(2 * n):
+        idx = [0] * nv
+        idx[offset + j] = 2
+        total += -0.5 * f.derivative_value(tuple(idx))
+    idx = [0] * nv
+    idx[offset + 2 * n] = 1
+    total += -1j * n * f.derivative_value(tuple(idx))
+    return total
+
+
+def kohn_laplacian_at0(chart: CRModelChart, f: Jet) -> complex:
+    """Kohn Laplacian point value of a jet in x (see kohn_point_value)."""
     d = chart.dim
     if f.num_vars != d:
         raise OrderShortfallError(f"kohn_laplacian_at0: expected a jet in {d} variables")
     if f.order < 2:
         raise OrderShortfallError("kohn_laplacian_at0: jet order must be >= 2")
-    total = 0.0 + 0.0j
-    for j in range(2 * chart.n):
-        idx = tuple(2 if k == j else 0 for k in range(d))
-        total += -0.5 * f.derivative_value(idx)
-    last = tuple(1 if k == d - 1 else 0 for k in range(d))
-    total += -1j * chart.n * f.derivative_value(last)
-    return total
+    return kohn_point_value(f, chart.n)
 
 
 def reeb_derivative_at0(chart: CRModelChart, f: Jet) -> complex:

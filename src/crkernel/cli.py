@@ -10,7 +10,13 @@ import argparse
 import sys
 
 from .errors import ConfigError, NumericalError
-from .harness import default_config, emit_report, load_config, run_scenarios
+from .harness import (
+    default_config_doc,
+    emit_report,
+    parse_config,
+    read_config_doc,
+    run_scenarios,
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,17 +52,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.config == "default-suite":
-            config = default_config()
+            doc = default_config_doc()
         else:
-            config = load_config(args.config)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
-            config["seed"] = args.seed
-        if args.jet_order is not None:
-            if args.jet_order < 2:
-                raise ConfigError("--jet-order must be >= 2")
-            config["jet_order"] = args.jet_order
+            doc = read_config_doc(args.config)
+        if isinstance(doc, dict):
+            for key, value in (("seed", args.seed), ("jet_order", args.jet_order)):
+                if value is not None:
+                    doc[key] = value
+        config = parse_config(doc)
         reports = run_scenarios(config, name_filter=args.filter, timings=not args.no_timings)
         blob = emit_report(reports, args.format)
     except ConfigError as exc:

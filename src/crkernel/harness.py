@@ -51,7 +51,6 @@ from .stationary import (
     apply_L,
     build_phase_data,
     expansion_coeffs,
-    inverse_hessian_operator,
     mu2_vanishing_values,
     numeric_expansion_oracle,
 )
@@ -144,6 +143,9 @@ _L1_CHECKS = {
     "rescale_uniqueness",
 }
 
+#: checks that run the stationary-phase b1 pipeline on the scenario's symbol
+_PIPELINE_CHECKS = {"b0_leading", "b1_two_routes", "b1_reference"}
+
 
 def _require_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
@@ -151,21 +153,54 @@ def _require_keys(obj: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _section(raw: dict, key: str, allowed: set, where: str) -> dict:
+    """``raw[key]`` (default {}), checked to be an object with known keys."""
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}.{key}: must be an object")
+    _require_keys(value, allowed, f"{where}.{key}")
+    return value
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _integer(raw: dict, key: str, default: int, low: int, where: str) -> int:
+    value = raw.get(key, default)
+    if not _is_int(value) or value < low:
+        raise ConfigError(f"{where}.{key}: must be an integer >= {low}")
+    return value
+
+
+def _number(value, where: str) -> float:
+    if not (_is_int(value) or isinstance(value, float)) or not math.isfinite(value):
+        raise ConfigError(f"{where}: must be a finite number")
+    return float(value)
+
+
 def parse_config(doc: dict) -> dict:
-    """Validate a parsed config document; returns a normalized copy."""
+    """Validate a parsed config document; returns a normalized copy.
+
+    Types and shapes are checked here, and so is every check that cannot
+    apply to its scenario; the oracle's value ranges are checked when it runs.
+    """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     _require_keys(doc, _TOP_KEYS, "config")
-    seed = doc.get("seed", 0)
-    jet_order = doc.get("jet_order", 6)
-    if not isinstance(seed, int) or seed < 0:
-        raise ConfigError("config.seed: must be a non-negative integer")
-    if not isinstance(jet_order, int) or jet_order < 2:
-        raise ConfigError("config.jet_order: must be an integer >= 2")
-    oracle = doc.get("oracle", {})
-    if not isinstance(oracle, dict):
-        raise ConfigError("config.oracle: must be an object")
-    _require_keys(oracle, _ORACLE_KEYS, "config.oracle")
+    seed = _integer(doc, "seed", 0, 0, "config")
+    jet_order = _integer(doc, "jet_order", 6, 2, "config")
+    oracle = _section(doc, "oracle", _ORACLE_KEYS, "config")
+    if "cutoff_radius" in oracle:
+        _number(oracle["cutoff_radius"], "config.oracle.cutoff_radius")
+    t_samples = oracle.get("t_samples", [])
+    if not isinstance(t_samples, list):
+        raise ConfigError("config.oracle.t_samples: must be a list of numbers")
+    for t in t_samples:
+        _number(t, "config.oracle.t_samples[]")
+    nodes = oracle.get("nodes_per_axis")
+    if nodes is not None and not (isinstance(nodes, list) and all(map(_is_int, nodes))):
+        raise ConfigError("config.oracle.nodes_per_axis: must be a list of integers")
 
     raw_scenarios = doc.get("scenarios", [])
     if not isinstance(raw_scenarios, list):
@@ -186,58 +221,66 @@ def parse_config(doc: dict) -> dict:
             raise ConfigError(f"{where}.name: duplicate scenario name {name!r}")
         names.add(name)
 
-        chart_raw = raw.get("chart", {})
-        _require_keys(chart_raw, _CHART_KEYS, f"{where}.chart")
+        chart_raw = _section(raw, "chart", _CHART_KEYS, where)
         model = chart_raw.get("model", "heisenberg")
         if model not in ("heisenberg", "perturbed"):
             raise ConfigError(f"{where}.chart.model: unknown model {model!r}")
-        n = chart_raw.get("n", 1)
-        if not isinstance(n, int) or n < 1:
-            raise ConfigError(f"{where}.chart.n: must be an integer >= 1")
         chart = ChartSpec(
             model=model,
-            n=n,
-            jet_order=chart_raw.get("jet_order"),
-            r_synth=float(chart_raw.get("r_synth", 0.0)),
-            seed=int(chart_raw.get("seed", 0)),
+            n=_integer(chart_raw, "n", 1, 1, f"{where}.chart"),
+            jet_order=(
+                _integer(chart_raw, "jet_order", 2, 2, f"{where}.chart")
+                if "jet_order" in chart_raw else None
+            ),
+            r_synth=_number(chart_raw.get("r_synth", 0.0), f"{where}.chart.r_synth"),
+            seed=_integer(chart_raw, "seed", 0, 0, f"{where}.chart"),
         )
 
         symbol = None
         if "symbol" in raw:
-            sym_raw = raw["symbol"]
-            _require_keys(sym_raw, _SYM_KEYS, f"{where}.symbol")
+            sym_raw = _section(raw, "symbol", _SYM_KEYS, where)
             kind = sym_raw.get("kind", "identity")
             if kind not in ("identity", "multiplication", "random-homogeneous"):
                 raise ConfigError(f"{where}.symbol.kind: unknown kind {kind!r}")
             symbol = SymbolSpec(
                 kind=kind,
-                order_m=float(sym_raw.get("order_m", 0.0)),
-                num_components=int(sym_raw.get("num_components", 2)),
-                seed=int(sym_raw.get("seed", 0)),
+                order_m=_number(sym_raw.get("order_m", 0.0), f"{where}.symbol.order_m"),
+                num_components=_integer(sym_raw, "num_components", 2, 1, f"{where}.symbol"),
+                seed=_integer(sym_raw, "seed", 0, 0, f"{where}.symbol"),
             )
 
         checks = raw.get("checks", [])
         if not isinstance(checks, list) or not checks:
             raise ConfigError(f"{where}.checks: must be a non-empty list")
         for c in checks:
-            if c not in CHECKS:
+            if not isinstance(c, str) or c not in CHECKS:
                 raise ConfigError(f"{where}.checks: unknown check {c!r}")
         if len(set(checks)) != len(checks):
             raise ConfigError(f"{where}.checks: duplicate check ids")
+        needs_symbol = sorted(_PIPELINE_CHECKS.intersection(checks))
+        if needs_symbol and symbol is None:
+            raise ConfigError(f"{where}: checks {needs_symbol} need a symbol")
+        if "b1_reference" in checks and symbol.kind == "random-homogeneous":
+            raise ConfigError(f"{where}: b1_reference applies to multiplication symbols only")
+        if "p_operator_routes" in checks and model != "heisenberg":
+            raise ConfigError(f"{where}: p_operator_routes applies to the heisenberg chart only")
+        if nodes is not None and any(c.startswith("quadrature_") for c in checks):
+            if len(nodes) != 2 * chart.n + 2:
+                raise ConfigError(
+                    f"{where}: config.oracle.nodes_per_axis must list {2 * chart.n + 2} counts"
+                )
 
-        tol_raw = raw.get("tolerances", {})
-        _require_keys(tol_raw, _TOL_KEYS, f"{where}.tolerances")
-        atol = float(tol_raw.get("absolute", 0.0))
-        rtol = float(tol_raw.get("relative", 1e-9))
+        tol_raw = _section(raw, "tolerances", _TOL_KEYS, where)
+        atol = _number(tol_raw.get("absolute", 0.0), f"{where}.tolerances.absolute")
+        rtol = _number(tol_raw.get("relative", 1e-9), f"{where}.tolerances.relative")
         if atol < 0 or rtol < 0 or (atol == 0 and rtol == 0):
             raise ConfigError(f"{where}.tolerances: need positive tolerances")
 
         params = raw.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError(f"{where}.params: must be an object")
-        for k, v in params.items():
-            if not isinstance(v, int):
-                raise ConfigError(f"{where}.params.{k}: must be an integer")
+        for k in params:
+            _integer(params, k, 1, 1, f"{where}.params")
 
         eff_order = chart.jet_order if chart.jet_order is not None else jet_order
         if any(c in _L1_CHECKS for c in checks) and eff_order < 4:
@@ -259,15 +302,19 @@ def parse_config(doc: dict) -> dict:
     return {"seed": seed, "jet_order": jet_order, "oracle": dict(oracle), "scenarios": scenarios}
 
 
-def load_config(path: str) -> dict:
+def read_config_doc(path: str):
+    """The JSON document at ``path``, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
-    return parse_config(doc)
+
+
+def load_config(path: str) -> dict:
+    return parse_config(read_config_doc(path))
 
 
 # -- check context -----------------------------------------------------------------------
@@ -289,6 +336,7 @@ class CheckContext:
         self._chart: Optional[CRModelChart] = None
         self._symbol: Optional[ClassicalSymbol] = None
         self._phase_data = None
+        self._b1_pipeline = None
         self._quadrature = None
 
     @property
@@ -300,15 +348,13 @@ class CheckContext:
                 self._chart = base
             else:
                 q, table = random_perturbation(spec.n, spec.r_synth, seed=spec.seed)
-                self._chart = perturbed_chart(base, spec.r_synth, q, table, seed=spec.seed)
+                self._chart = perturbed_chart(base, spec.r_synth, q, table)
         return self._chart
 
     @property
     def symbol(self) -> ClassicalSymbol:
         if self._symbol is None:
             spec = self.scenario.symbol
-            if spec is None:
-                raise ConfigError(f"scenario {self.scenario.name!r}: check needs a symbol spec")
             d = 2 * self.n + 1
             if spec.kind == "identity":
                 self._symbol = identity_symbol(self.n, self.jet_order)
@@ -332,6 +378,15 @@ class CheckContext:
         if self._phase_data is None:
             self._phase_data = build_phase_data(self.chart)
         return self._phase_data
+
+    @property
+    def b1_pipeline(self) -> Tuple[complex, complex]:
+        """(b0, b1) by the stationary-phase route, computed once per scenario."""
+        if self._b1_pipeline is None:
+            self._b1_pipeline = toeplitz_b1_pipeline(
+                self.symbol, self.chart, phase_data=self.phase_data
+            )
+        return self._b1_pipeline
 
     def rng(self, *labels) -> np.random.Generator:
         return spawn_rng(self.seed, self.scenario.name, *labels)
@@ -405,13 +460,13 @@ def _worst(pairs: Sequence[Tuple[complex, complex]]) -> Tuple[complex, complex]:
 
 
 def check_b0_leading(ctx: CheckContext):
-    b0, _ = toeplitz_b1_pipeline(ctx.symbol, ctx.chart, phase_data=ctx.phase_data)
+    b0, _ = ctx.b1_pipeline
     want = ctx.symbol.components[0].constant_term() / (2.0 * math.pi ** (ctx.n + 1))
     return b0, want
 
 
 def check_b1_two_routes(ctx: CheckContext):
-    _, b1 = toeplitz_b1_pipeline(ctx.symbol, ctx.chart, phase_data=ctx.phase_data)
+    _, b1 = ctx.b1_pipeline
     _, c1 = toeplitz_b1_closed_form(ctx.symbol, ctx.chart)
     return b1, c1
 
@@ -419,7 +474,7 @@ def check_b1_two_routes(ctx: CheckContext):
 def check_b1_reference(ctx: CheckContext):
     """Pipeline b1 against the multiplication-operator corollary value."""
     sym = ctx.symbol
-    _, b1 = toeplitz_b1_pipeline(sym, ctx.chart, phase_data=ctx.phase_data)
+    _, b1 = ctx.b1_pipeline
     d = 2 * ctx.n + 1
     e0 = sym.components[0]
     if any(idx[d:] != (0,) * d for idx in e0.coeffs):
@@ -445,19 +500,19 @@ def check_composition_two_routes(ctx: CheckContext):
         lc = float(rng.uniform(-1.0, 2.0))
         A = random_amplitude(ctx.n, la, seed=int(rng.integers(1 << 30)))
         C = random_amplitude(ctx.n, lc, seed=int(rng.integers(1 << 30)))
-        sp = compose_amplitudes_sp(A, C, ctx.chart, phase_data=ctx.phase_data)
+        sp0, sp1 = compose_amplitudes_sp(A, C, ctx.chart, phase_data=ctx.phase_data)
         c0, c1 = compose_amplitudes_closed(A, C, ctx.chart)
-        pairs.append((sp.c0, c0))
-        pairs.append((sp.c1, c1))
+        pairs.append((sp0, c0))
+        pairs.append((sp1, c1))
     return _worst(pairs)
 
 
 def check_projector_idempotence(ctx: CheckContext):
     A = szego_amplitude(ctx.chart)
-    sp = compose_amplitudes_sp(A, A, ctx.chart, phase_data=ctx.phase_data)
+    sp0, sp1 = compose_amplitudes_sp(A, A, ctx.chart, phase_data=ctx.phase_data)
     pairs = [
-        (sp.c0, A.coeffs[0].constant_term()),
-        (sp.c1, A.coeff(1).constant_term()),
+        (sp0, A.coeffs[0].constant_term()),
+        (sp1, A.coeff(1).constant_term()),
     ]
     return _worst(pairs)
 
@@ -525,30 +580,19 @@ def check_kohn_point_formula(ctx: CheckContext):
         # oracle: univariate restrictions fitted from point values
         want = 0.0 + 0.0j
         for j in range(2 * ctx.n):
-            want += -0.5 * _second_derivative_by_values(f, j)
-        want += -1j * ctx.n * _first_derivative_by_values(f, d - 1)
+            want += -0.5 * _derivative_by_values(f, j, 2)
+        want += -1j * ctx.n * _derivative_by_values(f, d - 1, 1)
         pairs.append((got, want))
     return _worst(pairs)
 
 
-def _axis_values(f: Jet, axis: int, ts: np.ndarray) -> np.ndarray:
+def _derivative_by_values(f: Jet, axis: int, k: int) -> complex:
+    """d^k f / dx_axis^k (0) from a polynomial fitted to values along the axis."""
+    ts = np.linspace(-0.5, 0.5, f.order + 1)
     pts = np.zeros((len(ts), f.num_vars), dtype=complex)
     pts[:, axis] = ts
-    return f.eval_many(pts)
-
-
-def _first_derivative_by_values(f: Jet, axis: int) -> complex:
-    ts = np.linspace(-0.5, 0.5, f.order + 1)
-    vals = _axis_values(f, axis, ts)
-    coeffs = np.polynomial.polynomial.polyfit(ts, vals, f.order)
-    return complex(coeffs[1])
-
-
-def _second_derivative_by_values(f: Jet, axis: int) -> complex:
-    ts = np.linspace(-0.5, 0.5, f.order + 1)
-    vals = _axis_values(f, axis, ts)
-    coeffs = np.polynomial.polynomial.polyfit(ts, vals, f.order)
-    return complex(2.0 * coeffs[2])
+    coeffs = np.polynomial.polynomial.polyfit(ts, f.eval_many(pts), f.order)
+    return complex(math.factorial(k) * coeffs[k])
 
 
 def check_euler_homogeneity(ctx: CheckContext):
@@ -599,7 +643,7 @@ def check_hessian_display(ctx: CheckContext):
             pairs.append((data.hessian[a, b], want))
     det_want = 1.0 / (4.0 * math.pi ** (2 * n + 2))
     pairs.append((data.det_normalized, det_want))
-    table = inverse_hessian_operator(data)
+    table = data.inv_op
     for j in range(2 * n):
         pairs.append((table.get((j, j), 0.0), 0.5j))
     pairs.append((table.get((nv - 2, nv - 1), 0.0), -2.0))
@@ -674,7 +718,7 @@ def check_rescale_uniqueness(ctx: CheckContext):
 
 def check_singularity_branches(ctx: CheckContext):
     n = ctx.n
-    phase = ctx.chart.phase.prepared_phi
+    phase = ctx.chart.phase
     pairs = []
     rng = ctx.rng("singularity")
     amp = random_amplitude(n, float(n) + 0.5, seed=int(rng.integers(1 << 30)))

@@ -435,45 +435,6 @@ def _scalar_powers(d: complex, order: int) -> List[complex]:
     return out
 
 
-# -- free-function aliases matching the operation contract ---------------------------
-
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_invert(a: Jet) -> Jet:
-    return a.invert()
-
-
-def jet_pow_real(a: Jet, p: float) -> Jet:
-    return a.pow_real(p)
-
-
-def jet_log(a: Jet) -> Jet:
-    return a.log()
-
-
-def jet_exp(a: Jet) -> Jet:
-    return a.exp()
-
-
-def jet_partial(a: Jet, var_index: int) -> Jet:
-    return a.partial(var_index)
-
-
-def jet_compose(outer: Jet, inner: Sequence[Jet]) -> Jet:
-    return outer.compose(inner)
-
-
-def jet_eval_complex(a: Jet, displacement: Sequence[complex]) -> complex:
-    return a.eval(displacement)
-
-
 def max_coeff_difference(a: Jet, b: Jet) -> float:
     """Largest coefficient deviation between two compatible jets."""
     a._require_compatible(b, "difference")

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .charts import (
     CRModelChart,
     kohn_laplacian_at0,
+    kohn_point_value,
     reeb_derivative_at0,
     tw_scalar_curvature,
 )
@@ -75,17 +76,6 @@ class KernelAmplitude:
         return Jet.zero(first.num_vars, first.order, first.base_point)
 
 
-@dataclass(frozen=True)
-class SPComposition:
-    """Stationary-phase composition output: diagonal values and the
-    integrand jets that produced them."""
-
-    c0: complex
-    c1: complex
-    gamma0: Jet
-    gamma1: Jet
-
-
 def _xy_base(d: int) -> Tuple[complex, ...]:
     return (0.0,) * (2 * d)
 
@@ -106,7 +96,7 @@ def _phase_gradient_inner(chart: CRModelChart, order: int) -> List[Jet]:
     d = chart.dim
     nv = 2 * d
     base = _xy_base(d)
-    phi = chart.phase.prepared_phi
+    phi = chart.phase
     inner = [Jet.coordinate(i, nv, order, base) for i in range(d)]
     for j in range(d):
         inner.append(phi.partial(j).truncated(order))
@@ -128,7 +118,7 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
     nv = 2 * d
     order = min(AMPLITUDE_ORDER, A.coeffs[0].order)
     inner = _phase_gradient_inner(chart, order)
-    phi = chart.phase.prepared_phi
+    phi = chart.phase
 
     e0 = E.components[0]
     e1 = E.component(1)
@@ -177,7 +167,7 @@ def compose_amplitudes_sp(
     C: KernelAmplitude,
     chart: CRModelChart,
     phase_data: Optional[PhaseCriticalData] = None,
-) -> SPComposition:
+) -> Tuple[complex, complex]:
     """Stationary-phase route for the composed amplitude's diagonal values.
 
     Builds gamma_0(u, sigma) = A_0(0,u) C_0(u,0) lambda(u) sigma^l and the
@@ -207,37 +197,8 @@ def compose_amplitudes_sp(
 
     gamma0 = a0_u * c0_u * lam * sig_l
     gamma1 = (a0_u * c1_u * sig_l + a1_u * c0_u * sig_lm1) * lam
-    c0, c1 = expansion_coeffs(data, gamma0, gamma1, num_coeffs=2)
-    return SPComposition(c0=c0, c1=c1, gamma0=gamma0, gamma1=gamma1)
-
-
-def _kohn_x(jet_xy: Jet, n: int) -> complex:
-    """Kohn Laplacian point value applied in the x slots of an (x,y) jet."""
-    d = 2 * n + 1
-    nv = 2 * d
-    total = 0.0 + 0.0j
-    for j in range(2 * n):
-        idx = [0] * nv
-        idx[j] = 2
-        total += -0.5 * jet_xy.derivative_value(tuple(idx))
-    idx = [0] * nv
-    idx[d - 1] = 1
-    total += -1j * n * jet_xy.derivative_value(tuple(idx))
-    return total
-
-
-def _kohn_y(jet_xy: Jet, n: int) -> complex:
-    d = 2 * n + 1
-    nv = 2 * d
-    total = 0.0 + 0.0j
-    for j in range(2 * n):
-        idx = [0] * nv
-        idx[d + j] = 2
-        total += -0.5 * jet_xy.derivative_value(tuple(idx))
-    idx = [0] * nv
-    idx[2 * d - 1] = 1
-    total += -1j * n * jet_xy.derivative_value(tuple(idx))
-    return total
+    c0, c1 = expansion_coeffs(data, gamma0, gamma1)
+    return c0, c1
 
 
 def compose_amplitudes_closed(
@@ -277,8 +238,8 @@ def compose_amplitudes_closed(
     c1 = pi_pow * (
         -a0v * b0v * r0
         + 2.0 * (a0v * b1v + a1v * b0v)
-        - a0v * _kohn_x(b0, n)
-        - b0v * _kohn_y(a0, n)
+        - a0v * kohn_point_value(b0, n)
+        - b0v * kohn_point_value(a0, n, offset=d)
         + 2j * (n - ell) * a0v * t_x_b0
         + grad_pair
     )
@@ -293,11 +254,7 @@ def _e0_on_contact_graph(E: ClassicalSymbol, chart: CRModelChart, order: int = 2
     return E.components[0].compose(inner)
 
 
-def toeplitz_b1_closed_form(
-    E: ClassicalSymbol,
-    chart: CRModelChart,
-    density: Optional[Jet] = None,
-) -> Tuple[complex, complex]:
+def toeplitz_b1_closed_form(E: ClassicalSymbol, chart: CRModelChart) -> Tuple[complex, complex]:
     """Closed-form first two Toeplitz coefficients at the base point.
 
     b_0 = E_0(0) / (2 pi^{n+1}) and 4 pi^{n+1} b_1 = R E_0 - box_b E_0
@@ -306,7 +263,6 @@ def toeplitz_b1_closed_form(
     if not E.homogeneous:
         raise SymbolError("closed form requires a homogeneous-flagged symbol")
     n = chart.n
-    lam = chart.volume_density if density is None else density
     pi_pow = math.pi ** (n + 1)
 
     script_e0 = _e0_on_contact_graph(E, chart)
@@ -315,7 +271,7 @@ def toeplitz_b1_closed_form(
     box_e0 = kohn_laplacian_at0(chart, script_e0)
     reeb_e0 = reeb_derivative_at0(chart, script_e0)
     p_e0 = p_operator_canonical(E.components[0])
-    esub, _ = subprincipal_symbol(E, lam, 1.0)
+    esub, _ = subprincipal_symbol(E, chart.volume_density, 1.0)
 
     b0 = e0v / (2.0 * pi_pow)
     b1 = (
@@ -327,31 +283,20 @@ def toeplitz_b1_closed_form(
 def toeplitz_b1_pipeline(
     E: ClassicalSymbol,
     chart: CRModelChart,
-    density: Optional[Jet] = None,
     phase_data: Optional[PhaseCriticalData] = None,
 ) -> Tuple[complex, complex]:
     """Stationary-phase route: projector amplitude -> symbol composition ->
     amplitude composition.  Must agree with toeplitz_b1_closed_form."""
-    if density is not None and max_density_deviation(density, chart) > 1e-12:
-        raise SymbolError("pipeline density must match the chart volume density")
     A = szego_amplitude(chart)
     C = qe_amplitude(E, A, chart)
-    sp = compose_amplitudes_sp(A, C, chart, phase_data=phase_data)
-    return sp.c0, sp.c1
+    return compose_amplitudes_sp(A, C, chart, phase_data=phase_data)
 
 
-def max_density_deviation(density: Jet, chart: CRModelChart) -> float:
-    lam = chart.volume_density.truncated(min(density.order, chart.volume_density.order))
-    return (density.truncated(lam.order) - lam).max_abs()
-
-
-def phase_rescale(
-    amplitude: KernelAmplitude, f: Jet, exponent_adjust: float = 0.0
-) -> KernelAmplitude:
+def phase_rescale(amplitude: KernelAmplitude, f: Jet) -> KernelAmplitude:
     """Re-express an amplitude given over the phase f * Phi as one over Phi.
 
-    Each coefficient of t^{top_power - j} is divided by f^{top_power - j + 1}
-    (shifted by exponent_adjust), per the oscillatory-integral identity
+    Each coefficient of t^{top_power - j} is divided by f^{top_power - j + 1},
+    per the oscillatory-integral identity
     int e^{i t G F} t^m dt = int e^{i t F} t^m / G^{m+1} dt.  Requires
     f(x, x) = 1 as a jet identity; diagonal values of the first two
     coefficients are unchanged, which is the uniqueness statement the tests
@@ -369,7 +314,7 @@ def phase_rescale(
         raise SymbolError("rescale function must equal 1 on the diagonal")
     out = []
     for j, b in enumerate(amplitude.coeffs):
-        power = -(amplitude.top_power - j + 1.0) + exponent_adjust
+        power = -(amplitude.top_power - j + 1.0)
         out.append(b * fw.pow_real(power))
     return KernelAmplitude(
         top_power=amplitude.top_power,
@@ -387,11 +332,7 @@ class SingularParts:
     G: Optional[Jet]
 
 
-def singularity_representation(
-    amplitude: KernelAmplitude,
-    phase: Jet,
-    at: Optional[Sequence[float]] = None,
-) -> SingularParts:
+def singularity_representation(amplitude: KernelAmplitude, phase: Jet) -> SingularParts:
     """Kernel singularity factors along the diagonal direction at the origin.
 
     With N = top_power = n + m: non-integer m gives F only, with
@@ -399,8 +340,6 @@ def singularity_representation(
     integer m with N < 0 gives G only, with the factorial-reciprocal series.
     Returned jets are order-1 jets in the diagonal parameter.
     """
-    if at is not None and any(abs(complex(v)) > 0 for v in at):
-        raise SymbolError("only the chart base point is supported as the diagonal point")
     first = amplitude.coeffs[0]
     nv = first.num_vars
     d = nv // 2

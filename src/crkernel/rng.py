@@ -18,7 +18,3 @@ def spawn_rng(seed: int, *labels: object) -> np.random.Generator:
     key = int.from_bytes(digest.digest(), "little")
     return np.random.Generator(np.random.Philox(key=key))
 
-
-def random_complex(rng: np.random.Generator, size=None, scale: float = 1.0):
-    """Complex draws with independent standard normal parts."""
-    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))

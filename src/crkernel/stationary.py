@@ -44,11 +44,10 @@ class PhaseCriticalData:
     n: int
     psi0: Jet
     hessian: np.ndarray
-    hessian_inverse: np.ndarray
     h: Jet
     det_normalized: complex   # det(Psi0''(0,1) / (2 pi i))
     sqrt_det: complex         # branch-checked square root of det_normalized
-    inv_op: Dict[Tuple[int, int], complex]
+    inv_op: Dict[Tuple[int, int], complex]  # <Psi0''^{-1} D, D> over d_a d_b, a <= b
     exact_heisenberg: bool
 
     @property
@@ -62,7 +61,7 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
     nv = d + 1
     order = chart.jet_order
     base = (0.0,) * nv
-    phi = chart.phase.prepared_phi
+    phi = chart.phase
 
     u_coords = [Jet.displacement(i, nv, order, base) for i in range(d)]
     zero = [Jet.zero(nv, order, base) for _ in range(d)]
@@ -123,18 +122,12 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
         n=chart.n,
         psi0=psi0,
         hessian=hess,
-        hessian_inverse=hess_inv,
         h=h,
         det_normalized=det_norm,
         sqrt_det=complex(root),
         inv_op=table,
         exact_heisenberg=chart.is_exact_heisenberg,
     )
-
-
-def inverse_hessian_operator(data: PhaseCriticalData) -> Dict[Tuple[int, int], complex]:
-    """Coefficient table of <Psi0''^{-1} D, D> over second partials d_a d_b (a <= b)."""
-    return dict(data.inv_op)
 
 
 def _apply_inv_op(data: PhaseCriticalData, v: Jet) -> Jet:
@@ -170,30 +163,20 @@ def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
 
 
 def expansion_coeffs(
-    data: PhaseCriticalData,
-    gamma0: Jet,
-    gamma1: Optional[Jet] = None,
-    num_coeffs: int = 2,
-    top_power: Optional[float] = None,
+    data: PhaseCriticalData, gamma0: Jet, gamma1: Optional[Jet] = None
 ) -> List[complex]:
-    """First expansion coefficients of I(t).
+    """The first two expansion coefficients [c0, c1] of I(t).
 
-    With Gamma ~ gamma0 t^p + gamma1 t^{p-1}, returns the coefficients of
+    With Gamma ~ gamma0 t^p + gamma1 t^{p-1}, these are the coefficients of
     t^{p-n} and t^{p-n-1}:
         c0 = gamma0(0,1) / sqrt(det(Psi''/2 pi i)),
         c1 = (gamma1(0,1) + L_1 gamma0(0,1)) / sqrt(det(Psi''/2 pi i)).
-
-    top_power (p above) is exponent bookkeeping for the caller; it does not
-    enter the coefficient values.
     """
-    del top_power
-    if not 1 <= num_coeffs <= 2:
-        raise ValueError("num_coeffs must be 1 or 2 (two orders are specified)")
-    out = [gamma0.constant_term() / data.sqrt_det]
-    if num_coeffs == 2:
-        g1 = 0.0 + 0.0j if gamma1 is None else gamma1.constant_term()
-        out.append((g1 + apply_L(data, 1, gamma0)) / data.sqrt_det)
-    return out
+    g1 = 0.0 + 0.0j if gamma1 is None else gamma1.constant_term()
+    return [
+        gamma0.constant_term() / data.sqrt_det,
+        (g1 + apply_L(data, 1, gamma0)) / data.sqrt_det,
+    ]
 
 
 def mu2_vanishing_values(data: PhaseCriticalData, gamma0: Jet) -> Dict[str, complex]:
@@ -290,7 +273,7 @@ def oscillatory_monomial_moments(
     """
     d = phase.num_vars
     if len(nodes_per_axis) != d:
-        raise ValueError("nodes_per_axis must list one count per variable")
+        raise OracleFitError("nodes_per_axis must list one count per variable")
     # terms[a] holds (power of v_a, power of s, coefficient); terms[-1] is psi_s
     terms: List[List[Tuple[int, int, complex]]] = [[] for _ in range(d)]
     for idx, c in phase.graded_items():

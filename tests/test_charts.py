@@ -110,7 +110,7 @@ def test_reeb_derivative_examples(chart):
 
 
 def test_phase_prepared_form(chart):
-    phi = chart.phase.prepared_phi
+    phi = chart.phase
     last = phi.num_vars - 1
     linear = tuple(1 if k == last else 0 for k in range(phi.num_vars))
     assert phi.coefficient(linear) == 1.0
@@ -122,7 +122,7 @@ def test_phase_prepared_form(chart):
 def test_phase_vanishes_on_diagonal(chart):
     d = chart.dim
     coords = [Jet.coordinate(i, d, chart.jet_order, (0.0,) * d) for i in range(d)]
-    diag = chart.phase.phi.compose(coords + coords)
+    diag = chart.phase.compose(coords + coords)
     assert diag.max_abs() < 1e-14
 
 
@@ -189,9 +189,9 @@ def test_perturbed_phase_keeps_pair_invariants():
     base = heisenberg_chart(1, 6)
     q, table = random_perturbation(1, -0.3, seed=8)
     pch = perturbed_chart(base, -0.3, q, table)
-    phi = pch.phase.prepared_phi
+    phi = pch.phase
     d = base.dim
     coords = [Jet.coordinate(i, d, 6, (0.0,) * d) for i in range(d)]
     assert phi.compose(coords + coords).max_abs() < 1e-12
-    delta = phi - base.phase.phi
+    delta = phi - base.phase
     assert all(sum(idx) >= 4 for idx in delta.coeffs)

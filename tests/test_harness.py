@@ -76,6 +76,79 @@ def test_jet_order_floor_for_expansion_checks():
         parse_config(doc)
 
 
+@pytest.mark.parametrize(
+    "path,value",
+    [
+        (("oracle", "nodes_per_axis"), "abc"),
+        (("oracle", "nodes_per_axis"), [48, 48]),
+        (("oracle", "nodes_per_axis"), [48.0, 48, 160, 160]),
+        (("oracle", "t_samples"), "x"),
+        (("oracle", "t_samples"), [60.0, "x"]),
+        (("oracle", "cutoff_radius"), "big"),
+        (("oracle",), [1]),
+        (("seed",), -1),
+        (("seed",), True),
+        (("jet_order",), 6.0),
+        (("scenarios", 0, "chart"), "heisenberg"),
+        (("scenarios", 0, "chart", "r_synth"), "x"),
+        (("scenarios", 0, "chart", "seed"), -3),
+        (("scenarios", 0, "chart", "jet_order"), "six"),
+        (("scenarios", 0, "symbol"), "identity"),
+        (("scenarios", 0, "symbol", "num_components"), 0),
+        (("scenarios", 0, "symbol", "order_m"), "half"),
+        (("scenarios", 0, "symbol", "seed"), 1.5),
+        (("scenarios", 0, "tolerances"), 1e-9),
+        (("scenarios", 0, "tolerances", "relative"), "tight"),
+        (("scenarios", 0, "params", "num_amplitudes"), 0),
+        (("scenarios", 0, "checks"), [{"id": "quadrature_leading"}]),
+    ],
+)
+def test_malformed_values_rejected(path, value):
+    doc = small_config()
+    doc["oracle"] = {"nodes_per_axis": [48, 48, 160, 160]}
+    scen = doc["scenarios"][0]
+    scen["checks"] = ["quadrature_leading"]
+    scen["symbol"] = {"kind": "identity"}
+    scen["params"] = {"num_amplitudes": 1}
+    parse_config(doc)  # the unmodified document is valid
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
+def test_malformed_value_exits_two(tmp_path, capsys):
+    doc = small_config()
+    doc["scenarios"][0]["symbol"] = {"kind": "identity", "num_components": 0}
+    assert cli.main(["--config", write_config(tmp_path, doc)]) == 2
+
+
+def test_p_operator_routes_rejected_on_perturbed_chart():
+    doc = small_config()
+    doc["scenarios"][0]["chart"] = {"model": "perturbed", "n": 1, "r_synth": 0.3}
+    doc["scenarios"][0]["checks"] = ["p_operator_routes"]
+    with pytest.raises(ConfigError, match="p_operator_routes"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("check", ["b0_leading", "b1_two_routes", "b1_reference"])
+def test_pipeline_checks_need_a_symbol(check):
+    doc = small_config()
+    doc["scenarios"][0]["checks"] = [check]
+    with pytest.raises(ConfigError, match="need a symbol"):
+        parse_config(doc)
+
+
+def test_b1_reference_rejected_on_homogeneous_symbol():
+    doc = small_config()
+    doc["scenarios"][0]["symbol"] = {"kind": "random-homogeneous", "order_m": 0.5}
+    doc["scenarios"][0]["checks"] = ["b1_reference"]
+    with pytest.raises(ConfigError, match="b1_reference"):
+        parse_config(doc)
+
+
 def test_perturbed_needs_order_six():
     doc = small_config(jet_order=5)
     doc["scenarios"][0]["chart"] = {"model": "perturbed", "n": 1, "r_synth": 0.3}
@@ -135,6 +208,26 @@ def test_multiplication_reference_check_runs():
     doc["scenarios"][0]["tolerances"] = {"absolute": 1e-12, "relative": 1e-10}
     reports = run_scenarios(parse_config(doc), timings=False)
     assert reports[0].all_passed
+
+
+def test_pipeline_runs_once_per_scenario(monkeypatch):
+    import crkernel.harness as harness
+
+    calls = []
+    original = harness.toeplitz_b1_pipeline
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "toeplitz_b1_pipeline", counting)
+    doc = small_config()
+    doc["scenarios"][0]["symbol"] = {"kind": "multiplication", "seed": 3}
+    doc["scenarios"][0]["checks"] = ["b0_leading", "b1_two_routes", "b1_reference"]
+    doc["scenarios"][0]["tolerances"] = {"absolute": 1e-12, "relative": 1e-10}
+    reports = run_scenarios(parse_config(doc), timings=False)
+    assert len(reports[0].records) == 3
+    assert len(calls) == 1
 
 
 def test_default_config_covers_every_check_kind():
@@ -218,6 +311,18 @@ def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
     env = doc["reports"][0]["environment"]
     assert env["seed"] == "7"
     assert env["jet_order"] == "5"
+
+
+def test_cli_overrides_go_through_parse_config(tmp_path, capsys):
+    doc = small_config()
+    doc["scenarios"][0]["symbol"] = {"kind": "identity"}
+    doc["scenarios"][0]["checks"] = ["b1_two_routes"]
+    path = write_config(tmp_path, doc)
+    assert cli.main(["--config", path, "--jet-order", "3"]) == 2
+    assert "jet_order must be >= 4" in capsys.readouterr().err
+    assert cli.main(["--config", path, "--jet-order", "1"]) == 2
+    assert cli.main(["--config", path, "--seed", "-1"]) == 2
+    assert cli.main(["--jet-order", "3", "--filter", "geometry-tables"]) == 2
 
 
 def _quadrature_scenario(name, chart):

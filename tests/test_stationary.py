@@ -11,7 +11,6 @@ from crkernel.stationary import (
     apply_L,
     build_phase_data,
     expansion_coeffs,
-    inverse_hessian_operator,
     mu2_vanishing_values,
     WIDTH_FRACTION,
     numeric_expansion_oracle,
@@ -46,8 +45,8 @@ def test_determinant_display(data):
     assert data.sqrt_det == pytest.approx(1.0 / (2.0 * math.pi**2), abs=1e-16)
 
 
-def test_inverse_hessian_operator_table(data):
-    table = inverse_hessian_operator(data)
+def test_inverse_hessian_table(data):
+    table = data.inv_op
     assert table[(0, 0)] == pytest.approx(0.5j)
     assert table[(1, 1)] == pytest.approx(0.5j)
     assert table[(2, 3)] == pytest.approx(-2.0)
@@ -96,12 +95,6 @@ def test_expansion_zero_amplitude(data):
     assert got == [0.0, 0.0]
 
 
-def test_expansion_coefficient_cap(data):
-    one = Jet.constant(NV, 2, BASE, 1.0)
-    with pytest.raises(ValueError):
-        expansion_coeffs(data, one, num_coeffs=3)
-
-
 def test_expansion_perturbed_consistency():
     # gamma_0 = kappa = lambda(u) sigma^l must reproduce -(pi^{n+1}) R
     base = heisenberg_chart(1, 6)
@@ -132,15 +125,20 @@ def test_gradient_must_vanish():
     # a phase that is not critical at (0,1) is rejected at build time
     import dataclasses
 
-    from crkernel.charts import PhasePair
     from crkernel.errors import ChartError
 
     chart = heisenberg_chart(1, 6)
     tilt = Jet.displacement(0, 6, 6, (0.0,) * 6).scale(0.1)
-    broken = chart.phase.prepared_phi + tilt
-    fake = dataclasses.replace(chart, phase=PhasePair(phi=broken, prepared_phi=broken))
+    broken = chart.phase + tilt
+    fake = dataclasses.replace(chart, phase=broken)
     with pytest.raises(ChartError):
         build_phase_data(fake)
+
+
+def test_oracle_rejects_wrong_node_count(data):
+    amp = Jet.constant(NV, 2, BASE, 1.0)
+    with pytest.raises(OracleFitError, match="one count per variable"):
+        numeric_expansion_oracle(data, amp, nodes_per_axis=(48, 48))
 
 
 def test_oracle_rejects_bad_inputs(data):
