@@ -22,7 +22,7 @@ Index conventions (0-based throughout):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -53,6 +53,9 @@ class CRModelChart:
     synthetic_R: float
     phase: Jet                             # prepared phase in (x, y) at (0, 0)
     is_exact_heisenberg: bool
+    #: chart-only P-operator frame data by (order, base), filled lazily by
+    #: ``symbols.p_operator_geometric``
+    _p_geometry: Dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def dim(self) -> int:

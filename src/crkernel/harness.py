@@ -242,6 +242,9 @@ def parse_config(doc: dict) -> dict:
             kind = sym_raw.get("kind", "identity")
             if kind not in ("identity", "multiplication", "random-homogeneous"):
                 raise ConfigError(f"{where}.symbol.kind: unknown kind {kind!r}")
+            unused = sorted({"order_m", "num_components"}.intersection(sym_raw))
+            if kind != "random-homogeneous" and unused:
+                raise ConfigError(f"{where}.symbol: {unused} apply to random-homogeneous symbols only")
             symbol = SymbolSpec(
                 kind=kind,
                 order_m=_number(sym_raw.get("order_m", 0.0), f"{where}.symbol.order_m"),

@@ -270,39 +270,11 @@ class Jet:
         """Substitute ``inner[k]`` for the k-th variable of this jet.
 
         The inner jets must share num_vars/order/base and be centered: the
-        constant term of inner[k] must equal this jet's base_point[k].
+        constant term of inner[k] must equal this jet's base_point[k].  To
+        substitute one inner map into many jets, prepare it once with
+        ``Substitution``.
         """
-        if len(inner) != self.num_vars:
-            raise CenteringError(
-                f"compose: {len(inner)} inner jets for {self.num_vars} outer variables"
-            )
-        first = inner[0]
-        for g in inner[1:]:
-            first._require_compatible(g, "compose inner")
-        order = first.order
-        scale = max([g.max_abs() for g in inner] + [1.0])
-        deltas: List[Jet] = []
-        for k, g in enumerate(inner):
-            resid = g.constant_term() - self.base_point[k]
-            if abs(resid) > CENTERING_TOL * scale:
-                raise CenteringError(
-                    f"compose: inner jet {k} has constant term {g.constant_term()} "
-                    f"but outer base is {self.base_point[k]}"
-                )
-            stripped = dict(g.coeffs)
-            stripped.pop((0,) * g.num_vars, None)
-            deltas.append(Jet._raw(g.num_vars, order, g.base_point, stripped))
-
-        acc: Dict[MultiIndex, complex] = {}
-        one = Jet.constant(first.num_vars, order, first.base_point, 1.0)
-        cache: Dict[MultiIndex, Jet] = {(0,) * self.num_vars: one}
-        for idx, c in self.graded_items():
-            if _degree(idx) > order:
-                continue  # cannot contribute below truncation
-            power = _monomial_power(idx, deltas, cache)
-            for k, v in power.coeffs.items():
-                acc[k] = acc.get(k, 0.0) + c * v
-        return Jet._raw(first.num_vars, order, first.base_point, acc)
+        return Substitution(inner).apply(self)
 
     def eval(self, displacement: Sequence[complex]) -> complex:
         """Evaluate the truncated polynomial at base_point + displacement."""
@@ -413,6 +385,100 @@ def _prune(coeffs: Dict[MultiIndex, complex]) -> Dict[MultiIndex, complex]:
     top = max(abs(c) for c in coeffs.values())
     cutoff = PRUNE_REL * top
     return {k: v for k, v in coeffs.items() if abs(v) > cutoff}
+
+
+class Substitution:
+    """An inner map of ``Jet.compose``, validated and stripped once.
+
+    ``apply(outer)`` equals ``outer.compose(inner)`` bit for bit.  The table of
+    monomial powers of the inner displacements fills lazily and is shared by
+    every outer jet the substitution is applied to; an entry depends only on
+    its multi-index, so reuse changes no value.  When every displacement is
+    zero or a single unit-coefficient degree-1 monomial (variable lifts,
+    restrictions, slot zeroing), ``apply`` re-indexes exponents and makes no
+    products.
+    """
+
+    def __init__(self, inner: Sequence[Jet]):
+        inner = tuple(inner)
+        if not inner:
+            raise CenteringError("compose: no inner jets")
+        first = inner[0]
+        for g in inner[1:]:
+            first._require_compatible(g, "compose inner")
+        self.num_inner = len(inner)
+        self.num_vars = first.num_vars
+        self.order = first.order
+        self.base_point = first.base_point
+        self._constants = tuple(g.constant_term() for g in inner)
+        self._scale = max([g.max_abs() for g in inner] + [1.0])
+        zero = (0,) * first.num_vars
+        deltas: List[Jet] = []
+        for g in inner:
+            stripped = dict(g.coeffs)
+            stripped.pop(zero, None)
+            deltas.append(Jet._raw(g.num_vars, self.order, g.base_point, stripped))
+        self._deltas = deltas
+        self._targets = _unit_targets(deltas)
+        one = Jet.constant(first.num_vars, self.order, first.base_point, 1.0)
+        self._powers: Dict[MultiIndex, Jet] = {(0,) * self.num_inner: one}
+
+    def apply(self, outer: Jet) -> Jet:
+        """``outer`` with ``inner[k]`` substituted for its k-th variable."""
+        if self.num_inner != outer.num_vars:
+            raise CenteringError(
+                f"compose: {self.num_inner} inner jets for {outer.num_vars} outer variables"
+            )
+        for k, c0 in enumerate(self._constants):
+            if abs(c0 - outer.base_point[k]) > CENTERING_TOL * self._scale:
+                raise CenteringError(
+                    f"compose: inner jet {k} has constant term {c0} "
+                    f"but outer base is {outer.base_point[k]}"
+                )
+        order = self.order
+        acc: Dict[MultiIndex, complex] = {}
+        if self._targets is not None:
+            targets, nv = self._targets, self.num_vars
+            for idx, c in outer.graded_items():
+                if _degree(idx) > order:
+                    continue
+                key = [0] * nv
+                for k, a in enumerate(idx):
+                    if a:
+                        t = targets[k]
+                        if t is None:
+                            break  # a zero displacement kills the monomial
+                        key[t] += a
+                else:
+                    key = tuple(key)
+                    # 0.0 + c, as in the general path, where c * 1 may carry
+                    # another zero sign but the accumulated sum cannot
+                    acc[key] = acc.get(key, 0.0) + c
+        else:
+            for idx, c in outer.graded_items():
+                if _degree(idx) > order:
+                    continue  # cannot contribute below truncation
+                power = _monomial_power(idx, self._deltas, self._powers)
+                for k, v in power.coeffs.items():
+                    acc[k] = acc.get(k, 0.0) + c * v
+        return Jet._raw(self.num_vars, order, self.base_point, acc)
+
+
+def _unit_targets(deltas: Sequence[Jet]):
+    """Per displacement, the variable it equals (None for zero), if every
+    displacement is zero or one unit-coefficient degree-1 monomial; else None."""
+    targets = []
+    for g in deltas:
+        if not g.coeffs:
+            targets.append(None)
+            continue
+        if len(g.coeffs) != 1:
+            return None
+        (idx, c), = g.coeffs.items()
+        if c != 1 or _degree(idx) != 1:
+            return None
+        targets.append(idx.index(1))
+    return targets
 
 
 def _monomial_power(idx: MultiIndex, deltas: Sequence[Jet], cache: Dict[MultiIndex, Jet]) -> Jet:

@@ -27,7 +27,7 @@ from .charts import (
     tw_scalar_curvature,
 )
 from .errors import OrderShortfallError, SymbolError
-from .jets import Jet, random_jet
+from .jets import Jet, Substitution, random_jet
 from .rng import spawn_rng
 from .stationary import PhaseCriticalData, build_phase_data, expansion_coeffs
 from .symbols import ClassicalSymbol, p_operator_canonical, subprincipal_symbol
@@ -117,7 +117,7 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
     d = chart.dim
     nv = 2 * d
     order = min(AMPLITUDE_ORDER, A.coeffs[0].order)
-    inner = _phase_gradient_inner(chart, order)
+    at_grad = Substitution(_phase_gradient_inner(chart, order))
     phi = chart.phase
 
     e0 = E.components[0]
@@ -125,9 +125,9 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
     a0 = A.coeffs[0].truncated(order)
     a1 = A.coeff(1).truncated(order)
 
-    e0_at = e0.compose(inner)
+    e0_at = at_grad.apply(e0)
     c0 = e0_at * a0
-    c1 = e0_at * a1 + e1.compose(inner) * a0
+    c1 = e0_at * a1 + at_grad.apply(e1) * a0
     for j in range(d):
         for k in range(j, d):
             hess = e0.partial(d + j).partial(d + k)
@@ -136,12 +136,12 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
             # alpha = e_j + e_k: the unordered pair appears once with 1/alpha!
             factor = -0.5j if j == k else -1.0j
             phi_term = phi.partial(j).partial(k).truncated(order)
-            c1 = c1 + factor * (hess.compose(inner) * phi_term * a0)
+            c1 = c1 + factor * (at_grad.apply(hess) * phi_term * a0)
     for j in range(d):
         grad_a = A.coeffs[0].partial(j).truncated(order)
         if not grad_a.coeffs:
             continue
-        c1 = c1 + (-1j) * (e0.partial(d + j).compose(inner) * grad_a)
+        c1 = c1 + (-1j) * (at_grad.apply(e0.partial(d + j)) * grad_a)
     return KernelAmplitude(top_power=A.top_power + E.order_m, coeffs=(c0, c1))
 
 

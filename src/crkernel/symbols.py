@@ -10,6 +10,7 @@ truncation order by construction.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -17,7 +18,7 @@ import numpy as np
 
 from .charts import CRModelChart, christoffel_at, real_levi_frame, _solve_jet_linear
 from .errors import ChartError, OrderShortfallError, SymbolError
-from .jets import Jet, random_jet
+from .jets import Jet, Substitution, random_jet
 from .rng import spawn_rng
 
 
@@ -100,17 +101,22 @@ def homogeneity_extend(data_on_slice: Jet, degree: float) -> Jet:
     nv_slice = data_on_slice.num_vars
     if (nv_slice - 1) % 4:
         raise SymbolError("slice jet must have (2n+1) + 2n variables")
-    n = (nv_slice - 1) // 4
+    w, slice_map = _slice_map((nv_slice - 1) // 4, data_on_slice.order)
+    return w.pow_real(degree) * slice_map.apply(data_on_slice)
+
+
+@functools.cache
+def _slice_map(n: int, order: int) -> Tuple[Jet, Substitution]:
+    """(w, (x, -xi'/xi_{2n})) with w = -xi_{2n}: the slice chart of ``homogeneity_extend``."""
     d = 2 * n + 1
     nv = 2 * d
-    order = data_on_slice.order
     base = xi_base(n)
     dlast = Jet.displacement(nv - 1, nv, order, base)
     w = Jet.constant(nv, order, base, 1.0) - dlast          # -xi_{2n} = 1 - dxi_{2n}
     winv = w.invert()
     inner = [Jet.coordinate(i, nv, order, base) for i in range(d)]
     inner += [Jet.displacement(d + j, nv, order, base) * winv for j in range(2 * n)]
-    return w.pow_real(degree) * data_on_slice.compose(inner)
+    return w, Substitution(inner)
 
 
 def euler_check(component: Jet, degree: float) -> float:
@@ -212,7 +218,8 @@ def invert_map(kappa: Sequence[Jet]) -> List[Jet]:
         nonlin.append(kappa[c].shift_constant(-kappa[c].constant_term()) - lin)
     psi = lin_solve(coords)
     for _ in range(order):
-        nl_at = [nonlin[j].compose(psi) for j in range(d)]
+        at_psi = Substitution(psi)
+        nl_at = [at_psi.apply(nonlin[j]) for j in range(d)]
         psi = lin_solve([coords[j] - nl_at[j] for j in range(d)])
     return psi
 
@@ -271,11 +278,11 @@ def transform_symbol_under_diffeo(sym: ClassicalSymbol, kappa: Sequence[Jet]) ->
     eta0 = np.linalg.solve(jac0.T, old_xi)
     new_base = tuple(0.0 for _ in range(d)) + tuple(complex(v) for v in eta0)
 
-    psi = invert_map([k.with_order(work) for k in kappa])  # x(y), jets in y
+    at_psi = Substitution(invert_map([k.with_order(work) for k in kappa]))  # x(y), jets in y
 
     def on_new_space(f_x: Jet) -> Jet:
         """f(x(y)) promoted to the (y, eta) space."""
-        f_y = f_x.with_order(work).compose(psi)
+        f_y = at_psi.apply(f_x.with_order(work))
         return promote_x_jet(f_y, new_base, work)
 
     eta_coords = [Jet.coordinate(d + c, nv, work, new_base) for c in range(d)]
@@ -287,10 +294,10 @@ def transform_symbol_under_diffeo(sym: ClassicalSymbol, kappa: Sequence[Jet]) ->
             dkc = kappa[c].with_order(work + 1).partial(j).with_order(work)
             acc = acc + on_new_space(dkc) * eta_coords[c]
         inner_xi.append(acc)
-    inner = inner_x + inner_xi
+    at_inner = Substitution(inner_x + inner_xi)
 
-    ek0 = e0.truncated(work).with_order(work).compose(inner)
-    ek1 = sym.component(1).truncated(work).compose(inner)
+    ek0 = at_inner.apply(e0.truncated(work).with_order(work))
+    ek1 = at_inner.apply(sym.component(1).truncated(work))
     for j in range(d):
         for k in range(d):
             hess = e0.partial(d + j).partial(d + k).truncated(work)
@@ -303,7 +310,7 @@ def transform_symbol_under_diffeo(sym: ClassicalSymbol, kappa: Sequence[Jet]) ->
                     continue
                 pairing = pairing + on_new_space(d2k) * eta_coords[c]
             if pairing.coeffs:
-                ek1 = ek1 + (-0.5j) * (hess.compose(inner) * pairing)
+                ek1 = ek1 + (-0.5j) * (at_inner.apply(hess) * pairing)
     standard = new_base == xi_base((d - 1) // 2)
     return ClassicalSymbol(
         order_m=sym.order_m,
@@ -358,6 +365,46 @@ def p_operator_canonical(F: Jet) -> complex:
     return total
 
 
+def _p_geometry(chart: CRModelChart, w: int, base: Tuple[complex, ...]):
+    """Chart-only data of ``p_operator_geometric`` at order w, cached on the chart.
+
+    Returns (gam_xi, frame_p, coframe, hor_xi): gam_xi[(j, k, l)] = xi_k Gamma^l_{jk}
+    lifted to (x, xi), the real frame X[r][l] over d/dx_l, its dual coframe
+    W = (X^T)^{-1}, and hor_xi[r][l], the d/dxi_l coefficients of the
+    horizontal lift of X_r (its d/dx_l coefficients are X[r][l]).
+    """
+    key = (w, base)
+    hit = chart._p_geometry.get(key)
+    if hit is not None:
+        return hit
+    d = chart.dim
+    nv = 2 * d
+    xi_jets = [Jet.coordinate(d + k, nv, w, base) for k in range(d)]
+    gam_xi = {
+        (j, k, l): xi_jets[k] * promote_x_jet(g.truncated(w), base, w)
+        for (j, k, l), g in christoffel_at(chart, w + 1).items()
+        if g.coeffs
+    }
+    xframe = real_levi_frame(chart)
+    frame_p = [[promote_x_jet(xframe[r][l].truncated(w), base, w) for l in range(d)] for r in range(d)]
+
+    # dual coframe rows (omega^a over dx_b): solve sum_b W[a][b] xframe[r][b] = delta_{a r}
+    coframe: List[List[Jet]] = []
+    for arow in range(d):
+        rhs = [Jet.constant(nv, w, base, 1.0 if r == arow else 0.0) for r in range(d)]
+        coframe.append(_solve_jet_linear(frame_p, rhs))
+
+    # horizontal lift coefficients: X_r^Hor = sum_l xframe[r][l] d/dx_l^Hor
+    hor_xi = []
+    for r in range(d):
+        vs = [Jet.zero(nv, w, base) for _ in range(d)]
+        for (j, k, l), gx in gam_xi.items():
+            vs[l] = vs[l] - frame_p[r][j] * gx
+        hor_xi.append(vs)
+    geometry = chart._p_geometry[key] = (gam_xi, frame_p, coframe, hor_xi)
+    return geometry
+
+
 def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
     """P(F) = -(1/2) Div(J_{T*X} X_F) evaluated at (0, -omega_0(0)).
 
@@ -375,46 +422,21 @@ def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
         raise OrderShortfallError("p_operator_geometric needs order >= 2")
     base = F.base_point
     w = max(F.order - 1, 0)
+    gam_xi, frame_p, coframe, hor_xi = _p_geometry(chart, w, base)
 
     comps = hamiltonian_vector_field(F)
     a = comps[:d]
     b = comps[d:]
 
-    gammas = christoffel_at(chart, w + 1)
-    gam = {
-        key: promote_x_jet(g.truncated(w), base, w) for key, g in gammas.items() if g.coeffs
-    }
-    xi_jets = [Jet.coordinate(d + k, nv, w, base) for k in range(d)]
-    x_jets = [Jet.coordinate(i, nv, w, base) for i in range(d)]
-
     # vertical remainder after subtracting the horizontal lift of the pushdown
     bhat = list(b)
-    for (j, k, l), g in gam.items():
-        bhat[l] = bhat[l] + a[j] * (xi_jets[k] * g)
+    for (j, k, l), gx in gam_xi.items():
+        bhat[l] = bhat[l] + a[j] * gx
 
-    # pushdown split over the real frame: solve sum_a alpha_a X_a = sum a_l d/dx_l
-    xframe = real_levi_frame(chart)
-    frame_p = [[promote_x_jet(xframe[r][l].truncated(w), base, w) for l in range(d)] for r in range(d)]
-    amat = [[frame_p[r][l] for r in range(d)] for l in range(d)]
-    alpha = _solve_jet_linear(amat, a)
-
-    # dual coframe rows (omega^a over dx_b): solve sum_b W[a][b] xframe[r][b] = delta_{a r}
-    coframe: List[List[Jet]] = []
-    for arow in range(d):
-        rhs = [
-            Jet.constant(nv, w, base, 1.0 if r == arow else 0.0) for r in range(d)
-        ]
-        wmat = [[frame_p[r][bb] for bb in range(d)] for r in range(d)]
-        coframe.append(_solve_jet_linear(wmat, rhs))
-    beta = _solve_jet_linear([[coframe[arow][bb] for arow in range(d)] for bb in range(d)], bhat)
-
-    # horizontal lift coefficients: X_r^Hor = sum_l xframe[r][l] d/dx_l^Hor
-    def hor_field(r: int) -> Tuple[List[Jet], List[Jet]]:
-        xs = [frame_p[r][l] for l in range(d)]
-        vs = [Jet.zero(nv, w, base) for _ in range(d)]
-        for (j, k, l), g in gam.items():
-            vs[l] = vs[l] - frame_p[r][j] * (xi_jets[k] * g)
-        return xs, vs
+    # pushdown split over the real frame, sum_r alpha_r X_r = sum_l a_l d/dx_l,
+    # and vertical part over the coframe, sum_r beta_r omega^r = sum_l bhat_l dxi_l
+    alpha = [_jet_dot(coframe[r], a) for r in range(d)]
+    beta = [_jet_dot(frame_p[r], bhat) for r in range(d)]
 
     out_x = [Jet.zero(nv, w, base) for _ in range(d)]
     out_xi = [Jet.zero(nv, w, base) for _ in range(d)]
@@ -422,10 +444,9 @@ def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
     # J on the horizontal Levi part: X_{2j} -> X_{2j+1}, X_{2j+1} -> -X_{2j}
     for j in range(n):
         for coeff, target in ((alpha[2 * j], 2 * j + 1), (-1.0 * alpha[2 * j + 1], 2 * j)):
-            xs, vs = hor_field(target)
             for l in range(d):
-                out_x[l] = out_x[l] + coeff * xs[l]
-                out_xi[l] = out_xi[l] + coeff * vs[l]
+                out_x[l] = out_x[l] + coeff * frame_p[target][l]
+                out_xi[l] = out_xi[l] + coeff * hor_xi[target][l]
 
     # minus J on the vertical Levi part: omega^{2j} -> omega^{2j+1}, omega^{2j+1} -> -omega^{2j}
     for j in range(n):
@@ -435,3 +456,11 @@ def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
 
     div = divergence(out_x + out_xi)
     return -0.5 * div.constant_term()
+
+
+def _jet_dot(row: Sequence[Jet], vec: Sequence[Jet]) -> Jet:
+    """sum_l row[l] * vec[l]."""
+    acc = row[0] * vec[0]
+    for r, v in zip(row[1:], vec[1:]):
+        acc = acc + r * v
+    return acc

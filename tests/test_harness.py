@@ -149,6 +149,15 @@ def test_b1_reference_rejected_on_homogeneous_symbol():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("key,value", [("order_m", 0.5), ("num_components", 5)])
+def test_homogeneous_only_symbol_keys_rejected(key, value):
+    for kind in ("identity", "multiplication"):
+        doc = small_config()
+        doc["scenarios"][0]["symbol"] = {"kind": kind, key: value}
+        with pytest.raises(ConfigError, match=key):
+            parse_config(doc)
+
+
 def test_perturbed_needs_order_six():
     doc = small_config(jet_order=5)
     doc["scenarios"][0]["chart"] = {"model": "perturbed", "n": 1, "r_synth": 0.3}
@@ -228,6 +237,28 @@ def test_pipeline_runs_once_per_scenario(monkeypatch):
     reports = run_scenarios(parse_config(doc), timings=False)
     assert len(reports[0].records) == 3
     assert len(calls) == 1
+
+
+def _homogeneous_scenario(name, order_m, seed):
+    return {
+        "name": name,
+        "chart": {"model": "heisenberg", "n": 1},
+        "symbol": {"kind": "random-homogeneous", "order_m": order_m, "seed": seed},
+        "checks": ["b0_leading", "b1_two_routes"],
+        "tolerances": {"absolute": 1e-12, "relative": 1e-9},
+    }
+
+
+def test_homogeneous_record_does_not_depend_on_earlier_scenarios():
+    from crkernel.symbols import _slice_map
+
+    last = _homogeneous_scenario("last", 0.5, 11)
+    _slice_map.cache_clear()
+    alone = run_scenarios(parse_config(small_config(scenarios=[last])), timings=False)
+    _slice_map.cache_clear()
+    first = _homogeneous_scenario("first", -1.0, 4)
+    after = run_scenarios(parse_config(small_config(scenarios=[first, last])), timings=False)
+    assert emit_report(after[1:]) == emit_report(alone)
 
 
 def test_default_config_covers_every_check_kind():

@@ -3,6 +3,7 @@ import pytest
 from crkernel.errors import BranchError, CenteringError, CompatibilityError
 from crkernel.jets import (
     Jet,
+    Substitution,
     max_coeff_difference,
     random_jet,
 )
@@ -151,6 +152,34 @@ def test_compose_arity_mismatch():
     outer = Jet.constant(2, 2, (0.0, 0.0), 1.0)
     with pytest.raises(CenteringError):
         outer.compose([x_jet()])
+
+
+def _substitution_cases():
+    """(inner map, outer jets): a general map and a re-indexing one, both in 6 variables."""
+    base6 = (0.0,) * 6
+    rng = spawn_rng(5, "subst")
+    general = [
+        Jet.displacement(i, 6, 4, base6) + random_jet(rng, 6, 4, base6, min_degree=2).scale(0.3)
+        for i in range(6)
+    ]
+    coords = [Jet.displacement(i, 3, 4, (0.0,) * 3) for i in range(3)]
+    outers = [random_jet(rng, 6, 4, base6) for _ in range(3)]
+    return [(general, outers), (coords + coords, outers)]
+
+
+@pytest.mark.parametrize("case", range(2), ids=["general", "reindex"])
+def test_substitution_reuse_is_exact(case):
+    inner, outers = _substitution_cases()[case]
+    sub = Substitution(inner)
+    for outer in outers + outers[::-1]:
+        assert sub.apply(outer).coeffs == outer.compose(inner).coeffs
+
+
+def test_substitution_centering_checked_per_outer():
+    sub = Substitution([x_jet(order=2)])
+    sub.apply(Jet(1, 2, (0.0,), {(1,): 1}))
+    with pytest.raises(CenteringError):
+        sub.apply(Jet(1, 2, (1.0,), {(1,): 1}))
 
 
 def test_eval_examples():

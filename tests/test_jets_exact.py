@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from crkernel.jets import Jet, iter_multi_indices
+from crkernel.jets import Jet, Substitution, iter_multi_indices
 
 #: allowed coefficient deviation, relative to the largest exact coefficient.
 #: PRUNE_REL drops terms below 1e-14 of an intermediate's largest coefficient
@@ -206,3 +206,40 @@ def test_integer_pow_real_matches_exact(num_vars, order, p):
     a = random_exact(rng, num_vars, order, operand_terms(num_vars, order), constant=SERIES_CONSTANT)
     got = to_jet(a, num_vars, order).pow_real(float(p))
     assert_matches(got, exact_pow(a, p, num_vars, order))
+
+
+# -- re-indexing substitutions: variable lifts, zeroed slots, repeated targets -------------
+
+
+def coordinate_exact(i, num_vars):
+    return {tuple(1 if k == i else 0 for k in range(num_vars)): GaussRational(1)}
+
+
+def reindex_maps():
+    """(name, outer shape, inner maps) as the pipeline builds them: x -> (x, xi)
+    promotion, the (0, u) and (u, 0) restrictions, and the diagonal x -> (x, x)."""
+    u = [coordinate_exact(i, 4) for i in range(3)]
+    x = [coordinate_exact(i, 3) for i in range(3)]
+    return [
+        ("promote", (3, 6), [coordinate_exact(i, 6) for i in range(3)], 6),
+        ("zero-u", (6, 4), [{}] * 3 + u, 4),
+        ("u-zero", (6, 4), u + [{}] * 3, 4),
+        ("diagonal", (6, 4), x + x, 3),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name,shape,inner,inner_vars", reindex_maps(), ids=[m[0] for m in reindex_maps()]
+)
+def test_reindex_substitution_matches_exact(monkeypatch, name, shape, inner, inner_vars):
+    num_vars, order = shape
+    rng = random.Random(f"reindex-{name}")
+    outer = random_exact(rng, num_vars, order)
+    sub = Substitution([to_jet(g, inner_vars, order) for g in inner])
+
+    def no_products(self, other):
+        raise AssertionError("a re-indexing substitution made a jet product")
+
+    monkeypatch.setattr(Jet, "_mul_jet", no_products)
+    got = sub.apply(to_jet(outer, num_vars, order))
+    assert_matches(got, exact_compose(outer, inner, inner_vars, order))

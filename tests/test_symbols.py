@@ -316,6 +316,35 @@ def test_p_operator_geometric_agreement(chart):
         assert dev < 1e-12
 
 
+def _random_fields(tag, count):
+    return [random_jet(spawn_rng(k, tag), NV, 4, BASE, decay=0.5) for k in range(count)]
+
+
+def test_p_operator_geometric_does_not_depend_on_earlier_fields():
+    used = heisenberg_chart(1, 6)
+    first, second, last = _random_fields("p-order", 3)
+    p_operator_geometric(used, first)
+    p_operator_geometric(used, second)
+    assert p_operator_geometric(used, last) == p_operator_geometric(heisenberg_chart(1, 6), last)
+
+
+def test_p_operator_coframe_products_match_linear_solves(chart):
+    from crkernel.charts import _solve_jet_linear
+    from crkernel.symbols import _jet_dot, _p_geometry
+
+    gam_xi, frame_p, coframe, _ = _p_geometry(chart, 3, BASE)
+    for F in _random_fields("p-coframe", 5):
+        comps = hamiltonian_vector_field(F)
+        a, bhat = comps[:D], list(comps[D:])
+        for (j, k, l), gx in gam_xi.items():
+            bhat[l] = bhat[l] + a[j] * gx
+        alpha = _solve_jet_linear([[frame_p[r][l] for r in range(D)] for l in range(D)], a)
+        beta = _solve_jet_linear([[coframe[r][l] for r in range(D)] for l in range(D)], bhat)
+        for r in range(D):
+            assert max_coeff_difference(_jet_dot(coframe[r], a), alpha[r]) < 1e-14
+            assert max_coeff_difference(_jet_dot(frame_p[r], bhat), beta[r]) < 1e-14
+
+
 def test_p_operator_geometric_rejects_perturbed(chart):
     q, table = random_perturbation(1, 0.3, seed=2)
     pch = perturbed_chart(chart, 0.3, q, table)
