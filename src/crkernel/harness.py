@@ -33,7 +33,7 @@ from .charts import (
     random_perturbation,
     tw_scalar_curvature,
 )
-from .errors import ConfigError
+from .errors import ConfigError, OracleFitError
 from .jets import Jet, random_jet
 from .pipeline import (
     compose_amplitudes_closed,
@@ -53,11 +53,13 @@ from .stationary import (
     expansion_coeffs,
     mu2_vanishing_values,
     numeric_expansion_oracle,
+    oracle_t_samples,
 )
 from .symbols import (
     ClassicalSymbol,
     euler_check,
     identity_symbol,
+    invert_map,
     make_multiplication_symbol,
     p_operator_canonical,
     p_operator_geometric,
@@ -182,8 +184,9 @@ def _number(value, where: str) -> float:
 def parse_config(doc: dict) -> dict:
     """Validate a parsed config document; returns a normalized copy.
 
-    Types and shapes are checked here, and so is every check that cannot
-    apply to its scenario; the oracle's value ranges are checked when it runs.
+    Types and shapes, the oracle's t samples and every check that cannot
+    apply to its scenario are checked here; the oracle's other value ranges
+    are checked when it runs.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
@@ -198,6 +201,11 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("config.oracle.t_samples: must be a list of numbers")
     for t in t_samples:
         _number(t, "config.oracle.t_samples[]")
+    if "t_samples" in oracle:
+        try:
+            oracle_t_samples(t_samples)
+        except OracleFitError as exc:
+            raise ConfigError(f"config.oracle.t_samples: {exc}") from exc
     nodes = oracle.get("nodes_per_axis")
     if nodes is not None and not (isinstance(nodes, list) and all(map(_is_int, nodes))):
         raise ConfigError("config.oracle.nodes_per_axis: must be a list of integers")
@@ -536,8 +544,9 @@ def check_subprincipal_invariance(ctx: CheckContext):
         for c in range(d):
             bump = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.3, min_degree=2)
             kappa.append(Jet.displacement(c, d, order, (0.0,) * d) + bump.truncated(3).with_order(order).scale(0.3))
-        tsym = transform_symbol_under_diffeo(sym, kappa)
-        tlam = transform_density(lam, kappa, s_val)
+        psi = invert_map(kappa)  # at the density's order; the symbol transport truncates it
+        tsym = transform_symbol_under_diffeo(sym, kappa, psi)
+        tlam = transform_density(lam, kappa, s_val, psi)
         direct, _ = subprincipal_symbol(sym, lam, s_val)
         transported, _ = subprincipal_symbol(tsym, tlam, s_val)
         pairs.append((transported, direct))

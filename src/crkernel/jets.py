@@ -1,13 +1,23 @@
 """Truncated multivariate Taylor polynomials (jets) with complex coefficients.
 
 A ``Jet`` stores the Taylor coefficients of a function at a fixed base point,
-keyed by exponent multi-index in the displacement from that base point, up to
-a truncation order.  All other modules compute exclusively with jets.
+indexed by exponent multi-index in the displacement from that base point, up
+to a truncation order.  All other modules compute exclusively with jets.
 
 Conventions:
-  * coefficients are plain Python complex (double precision);
-  * storage is sparse, keyed by exponent tuples, iterated in degree-graded
-    lexicographic order so that downstream reports are byte-stable;
+  * coefficients are one complex128 vector over the monomials of total degree
+    <= order in degree-graded lexicographic order; a lower order's basis is a
+    prefix of a higher order's, so truncation is a slice and one cached basis
+    per num_vars serves every order;
+  * the basis tables (exponents, sorted monomial keys for the index map and
+    the product rows, degree offsets, partial-derivative gathers) are built
+    with numpy on first use; importing this module builds none;
+  * ``coeffs`` (a dict of the nonzero entries) and ``graded_items`` are read
+    from the vector on demand, in graded order, so downstream reports are
+    byte-stable;
+  * products round each term as Python's complex product does and sum the
+    terms of one coefficient in graded order of the sparser operand, so
+    results do not depend on numpy's vector kernels;
   * binary arithmetic demands equal num_vars, base_point and order, never
     coercing silently; callers align orders explicitly with ``truncated`` /
     ``with_order``;
@@ -18,8 +28,8 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -28,64 +38,182 @@ from .errors import BranchError, CenteringError, CompatibilityError
 
 MultiIndex = Tuple[int, ...]
 
-#: relative magnitude below which coefficients are dropped
-PRUNE_REL = 1e-14
-
 #: tolerance for composition centering checks
 CENTERING_TOL = 1e-12
 
 
-def _degree(idx: MultiIndex) -> int:
-    return sum(idx)
+class _Basis:
+    """The graded-lex monomial basis in num_vars variables, up to ``order``.
+
+    A lower order's basis is a prefix of a higher order's, so one table
+    serves every order up to its own: a jet of order o uses the first
+    ``size(o)`` monomials, and a monomial's position never depends on o.  A
+    monomial's key is degree * R**num_vars plus its exponents read as
+    mixed-radix digits (radix R = order + 1, first variable most
+    significant).  Sorted keys are the graded-lex order, and the key is
+    linear in the exponents, so a product monomial's key is the sum of its
+    factors' keys; positions are found by binary search over the keys.
+    """
+
+    def __init__(self, num_vars: int, order: int):
+        radix = order + 1
+        if radix ** (num_vars + 1) >= 2**62:
+            raise CompatibilityError(f"jet shape ({num_vars}, {order}) is too large to index")
+        self.num_vars = num_vars
+        self.order = order
+        exps = np.zeros((1, 0), dtype=np.int64)
+        for _ in range(num_vars):  # append one exponent column, within the degree budget
+            room = order + 1 - exps.sum(axis=1)
+            rows = np.repeat(np.arange(len(exps)), room)
+            digit = np.arange(len(rows)) - np.repeat(np.cumsum(room) - room, room)
+            exps = np.column_stack([exps[rows], digit])
+        self.key_weights = radix**num_vars + radix ** np.arange(num_vars - 1, -1, -1, dtype=np.int64)
+        keys = exps @ self.key_weights
+        rank = np.argsort(keys)
+        self.exponents = exps[rank]
+        self.keys = keys[rank]
+        self.degrees = self.exponents.sum(axis=1)
+        #: degree_start[d] = number of monomials of degree < d
+        self.degree_start = np.searchsorted(self.degrees, np.arange(order + 2))
+
+    def size(self, order: int) -> int:
+        """Number of monomials of degree <= order."""
+        return int(self.degree_start[order + 1])
+
+    def locate(self, exponents: np.ndarray) -> np.ndarray:
+        """Positions of rows of exponents, each of degree <= order."""
+        return np.searchsorted(self.keys, exponents @ self.key_weights)
+
+    def position(self, idx: Sequence[int], order: int):
+        """Position of one multi-index if it has degree <= order, else None."""
+        if len(idx) != self.num_vars or min(idx) < 0:
+            return None
+        key = sum(a * int(w) for a, w in zip(idx, self.key_weights))
+        p = int(np.searchsorted(self.keys, key))
+        return p if p < self.size(order) and self.keys[p] == key else None
+
+    def pairs(self, first: np.ndarray, second: np.ndarray, order: int):
+        """Rows (i, j, k) of the product table at ``order`` with i in ``first``
+        and j in ``second`` (both ascending): per i, every j of degree
+        <= order - deg i, in order, and k the position of monomial i times j."""
+        counts = np.searchsorted(second, self.degree_start[order + 1 - self.degrees[first]])
+        ends = np.cumsum(counts)
+        i = np.repeat(first, counts)
+        j = second[np.arange(ends[-1]) - np.repeat(ends - counts, counts)]
+        return i, j, np.searchsorted(self.keys, self.keys[i] + self.keys[j])
+
+    @functools.cached_property
+    def partials(self):
+        """Per variable v, the gather of d/dx_v: over the basis up to order - 1,
+        d/dx_v of a vector is vector[source] * (exponents[:, v] + 1)."""
+        size = self.degree_start[self.order]
+        return [
+            np.searchsorted(self.keys, self.keys[:size] + self.key_weights[v])
+            for v in range(self.num_vars)
+        ]
 
 
-def _graded_key(idx: MultiIndex):
-    return (sum(idx), idx)
+#: the basis per num_vars; built on first use
+_BASES: Dict[int, _Basis] = {}
 
 
-@dataclass(frozen=True)
+def _basis(num_vars: int, order: int) -> _Basis:
+    """The cached basis in num_vars variables, rebuilt at twice its order (or
+    at ``order``, if higher) when ``order`` exceeds it."""
+    basis = _BASES.get(num_vars)
+    if basis is None or basis.order < order:
+        grown = order if basis is None else max(order, 2 * basis.order)
+        basis = _BASES[num_vars] = _Basis(num_vars, grown)
+    return basis
+
+
+def _cmul_parts(x, y):
+    """Real and imaginary parts of x * y, rounded as Python's complex product
+    (numpy's complex multiply may fuse them, which moves the last bit)."""
+    return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
+
+
+def _scatter_sum(k: np.ndarray, re: np.ndarray, im: np.ndarray, size: int) -> np.ndarray:
+    """Vector whose entry p sums the (re, im) terms with k == p, in input order."""
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(k, re, size)
+    out.imag = np.bincount(k, im, size)
+    return out
+
+
+def _entry(value) -> complex:
+    """A stored coefficient; zero of either sign reads as +0, like an absent one."""
+    return complex(value) if value else 0.0 + 0.0j
+
+
+def _max_abs(vector: np.ndarray) -> float:
+    # hypot, as Python's abs(complex); numpy's complex abs may differ in the last bit
+    return float(np.hypot(vector.real, vector.imag).max())
+
+
 class Jet:
     """Truncated Taylor polynomial at a base point.
 
-    ``coeffs[alpha]`` is the coefficient of ``prod(dx_i**alpha_i)`` where
-    ``dx = point - base_point``.  Absent keys mean zero.
+    ``vector[p]`` is the coefficient of ``prod(dx_i**alpha_i)`` for the p-th
+    multi-index alpha of the graded-lex basis, where
+    ``dx = point - base_point``.  ``coeffs`` maps each multi-index with a
+    nonzero coefficient to it.  The vector is read-only.
     """
 
-    num_vars: int
-    order: int
-    base_point: Tuple[complex, ...]
-    coeffs: Dict[MultiIndex, complex]
-    _graded: Tuple[Tuple[MultiIndex, complex], ...] = field(
-        init=False, repr=False, compare=False, default=None
-    )
+    __slots__ = ("num_vars", "order", "base_point", "vector", "basis", "_support", "_graded", "_coeffs")
 
-    def __post_init__(self):
-        if self.num_vars < 1:
+    def __init__(
+        self, num_vars: int, order: int, base_point: Sequence[complex], coeffs: Dict[MultiIndex, complex]
+    ):
+        if num_vars < 1:
             raise CompatibilityError("jet needs at least one variable")
-        if self.order < 0:
+        if order < 0:
             raise CompatibilityError("jet order must be non-negative")
-        if len(self.base_point) != self.num_vars:
+        if len(base_point) != num_vars:
             raise CompatibilityError("base point length != num_vars")
-        object.__setattr__(self, "base_point", tuple(complex(v) for v in self.base_point))
-        object.__setattr__(self, "coeffs", _normalize(self.coeffs, self.num_vars, self.order))
+        basis = _basis(num_vars, order)
+        kept, values = [], []
+        for idx, c in coeffs.items():
+            idx = tuple(int(a) for a in idx)
+            if len(idx) != num_vars:
+                raise CompatibilityError(f"multi-index {idx} has wrong length")
+            if any(a < 0 for a in idx):
+                raise CompatibilityError(f"multi-index {idx} has a negative entry")
+            if sum(idx) <= order:
+                kept.append(idx)
+                values.append(complex(c))
+        vector = np.zeros(basis.size(order), dtype=complex)
+        if kept:
+            np.add.at(vector, basis.locate(np.array(kept, dtype=np.int64)), values)
+        self._init(num_vars, order, tuple(complex(v) for v in base_point), vector)
+
+    def _init(self, num_vars, order, base_point, vector) -> None:
+        vector.flags.writeable = False
+        self.num_vars = num_vars
+        self.order = order
+        self.base_point = base_point
+        self.vector = vector
+        self.basis = _basis(num_vars, order)
+        self._support = None
+        self._graded = None
+        self._coeffs = None
 
     @classmethod
-    def _raw(cls, num_vars, order, base_point, coeffs) -> "Jet":
-        """Internal fast path: indices are trusted, only pruning is applied."""
+    def _from_vector(cls, num_vars, order, base_point, vector) -> "Jet":
+        """Internal fast path: the vector is trusted and owned by the new jet."""
         out = object.__new__(cls)
-        object.__setattr__(out, "num_vars", num_vars)
-        object.__setattr__(out, "order", order)
-        object.__setattr__(out, "base_point", base_point)
-        object.__setattr__(out, "coeffs", _prune(coeffs))
-        object.__setattr__(out, "_graded", None)
+        out._init(num_vars, order, base_point, vector)
         return out
+
+    def _like(self, vector, order=None) -> "Jet":
+        order = self.order if order is None else order
+        return Jet._from_vector(self.num_vars, order, self.base_point, vector)
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def constant(num_vars: int, order: int, base_point: Sequence[complex], value: complex) -> "Jet":
-        zero = (0,) * num_vars
-        return Jet(num_vars, order, tuple(base_point), {zero: complex(value)})
+        return Jet.zero(num_vars, order, base_point).shift_constant(value)
 
     @staticmethod
     def zero(num_vars: int, order: int, base_point: Sequence[complex]) -> "Jet":
@@ -94,42 +222,50 @@ class Jet:
     @staticmethod
     def coordinate(i: int, num_vars: int, order: int, base_point: Sequence[complex]) -> "Jet":
         """The coordinate function x_i = base_i + dx_i as a jet."""
-        base = tuple(base_point)
-        coeffs: Dict[MultiIndex, complex] = {}
-        if base[i] != 0:
-            coeffs[(0,) * num_vars] = complex(base[i])
-        if order >= 1:
-            e = [0] * num_vars
-            e[i] = 1
-            coeffs[tuple(e)] = 1.0 + 0.0j
-        return Jet(num_vars, order, base, coeffs)
+        return Jet.displacement(i, num_vars, order, base_point).shift_constant(base_point[i])
 
     @staticmethod
     def displacement(i: int, num_vars: int, order: int, base_point: Sequence[complex]) -> "Jet":
         """The displacement dx_i (no constant term)."""
+        out = Jet.zero(num_vars, order, base_point)
+        if not 0 <= i < num_vars:
+            raise CompatibilityError(f"displacement: bad variable index {i}")
         if order < 1:
-            return Jet.zero(num_vars, order, base_point)
-        e = [0] * num_vars
-        e[i] = 1
-        return Jet(num_vars, order, tuple(base_point), {tuple(e): 1.0 + 0.0j})
+            return out
+        vector = out.vector.copy()
+        vector[num_vars - i] = 1.0  # the degree-1 monomials run dx_{num_vars-1}, ..., dx_0
+        return out._like(vector)
 
     # -- basic queries ---------------------------------------------------------
 
+    @property
+    def support(self) -> np.ndarray:
+        """Basis positions of the nonzero coefficients, ascending (cached)."""
+        if self._support is None:
+            self._support = np.flatnonzero(self.vector)
+        return self._support
+
     def graded_items(self) -> Tuple[Tuple[MultiIndex, complex], ...]:
-        """Coefficients in degree-graded lexicographic order (cached)."""
+        """Nonzero coefficients in degree-graded lexicographic order (cached)."""
         if self._graded is None:
-            items = tuple(sorted(self.coeffs.items(), key=lambda kv: _graded_key(kv[0])))
-            object.__setattr__(self, "_graded", items)
+            support = self.support
+            indices = map(tuple, self.basis.exponents[support].tolist())
+            self._graded = tuple(zip(indices, self.vector[support].tolist()))
         return self._graded
 
-    def _graded_with_degrees(self):
-        return [(sum(idx), idx, c) for idx, c in self.graded_items()]
+    @property
+    def coeffs(self) -> Dict[MultiIndex, complex]:
+        """The nonzero coefficients keyed by multi-index (built once; do not mutate)."""
+        if self._coeffs is None:
+            self._coeffs = dict(self.graded_items())
+        return self._coeffs
 
     def coefficient(self, idx: MultiIndex) -> complex:
-        return self.coeffs.get(tuple(idx), 0.0 + 0.0j)
+        p = self.basis.position(idx, self.order)
+        return 0.0 + 0.0j if p is None else _entry(self.vector[p])
 
     def constant_term(self) -> complex:
-        return self.coeffs.get((0,) * self.num_vars, 0.0 + 0.0j)
+        return _entry(self.vector[0])
 
     def derivative_value(self, idx: MultiIndex) -> complex:
         """Value of the mixed partial d^idx at the base point."""
@@ -139,7 +275,7 @@ class Jet:
         return self.coefficient(idx) * fac
 
     def max_abs(self) -> float:
-        return max((abs(c) for c in self.coeffs.values()), default=0.0)
+        return _max_abs(self.vector)
 
     def is_compatible(self, other: "Jet") -> bool:
         return (
@@ -158,14 +294,26 @@ class Jet:
         if self.base_point != other.base_point:
             raise CompatibilityError(f"{what}: base points differ")
 
+    def __eq__(self, other):
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return self.is_compatible(other) and bool(np.array_equal(self.vector, other.vector))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return (
+            f"Jet(num_vars={self.num_vars}, order={self.order}, "
+            f"base_point={self.base_point}, coeffs={self.coeffs})"
+        )
+
     # -- order management -------------------------------------------------------
 
     def truncated(self, order: int) -> "Jet":
         """Drop coefficients of total degree above ``order``."""
         if order >= self.order:
             return self if order == self.order else self.with_order(order)
-        kept = {k: v for k, v in self.coeffs.items() if _degree(k) <= order}
-        return Jet._raw(self.num_vars, order, self.base_point, kept)
+        return self._like(self.vector[: self.basis.size(order)], order)
 
     def with_order(self, order: int) -> "Jet":
         """Reinterpret as a jet of the given order.
@@ -177,35 +325,28 @@ class Jet:
             return self
         if order < self.order:
             return self.truncated(order)
-        return Jet._raw(self.num_vars, order, self.base_point, dict(self.coeffs))
+        vector = np.zeros(_basis(self.num_vars, order).size(order), dtype=complex)
+        vector[: self.vector.size] = self.vector
+        return self._like(vector, order)
 
     # -- ring operations ---------------------------------------------------------
 
     def __add__(self, other: "Jet") -> "Jet":
         self._require_compatible(other, "add")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) + v
-        return Jet._raw(self.num_vars, self.order, self.base_point, out)
+        return self._like(self.vector + other.vector)
 
     def __sub__(self, other: "Jet") -> "Jet":
         self._require_compatible(other, "sub")
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0.0) - v
-        return Jet._raw(self.num_vars, self.order, self.base_point, out)
+        return self._like(self.vector - other.vector)
 
     def __neg__(self) -> "Jet":
         return self.scale(-1.0)
 
     def scale(self, c: complex) -> "Jet":
         c = complex(c)
-        return Jet._raw(
-            self.num_vars,
-            self.order,
-            self.base_point,
-            {k: c * v for k, v in self.coeffs.items()},
-        )
+        vector = np.empty_like(self.vector)
+        vector.real, vector.imag = _cmul_parts(self.vector, c)
+        return self._like(vector)
 
     def __mul__(self, other):
         if isinstance(other, Jet):
@@ -216,27 +357,23 @@ class Jet:
         return self.scale(other)
 
     def _mul_jet(self, other: "Jet") -> "Jet":
+        """Gather the product-table rows pairing the nonzeros of the sparser
+        operand with those of the other, multiply, and sum per product
+        monomial, in graded order of the sparser operand's terms."""
         self._require_compatible(other, "mul")
-        order = self.order
-        out: Dict[MultiIndex, complex] = {}
-        left = self._graded_with_degrees()
-        right = other._graded_with_degrees()
-        if len(left) > len(right):
+        left, right = self, other
+        if left.support.size > right.support.size:
             left, right = right, left
-        for da, ia, ca in left:
-            cut = order - da
-            for db, ib, cb in right:
-                if db > cut:
-                    break  # right is graded, all following are larger
-                key = tuple(a + b for a, b in zip(ia, ib))
-                out[key] = out.get(key, 0.0) + ca * cb
-        return Jet._raw(self.num_vars, order, self.base_point, out)
+        if left.support.size == 0:
+            return self._like(np.zeros(self.vector.size, dtype=complex))
+        i, j, k = self.basis.pairs(left.support, right.support, self.order)
+        re, im = _cmul_parts(left.vector[i], right.vector[j])
+        return self._like(_scatter_sum(k, re, im, self.vector.size))
 
     def shift_constant(self, c: complex) -> "Jet":
-        out = dict(self.coeffs)
-        zero = (0,) * self.num_vars
-        out[zero] = out.get(zero, 0.0) + complex(c)
-        return Jet._raw(self.num_vars, self.order, self.base_point, out)
+        vector = self.vector.copy()
+        vector[0] += complex(c)
+        return self._like(vector)
 
     # -- calculus -----------------------------------------------------------------
 
@@ -244,24 +381,20 @@ class Jet:
         """Formal partial derivative; the order drops by one (floor at zero)."""
         if not 0 <= var_index < self.num_vars:
             raise CompatibilityError(f"partial: bad variable index {var_index}")
-        new_order = max(self.order - 1, 0)
-        out: Dict[MultiIndex, complex] = {}
-        for idx, c in self.coeffs.items():
-            a = idx[var_index]
-            if a == 0:
-                continue
-            nidx = list(idx)
-            nidx[var_index] = a - 1
-            out[tuple(nidx)] = a * c
-        return Jet._raw(self.num_vars, new_order, self.base_point, out)
+        if self.order == 0:
+            return self._like(np.zeros(1, dtype=complex))
+        size = self.basis.size(self.order - 1)
+        source = self.basis.partials[var_index][:size]
+        factor = self.basis.exponents[:size, var_index] + 1
+        return self._like(self.vector[source] * factor, self.order - 1)
 
     def conjugate(self) -> "Jet":
         """Coefficient-wise conjugate (valid when the variables are real)."""
-        return Jet._raw(
+        return Jet._from_vector(
             self.num_vars,
             self.order,
             tuple(v.conjugate() for v in self.base_point),
-            {k: v.conjugate() for k, v in self.coeffs.items()},
+            self.vector.conj(),
         )
 
     # -- composition and evaluation --------------------------------------------------
@@ -294,13 +427,12 @@ class Jet:
     def eval_many(self, displacements: np.ndarray) -> np.ndarray:
         """Vectorized ``eval`` over rows of a (num_points, num_vars) array."""
         pts = np.asarray(displacements, dtype=complex)
-        items = self.graded_items()
-        if not items:
+        support = self.support
+        if not support.size:
             return np.zeros(pts.shape[0], dtype=complex)
-        exps = np.array([idx for idx, _ in items])
-        cs = np.array([c for _, c in items])
+        exps = self.basis.exponents[support]
         monomials = np.prod(pts[:, None, :] ** exps[None, :, :], axis=2)
-        return monomials @ cs
+        return monomials @ self.vector[support]
 
     # -- series inverses / transcendental maps ------------------------------------------
 
@@ -363,40 +495,17 @@ class Jet:
         return acc.scale(np.exp(complex(c)))
 
 
-def _normalize(coeffs: Dict[MultiIndex, complex], num_vars: int, order: int) -> Dict[MultiIndex, complex]:
-    clean: Dict[MultiIndex, complex] = {}
-    for idx, c in coeffs.items():
-        idx = tuple(int(a) for a in idx)
-        if len(idx) != num_vars:
-            raise CompatibilityError(f"multi-index {idx} has wrong length")
-        if any(a < 0 for a in idx):
-            raise CompatibilityError(f"multi-index {idx} has a negative entry")
-        if _degree(idx) > order:
-            continue
-        c = complex(c)
-        if c != 0:
-            clean[idx] = clean.get(idx, 0.0) + c
-    return _prune(clean)
-
-
-def _prune(coeffs: Dict[MultiIndex, complex]) -> Dict[MultiIndex, complex]:
-    if not coeffs:
-        return {}
-    top = max(abs(c) for c in coeffs.values())
-    cutoff = PRUNE_REL * top
-    return {k: v for k, v in coeffs.items() if abs(v) > cutoff}
-
-
 class Substitution:
     """An inner map of ``Jet.compose``, validated and stripped once.
 
     ``apply(outer)`` equals ``outer.compose(inner)`` bit for bit.  The table of
     monomial powers of the inner displacements fills lazily and is shared by
     every outer jet the substitution is applied to; an entry depends only on
-    its multi-index, so reuse changes no value.  When every displacement is
-    zero or a single unit-coefficient degree-1 monomial (variable lifts,
-    restrictions, slot zeroing), ``apply`` re-indexes exponents and makes no
-    products.
+    its multi-index, so reuse changes no value.  Entries are stored by their
+    support, so a table of sparse powers stays small.  When every
+    displacement is zero or a single unit-coefficient degree-1 monomial
+    (variable lifts, restrictions, slot zeroing), ``apply`` re-indexes
+    exponents and makes no products.
     """
 
     def __init__(self, inner: Sequence[Jet]):
@@ -410,18 +519,30 @@ class Substitution:
         self.num_vars = first.num_vars
         self.order = first.order
         self.base_point = first.base_point
+        self._basis = first.basis
+        self._size = first.vector.size
         self._constants = tuple(g.constant_term() for g in inner)
         self._scale = max([g.max_abs() for g in inner] + [1.0])
-        zero = (0,) * first.num_vars
         deltas: List[Jet] = []
         for g in inner:
-            stripped = dict(g.coeffs)
-            stripped.pop(zero, None)
-            deltas.append(Jet._raw(g.num_vars, self.order, g.base_point, stripped))
+            stripped = g.vector.copy()
+            stripped[0] = 0.0
+            deltas.append(g._like(stripped))
         self._deltas = deltas
-        self._targets = _unit_targets(deltas)
-        one = Jet.constant(first.num_vars, self.order, first.base_point, 1.0)
-        self._powers: Dict[MultiIndex, Jet] = {(0,) * self.num_inner: one}
+        targets = _unit_targets(deltas)
+        self._lift = None
+        if targets is not None:
+            # exponent map of the re-index path: outer variable k moves to inner
+            # variable targets[k]; the outer variables in ``_dead`` map to zero
+            self._lift = np.zeros((self.num_inner, self.num_vars), dtype=np.int64)
+            for k, t in enumerate(targets):
+                if t is not None:
+                    self._lift[k, t] = 1
+            self._dead = [k for k, t in enumerate(targets) if t is None]
+        #: power entries by outer basis position (the same at every order)
+        self._powers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
+            0: (np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex))
+        }
 
     def apply(self, outer: Jet) -> Jet:
         """``outer`` with ``inner[k]`` substituted for its k-th variable."""
@@ -435,33 +556,40 @@ class Substitution:
                     f"compose: inner jet {k} has constant term {c0} "
                     f"but outer base is {outer.base_point[k]}"
                 )
-        order = self.order
-        acc: Dict[MultiIndex, complex] = {}
-        if self._targets is not None:
-            targets, nv = self._targets, self.num_vars
-            for idx, c in outer.graded_items():
-                if _degree(idx) > order:
-                    continue
-                key = [0] * nv
-                for k, a in enumerate(idx):
-                    if a:
-                        t = targets[k]
-                        if t is None:
-                            break  # a zero displacement kills the monomial
-                        key[t] += a
-                else:
-                    key = tuple(key)
-                    # 0.0 + c, as in the general path, where c * 1 may carry
-                    # another zero sign but the accumulated sum cannot
-                    acc[key] = acc.get(key, 0.0) + c
+        order, size, basis = self.order, self._size, outer.basis
+        # outer monomials of degree > order cannot contribute below truncation
+        cut = basis.size(min(order, outer.order))
+        support = outer.support
+        support = support[: np.searchsorted(support, cut)]
+        if not support.size:
+            return Jet._from_vector(self.num_vars, order, self.base_point, np.zeros(size, dtype=complex))
+        c = outer.vector[support]
+        if self._lift is not None:
+            exps = basis.exponents[support]
+            live = ~exps[:, self._dead].any(axis=1)  # a zero displacement kills the monomial
+            k = self._basis.locate(exps[live] @ self._lift)
+            re, im = c.real[live], c.imag[live]
         else:
-            for idx, c in outer.graded_items():
-                if _degree(idx) > order:
-                    continue  # cannot contribute below truncation
-                power = _monomial_power(idx, self._deltas, self._powers)
-                for k, v in power.coeffs.items():
-                    acc[k] = acc.get(k, 0.0) + c * v
-        return Jet._raw(self.num_vars, order, self.base_point, acc)
+            entries = [self._power(p, basis) for p in support.tolist()]
+            k = np.concatenate([e[0] for e in entries])
+            counts = [e[0].size for e in entries]
+            re, im = _cmul_parts(np.repeat(c, counts), np.concatenate([e[1] for e in entries]))
+        return Jet._from_vector(self.num_vars, order, self.base_point, _scatter_sum(k, re, im, size))
+
+    def _power(self, p: int, basis: _Basis) -> Tuple[np.ndarray, np.ndarray]:
+        """(support, values) of prod_k deltas[k]**e[k] for the monomial e at
+        position p of ``basis``, memoized along graded predecessors."""
+        hit = self._powers.get(p)
+        if hit is not None:
+            return hit
+        k = int(np.flatnonzero(basis.exponents[p])[-1])
+        pred = int(np.searchsorted(basis.keys, basis.keys[p] - basis.key_weights[k]))
+        support, values = self._power(pred, basis)
+        vector = np.zeros(self._size, dtype=complex)
+        vector[support] = values
+        value = self._deltas[k]._like(vector) * self._deltas[k]
+        hit = self._powers[p] = (value.support, value.vector[value.support])
+        return hit
 
 
 def _unit_targets(deltas: Sequence[Jet]):
@@ -469,29 +597,17 @@ def _unit_targets(deltas: Sequence[Jet]):
     displacement is zero or one unit-coefficient degree-1 monomial; else None."""
     targets = []
     for g in deltas:
-        if not g.coeffs:
+        support = g.support
+        if not support.size:
             targets.append(None)
             continue
-        if len(g.coeffs) != 1:
+        if support.size != 1:
             return None
-        (idx, c), = g.coeffs.items()
-        if c != 1 or _degree(idx) != 1:
+        p = int(support[0])
+        if g.vector[p] != 1 or g.basis.degrees[p] != 1:
             return None
-        targets.append(idx.index(1))
+        targets.append(int(np.argmax(g.basis.exponents[p])))
     return targets
-
-
-def _monomial_power(idx: MultiIndex, deltas: Sequence[Jet], cache: Dict[MultiIndex, Jet]) -> Jet:
-    """prod_k deltas[k]**idx[k], memoized along graded predecessors."""
-    hit = cache.get(idx)
-    if hit is not None:
-        return hit
-    k = max(i for i, a in enumerate(idx) if a > 0)
-    pred = list(idx)
-    pred[k] -= 1
-    value = _monomial_power(tuple(pred), deltas, cache) * deltas[k]
-    cache[idx] = value
-    return value
 
 
 def _scalar_powers(d: complex, order: int) -> List[complex]:
@@ -504,8 +620,7 @@ def _scalar_powers(d: complex, order: int) -> List[complex]:
 def max_coeff_difference(a: Jet, b: Jet) -> float:
     """Largest coefficient deviation between two compatible jets."""
     a._require_compatible(b, "difference")
-    keys = set(a.coeffs) | set(b.coeffs)
-    return max((abs(a.coefficient(k) - b.coefficient(k)) for k in keys), default=0.0)
+    return _max_abs(a.vector - b.vector)
 
 
 def random_jet(
@@ -518,30 +633,26 @@ def random_jet(
     real: bool = False,
     min_degree: int = 0,
 ) -> Jet:
-    """Dense random jet with per-degree geometric damping of magnitudes."""
-    coeffs: Dict[MultiIndex, complex] = {}
-    for idx in iter_multi_indices(num_vars, order):
-        d = _degree(idx)
-        if d < min_degree:
-            continue
-        mag = scale * decay**d
-        if real:
-            coeffs[idx] = complex(rng.standard_normal()) * mag
-        else:
-            coeffs[idx] = (rng.standard_normal() + 1j * rng.standard_normal()) * mag
-    return Jet(num_vars, order, tuple(base_point), coeffs)
+    """Dense random jet with per-degree geometric damping of magnitudes.
+
+    Normals are drawn per monomial in graded order (real, then imaginary
+    part, unless ``real``).
+    """
+    zero = Jet.zero(num_vars, order, base_point)
+    size = zero.vector.size
+    first = int(zero.basis.degree_start[min(max(min_degree, 0), order + 1)])
+    mags = np.array([scale * decay**d for d in range(order + 1)])[zero.basis.degrees[first:size]]
+    vector = np.zeros(size, dtype=complex)
+    if real:
+        vector.real[first:] = rng.standard_normal(size - first) * mags
+    else:
+        draws = rng.standard_normal((size - first, 2))
+        vector.real[first:] = draws[:, 0] * mags
+        vector.imag[first:] = draws[:, 1] * mags
+    return zero._like(vector)
 
 
-def iter_multi_indices(num_vars: int, order: int):
+def iter_multi_indices(num_vars: int, order: int) -> Tuple[MultiIndex, ...]:
     """All exponent tuples with total degree <= order, in graded lex order."""
-
-    def bounded(total: int, slots: int):
-        if slots == 1:
-            yield (total,)
-            return
-        for head in range(total + 1):
-            for rest in bounded(total - head, slots - 1):
-                yield (head,) + rest
-
-    for d in range(order + 1):
-        yield from sorted(bounded(d, num_vars))
+    basis = _basis(num_vars, order)
+    return tuple(map(tuple, basis.exponents[: basis.size(order)].tolist()))

@@ -340,6 +340,17 @@ def oscillatory_integral_value(
 ORACLE_T_SAMPLES = (40.0, 45.0, 50.0, 55.0, 60.0, 65.0, 70.0, 75.0, 80.0)
 
 
+def oracle_t_samples(t_samples: Optional[Sequence[float]]) -> List[float]:
+    """The fit samples as floats (ORACLE_T_SAMPLES for None); raises
+    OracleFitError unless there are at least 4, all in [20, 80]."""
+    ts = [float(t) for t in (ORACLE_T_SAMPLES if t_samples is None else t_samples)]
+    if len(ts) < 4:
+        raise OracleFitError("need at least 4 t samples")
+    if min(ts) < 20.0 or max(ts) > 80.0:
+        raise OracleFitError("t samples must lie in [20, 80]")
+    return ts
+
+
 def numeric_expansion_oracle(
     data: PhaseCriticalData,
     amplitude: Jet,
@@ -373,11 +384,7 @@ def numeric_expansion_oracle(
         raise OracleFitError("quadrature oracle supports n = 1 only")
     if not data.exact_heisenberg:
         raise OracleFitError("quadrature oracle supports the exact Heisenberg phase only")
-    ts = [float(t) for t in (ORACLE_T_SAMPLES if t_samples is None else t_samples)]
-    if len(ts) < 4:
-        raise OracleFitError("need at least 4 t samples")
-    if min(ts) < 20.0 or max(ts) > 80.0:
-        raise OracleFitError("t samples must lie in [20, 80]")
+    ts = oracle_t_samples(t_samples)
     if not 0 < cutoff_radius < 2.0:
         raise OracleFitError("cutoff radius must lie in (0, 2) to keep Im(phase) >= 0")
     if nodes_per_axis is None:

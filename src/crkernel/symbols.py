@@ -238,11 +238,26 @@ def jet_matrix_determinant(mat: Sequence[Sequence[Jet]]) -> Jet:
     return acc
 
 
-def transform_density(density: Jet, kappa: Sequence[Jet], s: float) -> Jet:
-    """Transported s-density factor: lambda_kappa(kappa(x)) = lambda(x)/|det kappa'|^s."""
+def _inverse_at(kappa: Sequence[Jet], order: int, inverse: Optional[Sequence[Jet]]) -> List[Jet]:
+    """The inverse of kappa at ``order``: ``inverse`` truncated, or invert_map's."""
+    if inverse is None:
+        return invert_map([k.with_order(order) for k in kappa])
+    if inverse[0].order < order:
+        raise SymbolError(f"inverse map has order {inverse[0].order} < {order}")
+    return [g.truncated(order) for g in inverse]
+
+
+def transform_density(
+    density: Jet, kappa: Sequence[Jet], s: float, inverse: Optional[Sequence[Jet]] = None
+) -> Jet:
+    """Transported s-density factor: lambda_kappa(kappa(x)) = lambda(x)/|det kappa'|^s.
+
+    ``inverse``, if given, is invert_map(kappa) at the density's order or
+    above, so a caller transporting a symbol too inverts kappa once.
+    """
     d = len(kappa)
     order = density.order
-    psi = invert_map([k.with_order(order) for k in kappa])
+    psi = _inverse_at(kappa, order, inverse)
     jac = [[kappa[c].with_order(order).partial(j).with_order(order) for j in range(d)] for c in range(d)]
     det = jet_matrix_determinant(jac)
     det0 = det.constant_term()
@@ -253,12 +268,16 @@ def transform_density(density: Jet, kappa: Sequence[Jet], s: float) -> Jet:
     return lam_over.compose(psi)
 
 
-def transform_symbol_under_diffeo(sym: ClassicalSymbol, kappa: Sequence[Jet]) -> ClassicalSymbol:
+def transform_symbol_under_diffeo(
+    sym: ClassicalSymbol, kappa: Sequence[Jet], inverse: Optional[Sequence[Jet]] = None
+) -> ClassicalSymbol:
     """Total-symbol pushforward through subleading order.
 
     e_{kappa,0}(kappa(x), eta) = e_0(x, kappa'(x)^T eta) and the subleading
     component picks up the half-Hessian correction
     -(i/2) sum_{j,k} d^2_{xi_j xi_k} e_0 * <d^2_{jk} kappa, eta>.
+    ``inverse``, if given, is invert_map(kappa) at order >= the components'
+    order - 2; it is truncated to that order.
     """
     e0 = sym.components[0]
     nv = e0.num_vars
@@ -278,7 +297,7 @@ def transform_symbol_under_diffeo(sym: ClassicalSymbol, kappa: Sequence[Jet]) ->
     eta0 = np.linalg.solve(jac0.T, old_xi)
     new_base = tuple(0.0 for _ in range(d)) + tuple(complex(v) for v in eta0)
 
-    at_psi = Substitution(invert_map([k.with_order(work) for k in kappa]))  # x(y), jets in y
+    at_psi = Substitution(_inverse_at(kappa, work, inverse))  # x(y), jets in y
 
     def on_new_space(f_x: Jet) -> Jet:
         """f(x(y)) promoted to the (y, eta) space."""

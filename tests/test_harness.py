@@ -101,6 +101,10 @@ def test_jet_order_floor_for_expansion_checks():
         (("scenarios", 0, "tolerances", "relative"), "tight"),
         (("scenarios", 0, "params", "num_amplitudes"), 0),
         (("scenarios", 0, "checks"), [{"id": "quadrature_leading"}]),
+        (("oracle", "t_samples"), []),
+        (("oracle", "t_samples"), [60.0, 65.0, 70.0]),
+        (("oracle", "t_samples"), [10.0, 60.0, 65.0, 70.0]),
+        (("oracle", "t_samples"), [60.0, 65.0, 70.0, 90.0]),
     ],
 )
 def test_malformed_values_rejected(path, value):
@@ -237,6 +241,27 @@ def test_pipeline_runs_once_per_scenario(monkeypatch):
     reports = run_scenarios(parse_config(doc), timings=False)
     assert len(reports[0].records) == 3
     assert len(calls) == 1
+
+
+def test_subprincipal_invariance_inverts_each_diffeo_once(monkeypatch):
+    import crkernel.harness as harness
+    import crkernel.symbols as symbols
+
+    calls = []
+    original = symbols.invert_map
+
+    def counting(kappa):
+        calls.append(kappa[0].order)
+        return original(kappa)
+
+    monkeypatch.setattr(harness, "invert_map", counting)
+    monkeypatch.setattr(symbols, "invert_map", counting)
+    doc = small_config()
+    doc["scenarios"][0]["checks"] = ["subprincipal_invariance"]
+    doc["scenarios"][0]["params"] = {"num_diffeos": 2}
+    reports = run_scenarios(parse_config(doc), timings=False)
+    assert reports[0].records[0].passed
+    assert calls == [6, 6]  # once per diffeomorphism, at the density's order
 
 
 def _homogeneous_scenario(name, order_m, seed):

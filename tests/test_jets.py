@@ -1,9 +1,18 @@
+import itertools
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from crkernel.errors import BranchError, CenteringError, CompatibilityError
 from crkernel.jets import (
     Jet,
     Substitution,
+    _Basis,
     max_coeff_difference,
     random_jet,
 )
@@ -220,14 +229,98 @@ def test_truncation_in_storage():
     assert (3,) not in a.coeffs
 
 
-def test_pruning_threshold():
+def test_tiny_coefficient_kept_exactly():
     a = Jet(1, 2, (0.0,), {(0,): 1.0, (1,): 1e-16})
-    assert (1,) not in a.coeffs
-    b = Jet(1, 2, (0.0,), {(0,): 1.0, (1,): 1e-12})
-    assert (1,) in b.coeffs
+    assert a.coeffs == {(0,): 1 + 0j, (1,): 1e-16 + 0j}
+    assert (a * Jet.constant(1, 2, (0.0,), 1.0)).coefficient((1,)) == 1e-16
+
+
+def test_zero_coefficient_reads_as_positive_zero():
+    # a stored -0 (here from scaling zeros by -1) reads like an absent coefficient
+    a = Jet.zero(2, 2, (0.0, 0.0)).scale(-1.0)
+    for c in (a.constant_term(), a.coefficient((1, 0))):
+        assert (math.copysign(1.0, c.real), math.copysign(1.0, c.imag)) == (1.0, 1.0)
+    assert a.coeffs == {}
 
 
 def test_graded_iteration_order():
     a = Jet(2, 2, (0.0, 0.0), {(0, 2): 1, (1, 0): 2, (0, 0): 3, (1, 1): 4})
     keys = [k for k, _ in a.graded_items()]
     assert keys == [(0, 0), (1, 0), (0, 2), (1, 1)]
+
+
+# -- per-shape tables against brute-force enumeration ------------------------------------
+
+
+@pytest.mark.parametrize("num_vars,order", [(3, 6), (6, 4), (6, 6), (4, 12)])
+def test_basis_tables_match_enumeration(num_vars, order):
+    basis = sorted(
+        (e for e in itertools.product(range(order + 1), repeat=num_vars) if sum(e) <= order),
+        key=lambda e: (sum(e), e),
+    )
+    degrees = [sum(e) for e in basis]
+    # a table built for a higher order serves this one through its prefix
+    for table in (_Basis(num_vars, order), _Basis(num_vars, order + 2)):
+        assert table.size(order) == len(basis)
+        assert list(map(tuple, table.exponents[: len(basis)].tolist())) == basis
+        assert table.degree_start[: order + 2].tolist() == [
+            sum(1 for d in degrees if d < top) for top in range(order + 2)
+        ]
+        assert [table.position(e, order) for e in basis] == list(range(len(basis)))
+        assert table.position((order + 1,) + (0,) * (num_vars - 1), order) is None
+
+        everything = np.arange(len(basis))
+        i, j, k = table.pairs(everything, everything, order)
+        pairs = [
+            (a, b)
+            for a in range(len(basis))
+            for b in range(len(basis))
+            if degrees[a] + degrees[b] <= order
+        ]
+        assert list(zip(i.tolist(), j.tolist())) == pairs  # each pair once, sorted by (i, j)
+        assert all(
+            basis[c] == tuple(x + y for x, y in zip(basis[a], basis[b]))
+            for a, b, c in zip(i.tolist(), j.tolist(), k.tolist())
+        )
+
+        lower = basis[: table.size(order - 1)]
+        for v, source in enumerate(table.partials):
+            for q, e in enumerate(lower):
+                assert basis[source[q]] == tuple(a + (u == v) for u, a in enumerate(e))
+
+
+def test_import_builds_no_table():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import crkernel, crkernel.cli, crkernel.harness, crkernel.jets as jets; "
+        "print(len(jets._BASES))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+
+
+def test_truncation_is_a_basis_prefix():
+    rng = spawn_rng(6, "prefix")
+    a = random_jet(rng, 4, 6, (0.0,) * 4)
+    low = a.truncated(3)
+    assert low.coeffs == {k: v for k, v in a.coeffs.items() if sum(k) <= 3}
+    assert low.with_order(6).coeffs == low.coeffs
+
+
+def test_random_jet_draws_in_graded_order():
+    # reference: one draw (real) or two (real, imaginary) per monomial, in graded order
+    for real, min_degree in ((False, 0), (True, 2)):
+        rng = spawn_rng(8, "draws", real)
+        want = {}
+        for idx in sorted(itertools.product(range(5), repeat=3), key=lambda e: (sum(e), e)):
+            d = sum(idx)
+            if d > 4 or d < min_degree:
+                continue
+            mag = 0.7 * 0.4**d
+            if real:
+                want[idx] = complex(rng.standard_normal()) * mag
+            else:
+                want[idx] = (rng.standard_normal() + 1j * rng.standard_normal()) * mag
+        got = random_jet(spawn_rng(8, "draws", real), 3, 4, (0.0,) * 3, 0.7, 0.4, real, min_degree)
+        assert got.coeffs == want

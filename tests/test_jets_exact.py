@@ -5,7 +5,8 @@ exactly.  The reference repeats each operation on ``fractions.Fraction`` real
 and imaginary parts, with no rounding and no pruning, at the shapes
 (num_vars, order) the pipeline uses: (3, 6) for x-space jets, (6, 4) for
 (x, y) and (u, sigma) jets, and (4, 12) for the quadrature tail, where the
-operands are sparse.
+operands are sparse; (6, 6) symbol jets also meet a sparse operand times a
+dense one, the product's support-restricted case.
 """
 
 import random
@@ -16,8 +17,7 @@ import pytest
 from crkernel.jets import Jet, Substitution, iter_multi_indices
 
 #: allowed coefficient deviation, relative to the largest exact coefficient.
-#: PRUNE_REL drops terms below 1e-14 of an intermediate's largest coefficient
-#: and every series step rounds; the deviations seen here stay below 6e-16.
+#: Every series step rounds; the deviations seen here stay below 6e-16.
 REL_TOL = 1e-12
 
 SHAPES = ((3, 6), (6, 4), (4, 12))
@@ -180,6 +180,39 @@ def test_mul_matches_exact(num_vars, order):
     b = random_exact(rng, num_vars, order, terms)
     got = to_jet(a, num_vars, order) * to_jet(b, num_vars, order)
     assert_matches(got, exact_mul(a, b, order))
+
+
+@pytest.mark.parametrize("num_vars,order", SHAPES + ((6, 6),))
+def test_mul_sparse_by_dense_matches_exact(num_vars, order):
+    rng = random.Random(f"mul-sparse-dense-{num_vars}-{order}")
+    sparse = random_exact(rng, num_vars, order, terms=2)
+    dense = random_exact(rng, num_vars, order)
+    a, b = to_jet(sparse, num_vars, order), to_jet(dense, num_vars, order)
+    want = exact_mul(sparse, dense, order)
+    assert_matches(a * b, want)
+    assert_matches(b * a, want)
+
+
+def exact_partial(a, var):
+    out = {}
+    for idx, c in a.items():
+        if idx[var]:
+            lower = tuple(e - (k == var) for k, e in enumerate(idx))
+            out[lower] = c * GaussRational(idx[var])
+    return out
+
+
+@pytest.mark.parametrize("num_vars,order", SHAPES + ((6, 6),))
+def test_partial_matches_exact(num_vars, order):
+    rng = random.Random(f"partial-{num_vars}-{order}")
+    a = random_exact(rng, num_vars, order, operand_terms(num_vars, order))
+    jet = to_jet(a, num_vars, order)
+    for var in range(num_vars):
+        got = jet.partial(var)
+        assert got.order == order - 1
+        want = exact_partial(a, var)
+        # exact: dyadic coefficients times integer factors
+        assert got.coeffs == {k: complex(v) for k, v in want.items() if complex(v)}
 
 
 @pytest.mark.parametrize("num_vars,order", SHAPES)

@@ -232,6 +232,23 @@ def test_transform_linear_exact():
         assert abs(lhs - rhs) < 1e-7
 
 
+def test_transforms_truncate_a_given_inverse():
+    rng = spawn_rng(12, "given-inverse")
+    sym = random_classical_symbol(N, 0.4, 2, seed=12, homogeneous=False, jet_order=6)
+    lam = random_jet(rng, D, 6, (0.0,) * D, real=True, decay=0.4, min_degree=1).exp()
+    kappa = _random_cubic_diffeo(rng)
+    psi = invert_map(kappa)
+    for got, want in zip(
+        transform_symbol_under_diffeo(sym, kappa, psi).components,
+        transform_symbol_under_diffeo(sym, kappa).components,
+    ):
+        assert max_coeff_difference(got, want) <= 1e-14 * max(want.max_abs(), 1.0)
+    got, want = transform_density(lam, kappa, 1.5, psi), transform_density(lam, kappa, 1.5)
+    assert max_coeff_difference(got, want) <= 1e-14 * max(want.max_abs(), 1.0)
+    with pytest.raises(SymbolError):
+        transform_density(lam, kappa, 1.5, [g.truncated(4) for g in psi])
+
+
 def test_transform_singular_jacobian_rejected():
     kappa = [Jet.zero(D, 6, (0.0,) * D) for _ in range(D)]
     sym = identity_symbol(N, 6)
