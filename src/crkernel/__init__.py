@@ -70,7 +70,6 @@ from .harness import (
     Scenario,
     default_config,
     emit_report,
-    load_config,
     parse_config,
     run_scenarios,
 )

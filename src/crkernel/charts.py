@@ -145,6 +145,15 @@ def _check_phase(phi: Jet, n: int, order: int, exact: bool) -> None:
     nv = 2 * d
     if phi.num_vars != nv:
         raise ChartError(f"phase: expected {nv} variables")
+    if exact:
+        # Im phi = (1/2) sum_{a<2n} (x_a - y_a)^2 for real (x, y), as a jet identity
+        x = lambda i: Jet.displacement(i, nv, phi.order, phi.base_point)
+        want = Jet.zero(nv, phi.order, phi.base_point)
+        for a in range(2 * n):
+            diff = x(a) - x(d + a)
+            want = want + (diff * diff).scale(0.5)
+        if float(np.max(np.abs(phi.vector.imag - want.vector.real))) > INVARIANT_TOL:
+            raise ChartError("Im(phi) != (1/2) sum_a (x_a - y_a)^2 on the exact phase")
     scale = max(phi.max_abs(), 1.0)
     diag = _diagonal_restriction(phi, n)
     if diag.max_abs() > INVARIANT_TOL * scale:
@@ -173,16 +182,6 @@ def _check_phase(phi: Jet, n: int, order: int, exact: bool) -> None:
     delta = phi - heisenberg_phase_jet(n, order)
     if any(sum(idx) < 4 for idx in delta.coeffs):
         raise ChartError("phase deviates from the normal form below degree 4")
-    if exact:
-        _check_imaginary_part_sampled(phi, n)
-
-
-def _check_imaginary_part_sampled(phi: Jet, n: int, num_points: int = 10_000) -> None:
-    rng = spawn_rng(0, "phase-positivity", n)
-    pts = rng.uniform(-0.25, 0.25, size=(num_points, phi.num_vars))
-    vals = phi.eval_many(pts.astype(complex))
-    if float(np.min(vals.imag)) < -1e-10:
-        raise ChartError("Im(phi) < 0 at a sampled point of the exact phase")
 
 
 def _check_chart(chart: CRModelChart) -> None:

@@ -33,7 +33,7 @@ from .charts import (
     random_perturbation,
     tw_scalar_curvature,
 )
-from .errors import ConfigError, OracleFitError
+from .errors import BranchError, ConfigError, OracleFitError
 from .jets import Jet, random_jet
 from .pipeline import (
     compose_amplitudes_closed,
@@ -48,6 +48,8 @@ from .pipeline import (
 )
 from .rng import spawn_rng
 from .stationary import (
+    ORACLE_N_RANGE,
+    PhaseCriticalData,
     apply_L,
     build_phase_data,
     expansion_coeffs,
@@ -77,7 +79,7 @@ from .symbols import (
 class ChartSpec:
     model: str = "heisenberg"
     n: int = 1
-    jet_order: Optional[int] = None
+    jet_order: int = 6  # the config's jet order unless the chart sets its own
     r_synth: float = 0.0
     seed: int = 0
 
@@ -126,27 +128,15 @@ class ExpansionReport:
 
 # -- config parsing --------------------------------------------------------------------
 
-_TOP_KEYS = {"seed", "jet_order", "oracle", "scenarios"}
-_SCEN_KEYS = {"name", "chart", "symbol", "checks", "tolerances", "params"}
-_CHART_KEYS = {"model", "n", "jet_order", "r_synth", "seed"}
-_SYM_KEYS = {"kind", "order_m", "num_components", "seed"}
-_TOL_KEYS = {"absolute", "relative"}
-_ORACLE_KEYS = {"t_samples", "cutoff_radius", "nodes_per_axis"}
+_TOP_KEYS = frozenset({"seed", "jet_order", "oracle", "scenarios"})
+_SCEN_KEYS = frozenset({"name", "chart", "symbol", "checks", "tolerances", "params"})
+_CHART_KEYS = frozenset({"model", "n", "jet_order", "r_synth", "seed"})
+_SYM_KEYS = frozenset({"kind", "order_m", "num_components", "seed"})
+_TOL_KEYS = frozenset({"absolute", "relative"})
+_ORACLE_KEYS = frozenset({"t_samples", "cutoff_radius", "nodes_per_axis"})
 
-#: checks whose evaluation applies the L_1 operator or the symbol composition
-_L1_CHECKS = {
-    "b0_leading",
-    "b1_two_routes",
-    "b1_reference",
-    "composition_two_routes",
-    "projector_idempotence",
-    "quadrature_leading",
-    "quadrature_subleading",
-    "rescale_uniqueness",
-}
-
-#: checks that run the stationary-phase b1 pipeline on the scenario's symbol
-_PIPELINE_CHECKS = {"b0_leading", "b1_two_routes", "b1_reference"}
+CHART_MODELS = ("heisenberg", "perturbed")
+SYMBOL_KINDS = ("identity", "multiplication", "random-homogeneous")
 
 
 def _require_keys(obj: dict, allowed: set, where: str) -> None:
@@ -179,6 +169,34 @@ def _number(value, where: str) -> float:
     if not (_is_int(value) or isinstance(value, float)) or not math.isfinite(value):
         raise ConfigError(f"{where}: must be a finite number")
     return float(value)
+
+
+def _check_applicability(where: str, scenario: Scenario, nodes: Optional[list]) -> None:
+    """Reject a scenario that one of its checks cannot apply to, or that
+    sets a field none of its checks reads, by the CHECK_SPECS table."""
+    chart, symbol = scenario.chart, scenario.symbol
+    specs = [(c, CHECK_SPECS[c]) for c in scenario.checks]
+    needs_symbol = [c for c, spec in specs if spec.symbol == "required"]
+    if needs_symbol and symbol is None:
+        raise ConfigError(f"{where}: checks {needs_symbol} need a symbol")
+    if symbol is not None and all(spec.symbol == "unread" for _, spec in specs):
+        raise ConfigError(f"{where}.symbol: no check of the scenario reads a symbol")
+    if chart.model != "heisenberg" and not any(spec.chart_models for _, spec in specs):
+        raise ConfigError(f"{where}.chart: no check of the scenario builds a {chart.model} chart")
+    for c, spec in specs:
+        if symbol is not None and spec.symbol != "unread" and symbol.kind not in spec.symbol_kinds:
+            raise ConfigError(f"{where}: {c} applies to {list(spec.symbol_kinds)} symbols only")
+        if spec.chart_models and chart.model not in spec.chart_models:
+            raise ConfigError(f"{where}: {c} applies to {list(spec.chart_models)} charts only")
+        low, high = spec.n_range
+        if chart.n < low or (high is not None and chart.n > high):
+            raise ConfigError(f"{where}: {c} does not apply at n = {chart.n}")
+        if chart.jet_order < spec.min_jet_order:
+            raise ConfigError(f"{where}: jet_order must be >= {spec.min_jet_order} for {c}")
+        if spec.oracle and nodes is not None and len(nodes) != 2 * chart.n + 2:
+            raise ConfigError(f"{where}: config.oracle.nodes_per_axis must list {2 * chart.n + 2} counts")
+    if chart.model == "perturbed" and chart.jet_order < 6:
+        raise ConfigError(f"{where}: jet_order must be >= 6 for perturbed charts")
 
 
 def parse_config(doc: dict) -> dict:
@@ -231,15 +249,15 @@ def parse_config(doc: dict) -> dict:
 
         chart_raw = _section(raw, "chart", _CHART_KEYS, where)
         model = chart_raw.get("model", "heisenberg")
-        if model not in ("heisenberg", "perturbed"):
+        if model not in CHART_MODELS:
             raise ConfigError(f"{where}.chart.model: unknown model {model!r}")
+        unused = sorted({"r_synth", "seed"}.intersection(chart_raw))
+        if model != "perturbed" and unused:
+            raise ConfigError(f"{where}.chart: {unused} apply to perturbed charts only")
         chart = ChartSpec(
             model=model,
             n=_integer(chart_raw, "n", 1, 1, f"{where}.chart"),
-            jet_order=(
-                _integer(chart_raw, "jet_order", 2, 2, f"{where}.chart")
-                if "jet_order" in chart_raw else None
-            ),
+            jet_order=_integer(chart_raw, "jet_order", jet_order, 2, f"{where}.chart"),
             r_synth=_number(chart_raw.get("r_synth", 0.0), f"{where}.chart.r_synth"),
             seed=_integer(chart_raw, "seed", 0, 0, f"{where}.chart"),
         )
@@ -248,7 +266,7 @@ def parse_config(doc: dict) -> dict:
         if "symbol" in raw:
             sym_raw = _section(raw, "symbol", _SYM_KEYS, where)
             kind = sym_raw.get("kind", "identity")
-            if kind not in ("identity", "multiplication", "random-homogeneous"):
+            if kind not in SYMBOL_KINDS:
                 raise ConfigError(f"{where}.symbol.kind: unknown kind {kind!r}")
             unused = sorted({"order_m", "num_components"}.intersection(sym_raw))
             if kind != "random-homogeneous" and unused:
@@ -264,22 +282,10 @@ def parse_config(doc: dict) -> dict:
         if not isinstance(checks, list) or not checks:
             raise ConfigError(f"{where}.checks: must be a non-empty list")
         for c in checks:
-            if not isinstance(c, str) or c not in CHECKS:
+            if not isinstance(c, str) or c not in CHECK_SPECS:
                 raise ConfigError(f"{where}.checks: unknown check {c!r}")
         if len(set(checks)) != len(checks):
             raise ConfigError(f"{where}.checks: duplicate check ids")
-        needs_symbol = sorted(_PIPELINE_CHECKS.intersection(checks))
-        if needs_symbol and symbol is None:
-            raise ConfigError(f"{where}: checks {needs_symbol} need a symbol")
-        if "b1_reference" in checks and symbol.kind == "random-homogeneous":
-            raise ConfigError(f"{where}: b1_reference applies to multiplication symbols only")
-        if "p_operator_routes" in checks and model != "heisenberg":
-            raise ConfigError(f"{where}: p_operator_routes applies to the heisenberg chart only")
-        if nodes is not None and any(c.startswith("quadrature_") for c in checks):
-            if len(nodes) != 2 * chart.n + 2:
-                raise ConfigError(
-                    f"{where}: config.oracle.nodes_per_axis must list {2 * chart.n + 2} counts"
-                )
 
         tol_raw = _section(raw, "tolerances", _TOL_KEYS, where)
         atol = _number(tol_raw.get("absolute", 0.0), f"{where}.tolerances.absolute")
@@ -287,29 +293,22 @@ def parse_config(doc: dict) -> dict:
         if atol < 0 or rtol < 0 or (atol == 0 and rtol == 0):
             raise ConfigError(f"{where}.tolerances: need positive tolerances")
 
-        params = raw.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError(f"{where}.params: must be an object")
+        read = set().union(*(CHECK_SPECS[c].params for c in checks))
+        params = _section(raw, "params", read, where)  # a key no check reads is unknown
         for k in params:
             _integer(params, k, 1, 1, f"{where}.params")
 
-        eff_order = chart.jet_order if chart.jet_order is not None else jet_order
-        if any(c in _L1_CHECKS for c in checks) and eff_order < 4:
-            raise ConfigError(f"{where}: jet_order must be >= 4 for expansion checks")
-        if model == "perturbed" and eff_order < 6:
-            raise ConfigError(f"{where}: jet_order must be >= 6 for perturbed charts")
-
-        scenarios.append(
-            Scenario(
-                name=name,
-                chart=chart,
-                symbol=symbol,
-                checks=tuple(checks),
-                atol=atol,
-                rtol=rtol,
-                params=dict(params),
-            )
+        scenario = Scenario(
+            name=name,
+            chart=chart,
+            symbol=symbol,
+            checks=tuple(checks),
+            atol=atol,
+            rtol=rtol,
+            params=dict(params),
         )
+        _check_applicability(where, scenario, nodes)
+        scenarios.append(scenario)
     return {"seed": seed, "jet_order": jet_order, "oracle": dict(oracle), "scenarios": scenarios}
 
 
@@ -324,43 +323,51 @@ def read_config_doc(path: str):
         raise ConfigError(f"config {path!r}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
 
 
-def load_config(path: str) -> dict:
-    return parse_config(read_config_doc(path))
-
-
 # -- check context -----------------------------------------------------------------------
 
 
-#: memo for the expensive quadrature fits (idempotent; shared across scenarios)
-_QUADRATURE_MEMO: Dict[tuple, list] = {}
+class RunCache:
+    """Charts, phase data and quadrature fits built during one ``run_scenarios``
+    call, keyed by chart spec; scenarios on one chart share them, and nothing
+    outlives the run."""
+
+    def __init__(self):
+        self.charts: Dict[ChartSpec, CRModelChart] = {}
+        self.phase_data: Dict[ChartSpec, PhaseCriticalData] = {}
+        self.quadrature: Dict[Tuple[ChartSpec, int], list] = {}
+
+    def chart(self, spec: ChartSpec) -> CRModelChart:
+        if spec not in self.charts:
+            if spec.model == "heisenberg":
+                self.charts[spec] = heisenberg_chart(spec.n, spec.jet_order)
+            else:
+                base = self.chart(ChartSpec(n=spec.n, jet_order=spec.jet_order))
+                q, table = random_perturbation(spec.n, spec.r_synth, seed=spec.seed)
+                self.charts[spec] = perturbed_chart(base, spec.r_synth, q, table)
+        return self.charts[spec]
+
+    def phase(self, spec: ChartSpec) -> PhaseCriticalData:
+        if spec not in self.phase_data:
+            self.phase_data[spec] = build_phase_data(self.chart(spec))
+        return self.phase_data[spec]
 
 
 class CheckContext:
     """Resolved chart, symbol and seeds for one scenario run."""
 
-    def __init__(self, scenario: Scenario, seed: int, jet_order: int, oracle_opts: dict):
+    def __init__(self, scenario: Scenario, seed: int, oracle_opts: dict, cache: RunCache):
         self.scenario = scenario
         self.seed = seed
-        self.jet_order = scenario.chart.jet_order or jet_order
         self.oracle_opts = oracle_opts
+        self.cache = cache
         self.n = scenario.chart.n
-        self._chart: Optional[CRModelChart] = None
+        self.jet_order = scenario.chart.jet_order
         self._symbol: Optional[ClassicalSymbol] = None
-        self._phase_data = None
         self._b1_pipeline = None
-        self._quadrature = None
 
     @property
     def chart(self) -> CRModelChart:
-        if self._chart is None:
-            spec = self.scenario.chart
-            base = heisenberg_chart(spec.n, self.jet_order)
-            if spec.model == "heisenberg":
-                self._chart = base
-            else:
-                q, table = random_perturbation(spec.n, spec.r_synth, seed=spec.seed)
-                self._chart = perturbed_chart(base, spec.r_synth, q, table)
-        return self._chart
+        return self.cache.chart(self.scenario.chart)
 
     @property
     def symbol(self) -> ClassicalSymbol:
@@ -385,10 +392,8 @@ class CheckContext:
         return self._symbol
 
     @property
-    def phase_data(self):
-        if self._phase_data is None:
-            self._phase_data = build_phase_data(self.chart)
-        return self._phase_data
+    def phase_data(self) -> PhaseCriticalData:
+        return self.cache.phase(self.scenario.chart)
 
     @property
     def b1_pipeline(self) -> Tuple[complex, complex]:
@@ -406,44 +411,31 @@ class CheckContext:
         return int(self.scenario.params.get(key, default))
 
     def quadrature_fit(self):
-        """Oracle fits for seeded amplitudes.
+        """Oracle fits and formal coefficients for seeded amplitudes.
 
         Draws are keyed by the master seed only (not the scenario name), and
-        results are memoized per process by seed, chart spec and oracle
-        options, so scenarios checking the leading and subleading
-        coefficients on one chart share one set of integrals.
+        the run cache keeps the fits per chart and amplitude count, so
+        scenarios checking the leading and subleading coefficients on one
+        chart share one set of integrals.
         """
-        if self._quadrature is None:
+        count = self.param("num_amplitudes", 5)
+        key = (self.scenario.chart, count)
+        if key not in self.cache.quadrature:
             opts = self.oracle_opts
-            count = self.param("num_amplitudes", 5)
-            spec = self.scenario.chart
-            key = (
-                self.seed,
-                count,
-                (spec.model, spec.n, spec.r_synth, spec.seed),
-                self.jet_order,
-                tuple(opts.get("t_samples") or ()),
-                float(opts.get("cutoff_radius", 1.4)),
-                tuple(opts.get("nodes_per_axis") or ()),
-            )
-            cached = _QUADRATURE_MEMO.get(key)
-            if cached is None:
-                results = []
-                for k in range(count):
-                    rng = spawn_rng(self.seed, "quadrature-amplitude", k)
-                    amp = random_jet(rng, 2 * self.n + 2, 2, (0.0,) * (2 * self.n + 2), decay=0.6)
-                    fit = numeric_expansion_oracle(
-                        self.phase_data,
-                        amp,
-                        t_samples=opts.get("t_samples"),
-                        cutoff_radius=float(opts.get("cutoff_radius", 1.4)),
-                        nodes_per_axis=opts.get("nodes_per_axis"),
-                    )
-                    ref = expansion_coeffs(self.phase_data, amp)
-                    results.append((fit, ref))
-                cached = _QUADRATURE_MEMO[key] = results
-            self._quadrature = cached
-        return self._quadrature
+            fits = []
+            for k in range(count):
+                rng = spawn_rng(self.seed, "quadrature-amplitude", k)
+                amp = random_jet(rng, 2 * self.n + 2, 2, (0.0,) * (2 * self.n + 2), decay=0.6)
+                fit = numeric_expansion_oracle(
+                    self.phase_data,
+                    amp,
+                    t_samples=opts.get("t_samples"),
+                    cutoff_radius=float(opts.get("cutoff_radius", 1.4)),
+                    nodes_per_axis=opts.get("nodes_per_axis"),
+                )
+                fits.append((fit, expansion_coeffs(self.phase_data, amp)))
+            self.cache.quadrature[key] = fits
+        return self.cache.quadrature[key]
 
 
 def _record(check_id: str, a: complex, b: complex, atol: float, rtol: float, dt: float) -> CheckRecord:
@@ -484,18 +476,11 @@ def check_b1_two_routes(ctx: CheckContext):
 
 def check_b1_reference(ctx: CheckContext):
     """Pipeline b1 against the multiplication-operator corollary value."""
-    sym = ctx.symbol
     _, b1 = ctx.b1_pipeline
     d = 2 * ctx.n + 1
-    e0 = sym.components[0]
-    if any(idx[d:] != (0,) * d for idx in e0.coeffs):
-        raise ConfigError("b1_reference applies to multiplication symbols only")
-    # rebuild f(x) by pinning the xi slots at the base covector
-    inner = [Jet.coordinate(i, d, e0.order, (0.0,) * d) for i in range(d)]
-    inner += [
-        Jet.constant(d, e0.order, (0.0,) * d, e0.base_point[d + j]) for j in range(d)
-    ]
-    f = e0.compose(inner)
+    e0 = ctx.symbol.components[0]
+    # f(x) = e_0(x, xi) with the xi slots pinned at the base covector
+    f = Jet(d, e0.order, (0.0,) * d, {idx[:d]: c for idx, c in e0.coeffs.items() if not any(idx[d:])})
     want = (
         tw_scalar_curvature(ctx.chart) * f.constant_term() - kohn_laplacian_at0(ctx.chart, f)
     ) / (4.0 * math.pi ** (ctx.n + 1))
@@ -738,7 +723,7 @@ def check_singularity_branches(ctx: CheckContext):
     b0 = amp.coeffs[0].constant_term()
     pairs.append((parts.F.constant_term(), math.gamma(n + 0.5 + 1.0) * b0))
     if parts.G is not None:
-        raise ConfigError("non-integer order must not produce a log factor")
+        raise BranchError("non-integer order must not produce a log factor")
 
     amp0 = random_amplitude(n, 0.0, seed=int(rng.integers(1 << 30)))
     parts0 = singularity_representation(amp0, phase)
@@ -748,30 +733,66 @@ def check_singularity_branches(ctx: CheckContext):
     ampm = random_amplitude(n, -1.0, seed=int(rng.integers(1 << 30)))
     partsm = singularity_representation(ampm, phase)
     if partsm.F is not None:
-        raise ConfigError("negative integer order must be pure log")
+        raise BranchError("negative integer order must be pure log")
     pairs.append((partsm.G.constant_term(), -ampm.coeffs[0].constant_term()))
     return _worst(pairs)
 
 
+@dataclass(frozen=True)
+class CheckSpec:
+    """One check: its function and what it reads of a scenario.
+
+    ``symbol`` is "required", "optional" or "unread".  ``chart_models`` is
+    empty for a check that never builds the chart (it reads only ``n`` and
+    the jet order).  ``n_range`` is (low, high), high None for no bound, and
+    ``oracle`` says whether the check reads the ``oracle`` options.
+    """
+
+    fn: Callable[[CheckContext], Tuple[complex, complex]]
+    symbol: str = "unread"
+    symbol_kinds: Tuple[str, ...] = SYMBOL_KINDS
+    chart_models: Tuple[str, ...] = CHART_MODELS
+    n_range: Tuple[int, Optional[int]] = (1, None)
+    min_jet_order: int = 2
+    params: Tuple[str, ...] = ()
+    oracle: bool = False
+
+
+#: the one statement of which checks apply to which scenarios; ``parse_config``
+#: rejects every scenario it rules out (the quadrature oracle alone still
+#: refuses perturbed charts when it runs)
+CHECK_SPECS: Dict[str, CheckSpec] = {
+    "b0_leading": CheckSpec(check_b0_leading, symbol="required", min_jet_order=4),
+    "b1_two_routes": CheckSpec(check_b1_two_routes, symbol="required", min_jet_order=4),
+    "b1_reference": CheckSpec(
+        check_b1_reference, symbol="required", symbol_kinds=("identity", "multiplication"), min_jet_order=4
+    ),
+    "composition_two_routes": CheckSpec(check_composition_two_routes, min_jet_order=4, params=("num_pairs",)),
+    "projector_idempotence": CheckSpec(check_projector_idempotence, min_jet_order=4),
+    "subprincipal_invariance": CheckSpec(check_subprincipal_invariance, chart_models=(), params=("num_diffeos",)),
+    "p_operator_routes": CheckSpec(check_p_operator_routes, chart_models=("heisenberg",), params=("num_fields",)),
+    "christoffel_table": CheckSpec(check_christoffel_table),
+    "kohn_point_formula": CheckSpec(check_kohn_point_formula, params=("num_samples",)),
+    "euler_homogeneity": CheckSpec(check_euler_homogeneity, chart_models=(), params=("num_symbols",)),
+    "princ_symb_id": CheckSpec(check_princ_symb_id, chart_models=(), params=("num_symbols",)),
+    "hessian_display": CheckSpec(check_hessian_display),
+    "quadrature_leading": CheckSpec(
+        check_quadrature_leading, n_range=ORACLE_N_RANGE, min_jet_order=4, params=("num_amplitudes",), oracle=True
+    ),
+    "quadrature_subleading": CheckSpec(
+        check_quadrature_subleading, n_range=ORACLE_N_RANGE, min_jet_order=4, params=("num_amplitudes",), oracle=True
+    ),
+    "mu2_vanishing": CheckSpec(check_mu2_vanishing),
+    "l_linearity": CheckSpec(check_l_linearity, params=("num_samples",)),
+    "rescale_uniqueness": CheckSpec(
+        check_rescale_uniqueness, symbol="optional", min_jet_order=4, params=("num_rescales",)
+    ),
+    "singularity_branches": CheckSpec(check_singularity_branches),
+}
+
+#: check id -> function; ``run_scenarios`` looks each check up here when it runs it
 CHECKS: Dict[str, Callable[[CheckContext], Tuple[complex, complex]]] = {
-    "b0_leading": check_b0_leading,
-    "b1_two_routes": check_b1_two_routes,
-    "b1_reference": check_b1_reference,
-    "composition_two_routes": check_composition_two_routes,
-    "projector_idempotence": check_projector_idempotence,
-    "subprincipal_invariance": check_subprincipal_invariance,
-    "p_operator_routes": check_p_operator_routes,
-    "christoffel_table": check_christoffel_table,
-    "kohn_point_formula": check_kohn_point_formula,
-    "euler_homogeneity": check_euler_homogeneity,
-    "princ_symb_id": check_princ_symb_id,
-    "hessian_display": check_hessian_display,
-    "quadrature_leading": check_quadrature_leading,
-    "quadrature_subleading": check_quadrature_subleading,
-    "mu2_vanishing": check_mu2_vanishing,
-    "l_linearity": check_l_linearity,
-    "rescale_uniqueness": check_rescale_uniqueness,
-    "singularity_branches": check_singularity_branches,
+    check_id: spec.fn for check_id, spec in CHECK_SPECS.items()
 }
 
 
@@ -783,7 +804,11 @@ def run_scenarios(
     name_filter: Optional[str] = None,
     timings: bool = True,
 ) -> List[ExpansionReport]:
-    """Run every scenario's checks; failures are recorded, never raised."""
+    """Run every scenario's checks with one cache for the run.
+
+    A comparison outside its tolerance is recorded as a failed record; a
+    check that raises aborts the run and its error propagates.
+    """
     seed = config.get("seed", 0)
     jet_order = config.get("jet_order", 6)
     oracle_opts = config.get("oracle", {})
@@ -792,11 +817,12 @@ def run_scenarios(
         "seed": str(seed),
         "jet_order": str(jet_order),
     }
+    cache = RunCache()
     reports: List[ExpansionReport] = []
     for scenario in config["scenarios"]:
         if name_filter and not fnmatch.fnmatch(scenario.name, name_filter):
             continue
-        ctx = CheckContext(scenario, seed, jet_order, oracle_opts)
+        ctx = CheckContext(scenario, seed, oracle_opts, cache)
         records = []
         for check_id in scenario.checks:
             t0 = time.perf_counter()
@@ -818,31 +844,21 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
+#: the report fields of a check record: (name, text form, parser of the text)
 _RECORD_FIELDS = (
-    "scenario",
-    "check_id",
-    "route_a",
-    "route_b",
-    "abs_deviation",
-    "rel_deviation",
-    "tolerance",
-    "passed",
-    "wall_time_s",
+    ("check_id", str, str),
+    ("route_a", _fmt_complex, complex),
+    ("route_b", _fmt_complex, complex),
+    ("abs_deviation", _fmt_float, float),
+    ("rel_deviation", _fmt_float, float),
+    ("tolerance", _fmt_float, float),
+    ("passed", bool, bool),
+    ("wall_time_s", _fmt_float, float),
 )
 
 
-def _record_row(scenario: str, r: CheckRecord) -> List[str]:
-    return [
-        scenario,
-        r.check_id,
-        _fmt_complex(r.route_a),
-        _fmt_complex(r.route_b),
-        _fmt_float(r.abs_deviation),
-        _fmt_float(r.rel_deviation),
-        _fmt_float(r.tolerance),
-        "true" if r.passed else "false",
-        _fmt_float(r.wall_time_s),
-    ]
+def _record_doc(r: CheckRecord) -> dict:
+    return {name: fmt(getattr(r, name)) for name, fmt, _ in _RECORD_FIELDS}
 
 
 def emit_report(reports: Sequence[ExpansionReport], fmt: str = "structured") -> bytes:
@@ -853,34 +869,22 @@ def emit_report(reports: Sequence[ExpansionReport], fmt: str = "structured") -> 
     "csv" is one header row plus one row per check record.
     """
     if fmt == "structured":
-        payload = []
-        for rep in reports:
-            payload.append(
-                {
-                    "scenario": rep.scenario,
-                    "environment": rep.environment,
-                    "records": [
-                        {
-                            "check_id": r.check_id,
-                            "route_a": _fmt_complex(r.route_a),
-                            "route_b": _fmt_complex(r.route_b),
-                            "abs_deviation": _fmt_float(r.abs_deviation),
-                            "rel_deviation": _fmt_float(r.rel_deviation),
-                            "tolerance": _fmt_float(r.tolerance),
-                            "passed": r.passed,
-                            "wall_time_s": _fmt_float(r.wall_time_s),
-                        }
-                        for r in rep.records
-                    ],
-                }
-            )
+        payload = [
+            {
+                "scenario": rep.scenario,
+                "environment": rep.environment,
+                "records": [_record_doc(r) for r in rep.records],
+            }
+            for rep in reports
+        ]
         text = json.dumps({"reports": payload}, indent=2, sort_keys=False)
         return (text + "\n").encode("utf-8")
     if fmt == "csv":
-        lines = [",".join(_RECORD_FIELDS)]
+        lines = [",".join(["scenario"] + [name for name, _, _ in _RECORD_FIELDS])]
         for rep in reports:
             for r in rep.records:
-                lines.append(",".join(_record_row(rep.scenario, r)))
+                cells = [json.dumps(v) if isinstance(v, bool) else v for v in _record_doc(r).values()]
+                lines.append(",".join([rep.scenario] + cells))
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ConfigError(f"unknown report format {fmt!r} (expected 'structured' or 'csv')")
 
@@ -888,24 +892,16 @@ def emit_report(reports: Sequence[ExpansionReport], fmt: str = "structured") -> 
 def parse_structured_report(blob: bytes) -> List[dict]:
     """Parse the structured format back into plain dicts with complex values."""
     doc = json.loads(blob.decode("utf-8"))
-    out = []
-    for rep in doc["reports"]:
-        records = []
-        for r in rep["records"]:
-            records.append(
-                {
-                    "check_id": r["check_id"],
-                    "route_a": complex(r["route_a"]),
-                    "route_b": complex(r["route_b"]),
-                    "abs_deviation": float(r["abs_deviation"]),
-                    "rel_deviation": float(r["rel_deviation"]),
-                    "tolerance": float(r["tolerance"]),
-                    "passed": bool(r["passed"]),
-                    "wall_time_s": float(r["wall_time_s"]),
-                }
-            )
-        out.append({"scenario": rep["scenario"], "environment": rep["environment"], "records": records})
-    return out
+    return [
+        {
+            "scenario": rep["scenario"],
+            "environment": rep["environment"],
+            "records": [
+                {name: parse(r[name]) for name, _, parse in _RECORD_FIELDS} for r in rep["records"]
+            ],
+        }
+        for rep in doc["reports"]
+    ]
 
 
 # -- built-in configuration ---------------------------------------------------------------------

@@ -336,6 +336,9 @@ def oscillatory_integral_value(
     return complex(total)
 
 
+#: the CR dimensions (low, high) the quadrature oracle handles
+ORACLE_N_RANGE = (1, 1)
+
 #: default fit samples; the cutoff contamination decays fast over this window
 ORACLE_T_SAMPLES = (40.0, 45.0, 50.0, 55.0, 60.0, 65.0, 70.0, 75.0, 80.0)
 
@@ -380,8 +383,8 @@ def numeric_expansion_oracle(
     unchanged while the flat cutoff profile gains enough width to keep its
     contamination below the fit tolerances.
     """
-    if data.n != 1:
-        raise OracleFitError("quadrature oracle supports n = 1 only")
+    if not ORACLE_N_RANGE[0] <= data.n <= ORACLE_N_RANGE[1]:
+        raise OracleFitError(f"quadrature oracle supports {ORACLE_N_RANGE[0]} <= n <= {ORACLE_N_RANGE[1]} only")
     if not data.exact_heisenberg:
         raise OracleFitError("quadrature oracle supports the exact Heisenberg phase only")
     ts = oracle_t_samples(t_samples)

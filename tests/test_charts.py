@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from crkernel.charts import (
     ChartError,
+    _check_chart,
     density_channel_value,
     heisenberg_chart,
     christoffel_at,
@@ -124,6 +126,22 @@ def test_phase_vanishes_on_diagonal(chart):
     coords = [Jet.coordinate(i, d, chart.jet_order, (0.0,) * d) for i in range(d)]
     diag = chart.phase.compose(coords + coords)
     assert diag.max_abs() < 1e-14
+
+
+@pytest.mark.parametrize("degree", [2, 4])
+def test_tampered_exact_phase_rejected(chart, degree):
+    # -i x_0^2 breaks the diagonal too; -i (x_0 - y_0)^4 keeps every other phase
+    # invariant, and on |x_0 - y_0| <= 1/sqrt(2) it even keeps Im(phi) >= 0
+    nv, order = chart.phase.num_vars, chart.jet_order
+    x0 = Jet.displacement(0, nv, order, (0.0,) * nv)
+    u = x0 if degree == 2 else x0 - Jet.displacement(chart.dim, nv, order, (0.0,) * nv)
+    term = u
+    for _ in range(degree - 1):
+        term = term * u
+    tampered = dataclasses.replace(chart, phase=chart.phase + term.scale(-1j))
+    with pytest.raises(ChartError, match="Im"):
+        _check_chart(tampered)
+    _check_chart(dataclasses.replace(chart, phase=chart.phase))
 
 
 def test_perturbed_zero_returns_base(chart):

@@ -1,10 +1,15 @@
+import dataclasses
 import json
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from crkernel.errors import ConfigError, OracleFitError
 from crkernel.harness import (
-    CheckContext,
+    CHECK_SPECS,
+    SYMBOL_KINDS,
     default_config,
     emit_report,
     parse_config,
@@ -111,15 +116,20 @@ def test_malformed_values_rejected(path, value):
     doc = small_config()
     doc["oracle"] = {"nodes_per_axis": [48, 48, 160, 160]}
     scen = doc["scenarios"][0]
-    scen["checks"] = ["quadrature_leading"]
-    scen["symbol"] = {"kind": "identity"}
+    # every field the cases below touch is read by a check, so each case is
+    # rejected for its own value (the oracle refuses the perturbed chart only
+    # when it runs)
+    scen["chart"] = {"model": "perturbed", "n": 1, "r_synth": 0.3, "seed": 1}
+    scen["checks"] = ["quadrature_leading", "b0_leading"]
+    scen["symbol"] = {"kind": "random-homogeneous", "order_m": 0.5}
     scen["params"] = {"num_amplitudes": 1}
     parse_config(doc)  # the unmodified document is valid
     target = doc
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
-    with pytest.raises(ConfigError):
+    where = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+    with pytest.raises(ConfigError, match=re.escape(where)):
         parse_config(doc)
 
 
@@ -160,6 +170,53 @@ def test_homogeneous_only_symbol_keys_rejected(key, value):
         doc["scenarios"][0]["symbol"] = {"kind": kind, key: value}
         with pytest.raises(ConfigError, match=key):
             parse_config(doc)
+
+
+def test_symbol_no_check_reads_rejected():
+    doc = small_config()
+    doc["scenarios"][0]["symbol"] = {"kind": "identity"}
+    with pytest.raises(ConfigError, match="no check of the scenario reads a symbol"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "chart,match",
+    [
+        ({"model": "perturbed", "n": 1, "r_synth": 0.3}, "builds a perturbed chart"),
+        ({"n": 1, "r_synth": 0.3}, "apply to perturbed charts only"),
+        ({"model": "heisenberg", "n": 1, "seed": 4}, "apply to perturbed charts only"),
+    ],
+)
+def test_chart_fields_no_check_reads_rejected(chart, match):
+    doc = small_config()
+    doc["scenarios"][0]["chart"] = chart
+    doc["scenarios"][0]["checks"] = ["subprincipal_invariance", "euler_homogeneity", "princ_symb_id"]
+    with pytest.raises(ConfigError, match=match):
+        parse_config(doc)
+    doc["scenarios"][0]["chart"] = {"model": "heisenberg", "n": 1}  # an explicit exact model is fine
+    parse_config(doc)
+
+
+def test_params_key_no_check_reads_rejected():
+    doc = small_config()
+    doc["scenarios"][0]["checks"] = ["composition_two_routes"]
+    doc["scenarios"][0]["params"] = {"num_pair": 3}
+    with pytest.raises(ConfigError, match=r"params: unknown keys \['num_pair'\]"):
+        parse_config(doc)
+    doc["scenarios"][0]["params"] = {"num_pairs": 3}
+    parse_config(doc)
+
+
+@pytest.mark.parametrize("check", ["quadrature_leading", "quadrature_subleading"])
+def test_quadrature_rejected_outside_the_oracle_dimensions(check):
+    from crkernel.stationary import ORACLE_N_RANGE
+
+    assert CHECK_SPECS[check].n_range is ORACLE_N_RANGE
+    doc = small_config()
+    doc["scenarios"][0]["chart"] = {"model": "heisenberg", "n": 2}
+    doc["scenarios"][0]["checks"] = [check]
+    with pytest.raises(ConfigError, match=f"{check} does not apply at n = 2"):
+        parse_config(doc)
 
 
 def test_perturbed_needs_order_six():
@@ -274,6 +331,53 @@ def _homogeneous_scenario(name, order_m, seed):
     }
 
 
+def _scenario(name, chart, checks, **extra):
+    return {
+        "name": name,
+        "chart": chart,
+        "checks": checks,
+        "tolerances": {"absolute": 1e-10, "relative": 1e-2},
+        **extra,
+    }
+
+
+def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
+    import crkernel.harness as harness
+
+    calls = []
+    for name in ("heisenberg_chart", "perturbed_chart", "build_phase_data", "numeric_expansion_oracle"):
+
+        def counting(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    flat = {"model": "heisenberg", "n": 1}
+    curved = {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 3}
+    quadrature = {"params": {"num_amplitudes": 1}}
+    doc = {
+        "seed": 0,
+        "jet_order": 6,
+        "oracle": {"t_samples": [60.0, 65.0, 70.0, 75.0]},
+        "scenarios": [
+            _scenario("leading", flat, ["quadrature_leading"], **quadrature),
+            _scenario("subleading", flat, ["quadrature_subleading"], **quadrature),
+            _scenario("flat", flat, ["hessian_display", "christoffel_table"]),
+            _scenario("curved-a", curved, ["mu2_vanishing"]),
+            _scenario("curved-b", curved, ["hessian_display"]),
+            _scenario("flat-order-4", {"n": 1, "jet_order": 4}, ["christoffel_table"]),
+        ],
+    }
+    config = parse_config(doc)
+    # the order-6 exact chart also serves as the perturbed chart's base
+    once = {"heisenberg_chart": 2, "perturbed_chart": 1, "build_phase_data": 2, "numeric_expansion_oracle": 1}
+    first = run_scenarios(config, timings=False)
+    assert Counter(calls) == once
+    second = run_scenarios(config, timings=False)  # a new run builds everything again
+    assert Counter(calls) == {name: 2 * count for name, count in once.items()}
+    assert emit_report(first) == emit_report(second)
+
+
 def test_homogeneous_record_does_not_depend_on_earlier_scenarios():
     from crkernel.symbols import _slice_map
 
@@ -381,33 +485,71 @@ def test_cli_overrides_go_through_parse_config(tmp_path, capsys):
     assert cli.main(["--jet-order", "3", "--filter", "geometry-tables"]) == 2
 
 
-def _quadrature_scenario(name, chart):
-    return {
-        "name": name,
-        "chart": chart,
-        "checks": ["quadrature_leading"],
-        "tolerances": {"absolute": 0.0, "relative": 1e-2},
-        "params": {"num_amplitudes": 1},
-    }
-
-
 QUADRATURE_LEAK_DOC = {
     "seed": 0,
     "jet_order": 6,
     "oracle": {"t_samples": [60.0, 65.0, 70.0, 75.0]},
     "scenarios": [
-        _quadrature_scenario("flat", {"model": "heisenberg", "n": 1}),
-        _quadrature_scenario("curved", {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 3}),
+        _scenario("flat", {"model": "heisenberg", "n": 1}, ["quadrature_leading"], params={"num_amplitudes": 1}),
+        _scenario(
+            "curved",
+            {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 3},
+            ["quadrature_leading"],
+            params={"num_amplitudes": 1},
+        ),
     ],
 }
 
 
 def test_quadrature_memo_is_keyed_by_chart():
-    # After a flat-chart fit with the same seed, the perturbed scenario must
-    # still reach the oracle and be refused, rather than read the flat
-    # chart's memoized values.
-    config = parse_config(QUADRATURE_LEAK_DOC)
-    flat, curved = config["scenarios"]
-    assert len(CheckContext(flat, 0, 6, config["oracle"]).quadrature_fit()) == 1
+    # The flat scenario runs first and fits; the perturbed one in the same run
+    # must still reach the oracle and be refused, rather than read the flat
+    # chart's fits.
     with pytest.raises(OracleFitError):
-        CheckContext(curved, 0, 6, config["oracle"]).quadrature_fit()
+        run_scenarios(parse_config(QUADRATURE_LEAK_DOC))
+
+
+def test_broken_branch_invariant_is_a_numerical_error(tmp_path, monkeypatch, capsys):
+    import crkernel.harness as harness
+
+    original = harness.singularity_representation
+
+    def log_everywhere(amplitude, phase):
+        parts = original(amplitude, phase)
+        return dataclasses.replace(parts, G=parts.F)
+
+    monkeypatch.setattr(harness, "singularity_representation", log_everywhere)
+    doc = small_config()
+    doc["scenarios"][0]["checks"] = ["singularity_branches"]
+    assert cli.main(["--config", write_config(tmp_path, doc)]) == 3
+    assert "numerical error: non-integer order must not produce a log factor" in capsys.readouterr().err
+
+
+# -- README ---------------------------------------------------------------------------------
+
+
+def render_check_table():
+    """The README's check table, rendered from CHECK_SPECS."""
+    rows = [
+        "| check | symbol | chart models | n | min jet order | params |",
+        "|---|---|---|---|---|---|",
+    ]
+    for check_id, spec in CHECK_SPECS.items():
+        symbol = "—" if spec.symbol == "unread" else spec.symbol
+        if spec.symbol != "unread" and spec.symbol_kinds != SYMBOL_KINDS:
+            symbol += " (" + ", ".join(spec.symbol_kinds) + ")"
+        models = ", ".join(spec.chart_models) or "not built"
+        low, high = spec.n_range
+        n = f"≥ {low}" if high is None else (str(low) if low == high else f"{low}–{high}")
+        params = ", ".join(f"`{p}`" for p in spec.params) or "—"
+        rows.append(f"| `{check_id}` | {symbol} | {models} | {n} | {spec.min_jet_order} | {params} |")
+    return rows
+
+
+def test_readme_check_table_is_rendered_from_check_specs():
+    want = render_check_table()
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    assert want[0] in lines, "README lacks the check table header"
+    start = lines.index(want[0])
+    end = lines.index("", start)
+    assert lines[start:end] == want, "README check table is stale; it should read:\n" + "\n".join(want)
