@@ -136,8 +136,7 @@ def heisenberg_phase_jet(n: int, order: int) -> Jet:
 def _diagonal_restriction(phi: Jet, n: int) -> Jet:
     """phi(x, x) as a jet in x."""
     d = 2 * n + 1
-    coords = [Jet.coordinate(i, d, phi.order, (0,) * d) for i in range(d)]
-    return phi.compose(coords + coords)
+    return phi.reindex(d, [*range(d), *range(d)], (0.0,) * d)
 
 
 def _check_phase(phi: Jet, n: int, order: int, exact: bool) -> None:
@@ -254,9 +253,8 @@ def quartic_channel_value(phase_quartic: Dict[MultiIndex, complex], n: int) -> c
     nv = 2 * d
     order = 4
     psi = Jet(nv, order, (0,) * nv, dict(phase_quartic))
-    zero = [Jet.zero(d, order, (0,) * d) for _ in range(d)]
-    coords = [Jet.coordinate(i, d, order, (0,) * d) for i in range(d)]
-    s = psi.compose(zero + coords) + psi.compose(coords + zero)
+    u, zero = list(range(d)), [None] * d
+    s = psi.reindex(d, zero + u, (0.0,) * d) + psi.reindex(d, u + zero, (0.0,) * d)
     total = 0.0 + 0.0j
     for a in range(2 * n):
         for b in range(2 * n):

@@ -480,7 +480,7 @@ def check_b1_reference(ctx: CheckContext):
     d = 2 * ctx.n + 1
     e0 = ctx.symbol.components[0]
     # f(x) = e_0(x, xi) with the xi slots pinned at the base covector
-    f = Jet(d, e0.order, (0.0,) * d, {idx[:d]: c for idx, c in e0.coeffs.items() if not any(idx[d:])})
+    f = e0.reindex(d, [*range(d), *[None] * d], (0.0,) * d)
     want = (
         tw_scalar_curvature(ctx.chart) * f.constant_term() - kohn_laplacian_at0(ctx.chart, f)
     ) / (4.0 * math.pi ** (ctx.n + 1))

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -405,9 +405,46 @@ class Jet:
         The inner jets must share num_vars/order/base and be centered: the
         constant term of inner[k] must equal this jet's base_point[k].  To
         substitute one inner map into many jets, prepare it once with
-        ``Substitution``.
+        ``Substitution``; to rename or pin variables, use ``reindex``.
         """
         return Substitution(inner).apply(self)
+
+    def reindex(
+        self, num_vars: int, targets: Sequence[Optional[int]], base_point: Sequence[complex]
+    ) -> "Jet":
+        """This jet as a jet in ``num_vars`` variables at ``base_point``.
+
+        Variable k becomes variable ``targets[k]`` of the result, or is pinned
+        at its base value where ``targets[k]`` is None; two variables may
+        share a target.  A target's base value must equal the base value of
+        each variable moved to it.  The result keeps this jet's order.  This
+        is ``compose`` with coordinate and zero inner jets, made by moving
+        exponents instead of multiplying.
+        """
+        if len(targets) != self.num_vars:
+            raise CompatibilityError(f"reindex: {len(targets)} targets for {self.num_vars} variables")
+        base_point = tuple(complex(v) for v in base_point)
+        if len(base_point) != num_vars:
+            raise CompatibilityError("reindex: base point length != num_vars")
+        lift = np.zeros((self.num_vars, num_vars), dtype=np.int64)
+        for k, t in enumerate(targets):
+            if t is None:
+                continue
+            if not 0 <= t < num_vars:
+                raise CompatibilityError(f"reindex: target {t} of variable {k} is out of range")
+            if abs(self.base_point[k] - base_point[t]) > CENTERING_TOL * max(abs(base_point[t]), 1.0):
+                raise CenteringError(
+                    f"reindex: variable {k} has base {self.base_point[k]} "
+                    f"but its target has base {base_point[t]}"
+                )
+            lift[k, t] = 1
+        pinned = [k for k, t in enumerate(targets) if t is None]
+        exps = self.basis.exponents[self.support]
+        live = ~exps[:, pinned].any(axis=1)  # a pinned variable's displacement is zero
+        basis = _basis(num_vars, self.order)
+        c = self.vector[self.support[live]]
+        vector = _scatter_sum(basis.locate(exps[live] @ lift), c.real, c.imag, basis.size(self.order))
+        return Jet._from_vector(num_vars, self.order, base_point, vector)
 
     def eval(self, displacement: Sequence[complex]) -> complex:
         """Evaluate the truncated polynomial at base_point + displacement."""
@@ -502,10 +539,8 @@ class Substitution:
     monomial powers of the inner displacements fills lazily and is shared by
     every outer jet the substitution is applied to; an entry depends only on
     its multi-index, so reuse changes no value.  Entries are stored by their
-    support, so a table of sparse powers stays small.  When every
-    displacement is zero or a single unit-coefficient degree-1 monomial
-    (variable lifts, restrictions, slot zeroing), ``apply`` re-indexes
-    exponents and makes no products.
+    support, so a table of sparse powers stays small.  Maps that only rename
+    or pin variables need no powers: use ``Jet.reindex``.
     """
 
     def __init__(self, inner: Sequence[Jet]):
@@ -519,7 +554,6 @@ class Substitution:
         self.num_vars = first.num_vars
         self.order = first.order
         self.base_point = first.base_point
-        self._basis = first.basis
         self._size = first.vector.size
         self._constants = tuple(g.constant_term() for g in inner)
         self._scale = max([g.max_abs() for g in inner] + [1.0])
@@ -529,16 +563,6 @@ class Substitution:
             stripped[0] = 0.0
             deltas.append(g._like(stripped))
         self._deltas = deltas
-        targets = _unit_targets(deltas)
-        self._lift = None
-        if targets is not None:
-            # exponent map of the re-index path: outer variable k moves to inner
-            # variable targets[k]; the outer variables in ``_dead`` map to zero
-            self._lift = np.zeros((self.num_inner, self.num_vars), dtype=np.int64)
-            for k, t in enumerate(targets):
-                if t is not None:
-                    self._lift[k, t] = 1
-            self._dead = [k for k, t in enumerate(targets) if t is None]
         #: power entries by outer basis position (the same at every order)
         self._powers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
             0: (np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex))
@@ -563,17 +587,10 @@ class Substitution:
         support = support[: np.searchsorted(support, cut)]
         if not support.size:
             return Jet._from_vector(self.num_vars, order, self.base_point, np.zeros(size, dtype=complex))
-        c = outer.vector[support]
-        if self._lift is not None:
-            exps = basis.exponents[support]
-            live = ~exps[:, self._dead].any(axis=1)  # a zero displacement kills the monomial
-            k = self._basis.locate(exps[live] @ self._lift)
-            re, im = c.real[live], c.imag[live]
-        else:
-            entries = [self._power(p, basis) for p in support.tolist()]
-            k = np.concatenate([e[0] for e in entries])
-            counts = [e[0].size for e in entries]
-            re, im = _cmul_parts(np.repeat(c, counts), np.concatenate([e[1] for e in entries]))
+        entries = [self._power(p, basis) for p in support.tolist()]
+        k = np.concatenate([e[0] for e in entries])
+        c = np.repeat(outer.vector[support], [e[0].size for e in entries])
+        re, im = _cmul_parts(c, np.concatenate([e[1] for e in entries]))
         return Jet._from_vector(self.num_vars, order, self.base_point, _scatter_sum(k, re, im, size))
 
     def _power(self, p: int, basis: _Basis) -> Tuple[np.ndarray, np.ndarray]:
@@ -590,24 +607,6 @@ class Substitution:
         value = self._deltas[k]._like(vector) * self._deltas[k]
         hit = self._powers[p] = (value.support, value.vector[value.support])
         return hit
-
-
-def _unit_targets(deltas: Sequence[Jet]):
-    """Per displacement, the variable it equals (None for zero), if every
-    displacement is zero or one unit-coefficient degree-1 monomial; else None."""
-    targets = []
-    for g in deltas:
-        support = g.support
-        if not support.size:
-            targets.append(None)
-            continue
-        if support.size != 1:
-            return None
-        p = int(support[0])
-        if g.vector[p] != 1 or g.basis.degrees[p] != 1:
-            return None
-        targets.append(int(np.argmax(g.basis.exponents[p])))
-    return targets
 
 
 def _scalar_powers(d: complex, order: int) -> List[complex]:

@@ -147,12 +147,9 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
 
 def _to_us_space(jet_xy: Jet, d: int, order: int, slot: str) -> Jet:
     """Restrict an (x, y) jet to (0, u) or (u, 0) as a jet in (u, sigma-1)."""
-    nv = d + 1
-    base = (0.0,) * nv
-    u = [Jet.coordinate(i, nv, order, base) for i in range(d)]
-    zero = [Jet.zero(nv, order, base) for _ in range(d)]
-    inner = zero + u if slot == "y" else u + zero
-    return jet_xy.truncated(order).compose(inner)
+    u, zero = list(range(d)), [None] * d
+    targets = zero + u if slot == "y" else u + zero
+    return jet_xy.truncated(order).reindex(d + 1, targets, (0.0,) * (d + 1))
 
 
 def _sigma_power(ell: float, d: int, order: int) -> Jet:
@@ -187,11 +184,7 @@ def compose_amplitudes_sp(
     a1_u = _to_us_space(A.coeff(1), d, order, "y")
     c0_u = _to_us_space(C.coeffs[0], d, order, "x")
     c1_u = _to_us_space(C.coeff(1), d, order, "x")
-    nv = d + 1
-    base = (0.0,) * nv
-    lam = chart.volume_density.truncated(order).compose(
-        [Jet.coordinate(i, nv, order, base) for i in range(d)]
-    )
+    lam = chart.volume_density.truncated(order).reindex(d + 1, range(d), (0.0,) * (d + 1))
     sig_l = _sigma_power(ell, d, order)
     sig_lm1 = _sigma_power(ell - 1.0, d, order)
 
@@ -308,8 +301,7 @@ def phase_rescale(amplitude: KernelAmplitude, f: Jet) -> KernelAmplitude:
     fw = f.truncated(first.order)
     if fw.num_vars != nv:
         raise SymbolError("rescale function must be a jet in (x, y)")
-    coords = [Jet.coordinate(i, d, f.order, (0.0,) * d) for i in range(d)]
-    diag = f.compose(coords + coords).shift_constant(-1.0)
+    diag = f.reindex(d, [*range(d), *range(d)], (0.0,) * d).shift_constant(-1.0)
     if diag.max_abs() > 1e-12 * max(f.max_abs(), 1.0):
         raise SymbolError("rescale function must equal 1 on the diagonal")
     out = []
@@ -348,10 +340,9 @@ def singularity_representation(amplitude: KernelAmplitude, phase: Jet) -> Singul
     m = N - n
 
     w = 1
-    curve = [Jet.zero(1, w, (0.0,)) for _ in range(nv - 1)]
-    curve.append(Jet.displacement(0, 1, w, (0.0,)))
-    phi_c = phase.truncated(w).compose(curve) if phase.order >= w else phase.with_order(w).compose(curve)
-    b_c = [amplitude.coeff(j).truncated(w).compose(curve) for j in range(2)]
+    curve = [None] * (nv - 1) + [0]  # the diagonal direction: only the last y variable moves
+    phi_c = phase.with_order(w).reindex(1, curve, (0.0,))
+    b_c = [amplitude.coeff(j).truncated(w).reindex(1, curve, (0.0,)) for j in range(2)]
     minus_iphi = (-1j) * phi_c
 
     is_integer = abs(m - round(m)) < 1e-9
@@ -405,6 +396,5 @@ def random_amplitude(
     coeffs = []
     for j in range(2):
         jet = random_jet(rng, nv, order, _xy_base(d), scale=scale, decay=0.5)
-        cleaned = {idx: c for idx, c in jet.coeffs.items() if idx[nv - 1] == 0}
-        coeffs.append(Jet(nv, order, _xy_base(d), cleaned))
+        coeffs.append(jet.reindex(nv, [*range(nv - 1), None], _xy_base(d)))  # y_last pinned at 0
     return KernelAmplitude(top_power=top_power, coeffs=tuple(coeffs))

@@ -63,10 +63,8 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
     base = (0.0,) * nv
     phi = chart.phase
 
-    u_coords = [Jet.displacement(i, nv, order, base) for i in range(d)]
-    zero = [Jet.zero(nv, order, base) for _ in range(d)]
-    phi_0u = phi.compose(zero + u_coords)
-    phi_u0 = phi.compose(u_coords + zero)
+    phi_0u = phi.reindex(nv, [None] * d + list(range(d)), base)
+    phi_u0 = phi.reindex(nv, list(range(d)) + [None] * d, base)
     sigma = Jet.constant(nv, order, base, 1.0) + Jet.displacement(d, nv, order, base)
     psi0 = sigma * phi_0u + phi_u0
 
@@ -92,20 +90,7 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
     if np.max(np.abs(hess @ hess_inv - np.eye(nv))) > 1e-12:
         raise HessianError("phase Hessian inversion lost precision")
 
-    quad: Dict[Tuple[int, ...], complex] = {}
-    for a in range(nv):
-        for b in range(a, nv):
-            idx = [0] * nv
-            idx[a] += 1
-            idx[b] += 1
-            val = hess[a, b] if a != b else hess[a, a] / 2.0
-            if val != 0:
-                quad[tuple(idx)] = val
-    h = psi0 - Jet(nv, order, base, quad)
-    low = {idx: c for idx, c in h.coeffs.items() if sum(idx) <= 2}
-    if low and max(abs(c) for c in low.values()) > 1e-11 * grad_scale:
-        raise ChartError("cubic remainder h carries terms of degree <= 2")
-    h = Jet(nv, order, base, {idx: c for idx, c in h.coeffs.items() if sum(idx) > 2})
+    h = psi0 - psi0.truncated(2).with_order(order)  # the cubic-and-higher remainder
 
     det_norm = complex(np.linalg.det(hess / (2j * math.pi)))
     root = np.sqrt(det_norm)
@@ -342,6 +327,9 @@ ORACLE_N_RANGE = (1, 1)
 #: default fit samples; the cutoff contamination decays fast over this window
 ORACLE_T_SAMPLES = (40.0, 45.0, 50.0, 55.0, 60.0, 65.0, 70.0, 75.0, 80.0)
 
+#: largest relative residual of the oracle's power-law fit
+ORACLE_RESIDUAL_TOL = 1e-3
+
 
 def oracle_t_samples(t_samples: Optional[Sequence[float]]) -> List[float]:
     """The fit samples as floats (ORACLE_T_SAMPLES for None); raises
@@ -360,7 +348,6 @@ def numeric_expansion_oracle(
     t_samples: Optional[Sequence[float]] = None,
     cutoff_radius: float = 1.4,
     nodes_per_axis: Optional[Sequence[int]] = None,
-    residual_tol: float = 1e-3,
 ) -> Tuple[complex, complex]:
     """Brute-force check of expansion_coeffs by quadrature and power-law fit.
 
@@ -433,9 +420,9 @@ def numeric_expansion_oracle(
         np.linalg.norm((basis @ coeffs - corrected) * weight)
         / max(np.linalg.norm(values * weight), 1e-300)
     )
-    if resid > residual_tol:
+    if resid > ORACLE_RESIDUAL_TOL:
         raise OracleFitError(
-            f"power-law fit residual {resid:.2e} exceeds {residual_tol:.2e}; "
+            f"power-law fit residual {resid:.2e} exceeds {ORACLE_RESIDUAL_TOL:.2e}; "
             "increase the t range or the grid resolution"
         )
     return complex(coeffs[0]), complex(coeffs[1])

@@ -10,7 +10,6 @@ truncation order by construction.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -67,11 +66,8 @@ class ClassicalSymbol:
 
 def promote_x_jet(f: Jet, base_2d: Sequence[complex], order: Optional[int] = None) -> Jet:
     """Lift a jet in x to the (x, xi) space (constant in xi)."""
-    d = f.num_vars
-    nv = 2 * d
     order = f.order if order is None else order
-    coords = [Jet.coordinate(i, nv, order, tuple(base_2d)) for i in range(d)]
-    return f.with_order(order).compose(coords)
+    return f.with_order(order).reindex(2 * f.num_vars, range(f.num_vars), base_2d)
 
 
 def identity_symbol(n: int, jet_order: int = 6) -> ClassicalSymbol:
@@ -96,27 +92,37 @@ def homogeneity_extend(data_on_slice: Jet, degree: float) -> Jet:
 
     The slice jet has variables (x_0..x_{2n}, xi_0..xi_{2n-1}) at base 0; the
     result is the jet at (0, -omega_0(0)) of
-    (-xi_{2n})^degree * data(x, -xi' / xi_{2n}).
+    (-xi_{2n})^degree * data(x, -xi' / xi_{2n}).  With w = -xi_{2n} =
+    1 - dxi_{2n}, a slice term c x^a xi'^b becomes c x^a dxi'^b w^(degree - |b|),
+    so the coefficient of x^a dxi'^b dxi_{2n}^m is
+    c binom(degree - |b|, m) (-1)^m: one scatter, no jet products.
     """
     nv_slice = data_on_slice.num_vars
     if (nv_slice - 1) % 4:
         raise SymbolError("slice jet must have (2n+1) + 2n variables")
-    w, slice_map = _slice_map((nv_slice - 1) // 4, data_on_slice.order)
-    return w.pow_real(degree) * slice_map.apply(data_on_slice)
-
-
-@functools.cache
-def _slice_map(n: int, order: int) -> Tuple[Jet, Substitution]:
-    """(w, (x, -xi'/xi_{2n})) with w = -xi_{2n}: the slice chart of ``homogeneity_extend``."""
-    d = 2 * n + 1
-    nv = 2 * d
-    base = xi_base(n)
-    dlast = Jet.displacement(nv - 1, nv, order, base)
-    w = Jet.constant(nv, order, base, 1.0) - dlast          # -xi_{2n} = 1 - dxi_{2n}
-    winv = w.invert()
-    inner = [Jet.coordinate(i, nv, order, base) for i in range(d)]
-    inner += [Jet.displacement(d + j, nv, order, base) * winv for j in range(2 * n)]
-    return w, Substitution(inner)
+    n = (nv_slice - 1) // 4
+    order = data_on_slice.order
+    basis, support = data_on_slice.basis, data_on_slice.support
+    exps = basis.exponents[support]
+    # every m <= order - |a| - |b| per slice term, as an appended exponent column
+    span = order + 1 - basis.degrees[support]
+    rows = np.repeat(np.arange(support.size), span)
+    m = np.arange(rows.size) - np.repeat(np.cumsum(span) - span, span)
+    # factor[b, m] = binom(degree - b, m) (-1)^m, by the recursion pow_real uses
+    factor = np.ones((order + 1, order + 1))
+    q = degree - np.arange(order + 1)
+    for k in range(1, order + 1):
+        factor[:, k] = factor[:, k - 1] * (q - k + 1) / k
+    factor[:, 1::2] *= -1.0
+    beta = exps[:, 2 * n + 1 :].sum(axis=1)  # |b|, the xi' degree of each slice term
+    f = factor[beta[rows], m]
+    c = data_on_slice.vector[support][rows]
+    zero = Jet.zero(nv_slice + 1, order, xi_base(n))
+    vector = np.zeros(zero.vector.size, dtype=complex)
+    p = zero.basis.locate(np.column_stack([exps[rows], m]))
+    vector.real[p] = c.real * f
+    vector.imag[p] = c.imag * f
+    return zero._like(vector)
 
 
 def euler_check(component: Jet, degree: float) -> float:

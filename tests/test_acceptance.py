@@ -18,6 +18,7 @@ from crkernel.charts import (
     random_perturbation,
     tw_scalar_curvature,
 )
+from crkernel.harness import parse_config, run_scenarios
 from crkernel.jets import Jet, random_jet
 from crkernel.pipeline import (
     compose_amplitudes_closed,
@@ -295,3 +296,26 @@ def test_criterion_8_uniqueness_and_branches(chart):
         -ampm.coeffs[0].constant_term(), abs=1e-14
     )
     _verdict(8, "rescale-invariant diagonal b1 and singularity branches", ok, time.perf_counter() - t0, 30.0)
+
+
+def test_criterion_9_two_routes_beyond_n1():
+    t0 = time.perf_counter()
+    charts = (
+        {"model": "heisenberg", "n": 2},
+        {"model": "perturbed", "n": 2, "r_synth": 0.7, "seed": 3},
+        {"model": "heisenberg", "n": 3},
+    )
+    scenarios = [
+        {
+            "name": f"homogeneous-n{chart['n']}-{k}",
+            "chart": chart,
+            "symbol": {"kind": "random-homogeneous", "order_m": 0.5, "num_components": 2, "seed": 1000 + k},
+            "checks": ["b0_leading", "b1_two_routes"],
+            "tolerances": {"absolute": 1e-12, "relative": 1e-9},
+        }
+        for k, chart in enumerate(charts)
+    ]
+    reports = run_scenarios(parse_config({"seed": 0, "jet_order": 6, "scenarios": scenarios}), timings=False)
+    records = [r for rep in reports for r in rep.records]
+    ok = len(records) == 6 and all(r.passed for r in records)
+    _verdict(9, "random homogeneous symbols at n = 2, 3, two routes agree", ok, time.perf_counter() - t0, 10.0)

@@ -379,12 +379,8 @@ def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
 
 
 def test_homogeneous_record_does_not_depend_on_earlier_scenarios():
-    from crkernel.symbols import _slice_map
-
     last = _homogeneous_scenario("last", 0.5, 11)
-    _slice_map.cache_clear()
     alone = run_scenarios(parse_config(small_config(scenarios=[last])), timings=False)
-    _slice_map.cache_clear()
     first = _homogeneous_scenario("first", -1.0, 4)
     after = run_scenarios(parse_config(small_config(scenarios=[first, last])), timings=False)
     assert emit_report(after[1:]) == emit_report(alone)

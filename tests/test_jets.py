@@ -191,6 +191,35 @@ def test_substitution_centering_checked_per_outer():
         sub.apply(Jet(1, 2, (1.0,), {(1,): 1}))
 
 
+def test_reindex_rejects_malformed_maps():
+    f = Jet(2, 2, (0.0, 1.0), {(1, 1): 1})
+    with pytest.raises(CompatibilityError):  # one target per variable
+        f.reindex(2, [0], (0.0, 1.0))
+    for target in (2, -1):
+        with pytest.raises(CompatibilityError):
+            f.reindex(2, [0, target], (0.0, 1.0))
+    with pytest.raises(CompatibilityError):  # base point of the wrong length
+        f.reindex(2, [0, 1], (0.0,))
+    with pytest.raises(CenteringError):  # variable 1 sits at 1, its target at 0
+        f.reindex(2, [1, 0], (0.0, 1.0))
+    swapped = f.reindex(2, [1, 0], (1.0, 0.0))
+    assert swapped.coeffs == {(1, 1): 1} and swapped.base_point == (1.0, 0.0)
+    assert f.reindex(1, [0, None], (0.0,)).coeffs == {}  # pinning variable 1 drops the dx_0 dx_1 term
+
+
+def test_reindex_equals_composition_with_coordinates():
+    rng = spawn_rng(6, "reindex")
+    f = random_jet(rng, 6, 4, (0.0,) * 6)
+    maps = (([0, 1, 2, 0, 1, 2], 3), ([None] * 3 + [0, 1, 2], 4), ([0, 1, 2, 3, 4, None], 7))
+    for targets, num_vars in maps:
+        base = (0.0,) * num_vars
+        inner = [
+            Jet.zero(num_vars, 4, base) if t is None else Jet.displacement(t, num_vars, 4, base)
+            for t in targets
+        ]
+        assert f.reindex(num_vars, targets, base) == f.compose(inner)
+
+
 def test_eval_examples():
     sq = Jet(1, 2, (0.0,), {(2,): 1})
     assert sq.eval([1j]) == pytest.approx(-1.0)

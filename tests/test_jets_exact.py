@@ -6,7 +6,8 @@ and imaginary parts, with no rounding and no pruning, at the shapes
 (num_vars, order) the pipeline uses: (3, 6) for x-space jets, (6, 4) for
 (x, y) and (u, sigma) jets, and (4, 12) for the quadrature tail, where the
 operands are sparse; (6, 6) symbol jets also meet a sparse operand times a
-dense one, the product's support-restricted case.
+dense one, the product's support-restricted case.  The homogeneous extension
+of symbol data is checked against its definition at (6, 6) and (10, 4).
 """
 
 import random
@@ -14,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from crkernel.jets import Jet, Substitution, iter_multi_indices
+from crkernel.jets import Jet, iter_multi_indices
+from crkernel.symbols import homogeneity_extend, xi_base
 
 #: allowed coefficient deviation, relative to the largest exact coefficient.
 #: Every series step rounds; the deviations seen here stay below 6e-16.
@@ -241,7 +243,7 @@ def test_integer_pow_real_matches_exact(num_vars, order, p):
     assert_matches(got, exact_pow(a, p, num_vars, order))
 
 
-# -- re-indexing substitutions: variable lifts, zeroed slots, repeated targets -------------
+# -- re-indexing: variable lifts, zeroed slots, repeated targets -----------------------------
 
 
 def coordinate_exact(i, num_vars):
@@ -249,30 +251,69 @@ def coordinate_exact(i, num_vars):
 
 
 def reindex_maps():
-    """(name, outer shape, inner maps) as the pipeline builds them: x -> (x, xi)
-    promotion, the (0, u) and (u, 0) restrictions, and the diagonal x -> (x, x)."""
-    u = [coordinate_exact(i, 4) for i in range(3)]
-    x = [coordinate_exact(i, 3) for i in range(3)]
+    """(name, outer shape, targets, result variables) as the pipeline builds them:
+    x -> (x, xi) promotion, the (0, u) and (u, 0) restrictions, and the diagonal
+    x -> (x, x)."""
+    u = [0, 1, 2]
     return [
-        ("promote", (3, 6), [coordinate_exact(i, 6) for i in range(3)], 6),
-        ("zero-u", (6, 4), [{}] * 3 + u, 4),
-        ("u-zero", (6, 4), u + [{}] * 3, 4),
-        ("diagonal", (6, 4), x + x, 3),
+        ("promote", (3, 6), u, 6),
+        ("zero-u", (6, 4), [None] * 3 + u, 4),
+        ("u-zero", (6, 4), u + [None] * 3, 4),
+        ("diagonal", (6, 4), u + u, 3),
     ]
 
 
+def no_products(self, other):
+    raise AssertionError("a variable map made a jet product")
+
+
 @pytest.mark.parametrize(
-    "name,shape,inner,inner_vars", reindex_maps(), ids=[m[0] for m in reindex_maps()]
+    "name,shape,targets,inner_vars", reindex_maps(), ids=[m[0] for m in reindex_maps()]
 )
-def test_reindex_substitution_matches_exact(monkeypatch, name, shape, inner, inner_vars):
+def test_reindex_substitution_matches_exact(monkeypatch, name, shape, targets, inner_vars):
     num_vars, order = shape
     rng = random.Random(f"reindex-{name}")
     outer = random_exact(rng, num_vars, order)
-    sub = Substitution([to_jet(g, inner_vars, order) for g in inner])
+    # the same map as a composition: variable k -> coordinate targets[k], or zero
+    inner = [{} if t is None else coordinate_exact(t, inner_vars) for t in targets]
+    monkeypatch.setattr(Jet, "_mul_jet", no_products)
+    got = to_jet(outer, num_vars, order).reindex(inner_vars, targets, (0.0,) * inner_vars)
+    assert got.order == order
+    assert_matches(got, exact_compose(outer, inner, inner_vars, order))
 
-    def no_products(self, other):
-        raise AssertionError("a re-indexing substitution made a jet product")
+
+# -- homogeneous extension off the slice xi_{2n} = -1 -----------------------------------------
+
+
+def exact_binomial(p, m):
+    out = Fraction(1)
+    for k in range(1, m + 1):
+        out = out * (p - k + 1) / k
+    return out
+
+
+@pytest.mark.parametrize("n,order", ((1, 6), (2, 4)))
+@pytest.mark.parametrize("p", (Fraction(-1), Fraction(0), Fraction(1, 2), Fraction(2)), ids=str)
+def test_homogeneity_extend_matches_definition(monkeypatch, n, order, p):
+    """(1 - dxi)^p * data(x, xi' * sum_k dxi^k) with dxi = dxi_{2n}: the jet of
+    (-xi_{2n})^p data(x, -xi'/xi_{2n}) at xi_{2n} = -1."""
+    d = 2 * n + 1
+    slice_vars, num_vars = d + 2 * n, 2 * d
+    rng = random.Random(f"extend-{n}-{order}-{p}")
+    data = random_exact(rng, slice_vars, order)
+
+    def dxi_power(m, c):
+        return {tuple(m if k == num_vars - 1 else 0 for k in range(num_vars)): GaussRational(c)}
+
+    geometric, w_p = {}, {}
+    for m in range(order + 1):
+        geometric.update(dxi_power(m, 1))
+        w_p.update(dxi_power(m, exact_binomial(p, m) * (-1) ** m))
+    inner = [coordinate_exact(i, num_vars) for i in range(d)]
+    inner += [exact_mul(coordinate_exact(d + j, num_vars), geometric, order) for j in range(2 * n)]
+    want = exact_mul(w_p, exact_compose(data, inner, num_vars, order), order)
 
     monkeypatch.setattr(Jet, "_mul_jet", no_products)
-    got = sub.apply(to_jet(outer, num_vars, order))
-    assert_matches(got, exact_compose(outer, inner, inner_vars, order))
+    got = homogeneity_extend(to_jet(data, slice_vars, order), float(p))
+    assert (got.num_vars, got.order, got.base_point) == (num_vars, order, xi_base(n))
+    assert_matches(got, want)
