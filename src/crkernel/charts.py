@@ -56,6 +56,8 @@ class CRModelChart:
     #: chart-only P-operator frame data by (order, base), filled lazily by
     #: ``symbols.p_operator_geometric``
     _p_geometry: Dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    #: the exact chart's scalar curvature, filled lazily by ``tw_scalar_curvature``
+    _curvature: List[float] = field(init=False, repr=False, compare=False, default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -545,10 +547,16 @@ def tw_scalar_curvature(chart: CRModelChart) -> float:
     computed from the curvature two-forms of the flat parallel-frame
     connection (connection forms of Z_j over the parallel frame, then
     Theta_j^k = d omega_j^k - omega wedge omega, contracted with the Levi
-    metric at 0).
+    metric at 0), once per chart.
     """
     if not chart.is_exact_heisenberg:
         return chart.synthetic_R
+    if not chart._curvature:
+        chart._curvature.append(_exact_scalar_curvature(chart))
+    return chart._curvature[0]
+
+
+def _exact_scalar_curvature(chart: CRModelChart) -> float:
     n, d, order = chart.n, chart.dim, chart.jet_order
     base = (0,) * d
     ycoef, ntrans = _parallel_frame(n, order)

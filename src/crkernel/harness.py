@@ -411,7 +411,7 @@ class CheckContext:
         return int(self.scenario.params.get(key, default))
 
     def quadrature_fit(self):
-        """Oracle fits and formal coefficients for seeded amplitudes.
+        """Oracle fits, from one oracle call, and formal coefficients for seeded amplitudes.
 
         Draws are keyed by the master seed only (not the scenario name), and
         the run cache keeps the fits per chart and amplitude count, so
@@ -422,19 +422,21 @@ class CheckContext:
         key = (self.scenario.chart, count)
         if key not in self.cache.quadrature:
             opts = self.oracle_opts
-            fits = []
-            for k in range(count):
-                rng = spawn_rng(self.seed, "quadrature-amplitude", k)
-                amp = random_jet(rng, 2 * self.n + 2, 2, (0.0,) * (2 * self.n + 2), decay=0.6)
-                fit = numeric_expansion_oracle(
-                    self.phase_data,
-                    amp,
-                    t_samples=opts.get("t_samples"),
-                    cutoff_radius=float(opts.get("cutoff_radius", 1.4)),
-                    nodes_per_axis=opts.get("nodes_per_axis"),
-                )
-                fits.append((fit, expansion_coeffs(self.phase_data, amp)))
-            self.cache.quadrature[key] = fits
+            nv = 2 * self.n + 2
+            amps = [
+                random_jet(spawn_rng(self.seed, "quadrature-amplitude", k), nv, 2, (0.0,) * nv, decay=0.6)
+                for k in range(count)
+            ]
+            fits = numeric_expansion_oracle(
+                self.phase_data,
+                amps,
+                t_samples=opts.get("t_samples"),
+                cutoff_radius=float(opts.get("cutoff_radius", 1.4)),
+                nodes_per_axis=opts.get("nodes_per_axis"),
+            )
+            self.cache.quadrature[key] = [
+                (fit, expansion_coeffs(self.phase_data, amp)) for fit, amp in zip(fits, amps)
+            ]
         return self.cache.quadrature[key]
 
 

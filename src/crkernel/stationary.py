@@ -11,9 +11,10 @@ through the L_j operators
     L_j v = i^{-j} sum_{mu=0}^{2j} <.,.>^{mu+j} (h^mu v)(0,1)
                                    / (mu! (mu+j)! 2^{mu+j}),
 
-where h is the cubic-and-higher remainder of Psi0.  A quadrature oracle
-(separable Gauss sums) cross-checks the formal coefficients on the exact
-Heisenberg phase.
+where h is the cubic-and-higher remainder of Psi0; each term is a Gaussian
+contraction of one homogeneous block of h^mu v (Hoermander, The Analysis of
+Linear PDO I, Thm 7.7.5).  A quadrature oracle (separable Gauss sums)
+cross-checks the formal coefficients on the exact Heisenberg phase.
 
 Jets here live in the variables (u_1..u_{2n+1}, sigma-1) based at 0, so the
 critical point is the jet base point.
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .charts import CRModelChart
 from .errors import BranchError, ChartError, HessianError, OracleFitError, OrderShortfallError
-from .jets import Jet, iter_multi_indices
+from .jets import Jet, _cmul_parts, iter_multi_indices
 
 #: gradient tolerance for accepting (0, 1) as the critical point
 CRITICAL_TOL = 1e-12
@@ -49,6 +50,8 @@ class PhaseCriticalData:
     sqrt_det: complex         # branch-checked square root of det_normalized
     inv_op: Dict[Tuple[int, int], complex]  # <Psi0''^{-1} D, D> over d_a d_b, a <= b
     exact_heisenberg: bool
+    #: contraction weights of <Psi0''^{-1} D, D>^m by m, filled lazily by ``apply_L``
+    _weights: Dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def num_vars(self) -> int:
@@ -115,15 +118,36 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
     )
 
 
-def _apply_inv_op(data: PhaseCriticalData, v: Jet) -> Jet:
-    out = Jet.zero(v.num_vars, max(v.order - 2, 0), v.base_point)
-    for (a, b), c in data.inv_op.items():
-        out = out + c * v.partial(a).partial(b)
-    return out
+def _contraction_weights(data: PhaseCriticalData, m: int) -> Tuple[Jet, np.ndarray, np.ndarray]:
+    """(q^m, positions, w_m) with q(xi) = sum_{a <= b} inv_op[a, b] xi_a xi_b.
+
+    (<Psi0''^{-1} D, D>^m x^alpha)(0) vanishes unless |alpha| = 2m, and then
+    equals w_m[alpha] = alpha! [xi^alpha] q^m; positions are those of the
+    nonzero w_m in the basis.  Built once per phase data and m, from q^{m-1}.
+    """
+    hit = data._weights.get(m)
+    if hit is None:
+        nv, order, base = data.num_vars, 2 * m, data.h.base_point
+        q = Jet(nv, order, base, {
+            tuple((k == a) + (k == b) for k in range(nv)): c for (a, b), c in data.inv_op.items()
+        })
+        power = q if m == 1 else _contraction_weights(data, m - 1)[0].with_order(order) * q
+        support = power.support[np.searchsorted(power.support, power.basis.degree_start[order]):]
+        factorials = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+        weights = power.vector[support] * factorials[power.basis.exponents[support]].prod(axis=1)
+        hit = data._weights[m] = (power, support, weights)
+    return hit
 
 
 def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
-    """(L_j v) at the critical point for the stored phase."""
+    """(L_j v) at the critical point for the stored phase.
+
+    v is treated as an exact polynomial.  g_mu = v h^mu is formed up to
+    degree 2(mu + j) as g_{mu-1} h; dropping g_{mu-1}'s terms above degree
+    2(mu - 1 + j) is exact there, because h starts at degree 3.  Each term is
+    the contraction of g_mu's degree-2(mu + j) block with the weights of
+    _contraction_weights, summed exactly rounded (math.fsum).
+    """
     if j < 1:
         raise ValueError("apply_L needs j >= 1")
     if v.num_vars != data.num_vars:
@@ -133,15 +157,14 @@ def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
     if data.h.order < 2 * j + 2:
         raise OrderShortfallError(f"apply_L: phase order {data.h.order} < {2 * j + 2}")
     total = 0.0 + 0.0j
+    g = v.with_order(2 * j)
     for mu in range(2 * j + 1):
         depth = 2 * (mu + j)
-        g = v.with_order(depth)
-        hw = data.h.with_order(depth)
-        for _ in range(mu):
-            g = g * hw
-        for _ in range(mu + j):
-            g = _apply_inv_op(data, g)
-        total += g.constant_term() / (
+        if mu:
+            g = g.with_order(depth) * data.h.with_order(depth)
+        _, support, weights = _contraction_weights(data, mu + j)
+        re, im = _cmul_parts(g.vector[support], weights)
+        total += complex(math.fsum(re), math.fsum(im)) / (
             math.factorial(mu) * math.factorial(mu + j) * 2 ** (mu + j)
         )
     return total * (1j) ** (-j)
@@ -295,32 +318,6 @@ def oscillatory_monomial_moments(
     return out
 
 
-def oscillatory_integral_value(
-    phase: Jet,
-    amplitude: Jet,
-    t: float,
-    cutoff_radius: float,
-    nodes_per_axis: Sequence[int],
-) -> complex:
-    """int exp(i t phase(v)) amplitude(v) chi(v) dv over [-r, r]^d.
-
-    The jets are treated as exact polynomials in their displacement
-    variables.  The integral is the amplitude's coefficients contracted with
-    the separable Gauss moments of oscillatory_monomial_moments (product
-    cutoff chi; the phase may not couple two inner variables).
-    """
-    d = phase.num_vars
-    if amplitude.num_vars != d:
-        raise OrderShortfallError("phase and amplitude must share variables")
-    moments = oscillatory_monomial_moments(
-        phase, amplitude.order, t, cutoff_radius, nodes_per_axis
-    )
-    total = 0.0 + 0.0j
-    for idx, c in amplitude.graded_items():
-        total += c * moments[idx]
-    return complex(total)
-
-
 #: the CR dimensions (low, high) the quadrature oracle handles
 ORACLE_N_RANGE = (1, 1)
 
@@ -344,23 +341,25 @@ def oracle_t_samples(t_samples: Optional[Sequence[float]]) -> List[float]:
 
 def numeric_expansion_oracle(
     data: PhaseCriticalData,
-    amplitude: Jet,
+    amplitudes: Sequence[Jet],
     t_samples: Optional[Sequence[float]] = None,
     cutoff_radius: float = 1.4,
     nodes_per_axis: Optional[Sequence[int]] = None,
-) -> Tuple[complex, complex]:
+) -> List[Tuple[complex, complex]]:
     """Brute-force check of expansion_coeffs by quadrature and power-law fit.
 
     Evaluates I(t) = t * int exp(i t Psi0) amplitude * chi d(u, sigma) over
-    [-r, r]^{2n+2}, with the product cutoff chi, as separable Gauss sums
-    (oscillatory_monomial_moments; nothing is memoized).  It subtracts the
-    exactly known third to fifth expansion orders (computed with the higher
-    L_j operators, which the coefficient pipelines never use; the cutoff
-    enters them as its jet 1 - sum_a (v_a / w)^8), then fits
-    c0 t^{-n} + c1 t^{-n-1} by t^2-weighted least squares and returns
-    (c0, c1).  Psi0 must not couple two of the u variables, which holds on
-    the exact model: Psi0 = s u_3 + i (1 + s/2)(u_1^2 + u_2^2), s = sigma - 1.
-    Restricted to the exact Heisenberg phase with n = 1 (no cutoff guidance
+    [-r, r]^{2n+2} for every amplitude, with the product cutoff chi, as
+    separable Gauss sums: one oscillatory_monomial_moments table per t, at
+    the amplitudes' largest order (a moment does not depend on it), contracted
+    with each amplitude.  Per amplitude it subtracts the exactly known third
+    to fifth expansion orders (computed with the higher L_j operators, which
+    the coefficient pipelines never use; the cutoff enters them as its jet
+    1 - sum_a (v_a / w)^8), then fits c0 t^{-n} + c1 t^{-n-1} by t^2-weighted
+    least squares, and returns one (c0, c1) per amplitude, (0, 0) where all
+    its integrals vanish.  Psi0 must not couple two of the u variables,
+    which holds on the exact model: Psi0 = s u_3 + i (1 + s/2)(u_1^2 + u_2^2),
+    s = sigma - 1.  Restricted to the exact Heisenberg phase with n = 1 (no cutoff guidance
     exists for perturbed phases; the exact phase is also what makes the jet
     promotion behind the tail subtraction exact).
 
@@ -381,15 +380,18 @@ def numeric_expansion_oracle(
         nodes_per_axis = (48, 48, 160, 160)
     if min(nodes_per_axis) < 48:
         raise OracleFitError("at least 48 quadrature nodes per axis are required")
+    if any(amp.num_vars != data.num_vars for amp in amplitudes):
+        raise OrderShortfallError("phase and amplitude must share variables")
 
-    values = np.array(
-        [
-            t * oscillatory_integral_value(data.psi0, amplitude, t, cutoff_radius, nodes_per_axis)
-            for t in ts
-        ]
-    )
-    if float(np.max(np.abs(values))) == 0.0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
+    order = max((amp.order for amp in amplitudes), default=0)
+    values = np.zeros((len(amplitudes), len(ts)), dtype=complex)
+    for col, t in enumerate(ts):
+        moments = oscillatory_monomial_moments(data.psi0, order, t, cutoff_radius, nodes_per_axis)
+        for row, amp in enumerate(amplitudes):  # each jet integrated as an exact polynomial
+            total = 0.0 + 0.0j
+            for idx, c in amp.graded_items():
+                total += c * moments[idx]
+            values[row, col] = t * total
     tarr = np.array(ts)
 
     # Subtract the exactly known t^{-3}..t^{-5} tail before fitting: the exact
@@ -406,23 +408,28 @@ def numeric_expansion_oracle(
         idx = tuple(CUTOFF_DEGREE if k == a else 0 for k in range(nv))
         chi[idx] = -((WIDTH_FRACTION * cutoff_radius) ** -CUTOFF_DEGREE)
     chi_jet = Jet(nv, CUTOFF_DEGREE, (0.0,) * nv, chi)
-    amp_eff = amplitude.with_order(CUTOFF_DEGREE) * chi_jet
-    tail = np.zeros_like(values)
-    for k in (2, 3, 4):
-        ck = apply_L(deep, k, amp_eff) / data.sqrt_det
-        tail = tail + ck * tarr ** (-1.0 - k)
-    corrected = values - tail
-
     weight = tarr**2
     basis = np.column_stack([tarr**-1.0, tarr**-2.0]).astype(complex)
-    coeffs, *_ = np.linalg.lstsq(basis * weight[:, None], corrected * weight, rcond=None)
-    resid = float(
-        np.linalg.norm((basis @ coeffs - corrected) * weight)
-        / max(np.linalg.norm(values * weight), 1e-300)
-    )
-    if resid > ORACLE_RESIDUAL_TOL:
-        raise OracleFitError(
-            f"power-law fit residual {resid:.2e} exceeds {ORACLE_RESIDUAL_TOL:.2e}; "
-            "increase the t range or the grid resolution"
+    fits = []
+    for amplitude, row in zip(amplitudes, values):
+        if float(np.max(np.abs(row))) == 0.0:
+            fits.append((0.0 + 0.0j, 0.0 + 0.0j))
+            continue
+        amp_eff = amplitude.with_order(CUTOFF_DEGREE) * chi_jet
+        tail = np.zeros_like(row)
+        for k in (2, 3, 4):
+            ck = apply_L(deep, k, amp_eff) / data.sqrt_det
+            tail = tail + ck * tarr ** (-1.0 - k)
+        corrected = row - tail
+        coeffs, *_ = np.linalg.lstsq(basis * weight[:, None], corrected * weight, rcond=None)
+        resid = float(
+            np.linalg.norm((basis @ coeffs - corrected) * weight)
+            / max(np.linalg.norm(row * weight), 1e-300)
         )
-    return complex(coeffs[0]), complex(coeffs[1])
+        if resid > ORACLE_RESIDUAL_TOL:
+            raise OracleFitError(
+                f"power-law fit residual {resid:.2e} exceeds {ORACLE_RESIDUAL_TOL:.2e}; "
+                "increase the t range or the grid resolution"
+            )
+        fits.append((complex(coeffs[0]), complex(coeffs[1])))
+    return fits

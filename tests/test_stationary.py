@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,15 +9,16 @@ from crkernel.errors import OracleFitError, OrderShortfallError
 from crkernel.jets import Jet, iter_multi_indices, random_jet
 from crkernel.rng import spawn_rng
 from crkernel.stationary import (
+    _contraction_weights,
     apply_L,
     build_phase_data,
     expansion_coeffs,
     mu2_vanishing_values,
     WIDTH_FRACTION,
     numeric_expansion_oracle,
-    oscillatory_integral_value,
     oscillatory_monomial_moments,
 )
+from test_jets_exact import GaussRational, exact_mul
 
 NV = 4
 BASE = (0.0,) * NV
@@ -83,6 +85,83 @@ def test_apply_L_linear(data):
     assert abs(lhs - rhs) < 1e-12
 
 
+def reference_apply_L(data, j, v):
+    """L_j by nested partials: <Psi0''^{-1} D, D> applied mu + j times to v h^mu."""
+
+    def inv_op(g):
+        out = Jet.zero(g.num_vars, max(g.order - 2, 0), g.base_point)
+        for (a, b), c in data.inv_op.items():
+            out = out + c * g.partial(a).partial(b)
+        return out
+
+    total = 0.0 + 0.0j
+    for mu in range(2 * j + 1):
+        depth = 2 * (mu + j)
+        g = v.with_order(depth)
+        hw = data.h.with_order(depth)
+        for _ in range(mu):
+            g = g * hw
+        for _ in range(mu + j):
+            g = inv_op(g)
+        total += g.constant_term() / (math.factorial(mu) * math.factorial(mu + j) * 2 ** (mu + j))
+    return total * (1j) ** (-j)
+
+
+def _perturbed_data(n, order, r_val, seed):
+    q, table = random_perturbation(n, r_val, seed=seed)
+    return build_phase_data(perturbed_chart(heisenberg_chart(n, order), r_val, q, table))
+
+
+#: L_j orders and amplitude order checked per phase case
+REFERENCE_CASES = {
+    "deep-exact-n1": ((1, 2, 3, 4), 8),
+    "perturbed-n1": ((1, 2), 6),
+    "exact-n2": ((1,), 4),
+    "perturbed-n2": ((1,), 4),
+}
+
+
+@pytest.mark.parametrize("case", REFERENCE_CASES)
+def test_apply_L_matches_nested_partials(data, case):
+    js, amp_order = REFERENCE_CASES[case]
+    if case == "deep-exact-n1":  # the tail data of the quadrature oracle
+        pdata = dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
+    elif case == "perturbed-n1":
+        pdata = _perturbed_data(1, 6, 0.7, 5)
+    elif case == "exact-n2":
+        pdata = build_phase_data(heisenberg_chart(2, 4))
+    else:
+        pdata = _perturbed_data(2, 4, -0.3, 2)
+    nv = pdata.num_vars
+    for k in range(2):
+        v = random_jet(spawn_rng(k, "apply-L-reference", case), nv, amp_order, (0.0,) * nv)
+        for j in js:
+            want = reference_apply_L(pdata, j, v)
+            assert abs(apply_L(pdata, j, v) - want) <= 1e-13 * abs(want), (case, j)
+
+
+def test_contraction_weights_exact(data):
+    # w_m[alpha] = alpha! [xi^alpha] q^m against exact Gaussian-rational powers of q
+    q = {}
+    for (a, b), c in data.inv_op.items():
+        idx = tuple((k == a) + (k == b) for k in range(NV))
+        q[idx] = GaussRational(c.real, c.imag)  # floats convert to Fractions exactly
+    power = {(0,) * NV: GaussRational(1)}
+    for m in range(1, 7):
+        power = exact_mul(power, q, 2 * m)
+        q_power, support, weights = _contraction_weights(data, m)
+        exps = [tuple(row) for row in q_power.basis.exponents[support].tolist()]
+        want = {}
+        for idx, c in power.items():
+            if c.re or c.im:
+                fac = math.prod(math.factorial(e) for e in idx)
+                want[idx] = GaussRational(c.re * fac, c.im * fac)
+        assert sorted(exps) == sorted(want)
+        for idx, w in zip(exps, weights.tolist()):
+            assert w == complex(want[idx]), (m, idx)
+    assert _contraction_weights(data, 6)[1] is support  # built once per phase data and m
+
+
 def test_expansion_constant_amplitude(data):
     c = 0.7 - 0.2j
     got = expansion_coeffs(data, Jet.constant(NV, 2, BASE, c))
@@ -138,40 +217,112 @@ def test_gradient_must_vanish():
 def test_oracle_rejects_wrong_node_count(data):
     amp = Jet.constant(NV, 2, BASE, 1.0)
     with pytest.raises(OracleFitError, match="one count per variable"):
-        numeric_expansion_oracle(data, amp, nodes_per_axis=(48, 48))
+        numeric_expansion_oracle(data, [amp], nodes_per_axis=(48, 48))
 
 
 def test_oracle_rejects_bad_inputs(data):
-    amp = Jet.constant(NV, 2, BASE, 1.0)
+    amps = [Jet.constant(NV, 2, BASE, 1.0)]
     with pytest.raises(OracleFitError):
-        numeric_expansion_oracle(data, amp, t_samples=[10, 30, 50, 70])
+        numeric_expansion_oracle(data, amps, t_samples=[10, 30, 50, 70])
     with pytest.raises(OracleFitError):
-        numeric_expansion_oracle(data, amp, t_samples=[40, 50, 60])
+        numeric_expansion_oracle(data, amps, t_samples=[40, 50, 60])
     with pytest.raises(OracleFitError):
-        numeric_expansion_oracle(data, amp, cutoff_radius=2.5)
+        numeric_expansion_oracle(data, amps, cutoff_radius=2.5)
     with pytest.raises(OracleFitError):
-        numeric_expansion_oracle(data, amp, nodes_per_axis=(32, 32, 64, 64))
+        numeric_expansion_oracle(data, amps, nodes_per_axis=(32, 32, 64, 64))
+    with pytest.raises(OrderShortfallError):
+        numeric_expansion_oracle(data, amps + [Jet.constant(3, 2, (0.0,) * 3, 1.0)])
     base = heisenberg_chart(1, 6)
     q, table = random_perturbation(1, 0.3, seed=1)
     pdata = build_phase_data(perturbed_chart(base, 0.3, q, table))
     with pytest.raises(OracleFitError):
-        numeric_expansion_oracle(pdata, amp)
+        numeric_expansion_oracle(pdata, amps)
 
 
 def test_oracle_zero_amplitude(data):
     got = numeric_expansion_oracle(
-        data, Jet.zero(NV, 2, BASE), nodes_per_axis=(48, 48, 48, 48)
+        data, [Jet.zero(NV, 2, BASE)], nodes_per_axis=(48, 48, 48, 48)
     )
-    assert got == (0.0, 0.0)
+    assert got == [(0.0, 0.0)]
+
+
+#: oracle settings of the batch tests: the default grid, 4 of the 9 t samples
+FAST_T = (60.0, 65.0, 70.0, 75.0)
+
+
+def _seeded_amplitudes(count, order=2):
+    return [
+        random_jet(spawn_rng(0, "quadrature-amplitude", k), NV, order, BASE, decay=0.6)
+        for k in range(count)
+    ]
+
+
+def test_oracle_batch_equals_single_fits(data):
+    # the harness's five seeded amplitudes, then mixed orders and a zero amplitude
+    amps = _seeded_amplitudes(5) + [
+        _seeded_amplitudes(1, order=4)[0],
+        Jet.zero(NV, 2, BASE),
+        Jet.constant(NV, 0, BASE, 0.3 - 0.1j),
+    ]
+    batch = numeric_expansion_oracle(data, amps, t_samples=FAST_T)
+    assert batch == [numeric_expansion_oracle(data, [a], t_samples=FAST_T)[0] for a in amps]
+    assert batch[6] == (0.0, 0.0)
+    for amp, (c0, c1) in zip(amps, batch):
+        if amp.max_abs():
+            ref0, ref1 = expansion_coeffs(data, amp.with_order(max(amp.order, 2)))
+            assert abs(c0 - ref0) < 1e-2 * abs(ref0)
+            assert abs(c1 - ref1) < 5e-2 * (1.0 + abs(ref1))
+
+
+def test_oracle_one_moment_sweep_per_t_sample(data, monkeypatch):
+    import crkernel.stationary as stationary
+
+    orders = []
+    original = stationary.oscillatory_monomial_moments
+
+    def counting(phase, amp_order, *args):
+        orders.append(amp_order)
+        return original(phase, amp_order, *args)
+
+    monkeypatch.setattr(stationary, "oscillatory_monomial_moments", counting)
+    amps = _seeded_amplitudes(4) + [_seeded_amplitudes(1, order=3)[0]]
+    fits = numeric_expansion_oracle(data, amps, t_samples=FAST_T)
+    assert len(fits) == 5
+    assert orders == [3] * len(FAST_T)  # one sweep per t, at the largest order
+
+
+#: jet products of one oracle call on five order-2 amplitudes: the powers of
+#: the inverse-Hessian form up to the 12th (11) and, per amplitude, the cutoff
+#: product and the h products of L_2, L_3 and L_4 (1 + 4 + 6 + 8)
+ORACLE_PRODUCTS = 11 + 5 * 19
+
+
+def test_oracle_work_guard(data, monkeypatch):
+    amps = _seeded_amplitudes(5)
+    counts = {"mul": 0, "partial": 0}
+    mul, partial = Jet._mul_jet, Jet.partial
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counting_partial(self, var_index):
+        counts["partial"] += 1
+        return partial(self, var_index)
+
+    monkeypatch.setattr(Jet, "_mul_jet", counting_mul)
+    monkeypatch.setattr(Jet, "partial", counting_partial)
+    numeric_expansion_oracle(data, amps, t_samples=FAST_T)
+    assert counts["partial"] == 0
+    assert counts["mul"] <= ORACLE_PRODUCTS
 
 
 def test_gaussian_quadrature_reference():
     # pure Gaussian phase, no sigma coupling: matches (pi/t) c to 0.1%
     phase = Jet(2, 4, (0.0, 0.0), {(2, 0): 1j, (0, 2): 1j})
     c = 1.3 - 0.4j
-    amp = Jet.constant(2, 4, (0.0, 0.0), c)
     for t in (20.0, 35.0, 50.0):
-        got = oscillatory_integral_value(phase, amp, t, 1.4, (64, 64))
+        got = c * oscillatory_monomial_moments(phase, 0, t, 1.4, (64, 64))[(0, 0)]
         want = math.pi / t * c
         assert abs(got - want) / abs(want) < 1e-3
 
