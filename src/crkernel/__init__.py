@@ -53,6 +53,7 @@ from .stationary import (
     build_phase_data,
     expansion_coeffs,
     numeric_expansion_oracle,
+    oracle_sweep,
 )
 from .pipeline import (
     KernelAmplitude,

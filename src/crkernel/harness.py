@@ -55,6 +55,7 @@ from .stationary import (
     expansion_coeffs,
     mu2_vanishing_values,
     numeric_expansion_oracle,
+    oracle_sweep,
     oracle_t_samples,
 )
 from .symbols import (
@@ -411,32 +412,31 @@ class CheckContext:
         return int(self.scenario.params.get(key, default))
 
     def quadrature_fit(self):
-        """Oracle fits, from one oracle call, and formal coefficients for seeded amplitudes.
+        """Oracle fits and formal coefficients for seeded amplitudes.
 
         Draws are keyed by the master seed only (not the scenario name), and
         the run cache keeps the fits per chart and amplitude count, so
         scenarios checking the leading and subleading coefficients on one
-        chart share one set of integrals.
+        chart share one set of integrals; the amplitudes share one sweep.
         """
         count = self.param("num_amplitudes", 5)
         key = (self.scenario.chart, count)
         if key not in self.cache.quadrature:
-            opts = self.oracle_opts
-            nv = 2 * self.n + 2
-            amps = [
-                random_jet(spawn_rng(self.seed, "quadrature-amplitude", k), nv, 2, (0.0,) * nv, decay=0.6)
-                for k in range(count)
-            ]
-            fits = numeric_expansion_oracle(
+            opts, amp_order = self.oracle_opts, 2
+            sweep = oracle_sweep(
                 self.phase_data,
-                amps,
+                amp_order,
                 t_samples=opts.get("t_samples"),
                 cutoff_radius=float(opts.get("cutoff_radius", 1.4)),
                 nodes_per_axis=opts.get("nodes_per_axis"),
             )
-            self.cache.quadrature[key] = [
-                (fit, expansion_coeffs(self.phase_data, amp)) for fit, amp in zip(fits, amps)
-            ]
+            nv = 2 * self.n + 2
+            fits = []
+            for k in range(count):
+                rng = spawn_rng(self.seed, "quadrature-amplitude", k)
+                amp = random_jet(rng, nv, amp_order, (0.0,) * nv, decay=0.6)
+                fits.append((numeric_expansion_oracle(sweep, amp), expansion_coeffs(self.phase_data, amp)))
+            self.cache.quadrature[key] = fits
         return self.cache.quadrature[key]
 
 

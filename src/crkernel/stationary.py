@@ -23,6 +23,7 @@ critical point is the jet base point.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -32,7 +33,7 @@ import numpy as np
 
 from .charts import CRModelChart
 from .errors import BranchError, ChartError, HessianError, OracleFitError, OrderShortfallError
-from .jets import Jet, _cmul_parts, iter_multi_indices
+from .jets import Jet, iter_multi_indices
 
 #: gradient tolerance for accepting (0, 1) as the critical point
 CRITICAL_TOL = 1e-12
@@ -50,8 +51,10 @@ class PhaseCriticalData:
     sqrt_det: complex         # branch-checked square root of det_normalized
     inv_op: Dict[Tuple[int, int], complex]  # <Psi0''^{-1} D, D> over d_a d_b, a <= b
     exact_heisenberg: bool
-    #: contraction weights of <Psi0''^{-1} D, D>^m by m, filled lazily by ``apply_L``
-    _weights: Dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    #: (positions, w_m) of <Psi0''^{-1} D, D>^m at index m - 1, filled lazily by ``apply_L``
+    _weights: List = field(init=False, repr=False, compare=False, default_factory=list)
+    #: the highest power of the inverse-Hessian form built for ``_weights``
+    _q_power: List = field(init=False, repr=False, compare=False, default_factory=list)
 
     @property
     def num_vars(self) -> int:
@@ -118,25 +121,26 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
     )
 
 
-def _contraction_weights(data: PhaseCriticalData, m: int) -> Tuple[Jet, np.ndarray, np.ndarray]:
-    """(q^m, positions, w_m) with q(xi) = sum_{a <= b} inv_op[a, b] xi_a xi_b.
+def _contraction_weights(data: PhaseCriticalData, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(positions, w_m) with q(xi) = sum_{a <= b} inv_op[a, b] xi_a xi_b.
 
     (<Psi0''^{-1} D, D>^m x^alpha)(0) vanishes unless |alpha| = 2m, and then
     equals w_m[alpha] = alpha! [xi^alpha] q^m; positions are those of the
-    nonzero w_m in the basis.  Built once per phase data and m, from q^{m-1}.
+    nonzero w_m in the basis (q^m is homogeneous of degree 2m).  Built once
+    per phase data and m, each power of q from the one before; only the
+    highest power is kept.
     """
-    hit = data._weights.get(m)
-    if hit is None:
-        nv, order, base = data.num_vars, 2 * m, data.h.base_point
-        q = Jet(nv, order, base, {
-            tuple((k == a) + (k == b) for k in range(nv)): c for (a, b), c in data.inv_op.items()
+    while len(data._weights) < m:
+        order = 2 * len(data._weights) + 2
+        q = Jet(data.num_vars, order, data.h.base_point, {
+            tuple((k == a) + (k == b) for k in range(data.num_vars)): c for (a, b), c in data.inv_op.items()
         })
-        power = q if m == 1 else _contraction_weights(data, m - 1)[0].with_order(order) * q
-        support = power.support[np.searchsorted(power.support, power.basis.degree_start[order]):]
+        power = data._q_power.pop().with_order(order) * q if data._q_power else q
+        data._q_power.append(power)
         factorials = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
-        weights = power.vector[support] * factorials[power.basis.exponents[support]].prod(axis=1)
-        hit = data._weights[m] = (power, support, weights)
-    return hit
+        exps = power.basis.exponents[power.support]
+        data._weights.append((power.support, power.vector[power.support] * factorials[exps].prod(axis=1)))
+    return data._weights[m - 1]
 
 
 def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
@@ -145,8 +149,8 @@ def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
     v is treated as an exact polynomial.  g_mu = v h^mu is formed up to
     degree 2(mu + j) as g_{mu-1} h; dropping g_{mu-1}'s terms above degree
     2(mu - 1 + j) is exact there, because h starts at degree 3.  Each term is
-    the contraction of g_mu's degree-2(mu + j) block with the weights of
-    _contraction_weights, summed exactly rounded (math.fsum).
+    the dot product of g_mu's degree-2(mu + j) block with the weights of
+    _contraction_weights; no derivative jet is formed.
     """
     if j < 1:
         raise ValueError("apply_L needs j >= 1")
@@ -162,9 +166,8 @@ def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
         depth = 2 * (mu + j)
         if mu:
             g = g.with_order(depth) * data.h.with_order(depth)
-        _, support, weights = _contraction_weights(data, mu + j)
-        re, im = _cmul_parts(g.vector[support], weights)
-        total += complex(math.fsum(re), math.fsum(im)) / (
+        positions, weights = _contraction_weights(data, mu + j)
+        total += complex(g.vector[positions] @ weights) / (
             math.factorial(mu) * math.factorial(mu + j) * 2 ** (mu + j)
         )
     return total * (1j) ** (-j)
@@ -188,55 +191,32 @@ def expansion_coeffs(
 
 
 def mu2_vanishing_values(data: PhaseCriticalData, gamma0: Jet) -> Dict[str, complex]:
-    """The mu = 2 case-analysis terms for H_2 = h^2 gamma0, at the critical point.
+    """The mu = 2 case-analysis terms for H_2 = h^2 gamma0, at the critical point:
+    d_s^k d_u^k Lap^{3-k} H_2 for k = 3, 2, 1, 0, with u = u_{2n+1}, s = sigma - 1
+    and the Laplacian over the first 2n slots.
 
     All four must vanish on the exact Heisenberg data.
     """
-    nv = data.num_vars
-    m = 2 * data.n  # Laplacian runs over the first 2n slots
-    depth = 6
-    hw = data.h.with_order(depth)
-    H2 = hw * hw * gamma0.with_order(depth)
-    s_ix = nv - 1
-    u_ix = nv - 2
+    hw = data.h.with_order(6)
+    H2 = hw * hw * gamma0.with_order(6)
 
-    def deriv(extra: Dict[int, int]) -> complex:
-        idx = [0] * nv
-        for pos, k in extra.items():
-            idx[pos] += k
-        return H2.derivative_value(tuple(idx))
+    def value(k: int) -> complex:
+        total = 0.0 + 0.0j
+        for heads in itertools.product(range(2 * data.n), repeat=3 - k):
+            idx = [0] * data.num_vars
+            for a in heads:
+                idx[a] += 2
+            idx[-2] += k
+            idx[-1] += k
+            total += H2.derivative_value(tuple(idx))
+        return total
 
-    def lap_indices(power: int):
-        if power == 0:
-            yield {}
-            return
-        for head in range(m):
-            for rest in lap_indices(power - 1):
-                out = dict(rest)
-                out[head] = out.get(head, 0) + 2
-                yield out
-
-    out: Dict[str, complex] = {}
-    out["dsdu_cubed"] = deriv({s_ix: 3, u_ix: 3})
-    acc = 0.0 + 0.0j
-    for lap in lap_indices(1):
-        lap = dict(lap)
-        lap[s_ix] = lap.get(s_ix, 0) + 2
-        lap[u_ix] = lap.get(u_ix, 0) + 2
-        acc += deriv(lap)
-    out["lap_dsdu_sq"] = acc
-    acc = 0.0 + 0.0j
-    for lap in lap_indices(2):
-        lap = dict(lap)
-        lap[s_ix] = lap.get(s_ix, 0) + 1
-        lap[u_ix] = lap.get(u_ix, 0) + 1
-        acc += deriv(lap)
-    out["lap2_dsdu"] = acc
-    acc = 0.0 + 0.0j
-    for lap in lap_indices(3):
-        acc += deriv(lap)
-    out["lap3"] = acc
-    return out
+    return {
+        "dsdu_cubed": value(3),
+        "lap_dsdu_sq": value(2),
+        "lap2_dsdu": value(1),
+        "lap3": value(0),
+    }
 
 
 # -- quadrature oracle ------------------------------------------------------------------
@@ -339,35 +319,36 @@ def oracle_t_samples(t_samples: Optional[Sequence[float]]) -> List[float]:
     return ts
 
 
-def numeric_expansion_oracle(
+@dataclass(frozen=True)
+class OracleSweep:
+    """What the quadrature oracle shares between amplitudes on one exact phase."""
+
+    data: PhaseCriticalData
+    deep: PhaseCriticalData  # the phase data promoted to order 12, for the tail
+    cutoff: Jet              # the cutoff's jet 1 - sum_a (v_a / w)^8
+    t: np.ndarray
+    moments: Tuple[Dict[Tuple[int, ...], complex], ...]  # one table per t sample
+    order: int               # the largest amplitude order the tables cover
+
+
+def oracle_sweep(
     data: PhaseCriticalData,
-    amplitudes: Sequence[Jet],
+    order: int,
     t_samples: Optional[Sequence[float]] = None,
     cutoff_radius: float = 1.4,
     nodes_per_axis: Optional[Sequence[int]] = None,
-) -> List[Tuple[complex, complex]]:
-    """Brute-force check of expansion_coeffs by quadrature and power-law fit.
+) -> OracleSweep:
+    """One oscillatory_monomial_moments table per t sample for amplitudes of
+    order <= ``order``, with the tail data of numeric_expansion_oracle.
 
-    Evaluates I(t) = t * int exp(i t Psi0) amplitude * chi d(u, sigma) over
-    [-r, r]^{2n+2} for every amplitude, with the product cutoff chi, as
-    separable Gauss sums: one oscillatory_monomial_moments table per t, at
-    the amplitudes' largest order (a moment does not depend on it), contracted
-    with each amplitude.  Per amplitude it subtracts the exactly known third
-    to fifth expansion orders (computed with the higher L_j operators, which
-    the coefficient pipelines never use; the cutoff enters them as its jet
-    1 - sum_a (v_a / w)^8), then fits c0 t^{-n} + c1 t^{-n-1} by t^2-weighted
-    least squares, and returns one (c0, c1) per amplitude, (0, 0) where all
-    its integrals vanish.  Psi0 must not couple two of the u variables,
-    which holds on the exact model: Psi0 = s u_3 + i (1 + s/2)(u_1^2 + u_2^2),
-    s = sigma - 1.  Restricted to the exact Heisenberg phase with n = 1 (no cutoff guidance
+    Restricted to the exact Heisenberg phase with n = 1 (no cutoff guidance
     exists for perturbed phases; the exact phase is also what makes the jet
-    promotion behind the tail subtraction exact).
-
-    The box may extend below sigma = 0 (radius up to 2): the integrand is the
-    same polynomial data, Im(Psi0) >= 0 holds for sigma > -1, and the only
-    critical point inside is (0, 1), so the expansion coefficients are
-    unchanged while the flat cutoff profile gains enough width to keep its
-    contamination below the fit tolerances.
+    promotion behind the tail subtraction exact).  The box may extend below
+    sigma = 0 (radius up to 2): the integrand is the same polynomial data,
+    Im(Psi0) >= 0 holds for sigma > -1, and the only critical point inside is
+    (0, 1), so the expansion coefficients are unchanged while the flat cutoff
+    profile gains enough width to keep its contamination below the fit
+    tolerances.
     """
     if not ORACLE_N_RANGE[0] <= data.n <= ORACLE_N_RANGE[1]:
         raise OracleFitError(f"quadrature oracle supports {ORACLE_N_RANGE[0]} <= n <= {ORACLE_N_RANGE[1]} only")
@@ -380,56 +361,74 @@ def numeric_expansion_oracle(
         nodes_per_axis = (48, 48, 160, 160)
     if min(nodes_per_axis) < 48:
         raise OracleFitError("at least 48 quadrature nodes per axis are required")
-    if any(amp.num_vars != data.num_vars for amp in amplitudes):
-        raise OrderShortfallError("phase and amplitude must share variables")
+    nv = data.num_vars
+    chi = {(0,) * nv: 1.0}
+    for a in range(nv):
+        idx = tuple(CUTOFF_DEGREE if k == a else 0 for k in range(nv))
+        chi[idx] = -((WIDTH_FRACTION * cutoff_radius) ** -CUTOFF_DEGREE)
+    return OracleSweep(
+        data=data,
+        deep=dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12)),
+        cutoff=Jet(nv, CUTOFF_DEGREE, (0.0,) * nv, chi),
+        t=np.array(ts),
+        moments=tuple(
+            oscillatory_monomial_moments(data.psi0, order, t, cutoff_radius, nodes_per_axis) for t in ts
+        ),
+        order=order,
+    )
 
-    order = max((amp.order for amp in amplitudes), default=0)
-    values = np.zeros((len(amplitudes), len(ts)), dtype=complex)
-    for col, t in enumerate(ts):
-        moments = oscillatory_monomial_moments(data.psi0, order, t, cutoff_radius, nodes_per_axis)
-        for row, amp in enumerate(amplitudes):  # each jet integrated as an exact polynomial
-            total = 0.0 + 0.0j
-            for idx, c in amp.graded_items():
-                total += c * moments[idx]
-            values[row, col] = t * total
-    tarr = np.array(ts)
+
+def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[complex, complex]:
+    """Brute-force check of expansion_coeffs by quadrature and power-law fit.
+
+    Evaluates I(t) = t * int exp(i t Psi0) amplitude * chi d(u, sigma) over
+    [-r, r]^{2n+2}, with the product cutoff chi, by contracting the
+    amplitude's coefficients with the sweep's separable Gauss moments (a
+    moment does not depend on the table's order, so the fit is the same for
+    any sweep that covers the amplitude).  It subtracts the exactly known
+    third to fifth expansion orders (computed with the higher L_j operators,
+    which the coefficient pipelines never use; the cutoff enters them as its
+    jet), then fits c0 t^{-n} + c1 t^{-n-1} by t^2-weighted least squares
+    and returns (c0, c1), or (0, 0) where all integrals vanish.  Psi0 must
+    not couple two of the u variables, which holds on the exact model:
+    Psi0 = s u_3 + i (1 + s/2)(u_1^2 + u_2^2), s = sigma - 1.
+    """
+    if amplitude.num_vars != sweep.data.num_vars:
+        raise OrderShortfallError("phase and amplitude must share variables")
+    if amplitude.order > sweep.order:
+        raise OrderShortfallError(f"oracle sweep covers amplitude order {sweep.order} < {amplitude.order}")
+    values = np.zeros(len(sweep.t), dtype=complex)
+    for col, (t, moments) in enumerate(zip(sweep.t.tolist(), sweep.moments)):
+        total = 0.0 + 0.0j  # the jet integrated as an exact polynomial
+        for idx, c in amplitude.graded_items():
+            total += c * moments[idx]
+        values[col] = t * total
+    if float(np.max(np.abs(values))) == 0.0:
+        return 0.0 + 0.0j, 0.0 + 0.0j
+    tarr = sweep.t
 
     # Subtract the exactly known t^{-3}..t^{-5} tail before fitting: the exact
     # model phase is a cubic polynomial, so promoting its jets is exact and
     # the higher L_j orders of the cutoff-corrected amplitude are available.
     # The first two orders stay untouched (the cutoff is flat to degree 8),
     # so the fit below still measures c0 and c1 independently of them.
-    deep = dataclasses.replace(
-        data, psi0=data.psi0.with_order(12), h=data.h.with_order(12)
-    )
-    nv = data.num_vars
-    chi = {(0,) * nv: 1.0}
-    for a in range(nv):
-        idx = tuple(CUTOFF_DEGREE if k == a else 0 for k in range(nv))
-        chi[idx] = -((WIDTH_FRACTION * cutoff_radius) ** -CUTOFF_DEGREE)
-    chi_jet = Jet(nv, CUTOFF_DEGREE, (0.0,) * nv, chi)
+    amp_eff = amplitude.with_order(CUTOFF_DEGREE) * sweep.cutoff
+    tail = np.zeros_like(values)
+    for k in (2, 3, 4):
+        ck = apply_L(sweep.deep, k, amp_eff) / sweep.data.sqrt_det
+        tail = tail + ck * tarr ** (-1.0 - k)
+    corrected = values - tail
+
     weight = tarr**2
     basis = np.column_stack([tarr**-1.0, tarr**-2.0]).astype(complex)
-    fits = []
-    for amplitude, row in zip(amplitudes, values):
-        if float(np.max(np.abs(row))) == 0.0:
-            fits.append((0.0 + 0.0j, 0.0 + 0.0j))
-            continue
-        amp_eff = amplitude.with_order(CUTOFF_DEGREE) * chi_jet
-        tail = np.zeros_like(row)
-        for k in (2, 3, 4):
-            ck = apply_L(deep, k, amp_eff) / data.sqrt_det
-            tail = tail + ck * tarr ** (-1.0 - k)
-        corrected = row - tail
-        coeffs, *_ = np.linalg.lstsq(basis * weight[:, None], corrected * weight, rcond=None)
-        resid = float(
-            np.linalg.norm((basis @ coeffs - corrected) * weight)
-            / max(np.linalg.norm(row * weight), 1e-300)
+    coeffs, *_ = np.linalg.lstsq(basis * weight[:, None], corrected * weight, rcond=None)
+    resid = float(
+        np.linalg.norm((basis @ coeffs - corrected) * weight)
+        / max(np.linalg.norm(values * weight), 1e-300)
+    )
+    if resid > ORACLE_RESIDUAL_TOL:
+        raise OracleFitError(
+            f"power-law fit residual {resid:.2e} exceeds {ORACLE_RESIDUAL_TOL:.2e}; "
+            "increase the t range or the grid resolution"
         )
-        if resid > ORACLE_RESIDUAL_TOL:
-            raise OracleFitError(
-                f"power-law fit residual {resid:.2e} exceeds {ORACLE_RESIDUAL_TOL:.2e}; "
-                "increase the t range or the grid resolution"
-            )
-        fits.append((complex(coeffs[0]), complex(coeffs[1])))
-    return fits
+    return complex(coeffs[0]), complex(coeffs[1])

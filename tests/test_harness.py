@@ -368,7 +368,8 @@ def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
     import crkernel.harness as harness
 
     calls = []
-    for name in ("heisenberg_chart", "perturbed_chart", "build_phase_data", "numeric_expansion_oracle"):
+    names = ("heisenberg_chart", "perturbed_chart", "build_phase_data", "oracle_sweep", "numeric_expansion_oracle")
+    for name in names:
 
         def counting(*args, _name=name, _original=getattr(harness, name), **kwargs):
             calls.append(_name)
@@ -393,12 +394,43 @@ def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
     }
     config = parse_config(doc)
     # the order-6 exact chart also serves as the perturbed chart's base
-    once = {"heisenberg_chart": 2, "perturbed_chart": 1, "build_phase_data": 2, "numeric_expansion_oracle": 1}
+    once = {
+        "heisenberg_chart": 2,
+        "perturbed_chart": 1,
+        "build_phase_data": 2,
+        "oracle_sweep": 1,
+        "numeric_expansion_oracle": 1,
+    }
     first = run_scenarios(config, timings=False)
     assert Counter(calls) == once
     second = run_scenarios(config, timings=False)  # a new run builds everything again
     assert Counter(calls) == {name: 2 * count for name, count in once.items()}
     assert emit_report(first) == emit_report(second)
+
+
+def test_quadrature_amplitudes_share_one_moment_table_per_t_sample(monkeypatch):
+    import crkernel.harness as harness
+    import crkernel.stationary as stationary
+
+    calls = Counter()
+    for module, name in ((stationary, "oscillatory_monomial_moments"), (harness, "numeric_expansion_oracle")):
+
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    t_samples = [60.0, 65.0, 70.0, 75.0]
+    doc = {
+        "seed": 0,
+        "jet_order": 6,
+        "oracle": {"t_samples": t_samples},
+        "scenarios": [_scenario("leading", {"n": 1}, ["quadrature_leading", "quadrature_subleading"])],
+    }
+    reports = run_scenarios(parse_config(doc), timings=False)
+    assert all(r.passed for r in reports[0].records)
+    # five amplitudes: one fit each, one moment table per t sample for all of them
+    assert calls == {"numeric_expansion_oracle": 5, "oscillatory_monomial_moments": len(t_samples)}
 
 
 def test_homogeneous_record_does_not_depend_on_earlier_scenarios():

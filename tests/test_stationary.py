@@ -16,6 +16,7 @@ from crkernel.stationary import (
     mu2_vanishing_values,
     WIDTH_FRACTION,
     numeric_expansion_oracle,
+    oracle_sweep,
     oscillatory_monomial_moments,
 )
 from test_jets_exact import GaussRational, exact_mul
@@ -149,8 +150,8 @@ def test_contraction_weights_exact(data):
     power = {(0,) * NV: GaussRational(1)}
     for m in range(1, 7):
         power = exact_mul(power, q, 2 * m)
-        q_power, support, weights = _contraction_weights(data, m)
-        exps = [tuple(row) for row in q_power.basis.exponents[support].tolist()]
+        positions, weights = _contraction_weights(data, m)
+        exps = [tuple(row) for row in Jet.zero(NV, 2 * m, BASE).basis.exponents[positions].tolist()]
         want = {}
         for idx, c in power.items():
             if c.re or c.im:
@@ -159,7 +160,8 @@ def test_contraction_weights_exact(data):
         assert sorted(exps) == sorted(want)
         for idx, w in zip(exps, weights.tolist()):
             assert w == complex(want[idx]), (m, idx)
-    assert _contraction_weights(data, 6)[1] is support  # built once per phase data and m
+    assert _contraction_weights(data, 6)[0] is positions  # built once per phase data and m
+    assert [p.order for p in data._q_power] == [12]  # only the highest power of q is kept
 
 
 def test_expansion_constant_amplitude(data):
@@ -200,6 +202,33 @@ def test_mu2_case_analysis_vanishes(data):
         assert abs(v) < 1e-12, name
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_mu2_values_match_nested_partials(n):
+    # a random cubic-and-higher h, so that no term vanishes
+    data = build_phase_data(heisenberg_chart(n, 6))
+    nv = data.num_vars
+    h = random_jet(spawn_rng(n, "mu2-h"), nv, 6, (0.0,) * nv)
+    data = dataclasses.replace(data, h=h - h.truncated(2).with_order(6))
+    gamma0 = random_jet(spawn_rng(n, "mu2-gamma0"), nv, 6, (0.0,) * nv)
+    H2 = data.h * data.h * gamma0
+
+    def lap(g):
+        out = Jet.zero(nv, g.order - 2, g.base_point)
+        for a in range(2 * n):
+            out = out + g.partial(a).partial(a)
+        return out
+
+    got = mu2_vanishing_values(data, gamma0)
+    for name, k in (("dsdu_cubed", 3), ("lap_dsdu_sq", 2), ("lap2_dsdu", 1), ("lap3", 0)):
+        g = H2
+        for _ in range(k):
+            g = g.partial(nv - 1).partial(nv - 2)
+        for _ in range(3 - k):
+            g = lap(g)
+        want = g.constant_term()
+        assert want != 0 and abs(got[name] - want) <= 1e-12 * abs(want), name
+
+
 def test_gradient_must_vanish():
     # a phase that is not critical at (0,1) is rejected at build time
     import dataclasses
@@ -215,39 +244,39 @@ def test_gradient_must_vanish():
 
 
 def test_oracle_rejects_wrong_node_count(data):
-    amp = Jet.constant(NV, 2, BASE, 1.0)
     with pytest.raises(OracleFitError, match="one count per variable"):
-        numeric_expansion_oracle(data, [amp], nodes_per_axis=(48, 48))
+        oracle_sweep(data, 2, nodes_per_axis=(48, 48))
+
+
+#: oracle settings of the fast oracle tests: the default grid, 4 of the 9 t samples
+FAST_T = (60.0, 65.0, 70.0, 75.0)
 
 
 def test_oracle_rejects_bad_inputs(data):
-    amps = [Jet.constant(NV, 2, BASE, 1.0)]
     with pytest.raises(OracleFitError):
-        numeric_expansion_oracle(data, amps, t_samples=[10, 30, 50, 70])
+        oracle_sweep(data, 2, t_samples=[10, 30, 50, 70])
     with pytest.raises(OracleFitError):
-        numeric_expansion_oracle(data, amps, t_samples=[40, 50, 60])
+        oracle_sweep(data, 2, t_samples=[40, 50, 60])
     with pytest.raises(OracleFitError):
-        numeric_expansion_oracle(data, amps, cutoff_radius=2.5)
+        oracle_sweep(data, 2, cutoff_radius=2.5)
     with pytest.raises(OracleFitError):
-        numeric_expansion_oracle(data, amps, nodes_per_axis=(32, 32, 64, 64))
-    with pytest.raises(OrderShortfallError):
-        numeric_expansion_oracle(data, amps + [Jet.constant(3, 2, (0.0,) * 3, 1.0)])
+        oracle_sweep(data, 2, nodes_per_axis=(32, 32, 64, 64))
     base = heisenberg_chart(1, 6)
     q, table = random_perturbation(1, 0.3, seed=1)
     pdata = build_phase_data(perturbed_chart(base, 0.3, q, table))
     with pytest.raises(OracleFitError):
-        numeric_expansion_oracle(pdata, amps)
+        oracle_sweep(pdata, 2)
+    sweep = oracle_sweep(data, 2, t_samples=FAST_T)
+    with pytest.raises(OrderShortfallError, match="share variables"):
+        numeric_expansion_oracle(sweep, Jet.constant(3, 2, (0.0,) * 3, 1.0))
+    with pytest.raises(OrderShortfallError, match="covers amplitude order 2 < 3"):
+        numeric_expansion_oracle(sweep, Jet.constant(NV, 3, BASE, 1.0))
 
 
 def test_oracle_zero_amplitude(data):
-    got = numeric_expansion_oracle(
-        data, [Jet.zero(NV, 2, BASE)], nodes_per_axis=(48, 48, 48, 48)
-    )
-    assert got == [(0.0, 0.0)]
-
-
-#: oracle settings of the batch tests: the default grid, 4 of the 9 t samples
-FAST_T = (60.0, 65.0, 70.0, 75.0)
+    sweep = oracle_sweep(data, 2, nodes_per_axis=(48, 48, 48, 48))
+    got = numeric_expansion_oracle(sweep, Jet.zero(NV, 2, BASE))
+    assert got == (0.0, 0.0)
 
 
 def _seeded_amplitudes(count, order=2):
@@ -257,17 +286,19 @@ def _seeded_amplitudes(count, order=2):
     ]
 
 
-def test_oracle_batch_equals_single_fits(data):
+def test_oracle_shared_sweep_equals_single_fits(data):
     # the harness's five seeded amplitudes, then mixed orders and a zero amplitude
     amps = _seeded_amplitudes(5) + [
         _seeded_amplitudes(1, order=4)[0],
         Jet.zero(NV, 2, BASE),
         Jet.constant(NV, 0, BASE, 0.3 - 0.1j),
     ]
-    batch = numeric_expansion_oracle(data, amps, t_samples=FAST_T)
-    assert batch == [numeric_expansion_oracle(data, [a], t_samples=FAST_T)[0] for a in amps]
-    assert batch[6] == (0.0, 0.0)
-    for amp, (c0, c1) in zip(amps, batch):
+    sweep = oracle_sweep(data, 4, t_samples=FAST_T)
+    shared = [numeric_expansion_oracle(sweep, a) for a in amps]
+    alone = [numeric_expansion_oracle(oracle_sweep(data, a.order, t_samples=FAST_T), a) for a in amps]
+    assert shared == alone
+    assert shared[6] == (0.0, 0.0)
+    for amp, (c0, c1) in zip(amps, shared):
         if amp.max_abs():
             ref0, ref1 = expansion_coeffs(data, amp.with_order(max(amp.order, 2)))
             assert abs(c0 - ref0) < 1e-2 * abs(ref0)
@@ -286,14 +317,15 @@ def test_oracle_one_moment_sweep_per_t_sample(data, monkeypatch):
 
     monkeypatch.setattr(stationary, "oscillatory_monomial_moments", counting)
     amps = _seeded_amplitudes(4) + [_seeded_amplitudes(1, order=3)[0]]
-    fits = numeric_expansion_oracle(data, amps, t_samples=FAST_T)
-    assert len(fits) == 5
-    assert orders == [3] * len(FAST_T)  # one sweep per t, at the largest order
+    sweep = oracle_sweep(data, 3, t_samples=FAST_T)
+    for amp in amps:
+        numeric_expansion_oracle(sweep, amp)
+    assert orders == [3] * len(FAST_T)  # one table per t, at the largest order, none per fit
 
 
-#: jet products of one oracle call on five order-2 amplitudes: the powers of
-#: the inverse-Hessian form up to the 12th (11) and, per amplitude, the cutoff
-#: product and the h products of L_2, L_3 and L_4 (1 + 4 + 6 + 8)
+#: jet products of one sweep and five fits of order-2 amplitudes: the powers
+#: of the inverse-Hessian form up to the 12th (11) and, per amplitude, the
+#: cutoff product and the h products of L_2, L_3 and L_4 (1 + 4 + 6 + 8)
 ORACLE_PRODUCTS = 11 + 5 * 19
 
 
@@ -312,7 +344,9 @@ def test_oracle_work_guard(data, monkeypatch):
 
     monkeypatch.setattr(Jet, "_mul_jet", counting_mul)
     monkeypatch.setattr(Jet, "partial", counting_partial)
-    numeric_expansion_oracle(data, amps, t_samples=FAST_T)
+    sweep = oracle_sweep(data, 2, t_samples=FAST_T)
+    for amp in amps:
+        numeric_expansion_oracle(sweep, amp)
     assert counts["partial"] == 0
     assert counts["mul"] <= ORACLE_PRODUCTS
 
