@@ -55,6 +55,7 @@ from .stationary import (
     expansion_coeffs,
     mu2_vanishing_values,
     numeric_expansion_oracle,
+    oracle_nodes,
     oracle_sweep,
     oracle_t_samples,
 )
@@ -194,8 +195,11 @@ def _check_applicability(where: str, scenario: Scenario, nodes: Optional[list]) 
             raise ConfigError(f"{where}: {c} does not apply at n = {chart.n}")
         if chart.jet_order < spec.min_jet_order:
             raise ConfigError(f"{where}: jet_order must be >= {spec.min_jet_order} for {c}")
-        if spec.oracle and nodes is not None and len(nodes) != 2 * chart.n + 2:
-            raise ConfigError(f"{where}: config.oracle.nodes_per_axis must list {2 * chart.n + 2} counts")
+        if spec.oracle and nodes is not None:
+            try:
+                oracle_nodes(nodes, 2 * chart.n + 2)
+            except OracleFitError as exc:
+                raise ConfigError(f"{where}: config.oracle.nodes_per_axis: {exc}") from exc
     if chart.model == "perturbed" and chart.jet_order < 6:
         raise ConfigError(f"{where}: jet_order must be >= 6 for perturbed charts")
 
@@ -203,9 +207,9 @@ def _check_applicability(where: str, scenario: Scenario, nodes: Optional[list]) 
 def parse_config(doc: dict) -> dict:
     """Validate a parsed config document; returns a normalized copy.
 
-    Types and shapes, the oracle's t samples and every check that cannot
-    apply to its scenario are checked here; the oracle's other value ranges
-    are checked when it runs.
+    Types and shapes, the oracle's t samples and node counts and every check
+    that cannot apply to its scenario are checked here; the oracle's cutoff
+    radius is checked when it runs.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")

@@ -11,9 +11,12 @@ through the L_j operators
     L_j v = i^{-j} sum_{mu=0}^{2j} <.,.>^{mu+j} (h^mu v)(0,1)
                                    / (mu! (mu+j)! 2^{mu+j}),
 
-where h is the cubic-and-higher remainder of Psi0; each term is a Gaussian
-contraction of one homogeneous block of h^mu v (Hoermander, The Analysis of
-Linear PDO I, Thm 7.7.5).  A quadrature oracle (separable Gauss sums)
+where h is the cubic-and-higher remainder of Psi0 (Hoermander, The Analysis
+of Linear PDO I, Thm 7.7.5).  L_j is linear in v and, because h starts at
+degree 3, reads only v's coefficients of degree <= 2j, so it is applied as
+one dot product with a coefficient functional K_j, built once per phase data
+and j from Gaussian contractions of the powers of h.  A quadrature oracle
+(separable Gauss sums on Gauss-Legendre nodes found by Newton's method)
 cross-checks the formal coefficients on the exact Heisenberg phase.
 
 Jets here live in the variables (u_1..u_{2n+1}, sigma-1) based at 0, so the
@@ -55,6 +58,12 @@ class PhaseCriticalData:
     _weights: List = field(init=False, repr=False, compare=False, default_factory=list)
     #: the highest power of the inverse-Hessian form built for ``_weights``
     _q_power: List = field(init=False, repr=False, compare=False, default_factory=list)
+    #: (positions, values, order) of h^mu at index mu, filled lazily by ``apply_L``
+    _h_powers: List = field(init=False, repr=False, compare=False, default_factory=list)
+    #: the highest power of h built for ``_h_powers``
+    _h_top: List = field(init=False, repr=False, compare=False, default_factory=list)
+    #: the L_j functional K_j by j, filled lazily by ``apply_L``
+    _functionals: Dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def num_vars(self) -> int:
@@ -143,14 +152,76 @@ def _contraction_weights(data: PhaseCriticalData, m: int) -> Tuple[np.ndarray, n
     return data._weights[m - 1]
 
 
+def _h_powers(data: PhaseCriticalData, j: int) -> List[Tuple[np.ndarray, np.ndarray, int]]:
+    """(positions, values, order) of h^mu for mu <= 2j, at index mu.
+
+    L_j reads h^mu up to degree 2(mu + j), and h^mu, a polynomial of degree
+    mu e (e the top degree of h), has nothing above mu e; so h^mu is formed
+    from h^{mu-1} at order min(2(mu + j), mu e), which is exact because h
+    starts at degree 3.  A power formed at order mu e serves every j: on the
+    exact phase (h cubic) each power is formed once per phase data.  If a
+    power formed for a smaller j was cut below mu e, the table is formed
+    again at this j's depth.  Only the highest power is kept as a jet.
+    """
+    top_degree = int(data.h.basis.degrees[data.h.support[-1]])
+    orders = [min(2 * (mu + j), mu * top_degree) for mu in range(2 * j + 1)]
+    powers = data._h_powers
+    if any(order < want for (_, _, order), want in zip(powers, orders)):
+        powers.clear()
+        data._h_top.clear()
+    if not powers:
+        powers.append((np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex), 0))
+    while len(powers) <= 2 * j:
+        order = orders[len(powers)]
+        h = data.h.with_order(order)
+        power = data._h_top.pop().with_order(order) * h if data._h_top else h
+        data._h_top.append(power)
+        powers.append((power.support, power.vector[power.support], order))
+    return powers
+
+
+def _l_functional(data: PhaseCriticalData, j: int) -> np.ndarray:
+    """K_j over the monomials of degree <= 2j, with L_j v = <K_j, v>:
+
+        K_j[alpha] = i^{-j} sum_{mu=0}^{2j} sum_{|alpha| + |beta| = 2(mu + j)}
+                     (h^mu)_beta w_{mu+j}[alpha + beta] / (mu! (mu+j)! 2^{mu+j}),
+
+    w_m the weights of _contraction_weights.  Per mu, one product-table
+    gather pairs the support of h^mu with the degree <= 2j block and one
+    bincount sums the terms.  Built once per phase data and j.
+    """
+    functional = data._functionals.get(j)
+    if functional is not None:
+        return functional
+    powers = _h_powers(data, j)
+    basis = Jet.zero(data.num_vars, 6 * j, data.h.base_point).basis  # covers degree 2(mu + j)
+    size = basis.size(2 * j)
+    block = np.arange(size)
+    functional = np.zeros(size, dtype=complex)
+    for mu in range(2 * j + 1):
+        m = mu + j
+        positions, values, _ = powers[mu]
+        first = positions[: np.searchsorted(positions, basis.size(2 * m))]
+        beta, alpha, k = basis.pairs(first, block, 2 * m)
+        w_positions, w = _contraction_weights(data, m)
+        at = np.minimum(np.searchsorted(w_positions, k), w_positions.size - 1)
+        hit = w_positions[at] == k  # the weights live on degree 2m exactly
+        terms = values[np.searchsorted(positions, beta[hit])] * w[at[hit]]
+        sums = np.empty(size, dtype=complex)
+        sums.real = np.bincount(alpha[hit], terms.real, size)
+        sums.imag = np.bincount(alpha[hit], terms.imag, size)
+        functional += sums / (math.factorial(mu) * math.factorial(m) * 2**m)
+    functional *= (1j) ** (-j)
+    data._functionals[j] = functional
+    return functional
+
+
 def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
     """(L_j v) at the critical point for the stored phase.
 
-    v is treated as an exact polynomial.  g_mu = v h^mu is formed up to
-    degree 2(mu + j) as g_{mu-1} h; dropping g_{mu-1}'s terms above degree
-    2(mu - 1 + j) is exact there, because h starts at degree 3.  Each term is
-    the dot product of g_mu's degree-2(mu + j) block with the weights of
-    _contraction_weights; no derivative jet is formed.
+    v is treated as an exact polynomial.  L_j v is the dot product of v's
+    coefficients of degree <= 2j with the functional K_j of _l_functional,
+    built once per phase data and j; a call forms no jet product.
     """
     if j < 1:
         raise ValueError("apply_L needs j >= 1")
@@ -160,17 +231,8 @@ def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
         raise OrderShortfallError(f"apply_L: v order {v.order} < {2 * j}")
     if data.h.order < 2 * j + 2:
         raise OrderShortfallError(f"apply_L: phase order {data.h.order} < {2 * j + 2}")
-    total = 0.0 + 0.0j
-    g = v.with_order(2 * j)
-    for mu in range(2 * j + 1):
-        depth = 2 * (mu + j)
-        if mu:
-            g = g.with_order(depth) * data.h.with_order(depth)
-        positions, weights = _contraction_weights(data, mu + j)
-        total += complex(g.vector[positions] @ weights) / (
-            math.factorial(mu) * math.factorial(mu + j) * 2 ** (mu + j)
-        )
-    return total * (1j) ** (-j)
+    functional = _l_functional(data, j)
+    return complex(functional @ v.vector[: functional.size])
 
 
 def expansion_coeffs(
@@ -222,9 +284,42 @@ def mu2_vanishing_values(data: PhaseCriticalData, gamma0: Jet) -> Dict[str, comp
 # -- quadrature oracle ------------------------------------------------------------------
 
 
+#: Newton steps allowed per Gauss-Legendre rule, and the step size that ends them
+NEWTON_CAP = 100
+NEWTON_TOL = 1e-15
+
+
+def _legendre(num: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """P_num(x) and P_num'(x) by the three-term recurrence."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(2, num + 1):
+        xp = x * p1
+        p0, p1 = p1, xp + (k - 1) / k * (xp - p0)
+    return p1, num * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
+
+
 @lru_cache(maxsize=32)
-def _gauss_nodes(num: int, radius: float):
-    x, w = np.polynomial.legendre.leggauss(num)
+def _gauss_nodes(num: int, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The num-point Gauss-Legendre rule on [-radius, radius], nodes ascending.
+
+    Newton's method on the Legendre three-term recurrence from
+    x_k = cos(pi (k - 1/4) / (num + 1/2)), stopped once every step is below
+    NEWTON_TOL (at most NEWTON_CAP steps); weights 2 / ((1 - x^2) P_num'(x)^2)
+    with P_num' taken before the last step, which moves it by a relative
+    2 x step / (1 - x^2) at most.  The rule is made exactly symmetric by
+    averaging it with its mirror image.
+    """
+    x = np.cos(np.pi * (np.arange(num, 0, -1) - 0.25) / (num + 0.5))
+    for _ in range(NEWTON_CAP):
+        p, dp = _legendre(num, x)
+        step = p / dp
+        x = x - step
+        if float(np.max(np.abs(step))) < NEWTON_TOL:
+            break
+    else:
+        raise OracleFitError(f"Gauss-Legendre nodes for {num} points did not converge")
+    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
+    x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
     return x * radius, w * radius
 
 
@@ -258,10 +353,9 @@ def oscillatory_monomial_moments(
         M_a[k, p] = sum_j w_j chi(v_j) e^{i t psi_a(v_j, s_k)} v_j^p,
 
     in a fixed summation order, so the results are deterministic.
+    nodes_per_axis holds one count per variable, as oracle_nodes checks.
     """
     d = phase.num_vars
-    if len(nodes_per_axis) != d:
-        raise OracleFitError("nodes_per_axis must list one count per variable")
     # terms[a] holds (power of v_a, power of s, coefficient); terms[-1] is psi_s
     terms: List[List[Tuple[int, int, complex]]] = [[] for _ in range(d)]
     for idx, c in phase.graded_items():
@@ -306,6 +400,20 @@ ORACLE_T_SAMPLES = (40.0, 45.0, 50.0, 55.0, 60.0, 65.0, 70.0, 75.0, 80.0)
 
 #: largest relative residual of the oracle's power-law fit
 ORACLE_RESIDUAL_TOL = 1e-3
+
+
+def oracle_nodes(nodes_per_axis: Optional[Sequence[int]], num_vars: int) -> Tuple[int, ...]:
+    """The Gauss nodes per variable as ints (48 per inner variable and 160 for
+    the last two for None); raises OracleFitError unless there is one count
+    per variable and each is at least 48."""
+    if nodes_per_axis is None:
+        nodes_per_axis = (48,) * (num_vars - 2) + (160, 160)
+    nodes = tuple(int(k) for k in nodes_per_axis)
+    if len(nodes) != num_vars:
+        raise OracleFitError("nodes_per_axis must list one count per variable")
+    if min(nodes) < 48:
+        raise OracleFitError("at least 48 quadrature nodes per axis are required")
+    return nodes
 
 
 def oracle_t_samples(t_samples: Optional[Sequence[float]]) -> List[float]:
@@ -357,11 +465,8 @@ def oracle_sweep(
     ts = oracle_t_samples(t_samples)
     if not 0 < cutoff_radius < 2.0:
         raise OracleFitError("cutoff radius must lie in (0, 2) to keep Im(phase) >= 0")
-    if nodes_per_axis is None:
-        nodes_per_axis = (48, 48, 160, 160)
-    if min(nodes_per_axis) < 48:
-        raise OracleFitError("at least 48 quadrature nodes per axis are required")
     nv = data.num_vars
+    nodes_per_axis = oracle_nodes(nodes_per_axis, nv)
     chi = {(0,) * nv: 1.0}
     for a in range(nv):
         idx = tuple(CUTOFF_DEGREE if k == a else 0 for k in range(nv))

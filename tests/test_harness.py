@@ -110,6 +110,9 @@ def test_jet_order_floor_for_expansion_checks():
         (("oracle", "t_samples"), [60.0, 65.0, 70.0]),
         (("oracle", "t_samples"), [10.0, 60.0, 65.0, 70.0]),
         (("oracle", "t_samples"), [60.0, 65.0, 70.0, 90.0]),
+        (("oracle", "nodes_per_axis"), []),
+        (("oracle", "nodes_per_axis"), [32, 48, 160, 160]),
+        (("oracle", "nodes_per_axis"), [48, 48, 160, 47]),
     ],
 )
 def test_malformed_values_rejected(path, value):

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,8 @@ from crkernel.jets import Jet, iter_multi_indices, random_jet
 from crkernel.rng import spawn_rng
 from crkernel.stationary import (
     _contraction_weights,
+    _gauss_nodes,
+    _l_functional,
     apply_L,
     build_phase_data,
     expansion_coeffs,
@@ -164,6 +170,71 @@ def test_contraction_weights_exact(data):
     assert [p.order for p in data._q_power] == [12]  # only the highest power of q is kept
 
 
+def _count_products(monkeypatch):
+    counts = {"mul": 0}
+    mul = Jet._mul_jet
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    monkeypatch.setattr(Jet, "_mul_jet", counting_mul)
+    return counts
+
+
+def test_l_functionals_share_one_power_table(data, monkeypatch):
+    # the oracle's tail data: h is cubic, so h^mu is complete at order 3 mu
+    # and each power serves every j
+    deep = dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
+    _contraction_weights(deep, 12)
+    counts = _count_products(monkeypatch)
+    built = {}
+    for j in (1, 2, 3, 4):
+        built[j] = _l_functional(deep, j)
+        assert counts["mul"] == 2 * j - 1  # h^2..h^{2j}, none formed again for a larger j
+        assert len(deep._h_powers) == 2 * j + 1
+    first_powers = list(deep._h_powers)
+    for j in (4, 3, 2, 1):
+        assert _l_functional(deep, j) is built[j]  # built once per phase data and j
+    assert counts["mul"] == 7
+    assert all(a is b for a, b in zip(deep._h_powers, first_powers))
+    assert [p.order for p in deep._h_top] == [24]  # only the highest power of h is kept
+
+
+def test_cut_h_powers_formed_again_for_a_larger_j(monkeypatch):
+    # a perturbed h is not cubic, so its powers are cut at order 2(mu + j)
+    pdata, deeper_first = _perturbed_data(1, 6, 0.7, 5), _perturbed_data(1, 6, 0.7, 5)
+    top_degree = max(sum(idx) for idx in pdata.h.coeffs)
+    _contraction_weights(pdata, 6)
+    _contraction_weights(deeper_first, 6)
+    counts = _count_products(monkeypatch)
+    _l_functional(pdata, 1)
+    _l_functional(pdata, 2)
+    assert counts["mul"] == 1 + 3  # h^2 for j = 1, then h^2..h^4 at the depth of j = 2
+    assert [order for _, _, order in pdata._h_powers] == [0, min(6, top_degree), 8, 10, 12]
+    counts["mul"] = 0
+    _l_functional(deeper_first, 2)
+    _l_functional(deeper_first, 1)
+    assert counts["mul"] == 3
+    for j in (1, 2):
+        assert np.array_equal(_l_functional(pdata, j), _l_functional(deeper_first, j))
+
+
+def test_warm_apply_L_forms_no_jet_product(data, monkeypatch):
+    pdata = _perturbed_data(1, 6, 0.7, 5)
+    rng = spawn_rng(4, "warm-apply-L")
+    v, w = (random_jet(rng, NV, 4, BASE) for _ in range(2))
+    cases = [(d, j) for d in (data, pdata) for j in (1, 2)]
+    for d, j in cases:
+        apply_L(d, j, v)
+    want = [reference_apply_L(d, j, w) for d, j in cases]
+    counts = _count_products(monkeypatch)
+    got = [apply_L(d, j, w) for d, j in cases]
+    assert counts["mul"] == 0
+    for g, r in zip(got, want):
+        assert abs(g - r) <= 1e-13 * abs(r)
+
+
 def test_expansion_constant_amplitude(data):
     c = 0.7 - 0.2j
     got = expansion_coeffs(data, Jet.constant(NV, 2, BASE, c))
@@ -246,6 +317,8 @@ def test_gradient_must_vanish():
 def test_oracle_rejects_wrong_node_count(data):
     with pytest.raises(OracleFitError, match="one count per variable"):
         oracle_sweep(data, 2, nodes_per_axis=(48, 48))
+    with pytest.raises(OracleFitError, match="one count per variable"):
+        oracle_sweep(data, 2, nodes_per_axis=[])
 
 
 #: oracle settings of the fast oracle tests: the default grid, 4 of the 9 t samples
@@ -324,9 +397,10 @@ def test_oracle_one_moment_sweep_per_t_sample(data, monkeypatch):
 
 
 #: jet products of one sweep and five fits of order-2 amplitudes: the powers
-#: of the inverse-Hessian form up to the 12th (11) and, per amplitude, the
-#: cutoff product and the h products of L_2, L_3 and L_4 (1 + 4 + 6 + 8)
-ORACLE_PRODUCTS = 11 + 5 * 19
+#: of the inverse-Hessian form up to the 12th (11), the powers of h up to
+#: the 8th (7) for the L_2..L_4 functionals, and one cutoff product per
+#: amplitude; a warm apply_L forms none
+ORACLE_PRODUCTS = 11 + 7 + 5 * 1
 
 
 def test_oracle_work_guard(data, monkeypatch):
@@ -359,6 +433,37 @@ def test_gaussian_quadrature_reference():
         got = c * oscillatory_monomial_moments(phase, 0, t, 1.4, (64, 64))[(0, 0)]
         want = math.pi / t * c
         assert abs(got - want) / abs(want) < 1e-3
+
+
+@pytest.mark.parametrize("num", [48, 160])
+def test_gauss_nodes_integrate_polynomials_exactly(num):
+    x, w = _gauss_nodes(num, 1.0)
+    assert np.all(np.diff(x) > 0)
+    for k in range(2 * num):
+        want = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(float(np.sum(w * x**k)) - want) <= 1e-14, k
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    ref_x, ref_w = np.polynomial.legendre.leggauss(num)
+    assert np.all(np.abs(x - ref_x) <= 1e-10 * np.abs(ref_x))
+    assert np.all(np.abs(w - ref_w) <= 1e-10 * ref_w)
+    xr, wr = _gauss_nodes(num, 1.4)
+    assert np.array_equal(xr, x * 1.4) and np.array_equal(wr, w * 1.4)
+
+
+def test_oracle_does_not_import_numpy_polynomial():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from crkernel.charts import heisenberg_chart\n"
+        "from crkernel.jets import Jet\n"
+        "from crkernel.stationary import build_phase_data, numeric_expansion_oracle, oracle_sweep\n"
+        "sweep = oracle_sweep(build_phase_data(heisenberg_chart(1, 6)), 2, t_samples=(60.0, 65.0, 70.0, 75.0))\n"
+        "numeric_expansion_oracle(sweep, Jet(4, 2, (0.0,) * 4, {(0, 0, 0, 0): 1.0, (1, 1, 0, 0): 0.5}))\n"
+        "print('numpy.polynomial' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def _brute_force_moments(phase, amp_order, t, radius, nodes):

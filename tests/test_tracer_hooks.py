@@ -1,8 +1,10 @@
-"""The benchmark tracer hooks crkernel functions and ``Jet`` methods by name.
+"""The benchmark hooks crkernel functions and ``Jet`` methods by name, and
+feeds ``parse_config`` the documents of its workloads.
 
-``perfbench/tracer.py`` is read here, never edited: a rename in ``src/`` that
-drops one of its names would otherwise only show when a traced benchmark run
-fails to install.
+``perfbench/tracer.py`` and ``perfbench/workloads.py`` are read here, never
+edited: a rename in ``src/`` that drops one of the tracer's names, or a
+parse-time rule that refuses a workload's document, would otherwise only
+show when a benchmark run fails.
 """
 
 import importlib
@@ -11,19 +13,20 @@ from pathlib import Path
 
 import pytest
 
+from crkernel.harness import parse_config
 from crkernel.jets import Jet
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER_PATH)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACER = load_tracer()
+TRACER = load_perfbench("tracer")
 
 
 @pytest.mark.parametrize("module_name", sorted(TRACER.FUNCTIONS))
@@ -42,3 +45,10 @@ def test_traced_check_ids_exist():
     from crkernel.harness import CHECKS
 
     assert set(TRACER.PIPELINE_CHECKS) <= set(CHECKS)
+
+
+@pytest.mark.parametrize("workload", ["routes", "quadrature"])
+def test_workload_documents_parse(workload):
+    workloads = load_perfbench("workloads")
+    for seed in (0, 1, 77):
+        parse_config(workloads.WORKLOADS[workload](seed))
