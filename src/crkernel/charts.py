@@ -359,54 +359,31 @@ def random_perturbation(
     for a in range(2 * n):
         Q[a, a] += shift
 
-    def diff_term(a: int) -> Dict[MultiIndex, complex]:
-        out: Dict[MultiIndex, complex] = {}
-        idx = [0] * nv
-        idx[d + a] = 1
-        out[tuple(idx)] = 1.0
-        idx = [0] * nv
-        idx[a] = 1
-        out[tuple(idx)] = -1.0
-        return out
-
-    def var_term(pos: int) -> Dict[MultiIndex, complex]:
-        idx = [0] * nv
-        idx[pos] = 1
-        return {tuple(idx): 1.0}
-
-    def table_mul(t1, t2):
-        out: Dict[MultiIndex, complex] = {}
-        for i1, c1 in t1.items():
-            for i2, c2 in t2.items():
-                key = tuple(a + b for a, b in zip(i1, i2))
-                out[key] = out.get(key, 0.0) + c1 * c2
-        return out
+    dx = [Jet.displacement(k, nv, 4, (0.0,) * nv) for k in range(nv)]
+    diff = [dx[d + a] - dx[a] for a in range(2 * n)]  # y_a - x_a
 
     table: Dict[MultiIndex, complex] = {}
     for _ in range(4):
         a = int(rng.integers(0, 2 * n))
-        factors = [diff_term(a)]
+        term = diff[a]
         for _ in range(3):
             kind = rng.integers(0, 3)
             if kind == 0:
-                factors.append(diff_term(int(rng.integers(0, 2 * n))))
+                term = term * diff[int(rng.integers(0, 2 * n))]
             elif kind == 1:
-                factors.append(var_term(int(rng.integers(0, d))))          # any x
+                term = term * dx[int(rng.integers(0, d))]          # any x
             else:
-                factors.append(var_term(d + int(rng.integers(0, 2 * n))))  # y'
-        term = factors[0]
-        for f in factors[1:]:
-            term = table_mul(term, f)
+                term = term * dx[d + int(rng.integers(0, 2 * n))]  # y'
         coeff = 0.2 * (rng.standard_normal() + 1j * rng.standard_normal())
-        for idx, c in term.items():
+        for idx, c in term.graded_items():
             table[idx] = table.get(idx, 0.0) + coeff * c
 
     current = quartic_channel_value(table, n)
     target = 16j * (1.0 - weight) * R_synth
-    cal = table_mul(table_mul(diff_term(0), diff_term(0)), table_mul(diff_term(0), diff_term(0)))
+    cal = (diff[0] * diff[0]) * (diff[0] * diff[0])
     # Lap^2 of 2 c u_0^4 at 0 is 48 c
     ccal = (target - current) / 48.0
-    for idx, c in cal.items():
+    for idx, c in cal.graded_items():
         table[idx] = table.get(idx, 0.0) + ccal * c
     table = {idx: c for idx, c in table.items() if c != 0}
     return Q, table

@@ -1,7 +1,8 @@
 """Command line driver: run scenario checks and emit the comparison report.
 
 Exit codes: 0 all checks passed (or non-strict), 1 check failure under
---strict, 2 configuration error, 3 internal numerical error.
+--strict, 2 configuration error, 3 any other kit error (a numerical failure,
+a violated chart invariant, bad symbol data, a jet order shortfall).
 """
 
 from __future__ import annotations
@@ -9,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError, CRKernelError, NumericalError
 from .harness import (
     default_config_doc,
     emit_report,
@@ -67,6 +68,9 @@ def main(argv=None) -> int:
         return 2
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
+        return 3
+    except CRKernelError as exc:
+        print(f"kit error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
     if args.out:

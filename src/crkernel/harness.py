@@ -207,9 +207,9 @@ def _check_applicability(where: str, scenario: Scenario, nodes: Optional[list]) 
 def parse_config(doc: dict) -> dict:
     """Validate a parsed config document; returns a normalized copy.
 
-    Types and shapes, the oracle's t samples and node counts and every check
-    that cannot apply to its scenario are checked here; the oracle's cutoff
-    radius is checked when it runs.
+    Types and shapes, the oracle's t samples and node counts, every check
+    that cannot apply to its scenario and every field no check reads are
+    checked here; the oracle's cutoff radius is checked when it runs.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
@@ -314,6 +314,8 @@ def parse_config(doc: dict) -> dict:
         )
         _check_applicability(where, scenario, nodes)
         scenarios.append(scenario)
+    if oracle and not any(CHECK_SPECS[c].oracle for scen in scenarios for c in scen.checks):
+        raise ConfigError("config.oracle: no check of the config reads the oracle options")
     return {"seed": seed, "jet_order": jet_order, "oracle": dict(oracle), "scenarios": scenarios}
 
 
@@ -788,8 +790,8 @@ CHECK_SPECS: Dict[str, CheckSpec] = {
     "quadrature_subleading": CheckSpec(
         check_quadrature_subleading, n_range=ORACLE_N_RANGE, min_jet_order=4, params=("num_amplitudes",), oracle=True
     ),
-    "mu2_vanishing": CheckSpec(check_mu2_vanishing),
-    "l_linearity": CheckSpec(check_l_linearity, params=("num_samples",)),
+    "mu2_vanishing": CheckSpec(check_mu2_vanishing, min_jet_order=3),
+    "l_linearity": CheckSpec(check_l_linearity, min_jet_order=4, params=("num_samples",)),
     "rescale_uniqueness": CheckSpec(
         check_rescale_uniqueness, symbol="optional", min_jet_order=4, params=("num_rescales",)
     ),

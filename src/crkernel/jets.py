@@ -478,13 +478,7 @@ class Jet:
         c = self.constant_term()
         if c == 0:
             raise BranchError("invert: zero constant term")
-        u = self.shift_constant(-c).scale(1.0 / c)  # a = c (1 + u), u has no constant
-        acc = Jet.constant(self.num_vars, self.order, self.base_point, 1.0)
-        term = acc
-        for _ in range(self.order):
-            term = -1.0 * (term * u)
-            acc = acc + term
-        return acc.scale(1.0 / c)
+        return self._reduced_series([(-1.0) ** k for k in range(self.order + 1)]).scale(1.0 / c)
 
     def _reduced_series(self, tail_coeffs: Iterable[complex]) -> "Jet":
         """sum_k tail_coeffs[k] * u^k where self = c(1+u); tail_coeffs[0] is the k=0 term."""

@@ -14,10 +14,12 @@ through the L_j operators
 where h is the cubic-and-higher remainder of Psi0 (Hoermander, The Analysis
 of Linear PDO I, Thm 7.7.5).  L_j is linear in v and, because h starts at
 degree 3, reads only v's coefficients of degree <= 2j, so it is applied as
-one dot product with a coefficient functional K_j, built once per phase data
-and j from Gaussian contractions of the powers of h.  A quadrature oracle
-(separable Gauss sums on Gauss-Legendre nodes found by Newton's method)
-cross-checks the formal coefficients on the exact Heisenberg phase.
+one dot product with a coefficient functional K_j, built from Gaussian
+contractions of the powers of h; one table of powers serves K_1..K_j, and
+the phase data keeps the functionals of the largest j asked so far.  A
+quadrature oracle (separable Gauss sums on Gauss-Legendre nodes found by
+Newton's method) cross-checks the formal coefficients on the exact
+Heisenberg phase, and its sweep owns the L_2..L_4 functionals of its tail.
 
 Jets here live in the variables (u_1..u_{2n+1}, sigma-1) based at 0, so the
 critical point is the jet base point.
@@ -36,7 +38,7 @@ import numpy as np
 
 from .charts import CRModelChart
 from .errors import BranchError, ChartError, HessianError, OracleFitError, OrderShortfallError
-from .jets import Jet, iter_multi_indices
+from .jets import Jet, _scatter_sum, iter_multi_indices
 
 #: gradient tolerance for accepting (0, 1) as the critical point
 CRITICAL_TOL = 1e-12
@@ -54,16 +56,8 @@ class PhaseCriticalData:
     sqrt_det: complex         # branch-checked square root of det_normalized
     inv_op: Dict[Tuple[int, int], complex]  # <Psi0''^{-1} D, D> over d_a d_b, a <= b
     exact_heisenberg: bool
-    #: (positions, w_m) of <Psi0''^{-1} D, D>^m at index m - 1, filled lazily by ``apply_L``
-    _weights: List = field(init=False, repr=False, compare=False, default_factory=list)
-    #: the highest power of the inverse-Hessian form built for ``_weights``
-    _q_power: List = field(init=False, repr=False, compare=False, default_factory=list)
-    #: (positions, values, order) of h^mu at index mu, filled lazily by ``apply_L``
-    _h_powers: List = field(init=False, repr=False, compare=False, default_factory=list)
-    #: the highest power of h built for ``_h_powers``
-    _h_top: List = field(init=False, repr=False, compare=False, default_factory=list)
-    #: the L_j functional K_j by j, filled lazily by ``apply_L``
-    _functionals: Dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    #: [K_1..K_j] of _l_functionals for the largest j asked of ``apply_L`` so far
+    _functionals: List = field(init=False, repr=False, compare=False, default_factory=list)
 
     @property
     def num_vars(self) -> int:
@@ -130,98 +124,81 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
     )
 
 
-def _contraction_weights(data: PhaseCriticalData, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(positions, w_m) with q(xi) = sum_{a <= b} inv_op[a, b] xi_a xi_b.
+def _contraction_weights(data: PhaseCriticalData, count: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """[(positions, w_m) for m = 1..count] with q(xi) = sum_{a <= b} inv_op[a, b] xi_a xi_b.
 
     (<Psi0''^{-1} D, D>^m x^alpha)(0) vanishes unless |alpha| = 2m, and then
     equals w_m[alpha] = alpha! [xi^alpha] q^m; positions are those of the
-    nonzero w_m in the basis (q^m is homogeneous of degree 2m).  Built once
-    per phase data and m, each power of q from the one before; only the
-    highest power is kept.
+    nonzero w_m in the basis (q^m is homogeneous of degree 2m).  Each power
+    of q is formed from the one before at order 2m.
     """
-    while len(data._weights) < m:
-        order = 2 * len(data._weights) + 2
-        q = Jet(data.num_vars, order, data.h.base_point, {
-            tuple((k == a) + (k == b) for k in range(data.num_vars)): c for (a, b), c in data.inv_op.items()
-        })
-        power = data._q_power.pop().with_order(order) * q if data._q_power else q
-        data._q_power.append(power)
-        factorials = np.array([math.factorial(k) for k in range(order + 1)], dtype=float)
+    nv = data.num_vars
+    q = Jet(nv, 2, data.h.base_point, {
+        tuple((k == a) + (k == b) for k in range(nv)): c for (a, b), c in data.inv_op.items()
+    })
+    factorials = np.array([math.factorial(k) for k in range(2 * count + 1)], dtype=float)
+    weights, power = [], None
+    for m in range(1, count + 1):
+        qm = q.with_order(2 * m)
+        power = qm if power is None else power.with_order(2 * m) * qm
         exps = power.basis.exponents[power.support]
-        data._weights.append((power.support, power.vector[power.support] * factorials[exps].prod(axis=1)))
-    return data._weights[m - 1]
+        weights.append((power.support, power.vector[power.support] * factorials[exps].prod(axis=1)))
+    return weights
 
 
-def _h_powers(data: PhaseCriticalData, j: int) -> List[Tuple[np.ndarray, np.ndarray, int]]:
-    """(positions, values, order) of h^mu for mu <= 2j, at index mu.
-
-    L_j reads h^mu up to degree 2(mu + j), and h^mu, a polynomial of degree
-    mu e (e the top degree of h), has nothing above mu e; so h^mu is formed
-    from h^{mu-1} at order min(2(mu + j), mu e), which is exact because h
-    starts at degree 3.  A power formed at order mu e serves every j: on the
-    exact phase (h cubic) each power is formed once per phase data.  If a
-    power formed for a smaller j was cut below mu e, the table is formed
-    again at this j's depth.  Only the highest power is kept as a jet.
-    """
-    top_degree = int(data.h.basis.degrees[data.h.support[-1]])
-    orders = [min(2 * (mu + j), mu * top_degree) for mu in range(2 * j + 1)]
-    powers = data._h_powers
-    if any(order < want for (_, _, order), want in zip(powers, orders)):
-        powers.clear()
-        data._h_top.clear()
-    if not powers:
-        powers.append((np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex), 0))
-    while len(powers) <= 2 * j:
-        order = orders[len(powers)]
-        h = data.h.with_order(order)
-        power = data._h_top.pop().with_order(order) * h if data._h_top else h
-        data._h_top.append(power)
-        powers.append((power.support, power.vector[power.support], order))
-    return powers
-
-
-def _l_functional(data: PhaseCriticalData, j: int) -> np.ndarray:
-    """K_j over the monomials of degree <= 2j, with L_j v = <K_j, v>:
+def _l_functionals(data: PhaseCriticalData, top: int) -> List[np.ndarray]:
+    """[K_1..K_top], K_j over the monomials of degree <= 2j with L_j v = <K_j, v>:
 
         K_j[alpha] = i^{-j} sum_{mu=0}^{2j} sum_{|alpha| + |beta| = 2(mu + j)}
                      (h^mu)_beta w_{mu+j}[alpha + beta] / (mu! (mu+j)! 2^{mu+j}),
 
-    w_m the weights of _contraction_weights.  Per mu, one product-table
-    gather pairs the support of h^mu with the degree <= 2j block and one
-    bincount sums the terms.  Built once per phase data and j.
+    w_m the weights of _contraction_weights.  L_j reads h^mu up to degree
+    2(mu + j), and h^mu, a polynomial of degree mu e (e the top degree of
+    h), has nothing above mu e; so h^mu is formed from h^{mu-1} at order
+    min(2(mu + top), mu e), which is exact for every j <= top because h
+    starts at degree 3, and one table of powers serves every K_j.  Per j and
+    mu, one product-table gather pairs the support of h^mu with the degree
+    <= 2j block and one bincount sums the terms.
     """
-    functional = data._functionals.get(j)
-    if functional is not None:
-        return functional
-    powers = _h_powers(data, j)
-    basis = Jet.zero(data.num_vars, 6 * j, data.h.base_point).basis  # covers degree 2(mu + j)
-    size = basis.size(2 * j)
-    block = np.arange(size)
-    functional = np.zeros(size, dtype=complex)
-    for mu in range(2 * j + 1):
-        m = mu + j
-        positions, values, _ = powers[mu]
-        first = positions[: np.searchsorted(positions, basis.size(2 * m))]
-        beta, alpha, k = basis.pairs(first, block, 2 * m)
-        w_positions, w = _contraction_weights(data, m)
-        at = np.minimum(np.searchsorted(w_positions, k), w_positions.size - 1)
-        hit = w_positions[at] == k  # the weights live on degree 2m exactly
-        terms = values[np.searchsorted(positions, beta[hit])] * w[at[hit]]
-        sums = np.empty(size, dtype=complex)
-        sums.real = np.bincount(alpha[hit], terms.real, size)
-        sums.imag = np.bincount(alpha[hit], terms.imag, size)
-        functional += sums / (math.factorial(mu) * math.factorial(m) * 2**m)
-    functional *= (1j) ** (-j)
-    data._functionals[j] = functional
-    return functional
+    weights = _contraction_weights(data, 3 * top)
+    top_degree = int(data.h.basis.degrees[data.h.support[-1]])
+    powers = [(np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex))]
+    power = None
+    for mu in range(1, 2 * top + 1):
+        order = min(2 * (mu + top), mu * top_degree)
+        h = data.h.with_order(order)
+        power = h if power is None else power.with_order(order) * h
+        powers.append((power.support, power.vector[power.support]))
+    basis = Jet.zero(data.num_vars, 6 * top, data.h.base_point).basis  # covers degree 2(mu + j)
+    functionals = []
+    for j in range(1, top + 1):
+        size = basis.size(2 * j)
+        block = np.arange(size)
+        functional = np.zeros(size, dtype=complex)
+        for mu in range(2 * j + 1):
+            m = mu + j
+            positions, values = powers[mu]
+            first = positions[: np.searchsorted(positions, basis.size(2 * m))]
+            beta, alpha, k = basis.pairs(first, block, 2 * m)
+            w_positions, w = weights[m - 1]
+            at = np.minimum(np.searchsorted(w_positions, k), w_positions.size - 1)
+            hit = w_positions[at] == k  # the weights live on degree 2m exactly
+            terms = values[np.searchsorted(positions, beta[hit])] * w[at[hit]]
+            sums = _scatter_sum(alpha[hit], terms.real, terms.imag, size)
+            functional += sums / (math.factorial(mu) * math.factorial(m) * 2**m)
+        functional *= (1j) ** (-j)
+        functionals.append(functional)
+    return functionals
 
 
 def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
     """(L_j v) at the critical point for the stored phase.
 
     v is treated as an exact polynomial.  L_j v is the dot product of v's
-    coefficients of degree <= 2j with the functional K_j of _l_functional,
-    built once per phase data and j; a call forms no jet product.
+    coefficients of degree <= 2j with the functional K_j of _l_functionals.
+    The functionals are kept on the phase data and built again, up to j,
+    only when j exceeds every j asked before; a warm call forms no jet
+    product.
     """
     if j < 1:
         raise ValueError("apply_L needs j >= 1")
@@ -231,7 +208,9 @@ def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
         raise OrderShortfallError(f"apply_L: v order {v.order} < {2 * j}")
     if data.h.order < 2 * j + 2:
         raise OrderShortfallError(f"apply_L: phase order {data.h.order} < {2 * j + 2}")
-    functional = _l_functional(data, j)
+    if len(data._functionals) < j:
+        data._functionals[:] = _l_functionals(data, j)
+    functional = data._functionals[j - 1]
     return complex(functional @ v.vector[: functional.size])
 
 
@@ -432,7 +411,7 @@ class OracleSweep:
     """What the quadrature oracle shares between amplitudes on one exact phase."""
 
     data: PhaseCriticalData
-    deep: PhaseCriticalData  # the phase data promoted to order 12, for the tail
+    tail: Tuple[np.ndarray, ...]  # K_2..K_4 of the phase data promoted to order 12
     cutoff: Jet              # the cutoff's jet 1 - sum_a (v_a / w)^8
     t: np.ndarray
     moments: Tuple[Dict[Tuple[int, ...], complex], ...]  # one table per t sample
@@ -447,7 +426,8 @@ def oracle_sweep(
     nodes_per_axis: Optional[Sequence[int]] = None,
 ) -> OracleSweep:
     """One oscillatory_monomial_moments table per t sample for amplitudes of
-    order <= ``order``, with the tail data of numeric_expansion_oracle.
+    order <= ``order``, and the L_2..L_4 functionals of the tail that
+    numeric_expansion_oracle subtracts.
 
     Restricted to the exact Heisenberg phase with n = 1 (no cutoff guidance
     exists for perturbed phases; the exact phase is also what makes the jet
@@ -471,9 +451,10 @@ def oracle_sweep(
     for a in range(nv):
         idx = tuple(CUTOFF_DEGREE if k == a else 0 for k in range(nv))
         chi[idx] = -((WIDTH_FRACTION * cutoff_radius) ** -CUTOFF_DEGREE)
+    deep = dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
     return OracleSweep(
         data=data,
-        deep=dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12)),
+        tail=tuple(_l_functionals(deep, 4)[1:]),
         cutoff=Jet(nv, CUTOFF_DEGREE, (0.0,) * nv, chi),
         t=np.array(ts),
         moments=tuple(
@@ -491,10 +472,10 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
     amplitude's coefficients with the sweep's separable Gauss moments (a
     moment does not depend on the table's order, so the fit is the same for
     any sweep that covers the amplitude).  It subtracts the exactly known
-    third to fifth expansion orders (computed with the higher L_j operators,
-    which the coefficient pipelines never use; the cutoff enters them as its
-    jet), then fits c0 t^{-n} + c1 t^{-n-1} by t^2-weighted least squares
-    and returns (c0, c1), or (0, 0) where all integrals vanish.  Psi0 must
+    third to fifth expansion orders (the sweep's L_2..L_4 functionals, which
+    the coefficient pipelines never use, applied to the amplitude times the
+    cutoff's jet), then fits c0 t^{-n} + c1 t^{-n-1} by t^2-weighted least
+    squares and returns (c0, c1), or (0, 0) where all integrals vanish.  Psi0 must
     not couple two of the u variables, which holds on the exact model:
     Psi0 = s u_3 + i (1 + s/2)(u_1^2 + u_2^2), s = sigma - 1.
     """
@@ -519,8 +500,8 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
     # so the fit below still measures c0 and c1 independently of them.
     amp_eff = amplitude.with_order(CUTOFF_DEGREE) * sweep.cutoff
     tail = np.zeros_like(values)
-    for k in (2, 3, 4):
-        ck = apply_L(sweep.deep, k, amp_eff) / sweep.data.sqrt_det
+    for k, functional in enumerate(sweep.tail, start=2):
+        ck = complex(functional @ amp_eff.vector[: functional.size]) / sweep.data.sqrt_det
         tail = tail + ck * tarr ** (-1.0 - k)
     corrected = values - tail
 

@@ -222,6 +222,28 @@ def test_quadrature_rejected_outside_the_oracle_dimensions(check):
         parse_config(doc)
 
 
+@pytest.mark.parametrize("check,jet_order", [("l_linearity", 3), ("mu2_vanishing", 2)])
+def test_jet_order_floor_per_check(check, jet_order):
+    # below its floor a check fails (apply_L needs phase order 4) or tests
+    # nothing (h vanishes at jet order 2)
+    assert CHECK_SPECS[check].min_jet_order == jet_order + 1
+    doc = small_config(jet_order=jet_order)
+    doc["scenarios"][0]["checks"] = [check]
+    with pytest.raises(ConfigError, match=f"jet_order must be >= {jet_order + 1} for {check}"):
+        parse_config(doc)
+    doc["jet_order"] = jet_order + 1
+    parse_config(doc)
+
+
+def test_oracle_options_no_check_reads_rejected():
+    doc = small_config(oracle={"nodes_per_axis": [], "cutoff_radius": 7.0})
+    doc["scenarios"][0]["checks"] = ["hessian_display"]
+    with pytest.raises(ConfigError, match="config.oracle: no check of the config reads"):
+        parse_config(doc)
+    doc["oracle"] = {}
+    parse_config(doc)
+
+
 def test_perturbed_needs_order_six():
     doc = small_config(jet_order=5)
     doc["scenarios"][0]["chart"] = {"model": "perturbed", "n": 1, "r_synth": 0.3}
@@ -507,6 +529,18 @@ def test_cli_numerical_error_exit_three(tmp_path, capsys):
     }
     path = write_config(tmp_path, doc)
     assert cli.main(["--config", path]) == 3
+
+
+def test_cli_kit_error_exit_three(tmp_path, capsys):
+    # the curvature identity cannot be met to tolerance at this r_synth; the
+    # chart's ChartError is not a NumericalError but must still exit 3
+    doc = small_config()
+    scen = doc["scenarios"][0]
+    scen["chart"] = {"model": "perturbed", "n": 1, "r_synth": 1e9, "seed": 1}
+    scen["symbol"] = {"kind": "identity"}
+    scen["checks"] = ["b0_leading"]
+    assert cli.main(["--config", write_config(tmp_path, doc)]) == 3
+    assert "kit error: ChartError: curvature consistency identity violated" in capsys.readouterr().err
 
 
 def test_cli_filter_and_csv(tmp_path, capsys):

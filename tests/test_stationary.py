@@ -15,7 +15,7 @@ from crkernel.rng import spawn_rng
 from crkernel.stationary import (
     _contraction_weights,
     _gauss_nodes,
-    _l_functional,
+    _l_functionals,
     apply_L,
     build_phase_data,
     expansion_coeffs,
@@ -154,9 +154,8 @@ def test_contraction_weights_exact(data):
         idx = tuple((k == a) + (k == b) for k in range(NV))
         q[idx] = GaussRational(c.real, c.imag)  # floats convert to Fractions exactly
     power = {(0,) * NV: GaussRational(1)}
-    for m in range(1, 7):
+    for m, (positions, weights) in enumerate(_contraction_weights(data, 6), start=1):
         power = exact_mul(power, q, 2 * m)
-        positions, weights = _contraction_weights(data, m)
         exps = [tuple(row) for row in Jet.zero(NV, 2 * m, BASE).basis.exponents[positions].tolist()]
         want = {}
         for idx, c in power.items():
@@ -166,8 +165,6 @@ def test_contraction_weights_exact(data):
         assert sorted(exps) == sorted(want)
         for idx, w in zip(exps, weights.tolist()):
             assert w == complex(want[idx]), (m, idx)
-    assert _contraction_weights(data, 6)[0] is positions  # built once per phase data and m
-    assert [p.order for p in data._q_power] == [12]  # only the highest power of q is kept
 
 
 def _count_products(monkeypatch):
@@ -182,42 +179,32 @@ def _count_products(monkeypatch):
     return counts
 
 
-def test_l_functionals_share_one_power_table(data, monkeypatch):
-    # the oracle's tail data: h is cubic, so h^mu is complete at order 3 mu
-    # and each power serves every j
-    deep = dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
-    _contraction_weights(deep, 12)
-    counts = _count_products(monkeypatch)
-    built = {}
-    for j in (1, 2, 3, 4):
-        built[j] = _l_functional(deep, j)
-        assert counts["mul"] == 2 * j - 1  # h^2..h^{2j}, none formed again for a larger j
-        assert len(deep._h_powers) == 2 * j + 1
-    first_powers = list(deep._h_powers)
-    for j in (4, 3, 2, 1):
-        assert _l_functional(deep, j) is built[j]  # built once per phase data and j
-    assert counts["mul"] == 7
-    assert all(a is b for a, b in zip(deep._h_powers, first_powers))
-    assert [p.order for p in deep._h_top] == [24]  # only the highest power of h is kept
+def _deep(data):
+    """The oracle's tail data: the exact phase data promoted to order 12."""
+    return dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
 
 
-def test_cut_h_powers_formed_again_for_a_larger_j(monkeypatch):
-    # a perturbed h is not cubic, so its powers are cut at order 2(mu + j)
-    pdata, deeper_first = _perturbed_data(1, 6, 0.7, 5), _perturbed_data(1, 6, 0.7, 5)
-    top_degree = max(sum(idx) for idx in pdata.h.coeffs)
-    _contraction_weights(pdata, 6)
-    _contraction_weights(deeper_first, 6)
+def test_l_functionals_do_not_depend_on_the_top_j(data, monkeypatch):
+    # h^mu is formed at the depth of the largest j, which is exact for every
+    # smaller j: the cubic h of the exact phase is never cut, a perturbed h is
+    deep, pdata = _deep(data), _perturbed_data(1, 6, 0.7, 5)
+    for d, tops in ((deep, (1, 2, 3, 4)), (pdata, (1, 2))):
+        built = {top: _l_functionals(d, top) for top in tops}
+        for top, functionals in built.items():
+            assert len(functionals) == top
+            for j, functional in enumerate(functionals, start=1):
+                assert np.array_equal(functional, built[j][j - 1]), (top, j)
     counts = _count_products(monkeypatch)
-    _l_functional(pdata, 1)
-    _l_functional(pdata, 2)
-    assert counts["mul"] == 1 + 3  # h^2 for j = 1, then h^2..h^4 at the depth of j = 2
-    assert [order for _, _, order in pdata._h_powers] == [0, min(6, top_degree), 8, 10, 12]
-    counts["mul"] = 0
-    _l_functional(deeper_first, 2)
-    _l_functional(deeper_first, 1)
-    assert counts["mul"] == 3
-    for j in (1, 2):
-        assert np.array_equal(_l_functional(pdata, j), _l_functional(deeper_first, j))
+    _l_functionals(deep, 4)
+    assert counts["mul"] == 11 + 7  # q^2..q^12 and h^2..h^8, each formed once
+
+
+def test_oracle_sweep_owns_the_tail_functionals(data):
+    sweep = oracle_sweep(data, 2, t_samples=FAST_T)
+    tail = _l_functionals(_deep(data), 4)[1:]
+    assert len(sweep.tail) == 3
+    for got, want in zip(sweep.tail, tail):
+        assert np.array_equal(got, want)
 
 
 def test_warm_apply_L_forms_no_jet_product(data, monkeypatch):
