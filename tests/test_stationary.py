@@ -184,19 +184,38 @@ def _deep(data):
     return dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
 
 
-def test_l_functionals_do_not_depend_on_the_top_j(data, monkeypatch):
-    # h^mu is formed at the depth of the largest j, which is exact for every
-    # smaller j: the cubic h of the exact phase is never cut, a perturbed h is
-    deep, pdata = _deep(data), _perturbed_data(1, 6, 0.7, 5)
-    for d, tops in ((deep, (1, 2, 3, 4)), (pdata, (1, 2))):
-        built = {top: _l_functionals(d, top) for top in tops}
-        for top, functionals in built.items():
-            assert len(functionals) == top
-            for j, functional in enumerate(functionals, start=1):
-                assert np.array_equal(functional, built[j][j - 1]), (top, j)
+def test_l_functionals_share_one_power_table(data, monkeypatch):
+    # the oracle's tail data: h is cubic, so h^mu is complete at order 3 mu,
+    # never cut, and one table of powers serves every j
+    deep = _deep(data)
+    built = {top: _l_functionals(deep, top) for top in (1, 2, 3, 4)}
+    for top, functionals in built.items():
+        assert len(functionals) == top
+        for j, functional in enumerate(functionals, start=1):
+            assert np.array_equal(functional, built[j][j - 1]), (top, j)
     counts = _count_products(monkeypatch)
     _l_functionals(deep, 4)
     assert counts["mul"] == 11 + 7  # q^2..q^12 and h^2..h^8, each formed once
+
+
+def test_cut_h_powers_formed_again_for_a_larger_j(monkeypatch):
+    # a perturbed h is not cubic, so its powers are cut at order 2(mu + j)
+    # and formed again, deeper, when apply_L is asked a larger j
+    pdata, deeper_first = _perturbed_data(1, 6, 0.7, 5), _perturbed_data(1, 6, 0.7, 5)
+    v = random_jet(spawn_rng(6, "cut-h-powers"), NV, 4, BASE)
+    counts = _count_products(monkeypatch)
+    apply_L(pdata, 1, v)
+    assert counts["mul"] == 2 + 1  # q^2..q^3 and h^2 for j = 1
+    apply_L(pdata, 2, v)
+    assert counts["mul"] == 3 + 5 + 3  # then q^2..q^6 and h^2..h^4 at the depth of j = 2
+    counts["mul"] = 0
+    apply_L(deeper_first, 2, v)
+    apply_L(deeper_first, 1, v)
+    assert counts["mul"] == 5 + 3
+    assert len(pdata._functionals) == len(deeper_first._functionals) == 2
+    for got, want in zip(pdata._functionals, deeper_first._functionals):
+        assert np.array_equal(got, want)
+    assert np.array_equal(_l_functionals(pdata, 1)[0], pdata._functionals[0])
 
 
 def test_oracle_sweep_owns_the_tail_functionals(data):
