@@ -1,10 +1,13 @@
 """Canonical-coordinate CR model charts and their pseudohermitian geometry.
 
 The exact Heisenberg chart carries the model contact form, frame, Reeb field,
-unit volume density and the explicit prepared phase, all as jets.  Curvature
-is exercised synthetically: a perturbed chart injects a quadratic part into
-the density and a diagonal-vanishing quartic into the phase, tied to a stored
-scalar-curvature value by the consistency identity
+unit volume density and the explicit prepared phase, all as jets.  Its
+Tanaka-Webster scalar curvature is 0: the model's frame Z_j is parallel for
+the Tanaka-Webster connection, which is therefore flat (Webster, J.
+Differential Geom. 13, 1978).  Curvature is exercised synthetically: a
+perturbed chart injects a quadratic part into the density and a
+diagonal-vanishing quartic into the phase, tied to a stored scalar-curvature
+value by the consistency identity
 
     -(1/32) * Lap^2 h1(0) + (i/4) * Lap lambda(0) = -(i/2) * R,
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -56,8 +59,6 @@ class CRModelChart:
     #: chart-only P-operator frame data by (order, base), filled lazily by
     #: ``symbols.p_operator_geometric``
     _p_geometry: Dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    #: the exact chart's scalar curvature, filled lazily by ``tw_scalar_curvature``
-    _curvature: List[float] = field(init=False, repr=False, compare=False, default_factory=list)
 
     @property
     def dim(self) -> int:
@@ -283,7 +284,8 @@ def perturbed_chart(
 
     lambda gains the quadratic form x^T Q x / 2, the phase gains the given
     quartic in (x, y'), and the curvature consistency identity tying both
-    channels to R_synth is validated; violation raises ChartError.
+    channels to R_synth is validated; violation raises ChartError.  A
+    quartic needs a base of jet order >= 4 to hold it (OrderShortfallError).
     """
     if not base.is_exact_heisenberg:
         raise ChartError("perturbed_chart requires the exact Heisenberg base chart")
@@ -298,6 +300,8 @@ def perturbed_chart(
             raise ChartError(f"phase_quartic key {idx} is not a quartic (x,y) multi-index")
         if idx[nv - 1] != 0:
             raise ChartError("phase_quartic must not involve the last y variable")
+    if table and order < 4:
+        raise OrderShortfallError("perturbed_chart: a phase quartic needs base jet_order >= 4")
 
     lap2_h1 = quartic_channel_value(table, n)
     lap_lam = density_channel_value(Q, n)
@@ -426,6 +430,8 @@ def reeb_derivative_at0(chart: CRModelChart, f: Jet) -> complex:
     d = chart.dim
     if f.num_vars != d:
         raise OrderShortfallError(f"reeb_derivative_at0: expected a jet in {d} variables")
+    if f.order < 1:
+        raise OrderShortfallError("reeb_derivative_at0: jet order must be >= 1")
     last = tuple(1 if k == d - 1 else 0 for k in range(d))
     return -f.derivative_value(last)
 
@@ -492,120 +498,10 @@ def christoffel_at(chart: CRModelChart, jet_order: Optional[int] = None) -> Dict
     }
 
 
-def _solve_jet_linear(amat: Sequence[Sequence[Jet]], rhs: Sequence[Jet]) -> List[Jet]:
-    """Solve A(x) v(x) = rhs(x) at jet level (A(0) invertible)."""
-    m = len(rhs)
-    order = rhs[0].order
-    a0 = np.array([[amat[r][c].constant_term() for c in range(m)] for r in range(m)])
-    a0inv = np.linalg.inv(a0)
-    nil = [[amat[r][c].shift_constant(-a0[r, c]) for c in range(m)] for r in range(m)]
-    sol = [Jet.zero(rhs[0].num_vars, order, rhs[0].base_point) for _ in range(m)]
-    for _ in range(order + 1):
-        resid = []
-        for r in range(m):
-            acc = rhs[r]
-            for c in range(m):
-                acc = acc - nil[r][c] * sol[c]
-            resid.append(acc)
-        new_sol = []
-        for r in range(m):
-            acc = Jet.zero(rhs[0].num_vars, order, rhs[0].base_point)
-            for c in range(m):
-                acc = acc + resid[c].scale(complex(a0inv[r, c]))
-            new_sol.append(acc)
-        sol = new_sol
-    return sol
-
-
 def tw_scalar_curvature(chart: CRModelChart) -> float:
-    """Scalar curvature at the base point.
-
-    Perturbed charts report their stored synthetic value; the exact model is
-    computed from the curvature two-forms of the flat parallel-frame
-    connection (connection forms of Z_j over the parallel frame, then
-    Theta_j^k = d omega_j^k - omega wedge omega, contracted with the Levi
-    metric at 0), once per chart.
-    """
-    if not chart.is_exact_heisenberg:
-        return chart.synthetic_R
-    if not chart._curvature:
-        chart._curvature.append(_exact_scalar_curvature(chart))
-    return chart._curvature[0]
-
-
-def _exact_scalar_curvature(chart: CRModelChart) -> float:
-    n, d, order = chart.n, chart.dim, chart.jet_order
-    base = (0,) * d
-    ycoef, ntrans = _parallel_frame(n, order)
-
-    # Z_j over the parallel frame: c[j][a]
-    c = [[Jet.zero(d, order, base) for _ in range(d)] for _ in range(n)]
-    for j in range(n):
-        for a in range(d):
-            acc = Jet.zero(d, order, base)
-            for b in range(d):
-                acc = acc + chart.frame[j][b] * ntrans[b][a]
-            c[j][a] = acc
-
-    # complex frame matrix rows: Z_1..Z_n, conj(Z)_1..conj(Z)_n, Y_{2n} over d/dx
-    rows: List[List[Jet]] = []
-    for j in range(n):
-        rows.append([chart.frame[j][b] for b in range(d)])
-    for j in range(n):
-        rows.append([chart.frame[j][b].conjugate() for b in range(d)])
-    rows.append(list(ycoef[2 * n]))
-
-    out_order = max(order - 1, 0)
-    omega = [[[Jet.zero(d, out_order, base) for _ in range(d)] for _ in range(n)] for _ in range(n)]
-    for j in range(n):
-        for b in range(d):
-            # nabla_{d/dx_b} Z_j = sum_a d_b(c[j][a]) Y_a, expanded over d/dx
-            vec = [Jet.zero(d, out_order, base) for _ in range(d)]
-            for a in range(d):
-                der = c[j][a].partial(b)
-                if not der.coeffs:
-                    continue
-                for l in range(d):
-                    vec[l] = vec[l] + der * ycoef[a][l].truncated(out_order)
-            if all(not v.coeffs for v in vec):
-                continue
-            frame_t = [[rows[r][l].truncated(out_order) for r in range(d)] for l in range(d)]
-            comps = _solve_jet_linear(frame_t, vec)
-            for k in range(n):
-                omega[j][k][b] = omega[j][k][b] + comps[k]
-
-    # Theta_j^k over dx_a ^ dx_b and Levi metric at 0
-    z0 = np.array([[chart.frame[j][b].constant_term() for b in range(d)] for j in range(n)])
-    domega0 = np.zeros((d, d), dtype=complex)
-    for a in range(d):
-        for b in range(d):
-            domega0[a, b] = chart.contact_form[b].partial(a).constant_term() - chart.contact_form[
-                a
-            ].partial(b).constant_term()
-    g = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for k in range(n):
-            g[j, k] = -(z0[j] @ domega0 @ np.conj(z0[k])) / 1j
-
-    ricci = np.zeros((n, n), dtype=complex)
-    for j in range(n):
-        for m in range(n):
-            for k in range(n):
-                w = omega[j][k]
-                theta0 = np.zeros((d, d), dtype=complex)
-                for a in range(d):
-                    for b in range(d):
-                        theta0[a, b] = w[b].partial(a).constant_term() - w[a].partial(b).constant_term()
-                        for l in range(n):
-                            theta0[a, b] += (
-                                omega[j][l][a].constant_term() * omega[l][k][b].constant_term()
-                                - omega[j][l][b].constant_term() * omega[l][k][a].constant_term()
-                            ) * (-1.0)
-                ricci[j, m] += z0[k] @ theta0 @ np.conj(z0[m])
-    r_val = complex(np.trace(np.linalg.inv(g) @ ricci))
-    if abs(r_val.imag) > 1e-10:
-        raise ChartError("scalar curvature came out non-real")
-    return float(r_val.real)
+    """Scalar curvature at the base point: the chart's stored value, 0 on the
+    exact model and R_synth on a perturbed chart (see the module docstring)."""
+    return chart.synthetic_R
 
 
 def real_levi_frame(chart: CRModelChart) -> List[List[Jet]]:

@@ -446,23 +446,9 @@ class Jet:
         vector = _scatter_sum(basis.locate(exps[live] @ lift), c.real, c.imag, basis.size(self.order))
         return Jet._from_vector(num_vars, self.order, base_point, vector)
 
-    def eval(self, displacement: Sequence[complex]) -> complex:
-        """Evaluate the truncated polynomial at base_point + displacement."""
-        if len(displacement) != self.num_vars:
-            raise CompatibilityError("eval: displacement length != num_vars")
-        disp = [complex(d) for d in displacement]
-        powers = [_scalar_powers(d, self.order) for d in disp]
-        total = 0.0 + 0.0j
-        for idx, c in self.graded_items():
-            term = c
-            for k, a in enumerate(idx):
-                if a:
-                    term *= powers[k][a]
-            total += term
-        return total
-
     def eval_many(self, displacements: np.ndarray) -> np.ndarray:
-        """Vectorized ``eval`` over rows of a (num_points, num_vars) array."""
+        """The truncated polynomial at base_point + each row of a
+        (num_points, num_vars) array of displacements."""
         pts = np.asarray(displacements, dtype=complex)
         support = self.support
         if not support.size:
@@ -601,13 +587,6 @@ class Substitution:
         value = self._deltas[k]._like(vector) * self._deltas[k]
         hit = self._powers[p] = (value.support, value.vector[value.support])
         return hit
-
-
-def _scalar_powers(d: complex, order: int) -> List[complex]:
-    out = [1.0 + 0.0j]
-    for _ in range(order):
-        out.append(out[-1] * d)
-    return out
 
 
 def max_coeff_difference(a: Jet, b: Jet) -> float:

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charts import CRModelChart, christoffel_at, real_levi_frame, _solve_jet_linear
+from .charts import CRModelChart, christoffel_at, real_levi_frame
 from .errors import ChartError, OrderShortfallError, SymbolError
 from .jets import Jet, Substitution, random_jet
 from .rng import spawn_rng
@@ -388,6 +388,31 @@ def p_operator_canonical(F: Jet) -> complex:
         idx[d + 2 * j + 1] += 1
         total -= F.derivative_value(tuple(idx))
     return total
+
+
+def _solve_jet_linear(amat: Sequence[Sequence[Jet]], rhs: Sequence[Jet]) -> List[Jet]:
+    """Solve A(x) v(x) = rhs(x) at jet level (A(0) invertible)."""
+    m = len(rhs)
+    order = rhs[0].order
+    a0 = np.array([[amat[r][c].constant_term() for c in range(m)] for r in range(m)])
+    a0inv = np.linalg.inv(a0)
+    nil = [[amat[r][c].shift_constant(-a0[r, c]) for c in range(m)] for r in range(m)]
+    sol = [Jet.zero(rhs[0].num_vars, order, rhs[0].base_point) for _ in range(m)]
+    for _ in range(order + 1):
+        resid = []
+        for r in range(m):
+            acc = rhs[r]
+            for c in range(m):
+                acc = acc - nil[r][c] * sol[c]
+            resid.append(acc)
+        new_sol = []
+        for r in range(m):
+            acc = Jet.zero(rhs[0].num_vars, order, rhs[0].base_point)
+            for c in range(m):
+                acc = acc + resid[c].scale(complex(a0inv[r, c]))
+            new_sol.append(acc)
+        sol = new_sol
+    return sol
 
 
 def _p_geometry(chart: CRModelChart, w: int, base: Tuple[complex, ...]):

@@ -17,6 +17,7 @@ from crkernel.charts import (
     reeb_derivative_at0,
     tw_scalar_curvature,
 )
+from crkernel.errors import OrderShortfallError
 from crkernel.jets import Jet, max_coeff_difference
 
 
@@ -81,10 +82,10 @@ def test_christoffel_table_n2():
 
 
 def test_scalar_curvature_flat_models(chart):
-    # oracle: the parallel-frame connection is flat, so the curvature
-    # two-form machinery must return exactly zero
-    assert tw_scalar_curvature(chart) == pytest.approx(0.0, abs=1e-14)
-    assert tw_scalar_curvature(heisenberg_chart(2, 4)) == pytest.approx(0.0, abs=1e-14)
+    # oracle: the Heisenberg model is flat (Webster 1978), so R = 0 exactly
+    assert tw_scalar_curvature(chart) == 0.0
+    assert tw_scalar_curvature(heisenberg_chart(2, 4)) == 0.0
+    assert tw_scalar_curvature(heisenberg_chart(3, 2)) == 0.0
 
 
 def test_scalar_curvature_synthetic():
@@ -109,6 +110,14 @@ def test_reeb_derivative_examples(chart):
     assert reeb_derivative_at0(chart, Jet(d, 4, (0.0,) * d, {(0, 0, 1): 1.0})) == -1.0
     assert reeb_derivative_at0(chart, Jet(d, 4, (0.0,) * d, {(1, 0, 0): 1.0})) == 0.0
     assert reeb_derivative_at0(chart, Jet(d, 4, (0.0,) * d, {(0, 0, 2): 1.0})) == 0.0
+
+
+def test_reeb_derivative_rejects_order_zero(chart):
+    # an order-0 jet holds no first derivatives, so T f(0) is unknown
+    d = chart.dim
+    with pytest.raises(OrderShortfallError):
+        reeb_derivative_at0(chart, Jet.constant(d, 0, (0.0,) * d, 1.0))
+    assert reeb_derivative_at0(chart, Jet(d, 1, (0.0,) * d, {(0, 0, 1): 1.0})) == -1.0
 
 
 def test_phase_prepared_form(chart):
@@ -182,6 +191,20 @@ def test_perturbed_phase_channel(chart):
     assert quartic_channel_value(table, 1) == pytest.approx(16j * R)
     pch = perturbed_chart(chart, R, None, table)
     assert tw_scalar_curvature(pch) == R
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+def test_perturbed_phase_quartic_needs_order_four(order):
+    # below order 4 the jet would drop the quartic while R_synth is reported
+    q, table = random_perturbation(1, 0.7, 3)
+    base = heisenberg_chart(1, order)
+    if order < 4:
+        with pytest.raises(OrderShortfallError):
+            perturbed_chart(base, 0.7, q, table)
+        return
+    pch = perturbed_chart(base, 0.7, q, table)
+    assert max_coeff_difference(pch.phase, base.phase) > 0.0
+    assert tw_scalar_curvature(pch) == 0.7
 
 
 def test_perturbed_rejects_y_last_in_quartic(chart):

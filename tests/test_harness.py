@@ -325,29 +325,6 @@ def test_pipeline_runs_once_per_scenario(monkeypatch):
     assert len(calls) == 1
 
 
-def test_scalar_curvature_computed_once_per_chart(monkeypatch):
-    import crkernel.charts as charts
-
-    calls = []
-    original = charts._exact_scalar_curvature
-
-    def counting(chart):
-        calls.append((chart.n, chart.jet_order))
-        return original(chart)
-
-    monkeypatch.setattr(charts, "_exact_scalar_curvature", counting)
-    doc = small_config()
-    doc["scenarios"][0]["symbol"] = {"kind": "multiplication", "seed": 3}
-    doc["scenarios"][0]["checks"] = ["b0_leading", "b1_two_routes", "b1_reference"]
-    doc["scenarios"][0]["tolerances"] = {"absolute": 1e-12, "relative": 1e-10}
-    curved = _homogeneous_scenario("curved", 0.5, 11)
-    curved["chart"] = {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 3}
-    doc["scenarios"] += [_homogeneous_scenario("flat", -1.0, 4), curved]
-    reports = run_scenarios(parse_config(doc), timings=False)
-    assert all(r.passed for report in reports for r in report.records)
-    assert calls == [(1, 6)]  # the exact chart's, once; the perturbed chart reports r_synth
-
-
 def test_subprincipal_invariance_inverts_each_diffeo_once(monkeypatch):
     import crkernel.harness as harness
     import crkernel.symbols as symbols

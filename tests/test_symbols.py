@@ -103,8 +103,8 @@ def test_extend_point_sample_oracle():
         dxi = 0.02 * rng.standard_normal(D)
         xi = np.array([0.0, 0.0, -1.0]) + dxi
         slice_arg = np.concatenate([dx, -xi[:2] / xi[2]])
-        direct = (-xi[2]) ** deg * slice_jet.eval(slice_arg)
-        via_jet = ext.eval(np.concatenate([dx, dxi]))
+        direct = (-xi[2]) ** deg * slice_jet.eval_many(np.array([slice_arg]))[0]
+        via_jet = ext.eval_many(np.array([np.concatenate([dx, dxi])]))[0]
         assert abs(direct - via_jet) < 1e-9
 
 
@@ -224,11 +224,9 @@ def test_transform_linear_exact():
         # sample radius keeps the order-(K-2) truncation error below tolerance
         x = 0.02 * rng.standard_normal(D)
         eta = eta0 + 0.02 * rng.standard_normal(D)
-        lhs = tsym.components[0].eval(np.concatenate([A @ x, eta - eta0]))
+        lhs = tsym.components[0].eval_many(np.array([np.concatenate([A @ x, eta - eta0])]))[0]
         xi = A.T @ eta
-        rhs = sym.components[0].eval(
-            np.concatenate([x, xi - np.array(BASE[D:])])
-        )
+        rhs = sym.components[0].eval_many(np.array([np.concatenate([x, xi - np.array(BASE[D:])])]))[0]
         assert abs(lhs - rhs) < 1e-7
 
 
@@ -346,8 +344,7 @@ def test_p_operator_geometric_does_not_depend_on_earlier_fields():
 
 
 def test_p_operator_coframe_products_match_linear_solves(chart):
-    from crkernel.charts import _solve_jet_linear
-    from crkernel.symbols import _jet_dot, _p_geometry
+    from crkernel.symbols import _jet_dot, _p_geometry, _solve_jet_linear
 
     gam_xi, frame_p, coframe, _ = _p_geometry(chart, 3, BASE)
     for F in _random_fields("p-coframe", 5):
