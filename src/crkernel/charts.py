@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -436,66 +436,80 @@ def reeb_derivative_at0(chart: CRModelChart, f: Jet) -> complex:
     return -f.derivative_value(last)
 
 
-# -- flat-frame connection machinery ------------------------------------------------------
+# -- Levi frame and its connection -------------------------------------------------------
 
 
-def _parallel_frame(n: int, order: int):
-    """The exactly parallel Heisenberg frame Y and the transition jets.
+def _solve_jet_linear(amat: Sequence[Sequence[Jet]], rhs: Sequence[Jet]) -> List[Jet]:
+    """Solve A(x) v(x) = rhs(x) at jet level (A(0) invertible): each pass fixes
+    one more degree, and a pass that returns its input bit for bit (bytes, so
+    that -0.0 -> +0.0 is a change) ends the solve, as every later pass would."""
+    m = len(rhs)
+    order = rhs[0].order
+    a0 = np.array([[amat[r][c].constant_term() for c in range(m)] for r in range(m)])
+    a0inv = np.linalg.inv(a0)
+    nil = [[amat[r][c].shift_constant(-a0[r, c]) for c in range(m)] for r in range(m)]
+    sol = [Jet.zero(rhs[0].num_vars, order, rhs[0].base_point) for _ in range(m)]
+    for _ in range(order + 1):
+        resid = list(rhs)
+        for r in range(m):
+            for c in range(m):
+                resid[r] = resid[r] - nil[r][c] * sol[c]
+        new_sol = []
+        for r in range(m):
+            acc = Jet.zero(rhs[0].num_vars, order, rhs[0].base_point)
+            for c in range(m):
+                acc = acc + resid[c].scale(complex(a0inv[r, c]))
+            new_sol.append(acc)
+        if all(new.vector.tobytes() == old.vector.tobytes() for new, old in zip(new_sol, sol)):
+            break
+        sol = new_sol
+    return sol
 
-    Returns (ycoef, ntrans): Y_a = sum_b ycoef[a][b] d/dx_b and
-    d/dx_b = sum_a ntrans[b][a] Y_a, both exact.
+
+def levi_frame(chart: CRModelChart, order: int) -> Tuple[List[List[Jet]], List[List[Jet]]]:
+    """The chart's real frame X and its dual coframe W as jets in x at ``order``.
+
+    X[r][b] are the d/dx_b coefficients of X_{2j} = (Z_j + Zbar_j)/sqrt2,
+    X_{2j+1} = (i Z_j + conj(i Z_j))/sqrt2 and X_{2n} = -T; W[a][b] are the dx_b
+    coefficients of omega^a, solved from sum_b W[a][b] X[r][b] = delta_{ar}.
     """
-    d = 2 * n + 1
-    base = (0,) * d
-    zero = lambda: Jet.zero(d, order, base)
-    one = lambda v: Jet.constant(d, order, base, v)
-    x = lambda i: Jet.displacement(i, d, order, base)
-    ycoef = [[zero() for _ in range(d)] for _ in range(d)]
-    ntrans = [[zero() for _ in range(d)] for _ in range(d)]
+    n, d = chart.n, chart.dim
+    frame: List[List[Jet]] = []
     for j in range(n):
-        ycoef[2 * j][2 * j] = one(1.0)
-        ycoef[2 * j][2 * n] = -1.0 * x(2 * j + 1)
-        ycoef[2 * j + 1][2 * j + 1] = one(1.0)
-        ycoef[2 * j + 1][2 * n] = x(2 * j)
-        ntrans[2 * j][2 * j] = one(1.0)
-        ntrans[2 * j][2 * n] = x(2 * j + 1)
-        ntrans[2 * j + 1][2 * j + 1] = one(1.0)
-        ntrans[2 * j + 1][2 * n] = -1.0 * x(2 * j)
-    ycoef[2 * n][2 * n] = one(1.0)
-    ntrans[2 * n][2 * n] = one(1.0)
-    return ycoef, ntrans
+        zj = [chart.frame[j][b].with_order(order) for b in range(d)]
+        frame.append([(z + z.conjugate()).scale(1 / SQRT2) for z in zj])
+        frame.append([((1j * z) + (1j * z).conjugate()).scale(1 / SQRT2) for z in zj])
+    frame.append([-1.0 * chart.reeb[b].with_order(order) for b in range(d)])
+    eye = [[Jet.constant(d, order, (0.0,) * d, float(r == a)) for r in range(d)] for a in range(d)]
+    return frame, [_solve_jet_linear(frame, rhs) for rhs in eye]
+
+
+def christoffel_symbols(
+    frame: Sequence[Sequence[Jet]], coframe: Sequence[Sequence[Jet]]
+) -> Dict[Tuple[int, int, int], Jet]:
+    """Christoffel symbols {(j, k, l): Gamma^l_{jk}} of the connection that keeps
+    the frame X parallel, with nabla_{d/dx_j} dx_k = sum_l Gamma^l_{jk} dx_l, so
+    Gamma^l_{jk} = -sum_a d_j W[a][l] X[a][k] for the coframe W; one order below
+    X, 0-based indices."""
+    d, first = len(frame), frame[0][0]
+    out_order = max(first.order - 1, 0)
+    lifted = {}  # nabla_{d/dx_j} d/dx_l = sum_a d_j(W[a][l]) X_a, over d/dx_k
+    for j in range(d):
+        for l in range(d):
+            comps = [Jet.zero(first.num_vars, out_order, first.base_point) for _ in range(d)]
+            for a in range(d):
+                der = coframe[a][l].partial(j)
+                if not der.coeffs:
+                    continue
+                for k in range(d):
+                    comps[k] = comps[k] + der * frame[a][k].truncated(out_order)
+            lifted[(j, l)] = comps
+    return {(j, k, l): -1.0 * lifted[(j, l)][k] for j in range(d) for k in range(d) for l in range(d)}
 
 
 def christoffel_at(chart: CRModelChart, jet_order: Optional[int] = None) -> Dict[Tuple[int, int, int], Jet]:
-    """Christoffel symbols of the model connection on the coframe.
-
-    Returns {(j, k, l): Gamma^l_{jk}} with nabla_{d/dx_j} dx_k =
-    sum_l Gamma^l_{jk} dx_l, as jets in x (0-based indices).
-    """
-    order = chart.jet_order if jet_order is None else jet_order
-    d = chart.dim
-    ycoef, ntrans = _parallel_frame(chart.n, order)
-    out_order = max(order - 1, 0)
-    gamma_t: Dict[Tuple[int, int, int], Jet] = {}
-    for j in range(d):
-        for k in range(d):
-            # nabla_{d/dx_j} d/dx_k = sum_a d_j(ntrans[k][a]) Y_a
-            comps = [Jet.zero(d, out_order, (0,) * d) for _ in range(d)]
-            for a in range(d):
-                der = ntrans[k][a].partial(j)
-                if not der.coeffs:
-                    continue
-                for l in range(d):
-                    term = der * ycoef[a][l].truncated(out_order)
-                    comps[l] = comps[l] + term
-            for l in range(d):
-                gamma_t[(j, k, l)] = comps[l]
-    return {
-        (j, k, l): -1.0 * gamma_t[(j, l, k)]
-        for j in range(d)
-        for k in range(d)
-        for l in range(d)
-    }
+    """christoffel_symbols of levi_frame(chart, jet_order), default the chart's order."""
+    return christoffel_symbols(*levi_frame(chart, chart.jet_order if jet_order is None else jet_order))
 
 
 def tw_scalar_curvature(chart: CRModelChart) -> float:
@@ -503,15 +517,3 @@ def tw_scalar_curvature(chart: CRModelChart) -> float:
     exact model and R_synth on a perturbed chart (see the module docstring)."""
     return chart.synthetic_R
 
-
-def real_levi_frame(chart: CRModelChart) -> List[List[Jet]]:
-    """The real frame X_1..X_{2n}, X_{2n+1} = -T as coefficient jets over d/dx."""
-    n, d = chart.n, chart.dim
-    rows: List[List[Jet]] = []
-    for j in range(n):
-        zj = chart.frame[j]
-        zbar = [zj[b].conjugate() for b in range(d)]
-        rows.append([(zj[b] + zbar[b]).scale(1 / SQRT2) for b in range(d)])
-        rows.append([((1j * zj[b]) + (1j * zj[b]).conjugate()).scale(1 / SQRT2) for b in range(d)])
-    rows.append([-1.0 * chart.reeb[b] for b in range(d)])
-    return rows

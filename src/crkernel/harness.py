@@ -428,14 +428,8 @@ class CheckContext:
         count = self.param("num_amplitudes", 5)
         key = (self.scenario.chart, count)
         if key not in self.cache.quadrature:
-            opts, amp_order = self.oracle_opts, 2
-            sweep = oracle_sweep(
-                self.phase_data,
-                amp_order,
-                t_samples=opts.get("t_samples"),
-                cutoff_radius=float(opts.get("cutoff_radius", 1.4)),
-                nodes_per_axis=opts.get("nodes_per_axis"),
-            )
+            amp_order = 2
+            sweep = oracle_sweep(self.phase_data, amp_order, **self.oracle_opts)
             nv = 2 * self.n + 2
             fits = []
             for k in range(count):

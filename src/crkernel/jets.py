@@ -85,9 +85,12 @@ class _Basis:
         return np.searchsorted(self.keys, exponents @ self.key_weights)
 
     def position(self, idx: Sequence[int], order: int):
-        """Position of one multi-index if it has degree <= order, else None."""
-        if len(idx) != self.num_vars or min(idx) < 0:
-            return None
+        """Position of one multi-index if it has degree <= order, else None;
+        a key of the wrong length or with a negative entry raises."""
+        if len(idx) != self.num_vars:
+            raise CompatibilityError(f"multi-index {tuple(idx)} has wrong length")
+        if min(idx) < 0:
+            raise CompatibilityError(f"multi-index {tuple(idx)} has a negative entry")
         key = sum(a * int(w) for a, w in zip(idx, self.key_weights))
         p = int(np.searchsorted(self.keys, key))
         return p if p < self.size(order) and self.keys[p] == key else None
@@ -269,10 +272,11 @@ class Jet:
 
     def derivative_value(self, idx: MultiIndex) -> complex:
         """Value of the mixed partial d^idx at the base point."""
+        coeff = self.coefficient(idx)  # checks idx before the factorials
         fac = 1.0
         for a in idx:
             fac *= math.factorial(a)
-        return self.coefficient(idx) * fac
+        return coeff * fac
 
     def max_abs(self) -> float:
         return _max_abs(self.vector)

@@ -80,14 +80,14 @@ def _xy_base(d: int) -> Tuple[complex, ...]:
     return (0.0,) * (2 * d)
 
 
-def szego_amplitude(chart: CRModelChart, order: int = AMPLITUDE_ORDER) -> KernelAmplitude:
+def szego_amplitude(chart: CRModelChart) -> KernelAmplitude:
     """Projector amplitude for the model charts: A_0 = 1/(2 pi^{n+1}) exactly,
     A_1(0,0) = R(0)/(4 pi^{n+1}), higher coefficients zero."""
     n, d = chart.n, chart.dim
     base = _xy_base(d)
     norm = 1.0 / (2.0 * math.pi ** (n + 1))
-    a0 = Jet.constant(2 * d, order, base, norm)
-    a1 = Jet.constant(2 * d, order, base, tw_scalar_curvature(chart) / (4.0 * math.pi ** (n + 1)))
+    a0 = Jet.constant(2 * d, AMPLITUDE_ORDER, base, norm)
+    a1 = Jet.constant(2 * d, AMPLITUDE_ORDER, base, tw_scalar_curvature(chart) / (4.0 * math.pi ** (n + 1)))
     return KernelAmplitude(top_power=float(n), coeffs=(a0, a1))
 
 
@@ -382,19 +382,13 @@ def singularity_representation(amplitude: KernelAmplitude, phase: Jet) -> Singul
     return SingularParts(F=None, G=G)
 
 
-def random_amplitude(
-    n: int,
-    top_power: float,
-    seed: int,
-    order: int = AMPLITUDE_ORDER,
-    scale: float = 1.0,
-) -> KernelAmplitude:
+def random_amplitude(n: int, top_power: float, seed: int) -> KernelAmplitude:
     """Seeded y-independent amplitude pair for cross-route checks."""
     d = 2 * n + 1
     nv = 2 * d
     rng = spawn_rng(seed, "amplitude", n, repr(top_power))
     coeffs = []
     for j in range(2):
-        jet = random_jet(rng, nv, order, _xy_base(d), scale=scale, decay=0.5)
+        jet = random_jet(rng, nv, AMPLITUDE_ORDER, _xy_base(d), decay=0.5)
         coeffs.append(jet.reindex(nv, [*range(nv - 1), None], _xy_base(d)))  # y_last pinned at 0
     return KernelAmplitude(top_power=top_power, coeffs=tuple(coeffs))

@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charts import CRModelChart, christoffel_at, real_levi_frame
+from .charts import CRModelChart, christoffel_symbols, levi_frame
 from .errors import ChartError, OrderShortfallError, SymbolError
 from .jets import Jet, Substitution, random_jet
 from .rng import spawn_rng
@@ -64,9 +64,8 @@ class ClassicalSymbol:
         return Jet.zero(first.num_vars, first.order, first.base_point)
 
 
-def promote_x_jet(f: Jet, base_2d: Sequence[complex], order: Optional[int] = None) -> Jet:
-    """Lift a jet in x to the (x, xi) space (constant in xi)."""
-    order = f.order if order is None else order
+def promote_x_jet(f: Jet, base_2d: Sequence[complex], order: int) -> Jet:
+    """Lift a jet in x to the (x, xi) space at ``order`` (constant in xi)."""
     return f.with_order(order).reindex(2 * f.num_vars, range(f.num_vars), base_2d)
 
 
@@ -76,14 +75,12 @@ def identity_symbol(n: int, jet_order: int = 6) -> ClassicalSymbol:
     return ClassicalSymbol(order_m=0.0, components=(e0,), homogeneous=True)
 
 
-def make_multiplication_symbol(f: Jet, jet_order: Optional[int] = None) -> ClassicalSymbol:
+def make_multiplication_symbol(f: Jet) -> ClassicalSymbol:
     """Order-zero symbol e_0(x, xi) = f(x) for the multiplication operator."""
     d = f.num_vars
     if d % 2 == 0:
         raise SymbolError("multiplication symbol needs a jet in 2n+1 variables")
-    n = (d - 1) // 2
-    order = f.order if jet_order is None else jet_order
-    e0 = promote_x_jet(f, xi_base(n), order)
+    e0 = promote_x_jet(f, xi_base((d - 1) // 2), f.order)
     return ClassicalSymbol(order_m=0.0, components=(e0,), homogeneous=True)
 
 
@@ -390,38 +387,15 @@ def p_operator_canonical(F: Jet) -> complex:
     return total
 
 
-def _solve_jet_linear(amat: Sequence[Sequence[Jet]], rhs: Sequence[Jet]) -> List[Jet]:
-    """Solve A(x) v(x) = rhs(x) at jet level (A(0) invertible)."""
-    m = len(rhs)
-    order = rhs[0].order
-    a0 = np.array([[amat[r][c].constant_term() for c in range(m)] for r in range(m)])
-    a0inv = np.linalg.inv(a0)
-    nil = [[amat[r][c].shift_constant(-a0[r, c]) for c in range(m)] for r in range(m)]
-    sol = [Jet.zero(rhs[0].num_vars, order, rhs[0].base_point) for _ in range(m)]
-    for _ in range(order + 1):
-        resid = []
-        for r in range(m):
-            acc = rhs[r]
-            for c in range(m):
-                acc = acc - nil[r][c] * sol[c]
-            resid.append(acc)
-        new_sol = []
-        for r in range(m):
-            acc = Jet.zero(rhs[0].num_vars, order, rhs[0].base_point)
-            for c in range(m):
-                acc = acc + resid[c].scale(complex(a0inv[r, c]))
-            new_sol.append(acc)
-        sol = new_sol
-    return sol
-
-
 def _p_geometry(chart: CRModelChart, w: int, base: Tuple[complex, ...]):
     """Chart-only data of ``p_operator_geometric`` at order w, cached on the chart.
 
     Returns (gam_xi, frame_p, coframe, hor_xi): gam_xi[(j, k, l)] = xi_k Gamma^l_{jk}
     lifted to (x, xi), the real frame X[r][l] over d/dx_l, its dual coframe
     W = (X^T)^{-1}, and hor_xi[r][l], the d/dxi_l coefficients of the
-    horizontal lift of X_r (its d/dx_l coefficients are X[r][l]).
+    horizontal lift of X_r (its d/dx_l coefficients are X[r][l]).  All come
+    from one ``levi_frame`` solve at order w + 1 (Gamma needs one derivative
+    of W), truncated to w and lifted.
     """
     key = (w, base)
     hit = chart._p_geometry.get(key)
@@ -430,21 +404,16 @@ def _p_geometry(chart: CRModelChart, w: int, base: Tuple[complex, ...]):
     d = chart.dim
     nv = 2 * d
     xi_jets = [Jet.coordinate(d + k, nv, w, base) for k in range(d)]
+    frame, coframe = levi_frame(chart, w + 1)
     gam_xi = {
-        (j, k, l): xi_jets[k] * promote_x_jet(g.truncated(w), base, w)
-        for (j, k, l), g in christoffel_at(chart, w + 1).items()
+        (j, k, l): xi_jets[k] * promote_x_jet(g, base, w)
+        for (j, k, l), g in christoffel_symbols(frame, coframe).items()
         if g.coeffs
     }
-    xframe = real_levi_frame(chart)
-    frame_p = [[promote_x_jet(xframe[r][l].truncated(w), base, w) for l in range(d)] for r in range(d)]
+    frame_p = [[promote_x_jet(f, base, w) for f in row] for row in frame]
+    coframe = [[promote_x_jet(f, base, w) for f in row] for row in coframe]
 
-    # dual coframe rows (omega^a over dx_b): solve sum_b W[a][b] xframe[r][b] = delta_{a r}
-    coframe: List[List[Jet]] = []
-    for arow in range(d):
-        rhs = [Jet.constant(nv, w, base, 1.0 if r == arow else 0.0) for r in range(d)]
-        coframe.append(_solve_jet_linear(frame_p, rhs))
-
-    # horizontal lift coefficients: X_r^Hor = sum_l xframe[r][l] d/dx_l^Hor
+    # horizontal lift coefficients: X_r^Hor = sum_l X[r][l] d/dx_l^Hor
     hor_xi = []
     for r in range(d):
         vs = [Jet.zero(nv, w, base) for _ in range(d)]

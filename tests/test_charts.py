@@ -7,10 +7,12 @@ import pytest
 from crkernel.charts import (
     ChartError,
     _check_chart,
+    _solve_jet_linear,
     density_channel_value,
     heisenberg_chart,
     christoffel_at,
     kohn_laplacian_at0,
+    levi_frame,
     perturbed_chart,
     quartic_channel_value,
     random_perturbation,
@@ -18,7 +20,8 @@ from crkernel.charts import (
     tw_scalar_curvature,
 )
 from crkernel.errors import OrderShortfallError
-from crkernel.jets import Jet, max_coeff_difference
+from crkernel.jets import Jet, max_coeff_difference, random_jet
+from crkernel.rng import spawn_rng
 
 
 @pytest.fixture(scope="module")
@@ -69,16 +72,67 @@ def test_christoffel_table_n1(chart):
         assert all(sum(idx) == 0 for idx in g.coeffs)
 
 
-def test_christoffel_table_n2():
-    chart2 = heisenberg_chart(2, 4)
-    gammas = christoffel_at(chart2)
-    d = 5
+def _assert_heisenberg_christoffel_table(n):
+    gammas = christoffel_at(heisenberg_chart(n, 4))
+    d = 2 * n + 1
     nonzero = {k: v.constant_term() for k, v in gammas.items() if v.coeffs}
     want = {}
-    for m in range(2):
+    for m in range(n):
         want[(2 * m + 1, d - 1, 2 * m)] = -1.0 + 0.0j
         want[(2 * m, d - 1, 2 * m + 1)] = 1.0 + 0.0j
     assert nonzero == want
+
+
+def test_christoffel_table_n2():
+    _assert_heisenberg_christoffel_table(2)
+
+
+def test_christoffel_table_n3():
+    _assert_heisenberg_christoffel_table(3)
+
+
+def _perturbed_n1():
+    q, table = random_perturbation(1, 0.7, seed=11)
+    return perturbed_chart(heisenberg_chart(1, 6), 0.7, q, table)
+
+
+@pytest.mark.parametrize(
+    "make_chart",
+    [lambda: heisenberg_chart(1, 6), lambda: heisenberg_chart(2, 4), lambda: heisenberg_chart(3, 4), _perturbed_n1],
+    ids=["n1", "n2", "n3", "perturbed-n1"],
+)
+def test_levi_coframe_is_dual_to_the_frame(make_chart):
+    chart = make_chart()
+    d, order = chart.dim, chart.jet_order
+    frame, coframe = levi_frame(chart, order)
+    for r in range(d):
+        for b in range(d):
+            assert frame[r][b].constant_term() == (1.0 if r == b else 0.0)  # X(0) = I
+    for a in range(d):
+        for r in range(d):
+            pairing = Jet.zero(d, order, (0.0,) * d)
+            for b in range(d):
+                pairing = pairing + coframe[a][b] * frame[r][b]
+            delta = Jet.constant(d, order, (0.0,) * d, 1.0 if a == r else 0.0)
+            assert max_coeff_difference(pairing, delta) == 0.0
+
+
+def test_jet_solve_on_a_dense_system():
+    # every coefficient of A and rhs is nonzero, so each pass fixes exactly one
+    # more degree and the early stop cannot end the solve before the last pass
+    rng = spawn_rng(3, "dense-jet-solve")
+    d, order, base = 3, 4, (0.0,) * 3
+    amat = [
+        [random_jet(rng, d, order, base, decay=0.5).shift_constant(4.0 if r == c else 0.0) for c in range(d)]
+        for r in range(d)
+    ]
+    rhs = [random_jet(rng, d, order, base, decay=0.5) for _ in range(d)]
+    v = _solve_jet_linear(amat, rhs)
+    for r in range(d):
+        resid = -1.0 * rhs[r]
+        for c in range(d):
+            resid = resid + amat[r][c] * v[c]
+        assert resid.max_abs() < 1e-12
 
 
 def test_scalar_curvature_flat_models(chart):

@@ -260,6 +260,22 @@ def test_truncation_in_storage():
     assert (3,) not in a.coeffs
 
 
+@pytest.mark.parametrize("key", [(1, 0), (2, -1, 0)])
+def test_readers_reject_malformed_keys(key):
+    # the constructor rejects these keys, so reading them must not answer 0
+    a = Jet(3, 4, (0.0,) * 3, {(1, 0, 0): 2.0})
+    with pytest.raises(CompatibilityError):
+        a.coefficient(key)
+    with pytest.raises(CompatibilityError):
+        a.derivative_value(key)
+
+
+def test_key_above_the_order_reads_zero():
+    a = Jet(3, 4, (0.0,) * 3, {(1, 0, 0): 2.0})
+    assert a.coefficient((5, 0, 0)) == 0
+    assert a.derivative_value((2, 2, 1)) == 0
+
+
 def test_tiny_coefficient_kept_exactly():
     a = Jet(1, 2, (0.0,), {(0,): 1.0, (1,): 1e-16})
     assert a.coeffs == {(0,): 1 + 0j, (1,): 1e-16 + 0j}

@@ -1,17 +1,24 @@
-"""Mutation gate: the default suite's two-route checks must catch a wrong term.
+"""Mutation gate: the default suite's checks must catch a wrong term.
 
-Each mutant scales one quantity of the closed b1 formula, or one coefficient
-of the projector amplitude, by 1 + 1e-6 in the ``crkernel.pipeline``
-namespace, and the filtered n = 1 default-suite runs must fail at least one
-record for it (mutation analysis: DeMillo, Lipton and Sayward, "Hints on test
-data selection", IEEE Computer 11, 1978).  The n-dependent mutants (R -> nR,
-the Kohn term's -i n T -> -i T, pi^{n+1} -> pi^{2n}) are invisible at n = 1
-and wait for n = 2 scenarios in the default suite.
+Each closed-form mutant scales one quantity of the closed b1 formula, or one
+coefficient of the projector amplitude, by 1 + 1e-6 in the
+``crkernel.pipeline`` namespace, and the filtered n = 1 default-suite runs
+must fail at least one record for it (mutation analysis: DeMillo, Lipton and
+Sayward, "Hints on test data selection", IEEE Computer 11, 1978).  The
+n-dependent mutants (R -> nR, the Kohn term's -i n T -> -i T, pi^{n+1} ->
+pi^{2n}) are invisible at n = 1 and wait for n = 2 scenarios in the default
+suite.  Each frame mutant breaks the Levi frame's coframe in every module
+that holds the patched name, and the geometry-table and P-operator scenarios
+must fail a record for it.
 """
 
 import dataclasses
 
+import numpy as np
+
+import crkernel.charts as charts
 import crkernel.pipeline as pipeline
+import crkernel.symbols as symbols
 from crkernel.harness import default_config, run_scenarios
 
 FACTOR = 1.0 + 1e-6
@@ -55,10 +62,45 @@ MUTANTS = {
 }
 
 
-def _failed_records(config):
+#: the Christoffel tables at n = 1 and 2, and the P operator's two routes
+FRAME_FILTERS = ("geometry-tables*", "cotangent-operators")
+
+
+def _scaled_coframe(fn):
+    def mutant(*args, **kwargs):
+        frame, coframe = fn(*args, **kwargs)
+        return frame, [[w.scale(FACTOR) for w in row] for row in coframe]
+
+    return mutant
+
+
+def _one_pass_solve(fn):
+    def mutant(amat, rhs):
+        """The first pass of the jet solve alone: A(0)^{-1} rhs."""
+        a0inv = np.linalg.inv(np.array([[a.constant_term() for a in row] for row in amat]))
+        out = []
+        for r in range(len(rhs)):
+            acc = rhs[0].scale(complex(a0inv[r, 0]))
+            for c in range(1, len(rhs)):
+                acc = acc + rhs[c].scale(complex(a0inv[r, c]))
+            out.append(acc)
+        return out
+
+    return mutant
+
+
+#: mutant label -> (name patched in crkernel.charts and, where it is imported,
+#: crkernel.symbols; mutant of the original)
+FRAME_MUTANTS = {
+    "levi_frame coframe": ("levi_frame", _scaled_coframe),
+    "_solve_jet_linear one pass": ("_solve_jet_linear", _one_pass_solve),
+}
+
+
+def _failed_records(config, filters):
     records = [
         r
-        for pattern in FILTERS
+        for pattern in filters
         for report in run_scenarios(config, name_filter=pattern, timings=False)
         for r in report.records
     ]
@@ -66,13 +108,24 @@ def _failed_records(config):
     return sum(not r.passed for r in records)
 
 
-def test_every_mutant_fails_a_record(monkeypatch):
+def _escaped(monkeypatch, mutants, modules, filters):
+    """Labels of the mutants that fail no record of the filtered runs."""
     config = default_config()
-    assert _failed_records(config) == 0
+    assert _failed_records(config, filters) == 0
     escaped = []
-    for label, (name, mutate) in MUTANTS.items():
+    for label, (name, mutate) in mutants.items():
         with monkeypatch.context() as m:
-            m.setattr(pipeline, name, mutate(getattr(pipeline, name)))
-            if _failed_records(config) == 0:
+            for module in modules:
+                if hasattr(module, name):
+                    m.setattr(module, name, mutate(getattr(module, name)))
+            if _failed_records(config, filters) == 0:
                 escaped.append(label)
-    assert escaped == []
+    return escaped
+
+
+def test_every_mutant_fails_a_record(monkeypatch):
+    assert _escaped(monkeypatch, MUTANTS, (pipeline,), FILTERS) == []
+
+
+def test_every_frame_mutant_fails_a_record(monkeypatch):
+    assert _escaped(monkeypatch, FRAME_MUTANTS, (charts, symbols), FRAME_FILTERS) == []

@@ -344,7 +344,8 @@ def test_p_operator_geometric_does_not_depend_on_earlier_fields():
 
 
 def test_p_operator_coframe_products_match_linear_solves(chart):
-    from crkernel.symbols import _jet_dot, _p_geometry, _solve_jet_linear
+    from crkernel.charts import _solve_jet_linear
+    from crkernel.symbols import _jet_dot, _p_geometry
 
     gam_xi, frame_p, coframe, _ = _p_geometry(chart, 3, BASE)
     for F in _random_fields("p-coframe", 5):
@@ -357,6 +358,23 @@ def test_p_operator_coframe_products_match_linear_solves(chart):
         for r in range(D):
             assert max_coeff_difference(_jet_dot(coframe[r], a), alpha[r]) < 1e-14
             assert max_coeff_difference(_jet_dot(frame_p[r], bhat), beta[r]) < 1e-14
+
+
+def test_p_geometry_solves_the_frame_once_per_order(monkeypatch):
+    import crkernel.symbols as symbols
+
+    calls = []
+    levi_frame = symbols.levi_frame
+
+    def counted(chart, order):
+        calls.append(order)
+        return levi_frame(chart, order)
+
+    monkeypatch.setattr(symbols, "levi_frame", counted)
+    fresh = heisenberg_chart(1, 6)
+    for F in _random_fields("p-once", 3):
+        p_operator_geometric(fresh, F)
+    assert calls == [4]  # fields of order 4 need the geometry at w = 3, the frame at w + 1
 
 
 def test_p_operator_geometric_rejects_perturbed(chart):
