@@ -396,33 +396,23 @@ def random_perturbation(
 # -- pointwise geometric operators -------------------------------------------------------
 
 
-def kohn_point_value(f: Jet, n: int, offset: int = 0) -> complex:
-    """box_b at 0 in the 2n+1 variables of ``f`` starting at ``offset``.
-
-    box_b f(0) = -(1/2) sum_{j<2n} d^2 f / dx_j^2 (0) - i n df/dx_{2n}(0),
-    with x_k the variable ``offset + k``: offset 0 is the x slot of an
-    (x, y) jet, offset 2n+1 its y slot.
-    """
-    nv = f.num_vars
-    total = 0.0 + 0.0j
-    for j in range(2 * n):
-        idx = [0] * nv
-        idx[offset + j] = 2
-        total += -0.5 * f.derivative_value(tuple(idx))
-    idx = [0] * nv
-    idx[offset + 2 * n] = 1
-    total += -1j * n * f.derivative_value(tuple(idx))
-    return total
-
-
 def kohn_laplacian_at0(chart: CRModelChart, f: Jet) -> complex:
-    """Kohn Laplacian point value of a jet in x (see kohn_point_value)."""
-    d = chart.dim
+    """box_b f(0) = -(1/2) sum_{j<2n} d^2 f / dx_j^2 (0) - i n df/dx_{2n}(0),
+    the Kohn Laplacian -sum_j Z_j Zbar_j at the base point of a jet in x."""
+    n, d = chart.n, chart.dim
     if f.num_vars != d:
         raise OrderShortfallError(f"kohn_laplacian_at0: expected a jet in {d} variables")
     if f.order < 2:
         raise OrderShortfallError("kohn_laplacian_at0: jet order must be >= 2")
-    return kohn_point_value(f, chart.n)
+    total = 0.0 + 0.0j
+    for j in range(2 * n):
+        idx = [0] * d
+        idx[j] = 2
+        total += -0.5 * f.derivative_value(tuple(idx))
+    idx = [0] * d
+    idx[2 * n] = 1
+    total += -1j * n * f.derivative_value(tuple(idx))
+    return total
 
 
 def reeb_derivative_at0(chart: CRModelChart, f: Jet) -> complex:
@@ -507,9 +497,9 @@ def christoffel_symbols(
     return {(j, k, l): -1.0 * lifted[(j, l)][k] for j in range(d) for k in range(d) for l in range(d)}
 
 
-def christoffel_at(chart: CRModelChart, jet_order: Optional[int] = None) -> Dict[Tuple[int, int, int], Jet]:
-    """christoffel_symbols of levi_frame(chart, jet_order), default the chart's order."""
-    return christoffel_symbols(*levi_frame(chart, chart.jet_order if jet_order is None else jet_order))
+def christoffel_at(chart: CRModelChart) -> Dict[Tuple[int, int, int], Jet]:
+    """christoffel_symbols of levi_frame at the chart's jet order."""
+    return christoffel_symbols(*levi_frame(chart, chart.jet_order))
 
 
 def tw_scalar_curvature(chart: CRModelChart) -> float:

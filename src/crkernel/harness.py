@@ -18,7 +18,7 @@ import fnmatch
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -515,23 +515,34 @@ def check_projector_idempotence(ctx: CheckContext):
     return _worst(pairs)
 
 
+def _diffeo_draw(ctx: CheckContext, k: int):
+    """(symbol, density, s, kappa) of the k-th subprincipal-invariance draw,
+    at the scenario's jet order, but at least 4."""
+    d = 2 * ctx.n + 1
+    order = max(ctx.jet_order, 4)
+    rng = ctx.rng("diffeo", k)
+    sym = random_classical_symbol(
+        ctx.n, float(rng.uniform(-1, 1)), 2,
+        seed=int(rng.integers(1 << 30)), homogeneous=False, jet_order=order,
+    )
+    lam = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.4, min_degree=1).scale(0.5).exp()
+    s_val = float(rng.uniform(0.5, 2.0))
+    kappa = []
+    for c in range(d):
+        bump = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.3, min_degree=2)
+        kappa.append(Jet.displacement(c, d, order, (0.0,) * d) + bump.truncated(3).with_order(order).scale(0.3))
+    return sym, lam, s_val, kappa
+
+
 def check_subprincipal_invariance(ctx: CheckContext):
     pairs = []
-    d = 2 * ctx.n + 1
-    order = max(ctx.jet_order, 4)  # transforms need two derivative levels in hand
     for k in range(ctx.param("num_diffeos", 20)):
-        rng = ctx.rng("diffeo", k)
-        sym = random_classical_symbol(
-            ctx.n, float(rng.uniform(-1, 1)), 2,
-            seed=int(rng.integers(1 << 30)), homogeneous=False, jet_order=order,
-        )
-        lam = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.4, min_degree=1).scale(0.5).exp()
-        s_val = float(rng.uniform(0.5, 2.0))
-        kappa = []
-        for c in range(d):
-            bump = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.3, min_degree=2)
-            kappa.append(Jet.displacement(c, d, order, (0.0,) * d) + bump.truncated(3).with_order(order).scale(0.3))
-        psi = invert_map(kappa)  # at the density's order; the symbol transport truncates it
+        sym, lam, s_val, kappa = _diffeo_draw(ctx, k)
+        # the compared values are constant terms, and a degree never reads a
+        # higher one; order 4 keeps the two derivative levels the transforms need
+        sym = replace(sym, components=tuple(c.truncated(4) for c in sym.components))
+        lam, kappa = lam.truncated(4), [c.truncated(4) for c in kappa]
+        psi = invert_map(kappa)
         tsym = transform_symbol_under_diffeo(sym, kappa, psi)
         tlam = transform_density(lam, kappa, s_val, psi)
         direct, _ = subprincipal_symbol(sym, lam, s_val)
@@ -572,7 +583,7 @@ def check_kohn_point_formula(ctx: CheckContext):
     """Kohn values against an independent evaluation-based derivative oracle."""
     d = 2 * ctx.n + 1
     pairs = []
-    for k in range(ctx.param("num_samples", 10)):
+    for k in range(10):
         rng = ctx.rng("kohn", k)
         f = random_jet(rng, d, 4, (0.0,) * d, decay=0.5)
         got = kohn_laplacian_at0(ctx.chart, f)
@@ -596,7 +607,7 @@ def _derivative_by_values(f: Jet, axis: int, k: int) -> complex:
 
 def check_euler_homogeneity(ctx: CheckContext):
     pairs = []
-    for k in range(ctx.param("num_symbols", 10)):
+    for k in range(10):
         rng = ctx.rng("euler", k)
         m = float(rng.choice([-1.0, 0.0, 0.5, 1.0]))
         sym = random_classical_symbol(
@@ -612,7 +623,7 @@ def check_princ_symb_id(ctx: CheckContext):
     d = 2 * ctx.n + 1
     nv = 2 * d
     pairs = []
-    for k in range(ctx.param("num_symbols", 10)):
+    for k in range(10):
         rng = ctx.rng("princ-symb", k)
         m = float(rng.choice([-1.0, 0.5, 1.0, 2.0]))
         sym = random_classical_symbol(
@@ -672,7 +683,7 @@ def check_mu2_vanishing(ctx: CheckContext):
 def check_l_linearity(ctx: CheckContext):
     nv = 2 * ctx.n + 2
     pairs = []
-    for k in range(ctx.param("num_samples", 5)):
+    for k in range(5):
         rng = ctx.rng("l-linear", k)
         v = random_jet(rng, nv, 2, (0.0,) * nv)
         w = random_jet(rng, nv, 2, (0.0,) * nv)
@@ -708,7 +719,7 @@ def check_rescale_uniqueness(ctx: CheckContext):
     C = qe_amplitude(ctx.symbol, A, ctx.chart) if ctx.scenario.symbol else random_amplitude(ctx.n, 1.0, seed=1)
     ref = C.coeff(1).constant_term()
     pairs = []
-    for k in range(ctx.param("num_rescales", 10)):
+    for k in range(10):
         f = _admissible_rescale(ctx, k)
         rescaled = phase_rescale(C, f)
         pairs.append((rescaled.coeff(1).constant_term(), ref))
@@ -774,9 +785,9 @@ CHECK_SPECS: Dict[str, CheckSpec] = {
     "subprincipal_invariance": CheckSpec(check_subprincipal_invariance, chart_models=(), params=("num_diffeos",)),
     "p_operator_routes": CheckSpec(check_p_operator_routes, chart_models=("heisenberg",), params=("num_fields",)),
     "christoffel_table": CheckSpec(check_christoffel_table),
-    "kohn_point_formula": CheckSpec(check_kohn_point_formula, params=("num_samples",)),
-    "euler_homogeneity": CheckSpec(check_euler_homogeneity, chart_models=(), params=("num_symbols",)),
-    "princ_symb_id": CheckSpec(check_princ_symb_id, chart_models=(), params=("num_symbols",)),
+    "kohn_point_formula": CheckSpec(check_kohn_point_formula),
+    "euler_homogeneity": CheckSpec(check_euler_homogeneity, chart_models=()),
+    "princ_symb_id": CheckSpec(check_princ_symb_id, chart_models=()),
     "hessian_display": CheckSpec(check_hessian_display),
     "quadrature_leading": CheckSpec(
         check_quadrature_leading, n_range=ORACLE_N_RANGE, min_jet_order=4, params=("num_amplitudes",), oracle=True
@@ -785,10 +796,8 @@ CHECK_SPECS: Dict[str, CheckSpec] = {
         check_quadrature_subleading, n_range=ORACLE_N_RANGE, min_jet_order=4, params=("num_amplitudes",), oracle=True
     ),
     "mu2_vanishing": CheckSpec(check_mu2_vanishing, min_jet_order=3),
-    "l_linearity": CheckSpec(check_l_linearity, min_jet_order=4, params=("num_samples",)),
-    "rescale_uniqueness": CheckSpec(
-        check_rescale_uniqueness, symbol="optional", min_jet_order=4, params=("num_rescales",)
-    ),
+    "l_linearity": CheckSpec(check_l_linearity, min_jet_order=4),
+    "rescale_uniqueness": CheckSpec(check_rescale_uniqueness, symbol="optional", min_jet_order=4),
     "singularity_branches": CheckSpec(check_singularity_branches),
 }
 

@@ -604,7 +604,6 @@ def random_jet(
     num_vars: int,
     order: int,
     base_point: Sequence[complex],
-    scale: float = 1.0,
     decay: float = 0.5,
     real: bool = False,
     min_degree: int = 0,
@@ -617,7 +616,7 @@ def random_jet(
     zero = Jet.zero(num_vars, order, base_point)
     size = zero.vector.size
     first = int(zero.basis.degree_start[min(max(min_degree, 0), order + 1)])
-    mags = np.array([scale * decay**d for d in range(order + 1)])[zero.basis.degrees[first:size]]
+    mags = np.array([decay**d for d in range(order + 1)])[zero.basis.degrees[first:size]]
     vector = np.zeros(size, dtype=complex)
     if real:
         vector.real[first:] = rng.standard_normal(size - first) * mags

@@ -22,7 +22,6 @@ from typing import List, Optional, Tuple
 from .charts import (
     CRModelChart,
     kohn_laplacian_at0,
-    kohn_point_value,
     reeb_derivative_at0,
     tw_scalar_curvature,
 )
@@ -209,39 +208,38 @@ def compose_amplitudes_closed(
         raise OrderShortfallError("composition needs amplitude jets of order >= 2")
     n = chart.n
     d = chart.dim
-    nv = 2 * d
     ell = A.top_power
     r0 = tw_scalar_curvature(chart)
     pi_pow = math.pi ** (n + 1)
 
-    a0, a1 = A.coeffs[0], A.coeff(1)
-    b0, b1 = C.coeffs[0], C.coeff(1)
-    a0v, a1v = a0.constant_term(), a1.constant_term()
-    b0v, b1v = b0.constant_term(), b1.constant_term()
+    u, pinned = list(range(d)), [None] * d
+    a0 = A.coeffs[0].reindex(d, pinned + u, (0.0,) * d)  # A_0(0, u)
+    b0 = C.coeffs[0].reindex(d, u + pinned, (0.0,) * d)  # B_0(u, 0)
+    a0v, a1v = a0.constant_term(), A.coeff(1).constant_term()
+    b0v, b1v = b0.constant_term(), C.coeff(1).constant_term()
 
-    idx_last_x = tuple(1 if k == d - 1 else 0 for k in range(nv))
-    t_x_b0 = -b0.derivative_value(idx_last_x)
     grad_pair = 0.0 + 0.0j
     for j in range(2 * n):
-        iy = tuple(1 if k == d + j else 0 for k in range(nv))
-        ix = tuple(1 if k == j else 0 for k in range(nv))
-        grad_pair += a0.derivative_value(iy) * b0.derivative_value(ix)
+        e_j = tuple(1 if k == j else 0 for k in range(d))
+        grad_pair += a0.derivative_value(e_j) * b0.derivative_value(e_j)
 
     c0 = 2.0 * pi_pow * a0v * b0v
     c1 = pi_pow * (
         -a0v * b0v * r0
         + 2.0 * (a0v * b1v + a1v * b0v)
-        - a0v * kohn_point_value(b0, n)
-        - b0v * kohn_point_value(a0, n, offset=d)
-        + 2j * (n - ell) * a0v * t_x_b0
+        - a0v * kohn_laplacian_at0(chart, b0)
+        - b0v * kohn_laplacian_at0(chart, a0)
+        + 2j * (n - ell) * a0v * reeb_derivative_at0(chart, b0)
         + grad_pair
     )
     return c0, c1
 
 
-def _e0_on_contact_graph(E: ClassicalSymbol, chart: CRModelChart, order: int = 2) -> Jet:
-    """The principal symbol along x -> (x, -omega_0(x)) as a jet in x."""
+def _e0_on_contact_graph(E: ClassicalSymbol, chart: CRModelChart) -> Jet:
+    """The principal symbol along x -> (x, -omega_0(x)) as a jet in x, at
+    order 2, all the Kohn Laplacian and the Reeb derivative read."""
     d = chart.dim
+    order = 2
     inner = [Jet.coordinate(i, d, order, (0.0,) * d) for i in range(d)]
     inner += [(-1.0) * chart.contact_form[b].truncated(order) for b in range(d)]
     return E.components[0].compose(inner)

@@ -11,7 +11,7 @@ truncation order by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -176,7 +176,7 @@ def subprincipal_symbol(sym: ClassicalSymbol, density: Jet, s: float) -> Tuple[c
     if e0.order < 2:
         raise OrderShortfallError("subprincipal symbol needs component order >= 2")
     k = e0.order - 2
-    loglam = density.log()
+    loglam = density.with_order(max(density.order, k + 1)).log()
     out = sym.component(1).truncated(k)
     for j in range(d):
         out = out + 0.5j * e0.partial(j).partial(d + j).truncated(k)
@@ -241,27 +241,23 @@ def jet_matrix_determinant(mat: Sequence[Sequence[Jet]]) -> Jet:
     return acc
 
 
-def _inverse_at(kappa: Sequence[Jet], order: int, inverse: Optional[Sequence[Jet]]) -> List[Jet]:
-    """The inverse of kappa at ``order``: ``inverse`` truncated, or invert_map's."""
-    if inverse is None:
-        return invert_map([k.with_order(order) for k in kappa])
+def _inverse_at(inverse: Sequence[Jet], order: int) -> List[Jet]:
+    """``inverse`` truncated to ``order``, which it must reach."""
     if inverse[0].order < order:
         raise SymbolError(f"inverse map has order {inverse[0].order} < {order}")
     return [g.truncated(order) for g in inverse]
 
 
-def transform_density(
-    density: Jet, kappa: Sequence[Jet], s: float, inverse: Optional[Sequence[Jet]] = None
-) -> Jet:
+def transform_density(density: Jet, kappa: Sequence[Jet], s: float, inverse: Sequence[Jet]) -> Jet:
     """Transported s-density factor: lambda_kappa(kappa(x)) = lambda(x)/|det kappa'|^s.
 
-    ``inverse``, if given, is invert_map(kappa) at the density's order or
-    above, so a caller transporting a symbol too inverts kappa once.
+    ``inverse`` is invert_map(kappa) at the density's order or above, so a
+    caller transporting a symbol too inverts kappa once.
     """
     d = len(kappa)
     order = density.order
-    psi = _inverse_at(kappa, order, inverse)
-    jac = [[kappa[c].with_order(order).partial(j).with_order(order) for j in range(d)] for c in range(d)]
+    psi = _inverse_at(inverse, order)
+    jac = [[kappa[c].with_order(order + 1).partial(j) for j in range(d)] for c in range(d)]
     det = jet_matrix_determinant(jac)
     det0 = det.constant_term()
     if abs(det0.imag) > 1e-12 or det0.real == 0:
@@ -272,15 +268,15 @@ def transform_density(
 
 
 def transform_symbol_under_diffeo(
-    sym: ClassicalSymbol, kappa: Sequence[Jet], inverse: Optional[Sequence[Jet]] = None
+    sym: ClassicalSymbol, kappa: Sequence[Jet], inverse: Sequence[Jet]
 ) -> ClassicalSymbol:
     """Total-symbol pushforward through subleading order.
 
     e_{kappa,0}(kappa(x), eta) = e_0(x, kappa'(x)^T eta) and the subleading
     component picks up the half-Hessian correction
     -(i/2) sum_{j,k} d^2_{xi_j xi_k} e_0 * <d^2_{jk} kappa, eta>.
-    ``inverse``, if given, is invert_map(kappa) at order >= the components'
-    order - 2; it is truncated to that order.
+    ``inverse`` is invert_map(kappa) at order >= the components' order - 2;
+    it is truncated to that order.
     """
     e0 = sym.components[0]
     nv = e0.num_vars
@@ -300,7 +296,7 @@ def transform_symbol_under_diffeo(
     eta0 = np.linalg.solve(jac0.T, old_xi)
     new_base = tuple(0.0 for _ in range(d)) + tuple(complex(v) for v in eta0)
 
-    at_psi = Substitution(_inverse_at(kappa, work, inverse))  # x(y), jets in y
+    at_psi = Substitution(_inverse_at(inverse, work))  # x(y), jets in y
 
     def on_new_space(f_x: Jet) -> Jet:
         """f(x(y)) promoted to the (y, eta) space."""

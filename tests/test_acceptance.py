@@ -41,6 +41,7 @@ from crkernel.stationary import (
 from crkernel.symbols import (
     euler_check,
     identity_symbol,
+    invert_map,
     make_multiplication_symbol,
     p_operator_canonical,
     p_operator_geometric,
@@ -192,8 +193,9 @@ def test_criterion_6_subprincipal_and_p(chart):
                 Jet.displacement(c, D, 6, (0.0,) * D)
                 + bump.truncated(3).with_order(6).scale(0.3)
             )
-        tsym = transform_symbol_under_diffeo(sym, kappa)
-        tlam = transform_density(lam, kappa, s_val)
+        psi = invert_map(kappa)
+        tsym = transform_symbol_under_diffeo(sym, kappa, psi)
+        tlam = transform_density(lam, kappa, s_val, psi)
         direct, _ = subprincipal_symbol(sym, lam, s_val)
         transported, _ = subprincipal_symbol(tsym, tlam, s_val)
         worst_sub = max(worst_sub, abs(direct - transported))

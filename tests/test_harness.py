@@ -208,6 +208,10 @@ def test_params_key_no_check_reads_rejected():
         parse_config(doc)
     doc["scenarios"][0]["params"] = {"num_pairs": 3}
     parse_config(doc)
+    doc["scenarios"][0]["checks"] = ["kohn_point_formula"]
+    doc["scenarios"][0]["params"] = {"num_samples": 3}  # a fixed count, not a setting
+    with pytest.raises(ConfigError, match=r"params: unknown keys \['num_samples'\]"):
+        parse_config(doc)
 
 
 @pytest.mark.parametrize("check", ["quadrature_leading", "quadrature_subleading"])
@@ -343,7 +347,45 @@ def test_subprincipal_invariance_inverts_each_diffeo_once(monkeypatch):
     doc["scenarios"][0]["params"] = {"num_diffeos": 2}
     reports = run_scenarios(parse_config(doc), timings=False)
     assert reports[0].records[0].passed
-    assert calls == [6, 6]  # once per diffeomorphism, at the density's order
+    assert calls == [4, 4]  # once per diffeomorphism, at the check's transport order
+
+
+def test_subprincipal_invariance_at_order_4_equals_the_draws_at_order_6():
+    from crkernel.harness import CheckContext, RunCache, _diffeo_draw, _worst, check_subprincipal_invariance
+    from crkernel.symbols import invert_map, subprincipal_symbol, transform_density, transform_symbol_under_diffeo
+
+    doc = small_config()
+    doc["scenarios"][0]["checks"] = ["subprincipal_invariance"]
+    doc["scenarios"][0]["params"] = {"num_diffeos": 4}
+    ctx = CheckContext(parse_config(doc)["scenarios"][0], 0, {}, RunCache())
+    pairs = []
+    for k in range(4):
+        sym, lam, s_val, kappa = _diffeo_draw(ctx, k)
+        assert lam.order == kappa[0].order == sym.components[0].order == 6
+        psi = invert_map(kappa)
+        tsym = transform_symbol_under_diffeo(sym, kappa, psi)
+        tlam = transform_density(lam, kappa, s_val, psi)
+        pairs.append((subprincipal_symbol(tsym, tlam, s_val)[0], subprincipal_symbol(sym, lam, s_val)[0]))
+    assert check_subprincipal_invariance(ctx) == _worst(pairs)
+
+
+def test_checks_read_exactly_their_spec_params(monkeypatch):
+    from crkernel.harness import CheckContext
+
+    asked = []
+
+    def recording(self, key, default):
+        asked.append(key)
+        return 1
+
+    monkeypatch.setattr(CheckContext, "param", recording)
+    for check_id, spec in CHECK_SPECS.items():
+        asked.clear()
+        scenario = {"name": check_id, "chart": {"n": 1}, "checks": [check_id]}
+        if spec.symbol == "required":
+            scenario["symbol"] = {"kind": "identity"}
+        run_scenarios(parse_config({"scenarios": [scenario]}), timings=False)
+        assert tuple(asked) == spec.params, check_id
 
 
 def _homogeneous_scenario(name, order_m, seed):

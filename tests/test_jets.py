@@ -364,10 +364,10 @@ def test_random_jet_draws_in_graded_order():
             d = sum(idx)
             if d > 4 or d < min_degree:
                 continue
-            mag = 0.7 * 0.4**d
+            mag = 0.4**d
             if real:
                 want[idx] = complex(rng.standard_normal()) * mag
             else:
                 want[idx] = (rng.standard_normal() + 1j * rng.standard_normal()) * mag
-        got = random_jet(spawn_rng(8, "draws", real), 3, 4, (0.0,) * 3, 0.7, 0.4, real, min_degree)
+        got = random_jet(spawn_rng(8, "draws", real), 3, 4, (0.0,) * 3, 0.4, real, min_degree)
         assert got.coeffs == want

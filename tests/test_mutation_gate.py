@@ -7,9 +7,11 @@ must fail at least one record for it (mutation analysis: DeMillo, Lipton and
 Sayward, "Hints on test data selection", IEEE Computer 11, 1978).  The
 n-dependent mutants (R -> nR, the Kohn term's -i n T -> -i T, pi^{n+1} ->
 pi^{2n}) are invisible at n = 1 and wait for n = 2 scenarios in the default
-suite.  Each frame mutant breaks the Levi frame's coframe in every module
-that holds the patched name, and the geometry-table and P-operator scenarios
-must fail a record for it.
+suite.  The Kohn and Reeb mutants must also fail a record of the
+composition scenarios, whose closed formula reads the same two operators.
+Each frame mutant breaks the Levi frame's coframe in every module that holds
+the patched name, and the geometry-table and P-operator scenarios must fail a
+record for it.
 """
 
 import dataclasses
@@ -60,6 +62,10 @@ MUTANTS = {
     "szego_amplitude A_0": ("szego_amplitude", lambda fn: _scaled_amplitude(fn, 0)),
     "szego_amplitude A_1": ("szego_amplitude", lambda fn: _scaled_amplitude(fn, 1)),
 }
+
+#: the composition scenarios on the exact and a perturbed chart
+COMPOSITION_FILTERS = ("composition-cross-route*",)
+COMPOSITION_MUTANTS = {label: MUTANTS[label] for label in ("kohn_laplacian_at0", "reeb_derivative_at0")}
 
 
 #: the Christoffel tables at n = 1 and 2, and the P operator's two routes
@@ -125,6 +131,10 @@ def _escaped(monkeypatch, mutants, modules, filters):
 
 def test_every_mutant_fails_a_record(monkeypatch):
     assert _escaped(monkeypatch, MUTANTS, (pipeline,), FILTERS) == []
+
+
+def test_every_composition_mutant_fails_a_record(monkeypatch):
+    assert _escaped(monkeypatch, COMPOSITION_MUTANTS, (pipeline,), COMPOSITION_FILTERS) == []
 
 
 def test_every_frame_mutant_fails_a_record(monkeypatch):

@@ -172,6 +172,17 @@ def test_subprincipal_rejects_s_zero():
         subprincipal_symbol(sym, lam, 0.0)
 
 
+def test_subprincipal_jet_raises_a_low_order_density():
+    # the jet reaches degree k = e_0.order - 2, so d log(lambda) is needed through degree k
+    rng = spawn_rng(5, "low-order-density")
+    sym = random_classical_symbol(N, 0.3, 2, seed=5, homogeneous=False, jet_order=6)
+    lam = random_jet(rng, D, 2, (0.0,) * D, real=True, decay=0.4, min_degree=1).exp()
+    value, jet = subprincipal_symbol(sym, lam, 1.5)
+    want_value, want = subprincipal_symbol(sym, lam.with_order(5), 1.5)
+    assert value == want_value
+    assert max_coeff_difference(jet, want) == 0.0
+
+
 # -- coordinate changes -------------------------------------------------------------------
 
 
@@ -199,7 +210,7 @@ def test_invert_map_roundtrip():
 def test_transform_identity_diffeo():
     sym = random_classical_symbol(N, 0.0, 2, seed=3, homogeneous=False, jet_order=6)
     ident = [Jet.displacement(c, D, 6, (0.0,) * D) for c in range(D)]
-    tsym = transform_symbol_under_diffeo(sym, ident)
+    tsym = transform_symbol_under_diffeo(sym, ident, invert_map(ident))
     for j in range(2):
         assert max_coeff_difference(tsym.components[j], sym.components[j].truncated(4)) == 0.0
 
@@ -217,7 +228,7 @@ def test_transform_linear_exact():
             coeffs[tuple(idx)] = A[c, j]
         kappa.append(Jet(D, 6, (0.0,) * D, coeffs))
     sym = random_classical_symbol(N, 1.0, 1, seed=6, homogeneous=False, jet_order=6)
-    tsym = transform_symbol_under_diffeo(sym, kappa)
+    tsym = transform_symbol_under_diffeo(sym, kappa, invert_map(kappa))
     # sample: pick x near 0 and eta near the transformed base, compare values
     eta0 = np.array(tsym.components[0].base_point[D:])
     for _ in range(4):
@@ -236,22 +247,38 @@ def test_transforms_truncate_a_given_inverse():
     lam = random_jet(rng, D, 6, (0.0,) * D, real=True, decay=0.4, min_degree=1).exp()
     kappa = _random_cubic_diffeo(rng)
     psi = invert_map(kappa)
+    # the symbol transport works at order 4, where kappa's own inverse is psi's truncation
+    psi4 = invert_map([k.truncated(4) for k in kappa])
     for got, want in zip(
         transform_symbol_under_diffeo(sym, kappa, psi).components,
-        transform_symbol_under_diffeo(sym, kappa).components,
+        transform_symbol_under_diffeo(sym, kappa, psi4).components,
     ):
         assert max_coeff_difference(got, want) <= 1e-14 * max(want.max_abs(), 1.0)
-    got, want = transform_density(lam, kappa, 1.5, psi), transform_density(lam, kappa, 1.5)
-    assert max_coeff_difference(got, want) <= 1e-14 * max(want.max_abs(), 1.0)
     with pytest.raises(SymbolError):
         transform_density(lam, kappa, 1.5, [g.truncated(4) for g in psi])
 
 
+def test_transform_density_reads_kappa_above_the_density_order():
+    # degrees <= 4 of the transported density read the Jacobian, so kappa, through degree 5
+    rng = spawn_rng(13, "density-orders")
+    lam = random_jet(rng, D, 5, (0.0,) * D, real=True, decay=0.4, min_degree=1).exp()
+    kappa = [
+        Jet.displacement(c, D, 5, (0.0,) * D)
+        + random_jet(rng, D, 5, (0.0,) * D, real=True, decay=0.3, min_degree=2).scale(0.3)
+        for c in range(D)
+    ]
+    psi = invert_map(kappa)
+    got = transform_density(lam.truncated(4), kappa, 1.5, psi)
+    want = transform_density(lam, kappa, 1.5, psi).truncated(4)
+    assert max_coeff_difference(got, want) <= 1e-14 * max(want.max_abs(), 1.0)
+
+
 def test_transform_singular_jacobian_rejected():
     kappa = [Jet.zero(D, 6, (0.0,) * D) for _ in range(D)]
+    ident = [Jet.displacement(c, D, 6, (0.0,) * D) for c in range(D)]  # the Jacobian is checked first
     sym = identity_symbol(N, 6)
-    with pytest.raises(SymbolError):
-        transform_symbol_under_diffeo(sym, kappa)
+    with pytest.raises(SymbolError, match="singular Jacobian"):
+        transform_symbol_under_diffeo(sym, kappa, ident)
 
 
 def test_subprincipal_invariance_under_diffeos():
@@ -263,8 +290,9 @@ def test_subprincipal_invariance_under_diffeos():
         lam = random_jet(rng, D, 6, (0.0,) * D, real=True, decay=0.4, min_degree=1).scale(0.5).exp()
         s_val = float(rng.uniform(0.5, 2.0))
         kappa = _random_cubic_diffeo(rng)
-        tsym = transform_symbol_under_diffeo(sym, kappa)
-        tlam = transform_density(lam, kappa, s_val)
+        psi = invert_map(kappa)
+        tsym = transform_symbol_under_diffeo(sym, kappa, psi)
+        tlam = transform_density(lam, kappa, s_val, psi)
         direct, _ = subprincipal_symbol(sym, lam, s_val)
         transported, _ = subprincipal_symbol(tsym, tlam, s_val)
         worst = max(worst, abs(direct - transported))
