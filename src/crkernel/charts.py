@@ -489,7 +489,7 @@ def christoffel_symbols(
             comps = [Jet.zero(first.num_vars, out_order, first.base_point) for _ in range(d)]
             for a in range(d):
                 der = coframe[a][l].partial(j)
-                if not der.coeffs:
+                if not der.support.size:
                     continue
                 for k in range(d):
                     comps[k] = comps[k] + der * frame[a][k].truncated(out_order)

@@ -56,7 +56,7 @@ class KernelAmplitude:
         if self.y_independent:
             last = first.num_vars - 1
             for c in self.coeffs:
-                if any(idx[last] for idx in c.coeffs):
+                if c.basis.exponents[c.support, last].any():
                     raise SymbolError("amplitude depends on the last y variable")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
@@ -130,7 +130,7 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
     for j in range(d):
         for k in range(j, d):
             hess = e0.partial(d + j).partial(d + k)
-            if not hess.coeffs:
+            if not hess.support.size:
                 continue
             # alpha = e_j + e_k: the unordered pair appears once with 1/alpha!
             factor = -0.5j if j == k else -1.0j
@@ -138,7 +138,7 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
             c1 = c1 + factor * (at_grad.apply(hess) * phi_term * a0)
     for j in range(d):
         grad_a = A.coeffs[0].partial(j).truncated(order)
-        if not grad_a.coeffs:
+        if not grad_a.support.size:
             continue
         c1 = c1 + (-1j) * (at_grad.apply(e0.partial(d + j)) * grad_a)
     return KernelAmplitude(top_power=A.top_power + E.order_m, coeffs=(c0, c1))
@@ -152,10 +152,12 @@ def _to_us_space(jet_xy: Jet, d: int, order: int, slot: str) -> Jet:
 
 
 def _sigma_power(ell: float, d: int, order: int) -> Jet:
-    nv = d + 1
-    base = (0.0,) * nv
-    sigma = Jet.constant(nv, order, base, 1.0) + Jet.displacement(d, nv, order, base)
-    return sigma.pow_real(ell)
+    """sigma**ell in (u, sigma - 1): binom(ell, k) at (sigma - 1)**k, by the
+    recursion pow_real uses, so the values equal (1 + dsigma).pow_real(ell)."""
+    binom = [1.0 + 0.0j]
+    for k in range(1, order + 1):
+        binom.append(binom[-1] * (ell - k + 1) / k)
+    return Jet(d + 1, order, (0.0,) * (d + 1), {(0,) * d + (k,): b for k, b in enumerate(binom)})
 
 
 def compose_amplitudes_sp(

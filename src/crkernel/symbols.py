@@ -319,15 +319,15 @@ def transform_symbol_under_diffeo(
     for j in range(d):
         for k in range(d):
             hess = e0.partial(d + j).partial(d + k).truncated(work)
-            if not hess.coeffs:
+            if not hess.support.size:
                 continue
             pairing = Jet.zero(nv, work, new_base)
             for c in range(d):
                 d2k = kappa[c].with_order(work + 2).partial(j).partial(k).with_order(work)
-                if not d2k.coeffs:
+                if not d2k.support.size:
                     continue
                 pairing = pairing + on_new_space(d2k) * eta_coords[c]
-            if pairing.coeffs:
+            if pairing.support.size:
                 ek1 = ek1 + (-0.5j) * (at_inner.apply(hess) * pairing)
     standard = new_base == xi_base((d - 1) // 2)
     return ClassicalSymbol(
@@ -404,7 +404,7 @@ def _p_geometry(chart: CRModelChart, w: int, base: Tuple[complex, ...]):
     gam_xi = {
         (j, k, l): xi_jets[k] * promote_x_jet(g, base, w)
         for (j, k, l), g in christoffel_symbols(frame, coframe).items()
-        if g.coeffs
+        if g.support.size
     }
     frame_p = [[promote_x_jet(f, base, w) for f in row] for row in frame]
     coframe = [[promote_x_jet(f, base, w) for f in row] for row in coframe]

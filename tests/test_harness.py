@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 from collections import Counter
@@ -578,6 +579,19 @@ def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
     env = doc["reports"][0]["environment"]
     assert env["seed"] == "7"
     assert env["jet_order"] == "5"
+
+
+#: sha256 of ``verify --no-timings`` on the default suite.  A change that moves
+#: rounding on purpose updates it and reports the moved values in CHANGES.md.
+DEFAULT_SUITE_SHA256 = "515c5c08ac46fa942d4f4f6738d0d3920a5cb8451a98b65cbec6fad0410ecd10"
+
+
+def test_default_suite_report_bytes_are_pinned(tmp_path, capsys):
+    # in-process, after other tests have filled the jet caches: a record must not
+    # depend on what ran before it
+    out = tmp_path / "report.json"
+    assert cli.main(["--out", str(out), "--no-timings"]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SUITE_SHA256
 
 
 def test_cli_overrides_go_through_parse_config(tmp_path, capsys):

@@ -10,9 +10,14 @@ import pytest
 
 from crkernel.errors import BranchError, CenteringError, CompatibilityError
 from crkernel.jets import (
+    _PRODUCTS,
+    _REINDEX_MAPS,
+    PRODUCT_TABLE_ROWS,
     Jet,
     Substitution,
     _Basis,
+    _cmul_parts,
+    _scatter_sum,
     max_coeff_difference,
     random_jet,
 )
@@ -220,6 +225,52 @@ def test_reindex_equals_composition_with_coordinates():
         assert f.reindex(num_vars, targets, base) == f.compose(inner)
 
 
+def moved_exponents(f, num_vars, targets, base_point):
+    """Reference reindex: move the exponents of f's nonzero terms, term by term."""
+    out = {}
+    for idx, c in f.graded_items():
+        if any(e for e, t in zip(idx, targets) if t is None):
+            continue  # a pinned variable's displacement is zero
+        moved = [0] * num_vars
+        for e, t in zip(idx, targets):
+            if t is not None:
+                moved[t] += e
+        out[tuple(moved)] = out.get(tuple(moved), 0.0) + c
+    return Jet(num_vars, f.order, base_point, out)
+
+
+@pytest.mark.parametrize(
+    "targets,num_vars",
+    [((2, 0, 1), 3), ((0, 1, 0), 2), ((1, None, 0), 2)],
+    ids=["rename", "merge", "pin"],
+)
+def test_cached_reindex_map_moves_exponents(targets, num_vars):
+    rng = spawn_rng(12, "reindex-cache", str(targets))
+    f = random_jet(rng, 3, 5, (0.0,) * 3)
+    base = (0.0,) * num_vars
+    want = moved_exponents(f, num_vars, targets, base)
+    cold = f.reindex(num_vars, targets, base)
+    assert (3, num_vars, targets, 5) in _REINDEX_MAPS
+    warm = f.reindex(num_vars, list(targets), base)  # the same key from a list
+    assert cold == want
+    assert cold.vector.tobytes() == warm.vector.tobytes()
+
+
+def test_cached_reindex_map_keeps_its_checks():
+    f = Jet(2, 3, (0.0, 1.0), {(1, 1): 2.0, (0, 3): 1.0})
+    good = f.reindex(2, (0, 1), (0.0, 1.0))  # warms the key (2, 2, (0, 1), 3)
+    assert good == f
+    with pytest.raises(CenteringError):
+        f.reindex(2, (0, 1), (0.0, 0.0))
+    # a map cached under an out-of-range target is never read: the check comes first
+    _REINDEX_MAPS[(2, 2, (0, 2), 3)] = _REINDEX_MAPS[(2, 2, (0, 1), 3)]
+    try:
+        with pytest.raises(CompatibilityError):
+            f.reindex(2, (0, 2), (0.0, 1.0))
+    finally:
+        del _REINDEX_MAPS[(2, 2, (0, 2), 3)]
+
+
 def test_eval_examples():
     sq = Jet(1, 2, (0.0,), {(2,): 1})
     assert sq.eval_many(np.array([[1j]]))[0] == pytest.approx(-1.0)
@@ -336,11 +387,73 @@ def test_basis_tables_match_enumeration(num_vars, order):
                 assert basis[source[q]] == tuple(a + (u == v) for u, a in enumerate(e))
 
 
+# -- the cached product table against the sparse product rows ------------------------------
+
+
+def sparse_product(a, b):
+    """Reference product over ``_Basis.pairs`` of the operands' nonzeros only,
+    the sparser operand (self on a tie) on the left."""
+    left, right = (b, a) if a.support.size > b.support.size else (a, b)
+    if not left.support.size:
+        return np.zeros(a.vector.size, dtype=complex)
+    i, j, k = a.basis.pairs(left.support, right.support, a.order)
+    re, im = _cmul_parts(left.vector[i], right.vector[j])
+    return _scatter_sum(k, re, im, a.vector.size)
+
+
+def with_negative_zeros(jet, rng):
+    """``jet`` with about a third of its entries replaced by -0.0 - 0.0j."""
+    vector = jet.vector.copy()
+    vector[rng.random(vector.size) < 1 / 3] = complex(-0.0, -0.0)
+    return jet._like(vector)
+
+
+#: every (num_vars, order) at which the routes benchmark multiplies jets below the cap
+ROUTES_SHAPES = [(3, 2), (3, 4), (3, 6), (4, 2), (4, 4), (4, 6), (6, 2), (6, 3), (6, 4)]
+
+
+@pytest.mark.parametrize("num_vars,order", ROUTES_SHAPES)
+def test_product_table_matches_sparse_pairs(num_vars, order):
+    rng = spawn_rng(13, "product-table", num_vars, order)
+    base = (0.0,) * num_vars
+    dense = random_jet(rng, num_vars, order, base)
+    other = random_jet(rng, num_vars, order, base)
+    sparse = Jet.displacement(num_vars - 1, num_vars, order, base) * dense.truncated(0).with_order(order)
+    sparse = sparse + Jet.coordinate(0, num_vars, order, base).scale(0.25 - 1.5j)
+    signed = with_negative_zeros(dense, rng)
+    zero = Jet.zero(num_vars, order, base).scale(-1.0)  # real parts -0
+    table = dense.basis.products(order)
+    assert table is not None and table[0].size == math.comb(2 * num_vars + order, order)
+    for a, b in [
+        (dense, other),
+        (dense, sparse),
+        (sparse, dense),
+        (sparse, sparse),
+        (signed, sparse),
+        (signed, other),
+        (other, signed),
+        (dense, zero),
+        (zero, sparse),
+    ]:
+        assert (a * b).vector.tobytes() == sparse_product(a, b).tobytes()
+
+
+def test_large_shape_caches_no_table():
+    rng = spawn_rng(14, "no-table")
+    base = (0.0,) * 4
+    assert math.comb(8 + 24, 24) > PRODUCT_TABLE_ROWS
+    a = Jet.displacement(0, 4, 24, base) + Jet.displacement(3, 4, 24, base).scale(0.5j)
+    b = random_jet(rng, 4, 6, base).with_order(24)
+    assert (a * b).vector.tobytes() == sparse_product(a, b).tobytes()
+    assert a.basis.products(24) is None and _PRODUCTS[(4, 24)] is None
+    assert all(t is None or t[0].size <= PRODUCT_TABLE_ROWS for t in _PRODUCTS.values())
+
+
 def test_import_builds_no_table():
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import crkernel, crkernel.cli, crkernel.harness, crkernel.jets as jets; "
-        "print(len(jets._BASES))"
+        "print(len(jets._BASES) + len(jets._PRODUCTS) + len(jets._REINDEX_MAPS))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)

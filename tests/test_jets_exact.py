@@ -4,10 +4,15 @@ Operands have dyadic rational coefficients, so they convert to floats
 exactly.  The reference repeats each operation on ``fractions.Fraction`` real
 and imaginary parts, with no rounding and no pruning, at the shapes
 (num_vars, order) the pipeline uses: (3, 6) for x-space jets, (6, 4) for
-(x, y) and (u, sigma) jets, and (4, 12) for the quadrature tail, where the
-operands are sparse; (6, 6) symbol jets also meet a sparse operand times a
-dense one, the product's support-restricted case.  The homogeneous extension
-of symbol data is checked against its definition at (6, 6) and (10, 4).
+(x, y) and (u, sigma) jets, (4, 2) for the amplitude-order (u, sigma) jets
+of compositions and the b1 pipeline, (6, 3) for the P operator's (x, xi)
+jets (these two make most of the products of a two-route check), and
+(4, 12) for the quadrature tail, where the operands are sparse; (6, 6)
+symbol jets also meet a sparse operand times a dense one.
+Below ``PRODUCT_TABLE_ROWS`` a product reads the cached whole-shape table,
+above it (at (6, 6) and (4, 12)) the rows of the operands' nonzeros.  The
+homogeneous extension of symbol data is checked against its definition at
+(6, 6) and (10, 4).
 """
 
 import random
@@ -22,7 +27,7 @@ from crkernel.symbols import homogeneity_extend, xi_base
 #: Every series step rounds; the deviations seen here stay below 6e-16.
 REL_TOL = 1e-12
 
-SHAPES = ((3, 6), (6, 4), (4, 12))
+SHAPES = ((3, 6), (6, 4), (4, 2), (6, 3), (4, 12))
 
 
 class GaussRational:

@@ -14,6 +14,7 @@ from crkernel.errors import SymbolError
 from crkernel.jets import Jet, max_coeff_difference, random_jet
 from crkernel.pipeline import (
     KernelAmplitude,
+    _sigma_power,
     compose_amplitudes_closed,
     compose_amplitudes_sp,
     phase_rescale,
@@ -353,3 +354,21 @@ def test_singularity_integer_branches(chart):
     parts = singularity_representation(ampm, chart.phase)
     assert parts.F is None
     assert parts.G.constant_term() == pytest.approx(-ampm.coeffs[0].constant_term())
+
+
+@pytest.mark.parametrize("ell", [2.0, 1.0, 0.0, -1.0, 0.5, -1.5, 3.25])
+def test_sigma_power_is_pow_real_bit_for_bit(ell):
+    # the binomial jet, signs of zero included, equals (1 + dsigma).pow_real(ell)
+    for d, order in ((3, 2), (5, 2), (3, 4)):
+        base = (0.0,) * (d + 1)
+        sigma = Jet.constant(d + 1, order, base, 1.0) + Jet.displacement(d, d + 1, order, base)
+        assert _sigma_power(ell, d, order).vector.tobytes() == sigma.pow_real(ell).vector.tobytes()
+
+
+def test_amplitude_rejects_a_last_y_dependence():
+    base = (0.0,) * 6
+    one = Jet.constant(6, 2, base, 1.0)
+    KernelAmplitude(top_power=1.0, coeffs=(one, one + Jet.displacement(4, 6, 2, base)))
+    with pytest.raises(SymbolError):
+        KernelAmplitude(top_power=1.0, coeffs=(one, one + Jet.displacement(5, 6, 2, base).scale(1e-300)))
+    KernelAmplitude(top_power=1.0, coeffs=(one, one + Jet.displacement(5, 6, 2, base)), y_independent=False)
