@@ -59,9 +59,7 @@ from .pipeline import (
     KernelAmplitude,
     compose_amplitudes_closed,
     compose_amplitudes_sp,
-    phase_rescale,
     qe_amplitude,
-    singularity_representation,
     szego_amplitude,
     toeplitz_b1_closed_form,
     toeplitz_b1_pipeline,

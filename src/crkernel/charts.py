@@ -42,6 +42,11 @@ INVARIANT_TOL = 1e-12
 #: tolerance for the curvature consistency identity
 CONSISTENCY_TOL = 1e-10
 
+#: jet order of every chart the harness builds: the phase's fourth
+#: derivatives, which the subleading coefficient reads, are the highest
+#: degree any route needs of a chart
+CHART_ORDER = 4
+
 
 @dataclass(frozen=True)
 class CRModelChart:
@@ -227,7 +232,7 @@ def _check_chart(chart: CRModelChart) -> None:
 # -- chart constructors ------------------------------------------------------------------
 
 
-def heisenberg_chart(n: int, jet_order: int = 6) -> CRModelChart:
+def heisenberg_chart(n: int, jet_order: int = CHART_ORDER) -> CRModelChart:
     """The exact Heisenberg model chart (all remainders identically zero)."""
     if n < 1:
         raise ChartError("CR dimension parameter n must be >= 1")

@@ -1,8 +1,8 @@
 """Command line driver: run scenario checks and emit the comparison report.
 
 Exit codes: 0 all checks passed (or non-strict), 1 check failure under
---strict, 2 configuration error, 3 any other kit error (a numerical failure,
-a violated chart invariant, bad symbol data, a jet order shortfall).
+--strict, 2 configuration error or unknown option, 3 any other kit error (a
+numerical failure, a violated chart invariant, bad symbol data).
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="report serialization format",
     )
     parser.add_argument("--out", default=None, help="write the report here instead of stdout")
-    parser.add_argument("--jet-order", type=int, default=None, help="override the config jet order")
     parser.add_argument("--seed", type=int, default=None, help="override the config master seed")
     parser.add_argument("--filter", default=None, help="run only scenarios matching this glob")
     parser.add_argument(
@@ -56,10 +55,8 @@ def main(argv=None) -> int:
             doc = default_config_doc()
         else:
             doc = read_config_doc(args.config)
-        if isinstance(doc, dict):
-            for key, value in (("seed", args.seed), ("jet_order", args.jet_order)):
-                if value is not None:
-                    doc[key] = value
+        if isinstance(doc, dict) and args.seed is not None:
+            doc["seed"] = args.seed
         config = parse_config(doc)
         reports = run_scenarios(config, name_filter=args.filter, timings=not args.no_timings)
         blob = emit_report(reports, args.format)

@@ -33,15 +33,12 @@ from .charts import (
     random_perturbation,
     tw_scalar_curvature,
 )
-from .errors import BranchError, ConfigError, OracleFitError
+from .errors import ConfigError, OracleFitError
 from .jets import Jet, random_jet
 from .pipeline import (
     compose_amplitudes_closed,
     compose_amplitudes_sp,
-    phase_rescale,
-    qe_amplitude,
     random_amplitude,
-    singularity_representation,
     szego_amplitude,
     toeplitz_b1_closed_form,
     toeplitz_b1_pipeline,
@@ -60,6 +57,7 @@ from .stationary import (
     oracle_t_samples,
 )
 from .symbols import (
+    SYMBOL_ORDER,
     ClassicalSymbol,
     euler_check,
     identity_symbol,
@@ -81,7 +79,6 @@ from .symbols import (
 class ChartSpec:
     model: str = "heisenberg"
     n: int = 1
-    jet_order: int = 6  # the config's jet order unless the chart sets its own
     r_synth: float = 0.0
     seed: int = 0
 
@@ -132,7 +129,7 @@ class ExpansionReport:
 
 _TOP_KEYS = frozenset({"seed", "jet_order", "oracle", "scenarios"})
 _SCEN_KEYS = frozenset({"name", "chart", "symbol", "checks", "tolerances", "params"})
-_CHART_KEYS = frozenset({"model", "n", "jet_order", "r_synth", "seed"})
+_CHART_KEYS = frozenset({"model", "n", "r_synth", "seed"})
 _SYM_KEYS = frozenset({"kind", "order_m", "num_components", "seed"})
 _TOL_KEYS = frozenset({"absolute", "relative"})
 _ORACLE_KEYS = frozenset({"t_samples", "cutoff_radius", "nodes_per_axis"})
@@ -193,15 +190,11 @@ def _check_applicability(where: str, scenario: Scenario, nodes: Optional[list]) 
         low, high = spec.n_range
         if chart.n < low or (high is not None and chart.n > high):
             raise ConfigError(f"{where}: {c} does not apply at n = {chart.n}")
-        if chart.jet_order < spec.min_jet_order:
-            raise ConfigError(f"{where}: jet_order must be >= {spec.min_jet_order} for {c}")
         if spec.oracle and nodes is not None:
             try:
                 oracle_nodes(nodes, 2 * chart.n + 2)
             except OracleFitError as exc:
                 raise ConfigError(f"{where}: config.oracle.nodes_per_axis: {exc}") from exc
-    if chart.model == "perturbed" and chart.jet_order < 6:
-        raise ConfigError(f"{where}: jet_order must be >= 6 for perturbed charts")
 
 
 def parse_config(doc: dict) -> dict:
@@ -215,7 +208,9 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("config root must be an object")
     _require_keys(doc, _TOP_KEYS, "config")
     seed = _integer(doc, "seed", 0, 0, "config")
-    jet_order = _integer(doc, "jet_order", 6, 2, "config")
+    # configs written before the work orders were fixed carry the old default 6
+    if "jet_order" in doc and not (_is_int(doc["jet_order"]) and doc["jet_order"] == 6):
+        raise ConfigError("config.jet_order: the work orders are fixed; the key accepts only 6")
     oracle = _section(doc, "oracle", _ORACLE_KEYS, "config")
     if "cutoff_radius" in oracle:
         _number(oracle["cutoff_radius"], "config.oracle.cutoff_radius")
@@ -262,7 +257,6 @@ def parse_config(doc: dict) -> dict:
         chart = ChartSpec(
             model=model,
             n=_integer(chart_raw, "n", 1, 1, f"{where}.chart"),
-            jet_order=_integer(chart_raw, "jet_order", jet_order, 2, f"{where}.chart"),
             r_synth=_number(chart_raw.get("r_synth", 0.0), f"{where}.chart.r_synth"),
             seed=_integer(chart_raw, "seed", 0, 0, f"{where}.chart"),
         )
@@ -316,7 +310,7 @@ def parse_config(doc: dict) -> dict:
         scenarios.append(scenario)
     if oracle and not any(CHECK_SPECS[c].oracle for scen in scenarios for c in scen.checks):
         raise ConfigError("config.oracle: no check of the config reads the oracle options")
-    return {"seed": seed, "jet_order": jet_order, "oracle": dict(oracle), "scenarios": scenarios}
+    return {"seed": seed, "oracle": dict(oracle), "scenarios": scenarios}
 
 
 def read_config_doc(path: str):
@@ -346,9 +340,9 @@ class RunCache:
     def chart(self, spec: ChartSpec) -> CRModelChart:
         if spec not in self.charts:
             if spec.model == "heisenberg":
-                self.charts[spec] = heisenberg_chart(spec.n, spec.jet_order)
+                self.charts[spec] = heisenberg_chart(spec.n)
             else:
-                base = self.chart(ChartSpec(n=spec.n, jet_order=spec.jet_order))
+                base = self.chart(ChartSpec(n=spec.n))
                 q, table = random_perturbation(spec.n, spec.r_synth, seed=spec.seed)
                 self.charts[spec] = perturbed_chart(base, spec.r_synth, q, table)
         return self.charts[spec]
@@ -368,7 +362,6 @@ class CheckContext:
         self.oracle_opts = oracle_opts
         self.cache = cache
         self.n = scenario.chart.n
-        self.jet_order = scenario.chart.jet_order
         self._symbol: Optional[ClassicalSymbol] = None
         self._b1_pipeline = None
 
@@ -382,19 +375,14 @@ class CheckContext:
             spec = self.scenario.symbol
             d = 2 * self.n + 1
             if spec.kind == "identity":
-                self._symbol = identity_symbol(self.n, self.jet_order)
+                self._symbol = identity_symbol(self.n)
             elif spec.kind == "multiplication":
                 rng = spawn_rng(self.seed, "mult-f", self.scenario.name, spec.seed)
-                f = random_jet(rng, d, self.jet_order, (0.0,) * d, decay=0.5)
+                f = random_jet(rng, d, SYMBOL_ORDER, (0.0,) * d, decay=0.5)
                 self._symbol = make_multiplication_symbol(f)
             else:
                 self._symbol = random_classical_symbol(
-                    self.n,
-                    spec.order_m,
-                    spec.num_components,
-                    seed=spec.seed,
-                    homogeneous=True,
-                    jet_order=self.jet_order,
+                    self.n, spec.order_m, spec.num_components, seed=spec.seed, homogeneous=True
                 )
         return self._symbol
 
@@ -517,13 +505,13 @@ def check_projector_idempotence(ctx: CheckContext):
 
 def _diffeo_draw(ctx: CheckContext, k: int):
     """(symbol, density, s, kappa) of the k-th subprincipal-invariance draw,
-    at the scenario's jet order, but at least 4."""
+    at ``SYMBOL_ORDER``."""
     d = 2 * ctx.n + 1
-    order = max(ctx.jet_order, 4)
+    order = SYMBOL_ORDER
     rng = ctx.rng("diffeo", k)
     sym = random_classical_symbol(
         ctx.n, float(rng.uniform(-1, 1)), 2,
-        seed=int(rng.integers(1 << 30)), homogeneous=False, jet_order=order,
+        seed=int(rng.integers(1 << 30)), homogeneous=False,
     )
     lam = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.4, min_degree=1).scale(0.5).exp()
     s_val = float(rng.uniform(0.5, 2.0))
@@ -610,9 +598,7 @@ def check_euler_homogeneity(ctx: CheckContext):
     for k in range(10):
         rng = ctx.rng("euler", k)
         m = float(rng.choice([-1.0, 0.0, 0.5, 1.0]))
-        sym = random_classical_symbol(
-            ctx.n, m, 2, seed=int(rng.integers(1 << 30)), homogeneous=True, jet_order=ctx.jet_order
-        )
+        sym = random_classical_symbol(ctx.n, m, 2, seed=int(rng.integers(1 << 30)), homogeneous=True)
         for j, comp in enumerate(sym.components):
             pairs.append((euler_check(comp, m - j), 0.0))
     return _worst(pairs)
@@ -626,9 +612,7 @@ def check_princ_symb_id(ctx: CheckContext):
     for k in range(10):
         rng = ctx.rng("princ-symb", k)
         m = float(rng.choice([-1.0, 0.5, 1.0, 2.0]))
-        sym = random_classical_symbol(
-            ctx.n, m, 1, seed=int(rng.integers(1 << 30)), homogeneous=True, jet_order=ctx.jet_order
-        )
+        sym = random_classical_symbol(ctx.n, m, 1, seed=int(rng.integers(1 << 30)), homogeneous=True)
         e0 = sym.components[0]
         idx_t = tuple(1 if i == d - 1 else 0 for i in range(nv))
         lhs = m * (-e0.derivative_value(idx_t))
@@ -695,70 +679,14 @@ def check_l_linearity(ctx: CheckContext):
     return _worst(pairs)
 
 
-def _admissible_rescale(ctx: CheckContext, k: int) -> Jet:
-    """f(x,y) = 1 + quadratic in the differences (vanishing on the diagonal,
-    zero Reeb-direction derivative at the base point)."""
-    d = 2 * ctx.n + 1
-    nv = 2 * d
-    order = 2
-    base = (0.0,) * nv
-    rng = ctx.rng("rescale", k)
-    f = Jet.constant(nv, order, base, 1.0)
-    for _ in range(3):
-        a = int(rng.integers(0, d))
-        b = int(rng.integers(0, 2 * ctx.n))
-        c = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
-        da = Jet.displacement(d + a, nv, order, base) - Jet.displacement(a, nv, order, base)
-        db = Jet.displacement(d + b, nv, order, base) - Jet.displacement(b, nv, order, base)
-        f = f + (da * db).scale(c)
-    return f
-
-
-def check_rescale_uniqueness(ctx: CheckContext):
-    A = szego_amplitude(ctx.chart)
-    C = qe_amplitude(ctx.symbol, A, ctx.chart) if ctx.scenario.symbol else random_amplitude(ctx.n, 1.0, seed=1)
-    ref = C.coeff(1).constant_term()
-    pairs = []
-    for k in range(10):
-        f = _admissible_rescale(ctx, k)
-        rescaled = phase_rescale(C, f)
-        pairs.append((rescaled.coeff(1).constant_term(), ref))
-    return _worst(pairs)
-
-
-def check_singularity_branches(ctx: CheckContext):
-    n = ctx.n
-    phase = ctx.chart.phase
-    pairs = []
-    rng = ctx.rng("singularity")
-    amp = random_amplitude(n, float(n) + 0.5, seed=int(rng.integers(1 << 30)))
-    parts = singularity_representation(amp, phase)
-    b0 = amp.coeffs[0].constant_term()
-    pairs.append((parts.F.constant_term(), math.gamma(n + 0.5 + 1.0) * b0))
-    if parts.G is not None:
-        raise BranchError("non-integer order must not produce a log factor")
-
-    amp0 = random_amplitude(n, 0.0, seed=int(rng.integers(1 << 30)))
-    parts0 = singularity_representation(amp0, phase)
-    pairs.append((parts0.F.constant_term(), amp0.coeffs[0].constant_term()))
-    pairs.append((parts0.G.constant_term(), -amp0.coeff(1).constant_term()))
-
-    ampm = random_amplitude(n, -1.0, seed=int(rng.integers(1 << 30)))
-    partsm = singularity_representation(ampm, phase)
-    if partsm.F is not None:
-        raise BranchError("negative integer order must be pure log")
-    pairs.append((partsm.G.constant_term(), -ampm.coeffs[0].constant_term()))
-    return _worst(pairs)
-
-
 @dataclass(frozen=True)
 class CheckSpec:
     """One check: its function and what it reads of a scenario.
 
-    ``symbol`` is "required", "optional" or "unread".  ``chart_models`` is
-    empty for a check that never builds the chart (it reads only ``n`` and
-    the jet order).  ``n_range`` is (low, high), high None for no bound, and
-    ``oracle`` says whether the check reads the ``oracle`` options.
+    ``symbol`` is "required" or "unread".  ``chart_models`` is empty for a
+    check that never builds the chart (it reads only ``n``).  ``n_range`` is
+    (low, high), high None for no bound, and ``oracle`` says whether the
+    check reads the ``oracle`` options.
     """
 
     fn: Callable[[CheckContext], Tuple[complex, complex]]
@@ -766,7 +694,6 @@ class CheckSpec:
     symbol_kinds: Tuple[str, ...] = SYMBOL_KINDS
     chart_models: Tuple[str, ...] = CHART_MODELS
     n_range: Tuple[int, Optional[int]] = (1, None)
-    min_jet_order: int = 2
     params: Tuple[str, ...] = ()
     oracle: bool = False
 
@@ -775,13 +702,11 @@ class CheckSpec:
 #: rejects every scenario it rules out (the quadrature oracle alone still
 #: refuses perturbed charts when it runs)
 CHECK_SPECS: Dict[str, CheckSpec] = {
-    "b0_leading": CheckSpec(check_b0_leading, symbol="required", min_jet_order=4),
-    "b1_two_routes": CheckSpec(check_b1_two_routes, symbol="required", min_jet_order=4),
-    "b1_reference": CheckSpec(
-        check_b1_reference, symbol="required", symbol_kinds=("identity", "multiplication"), min_jet_order=4
-    ),
-    "composition_two_routes": CheckSpec(check_composition_two_routes, min_jet_order=4, params=("num_pairs",)),
-    "projector_idempotence": CheckSpec(check_projector_idempotence, min_jet_order=4),
+    "b0_leading": CheckSpec(check_b0_leading, symbol="required"),
+    "b1_two_routes": CheckSpec(check_b1_two_routes, symbol="required"),
+    "b1_reference": CheckSpec(check_b1_reference, symbol="required", symbol_kinds=("identity", "multiplication")),
+    "composition_two_routes": CheckSpec(check_composition_two_routes, params=("num_pairs",)),
+    "projector_idempotence": CheckSpec(check_projector_idempotence),
     "subprincipal_invariance": CheckSpec(check_subprincipal_invariance, chart_models=(), params=("num_diffeos",)),
     "p_operator_routes": CheckSpec(check_p_operator_routes, chart_models=("heisenberg",), params=("num_fields",)),
     "christoffel_table": CheckSpec(check_christoffel_table),
@@ -790,15 +715,13 @@ CHECK_SPECS: Dict[str, CheckSpec] = {
     "princ_symb_id": CheckSpec(check_princ_symb_id, chart_models=()),
     "hessian_display": CheckSpec(check_hessian_display),
     "quadrature_leading": CheckSpec(
-        check_quadrature_leading, n_range=ORACLE_N_RANGE, min_jet_order=4, params=("num_amplitudes",), oracle=True
+        check_quadrature_leading, n_range=ORACLE_N_RANGE, params=("num_amplitudes",), oracle=True
     ),
     "quadrature_subleading": CheckSpec(
-        check_quadrature_subleading, n_range=ORACLE_N_RANGE, min_jet_order=4, params=("num_amplitudes",), oracle=True
+        check_quadrature_subleading, n_range=ORACLE_N_RANGE, params=("num_amplitudes",), oracle=True
     ),
-    "mu2_vanishing": CheckSpec(check_mu2_vanishing, min_jet_order=3),
-    "l_linearity": CheckSpec(check_l_linearity, min_jet_order=4),
-    "rescale_uniqueness": CheckSpec(check_rescale_uniqueness, symbol="optional", min_jet_order=4),
-    "singularity_branches": CheckSpec(check_singularity_branches),
+    "mu2_vanishing": CheckSpec(check_mu2_vanishing),
+    "l_linearity": CheckSpec(check_l_linearity),
 }
 
 #: check id -> function; ``run_scenarios`` looks each check up here when it runs it
@@ -821,13 +744,8 @@ def run_scenarios(
     check that raises aborts the run and its error propagates.
     """
     seed = config.get("seed", 0)
-    jet_order = config.get("jet_order", 6)
     oracle_opts = config.get("oracle", {})
-    env = {
-        "version": __version__,
-        "seed": str(seed),
-        "jet_order": str(jet_order),
-    }
+    env = {"version": __version__, "seed": str(seed)}
     cache = RunCache()
     reports: List[ExpansionReport] = []
     for scenario in config["scenarios"]:
@@ -959,13 +877,6 @@ def default_config_doc() -> dict:
             "tolerances": {"absolute": 1e-10, "relative": 1e-12},
         },
         {
-            "name": "uniqueness-and-branches",
-            "chart": {"model": "heisenberg", "n": 1},
-            "symbol": {"kind": "random-homogeneous", "order_m": 0.5, "seed": 5},
-            "checks": ["rescale_uniqueness", "singularity_branches"],
-            "tolerances": {"absolute": 1e-10, "relative": 0.0},
-        },
-        {
             "name": "composition-cross-route",
             "chart": {"model": "heisenberg", "n": 1},
             "checks": ["composition_two_routes"],
@@ -1027,7 +938,7 @@ def default_config_doc() -> dict:
                 }
             )
             sym_id += 1
-    return {"seed": 0, "jet_order": 6, "scenarios": scenarios}
+    return {"seed": 0, "scenarios": scenarios}
 
 
 def default_config() -> dict:

@@ -38,11 +38,11 @@ AMPLITUDE_ORDER = 2
 
 @dataclass(frozen=True)
 class KernelAmplitude:
-    """Classical amplitude b(x,y,t) ~ sum_j b_j(x,y) t^{top_power - j}."""
+    """Classical amplitude b(x,y,t) ~ sum_j b_j(x,y) t^{top_power - j}, its
+    coefficients independent of the last y variable."""
 
     top_power: float
     coeffs: Tuple[Jet, ...]
-    y_independent: bool = True
 
     def __post_init__(self):
         if not self.coeffs:
@@ -53,11 +53,10 @@ class KernelAmplitude:
         for c in self.coeffs[1:]:
             if not first.is_compatible(c):
                 raise SymbolError("amplitude coefficients must share num_vars/order/base")
-        if self.y_independent:
-            last = first.num_vars - 1
-            for c in self.coeffs:
-                if c.basis.exponents[c.support, last].any():
-                    raise SymbolError("amplitude depends on the last y variable")
+        last = first.num_vars - 1
+        for c in self.coeffs:
+            if c.basis.exponents[c.support, last].any():
+                raise SymbolError("amplitude depends on the last y variable")
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     @property
@@ -109,8 +108,6 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
     xi-Hessian contraction against the phase Hessian, and the first-order
     term against the gradient of A_0.
     """
-    if not A.y_independent:
-        raise SymbolError("qe_amplitude needs a y-independent projector amplitude")
     if chart.jet_order < 4:
         raise OrderShortfallError("qe_amplitude needs chart jet_order >= 4")
     d = chart.dim
@@ -172,8 +169,6 @@ def compose_amplitudes_sp(
     matching gamma_1, runs the expansion engine, and returns the composed
     coefficients (already normalized by the Hessian determinant root).
     """
-    if not (A.y_independent and C.y_independent):
-        raise SymbolError("composition needs y-independent amplitudes")
     if min(A.coeffs[0].order, C.coeffs[0].order) < AMPLITUDE_ORDER:
         raise OrderShortfallError("composition needs amplitude jets of order >= 2")
     d = chart.dim
@@ -204,8 +199,6 @@ def compose_amplitudes_closed(
     combining R, the two Kohn Laplacians, the Reeb derivative weighted by
     2i(n - l), and the horizontal gradient pairing.
     """
-    if not (A.y_independent and C.y_independent):
-        raise SymbolError("composition needs y-independent amplitudes")
     if min(A.coeffs[0].order, C.coeffs[0].order) < AMPLITUDE_ORDER:
         raise OrderShortfallError("composition needs amplitude jets of order >= 2")
     n = chart.n
@@ -283,103 +276,6 @@ def toeplitz_b1_pipeline(
     A = szego_amplitude(chart)
     C = qe_amplitude(E, A, chart)
     return compose_amplitudes_sp(A, C, chart, phase_data=phase_data)
-
-
-def phase_rescale(amplitude: KernelAmplitude, f: Jet) -> KernelAmplitude:
-    """Re-express an amplitude given over the phase f * Phi as one over Phi.
-
-    Each coefficient of t^{top_power - j} is divided by f^{top_power - j + 1},
-    per the oscillatory-integral identity
-    int e^{i t G F} t^m dt = int e^{i t F} t^m / G^{m+1} dt.  Requires
-    f(x, x) = 1 as a jet identity; diagonal values of the first two
-    coefficients are unchanged, which is the uniqueness statement the tests
-    exercise.
-    """
-    first = amplitude.coeffs[0]
-    nv = first.num_vars
-    d = nv // 2
-    fw = f.truncated(first.order)
-    if fw.num_vars != nv:
-        raise SymbolError("rescale function must be a jet in (x, y)")
-    diag = f.reindex(d, [*range(d), *range(d)], (0.0,) * d).shift_constant(-1.0)
-    if diag.max_abs() > 1e-12 * max(f.max_abs(), 1.0):
-        raise SymbolError("rescale function must equal 1 on the diagonal")
-    out = []
-    for j, b in enumerate(amplitude.coeffs):
-        power = -(amplitude.top_power - j + 1.0)
-        out.append(b * fw.pow_real(power))
-    return KernelAmplitude(
-        top_power=amplitude.top_power,
-        coeffs=tuple(out),
-        y_independent=False,
-    )
-
-
-@dataclass(frozen=True)
-class SingularParts:
-    """First two diagonal-direction Taylor coefficients of the kernel's
-    singularity factors: F over the power singularity, G over the log."""
-
-    F: Optional[Jet]
-    G: Optional[Jet]
-
-
-def singularity_representation(amplitude: KernelAmplitude, phase: Jet) -> SingularParts:
-    """Kernel singularity factors along the diagonal direction at the origin.
-
-    With N = top_power = n + m: non-integer m gives F only, with
-    F ~ sum_j Gamma(N+1-j) b_j (-i phi)^j; integer m with N >= 0 gives (F, G);
-    integer m with N < 0 gives G only, with the factorial-reciprocal series.
-    Returned jets are order-1 jets in the diagonal parameter.
-    """
-    first = amplitude.coeffs[0]
-    nv = first.num_vars
-    d = nv // 2
-    n = (d - 1) // 2
-    N = amplitude.top_power
-    m = N - n
-
-    w = 1
-    curve = [None] * (nv - 1) + [0]  # the diagonal direction: only the last y variable moves
-    phi_c = phase.with_order(w).reindex(1, curve, (0.0,))
-    b_c = [amplitude.coeff(j).truncated(w).reindex(1, curve, (0.0,)) for j in range(2)]
-    minus_iphi = (-1j) * phi_c
-
-    is_integer = abs(m - round(m)) < 1e-9
-    one = Jet.constant(1, w, (0.0,), 1.0)
-
-    if not is_integer:
-        F = b_c[0].scale(math.gamma(N + 1.0))
-        F = F + math.gamma(N) * (b_c[1] * minus_iphi)
-        return SingularParts(F=F, G=None)
-
-    Nint = int(round(N))
-    if Nint >= 0:
-        F = Jet.zero(1, w, (0.0,))
-        power = one
-        for j in range(min(Nint, 1) + 1):
-            if j > 0:
-                power = power * minus_iphi
-            F = F + math.factorial(Nint - j) * (b_c[j] * power)
-        G = Jet.zero(1, w, (0.0,))
-        power = one
-        for j in range(2):
-            src = Nint + 1 + j
-            if src >= 2:
-                break
-            if j > 0:
-                power = power * minus_iphi
-            G = G + ((-1.0) ** (j + 1) / math.factorial(j)) * (b_c[src] * power)
-        return SingularParts(F=F, G=G)
-
-    G = Jet.zero(1, w, (0.0,))
-    for j in range(2):
-        exponent = j - Nint - 1
-        power = one
-        for _ in range(exponent):
-            power = power * minus_iphi
-        G = G + ((-1.0) ** (Nint - j) / math.factorial(j - Nint - 1)) * (b_c[j] * power)
-    return SingularParts(F=None, G=G)
 
 
 def random_amplitude(n: int, top_power: float, seed: int) -> KernelAmplitude:

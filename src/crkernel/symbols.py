@@ -21,6 +21,11 @@ from .jets import Jet, Substitution, random_jet
 from .rng import spawn_rng
 
 
+#: jet order of every symbol the harness builds or draws; the draws' seed
+#: streams depend on it, and each consumer truncates to the degree it reads
+SYMBOL_ORDER = 6
+
+
 def xi_base(n: int) -> Tuple[complex, ...]:
     """Base point (0, -omega_0(0)) of symbol jets for CR dimension n."""
     d = 2 * n + 1
@@ -69,9 +74,9 @@ def promote_x_jet(f: Jet, base_2d: Sequence[complex], order: int) -> Jet:
     return f.with_order(order).reindex(2 * f.num_vars, range(f.num_vars), base_2d)
 
 
-def identity_symbol(n: int, jet_order: int = 6) -> ClassicalSymbol:
+def identity_symbol(n: int) -> ClassicalSymbol:
     d = 2 * n + 1
-    e0 = Jet.constant(2 * d, jet_order, xi_base(n), 1.0)
+    e0 = Jet.constant(2 * d, SYMBOL_ORDER, xi_base(n), 1.0)
     return ClassicalSymbol(order_m=0.0, components=(e0,), homogeneous=True)
 
 
@@ -140,18 +145,17 @@ def random_classical_symbol(
     num_components: int,
     seed: int,
     homogeneous: bool = True,
-    jet_order: int = 6,
 ) -> ClassicalSymbol:
-    """Reproducible pseudo-random classical symbol."""
+    """Reproducible pseudo-random classical symbol at ``SYMBOL_ORDER``."""
     d = 2 * n + 1
     comps: List[Jet] = []
     for j in range(num_components):
         rng = spawn_rng(seed, "symbol", n, j, repr(order_m), homogeneous)
         if homogeneous:
-            slice_jet = random_jet(rng, d + 2 * n, jet_order, (0.0,) * (d + 2 * n), decay=0.4)
+            slice_jet = random_jet(rng, d + 2 * n, SYMBOL_ORDER, (0.0,) * (d + 2 * n), decay=0.4)
             comps.append(homogeneity_extend(slice_jet, order_m - j))
         else:
-            comps.append(random_jet(rng, 2 * d, jet_order, xi_base(n), decay=0.4))
+            comps.append(random_jet(rng, 2 * d, SYMBOL_ORDER, xi_base(n), decay=0.4))
     return ClassicalSymbol(order_m=order_m, components=tuple(comps), homogeneous=homogeneous)
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import re
@@ -12,6 +11,7 @@ from crkernel.harness import (
     CHECK_SPECS,
     SYMBOL_KINDS,
     default_config,
+    default_config_doc,
     emit_report,
     parse_config,
     parse_structured_report,
@@ -23,7 +23,6 @@ from crkernel import cli
 def small_config(**overrides):
     doc = {
         "seed": 0,
-        "jet_order": 6,
         "scenarios": [
             {
                 "name": "geo",
@@ -58,6 +57,10 @@ def test_unknown_keys_rejected():
     doc["scenarios"][0]["chart"]["foo"] = 1
     with pytest.raises(ConfigError, match=r"scenarios\[0\].chart"):
         parse_config(doc)
+    doc = small_config()
+    doc["scenarios"][0]["chart"]["jet_order"] = 6  # charts are built at a fixed order
+    with pytest.raises(ConfigError, match=re.escape("config.scenarios[0].chart: unknown keys ['jet_order']")):
+        parse_config(doc)
 
 
 def test_unknown_check_rejected():
@@ -71,14 +74,6 @@ def test_tolerances_must_be_positive():
     doc = small_config()
     doc["scenarios"][0]["tolerances"] = {"absolute": 0.0, "relative": 0.0}
     with pytest.raises(ConfigError):
-        parse_config(doc)
-
-
-def test_jet_order_floor_for_expansion_checks():
-    doc = small_config(jet_order=3)
-    doc["scenarios"][0]["checks"] = ["b1_two_routes"]
-    doc["scenarios"][0]["symbol"] = {"kind": "identity"}
-    with pytest.raises(ConfigError, match="jet_order"):
         parse_config(doc)
 
 
@@ -98,7 +93,7 @@ def test_jet_order_floor_for_expansion_checks():
         (("scenarios", 0, "chart"), "heisenberg"),
         (("scenarios", 0, "chart", "r_synth"), "x"),
         (("scenarios", 0, "chart", "seed"), -3),
-        (("scenarios", 0, "chart", "jet_order"), "six"),
+        (("scenarios", 0, "chart", "n"), "six"),
         (("scenarios", 0, "symbol"), "identity"),
         (("scenarios", 0, "symbol", "num_components"), 0),
         (("scenarios", 0, "symbol", "order_m"), "half"),
@@ -114,6 +109,10 @@ def test_jet_order_floor_for_expansion_checks():
         (("oracle", "nodes_per_axis"), []),
         (("oracle", "nodes_per_axis"), [32, 48, 160, 160]),
         (("oracle", "nodes_per_axis"), [48, 48, 160, 47]),
+        (("jet_order",), 5),  # the legacy key accepts only the integer 6
+        (("jet_order",), 7),
+        (("jet_order",), "6"),
+        (("jet_order",), True),
     ],
 )
 def test_malformed_values_rejected(path, value):
@@ -227,19 +226,6 @@ def test_quadrature_rejected_outside_the_oracle_dimensions(check):
         parse_config(doc)
 
 
-@pytest.mark.parametrize("check,jet_order", [("l_linearity", 3), ("mu2_vanishing", 2)])
-def test_jet_order_floor_per_check(check, jet_order):
-    # below its floor a check fails (apply_L needs phase order 4) or tests
-    # nothing (h vanishes at jet order 2)
-    assert CHECK_SPECS[check].min_jet_order == jet_order + 1
-    doc = small_config(jet_order=jet_order)
-    doc["scenarios"][0]["checks"] = [check]
-    with pytest.raises(ConfigError, match=f"jet_order must be >= {jet_order + 1} for {check}"):
-        parse_config(doc)
-    doc["jet_order"] = jet_order + 1
-    parse_config(doc)
-
-
 def test_oracle_options_no_check_reads_rejected():
     doc = small_config(oracle={"nodes_per_axis": [], "cutoff_radius": 7.0})
     doc["scenarios"][0]["checks"] = ["hessian_display"]
@@ -249,11 +235,16 @@ def test_oracle_options_no_check_reads_rejected():
     parse_config(doc)
 
 
-def test_perturbed_needs_order_six():
-    doc = small_config(jet_order=5)
-    doc["scenarios"][0]["chart"] = {"model": "perturbed", "n": 1, "r_synth": 0.3}
-    with pytest.raises(ConfigError, match="jet_order"):
-        parse_config(doc)
+def test_legacy_jet_order_key_accepts_only_six(tmp_path, capsys):
+    # older configs write the old default; it parses and changes nothing
+    doc = default_config_doc()
+    assert "jet_order" not in doc
+    some = "homogeneous-m+0.5-*"  # every chart model and a drawn symbol
+    without = emit_report(run_scenarios(parse_config(doc), name_filter=some, timings=False))
+    doc["jet_order"] = 6
+    assert emit_report(run_scenarios(parse_config(doc), name_filter=some, timings=False)) == without
+    assert cli.main(["--config", write_config(tmp_path, small_config(jet_order=7))]) == 2
+    assert "config error: config.jet_order: the work orders are fixed" in capsys.readouterr().err
 
 
 def test_reports_deterministic_and_filterable():
@@ -370,6 +361,60 @@ def test_subprincipal_invariance_at_order_4_equals_the_draws_at_order_6():
     assert check_subprincipal_invariance(ctx) == _worst(pairs)
 
 
+def _chart_order_probe_doc():
+    """One scenario per CHECK_SPECS row and chart it applies to, among the
+    exact chart at n = 1 and 2 and a perturbed chart at n = 1."""
+    charts = ({"n": 1}, {"n": 2}, {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 3})
+    counts = {"num_pairs": 2, "num_diffeos": 2, "num_fields": 3, "num_amplitudes": 1}
+    scenarios = []
+    for check_id, spec in CHECK_SPECS.items():
+        for chart in charts:
+            model = chart.get("model", "heisenberg")
+            scenario = {
+                "name": f"{check_id}-{model}-n{chart['n']}",
+                "chart": chart,
+                "checks": [check_id],
+                "tolerances": {"absolute": 1e-9, "relative": 5e-2},
+                "params": {k: counts[k] for k in spec.params},
+            }
+            if spec.symbol == "required":
+                scenario["symbol"] = {"kind": spec.symbol_kinds[-1], "seed": 7}
+            try:
+                parse_config({"scenarios": [scenario]})
+            except ConfigError:
+                continue  # the check does not apply to this chart
+            if not (spec.oracle and model == "perturbed"):  # the oracle refuses it when it runs
+                scenarios.append(scenario)
+    return {"seed": 0, "oracle": {"t_samples": [60.0, 65.0, 70.0, 75.0]}, "scenarios": scenarios}
+
+
+def test_chart_order_moves_no_route_value(monkeypatch):
+    # every route reads a chart to degree 4 at most, so charts built at order
+    # 6 give the same records, bit for bit, as the harness's CHART_ORDER
+    import crkernel.charts as charts
+    import crkernel.harness as harness
+
+    assert charts.CHART_ORDER == 4
+    assert harness.RunCache().chart(harness.ChartSpec(n=1)).jet_order == charts.CHART_ORDER
+    config = parse_config(_chart_order_probe_doc())
+    at_chart_order = run_scenarios(config, timings=False)
+    names = {rep.scenario for rep in at_chart_order}
+    assert {r.check_id for rep in at_chart_order for r in rep.records} == set(CHECK_SPECS)
+    assert {f"b1_two_routes-{c}" for c in ("heisenberg-n1", "heisenberg-n2", "perturbed-n1")} <= names
+    assert all(r.passed for rep in at_chart_order for r in rep.records)
+    built = []
+
+    def order_six(n):
+        chart = charts.heisenberg_chart(n, 6)
+        built.append(chart.jet_order)
+        return chart
+
+    monkeypatch.setattr(harness, "heisenberg_chart", order_six)
+    at_six = run_scenarios(config, timings=False)
+    assert built == [6, 6]
+    assert emit_report(at_six) == emit_report(at_chart_order)
+
+
 def test_checks_read_exactly_their_spec_params(monkeypatch):
     from crkernel.harness import CheckContext
 
@@ -426,7 +471,6 @@ def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
     quadrature = {"params": {"num_amplitudes": 1}}
     doc = {
         "seed": 0,
-        "jet_order": 6,
         "oracle": {"t_samples": [60.0, 65.0, 70.0, 75.0]},
         "scenarios": [
             _scenario("leading", flat, ["quadrature_leading"], **quadrature),
@@ -434,13 +478,12 @@ def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
             _scenario("flat", flat, ["hessian_display", "christoffel_table"]),
             _scenario("curved-a", curved, ["mu2_vanishing"]),
             _scenario("curved-b", curved, ["hessian_display"]),
-            _scenario("flat-order-4", {"n": 1, "jet_order": 4}, ["christoffel_table"]),
         ],
     }
     config = parse_config(doc)
-    # the order-6 exact chart also serves as the perturbed chart's base
+    # the exact chart also serves as the perturbed chart's base
     once = {
-        "heisenberg_chart": 2,
+        "heisenberg_chart": 1,
         "perturbed_chart": 1,
         "build_phase_data": 2,
         "oracle_sweep": 1,
@@ -468,7 +511,6 @@ def test_quadrature_amplitudes_share_one_moment_table_per_t_sample(monkeypatch):
     t_samples = [60.0, 65.0, 70.0, 75.0]
     doc = {
         "seed": 0,
-        "jet_order": 6,
         "oracle": {"t_samples": t_samples},
         "scenarios": [_scenario("leading", {"n": 1}, ["quadrature_leading", "quadrature_subleading"])],
     }
@@ -535,7 +577,6 @@ def test_cli_strict_failure_exit_one(tmp_path, capsys):
 def test_cli_numerical_error_exit_three(tmp_path, capsys):
     doc = {
         "seed": 0,
-        "jet_order": 6,
         "oracle": {"cutoff_radius": 3.0},
         "scenarios": [
             {
@@ -549,6 +590,8 @@ def test_cli_numerical_error_exit_three(tmp_path, capsys):
     }
     path = write_config(tmp_path, doc)
     assert cli.main(["--config", path]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: cutoff radius must lie in (0, 2) to keep Im(phase) >= 0" in err
 
 
 def test_cli_kit_error_exit_three(tmp_path, capsys):
@@ -572,18 +615,20 @@ def test_cli_filter_and_csv(tmp_path, capsys):
 
 
 def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
+    # the seed can be overridden; the jet order is fixed and has no option
     path = write_config(tmp_path, small_config())
-    assert cli.main(["--config", path, "--seed", "7", "--jet-order", "5", "--no-timings"]) == 0
-    out = capsys.readouterr().out
-    doc = json.loads(out)
-    env = doc["reports"][0]["environment"]
-    assert env["seed"] == "7"
-    assert env["jet_order"] == "5"
+    assert cli.main(["--config", path, "--seed", "7", "--no-timings"]) == 0
+    env = json.loads(capsys.readouterr().out)["reports"][0]["environment"]
+    assert env == {"version": env["version"], "seed": "7"}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", path, "--jet-order", "6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jet-order 6" in capsys.readouterr().err
 
 
 #: sha256 of ``verify --no-timings`` on the default suite.  A change that moves
 #: rounding on purpose updates it and reports the moved values in CHANGES.md.
-DEFAULT_SUITE_SHA256 = "515c5c08ac46fa942d4f4f6738d0d3920a5cb8451a98b65cbec6fad0410ecd10"
+DEFAULT_SUITE_SHA256 = "9cf8bffd028d1f961001db2fbec8cd9cb99edc4defce9951cca712e684c5d64f"
 
 
 def test_default_suite_report_bytes_are_pinned(tmp_path, capsys):
@@ -599,16 +644,12 @@ def test_cli_overrides_go_through_parse_config(tmp_path, capsys):
     doc["scenarios"][0]["symbol"] = {"kind": "identity"}
     doc["scenarios"][0]["checks"] = ["b1_two_routes"]
     path = write_config(tmp_path, doc)
-    assert cli.main(["--config", path, "--jet-order", "3"]) == 2
-    assert "jet_order must be >= 4" in capsys.readouterr().err
-    assert cli.main(["--config", path, "--jet-order", "1"]) == 2
     assert cli.main(["--config", path, "--seed", "-1"]) == 2
-    assert cli.main(["--jet-order", "3", "--filter", "geometry-tables"]) == 2
+    assert "config.seed: must be an integer >= 0" in capsys.readouterr().err
 
 
 QUADRATURE_LEAK_DOC = {
     "seed": 0,
-    "jet_order": 6,
     "oracle": {"t_samples": [60.0, 65.0, 70.0, 75.0]},
     "scenarios": [
         _scenario("flat", {"model": "heisenberg", "n": 1}, ["quadrature_leading"], params={"num_amplitudes": 1}),
@@ -630,30 +671,14 @@ def test_quadrature_memo_is_keyed_by_chart():
         run_scenarios(parse_config(QUADRATURE_LEAK_DOC))
 
 
-def test_broken_branch_invariant_is_a_numerical_error(tmp_path, monkeypatch, capsys):
-    import crkernel.harness as harness
-
-    original = harness.singularity_representation
-
-    def log_everywhere(amplitude, phase):
-        parts = original(amplitude, phase)
-        return dataclasses.replace(parts, G=parts.F)
-
-    monkeypatch.setattr(harness, "singularity_representation", log_everywhere)
-    doc = small_config()
-    doc["scenarios"][0]["checks"] = ["singularity_branches"]
-    assert cli.main(["--config", write_config(tmp_path, doc)]) == 3
-    assert "numerical error: non-integer order must not produce a log factor" in capsys.readouterr().err
-
-
 # -- README ---------------------------------------------------------------------------------
 
 
 def render_check_table():
     """The README's check table, rendered from CHECK_SPECS."""
     rows = [
-        "| check | symbol | chart models | n | min jet order | params |",
-        "|---|---|---|---|---|---|",
+        "| check | symbol | chart models | n | params |",
+        "|---|---|---|---|---|",
     ]
     for check_id, spec in CHECK_SPECS.items():
         symbol = "—" if spec.symbol == "unread" else spec.symbol
@@ -663,7 +688,7 @@ def render_check_table():
         low, high = spec.n_range
         n = f"≥ {low}" if high is None else (str(low) if low == high else f"{low}–{high}")
         params = ", ".join(f"`{p}`" for p in spec.params) or "—"
-        rows.append(f"| `{check_id}` | {symbol} | {models} | {n} | {spec.min_jet_order} | {params} |")
+        rows.append(f"| `{check_id}` | {symbol} | {models} | {n} | {params} |")
     return rows
 
 

@@ -17,10 +17,8 @@ from crkernel.pipeline import (
     _sigma_power,
     compose_amplitudes_closed,
     compose_amplitudes_sp,
-    phase_rescale,
     qe_amplitude,
     random_amplitude,
-    singularity_representation,
     szego_amplitude,
     toeplitz_b1_closed_form,
     toeplitz_b1_pipeline,
@@ -75,7 +73,7 @@ def test_amplitude_y_independence_enforced():
 
 def test_qe_identity_symbol(chart):
     A = szego_amplitude(chart)
-    C = qe_amplitude(identity_symbol(1, 6), A, chart)
+    C = qe_amplitude(identity_symbol(1), A, chart)
     assert C.top_power == A.top_power
     assert max_coeff_difference(C.coeffs[0], A.coeffs[0]) < 1e-15
     assert max_coeff_difference(C.coeff(1), A.coeff(1).truncated(C.coeff(1).order)) < 1e-15
@@ -96,7 +94,7 @@ def test_qe_multiplication_leading(chart):
 def test_qe_c1_diagonal_formula(chart, curved):
     # C_1(0,0) = [R e_0 + sum d2_xi e_0]/(4 pi^2) + e_1/(2 pi^2), all at the base
     for ch in (chart, curved):
-        E = random_classical_symbol(1, 0.5, 2, seed=23, jet_order=6)
+        E = random_classical_symbol(1, 0.5, 2, seed=23)
         A = szego_amplitude(ch)
         C = qe_amplitude(E, A, ch)
         e0, e1 = E.components[0], E.components[1]
@@ -198,7 +196,7 @@ def test_projector_self_composition_reproduces_curvature(curved):
 
 
 def test_identity_closed_form(chart, curved):
-    E = identity_symbol(1, 6)
+    E = identity_symbol(1)
     b0, b1 = toeplitz_b1_closed_form(E, chart)
     assert b0 == pytest.approx(1.0 / (2.0 * PI2))
     assert b1 == pytest.approx(0.0, abs=1e-15)
@@ -222,7 +220,7 @@ def test_multiplication_corollary(chart):
 
 def test_pipeline_matches_closed_form_examples(chart):
     for E in (
-        identity_symbol(1, 6),
+        identity_symbol(1),
         make_multiplication_symbol(f_jet({(2, 0, 0): 1.0})),
         make_multiplication_symbol(
             random_jet(spawn_rng(9, "m"), D, 6, (0.0,) * D, decay=0.5)
@@ -236,11 +234,11 @@ def test_pipeline_matches_closed_form_examples(chart):
 
 def test_pipeline_identity_in_higher_dimension():
     chart2 = heisenberg_chart(2, 6)
-    E = identity_symbol(2, 6)
+    E = identity_symbol(2)
     b0, b1 = toeplitz_b1_pipeline(E, chart2)
     assert b0 == pytest.approx(1.0 / (2.0 * math.pi**3), abs=1e-13)
     assert abs(b1) < 1e-12
-    E2 = random_classical_symbol(2, 0.5, 2, seed=77, jet_order=6)
+    E2 = random_classical_symbol(2, 0.5, 2, seed=77)
     pb = toeplitz_b1_pipeline(E2, chart2)
     cb = toeplitz_b1_closed_form(E2, chart2)
     assert abs(pb[1] - cb[1]) < 1e-9 * (1 + abs(cb[1]))
@@ -250,50 +248,6 @@ def test_closed_form_requires_homogeneous_flag(chart):
     sym = random_classical_symbol(1, 0.5, 2, seed=3, homogeneous=False)
     with pytest.raises(SymbolError):
         toeplitz_b1_closed_form(sym, chart)
-
-
-# -- phase rescaling and uniqueness ------------------------------------------------------------
-
-
-def test_rescale_identity_function(chart):
-    C = random_amplitude(1, 1.5, seed=41)
-    one = Jet.constant(6, 2, (0.0,) * 6, 1.0)
-    out = phase_rescale(C, one)
-    for j in range(2):
-        assert max_coeff_difference(out.coeffs[j], C.coeffs[j]) == 0.0
-
-
-def test_rescale_diagonal_b1_invariant(chart):
-    # the pointwise-uniqueness statement as an oracle: diagonal values of the
-    # first two coefficients are unchanged under admissible rescalings
-    E = random_classical_symbol(1, 0.5, 2, seed=5, jet_order=6)
-    A = szego_amplitude(chart)
-    C = qe_amplitude(E, A, chart)
-    nv, base = 6, (0.0,) * 6
-    for k in range(10):
-        rng = spawn_rng(k, "resc")
-        f = Jet.constant(nv, 2, base, 1.0)
-        for _ in range(3):
-            a = int(rng.integers(0, D))
-            b = int(rng.integers(0, 2))
-            c = complex(rng.standard_normal(), rng.standard_normal()) * 0.3
-            da = Jet.displacement(D + a, nv, 2, base) - Jet.displacement(a, nv, 2, base)
-            db = Jet.displacement(D + b, nv, 2, base) - Jet.displacement(b, nv, 2, base)
-            f = f + (da * db).scale(c)
-        out = phase_rescale(C, f)
-        assert abs(out.coeffs[0].constant_term() - C.coeffs[0].constant_term()) < 1e-12
-        assert abs(out.coeff(1).constant_term() - C.coeff(1).constant_term()) < 1e-10
-        # admissibility: T_y(f)(0,0) = 0 keeps T_y of the rescaled leading
-        # coefficient zero at the base point
-        t_y = -out.coeffs[0].derivative_value((0, 0, 0, 0, 0, 1))
-        assert abs(t_y) < 1e-12
-
-
-def test_rescale_rejects_non_unital(chart):
-    C = random_amplitude(1, 1.0, seed=13)
-    bad = Jet.constant(6, 2, (0.0,) * 6, 1.0) + Jet.displacement(0, 6, 2, (0.0,) * 6)
-    with pytest.raises(SymbolError):
-        phase_rescale(C, bad)
 
 
 def test_integer_order_log_branch_finite_part():
@@ -308,52 +262,6 @@ def test_integer_order_log_branch_finite_part():
         lhs = -(np.log(-1j * G * F + eps) + gamma)
         rhs = -(np.log(-1j * F + eps / G) + gamma)
         assert abs((lhs - rhs) - (-np.log(G))) < 1e-8
-
-
-# -- singularity representation ------------------------------------------------------------------
-
-
-def test_singularity_noninteger_branch(chart):
-    amp = random_amplitude(1, 1.5, seed=51)  # n + m = 1.5, m = 0.5
-    parts = singularity_representation(amp, chart.phase)
-    assert parts.G is None
-    b0 = amp.coeffs[0].constant_term()
-    assert parts.F.constant_term() == pytest.approx(math.gamma(2.5) * b0)
-    # linear coefficient picks up Gamma(N) b_1 (-i) along the diagonal
-    b1 = amp.coeff(1).constant_term()
-    db0 = amp.coeffs[0].coefficient((0, 0, 0, 0, 0, 1))  # zero: y-independent
-    want_lin = math.gamma(1.5) * b1 * (-1j)
-    assert parts.F.coefficient((1,)) == pytest.approx(want_lin + math.gamma(2.5) * db0)
-
-
-def test_singularity_zero_amplitude(chart):
-    zero = KernelAmplitude(
-        top_power=0.0, coeffs=(Jet.zero(6, 2, (0.0,) * 6), Jet.zero(6, 2, (0.0,) * 6))
-    )
-    parts = singularity_representation(zero, chart.phase)
-    assert parts.F.max_abs() == 0.0
-    assert parts.G.max_abs() == 0.0
-
-
-def test_singularity_order_zero_symbol(chart):
-    # m = 0, n = 1: F(0,0) = Gamma(n + m + 1) b_0 / ... = 1! b_0
-    amp = random_amplitude(1, 1.0, seed=55)
-    parts = singularity_representation(amp, chart.phase)
-    assert parts.F.constant_term() == pytest.approx(amp.coeffs[0].constant_term())
-    assert parts.G.max_abs() == 0.0  # log series starts at the absent b_2
-
-
-def test_singularity_integer_branches(chart):
-    # N = n + m = 0: both factors; G_0 = -b_1
-    amp0 = random_amplitude(1, 0.0, seed=52)
-    parts = singularity_representation(amp0, chart.phase)
-    assert parts.F.constant_term() == pytest.approx(amp0.coeffs[0].constant_term())
-    assert parts.G.constant_term() == pytest.approx(-amp0.coeff(1).constant_term())
-    # N = -1 (m = -n-1): pure log branch with G_0 = -b_0
-    ampm = random_amplitude(1, -1.0, seed=53)
-    parts = singularity_representation(ampm, chart.phase)
-    assert parts.F is None
-    assert parts.G.constant_term() == pytest.approx(-ampm.coeffs[0].constant_term())
 
 
 @pytest.mark.parametrize("ell", [2.0, 1.0, 0.0, -1.0, 0.5, -1.5, 3.25])
@@ -371,4 +279,3 @@ def test_amplitude_rejects_a_last_y_dependence():
     KernelAmplitude(top_power=1.0, coeffs=(one, one + Jet.displacement(4, 6, 2, base)))
     with pytest.raises(SymbolError):
         KernelAmplitude(top_power=1.0, coeffs=(one, one + Jet.displacement(5, 6, 2, base).scale(1e-300)))
-    KernelAmplitude(top_power=1.0, coeffs=(one, one + Jet.displacement(5, 6, 2, base)), y_independent=False)

@@ -140,7 +140,7 @@ def test_princ_symb_identity_random():
 
 
 def test_subprincipal_identity_symbol(chart):
-    sym = identity_symbol(N, 6)
+    sym = identity_symbol(N)
     rng = spawn_rng(5, "lam")
     lam = random_jet(rng, D, 6, (0.0,) * D, real=True, decay=0.4, min_degree=1).exp()
     value, _ = subprincipal_symbol(sym, lam, 1.0)
@@ -166,7 +166,7 @@ def test_subprincipal_constant_subleading():
 
 
 def test_subprincipal_rejects_s_zero():
-    sym = identity_symbol(N, 6)
+    sym = identity_symbol(N)
     lam = Jet.constant(D, 6, (0.0,) * D, 1.0)
     with pytest.raises(SymbolError):
         subprincipal_symbol(sym, lam, 0.0)
@@ -175,7 +175,7 @@ def test_subprincipal_rejects_s_zero():
 def test_subprincipal_jet_raises_a_low_order_density():
     # the jet reaches degree k = e_0.order - 2, so d log(lambda) is needed through degree k
     rng = spawn_rng(5, "low-order-density")
-    sym = random_classical_symbol(N, 0.3, 2, seed=5, homogeneous=False, jet_order=6)
+    sym = random_classical_symbol(N, 0.3, 2, seed=5, homogeneous=False)
     lam = random_jet(rng, D, 2, (0.0,) * D, real=True, decay=0.4, min_degree=1).exp()
     value, jet = subprincipal_symbol(sym, lam, 1.5)
     want_value, want = subprincipal_symbol(sym, lam.with_order(5), 1.5)
@@ -208,7 +208,7 @@ def test_invert_map_roundtrip():
 
 
 def test_transform_identity_diffeo():
-    sym = random_classical_symbol(N, 0.0, 2, seed=3, homogeneous=False, jet_order=6)
+    sym = random_classical_symbol(N, 0.0, 2, seed=3, homogeneous=False)
     ident = [Jet.displacement(c, D, 6, (0.0,) * D) for c in range(D)]
     tsym = transform_symbol_under_diffeo(sym, ident, invert_map(ident))
     for j in range(2):
@@ -227,7 +227,7 @@ def test_transform_linear_exact():
             idx[j] = 1
             coeffs[tuple(idx)] = A[c, j]
         kappa.append(Jet(D, 6, (0.0,) * D, coeffs))
-    sym = random_classical_symbol(N, 1.0, 1, seed=6, homogeneous=False, jet_order=6)
+    sym = random_classical_symbol(N, 1.0, 1, seed=6, homogeneous=False)
     tsym = transform_symbol_under_diffeo(sym, kappa, invert_map(kappa))
     # sample: pick x near 0 and eta near the transformed base, compare values
     eta0 = np.array(tsym.components[0].base_point[D:])
@@ -243,7 +243,7 @@ def test_transform_linear_exact():
 
 def test_transforms_truncate_a_given_inverse():
     rng = spawn_rng(12, "given-inverse")
-    sym = random_classical_symbol(N, 0.4, 2, seed=12, homogeneous=False, jet_order=6)
+    sym = random_classical_symbol(N, 0.4, 2, seed=12, homogeneous=False)
     lam = random_jet(rng, D, 6, (0.0,) * D, real=True, decay=0.4, min_degree=1).exp()
     kappa = _random_cubic_diffeo(rng)
     psi = invert_map(kappa)
@@ -276,7 +276,7 @@ def test_transform_density_reads_kappa_above_the_density_order():
 def test_transform_singular_jacobian_rejected():
     kappa = [Jet.zero(D, 6, (0.0,) * D) for _ in range(D)]
     ident = [Jet.displacement(c, D, 6, (0.0,) * D) for c in range(D)]  # the Jacobian is checked first
-    sym = identity_symbol(N, 6)
+    sym = identity_symbol(N)
     with pytest.raises(SymbolError, match="singular Jacobian"):
         transform_symbol_under_diffeo(sym, kappa, ident)
 
@@ -286,7 +286,7 @@ def test_subprincipal_invariance_under_diffeos():
     worst = 0.0
     for k in range(20):
         rng = spawn_rng(k, "inv-diffeo")
-        sym = random_classical_symbol(N, 0.7, 2, seed=100 + k, homogeneous=False, jet_order=6)
+        sym = random_classical_symbol(N, 0.7, 2, seed=100 + k, homogeneous=False)
         lam = random_jet(rng, D, 6, (0.0,) * D, real=True, decay=0.4, min_degree=1).scale(0.5).exp()
         s_val = float(rng.uniform(0.5, 2.0))
         kappa = _random_cubic_diffeo(rng)
