@@ -594,6 +594,28 @@ def test_cli_numerical_error_exit_three(tmp_path, capsys):
     assert "numerical error: cutoff radius must lie in (0, 2) to keep Im(phase) >= 0" in err
 
 
+def test_broken_branch_invariant_is_a_numerical_error(tmp_path, monkeypatch, capsys):
+    # a square root on the wrong branch must stop the run, not flip the sign of b0
+    import numpy
+    import crkernel.stationary as stationary
+
+    class OtherBranch:
+        def __getattr__(self, name):
+            return getattr(numpy, name)
+
+        @staticmethod
+        def sqrt(x):
+            return -numpy.sqrt(x)
+
+    monkeypatch.setattr(stationary, "np", OtherBranch())
+    doc = small_config()
+    doc["scenarios"][0]["symbol"] = {"kind": "identity"}
+    doc["scenarios"][0]["checks"] = ["b0_leading"]
+    assert cli.main(["--config", write_config(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical error: determinant square root does not lie in the right half plane" in err
+
+
 def test_cli_kit_error_exit_three(tmp_path, capsys):
     # the curvature identity cannot be met to tolerance at this r_synth; the
     # chart's ChartError is not a NumericalError but must still exit 3
