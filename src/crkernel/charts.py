@@ -61,7 +61,7 @@ class CRModelChart:
     synthetic_R: float
     phase: Jet                             # prepared phase in (x, y) at (0, 0)
     is_exact_heisenberg: bool
-    #: chart-only P-operator frame data by (order, base), filled lazily by
+    #: chart-only P-operator frame data by base point, filled lazily by
     #: ``symbols.p_operator_geometric``
     _p_geometry: Dict = field(init=False, repr=False, compare=False, default_factory=dict)
 

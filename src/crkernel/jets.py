@@ -559,9 +559,8 @@ class Substitution:
     ``apply(outer)`` equals ``outer.compose(inner)`` bit for bit.  The table of
     monomial powers of the inner displacements fills lazily and is shared by
     every outer jet the substitution is applied to; an entry depends only on
-    its multi-index, so reuse changes no value.  Entries are stored by their
-    support, so a table of sparse powers stays small.  Maps that only rename
-    or pin variables need no powers: use ``Jet.reindex``.
+    its multi-index, so reuse changes no value.  Maps that only rename or pin
+    variables need no powers: use ``Jet.reindex``.
     """
 
     def __init__(self, inner: Sequence[Jet]):
@@ -584,10 +583,8 @@ class Substitution:
             stripped[0] = 0.0
             deltas.append(g._like(stripped))
         self._deltas = deltas
-        #: power entries by outer basis position (the same at every order)
-        self._powers: Dict[int, Tuple[np.ndarray, np.ndarray]] = {
-            0: (np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex))
-        }
+        #: powers of the inner displacements by outer basis position (the same at every order)
+        self._powers: Dict[int, Jet] = {0: Jet.constant(self.num_vars, self.order, self.base_point, 1.0)}
 
     def apply(self, outer: Jet) -> Jet:
         """``outer`` with ``inner[k]`` substituted for its k-th variable."""
@@ -608,24 +605,20 @@ class Substitution:
         support = support[: np.searchsorted(support, cut)]
         if not support.size:
             return self._deltas[0]._like(np.zeros(size, dtype=complex))
-        entries = [self._power(p, basis) for p in support.tolist()]
-        k = np.concatenate([e[0] for e in entries])
-        c = np.repeat(outer.vector[support], [e[0].size for e in entries])
-        re, im = _cmul_parts(c, np.concatenate([e[1] for e in entries]))
+        powers = [self._power(p, basis) for p in support.tolist()]
+        k = np.concatenate([q.support for q in powers])
+        c = np.repeat(outer.vector[support], [q.support.size for q in powers])
+        re, im = _cmul_parts(c, np.concatenate([q.vector[q.support] for q in powers]))
         return self._deltas[0]._like(_scatter_sum(k, re, im, size))
 
-    def _power(self, p: int, basis: _Basis) -> Tuple[np.ndarray, np.ndarray]:
-        """(support, values) of prod_k deltas[k]**e[k] for the monomial e at
-        position p of ``basis``, memoized along graded predecessors."""
+    def _power(self, p: int, basis: _Basis) -> Jet:
+        """prod_k deltas[k]**e[k] for the monomial e at position p of
+        ``basis``, memoized along graded predecessors."""
         hit = self._powers.get(p)
-        if hit is not None:
-            return hit
-        k, pred = (int(a[p]) for a in basis.predecessors)
-        support, values = self._power(pred, basis)
-        vector = np.zeros(self._size, dtype=complex)
-        vector[support] = values
-        value = self._deltas[k]._like(vector) * self._deltas[k]
-        hit = self._powers[p] = (value.support, value.vector[value.support])
+        if hit is None:
+            k, pred = (int(a[p]) for a in basis.predecessors)
+            delta = self._deltas[k]
+            hit = self._powers[p] = delta if pred == 0 else self._power(pred, basis) * delta
         return hit
 
 

@@ -8,9 +8,12 @@ Kohn Laplacian, the cotangent operator P, the subprincipal symbol and the
 Reeb derivative.  Their agreement at the base point is the content this kit
 verifies.
 
-Amplitudes are pairs of coefficient jets in (x, y) at (0, 0), independent of
-the last y variable; only diagonal values (and the jets needed to produce
-them) are computed.
+An amplitude is its leading coefficient as a jet in (x, y) at (0, 0),
+independent of the last y variable, and its subleading coefficient's value
+at (0, 0): by stationary phase (Hoermander, The Analysis of Linear PDO I,
+Thm 7.7.5) the second diagonal coefficient reads the subleading amplitude
+only at the critical point.  Only diagonal values (and the jets needed to
+produce them) are computed.
 """
 
 from __future__ import annotations
@@ -38,40 +41,21 @@ AMPLITUDE_ORDER = 2
 
 @dataclass(frozen=True)
 class KernelAmplitude:
-    """Classical amplitude b(x,y,t) ~ sum_j b_j(x,y) t^{top_power - j}, its
-    coefficients independent of the last y variable."""
+    """Classical amplitude b(x,y,t) ~ b_0(x,y) t^{top_power} + b_1 t^{top_power - 1}
+    + ...: the leading coefficient as a jet independent of the last y
+    variable, and the subleading one by its value at (0, 0), all that the
+    diagonal formulas read of it."""
 
     top_power: float
-    coeffs: Tuple[Jet, ...]
+    leading: Jet
+    subleading: complex
 
     def __post_init__(self):
-        if not self.coeffs:
-            raise SymbolError("amplitude needs at least one coefficient jet")
-        first = self.coeffs[0]
-        if first.num_vars % 2:
+        b0 = self.leading
+        if b0.num_vars % 2:
             raise SymbolError("amplitude jets live in (x, y); even variable count required")
-        for c in self.coeffs[1:]:
-            if not first.is_compatible(c):
-                raise SymbolError("amplitude coefficients must share num_vars/order/base")
-        last = first.num_vars - 1
-        for c in self.coeffs:
-            if c.basis.exponents[c.support, last].any():
-                raise SymbolError("amplitude depends on the last y variable")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs[0].num_vars // 2
-
-    @property
-    def n(self) -> int:
-        return (self.dim - 1) // 2
-
-    def coeff(self, j: int) -> Jet:
-        if j < len(self.coeffs):
-            return self.coeffs[j]
-        first = self.coeffs[0]
-        return Jet.zero(first.num_vars, first.order, first.base_point)
+        if b0.basis.exponents[b0.support, b0.num_vars - 1].any():
+            raise SymbolError("amplitude depends on the last y variable")
 
 
 def _xy_base(d: int) -> Tuple[complex, ...]:
@@ -85,8 +69,8 @@ def szego_amplitude(chart: CRModelChart) -> KernelAmplitude:
     base = _xy_base(d)
     norm = 1.0 / (2.0 * math.pi ** (n + 1))
     a0 = Jet.constant(2 * d, AMPLITUDE_ORDER, base, norm)
-    a1 = Jet.constant(2 * d, AMPLITUDE_ORDER, base, tw_scalar_curvature(chart) / (4.0 * math.pi ** (n + 1)))
-    return KernelAmplitude(top_power=float(n), coeffs=(a0, a1))
+    a1 = complex(tw_scalar_curvature(chart) / (4.0 * math.pi ** (n + 1)))
+    return KernelAmplitude(top_power=float(n), leading=a0, subleading=a1)
 
 
 def _phase_gradient_inner(chart: CRModelChart, order: int) -> List[Jet]:
@@ -104,26 +88,23 @@ def _phase_gradient_inner(chart: CRModelChart, order: int) -> List[Jet]:
 def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) -> KernelAmplitude:
     """Amplitude of the symbol-times-projector composition.
 
-    C_0 = e_0(x, Phi'_x) A_0 and C_1 collects the subleading symbol, the
-    xi-Hessian contraction against the phase Hessian, and the first-order
-    term against the gradient of A_0.
+    C_0 = e_0(x, Phi'_x) A_0 as a jet.  C_1(0, 0) collects the subleading
+    symbol, the xi-Hessian contraction against the phase Hessian, and the
+    first-order term against the gradient of A_0, each from values at the
+    base point, where Phi'_x(0, 0) is the symbols' base covector.
     """
     if chart.jet_order < 4:
         raise OrderShortfallError("qe_amplitude needs chart jet_order >= 4")
     d = chart.dim
-    nv = 2 * d
-    order = min(AMPLITUDE_ORDER, A.coeffs[0].order)
-    at_grad = Substitution(_phase_gradient_inner(chart, order))
+    order = min(AMPLITUDE_ORDER, A.leading.order)
     phi = chart.phase
-
     e0 = E.components[0]
-    e1 = E.component(1)
-    a0 = A.coeffs[0].truncated(order)
-    a1 = A.coeff(1).truncated(order)
+    a0 = A.leading.truncated(order)
+    a0v = a0.constant_term()
 
-    e0_at = at_grad.apply(e0)
+    e0_at = Substitution(_phase_gradient_inner(chart, order)).apply(e0)
     c0 = e0_at * a0
-    c1 = e0_at * a1 + at_grad.apply(e1) * a0
+    c1 = e0_at.constant_term() * A.subleading + E.component(1).constant_term() * a0v
     for j in range(d):
         for k in range(j, d):
             hess = e0.partial(d + j).partial(d + k)
@@ -131,14 +112,14 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
                 continue
             # alpha = e_j + e_k: the unordered pair appears once with 1/alpha!
             factor = -0.5j if j == k else -1.0j
-            phi_term = phi.partial(j).partial(k).truncated(order)
-            c1 = c1 + factor * (at_grad.apply(hess) * phi_term * a0)
+            phi_term = phi.partial(j).partial(k).constant_term()
+            c1 = c1 + factor * (hess.constant_term() * phi_term * a0v)
     for j in range(d):
-        grad_a = A.coeffs[0].partial(j).truncated(order)
+        grad_a = A.leading.partial(j).truncated(order)
         if not grad_a.support.size:
             continue
-        c1 = c1 + (-1j) * (at_grad.apply(e0.partial(d + j)) * grad_a)
-    return KernelAmplitude(top_power=A.top_power + E.order_m, coeffs=(c0, c1))
+        c1 = c1 + (-1j) * (e0.partial(d + j).constant_term() * grad_a.constant_term())
+    return KernelAmplitude(top_power=A.top_power + E.order_m, leading=c0, subleading=c1)
 
 
 def _to_us_space(jet_xy: Jet, d: int, order: int, slot: str) -> Jet:
@@ -166,28 +147,23 @@ def compose_amplitudes_sp(
     """Stationary-phase route for the composed amplitude's diagonal values.
 
     Builds gamma_0(u, sigma) = A_0(0,u) C_0(u,0) lambda(u) sigma^l and the
-    matching gamma_1, runs the expansion engine, and returns the composed
-    coefficients (already normalized by the Hessian determinant root).
+    value gamma_1(0, 1) = (A_0 C_1 + A_1 C_0) lambda at the base point, runs
+    the expansion engine, and returns the composed coefficients (already
+    normalized by the Hessian determinant root).
     """
-    if min(A.coeffs[0].order, C.coeffs[0].order) < AMPLITUDE_ORDER:
+    if min(A.leading.order, C.leading.order) < AMPLITUDE_ORDER:
         raise OrderShortfallError("composition needs amplitude jets of order >= 2")
     d = chart.dim
     order = AMPLITUDE_ORDER
-    ell = A.top_power
     data = build_phase_data(chart) if phase_data is None else phase_data
 
-    a0_u = _to_us_space(A.coeffs[0], d, order, "y")
-    a1_u = _to_us_space(A.coeff(1), d, order, "y")
-    c0_u = _to_us_space(C.coeffs[0], d, order, "x")
-    c1_u = _to_us_space(C.coeff(1), d, order, "x")
+    a0_u = _to_us_space(A.leading, d, order, "y")
+    c0_u = _to_us_space(C.leading, d, order, "x")
     lam = chart.volume_density.truncated(order).reindex(d + 1, range(d), (0.0,) * (d + 1))
-    sig_l = _sigma_power(ell, d, order)
-    sig_lm1 = _sigma_power(ell - 1.0, d, order)
 
-    gamma0 = a0_u * c0_u * lam * sig_l
-    gamma1 = (a0_u * c1_u * sig_l + a1_u * c0_u * sig_lm1) * lam
-    c0, c1 = expansion_coeffs(data, gamma0, gamma1)
-    return c0, c1
+    gamma0 = a0_u * c0_u * lam * _sigma_power(A.top_power, d, order)
+    g1 = (a0_u.constant_term() * C.subleading + A.subleading * c0_u.constant_term()) * lam.constant_term()
+    return tuple(expansion_coeffs(data, gamma0, g1))
 
 
 def compose_amplitudes_closed(
@@ -199,7 +175,7 @@ def compose_amplitudes_closed(
     combining R, the two Kohn Laplacians, the Reeb derivative weighted by
     2i(n - l), and the horizontal gradient pairing.
     """
-    if min(A.coeffs[0].order, C.coeffs[0].order) < AMPLITUDE_ORDER:
+    if min(A.leading.order, C.leading.order) < AMPLITUDE_ORDER:
         raise OrderShortfallError("composition needs amplitude jets of order >= 2")
     n = chart.n
     d = chart.dim
@@ -208,10 +184,10 @@ def compose_amplitudes_closed(
     pi_pow = math.pi ** (n + 1)
 
     u, pinned = list(range(d)), [None] * d
-    a0 = A.coeffs[0].reindex(d, pinned + u, (0.0,) * d)  # A_0(0, u)
-    b0 = C.coeffs[0].reindex(d, u + pinned, (0.0,) * d)  # B_0(u, 0)
-    a0v, a1v = a0.constant_term(), A.coeff(1).constant_term()
-    b0v, b1v = b0.constant_term(), C.coeff(1).constant_term()
+    a0 = A.leading.reindex(d, pinned + u, (0.0,) * d)  # A_0(0, u)
+    b0 = C.leading.reindex(d, u + pinned, (0.0,) * d)  # B_0(u, 0)
+    a0v, a1v = a0.constant_term(), A.subleading
+    b0v, b1v = b0.constant_term(), C.subleading
 
     grad_pair = 0.0 + 0.0j
     for j in range(2 * n):
@@ -257,7 +233,7 @@ def toeplitz_b1_closed_form(E: ClassicalSymbol, chart: CRModelChart) -> Tuple[co
     box_e0 = kohn_laplacian_at0(chart, script_e0)
     reeb_e0 = reeb_derivative_at0(chart, script_e0)
     p_e0 = p_operator_canonical(E.components[0])
-    esub, _ = subprincipal_symbol(E, chart.volume_density, 1.0)
+    esub = subprincipal_symbol(E, chart.volume_density, 1.0)
 
     b0 = e0v / (2.0 * pi_pow)
     b1 = (
@@ -279,12 +255,11 @@ def toeplitz_b1_pipeline(
 
 
 def random_amplitude(n: int, top_power: float, seed: int) -> KernelAmplitude:
-    """Seeded y-independent amplitude pair for cross-route checks."""
+    """Seeded y-independent amplitude for cross-route checks; the subleading
+    value is the constant term of a second draw of the leading's shape."""
     d = 2 * n + 1
     nv = 2 * d
     rng = spawn_rng(seed, "amplitude", n, repr(top_power))
-    coeffs = []
-    for j in range(2):
-        jet = random_jet(rng, nv, AMPLITUDE_ORDER, _xy_base(d), decay=0.5)
-        coeffs.append(jet.reindex(nv, [*range(nv - 1), None], _xy_base(d)))  # y_last pinned at 0
-    return KernelAmplitude(top_power=top_power, coeffs=tuple(coeffs))
+    b0, b1 = (random_jet(rng, nv, AMPLITUDE_ORDER, _xy_base(d), decay=0.5) for _ in range(2))
+    b0 = b0.reindex(nv, [*range(nv - 1), None], _xy_base(d))  # y_last pinned at 0
+    return KernelAmplitude(top_power=top_power, leading=b0, subleading=b1.constant_term())

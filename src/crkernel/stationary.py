@@ -54,7 +54,7 @@ class PhaseCriticalData:
     h: Jet
     det_normalized: complex   # det(Psi0''(0,1) / (2 pi i))
     sqrt_det: complex         # branch-checked square root of det_normalized
-    inv_op: Dict[Tuple[int, int], complex]  # <Psi0''^{-1} D, D> over d_a d_b, a <= b
+    q: Jet                    # q(xi) = <Psi0''^{-1} xi, xi>, the symbol of <Psi0''^{-1} D, D>
     exact_heisenberg: bool
     #: [K_1..K_j] of _l_functionals for the largest j asked of ``apply_L`` so far
     _functionals: List = field(init=False, repr=False, compare=False, default_factory=list)
@@ -106,12 +106,12 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
     if root.real <= 0:
         raise BranchError("determinant square root does not lie in the right half plane")
 
-    table: Dict[Tuple[int, int], complex] = {}
+    table: Dict[Tuple[int, ...], complex] = {}
     for a in range(nv):
         for b in range(a, nv):
             val = -hess_inv[a, b] if a == b else -2.0 * hess_inv[a, b]
             if abs(val) > 1e-15:
-                table[(a, b)] = complex(val)
+                table[tuple((k == a) + (k == b) for k in range(nv))] = complex(val)
     return PhaseCriticalData(
         n=chart.n,
         psi0=psi0,
@@ -119,27 +119,23 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
         h=h,
         det_normalized=det_norm,
         sqrt_det=complex(root),
-        inv_op=table,
+        q=Jet(nv, 2, base, table),
         exact_heisenberg=chart.is_exact_heisenberg,
     )
 
 
 def _contraction_weights(data: PhaseCriticalData, count: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """[(positions, w_m) for m = 1..count] with q(xi) = sum_{a <= b} inv_op[a, b] xi_a xi_b.
+    """[(positions, w_m) for m = 1..count] for the phase data's quadratic form q.
 
     (<Psi0''^{-1} D, D>^m x^alpha)(0) vanishes unless |alpha| = 2m, and then
     equals w_m[alpha] = alpha! [xi^alpha] q^m; positions are those of the
     nonzero w_m in the basis (q^m is homogeneous of degree 2m).  Each power
     of q is formed from the one before at order 2m.
     """
-    nv = data.num_vars
-    q = Jet(nv, 2, data.h.base_point, {
-        tuple((k == a) + (k == b) for k in range(nv)): c for (a, b), c in data.inv_op.items()
-    })
     factorials = np.array([math.factorial(k) for k in range(2 * count + 1)], dtype=float)
     weights, power = [], None
     for m in range(1, count + 1):
-        qm = q.with_order(2 * m)
+        qm = data.q.with_order(2 * m)
         power = qm if power is None else power.with_order(2 * m) * qm
         exps = power.basis.exponents[power.support]
         weights.append((power.support, power.vector[power.support] * factorials[exps].prod(axis=1)))
@@ -162,13 +158,11 @@ def _l_functionals(data: PhaseCriticalData, top: int) -> List[np.ndarray]:
     """
     weights = _contraction_weights(data, 3 * top)
     top_degree = int(data.h.basis.degrees[data.h.support[-1]])
-    powers = [(np.zeros(1, dtype=np.intp), np.ones(1, dtype=complex))]
-    power = None
+    powers = [Jet.constant(data.num_vars, 0, data.h.base_point, 1.0)]
     for mu in range(1, 2 * top + 1):
         order = min(2 * (mu + top), mu * top_degree)
         h = data.h.with_order(order)
-        power = h if power is None else power.with_order(order) * h
-        powers.append((power.support, power.vector[power.support]))
+        powers.append(h if mu == 1 else powers[-1].with_order(order) * h)
     basis = Jet.zero(data.num_vars, 6 * top, data.h.base_point).basis  # covers degree 2(mu + j)
     functionals = []
     for j in range(1, top + 1):
@@ -177,13 +171,13 @@ def _l_functionals(data: PhaseCriticalData, top: int) -> List[np.ndarray]:
         functional = np.zeros(size, dtype=complex)
         for mu in range(2 * j + 1):
             m = mu + j
-            positions, values = powers[mu]
+            positions = powers[mu].support
             first = positions[: np.searchsorted(positions, basis.size(2 * m))]
             beta, alpha, k = basis.pairs(first, block, 2 * m)
             w_positions, w = weights[m - 1]
             at = np.minimum(np.searchsorted(w_positions, k), w_positions.size - 1)
             hit = w_positions[at] == k  # the weights live on degree 2m exactly
-            terms = values[np.searchsorted(positions, beta[hit])] * w[at[hit]]
+            terms = powers[mu].vector[beta[hit]] * w[at[hit]]
             sums = _scatter_sum(alpha[hit], terms.real, terms.imag, size)
             functional += sums / (math.factorial(mu) * math.factorial(m) * 2**m)
         functional *= (1j) ** (-j)
@@ -214,17 +208,14 @@ def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
     return complex(functional @ v.vector[: functional.size])
 
 
-def expansion_coeffs(
-    data: PhaseCriticalData, gamma0: Jet, gamma1: Optional[Jet] = None
-) -> List[complex]:
+def expansion_coeffs(data: PhaseCriticalData, gamma0: Jet, g1: complex = 0.0 + 0.0j) -> List[complex]:
     """The first two expansion coefficients [c0, c1] of I(t).
 
-    With Gamma ~ gamma0 t^p + gamma1 t^{p-1}, these are the coefficients of
-    t^{p-n} and t^{p-n-1}:
+    With Gamma ~ gamma0 t^p + gamma1 t^{p-1} and g1 = gamma1(0,1), these are
+    the coefficients of t^{p-n} and t^{p-n-1}:
         c0 = gamma0(0,1) / sqrt(det(Psi''/2 pi i)),
-        c1 = (gamma1(0,1) + L_1 gamma0(0,1)) / sqrt(det(Psi''/2 pi i)).
+        c1 = (g1 + L_1 gamma0(0,1)) / sqrt(det(Psi''/2 pi i)).
     """
-    g1 = 0.0 + 0.0j if gamma1 is None else gamma1.constant_term()
     return [
         gamma0.constant_term() / data.sqrt_det,
         (g1 + apply_L(data, 1, gamma0)) / data.sqrt_det,
@@ -315,8 +306,9 @@ def oscillatory_monomial_moments(
     t: float,
     cutoff_radius: float,
     nodes_per_axis: Sequence[int],
-) -> Dict[Tuple[int, ...], complex]:
-    """Moments int v^alpha exp(i t phase(v)) chi(v) dv over [-r, r]^d for |alpha| <= amp_order.
+) -> np.ndarray:
+    """Moments int v^alpha exp(i t phase(v)) chi(v) dv over [-r, r]^d for
+    |alpha| <= amp_order, as a vector over the jet basis of that order.
 
     chi(v) = prod_a exp(-(v_a / w)^8) with w = WIDTH_FRACTION * r is the
     product cutoff: it deviates from 1 only at degree 8, so it cannot disturb
@@ -362,12 +354,13 @@ def oscillatory_monomial_moments(
         f = wv * np.exp(1j * t * psi - (v / width) ** CUTOFF_DEGREE)
         inner_moments.append(np.stack([np.sum(f * v**p, axis=1) for p in powers], axis=1))
 
-    out: Dict[Tuple[int, ...], complex] = {}
-    for idx in iter_multi_indices(d, amp_order):
+    indices = iter_multi_indices(d, amp_order)
+    out = np.empty(len(indices), dtype=complex)
+    for p, idx in enumerate(indices):
         col = s_moments[:, idx[-1]]
         for a, m in enumerate(inner_moments):
             col = col * m[:, idx[a]]
-        out[idx] = complex(np.sum(col))
+        out[p] = np.sum(col)
     return out
 
 
@@ -414,8 +407,8 @@ class OracleSweep:
     tail: Tuple[np.ndarray, ...]  # K_2..K_4 of the phase data promoted to order 12
     cutoff: Jet              # the cutoff's jet 1 - sum_a (v_a / w)^8
     t: np.ndarray
-    moments: Tuple[Dict[Tuple[int, ...], complex], ...]  # one table per t sample
-    order: int               # the largest amplitude order the tables cover
+    moments: Tuple[np.ndarray, ...]  # one moment vector per t sample
+    order: int               # the largest amplitude order the moment vectors cover
 
 
 def oracle_sweep(
@@ -425,7 +418,7 @@ def oracle_sweep(
     cutoff_radius: float = 1.4,
     nodes_per_axis: Optional[Sequence[int]] = None,
 ) -> OracleSweep:
-    """One oscillatory_monomial_moments table per t sample for amplitudes of
+    """One oscillatory_monomial_moments vector per t sample for amplitudes of
     order <= ``order``, and the L_2..L_4 functionals of the tail that
     numeric_expansion_oracle subtracts.
 
@@ -470,7 +463,7 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
     Evaluates I(t) = t * int exp(i t Psi0) amplitude * chi d(u, sigma) over
     [-r, r]^{2n+2}, with the product cutoff chi, by contracting the
     amplitude's coefficients with the sweep's separable Gauss moments (a
-    moment does not depend on the table's order, so the fit is the same for
+    moment does not depend on the sweep's order, so the fit is the same for
     any sweep that covers the amplitude).  It subtracts the exactly known
     third to fifth expansion orders (the sweep's L_2..L_4 functionals, which
     the coefficient pipelines never use, applied to the amplitude times the
@@ -483,11 +476,12 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
         raise OrderShortfallError("phase and amplitude must share variables")
     if amplitude.order > sweep.order:
         raise OrderShortfallError(f"oracle sweep covers amplitude order {sweep.order} < {amplitude.order}")
+    support = amplitude.support
     values = np.zeros(len(sweep.t), dtype=complex)
     for col, (t, moments) in enumerate(zip(sweep.t.tolist(), sweep.moments)):
-        total = 0.0 + 0.0j  # the jet integrated as an exact polynomial
-        for idx, c in amplitude.graded_items():
-            total += c * moments[idx]
+        total = 0.0 + 0.0j  # the jet integrated as an exact polynomial, in graded order
+        for c, m in zip(amplitude.vector[support].tolist(), moments[support].tolist()):
+            total += c * m
         values[col] = t * total
     if float(np.max(np.abs(values))) == 0.0:
         return 0.0 + 0.0j, 0.0 + 0.0j

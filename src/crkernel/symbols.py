@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .charts import CRModelChart, christoffel_symbols, levi_frame
-from .errors import ChartError, OrderShortfallError, SymbolError
+from .errors import BranchError, ChartError, OrderShortfallError, SymbolError
 from .jets import Jet, Substitution, random_jet
 from .rng import spawn_rng
 
@@ -57,10 +57,6 @@ class ClassicalSymbol:
     @property
     def n(self) -> int:
         return (self.components[0].num_vars // 2 - 1) // 2
-
-    @property
-    def dim(self) -> int:
-        return self.components[0].num_vars // 2
 
     def component(self, j: int) -> Jet:
         if j < len(self.components):
@@ -162,31 +158,33 @@ def random_classical_symbol(
 # -- subprincipal symbol -------------------------------------------------------------
 
 
-def subprincipal_symbol(sym: ClassicalSymbol, density: Jet, s: float) -> Tuple[complex, Jet]:
-    """Subprincipal symbol with respect to a positive s-density.
+def subprincipal_symbol(sym: ClassicalSymbol, density: Jet, s: float) -> complex:
+    """Subprincipal symbol with respect to a positive s-density, at the base
+    covector:
 
     e_sub = e_1 + (i/2) sum_j d_{x_j} d_{xi_j} e_0
-                + (i/(2s)) sum_j d_{xi_j} e_0 * d_{x_j} log(lambda).
+                + (i/(2s)) sum_j d_{xi_j} e_0 * d_{x_j} log(lambda),
 
-    Returns (value at the base covector, jet of the expression).
+    with d_{x_j} log(lambda)(0) = d_{x_j} lambda(0) / lambda(0) on the
+    principal branch.
     """
     if s == 0:
         raise SymbolError("subprincipal symbol needs s != 0")
     e0 = sym.components[0]
-    nv = e0.num_vars
-    d = nv // 2
+    d = e0.num_vars // 2
     if density.num_vars != d:
         raise SymbolError("density must be a jet in the x variables")
     if e0.order < 2:
         raise OrderShortfallError("subprincipal symbol needs component order >= 2")
-    k = e0.order - 2
-    loglam = density.with_order(max(density.order, k + 1)).log()
-    out = sym.component(1).truncated(k)
+    lam0 = density.constant_term()
+    if lam0.real <= 0:
+        raise BranchError(f"subprincipal symbol: density value {lam0} not in the right half plane")
+    out = sym.component(1).constant_term()
     for j in range(d):
-        out = out + 0.5j * e0.partial(j).partial(d + j).truncated(k)
-        dlog = promote_x_jet(loglam.partial(j), e0.base_point, k)
-        out = out + (0.5j / s) * (e0.partial(d + j).truncated(k) * dlog)
-    return out.constant_term(), out
+        out = out + 0.5j * e0.partial(j).partial(d + j).constant_term()
+        dlog = density.partial(j).constant_term() * (1.0 / lam0)
+        out = out + (0.5j / s) * (e0.partial(d + j).constant_term() * dlog)
+    return out
 
 
 # -- coordinate changes -----------------------------------------------------------------
@@ -387,20 +385,20 @@ def p_operator_canonical(F: Jet) -> complex:
     return total
 
 
-def _p_geometry(chart: CRModelChart, w: int, base: Tuple[complex, ...]):
-    """Chart-only data of ``p_operator_geometric`` at order w, cached on the chart.
+def _p_geometry(chart: CRModelChart, base: Tuple[complex, ...]):
+    """Chart-only data of ``p_operator_geometric`` at order 1, cached on the chart.
 
     Returns (gam_xi, frame_p, coframe, hor_xi): gam_xi[(j, k, l)] = xi_k Gamma^l_{jk}
     lifted to (x, xi), the real frame X[r][l] over d/dx_l, its dual coframe
     W = (X^T)^{-1}, and hor_xi[r][l], the d/dxi_l coefficients of the
     horizontal lift of X_r (its d/dx_l coefficients are X[r][l]).  All come
-    from one ``levi_frame`` solve at order w + 1 (Gamma needs one derivative
-    of W), truncated to w and lifted.
+    from one ``levi_frame`` solve at order 2 (Gamma needs one derivative of
+    W), truncated to order 1 and lifted.
     """
-    key = (w, base)
-    hit = chart._p_geometry.get(key)
+    hit = chart._p_geometry.get(base)
     if hit is not None:
         return hit
+    w = 1
     d = chart.dim
     nv = 2 * d
     xi_jets = [Jet.coordinate(d + k, nv, w, base) for k in range(d)]
@@ -420,7 +418,7 @@ def _p_geometry(chart: CRModelChart, w: int, base: Tuple[complex, ...]):
         for (j, k, l), gx in gam_xi.items():
             vs[l] = vs[l] - frame_p[r][j] * gx
         hor_xi.append(vs)
-    geometry = chart._p_geometry[key] = (gam_xi, frame_p, coframe, hor_xi)
+    geometry = chart._p_geometry[base] = (gam_xi, frame_p, coframe, hor_xi)
     return geometry
 
 
@@ -429,7 +427,9 @@ def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
 
     Assembled from the horizontal lifts of the model connection, the lifted
     complex structure and the Hamiltonian field; supported on the exact
-    Heisenberg chart, where the lift frames are exact.
+    Heisenberg chart, where the lift frames are exact.  The divergence at
+    the base point reads the fields' degree-1 coefficients, so the fields
+    are formed at order 1 from F truncated to order 2.
     """
     if not chart.is_exact_heisenberg:
         raise ChartError("p_operator_geometric supports only the exact Heisenberg chart")
@@ -440,10 +440,10 @@ def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
     if F.order < 2:
         raise OrderShortfallError("p_operator_geometric needs order >= 2")
     base = F.base_point
-    w = max(F.order - 1, 0)
-    gam_xi, frame_p, coframe, hor_xi = _p_geometry(chart, w, base)
+    w = 1
+    gam_xi, frame_p, coframe, hor_xi = _p_geometry(chart, base)
 
-    comps = hamiltonian_vector_field(F)
+    comps = hamiltonian_vector_field(F.truncated(2))
     a = comps[:d]
     b = comps[d:]
 

@@ -150,10 +150,10 @@ def test_criterion_5_quadrature(chart):
     want_h[2, 3] = want_h[3, 2] = 1.0
     ok = float(np.max(np.abs(data.hessian - want_h))) < 1e-12
     ok = ok and abs(data.det_normalized - 1.0 / (4.0 * math.pi**4)) < 1e-12
-    table = data.inv_op
-    ok = ok and abs(table[(0, 0)] - 0.5j) < 1e-12
-    ok = ok and abs(table[(1, 1)] - 0.5j) < 1e-12
-    ok = ok and abs(table[(2, 3)] + 2.0) < 1e-12
+    q = data.q  # the inverse-Hessian form: xi_0^2, xi_1^2 and xi_2 xi_3 below
+    ok = ok and abs(q.coefficient((2, 0, 0, 0)) - 0.5j) < 1e-12
+    ok = ok and abs(q.coefficient((0, 2, 0, 0)) - 0.5j) < 1e-12
+    ok = ok and abs(q.coefficient((0, 0, 1, 1)) + 2.0) < 1e-12
     worst0 = worst1 = 0.0
     sweep = oracle_sweep(data, 2)
     for k in range(5):
@@ -192,8 +192,8 @@ def test_criterion_6_subprincipal_and_p(chart):
         psi = invert_map(kappa)
         tsym = transform_symbol_under_diffeo(sym, kappa, psi)
         tlam = transform_density(lam, kappa, s_val, psi)
-        direct, _ = subprincipal_symbol(sym, lam, s_val)
-        transported, _ = subprincipal_symbol(tsym, tlam, s_val)
+        direct = subprincipal_symbol(sym, lam, s_val)
+        transported = subprincipal_symbol(tsym, tlam, s_val)
         worst_sub = max(worst_sub, abs(direct - transported))
     worst_p = 0.0
     for k in range(20):

@@ -34,20 +34,12 @@ def _scaled(fn):
     return lambda *args, **kwargs: fn(*args, **kwargs) * FACTOR
 
 
-def _scaled_subprincipal(fn):
-    def mutant(*args, **kwargs):
-        esub, rest = fn(*args, **kwargs)
-        return esub * FACTOR, rest
+def _scaled_amplitude(fn, part):
+    """Scale the ``leading`` jet or the ``subleading`` value of the amplitude."""
 
-    return mutant
-
-
-def _scaled_amplitude(fn, j):
     def mutant(*args, **kwargs):
         A = fn(*args, **kwargs)
-        coeffs = list(A.coeffs)
-        coeffs[j] = coeffs[j].scale(FACTOR)
-        return dataclasses.replace(A, coeffs=tuple(coeffs))
+        return dataclasses.replace(A, **{part: getattr(A, part) * FACTOR})
 
     return mutant
 
@@ -58,9 +50,9 @@ MUTANTS = {
     "kohn_laplacian_at0": ("kohn_laplacian_at0", _scaled),
     "p_operator_canonical": ("p_operator_canonical", _scaled),
     "reeb_derivative_at0": ("reeb_derivative_at0", _scaled),
-    "subprincipal_symbol": ("subprincipal_symbol", _scaled_subprincipal),
-    "szego_amplitude A_0": ("szego_amplitude", lambda fn: _scaled_amplitude(fn, 0)),
-    "szego_amplitude A_1": ("szego_amplitude", lambda fn: _scaled_amplitude(fn, 1)),
+    "subprincipal_symbol": ("subprincipal_symbol", _scaled),
+    "szego_amplitude A_0": ("szego_amplitude", lambda fn: _scaled_amplitude(fn, "leading")),
+    "szego_amplitude A_1": ("szego_amplitude", lambda fn: _scaled_amplitude(fn, "subleading")),
 }
 
 #: the composition scenarios on the exact and a perturbed chart

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from crkernel.charts import (
@@ -11,10 +10,13 @@ from crkernel.charts import (
     tw_scalar_curvature,
 )
 from crkernel.errors import SymbolError
-from crkernel.jets import Jet, max_coeff_difference, random_jet
+from crkernel.jets import Jet, Substitution, max_coeff_difference, random_jet
 from crkernel.pipeline import (
+    AMPLITUDE_ORDER,
     KernelAmplitude,
+    _phase_gradient_inner,
     _sigma_power,
+    _to_us_space,
     compose_amplitudes_closed,
     compose_amplitudes_sp,
     qe_amplitude,
@@ -24,6 +26,7 @@ from crkernel.pipeline import (
     toeplitz_b1_pipeline,
 )
 from crkernel.rng import spawn_rng
+from crkernel.stationary import build_phase_data, expansion_coeffs
 from crkernel.symbols import (
     identity_symbol,
     make_multiplication_symbol,
@@ -56,16 +59,16 @@ def f_jet(coeffs):
 def test_szego_values(chart, curved):
     A = szego_amplitude(chart)
     assert A.top_power == 1.0
-    assert A.coeffs[0].coeffs == {(0,) * 6: 1.0 / (2.0 * PI2) + 0.0j}
-    assert A.coeff(1).constant_term() == 0.0
+    assert A.leading.coeffs == {(0,) * 6: 1.0 / (2.0 * PI2) + 0.0j}
+    assert A.subleading == 0.0
     Ac = szego_amplitude(curved)
-    assert Ac.coeff(1).constant_term() == pytest.approx(0.7 / (4.0 * PI2))
+    assert Ac.subleading == pytest.approx(0.7 / (4.0 * PI2))
 
 
 def test_amplitude_y_independence_enforced():
     bad = {(0, 0, 0, 0, 0, 1): 1.0}
     with pytest.raises(SymbolError):
-        KernelAmplitude(top_power=1.0, coeffs=(Jet(6, 2, (0.0,) * 6, bad),))
+        KernelAmplitude(top_power=1.0, leading=Jet(6, 2, (0.0,) * 6, bad), subleading=0.0)
 
 
 # -- symbol-times-projector --------------------------------------------------------------
@@ -75,8 +78,8 @@ def test_qe_identity_symbol(chart):
     A = szego_amplitude(chart)
     C = qe_amplitude(identity_symbol(1), A, chart)
     assert C.top_power == A.top_power
-    assert max_coeff_difference(C.coeffs[0], A.coeffs[0]) < 1e-15
-    assert max_coeff_difference(C.coeff(1), A.coeff(1).truncated(C.coeff(1).order)) < 1e-15
+    assert max_coeff_difference(C.leading, A.leading) < 1e-15
+    assert abs(C.subleading - A.subleading) < 1e-15
 
 
 def test_qe_multiplication_leading(chart):
@@ -88,7 +91,7 @@ def test_qe_multiplication_leading(chart):
     want = f.truncated(2).compose(
         [Jet.coordinate(i, 6, 2, (0.0,) * 6) for i in range(D)]
     ).scale(1.0 / (2.0 * PI2))
-    assert max_coeff_difference(C.coeffs[0], want) < 1e-15
+    assert max_coeff_difference(C.leading, want) < 1e-15
 
 
 def test_qe_c1_diagonal_formula(chart, curved):
@@ -105,10 +108,71 @@ def test_qe_c1_diagonal_formula(chart, curved):
         want = (
             tw_scalar_curvature(ch) * e0.constant_term() + hess_sum
         ) / (4.0 * PI2) + e1.constant_term() / (2.0 * PI2)
-        assert C.coeff(1).constant_term() == pytest.approx(want, abs=1e-13)
+        assert C.subleading == pytest.approx(want, abs=1e-13)
+
+
+def _jet_level_c1(E, A, chart):
+    """C_1(0, 0) as the jet of C_1 built in full and read at (0, 0), with A_1
+    the constant jet of its value: every term substituted at the phase
+    gradient, multiplied and summed as jets."""
+    d = chart.dim
+    order = min(AMPLITUDE_ORDER, A.leading.order)
+    at_grad = Substitution(_phase_gradient_inner(chart, order))
+    phi = chart.phase
+    e0, e1 = E.components[0], E.component(1)
+    a0 = A.leading.truncated(order)
+    a1 = Jet.constant(2 * d, order, a0.base_point, A.subleading)
+    e0_at = at_grad.apply(e0)
+    c1 = e0_at * a1 + at_grad.apply(e1) * a0
+    for j in range(d):
+        for k in range(j, d):
+            hess = e0.partial(d + j).partial(d + k)
+            if not hess.support.size:
+                continue
+            factor = -0.5j if j == k else -1.0j
+            phi_term = phi.partial(j).partial(k).truncated(order)
+            c1 = c1 + factor * (at_grad.apply(hess) * phi_term * a0)
+    for j in range(d):
+        grad_a = A.leading.partial(j).truncated(order)
+        if not grad_a.support.size:
+            continue
+        c1 = c1 + (-1j) * (at_grad.apply(e0.partial(d + j)) * grad_a)
+    return c1.constant_term()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("model", ["heisenberg", "perturbed"])
+def test_qe_c1_value_equals_the_jet_level_c1_bit_for_bit(n, model):
+    ch = heisenberg_chart(n)
+    if model == "perturbed":
+        q, table = random_perturbation(n, -0.7, seed=11)
+        ch = perturbed_chart(ch, -0.7, q, table)
+    symbols = [identity_symbol(n), random_classical_symbol(n, 0.5, 2, seed=41)]
+    symbols.append(make_multiplication_symbol(random_jet(spawn_rng(n, "c1-f"), ch.dim, 6, (0.0,) * ch.dim)))
+    amplitudes = [szego_amplitude(ch), random_amplitude(n, 1.5, seed=42)]  # constant and varying A_0
+    for E in symbols:
+        for A in amplitudes:
+            assert qe_amplitude(E, A, ch).subleading == _jet_level_c1(E, A, ch)
 
 
 # -- composition --------------------------------------------------------------------------
+
+
+def test_compose_gamma1_value_equals_the_jet_level_gamma1_bit_for_bit(chart, curved):
+    # gamma_1 = (A_0(0,u) C_1 sigma^l + A_1 C_0(u,0) sigma^{l-1}) lambda as a jet, read at (0, 1)
+    for k, ch in enumerate((chart, curved)):
+        A = random_amplitude(1, 0.75, seed=50 + k)
+        C = random_amplitude(1, -0.5, seed=60 + k)
+        d, order = ch.dim, AMPLITUDE_ORDER
+        a0_u, c0_u = _to_us_space(A.leading, d, order, "y"), _to_us_space(C.leading, d, order, "x")
+        a1_u, c1_u = (Jet.constant(d + 1, order, (0.0,) * (d + 1), v) for v in (A.subleading, C.subleading))
+        lam = ch.volume_density.truncated(order).reindex(d + 1, range(d), (0.0,) * (d + 1))
+        sig_l, sig_lm1 = _sigma_power(A.top_power, d, order), _sigma_power(A.top_power - 1.0, d, order)
+        gamma0 = a0_u * c0_u * lam * sig_l
+        gamma1 = (a0_u * c1_u * sig_l + a1_u * c0_u * sig_lm1) * lam
+        want = expansion_coeffs(build_phase_data(ch), gamma0, gamma1.constant_term())
+        assert list(compose_amplitudes_sp(A, C, ch)) == want
+
 
 
 def test_compose_projector_with_itself(chart):
@@ -120,9 +184,7 @@ def test_compose_projector_with_itself(chart):
 
 def test_compose_zero_amplitude(chart):
     A = szego_amplitude(chart)
-    zero = KernelAmplitude(
-        top_power=0.5, coeffs=(Jet.zero(6, 2, (0.0,) * 6), Jet.zero(6, 2, (0.0,) * 6))
-    )
+    zero = KernelAmplitude(top_power=0.5, leading=Jet.zero(6, 2, (0.0,) * 6), subleading=0.0)
     sp0, sp1 = compose_amplitudes_sp(A, zero, chart)
     assert sp0 == 0.0 and sp1 == 0.0
 
@@ -131,7 +193,7 @@ def test_compose_leading_product_rule(chart):
     A = random_amplitude(1, 0.5, seed=4)
     C = random_amplitude(1, 1.5, seed=5)
     sp0, sp1 = compose_amplitudes_sp(A, C, chart)
-    want = 2.0 * PI2 * A.coeffs[0].constant_term() * C.coeffs[0].constant_term()
+    want = 2.0 * PI2 * A.leading.constant_term() * C.leading.constant_term()
     assert sp0 == pytest.approx(want)
 
 
@@ -155,14 +217,8 @@ def test_compose_routes_agree_random(chart, curved):
 def test_compose_constant_flat_case(chart):
     # constant leading coefficients, zero subleading, flat curvature: c1 = 0
     base = (0.0,) * 6
-    A = KernelAmplitude(
-        top_power=1.0,
-        coeffs=(Jet.constant(6, 2, base, 0.4 - 0.1j), Jet.zero(6, 2, base)),
-    )
-    C = KernelAmplitude(
-        top_power=0.5,
-        coeffs=(Jet.constant(6, 2, base, -1.2 + 0.9j), Jet.zero(6, 2, base)),
-    )
+    A = KernelAmplitude(top_power=1.0, leading=Jet.constant(6, 2, base, 0.4 - 0.1j), subleading=0.0)
+    C = KernelAmplitude(top_power=0.5, leading=Jet.constant(6, 2, base, -1.2 + 0.9j), subleading=0.0)
     c0, c1 = compose_amplitudes_closed(A, C, chart)
     assert c1 == pytest.approx(0.0, abs=1e-15)
     sp0, sp1 = compose_amplitudes_sp(A, C, chart)
@@ -174,11 +230,11 @@ def test_compose_l_dependence_linear(chart):
     A = random_amplitude(1, 1.0, seed=31)
     C = random_amplitude(1, 0.5, seed=32)
     _, c1_a = compose_amplitudes_closed(A, C, chart)
-    A2 = KernelAmplitude(top_power=2.0, coeffs=A.coeffs)
+    A2 = KernelAmplitude(top_power=2.0, leading=A.leading, subleading=A.subleading)
     _, c1_b = compose_amplitudes_closed(A2, C, chart)
-    b0 = C.coeffs[0]
+    b0 = C.leading
     t_x_b0 = -b0.derivative_value((0, 0, 1, 0, 0, 0))
-    want_shift = -2j * 1.0 * PI2 * A.coeffs[0].constant_term() * t_x_b0
+    want_shift = -2j * 1.0 * PI2 * A.leading.constant_term() * t_x_b0
     assert (c1_b - c1_a) == pytest.approx(want_shift)
     sp0, sp1 = compose_amplitudes_sp(A2, C, chart)
     assert sp1 == pytest.approx(c1_b, abs=1e-12 * (1 + abs(c1_b)))
@@ -250,20 +306,6 @@ def test_closed_form_requires_homogeneous_flag(chart):
         toeplitz_b1_closed_form(sym, chart)
 
 
-def test_integer_order_log_branch_finite_part():
-    # finite-part cross-check of the t^{-1} identity at sampled x:
-    # int_0^infty e^{itGF} t^{-1} dt - int_0^infty e^{itF} t^{-1} dt = -log(G)
-    # via the regularized closed forms (log branch of the classical formula)
-    gamma = 0.5772156649015328606
-    for x in (0.3, 0.7, 1.1):
-        F = x
-        G = 1.0 + x**2
-        eps = 1e-9
-        lhs = -(np.log(-1j * G * F + eps) + gamma)
-        rhs = -(np.log(-1j * F + eps / G) + gamma)
-        assert abs((lhs - rhs) - (-np.log(G))) < 1e-8
-
-
 @pytest.mark.parametrize("ell", [2.0, 1.0, 0.0, -1.0, 0.5, -1.5, 3.25])
 def test_sigma_power_is_pow_real_bit_for_bit(ell):
     # the binomial jet, signs of zero included, equals (1 + dsigma).pow_real(ell)
@@ -276,6 +318,8 @@ def test_sigma_power_is_pow_real_bit_for_bit(ell):
 def test_amplitude_rejects_a_last_y_dependence():
     base = (0.0,) * 6
     one = Jet.constant(6, 2, base, 1.0)
-    KernelAmplitude(top_power=1.0, coeffs=(one, one + Jet.displacement(4, 6, 2, base)))
+    KernelAmplitude(top_power=1.0, leading=one + Jet.displacement(4, 6, 2, base), subleading=1.0)
     with pytest.raises(SymbolError):
-        KernelAmplitude(top_power=1.0, coeffs=(one, one + Jet.displacement(5, 6, 2, base).scale(1e-300)))
+        KernelAmplitude(
+            top_power=1.0, leading=one + Jet.displacement(5, 6, 2, base).scale(1e-300), subleading=1.0
+        )

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from crkernel.charts import heisenberg_chart, perturbed_chart, random_perturbation
-from crkernel.errors import ChartError, SymbolError
+from crkernel.errors import BranchError, ChartError, SymbolError
 from crkernel.jets import Jet, max_coeff_difference, random_jet
 from crkernel.rng import spawn_rng
 from crkernel.symbols import (
@@ -16,6 +16,7 @@ from crkernel.symbols import (
     make_multiplication_symbol,
     p_operator_canonical,
     p_operator_geometric,
+    promote_x_jet,
     random_classical_symbol,
     subprincipal_symbol,
     transform_density,
@@ -143,8 +144,7 @@ def test_subprincipal_identity_symbol(chart):
     sym = identity_symbol(N)
     rng = spawn_rng(5, "lam")
     lam = random_jet(rng, D, 6, (0.0,) * D, real=True, decay=0.4, min_degree=1).exp()
-    value, _ = subprincipal_symbol(sym, lam, 1.0)
-    assert value == 0.0
+    assert subprincipal_symbol(sym, lam, 1.0) == 0.0
 
 
 def test_subprincipal_one_var_toy():
@@ -152,8 +152,7 @@ def test_subprincipal_one_var_toy():
     e0 = Jet(2, 4, base, {(0, 0): -1.0, (0, 1): 1.0})  # the function xi_1
     sym = ClassicalSymbol(order_m=1.0, components=(e0,))
     lam = Jet(1, 4, (0.0,), {(1,): 1.0}).exp()  # exp(x_1)
-    value, _ = subprincipal_symbol(sym, lam, 1.0)
-    assert value == pytest.approx(0.5j)
+    assert subprincipal_symbol(sym, lam, 1.0) == pytest.approx(0.5j)
 
 
 def test_subprincipal_constant_subleading():
@@ -161,8 +160,7 @@ def test_subprincipal_constant_subleading():
     c = Jet.constant(NV, 5, BASE, 2.5 + 0.5j)
     sym = ClassicalSymbol(order_m=0.0, components=(z, c))
     lam = Jet.constant(D, 5, (0.0,) * D, 1.0)
-    value, _ = subprincipal_symbol(sym, lam, 1.0)
-    assert value == 2.5 + 0.5j
+    assert subprincipal_symbol(sym, lam, 1.0) == 2.5 + 0.5j
 
 
 def test_subprincipal_rejects_s_zero():
@@ -172,15 +170,52 @@ def test_subprincipal_rejects_s_zero():
         subprincipal_symbol(sym, lam, 0.0)
 
 
-def test_subprincipal_jet_raises_a_low_order_density():
-    # the jet reaches degree k = e_0.order - 2, so d log(lambda) is needed through degree k
+def test_subprincipal_value_does_not_depend_on_the_density_order():
+    # the value reads lambda through degree 1 only
     rng = spawn_rng(5, "low-order-density")
     sym = random_classical_symbol(N, 0.3, 2, seed=5, homogeneous=False)
     lam = random_jet(rng, D, 2, (0.0,) * D, real=True, decay=0.4, min_degree=1).exp()
-    value, jet = subprincipal_symbol(sym, lam, 1.5)
-    want_value, want = subprincipal_symbol(sym, lam.with_order(5), 1.5)
-    assert value == want_value
-    assert max_coeff_difference(jet, want) == 0.0
+    want = subprincipal_symbol(sym, lam.with_order(5), 1.5)
+    for order in (1, 2):
+        assert subprincipal_symbol(sym, lam.truncated(order), 1.5) == want
+
+
+def _jet_level_subprincipal(sym, density, s):
+    """e_sub as the jet of the whole expression, log(lambda) as a jet series
+    taken at the order the jet reaches, read at the base covector."""
+    e0 = sym.components[0]
+    d = e0.num_vars // 2
+    k = e0.order - 2
+    loglam = density.with_order(max(density.order, k + 1)).log()
+    out = sym.component(1).truncated(k)
+    for j in range(d):
+        out = out + 0.5j * e0.partial(j).partial(d + j).truncated(k)
+        dlog = promote_x_jet(loglam.partial(j), e0.base_point, k)
+        out = out + (0.5j / s) * (e0.partial(d + j).truncated(k) * dlog)
+    return out.constant_term()
+
+
+def test_subprincipal_value_equals_the_jet_level_value_bit_for_bit():
+    cases = []
+    for k in range(20):
+        rng = spawn_rng(k, "subprincipal-reference")
+        n = 1 + k % 2
+        d = 2 * n + 1
+        sym = random_classical_symbol(n, float(rng.uniform(-1, 1)), 2, seed=200 + k, homogeneous=k % 3 == 0)
+        # lambda(0) = exp(c0) != 1, complex for odd k, so d log(lambda) divides by lambda(0)
+        lam = random_jet(rng, d, 6, (0.0,) * d, real=k % 2 == 0, decay=0.4).scale(0.5).exp()
+        cases.append((sym, lam, float(rng.uniform(0.5, 2.0))))
+        cases.append((sym, Jet.constant(d, 0, (0.0,) * d, 2.0 - 0.3j), 1.5))  # an order-0 density
+    for sym, lam, s_val in cases:
+        assert abs(lam.constant_term() - 1.0) > 1e-3
+        assert subprincipal_symbol(sym, lam, s_val) == _jet_level_subprincipal(sym, lam, s_val)
+
+
+def test_subprincipal_rejects_a_density_off_the_principal_branch():
+    sym = random_classical_symbol(N, 0.3, 2, seed=5, homogeneous=False)
+    for value in (-1.0, 0.0, -0.5 + 1.0j):
+        with pytest.raises(BranchError):
+            subprincipal_symbol(sym, Jet.constant(D, 4, (0.0,) * D, value), 1.0)
 
 
 # -- coordinate changes -------------------------------------------------------------------
@@ -293,8 +328,8 @@ def test_subprincipal_invariance_under_diffeos():
         psi = invert_map(kappa)
         tsym = transform_symbol_under_diffeo(sym, kappa, psi)
         tlam = transform_density(lam, kappa, s_val, psi)
-        direct, _ = subprincipal_symbol(sym, lam, s_val)
-        transported, _ = subprincipal_symbol(tsym, tlam, s_val)
+        direct = subprincipal_symbol(sym, lam, s_val)
+        transported = subprincipal_symbol(tsym, tlam, s_val)
         worst = max(worst, abs(direct - transported))
     assert worst < 1e-10
 
@@ -375,9 +410,9 @@ def test_p_operator_coframe_products_match_linear_solves(chart):
     from crkernel.charts import _solve_jet_linear
     from crkernel.symbols import _jet_dot, _p_geometry
 
-    gam_xi, frame_p, coframe, _ = _p_geometry(chart, 3, BASE)
+    gam_xi, frame_p, coframe, _ = _p_geometry(chart, BASE)
     for F in _random_fields("p-coframe", 5):
-        comps = hamiltonian_vector_field(F)
+        comps = hamiltonian_vector_field(F.truncated(2))
         a, bhat = comps[:D], list(comps[D:])
         for (j, k, l), gx in gam_xi.items():
             bhat[l] = bhat[l] + a[j] * gx
@@ -400,9 +435,62 @@ def test_p_geometry_solves_the_frame_once_per_order(monkeypatch):
 
     monkeypatch.setattr(symbols, "levi_frame", counted)
     fresh = heisenberg_chart(1, 6)
-    for F in _random_fields("p-once", 3):
+    for F in _random_fields("p-once", 3) + [F.with_order(6) for F in _random_fields("p-once-6", 2)]:
         p_operator_geometric(fresh, F)
-    assert calls == [4]  # fields of order 4 need the geometry at w = 3, the frame at w + 1
+    assert calls == [2]  # fields of every order need the geometry at order 1, the frame at 2
+
+
+def _p_operator_at_order(chart, F, w):
+    """P(F) with the fields, the lifted frames and the connection all formed
+    at order w = F.order - 1, the order of F's Hamiltonian field."""
+    from crkernel.charts import christoffel_symbols, levi_frame
+    from crkernel.symbols import _jet_dot
+
+    n, d, base = chart.n, chart.dim, F.base_point
+    nv = 2 * d
+    xi_jets = [Jet.coordinate(d + k, nv, w, base) for k in range(d)]
+    frame, coframe = levi_frame(chart, w + 1)
+    gam_xi = {
+        (j, k, l): xi_jets[k] * promote_x_jet(g, base, w)
+        for (j, k, l), g in christoffel_symbols(frame, coframe).items()
+        if g.support.size
+    }
+    frame_p = [[promote_x_jet(f, base, w) for f in row] for row in frame]
+    coframe = [[promote_x_jet(f, base, w) for f in row] for row in coframe]
+    hor_xi = []
+    for r in range(d):
+        vs = [Jet.zero(nv, w, base) for _ in range(d)]
+        for (j, k, l), gx in gam_xi.items():
+            vs[l] = vs[l] - frame_p[r][j] * gx
+        hor_xi.append(vs)
+    comps = hamiltonian_vector_field(F)
+    a, bhat = comps[:d], list(comps[d:])
+    for (j, k, l), gx in gam_xi.items():
+        bhat[l] = bhat[l] + a[j] * gx
+    alpha = [_jet_dot(coframe[r], a) for r in range(d)]
+    beta = [_jet_dot(frame_p[r], bhat) for r in range(d)]
+    out_x = [Jet.zero(nv, w, base) for _ in range(d)]
+    out_xi = [Jet.zero(nv, w, base) for _ in range(d)]
+    for j in range(n):
+        for coeff, target in ((alpha[2 * j], 2 * j + 1), (-1.0 * alpha[2 * j + 1], 2 * j)):
+            for l in range(d):
+                out_x[l] = out_x[l] + coeff * frame_p[target][l]
+                out_xi[l] = out_xi[l] + coeff * hor_xi[target][l]
+    for j in range(n):
+        for coeff, target in ((beta[2 * j], 2 * j + 1), (-1.0 * beta[2 * j + 1], 2 * j)):
+            for l in range(d):
+                out_xi[l] = out_xi[l] + coeff * coframe[target][l]
+    return -0.5 * divergence(out_x + out_xi).constant_term()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_p_operator_at_order_1_equals_the_field_order_bit_for_bit(n):
+    ch = heisenberg_chart(n)
+    nv, base = 2 * ch.dim, xi_base(n)
+    for order in (2, 3, 4, 6):
+        for k in range(3):
+            F = random_jet(spawn_rng(k, "p-order-reference", n, order), nv, order, base, decay=0.5)
+            assert p_operator_geometric(ch, F) == _p_operator_at_order(ch, F, order - 1), (order, k)
 
 
 def test_p_operator_geometric_rejects_perturbed(chart):
