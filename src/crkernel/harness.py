@@ -526,10 +526,13 @@ def check_subprincipal_invariance(ctx: CheckContext):
     for k in range(ctx.param("num_diffeos", 20)):
         sym, lam, s_val, kappa = _diffeo_draw(ctx, k)
         # the compared values are constant terms, and a degree never reads a
-        # higher one; order 4 keeps the two derivative levels the transforms need
+        # higher one: the symbol and kappa stay at order 4 (the transform's two
+        # derivative levels and its d^2 kappa term), the density drops to order
+        # 1 (the subprincipal value reads degree 1), and kappa is inverted at
+        # order 2, all that either transform reads of the inverse
         sym = replace(sym, components=tuple(c.truncated(4) for c in sym.components))
-        lam, kappa = lam.truncated(4), [c.truncated(4) for c in kappa]
-        psi = invert_map(kappa)
+        lam, kappa = lam.truncated(1), [c.truncated(4) for c in kappa]
+        psi = invert_map([c.truncated(2) for c in kappa])
         tsym = transform_symbol_under_diffeo(sym, kappa, psi)
         tlam = transform_density(lam, kappa, s_val, psi)
         direct = subprincipal_symbol(sym, lam, s_val)
@@ -539,14 +542,12 @@ def check_subprincipal_invariance(ctx: CheckContext):
 
 
 def check_p_operator_routes(ctx: CheckContext):
-    pairs = []
     base = xi_base(ctx.n)
     nv = 2 * (2 * ctx.n + 1)
-    for k in range(ctx.param("num_fields", 20)):
-        rng = ctx.rng("hamiltonian", k)
-        F = random_jet(rng, nv, 4, base, decay=0.5)
-        pairs.append((p_operator_geometric(ctx.chart, F), p_operator_canonical(F)))
-    return _worst(pairs)
+    draws = range(ctx.param("num_fields", 20))
+    fields = Jet.stack(random_jet(ctx.rng("hamiltonian", k), nv, 4, base, decay=0.5) for k in draws)
+    geometric = p_operator_geometric(ctx.chart, fields).tolist()
+    return _worst(list(zip(geometric, p_operator_canonical(fields).tolist())))
 
 
 def check_christoffel_table(ctx: CheckContext):

@@ -28,7 +28,21 @@ Conventions:
     ``with_order``;
   * composition treats jets as exact polynomials in the displacement and
     truncates the result at the inner jets' order (inner displacements carry
-    no constant term, so outer terms of higher degree cannot contribute).
+    no constant term, so outer terms of higher degree cannot contribute);
+  * a batch (``Jet.stack``) has a leading row axis, a vector of shape
+    (rows, size), for many jets of one shape and base point evaluated
+    together (vector forward mode).  +, -, ``scale``, ``shift_constant``,
+    ``truncated``, ``with_order``, ``partial`` and products act row-wise
+    and broadcast a single jet against a batch; batches of different row
+    counts do not mix.  A batch product gathers the table rows a single
+    product gathers (above the cap, the pairs of the rows' union supports),
+    orients each row by that row's sparser operand (self on a tie) and sums
+    every row with one ``bincount``, so each row is bit for bit its own
+    single product.  ``support`` is the union of the rows' nonzeros;
+    ``constant_term``, ``coefficient``, ``derivative_value`` and the values
+    of ``graded_items`` / ``coeffs`` are per-row arrays, +0 for zero.
+    Composition, ``reindex``, ``eval_many`` and the series methods take
+    single jets only.  Single jets keep their own code path.
 """
 
 from __future__ import annotations
@@ -174,9 +188,19 @@ def _scatter_sum(k: np.ndarray, re: np.ndarray, im: np.ndarray, size: int) -> np
     return out
 
 
+def _nonzero_counts(vector: np.ndarray):
+    """The number of nonzero entries of a vector, or of each row of a batch."""
+    return np.count_nonzero(vector) if vector.ndim == 1 else np.count_nonzero(vector, axis=1)
+
+
 def _entry(value) -> complex:
     """A stored coefficient; zero of either sign reads as +0, like an absent one."""
     return complex(value) if value else 0.0 + 0.0j
+
+
+def _entries(values: np.ndarray) -> np.ndarray:
+    """Stored coefficients of a batch; zero of either sign reads as +0, as in ``_entry``."""
+    return np.where(values != 0, values, 0.0)
 
 
 def _max_abs(vector: np.ndarray) -> float:
@@ -190,7 +214,8 @@ class Jet:
     ``vector[p]`` is the coefficient of ``prod(dx_i**alpha_i)`` for the p-th
     multi-index alpha of the graded-lex basis, where
     ``dx = point - base_point``.  ``coeffs`` maps each multi-index with a
-    nonzero coefficient to it.  The vector is read-only.
+    nonzero coefficient to it.  The vector is read-only.  In a batch
+    (``Jet.stack``), ``vector[r, p]`` is that coefficient of row r.
     """
 
     __slots__ = ("num_vars", "order", "base_point", "vector", "basis", "_support", "_graded", "_coeffs")
@@ -272,21 +297,50 @@ class Jet:
         # the degree-1 monomials run dx_{num_vars-1}, ..., dx_0; order 0 keeps none
         return Jet._single(num_vars, order, base_point, num_vars - i if order else 0, float(order > 0))
 
+    @staticmethod
+    def stack(jets: Sequence["Jet"]) -> "Jet":
+        """A batch whose row r is ``jets[r]``: single jets of one num_vars,
+        order and base point."""
+        jets = tuple(jets)
+        if not jets:
+            raise CompatibilityError("stack: no jets")
+        for g in jets:
+            g._require_single("stack")
+            jets[0]._require_compatible(g, "stack")
+        return jets[0]._like(np.stack([g.vector for g in jets]))
+
     # -- basic queries ---------------------------------------------------------
 
     @property
+    def rows(self) -> Optional[int]:
+        """The number of rows of a batch; None for a single jet."""
+        return len(self.vector) if self.vector.ndim == 2 else None
+
+    def _require_single(self, what: str) -> None:
+        if self.vector.ndim != 1:
+            raise CompatibilityError(f"{what}: operand is a batch; this operation takes single jets")
+
+    @property
     def support(self) -> np.ndarray:
-        """Basis positions of the nonzero coefficients, ascending (cached)."""
+        """Basis positions of the nonzero coefficients, ascending (cached); of
+        a batch, the positions nonzero in some row."""
         if self._support is None:
-            self._support = np.flatnonzero(self.vector)
+            nonzero = self.vector if self.vector.ndim == 1 else self.vector.any(axis=0)
+            self._support = np.flatnonzero(nonzero)
         return self._support
 
     def graded_items(self) -> Tuple[Tuple[MultiIndex, complex], ...]:
-        """Nonzero coefficients in degree-graded lexicographic order (cached)."""
+        """Nonzero coefficients in degree-graded lexicographic order (cached);
+        of a batch, the per-row values (an array, +0 for zero) at each
+        position of ``support``."""
         if self._graded is None:
             support = self.support
             indices = map(tuple, self.basis.exponents[support].tolist())
-            self._graded = tuple(zip(indices, self.vector[support].tolist()))
+            if self.vector.ndim == 1:
+                values = self.vector[support].tolist()
+            else:
+                values = list(_entries(self.vector[:, support]).T)
+            self._graded = tuple(zip(indices, values))
         return self._graded
 
     @property
@@ -297,18 +351,27 @@ class Jet:
         return self._coeffs
 
     def coefficient(self, idx: MultiIndex) -> complex:
+        """One coefficient; of a batch, its per-row array."""
         p = self.basis.position(idx, self.order)
+        if self.vector.ndim == 2:
+            return np.zeros(len(self.vector), dtype=complex) if p is None else _entries(self.vector[:, p])
         return 0.0 + 0.0j if p is None else _entry(self.vector[p])
 
     def constant_term(self) -> complex:
+        """The value at the base point; of a batch, its per-row array."""
+        if self.vector.ndim == 2:
+            return _entries(self.vector[:, 0])
         return _entry(self.vector[0])
 
     def derivative_value(self, idx: MultiIndex) -> complex:
-        """Value of the mixed partial d^idx at the base point."""
+        """Value of the mixed partial d^idx at the base point; of a batch, its
+        per-row array, each row scaled with Python's complex product."""
         coeff = self.coefficient(idx)  # checks idx before the factorials
         fac = 1.0
         for a in idx:
             fac *= math.factorial(a)
+        if self.vector.ndim == 2:
+            return np.array([c * fac for c in coeff.tolist()], dtype=complex)
         return coeff * fac
 
     def max_abs(self) -> float:
@@ -330,6 +393,8 @@ class Jet:
             raise CompatibilityError(f"{what}: order {self.order} != {other.order}")
         if self.base_point != other.base_point:
             raise CompatibilityError(f"{what}: base points differ")
+        if self.vector.ndim + other.vector.ndim == 4 and len(self.vector) != len(other.vector):
+            raise CompatibilityError(f"{what}: batches of {len(self.vector)} and {len(other.vector)} rows")
 
     def __eq__(self, other):
         if not isinstance(other, Jet):
@@ -350,6 +415,8 @@ class Jet:
         """Drop coefficients of total degree above ``order``."""
         if order >= self.order:
             return self if order == self.order else self.with_order(order)
+        if self.vector.ndim == 2:
+            return self._like(self.vector[:, : self.basis.size(order)], order)
         return self._like(self.vector[: self.basis.size(order)], order)
 
     def with_order(self, order: int) -> "Jet":
@@ -363,8 +430,8 @@ class Jet:
         if order < self.order:
             return self.truncated(order)
         basis = _basis(self.num_vars, order)
-        vector = np.zeros(basis.size(order), dtype=complex)
-        vector[: self.vector.size] = self.vector
+        vector = np.zeros(self.vector.shape[:-1] + (basis.size(order),), dtype=complex)
+        vector[..., : self.vector.shape[-1]] = self.vector
         return Jet._from_vector(basis, order, self.base_point, vector)
 
     # -- ring operations ---------------------------------------------------------
@@ -399,6 +466,8 @@ class Jet:
         pairing the nonzeros of the operands), multiply, and sum per product
         monomial, in graded order of the sparser operand's terms."""
         self._require_compatible(other, "mul")
+        if self.vector.ndim + other.vector.ndim > 2:
+            return self._mul_rows(other)
         left, right = (other, self) if self.support.size > other.support.size else (self, other)
         if left.support.size == 0:
             return self._like(np.zeros(self.vector.size, dtype=complex))
@@ -406,9 +475,43 @@ class Jet:
         re, im = _cmul_parts(left.vector[i], right.vector[j])
         return self._like(_scatter_sum(k, re, im, self.vector.size))
 
+    def _mul_rows(self, other: "Jet") -> "Jet":
+        """``_mul_jet`` with a batch operand.  Each row gathers the terms of its
+        own single product, oriented by its own sparser operand (where rows
+        disagree, both orientations are gathered and each row picks its own),
+        and one ``bincount`` over row-offset positions sums every row in its
+        own term order.  Above the cap the pairs come from the rows' union
+        supports; the extra terms are +-0 and move no bit."""
+        a, b = self.vector, other.vector
+        rows, size = (len(a) if a.ndim == 2 else len(b)), a.shape[-1]
+        flips = _nonzero_counts(a) > _nonzero_counts(b)
+        flipped = np.count_nonzero(flips)
+        table = self.basis.products(self.order)
+        if table is None:
+            first, second = (np.flatnonzero(v if v.ndim == 1 else v.any(axis=0)) for v in (a, b))
+            if not (first.size and second.size):
+                return self._like(np.zeros((rows, size), dtype=complex))
+        gathered = []
+        for flip in (False, True):
+            if flipped == (0 if flip else rows):  # no row takes this orientation
+                continue
+            left, right = (b, a) if flip else (a, b)
+            i, j, k = table or self.basis.pairs(*((second, first) if flip else (first, second)), self.order)
+            gathered.append((k, *_cmul_parts(left[..., i], right[..., j])))
+        if len(gathered) == 1:
+            k, re, im = gathered[0]
+        else:
+            k, re, im = (np.where(flips[:, None], on_flip, kept) for kept, on_flip in zip(*gathered))
+        k = k + size * np.arange(rows)[:, None]
+        vector = _scatter_sum(k.ravel(), re.ravel(), im.ravel(), rows * size).reshape(rows, size)
+        return self._like(vector)
+
     def shift_constant(self, c: complex) -> "Jet":
         vector = self.vector.copy()
-        vector[0] += complex(c)
+        if vector.ndim == 2:
+            vector[:, 0] += complex(c)
+        else:
+            vector[0] += complex(c)
         return self._like(vector)
 
     # -- calculus -----------------------------------------------------------------
@@ -418,10 +521,12 @@ class Jet:
         if not 0 <= var_index < self.num_vars:
             raise CompatibilityError(f"partial: bad variable index {var_index}")
         if self.order == 0:
-            return self._like(np.zeros(1, dtype=complex))
+            return self._like(np.zeros(self.vector.shape[:-1] + (1,), dtype=complex))
         size = self.basis.size(self.order - 1)
         source = self.basis.partials[var_index][:size]
         factor = self.basis.exponents[:size, var_index] + 1
+        if self.vector.ndim == 2:
+            return self._like(self.vector[:, source] * factor, self.order - 1)
         return self._like(self.vector[source] * factor, self.order - 1)
 
     def conjugate(self) -> "Jet":
@@ -457,6 +562,7 @@ class Jet:
         is ``compose`` with coordinate and zero inner jets, made by moving
         exponents instead of multiplying.
         """
+        self._require_single("reindex")
         targets = tuple(targets)
         if len(targets) != self.num_vars:
             raise CompatibilityError(f"reindex: {len(targets)} targets for {self.num_vars} variables")
@@ -490,6 +596,7 @@ class Jet:
     def eval_many(self, displacements: np.ndarray) -> np.ndarray:
         """The truncated polynomial at base_point + each row of a
         (num_points, num_vars) array of displacements."""
+        self._require_single("eval_many")
         pts = np.asarray(displacements, dtype=complex)
         support = self.support
         if not support.size:
@@ -502,6 +609,7 @@ class Jet:
 
     def invert(self) -> "Jet":
         """Multiplicative inverse; requires a nonzero constant term."""
+        self._require_single("invert")
         c = self.constant_term()
         if c == 0:
             raise BranchError("invert: zero constant term")
@@ -522,6 +630,7 @@ class Jet:
 
     def pow_real(self, exponent: float) -> "Jet":
         """Principal-branch real power; requires Re(constant term) > 0."""
+        self._require_single("pow_real")
         c = self.constant_term()
         if c.real <= 0:
             raise BranchError(f"pow_real: constant term {c} not in the right half plane")
@@ -533,6 +642,7 @@ class Jet:
 
     def log(self) -> "Jet":
         """Principal-branch logarithm; requires Re(constant term) > 0."""
+        self._require_single("log")
         c = self.constant_term()
         if c.real <= 0:
             raise BranchError(f"log: constant term {c} not in the right half plane")
@@ -543,6 +653,7 @@ class Jet:
         return series.shift_constant(np.log(complex(c)))
 
     def exp(self) -> "Jet":
+        self._require_single("exp")
         c = self.constant_term()
         u = self.shift_constant(-c)
         acc = Jet.constant(self.num_vars, self.order, self.base_point, 1.0)
@@ -568,7 +679,8 @@ class Substitution:
         if not inner:
             raise CenteringError("compose: no inner jets")
         first = inner[0]
-        for g in inner[1:]:
+        for g in inner:
+            g._require_single("compose inner")
             first._require_compatible(g, "compose inner")
         self.num_inner = len(inner)
         self.num_vars = first.num_vars
@@ -588,6 +700,7 @@ class Substitution:
 
     def apply(self, outer: Jet) -> Jet:
         """``outer`` with ``inner[k]`` substituted for its k-th variable."""
+        outer._require_single("compose")
         if self.num_inner != outer.num_vars:
             raise CenteringError(
                 f"compose: {self.num_inner} inner jets for {outer.num_vars} outer variables"

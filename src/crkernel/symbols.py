@@ -366,7 +366,8 @@ def divergence(vf: Sequence[Jet]) -> Jet:
 
 
 def p_operator_canonical(F: Jet) -> complex:
-    """P(F)(0,-omega_0(0)) = sum_j [d2_{x_{2j}, xi_{2j-1}} - d2_{x_{2j-1}, xi_{2j}}] F."""
+    """P(F)(0,-omega_0(0)) = sum_j [d2_{x_{2j}, xi_{2j-1}} - d2_{x_{2j-1}, xi_{2j}}] F;
+    of a stacked batch of fields, the per-row array."""
     nv = F.num_vars
     d = nv // 2
     n = (d - 1) // 2
@@ -429,7 +430,9 @@ def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
     complex structure and the Hamiltonian field; supported on the exact
     Heisenberg chart, where the lift frames are exact.  The divergence at
     the base point reads the fields' degree-1 coefficients, so the fields
-    are formed at order 1 from F truncated to order 2.
+    are formed at order 1 from F truncated to order 2.  A stacked batch of
+    fields (``Jet.stack``) gives the per-row array, each row bit for bit
+    its field's own value.
     """
     if not chart.is_exact_heisenberg:
         raise ChartError("p_operator_geometric supports only the exact Heisenberg chart")
@@ -473,8 +476,10 @@ def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
             for l in range(d):
                 out_xi[l] = out_xi[l] + coeff * coframe[target][l]
 
-    div = divergence(out_x + out_xi)
-    return -0.5 * div.constant_term()
+    value = divergence(out_x + out_xi).constant_term()
+    if F.rows is None:
+        return -0.5 * value
+    return np.array([-0.5 * v for v in value.tolist()], dtype=complex)  # rounded as a single F's
 
 
 def _jet_dot(row: Sequence[Jet], vec: Sequence[Jet]) -> Jet:

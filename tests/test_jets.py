@@ -484,3 +484,114 @@ def test_random_jet_draws_in_graded_order():
                 want[idx] = (rng.standard_normal() + 1j * rng.standard_normal()) * mag
         got = random_jet(spawn_rng(8, "draws", real), 3, 4, (0.0,) * 3, 0.4, real, min_degree)
         assert got.coeffs == want
+
+
+# -- batches: a leading row axis, each row bit for bit its own single jet -------------------
+
+
+def batch_rows(num_vars, order, tag):
+    """Rows whose sparser operand against a dense jet differs: dense, sparse
+    (a power of a two-term displacement), dense with -0 entries, all zero."""
+    rng = spawn_rng(21, tag, num_vars, order)
+    base = (0.0,) * num_vars
+    dense = random_jet(rng, num_vars, order, base)
+    h = Jet.displacement(0, num_vars, order, base)
+    h = h + Jet.displacement(num_vars - 1, num_vars, order, base).scale(0.5j)
+    sparse = h * h * h
+    return [dense, sparse, with_negative_zeros(random_jet(rng, num_vars, order, base), rng),
+            Jet.zero(num_vars, order, base).scale(-1.0)]
+
+
+@pytest.mark.parametrize("num_vars,order", [(3, 4), (4, 12)])
+def test_batch_products_equal_the_single_products_row_by_row(num_vars, order):
+    rows = batch_rows(num_vars, order, "batch-left")
+    others = batch_rows(num_vars, order, "batch-right")[::-1]
+    others[0] = others[0] + Jet.constant(num_vars, order, (0.0,) * num_vars, 2.0)  # +0 entries, not -0
+    single = random_jet(spawn_rng(22, num_vars, order), num_vars, order, (0.0,) * num_vars)
+    table = rows[0].basis.products(order)
+    assert (table is None) == (order == 12)
+    stacked, stacked_others = Jet.stack(rows), Jet.stack(others)
+    for got, want in [
+        (stacked * single, [r * single for r in rows]),
+        (single * stacked, [single * r for r in rows]),
+        (stacked * rows[1], [r * rows[1] for r in rows]),
+        (stacked * stacked_others, [r * o for r, o in zip(rows, others)]),
+        (stacked_others * stacked, [o * r for r, o in zip(rows, others)]),
+    ]:
+        assert got.rows == len(rows)
+        for r, w in enumerate(want):
+            assert got.vector[r].tobytes() == w.vector.tobytes(), r
+
+
+def test_batch_row_wise_operations_broadcast_a_single_jet():
+    rows = batch_rows(3, 4, "batch-ops")
+    single = random_jet(spawn_rng(23, "single"), 3, 4, (0.0,) * 3)
+    stacked = Jet.stack(rows)
+    cases = [
+        (stacked + single, [r + single for r in rows]),
+        (single - stacked, [single - r for r in rows]),
+        (stacked - stacked, [r - r for r in rows]),
+        (stacked.scale(0.3 - 2j), [r.scale(0.3 - 2j) for r in rows]),
+        (-stacked, [-r for r in rows]),
+        (stacked.truncated(2), [r.truncated(2) for r in rows]),
+        (stacked.with_order(6), [r.with_order(6) for r in rows]),
+        (stacked.partial(1), [r.partial(1) for r in rows]),
+        (stacked.truncated(0).partial(2), [r.truncated(0).partial(2) for r in rows]),
+        (stacked.shift_constant(1.5j), [r.shift_constant(1.5j) for r in rows]),
+    ]
+    for got, want in cases:
+        assert got == Jet.stack(want)
+        assert got.vector.tobytes() == Jet.stack(want).vector.tobytes()
+    assert stacked.rows == 4 and single.rows is None
+
+
+def test_batch_readers_give_per_row_arrays_and_read_zero_as_positive_zero():
+    base = (0.0,) * 3
+    a = Jet(3, 2, base, {(0, 0, 0): 2.0, (1, 0, 0): -1.5j})
+    b = Jet(3, 2, base, {(0, 1, 1): 4.0}).scale(-1.0)  # -0 at every other position
+    stacked = Jet.stack([a, b])
+    assert stacked.support.tolist() == sorted({*a.support.tolist(), *b.support.tolist()})
+    readers = [
+        (stacked.constant_term(), [a.constant_term(), b.constant_term()]),
+        (stacked.coefficient((1, 0, 0)), [a.coefficient((1, 0, 0)), b.coefficient((1, 0, 0))]),
+        (stacked.coefficient((3, 0, 0)), [0j, 0j]),
+        (stacked.derivative_value((0, 1, 1)), [a.derivative_value((0, 1, 1)), b.derivative_value((0, 1, 1))]),
+        (stacked.derivative_value((2, 0, 0)), [0j, 0j]),
+    ]
+    for got, want in readers:
+        assert isinstance(got, np.ndarray) and got.shape == (2,)
+        assert got.tolist() == want
+        assert not np.signbit(got[got == 0].real).any() and not np.signbit(got[got == 0].imag).any()
+    # fewer rows than monomials: one per-row array per support position
+    items = stacked.graded_items()
+    assert [idx for idx, _ in items] == [(0, 0, 0), (1, 0, 0), (0, 1, 1)]
+    assert [v.tolist() for _, v in items] == [[2.0, 0j], [-1.5j, 0j], [0j, -4.0 + 0j]]
+    assert all(not np.signbit(v.real[v == 0]).any() for _, v in items)
+    assert list(stacked.coeffs) == [idx for idx, _ in items]
+
+
+def test_batch_rejects_mismatched_rows_and_unbatched_operations():
+    base = (0.0,) * 2
+    a = random_jet(spawn_rng(24, "reject"), 2, 3, base)
+    two, three = Jet.stack([a, a]), Jet.stack([a, a, a])
+    for op in (lambda: two + three, lambda: two - three, lambda: two * three):
+        with pytest.raises(CompatibilityError, match="rows"):
+            op()
+    inner = [Jet.displacement(i, 2, 3, base) for i in range(2)]
+    unbatched = [
+        lambda: Jet.stack([]),
+        lambda: Jet.stack([two, a]),
+        lambda: Jet.stack([a, a.truncated(2)]),
+        lambda: two.compose(inner),
+        lambda: Substitution([Jet.stack(inner[:1] * 2), inner[1]]),
+        lambda: Substitution(inner).apply(two),
+        lambda: two.reindex(2, [1, 0], base),
+        lambda: two.eval_many(np.zeros((1, 2))),
+        two.invert,
+        lambda: two.pow_real(0.5),
+        two.log,
+        two.exp,
+    ]
+    for op in unbatched:
+        with pytest.raises(CompatibilityError):
+            op()

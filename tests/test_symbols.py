@@ -488,9 +488,18 @@ def test_p_operator_at_order_1_equals_the_field_order_bit_for_bit(n):
     ch = heisenberg_chart(n)
     nv, base = 2 * ch.dim, xi_base(n)
     for order in (2, 3, 4, 6):
-        for k in range(3):
-            F = random_jet(spawn_rng(k, "p-order-reference", n, order), nv, order, base, decay=0.5)
-            assert p_operator_geometric(ch, F) == _p_operator_at_order(ch, F, order - 1), (order, k)
+        rngs = [spawn_rng(k, "p-order-reference", n, order) for k in range(3)]
+        fields = [random_jet(rng, nv, order, base, decay=0.5) for rng in rngs]
+        singles = []
+        for k, F in enumerate(fields):
+            geometric, canonical = p_operator_geometric(ch, F), p_operator_canonical(F)
+            assert type(geometric) is complex and type(canonical) is complex
+            assert geometric == _p_operator_at_order(ch, F, order - 1), (order, k)
+            singles.append((geometric, canonical))
+        # the stacked fields: each row is its field's own value, bit for bit
+        stacked = Jet.stack(fields)
+        batch = zip(p_operator_geometric(ch, stacked).tolist(), p_operator_canonical(stacked).tolist())
+        assert repr(list(batch)) == repr(singles), order
 
 
 def test_p_operator_geometric_rejects_perturbed(chart):

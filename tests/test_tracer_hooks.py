@@ -52,3 +52,29 @@ def test_workload_documents_parse(workload):
     workloads = load_perfbench("workloads")
     for seed in (0, 1, 77):
         parse_config(workloads.WORKLOADS[workload](seed))
+
+
+def test_traced_products_accept_a_batch():
+    # three fields: a batch with fewer rows than the 7 coefficients of its order-1 products
+    from crkernel.harness import run_scenarios
+
+    doc = {
+        "seed": 5,
+        "scenarios": [{
+            "name": "p-operator",
+            "chart": {"model": "heisenberg", "n": 1},
+            "checks": ["p_operator_routes"],
+            "tolerances": {"absolute": 1e-12, "relative": 0.0},
+            "params": {"num_fields": 3},
+        }],
+    }
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        reports = run_scenarios(parse_config(doc), timings=False)
+    finally:
+        tracer.uninstall()
+    summary = tracer.summary()
+    assert summary["errors"] == {}
+    assert summary["group_calls"]["jets.mul"] > 0 and summary["group_calls"]["symbols.p_operator"] == 2
+    assert reports[0].all_passed
