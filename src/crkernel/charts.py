@@ -25,7 +25,7 @@ Index conventions (0-based throughout):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -61,9 +61,6 @@ class CRModelChart:
     synthetic_R: float
     phase: Jet                             # prepared phase in (x, y) at (0, 0)
     is_exact_heisenberg: bool
-    #: chart-only P-operator frame data by base point, filled lazily by
-    #: ``symbols.p_operator_geometric``
-    _p_geometry: Dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -169,11 +166,9 @@ def _check_phase(phi: Jet, n: int, order: int, exact: bool) -> None:
     omega0 = [0.0] * d
     omega0[2 * n] = 1.0
     for b in range(d):
-        ex = tuple(1 if k == b else 0 for k in range(nv))
-        ey = tuple(1 if k == d + b else 0 for k in range(nv))
-        if abs(phi.coefficient(ex) + omega0[b]) > INVARIANT_TOL:
+        if abs(phi.derivative_at(b) + omega0[b]) > INVARIANT_TOL:
             raise ChartError(f"phase: d_x phi(0,0) != -omega_0(0) at slot {b}")
-        if abs(phi.coefficient(ey) - omega0[b]) > INVARIANT_TOL:
+        if abs(phi.derivative_at(d + b) - omega0[b]) > INVARIANT_TOL:
             raise ChartError(f"phase: d_y phi(0,0) != +omega_0(0) at slot {b}")
     # prepared form: the last y variable appears only as the exact linear term
     last = nv - 1
@@ -205,8 +200,7 @@ def _check_chart(chart: CRModelChart) -> None:
     if abs(lam.constant_term() - 1.0) > INVARIANT_TOL:
         raise ChartError("lambda(0) != 1")
     for b in range(d):
-        e = tuple(1 if k == b else 0 for k in range(d))
-        if abs(lam.coefficient(e)) > INVARIANT_TOL:
+        if abs(lam.derivative_at(b)) > INVARIANT_TOL:
             raise ChartError("grad lambda(0) != 0")
     # contact form: constant part dx_{2n}, linear part the Heisenberg normal form
     model = contact_form_jets(chart.n, order)
@@ -266,10 +260,7 @@ def quartic_channel_value(phase_quartic: Dict[MultiIndex, complex], n: int) -> c
     total = 0.0 + 0.0j
     for a in range(2 * n):
         for b in range(2 * n):
-            idx = [0] * d
-            idx[a] += 2
-            idx[b] += 2
-            total += s.derivative_value(tuple(idx))
+            total += s.derivative_at(a, a, b, b)
     return total
 
 
@@ -411,12 +402,8 @@ def kohn_laplacian_at0(chart: CRModelChart, f: Jet) -> complex:
         raise OrderShortfallError("kohn_laplacian_at0: jet order must be >= 2")
     total = 0.0 + 0.0j
     for j in range(2 * n):
-        idx = [0] * d
-        idx[j] = 2
-        total += -0.5 * f.derivative_value(tuple(idx))
-    idx = [0] * d
-    idx[2 * n] = 1
-    total += -1j * n * f.derivative_value(tuple(idx))
+        total += -0.5 * f.derivative_at(j, j)
+    total += -1j * n * f.derivative_at(2 * n)
     return total
 
 
@@ -427,8 +414,7 @@ def reeb_derivative_at0(chart: CRModelChart, f: Jet) -> complex:
         raise OrderShortfallError(f"reeb_derivative_at0: expected a jet in {d} variables")
     if f.order < 1:
         raise OrderShortfallError("reeb_derivative_at0: jet order must be >= 1")
-    last = tuple(1 if k == d - 1 else 0 for k in range(d))
-    return -f.derivative_value(last)
+    return -f.derivative_at(d - 1)
 
 
 # -- Levi frame and its connection -------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command line driver: run scenario checks and emit the comparison report.
 
 Exit codes: 0 all checks passed (or non-strict), 1 check failure under
---strict, 2 configuration error or unknown option, 3 any other kit error (a
-numerical failure, a violated chart invariant, bad symbol data).
+--strict, 2 configuration error, unknown option or unwritable --out, 3 any
+other kit error (numerical failure, violated chart invariant, bad symbol data).
 """
 
 from __future__ import annotations
@@ -71,8 +71,12 @@ def main(argv=None) -> int:
         return 3
 
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(blob)
+        try:
+            with open(args.out, "wb") as fh:
+                fh.write(blob)
+        except OSError as exc:
+            print(f"cannot write report {args.out!r}: {exc.strerror}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.buffer.write(blob)
 

@@ -240,8 +240,8 @@ def parse_config(doc: dict) -> dict:
         name = raw.get("name")
         if not isinstance(name, str) or not name:
             raise ConfigError(f"{where}.name: must be a non-empty string")
-        if any(ch in name for ch in ",\n\r"):
-            raise ConfigError(f"{where}.name: commas and newlines are not allowed")
+        if any(ch in name for ch in ',"\n\r'):
+            raise ConfigError(f"{where}.name: commas, quotes and newlines are not allowed")
         if name in names:
             raise ConfigError(f"{where}.name: duplicate scenario name {name!r}")
         names.add(name)
@@ -321,6 +321,8 @@ def read_config_doc(path: str):
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path!r}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
 
 
 # -- check context -----------------------------------------------------------------------
@@ -614,10 +616,8 @@ def check_princ_symb_id(ctx: CheckContext):
         m = float(rng.choice([-1.0, 0.5, 1.0, 2.0]))
         sym = random_classical_symbol(ctx.n, m, 1, seed=int(rng.integers(1 << 30)), homogeneous=True)
         e0 = sym.components[0]
-        idx_t = tuple(1 if i == d - 1 else 0 for i in range(nv))
-        lhs = m * (-e0.derivative_value(idx_t))
-        idx2 = tuple(1 if i in (d - 1, nv - 1) else 0 for i in range(nv))
-        rhs = e0.derivative_value(idx2)
+        lhs = m * (-e0.derivative_at(d - 1))
+        rhs = e0.derivative_at(d - 1, nv - 1)
         pairs.append((lhs, rhs))
     return _worst(pairs)
 

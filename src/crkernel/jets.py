@@ -39,7 +39,7 @@ Conventions:
     orients each row by that row's sparser operand (self on a tie) and sums
     every row with one ``bincount``, so each row is bit for bit its own
     single product.  ``support`` is the union of the rows' nonzeros;
-    ``constant_term``, ``coefficient``, ``derivative_value`` and the values
+    ``constant_term``, ``coefficient``, ``derivative_at`` and the values
     of ``graded_items`` / ``coeffs`` are per-row arrays, +0 for zero.
     Composition, ``reindex``, ``eval_many`` and the series methods take
     single jets only.  Single jets keep their own code path.
@@ -363,13 +363,13 @@ class Jet:
             return _entries(self.vector[:, 0])
         return _entry(self.vector[0])
 
-    def derivative_value(self, idx: MultiIndex) -> complex:
-        """Value of the mixed partial d^idx at the base point; of a batch, its
-        per-row array, each row scaled with Python's complex product."""
-        coeff = self.coefficient(idx)  # checks idx before the factorials
-        fac = 1.0
-        for a in idx:
-            fac *= math.factorial(a)
+    def derivative_at(self, *variables: int) -> complex:
+        """d/dx_{v1} ... d/dx_{vk} at the base point (a repeated variable is a higher power): the
+        coefficient times prod alpha_i!; of a batch, per row, each scaled with Python's complex product."""
+        if not all(0 <= v < self.num_vars for v in variables):
+            raise CompatibilityError(f"derivative_at: bad variable index in {variables}")
+        idx = tuple(variables.count(v) for v in range(self.num_vars))
+        coeff, fac = self.coefficient(idx), float(math.prod(map(math.factorial, idx)))
         if self.vector.ndim == 2:
             return np.array([c * fac for c in coeff.tolist()], dtype=complex)
         return coeff * fac

@@ -107,18 +107,17 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
     c1 = e0_at.constant_term() * A.subleading + E.component(1).constant_term() * a0v
     for j in range(d):
         for k in range(j, d):
-            hess = e0.partial(d + j).partial(d + k)
-            if not hess.support.size:
+            hess = e0.derivative_at(d + j, d + k)
+            if hess == 0:
                 continue
             # alpha = e_j + e_k: the unordered pair appears once with 1/alpha!
             factor = -0.5j if j == k else -1.0j
-            phi_term = phi.partial(j).partial(k).constant_term()
-            c1 = c1 + factor * (hess.constant_term() * phi_term * a0v)
+            c1 = c1 + factor * (hess * phi.derivative_at(j, k) * a0v)
     for j in range(d):
-        grad_a = A.leading.partial(j).truncated(order)
-        if not grad_a.support.size:
+        grad_a = A.leading.derivative_at(j)
+        if grad_a == 0:
             continue
-        c1 = c1 + (-1j) * (e0.partial(d + j).constant_term() * grad_a.constant_term())
+        c1 = c1 + (-1j) * (e0.derivative_at(d + j) * grad_a)
     return KernelAmplitude(top_power=A.top_power + E.order_m, leading=c0, subleading=c1)
 
 
@@ -191,8 +190,7 @@ def compose_amplitudes_closed(
 
     grad_pair = 0.0 + 0.0j
     for j in range(2 * n):
-        e_j = tuple(1 if k == j else 0 for k in range(d))
-        grad_pair += a0.derivative_value(e_j) * b0.derivative_value(e_j)
+        grad_pair += a0.derivative_at(j) * b0.derivative_at(j)
 
     c0 = 2.0 * pi_pow * a0v * b0v
     c1 = pi_pow * (

@@ -81,17 +81,13 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
         raise ChartError("Psi0(0,1) != 0")
     grad_scale = max(psi0.max_abs(), 1.0)
     for a in range(nv):
-        idx = tuple(1 if k == a else 0 for k in range(nv))
-        if abs(psi0.coefficient(idx)) > CRITICAL_TOL * grad_scale:
+        if abs(psi0.derivative_at(a)) > CRITICAL_TOL * grad_scale:
             raise ChartError("phase is not critical at (u, sigma) = (0, 1)")
 
     hess = np.zeros((nv, nv), dtype=complex)
     for a in range(nv):
         for b in range(a, nv):
-            idx = [0] * nv
-            idx[a] += 1
-            idx[b] += 1
-            hess[a, b] = hess[b, a] = psi0.derivative_value(tuple(idx))
+            hess[a, b] = hess[b, a] = psi0.derivative_at(a, b)
     try:
         hess_inv = np.linalg.inv(hess)
     except np.linalg.LinAlgError as exc:
@@ -232,15 +228,12 @@ def mu2_vanishing_values(data: PhaseCriticalData, gamma0: Jet) -> Dict[str, comp
     hw = data.h.with_order(6)
     H2 = hw * hw * gamma0.with_order(6)
 
+    ds_du = (data.num_vars - 1, data.num_vars - 2)
+
     def value(k: int) -> complex:
         total = 0.0 + 0.0j
         for heads in itertools.product(range(2 * data.n), repeat=3 - k):
-            idx = [0] * data.num_vars
-            for a in heads:
-                idx[a] += 2
-            idx[-2] += k
-            idx[-1] += k
-            total += H2.derivative_value(tuple(idx))
+            total += H2.derivative_at(*heads, *heads, *(ds_du * k))
         return total
 
     return {

@@ -181,9 +181,9 @@ def subprincipal_symbol(sym: ClassicalSymbol, density: Jet, s: float) -> complex
         raise BranchError(f"subprincipal symbol: density value {lam0} not in the right half plane")
     out = sym.component(1).constant_term()
     for j in range(d):
-        out = out + 0.5j * e0.partial(j).partial(d + j).constant_term()
-        dlog = density.partial(j).constant_term() * (1.0 / lam0)
-        out = out + (0.5j / s) * (e0.partial(d + j).constant_term() * dlog)
+        out = out + 0.5j * e0.derivative_at(j, d + j)
+        dlog = density.derivative_at(j) * (1.0 / lam0)
+        out = out + (0.5j / s) * (e0.derivative_at(d + j) * dlog)
     return out
 
 
@@ -198,9 +198,7 @@ def invert_map(kappa: Sequence[Jet]) -> List[Jet]:
     for comp in kappa:
         if abs(comp.constant_term()) > 1e-12:
             raise SymbolError("invert_map: map must fix the origin")
-    jac = np.array(
-        [[kappa[c].coefficient(tuple(1 if k == j else 0 for k in range(d))) for j in range(d)] for c in range(d)]
-    )
+    jac = np.array([[kappa[c].derivative_at(j) for j in range(d)] for c in range(d)])
     if abs(np.linalg.det(jac)) < 1e-12:
         raise SymbolError("invert_map: singular Jacobian at 0")
     ainv = np.linalg.inv(jac)
@@ -289,9 +287,7 @@ def transform_symbol_under_diffeo(
         raise OrderShortfallError("transform needs component order >= 2")
     work = e0.order - 2
 
-    jac0 = np.array(
-        [[kappa[c].coefficient(tuple(1 if k == j else 0 for k in range(d))) for j in range(d)] for c in range(d)]
-    )
+    jac0 = np.array([[kappa[c].derivative_at(j) for j in range(d)] for c in range(d)])
     if abs(np.linalg.det(jac0)) < 1e-12:
         raise SymbolError("transform: singular Jacobian at 0")
     old_xi = np.array(e0.base_point[d:])
@@ -375,19 +371,13 @@ def p_operator_canonical(F: Jet) -> complex:
         raise OrderShortfallError("p_operator_canonical needs order >= 2")
     total = 0.0 + 0.0j
     for j in range(n):
-        idx = [0] * nv
-        idx[2 * j + 1] += 1
-        idx[d + 2 * j] += 1
-        total += F.derivative_value(tuple(idx))
-        idx = [0] * nv
-        idx[2 * j] += 1
-        idx[d + 2 * j + 1] += 1
-        total -= F.derivative_value(tuple(idx))
+        total += F.derivative_at(2 * j + 1, d + 2 * j)
+        total -= F.derivative_at(2 * j, d + 2 * j + 1)
     return total
 
 
 def _p_geometry(chart: CRModelChart, base: Tuple[complex, ...]):
-    """Chart-only data of ``p_operator_geometric`` at order 1, cached on the chart.
+    """Chart-only data of ``p_operator_geometric`` at order 1.
 
     Returns (gam_xi, frame_p, coframe, hor_xi): gam_xi[(j, k, l)] = xi_k Gamma^l_{jk}
     lifted to (x, xi), the real frame X[r][l] over d/dx_l, its dual coframe
@@ -396,9 +386,6 @@ def _p_geometry(chart: CRModelChart, base: Tuple[complex, ...]):
     from one ``levi_frame`` solve at order 2 (Gamma needs one derivative of
     W), truncated to order 1 and lifted.
     """
-    hit = chart._p_geometry.get(base)
-    if hit is not None:
-        return hit
     w = 1
     d = chart.dim
     nv = 2 * d
@@ -419,8 +406,7 @@ def _p_geometry(chart: CRModelChart, base: Tuple[complex, ...]):
         for (j, k, l), gx in gam_xi.items():
             vs[l] = vs[l] - frame_p[r][j] * gx
         hor_xi.append(vs)
-    geometry = chart._p_geometry[base] = (gam_xi, frame_p, coframe, hor_xi)
-    return geometry
+    return gam_xi, frame_p, coframe, hor_xi
 
 
 def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:

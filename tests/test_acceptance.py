@@ -247,8 +247,8 @@ def test_criterion_7_geometry_table(chart):
         for j, comp in enumerate(sym.components):
             ok = ok and euler_check(comp, m - j) < 1e-10
         e0 = sym.components[0]
-        lhs = m * (-e0.derivative_value((0, 0, 1, 0, 0, 0)))
-        rhs = e0.derivative_value((0, 0, 1, 0, 0, 1))
+        lhs = m * (-e0.derivative_at(2))
+        rhs = e0.derivative_at(2, 5)
         ok = ok and abs(lhs - rhs) < 1e-10
     _verdict(7, "Christoffel integers, Kohn formula, Euler identities", ok, time.perf_counter() - t0, 10.0)
 

@@ -113,6 +113,9 @@ def test_tolerances_must_be_positive():
         (("jet_order",), 7),
         (("jet_order",), "6"),
         (("jet_order",), True),
+        (("scenarios", 0, "name"), "a,b"),  # CSV cells are written unquoted
+        (("scenarios", 0, "name"), "a\nb"),
+        (("scenarios", 0, "name"), '"q"'),
     ],
 )
 def test_malformed_values_rejected(path, value):
@@ -563,6 +566,19 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     bad_json.write_text("{ not json")
     assert cli.main(["--config", str(bad_json)]) == 2
     assert cli.main(["--config", "/no/such/file.json"]) == 2
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{\x00")
+    assert cli.main(["--config", str(binary)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_cli_unwritable_out_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, small_config())
+    out = tmp_path / "missing" / "r.json"
+    assert cli.main(["--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write report ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cli_strict_failure_exit_one(tmp_path, capsys):

@@ -18,6 +18,7 @@ from crkernel.jets import (
     _Basis,
     _cmul_parts,
     _scatter_sum,
+    iter_multi_indices,
     max_coeff_difference,
     random_jet,
 )
@@ -317,14 +318,34 @@ def test_readers_reject_malformed_keys(key):
     a = Jet(3, 4, (0.0,) * 3, {(1, 0, 0): 2.0})
     with pytest.raises(CompatibilityError):
         a.coefficient(key)
+
+
+@pytest.mark.parametrize("variables", [(3,), (-1,), (0, 3), (1, -3)])
+def test_derivative_at_rejects_a_variable_outside_the_range(variables):
+    # a negative index must not wrap around to the last variables
+    a = Jet(3, 4, (0.0,) * 3, {(0, 0, 1): 2.0, (0, 1, 1): 3.0})
     with pytest.raises(CompatibilityError):
-        a.derivative_value(key)
+        a.derivative_at(*variables)
+
+
+def test_derivative_at_is_the_coefficient_times_the_factorials():
+    a = random_jet(spawn_rng(25, "derivative-at"), 3, 4, (0.5, 0.0, -1.0))
+    for idx in iter_multi_indices(3, 4):
+        variables = [v for v, e in enumerate(idx) for _ in range(e)]
+        want = a.coefficient(idx) * float(math.prod(map(math.factorial, idx)))
+        assert a.derivative_at(*variables) == want
+        assert a.derivative_at(*reversed(variables)) == want
+        chain = a
+        for v in variables:
+            chain = chain.partial(v)
+        assert a.derivative_at(*variables) == chain.constant_term()
+    assert a.derivative_at() == a.constant_term()
 
 
 def test_key_above_the_order_reads_zero():
     a = Jet(3, 4, (0.0,) * 3, {(1, 0, 0): 2.0})
     assert a.coefficient((5, 0, 0)) == 0
-    assert a.derivative_value((2, 2, 1)) == 0
+    assert a.derivative_at(0, 0, 1, 1, 2) == 0
 
 
 def test_tiny_coefficient_kept_exactly():
@@ -555,8 +576,8 @@ def test_batch_readers_give_per_row_arrays_and_read_zero_as_positive_zero():
         (stacked.constant_term(), [a.constant_term(), b.constant_term()]),
         (stacked.coefficient((1, 0, 0)), [a.coefficient((1, 0, 0)), b.coefficient((1, 0, 0))]),
         (stacked.coefficient((3, 0, 0)), [0j, 0j]),
-        (stacked.derivative_value((0, 1, 1)), [a.derivative_value((0, 1, 1)), b.derivative_value((0, 1, 1))]),
-        (stacked.derivative_value((2, 0, 0)), [0j, 0j]),
+        (stacked.derivative_at(1, 2), [a.derivative_at(1, 2), b.derivative_at(1, 2)]),
+        (stacked.derivative_at(0, 0), [0j, 0j]),
     ]
     for got, want in readers:
         assert isinstance(got, np.ndarray) and got.shape == (2,)

@@ -11,7 +11,13 @@ suite.  The Kohn and Reeb mutants must also fail a record of the
 composition scenarios, whose closed formula reads the same two operators.
 Each frame mutant breaks the Levi frame's coframe in every module that holds
 the patched name, and the geometry-table and P-operator scenarios must fail a
-record for it.
+record for it.  Each reader mutant breaks ``Jet.derivative_at``, which every
+route reads its base-point derivatives through, and the scenarios whose
+reference route never calls it (the Hessian display, the Kohn oracle, the
+geometric P route, the quadrature oracle) must fail a record for it, so a
+reader fault that both b1 routes share cannot hide.  Reader mutants touch
+second derivatives only: a wrong first derivative breaks a chart invariant
+before any record exists.
 """
 
 import dataclasses
@@ -22,6 +28,7 @@ import crkernel.charts as charts
 import crkernel.pipeline as pipeline
 import crkernel.symbols as symbols
 from crkernel.harness import default_config, run_scenarios
+from crkernel.jets import Jet
 
 FACTOR = 1.0 + 1e-6
 
@@ -95,6 +102,32 @@ FRAME_MUTANTS = {
 }
 
 
+#: the scenarios whose reference route reads no derivative through the jet reader
+READER_FILTERS = ("expansion-engine", "geometry-tables*", "cotangent-operators", "quadrature-oracle*")
+
+
+def _second_derivative_mutant(pure, scale):
+    """Scale the reader's pure (d_v d_v) or mixed (d_v d_w) second derivatives."""
+
+    def mutate(fn):
+        def mutant(self, *variables):
+            value = fn(self, *variables)
+            if len(variables) == 2 and (variables[0] == variables[1]) == pure:
+                return value * scale
+            return value
+
+        return mutant
+
+    return mutate
+
+
+#: mutant label -> (name patched on Jet, mutant of the original)
+READER_MUTANTS = {
+    "pure second derivatives lose their 2!": ("derivative_at", _second_derivative_mutant(True, 0.5)),
+    "mixed second derivatives scaled": ("derivative_at", _second_derivative_mutant(False, FACTOR)),
+}
+
+
 def _failed_records(config, filters):
     records = [
         r
@@ -131,3 +164,7 @@ def test_every_composition_mutant_fails_a_record(monkeypatch):
 
 def test_every_frame_mutant_fails_a_record(monkeypatch):
     assert _escaped(monkeypatch, FRAME_MUTANTS, (charts, symbols), FRAME_FILTERS) == []
+
+
+def test_every_reader_mutant_fails_a_record(monkeypatch):
+    assert _escaped(monkeypatch, READER_MUTANTS, (Jet,), READER_FILTERS) == []
