@@ -42,9 +42,8 @@ INVARIANT_TOL = 1e-12
 #: tolerance for the curvature consistency identity
 CONSISTENCY_TOL = 1e-10
 
-#: jet order of every chart the harness builds: the phase's fourth
-#: derivatives, which the subleading coefficient reads, are the highest
-#: degree any route needs of a chart
+#: jet order of every chart: the phase's fourth derivatives, which the
+#: subleading coefficient reads, are the highest degree any route needs
 CHART_ORDER = 4
 
 
@@ -53,7 +52,6 @@ class CRModelChart:
     """Canonical-coordinate model of a strictly pseudoconvex CR chart."""
 
     n: int
-    jet_order: int
     contact_form: Tuple[Jet, ...]          # components of omega_0 over dx_b
     frame: Tuple[Tuple[Jet, ...], ...]     # Z_j coefficients over d/dx_b
     reeb: Tuple[Jet, ...]                  # Reeb field coefficients over d/dx_b
@@ -70,9 +68,9 @@ class CRModelChart:
 # -- model data builders -----------------------------------------------------------
 
 
-def contact_form_jets(n: int, order: int) -> Tuple[Jet, ...]:
+def contact_form_jets(n: int) -> Tuple[Jet, ...]:
     """omega_0 = dx_{2n} + sum_j (x_{2j+1} dx_{2j} - x_{2j} dx_{2j+1}), exactly."""
-    d = 2 * n + 1
+    d, order = 2 * n + 1, CHART_ORDER
     comps: List[Jet] = []
     for b in range(d):
         if b == 2 * n:
@@ -84,9 +82,9 @@ def contact_form_jets(n: int, order: int) -> Tuple[Jet, ...]:
     return tuple(comps)
 
 
-def frame_jets(n: int, order: int) -> Tuple[Tuple[Jet, ...], ...]:
+def frame_jets(n: int) -> Tuple[Tuple[Jet, ...], ...]:
     """Z_j = sqrt2 (d/dz_j - (i/2) zbar_j d/dx_{2n}) as coefficient jets."""
-    d = 2 * n + 1
+    d, order = 2 * n + 1, CHART_ORDER
     base = (0,) * d
     rows: List[Tuple[Jet, ...]] = []
     for j in range(n):
@@ -101,15 +99,15 @@ def frame_jets(n: int, order: int) -> Tuple[Tuple[Jet, ...], ...]:
     return tuple(rows)
 
 
-def reeb_jets(n: int, order: int) -> Tuple[Jet, ...]:
-    d = 2 * n + 1
+def reeb_jets(n: int) -> Tuple[Jet, ...]:
+    d, order = 2 * n + 1, CHART_ORDER
     base = (0,) * d
     comps = [Jet.zero(d, order, base) for _ in range(d)]
     comps[2 * n] = Jet.constant(d, order, base, -1.0)
     return tuple(comps)
 
 
-def heisenberg_phase_jet(n: int, order: int) -> Jet:
+def heisenberg_phase_jet(n: int) -> Jet:
     """phi(x,y) = -x_{2n} + y_{2n} + (i/2) sum_j (|z_j|^2 + |w_j|^2 - 2 z_j wbar_j)."""
     d = 2 * n + 1
     nv = 2 * d
@@ -132,7 +130,7 @@ def heisenberg_phase_jet(n: int, order: int) -> Jet:
         coeffs[bump((xi, 1), (yi, 1))] = -1.0j
         coeffs[bump((xi, 1), (yr, 1))] = 1.0
         coeffs[bump((xr, 1), (yi, 1))] = -1.0
-    return Jet(nv, order, (0,) * nv, coeffs)
+    return Jet(nv, CHART_ORDER, (0,) * nv, coeffs)
 
 
 # -- invariant checks ----------------------------------------------------------------
@@ -144,7 +142,7 @@ def _diagonal_restriction(phi: Jet, n: int) -> Jet:
     return phi.reindex(d, [*range(d), *range(d)], (0.0,) * d)
 
 
-def _check_phase(phi: Jet, n: int, order: int, exact: bool) -> None:
+def _check_phase(phi: Jet, n: int, exact: bool) -> None:
     d = 2 * n + 1
     nv = 2 * d
     if phi.num_vars != nv:
@@ -181,19 +179,18 @@ def _check_phase(phi: Jet, n: int, order: int, exact: bool) -> None:
         if abs(c - 1.0) > INVARIANT_TOL:
             raise ChartError("phase: linear y_{2n} coefficient is not 1")
     # quartic normal form: deviation from the exact model starts at degree 4
-    delta = phi - heisenberg_phase_jet(n, order)
+    delta = phi - heisenberg_phase_jet(n)
     if any(sum(idx) < 4 for idx in delta.coeffs):
         raise ChartError("phase deviates from the normal form below degree 4")
 
 
 def _check_chart(chart: CRModelChart) -> None:
     d = chart.dim
-    order = chart.jet_order
-    # omega_0(T) = -1 at order jet_order - 1
-    pairing = Jet.zero(d, order, (0,) * d)
+    # omega_0(T) = -1 at order CHART_ORDER - 1
+    pairing = Jet.zero(d, CHART_ORDER, (0,) * d)
     for b in range(d):
         pairing = pairing + chart.contact_form[b] * chart.reeb[b]
-    resid = pairing.shift_constant(1.0).truncated(max(order - 1, 0))
+    resid = pairing.shift_constant(1.0).truncated(CHART_ORDER - 1)
     if resid.max_abs() > INVARIANT_TOL:
         raise ChartError("omega_0(T) != -1 as a jet identity")
     lam = chart.volume_density
@@ -203,7 +200,7 @@ def _check_chart(chart: CRModelChart) -> None:
         if abs(lam.derivative_at(b)) > INVARIANT_TOL:
             raise ChartError("grad lambda(0) != 0")
     # contact form: constant part dx_{2n}, linear part the Heisenberg normal form
-    model = contact_form_jets(chart.n, order)
+    model = contact_form_jets(chart.n)
     for b in range(d):
         delta = chart.contact_form[b] - model[b]
         low = [idx for idx in delta.coeffs if sum(idx) <= 1]
@@ -220,29 +217,25 @@ def _check_chart(chart: CRModelChart) -> None:
                 want = -1j * SQRT2 / 2
             if abs(got - want) > INVARIANT_TOL:
                 raise ChartError(f"frame Z_{j} has wrong value at 0")
-    _check_phase(chart.phase, chart.n, order, chart.is_exact_heisenberg)
+    _check_phase(chart.phase, chart.n, chart.is_exact_heisenberg)
 
 
 # -- chart constructors ------------------------------------------------------------------
 
 
-def heisenberg_chart(n: int, jet_order: int = CHART_ORDER) -> CRModelChart:
+def heisenberg_chart(n: int) -> CRModelChart:
     """The exact Heisenberg model chart (all remainders identically zero)."""
     if n < 1:
         raise ChartError("CR dimension parameter n must be >= 1")
-    if jet_order < 2:
-        raise OrderShortfallError("chart jet_order must be at least 2")
     d = 2 * n + 1
-    phi = heisenberg_phase_jet(n, jet_order)
     chart = CRModelChart(
         n=n,
-        jet_order=jet_order,
-        contact_form=contact_form_jets(n, jet_order),
-        frame=frame_jets(n, jet_order),
-        reeb=reeb_jets(n, jet_order),
-        volume_density=Jet.constant(d, jet_order, (0,) * d, 1.0),
+        contact_form=contact_form_jets(n),
+        frame=frame_jets(n),
+        reeb=reeb_jets(n),
+        volume_density=Jet.constant(d, CHART_ORDER, (0,) * d, 1.0),
         synthetic_R=0.0,
-        phase=phi,
+        phase=heisenberg_phase_jet(n),
         is_exact_heisenberg=True,
     )
     _check_chart(chart)
@@ -280,12 +273,12 @@ def perturbed_chart(
 
     lambda gains the quadratic form x^T Q x / 2, the phase gains the given
     quartic in (x, y'), and the curvature consistency identity tying both
-    channels to R_synth is validated; violation raises ChartError.  A
-    quartic needs a base of jet order >= 4 to hold it (OrderShortfallError).
+    channels to R_synth is validated; violation raises ChartError.  Both
+    are built at CHART_ORDER, which holds the whole quartic.
     """
     if not base.is_exact_heisenberg:
         raise ChartError("perturbed_chart requires the exact Heisenberg base chart")
-    n, d, order = base.n, base.dim, base.jet_order
+    n, d = base.n, base.dim
     Q = np.zeros((d, d)) if lambda_quadratic is None else np.asarray(lambda_quadratic, dtype=float)
     if Q.shape != (d, d) or not np.allclose(Q, Q.T, atol=1e-13):
         raise ChartError("lambda_quadratic must be a symmetric (2n+1) x (2n+1) matrix")
@@ -296,8 +289,6 @@ def perturbed_chart(
             raise ChartError(f"phase_quartic key {idx} is not a quartic (x,y) multi-index")
         if idx[nv - 1] != 0:
             raise ChartError("phase_quartic must not involve the last y variable")
-    if table and order < 4:
-        raise OrderShortfallError("perturbed_chart: a phase quartic needs base jet_order >= 4")
 
     lap2_h1 = quartic_channel_value(table, n)
     lap_lam = density_channel_value(Q, n)
@@ -320,12 +311,11 @@ def perturbed_chart(
                 idx[a] += 1
                 idx[b] += 1
                 lam_coeffs[tuple(idx)] = lam_coeffs.get(tuple(idx), 0.0) + val
-    lam = Jet(d, order, (0,) * d, lam_coeffs)
-    psi = Jet(nv, order, (0,) * nv, table)
+    lam = Jet(d, CHART_ORDER, (0,) * d, lam_coeffs)
+    psi = Jet(nv, CHART_ORDER, (0,) * nv, table)
     phi = base.phase + psi
     chart = CRModelChart(
         n=n,
-        jet_order=order,
         contact_form=base.contact_form,
         frame=base.frame,
         reeb=base.reeb,
@@ -489,8 +479,8 @@ def christoffel_symbols(
 
 
 def christoffel_at(chart: CRModelChart) -> Dict[Tuple[int, int, int], Jet]:
-    """christoffel_symbols of levi_frame at the chart's jet order."""
-    return christoffel_symbols(*levi_frame(chart, chart.jet_order))
+    """christoffel_symbols of levi_frame at CHART_ORDER."""
+    return christoffel_symbols(*levi_frame(chart, CHART_ORDER))
 
 
 def tw_scalar_curvature(chart: CRModelChart) -> float:

@@ -1,8 +1,9 @@
 """Command line driver: run scenario checks and emit the comparison report.
 
 Exit codes: 0 all checks passed (or non-strict), 1 check failure under
---strict, 2 configuration error, unknown option or unwritable --out, 3 any
-other kit error (numerical failure, violated chart invariant, bad symbol data).
+--strict, 2 configuration error, a --filter that matches no scenario, unknown
+option or unwritable --out, 3 any other kit error (numerical failure, violated
+chart invariant, bad symbol data).
 """
 
 from __future__ import annotations
@@ -59,6 +60,8 @@ def main(argv=None) -> int:
             doc["seed"] = args.seed
         config = parse_config(doc)
         reports = run_scenarios(config, name_filter=args.filter, timings=not args.no_timings)
+        if args.filter and not reports:
+            raise ConfigError(f"--filter {args.filter!r} matches no scenario")
         blob = emit_report(reports, args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

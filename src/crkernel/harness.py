@@ -323,6 +323,8 @@ def read_config_doc(path: str):
         raise ConfigError(f"config {path!r}: line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path!r} nests too deeply: {exc}") from exc
 
 
 # -- check context -----------------------------------------------------------------------
@@ -547,7 +549,8 @@ def check_p_operator_routes(ctx: CheckContext):
     base = xi_base(ctx.n)
     nv = 2 * (2 * ctx.n + 1)
     draws = range(ctx.param("num_fields", 20))
-    fields = Jet.stack(random_jet(ctx.rng("hamiltonian", k), nv, 4, base, decay=0.5) for k in draws)
+    # both routes read the fields' second derivatives at most
+    fields = Jet.stack(random_jet(ctx.rng("hamiltonian", k), nv, 2, base, decay=0.5) for k in draws)
     geometric = p_operator_geometric(ctx.chart, fields).tolist()
     return _worst(list(zip(geometric, p_operator_canonical(fields).tolist())))
 

@@ -28,7 +28,7 @@ from .charts import (
     reeb_derivative_at0,
     tw_scalar_curvature,
 )
-from .errors import OrderShortfallError, SymbolError
+from .errors import SymbolError
 from .jets import Jet, Substitution, random_jet
 from .rng import spawn_rng
 from .stationary import PhaseCriticalData, build_phase_data, expansion_coeffs
@@ -56,6 +56,8 @@ class KernelAmplitude:
             raise SymbolError("amplitude jets live in (x, y); even variable count required")
         if b0.basis.exponents[b0.support, b0.num_vars - 1].any():
             raise SymbolError("amplitude depends on the last y variable")
+        if b0.order != AMPLITUDE_ORDER:
+            raise SymbolError(f"amplitude jets have order {AMPLITUDE_ORDER}, not {b0.order}")
 
 
 def _xy_base(d: int) -> Tuple[complex, ...]:
@@ -73,15 +75,15 @@ def szego_amplitude(chart: CRModelChart) -> KernelAmplitude:
     return KernelAmplitude(top_power=float(n), leading=a0, subleading=a1)
 
 
-def _phase_gradient_inner(chart: CRModelChart, order: int) -> List[Jet]:
+def _phase_gradient_inner(chart: CRModelChart) -> List[Jet]:
     """Inner map (x, Phi'_x(x, y)) as jets in (x, y), centered at (0, -omega_0(0))."""
     d = chart.dim
     nv = 2 * d
     base = _xy_base(d)
     phi = chart.phase
-    inner = [Jet.coordinate(i, nv, order, base) for i in range(d)]
+    inner = [Jet.coordinate(i, nv, AMPLITUDE_ORDER, base) for i in range(d)]
     for j in range(d):
-        inner.append(phi.partial(j).truncated(order))
+        inner.append(phi.partial(j).truncated(AMPLITUDE_ORDER))
     return inner
 
 
@@ -93,17 +95,13 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
     first-order term against the gradient of A_0, each from values at the
     base point, where Phi'_x(0, 0) is the symbols' base covector.
     """
-    if chart.jet_order < 4:
-        raise OrderShortfallError("qe_amplitude needs chart jet_order >= 4")
     d = chart.dim
-    order = min(AMPLITUDE_ORDER, A.leading.order)
     phi = chart.phase
     e0 = E.components[0]
-    a0 = A.leading.truncated(order)
-    a0v = a0.constant_term()
+    a0v = A.leading.constant_term()
 
-    e0_at = Substitution(_phase_gradient_inner(chart, order)).apply(e0)
-    c0 = e0_at * a0
+    e0_at = Substitution(_phase_gradient_inner(chart)).apply(e0)
+    c0 = e0_at * A.leading
     c1 = e0_at.constant_term() * A.subleading + E.component(1).constant_term() * a0v
     for j in range(d):
         for k in range(j, d):
@@ -121,20 +119,20 @@ def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) ->
     return KernelAmplitude(top_power=A.top_power + E.order_m, leading=c0, subleading=c1)
 
 
-def _to_us_space(jet_xy: Jet, d: int, order: int, slot: str) -> Jet:
+def _to_us_space(jet_xy: Jet, d: int, slot: str) -> Jet:
     """Restrict an (x, y) jet to (0, u) or (u, 0) as a jet in (u, sigma-1)."""
     u, zero = list(range(d)), [None] * d
     targets = zero + u if slot == "y" else u + zero
-    return jet_xy.truncated(order).reindex(d + 1, targets, (0.0,) * (d + 1))
+    return jet_xy.reindex(d + 1, targets, (0.0,) * (d + 1))
 
 
-def _sigma_power(ell: float, d: int, order: int) -> Jet:
+def _sigma_power(ell: float, d: int) -> Jet:
     """sigma**ell in (u, sigma - 1): binom(ell, k) at (sigma - 1)**k, by the
     recursion pow_real uses, so the values equal (1 + dsigma).pow_real(ell)."""
     binom = [1.0 + 0.0j]
-    for k in range(1, order + 1):
+    for k in range(1, AMPLITUDE_ORDER + 1):
         binom.append(binom[-1] * (ell - k + 1) / k)
-    return Jet(d + 1, order, (0.0,) * (d + 1), {(0,) * d + (k,): b for k, b in enumerate(binom)})
+    return Jet(d + 1, AMPLITUDE_ORDER, (0.0,) * (d + 1), {(0,) * d + (k,): b for k, b in enumerate(binom)})
 
 
 def compose_amplitudes_sp(
@@ -150,17 +148,14 @@ def compose_amplitudes_sp(
     the expansion engine, and returns the composed coefficients (already
     normalized by the Hessian determinant root).
     """
-    if min(A.leading.order, C.leading.order) < AMPLITUDE_ORDER:
-        raise OrderShortfallError("composition needs amplitude jets of order >= 2")
     d = chart.dim
-    order = AMPLITUDE_ORDER
     data = build_phase_data(chart) if phase_data is None else phase_data
 
-    a0_u = _to_us_space(A.leading, d, order, "y")
-    c0_u = _to_us_space(C.leading, d, order, "x")
-    lam = chart.volume_density.truncated(order).reindex(d + 1, range(d), (0.0,) * (d + 1))
+    a0_u = _to_us_space(A.leading, d, "y")
+    c0_u = _to_us_space(C.leading, d, "x")
+    lam = chart.volume_density.truncated(AMPLITUDE_ORDER).reindex(d + 1, range(d), (0.0,) * (d + 1))
 
-    gamma0 = a0_u * c0_u * lam * _sigma_power(A.top_power, d, order)
+    gamma0 = a0_u * c0_u * lam * _sigma_power(A.top_power, d)
     g1 = (a0_u.constant_term() * C.subleading + A.subleading * c0_u.constant_term()) * lam.constant_term()
     return tuple(expansion_coeffs(data, gamma0, g1))
 
@@ -174,8 +169,6 @@ def compose_amplitudes_closed(
     combining R, the two Kohn Laplacians, the Reeb derivative weighted by
     2i(n - l), and the horizontal gradient pairing.
     """
-    if min(A.leading.order, C.leading.order) < AMPLITUDE_ORDER:
-        raise OrderShortfallError("composition needs amplitude jets of order >= 2")
     n = chart.n
     d = chart.dim
     ell = A.top_power

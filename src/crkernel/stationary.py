@@ -36,7 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .charts import CRModelChart
+from .charts import CHART_ORDER, CRModelChart
 from .errors import BranchError, ChartError, HessianError, OracleFitError, OrderShortfallError
 from .jets import Jet, _scatter_sum, iter_multi_indices
 
@@ -68,7 +68,7 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
     """Assemble Psi0(u, sigma) = sigma Phi(0, u) + Phi(u, 0) and its Hessian data."""
     d = chart.dim
     nv = d + 1
-    order = chart.jet_order
+    order = CHART_ORDER
     base = (0.0,) * nv
     phi = chart.phase
 

@@ -62,7 +62,7 @@ def _verdict(num: int, label: str, ok: bool, elapsed: float, budget: float):
 
 @pytest.fixture(scope="module")
 def chart():
-    return heisenberg_chart(1, 6)
+    return heisenberg_chart(1)
 
 
 @pytest.fixture(scope="module")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crkernel.charts import (
+    CHART_ORDER,
     ChartError,
     _check_chart,
     _solve_jet_linear,
@@ -26,7 +27,7 @@ from crkernel.rng import spawn_rng
 
 @pytest.fixture(scope="module")
 def chart():
-    return heisenberg_chart(1, 6)
+    return heisenberg_chart(1)
 
 
 def test_rejects_bad_dimension():
@@ -40,8 +41,8 @@ def test_contact_form_dz_coefficient(chart):
     c_dy = chart.contact_form[1]
     alpha = (c_dx + (-1j) * c_dy).scale(0.5)  # dz-coefficient of the form
     d = chart.dim
-    x0 = Jet.displacement(0, d, chart.jet_order, (0.0,) * d)
-    x1 = Jet.displacement(1, d, chart.jet_order, (0.0,) * d)
+    x0 = Jet.displacement(0, d, CHART_ORDER, (0.0,) * d)
+    x1 = Jet.displacement(1, d, CHART_ORDER, (0.0,) * d)
     zbar_half_i = (x0 + (-1j) * x1).scale(0.5j)
     assert max_coeff_difference(alpha, zbar_half_i) < 1e-15
 
@@ -73,7 +74,7 @@ def test_christoffel_table_n1(chart):
 
 
 def _assert_heisenberg_christoffel_table(n):
-    gammas = christoffel_at(heisenberg_chart(n, 4))
+    gammas = christoffel_at(heisenberg_chart(n))
     d = 2 * n + 1
     nonzero = {k: v.constant_term() for k, v in gammas.items() if v.coeffs}
     want = {}
@@ -93,17 +94,17 @@ def test_christoffel_table_n3():
 
 def _perturbed_n1():
     q, table = random_perturbation(1, 0.7, seed=11)
-    return perturbed_chart(heisenberg_chart(1, 6), 0.7, q, table)
+    return perturbed_chart(heisenberg_chart(1), 0.7, q, table)
 
 
 @pytest.mark.parametrize(
     "make_chart",
-    [lambda: heisenberg_chart(1, 6), lambda: heisenberg_chart(2, 4), lambda: heisenberg_chart(3, 4), _perturbed_n1],
+    [lambda: heisenberg_chart(1), lambda: heisenberg_chart(2), lambda: heisenberg_chart(3), _perturbed_n1],
     ids=["n1", "n2", "n3", "perturbed-n1"],
 )
 def test_levi_coframe_is_dual_to_the_frame(make_chart):
     chart = make_chart()
-    d, order = chart.dim, chart.jet_order
+    d, order = chart.dim, CHART_ORDER
     frame, coframe = levi_frame(chart, order)
     for r in range(d):
         for b in range(d):
@@ -138,12 +139,12 @@ def test_jet_solve_on_a_dense_system():
 def test_scalar_curvature_flat_models(chart):
     # oracle: the Heisenberg model is flat (Webster 1978), so R = 0 exactly
     assert tw_scalar_curvature(chart) == 0.0
-    assert tw_scalar_curvature(heisenberg_chart(2, 4)) == 0.0
-    assert tw_scalar_curvature(heisenberg_chart(3, 2)) == 0.0
+    assert tw_scalar_curvature(heisenberg_chart(2)) == 0.0
+    assert tw_scalar_curvature(heisenberg_chart(3)) == 0.0
 
 
 def test_scalar_curvature_synthetic():
-    base = heisenberg_chart(1, 6)
+    base = heisenberg_chart(1)
     q, table = random_perturbation(1, 0.7, seed=11)
     pch = perturbed_chart(base, 0.7, q, table)
     assert tw_scalar_curvature(pch) == 0.7
@@ -186,7 +187,7 @@ def test_phase_prepared_form(chart):
 
 def test_phase_vanishes_on_diagonal(chart):
     d = chart.dim
-    coords = [Jet.coordinate(i, d, chart.jet_order, (0.0,) * d) for i in range(d)]
+    coords = [Jet.coordinate(i, d, CHART_ORDER, (0.0,) * d) for i in range(d)]
     diag = chart.phase.compose(coords + coords)
     assert diag.max_abs() < 1e-14
 
@@ -195,7 +196,7 @@ def test_phase_vanishes_on_diagonal(chart):
 def test_tampered_exact_phase_rejected(chart, degree):
     # -i x_0^2 breaks the diagonal too; -i (x_0 - y_0)^4 keeps every other phase
     # invariant, and on |x_0 - y_0| <= 1/sqrt(2) it even keeps Im(phi) >= 0
-    nv, order = chart.phase.num_vars, chart.jet_order
+    nv, order = chart.phase.num_vars, CHART_ORDER
     x0 = Jet.displacement(0, nv, order, (0.0,) * nv)
     u = x0 if degree == 2 else x0 - Jet.displacement(chart.dim, nv, order, (0.0,) * nv)
     term = u
@@ -247,18 +248,15 @@ def test_perturbed_phase_channel(chart):
     assert tw_scalar_curvature(pch) == R
 
 
-@pytest.mark.parametrize("order", [2, 3, 4])
-def test_perturbed_phase_quartic_needs_order_four(order):
-    # below order 4 the jet would drop the quartic while R_synth is reported
-    q, table = random_perturbation(1, 0.7, 3)
-    base = heisenberg_chart(1, order)
-    if order < 4:
-        with pytest.raises(OrderShortfallError):
-            perturbed_chart(base, 0.7, q, table)
-        return
-    pch = perturbed_chart(base, 0.7, q, table)
-    assert max_coeff_difference(pch.phase, base.phase) > 0.0
-    assert tw_scalar_curvature(pch) == 0.7
+@pytest.mark.parametrize("n, r_synth, seed", [(1, 0.7, 3), (2, -0.3, 5)])
+def test_perturbed_phase_holds_its_whole_quartic(n, r_synth, seed):
+    # a chart jet below order 4 would drop the quartic while R_synth is reported
+    q, table = random_perturbation(n, r_synth, seed)
+    base = heisenberg_chart(n)
+    pch = perturbed_chart(base, r_synth, q, table)
+    assert table and all(sum(idx) == 4 for idx in table)
+    assert (pch.phase - base.phase).coeffs == table
+    assert tw_scalar_curvature(pch) == r_synth
 
 
 def test_perturbed_rejects_y_last_in_quartic(chart):
@@ -276,12 +274,12 @@ def test_random_perturbation_identity_holds():
             q, 1
         ) + 0.5j * r
         assert abs(resid) < 1e-12
-        pch = perturbed_chart(heisenberg_chart(1, 6), r, q, table)
+        pch = perturbed_chart(heisenberg_chart(1), r, q, table)
         assert tw_scalar_curvature(pch) == r
 
 
 def test_perturbed_phase_keeps_pair_invariants():
-    base = heisenberg_chart(1, 6)
+    base = heisenberg_chart(1)
     q, table = random_perturbation(1, -0.3, seed=8)
     pch = perturbed_chart(base, -0.3, q, table)
     phi = pch.phase

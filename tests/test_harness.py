@@ -364,60 +364,6 @@ def test_subprincipal_invariance_at_order_4_equals_the_draws_at_order_6():
     assert check_subprincipal_invariance(ctx) == _worst(pairs)
 
 
-def _chart_order_probe_doc():
-    """One scenario per CHECK_SPECS row and chart it applies to, among the
-    exact chart at n = 1 and 2 and a perturbed chart at n = 1."""
-    charts = ({"n": 1}, {"n": 2}, {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 3})
-    counts = {"num_pairs": 2, "num_diffeos": 2, "num_fields": 3, "num_amplitudes": 1}
-    scenarios = []
-    for check_id, spec in CHECK_SPECS.items():
-        for chart in charts:
-            model = chart.get("model", "heisenberg")
-            scenario = {
-                "name": f"{check_id}-{model}-n{chart['n']}",
-                "chart": chart,
-                "checks": [check_id],
-                "tolerances": {"absolute": 1e-9, "relative": 5e-2},
-                "params": {k: counts[k] for k in spec.params},
-            }
-            if spec.symbol == "required":
-                scenario["symbol"] = {"kind": spec.symbol_kinds[-1], "seed": 7}
-            try:
-                parse_config({"scenarios": [scenario]})
-            except ConfigError:
-                continue  # the check does not apply to this chart
-            if not (spec.oracle and model == "perturbed"):  # the oracle refuses it when it runs
-                scenarios.append(scenario)
-    return {"seed": 0, "oracle": {"t_samples": [60.0, 65.0, 70.0, 75.0]}, "scenarios": scenarios}
-
-
-def test_chart_order_moves_no_route_value(monkeypatch):
-    # every route reads a chart to degree 4 at most, so charts built at order
-    # 6 give the same records, bit for bit, as the harness's CHART_ORDER
-    import crkernel.charts as charts
-    import crkernel.harness as harness
-
-    assert charts.CHART_ORDER == 4
-    assert harness.RunCache().chart(harness.ChartSpec(n=1)).jet_order == charts.CHART_ORDER
-    config = parse_config(_chart_order_probe_doc())
-    at_chart_order = run_scenarios(config, timings=False)
-    names = {rep.scenario for rep in at_chart_order}
-    assert {r.check_id for rep in at_chart_order for r in rep.records} == set(CHECK_SPECS)
-    assert {f"b1_two_routes-{c}" for c in ("heisenberg-n1", "heisenberg-n2", "perturbed-n1")} <= names
-    assert all(r.passed for rep in at_chart_order for r in rep.records)
-    built = []
-
-    def order_six(n):
-        chart = charts.heisenberg_chart(n, 6)
-        built.append(chart.jet_order)
-        return chart
-
-    monkeypatch.setattr(harness, "heisenberg_chart", order_six)
-    at_six = run_scenarios(config, timings=False)
-    assert built == [6, 6]
-    assert emit_report(at_six) == emit_report(at_chart_order)
-
-
 def test_checks_read_exactly_their_spec_params(monkeypatch):
     from crkernel.harness import CheckContext
 
@@ -570,6 +516,10 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     binary.write_bytes(b"\xff\xfe{\x00")
     assert cli.main(["--config", str(binary)]) == 2
     assert "config error" in capsys.readouterr().err
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    assert cli.main(["--config", str(nested)]) == 2
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_exits_two(tmp_path, capsys):
@@ -650,6 +600,10 @@ def test_cli_filter_and_csv(tmp_path, capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert captured.out.splitlines()[0].startswith("scenario,check_id")
+    assert cli.main(["--config", path, "--strict", "--filter", "goe", "--no-timings"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --filter 'goe' matches no scenario\n"
 
 
 def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):

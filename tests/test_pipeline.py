@@ -39,12 +39,12 @@ D = 3
 
 @pytest.fixture(scope="module")
 def chart():
-    return heisenberg_chart(1, 6)
+    return heisenberg_chart(1)
 
 
 @pytest.fixture(scope="module")
 def curved():
-    base = heisenberg_chart(1, 6)
+    base = heisenberg_chart(1)
     q, table = random_perturbation(1, 0.7, seed=17)
     return perturbed_chart(base, 0.7, q, table)
 
@@ -113,8 +113,8 @@ def _jet_level_c1(E, A, chart):
     the constant jet of its value: every term substituted at the phase
     gradient, multiplied and summed as jets."""
     d = chart.dim
-    order = min(AMPLITUDE_ORDER, A.leading.order)
-    at_grad = Substitution(_phase_gradient_inner(chart, order))
+    order = AMPLITUDE_ORDER
+    at_grad = Substitution(_phase_gradient_inner(chart))
     phi = chart.phase
     e0, e1 = E.components[0], E.component(1)
     a0 = A.leading.truncated(order)
@@ -161,10 +161,10 @@ def test_compose_gamma1_value_equals_the_jet_level_gamma1_bit_for_bit(chart, cur
         A = random_amplitude(1, 0.75, seed=50 + k)
         C = random_amplitude(1, -0.5, seed=60 + k)
         d, order = ch.dim, AMPLITUDE_ORDER
-        a0_u, c0_u = _to_us_space(A.leading, d, order, "y"), _to_us_space(C.leading, d, order, "x")
+        a0_u, c0_u = _to_us_space(A.leading, d, "y"), _to_us_space(C.leading, d, "x")
         a1_u, c1_u = (Jet.constant(d + 1, order, (0.0,) * (d + 1), v) for v in (A.subleading, C.subleading))
         lam = ch.volume_density.truncated(order).reindex(d + 1, range(d), (0.0,) * (d + 1))
-        sig_l, sig_lm1 = _sigma_power(A.top_power, d, order), _sigma_power(A.top_power - 1.0, d, order)
+        sig_l, sig_lm1 = _sigma_power(A.top_power, d), _sigma_power(A.top_power - 1.0, d)
         gamma0 = a0_u * c0_u * lam * sig_l
         gamma1 = (a0_u * c1_u * sig_l + a1_u * c0_u * sig_lm1) * lam
         want = expansion_coeffs(build_phase_data(ch), gamma0, gamma1.constant_term())
@@ -286,7 +286,7 @@ def test_pipeline_matches_closed_form_examples(chart):
 
 
 def test_pipeline_identity_in_higher_dimension():
-    chart2 = heisenberg_chart(2, 6)
+    chart2 = heisenberg_chart(2)
     E = identity_symbol(2)
     b0, b1 = toeplitz_b1_pipeline(E, chart2)
     assert b0 == pytest.approx(1.0 / (2.0 * math.pi**3), abs=1e-13)
@@ -306,10 +306,17 @@ def test_closed_form_requires_homogeneous_flag(chart):
 @pytest.mark.parametrize("ell", [2.0, 1.0, 0.0, -1.0, 0.5, -1.5, 3.25])
 def test_sigma_power_is_pow_real_bit_for_bit(ell):
     # the binomial jet, signs of zero included, equals (1 + dsigma).pow_real(ell)
-    for d, order in ((3, 2), (5, 2), (3, 4)):
-        base = (0.0,) * (d + 1)
+    for d in (3, 5):
+        base, order = (0.0,) * (d + 1), AMPLITUDE_ORDER
         sigma = Jet.constant(d + 1, order, base, 1.0) + Jet.displacement(d, d + 1, order, base)
-        assert _sigma_power(ell, d, order).vector.tobytes() == sigma.pow_real(ell).vector.tobytes()
+        assert _sigma_power(ell, d).vector.tobytes() == sigma.pow_real(ell).vector.tobytes()
+
+
+@pytest.mark.parametrize("order", [1, 3])
+def test_amplitude_rejects_other_orders(order):
+    # the amplitude order is stated once, in the type that carries it
+    with pytest.raises(SymbolError, match=f"order {AMPLITUDE_ORDER}, not {order}"):
+        KernelAmplitude(top_power=1.0, leading=Jet.constant(6, order, (0.0,) * 6, 1.0), subleading=1.0)
 
 
 def test_amplitude_rejects_a_last_y_dependence():

@@ -33,7 +33,7 @@ BASE = (0.0,) * NV
 
 @pytest.fixture(scope="module")
 def data():
-    return build_phase_data(heisenberg_chart(1, 6))
+    return build_phase_data(heisenberg_chart(1))
 
 
 def test_hessian_matches_block_display(data):
@@ -85,8 +85,8 @@ def test_apply_L_order_requirements(data):
     with pytest.raises(OrderShortfallError):
         apply_L(data, 1, v)
     v4 = Jet.constant(NV, 4, BASE, 1.0)
-    with pytest.raises(OrderShortfallError):
-        apply_L(data, 3, v4)  # phase order 6 < 2j + 2 = 8
+    with pytest.raises(OrderShortfallError, match="phase order 4 < 6"):
+        apply_L(data, 2, v4)
 
 
 def test_apply_L_linear(data):
@@ -121,9 +121,9 @@ def reference_apply_L(data, j, v):
     return total * (1j) ** (-j)
 
 
-def _perturbed_data(n, order, r_val, seed):
+def _perturbed_data(n, r_val, seed):
     q, table = random_perturbation(n, r_val, seed=seed)
-    return build_phase_data(perturbed_chart(heisenberg_chart(n, order), r_val, q, table))
+    return build_phase_data(perturbed_chart(heisenberg_chart(n), r_val, q, table))
 
 
 #: L_j orders and amplitude order checked per phase case
@@ -141,11 +141,11 @@ def test_apply_L_matches_nested_partials(data, case):
     if case == "deep-exact-n1":  # the tail data of the quadrature oracle
         pdata = dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
     elif case == "perturbed-n1":
-        pdata = _perturbed_data(1, 6, 0.7, 5)
+        pdata = _deep(_perturbed_data(1, 0.7, 5))
     elif case == "exact-n2":
-        pdata = build_phase_data(heisenberg_chart(2, 4))
+        pdata = build_phase_data(heisenberg_chart(2))
     else:
-        pdata = _perturbed_data(2, 4, -0.3, 2)
+        pdata = _perturbed_data(2, -0.3, 2)
     nv = pdata.num_vars
     for k in range(2):
         v = random_jet(spawn_rng(k, "apply-L-reference", case), nv, amp_order, (0.0,) * nv)
@@ -184,7 +184,7 @@ def _count_products(monkeypatch):
 
 
 def _deep(data):
-    """The oracle's tail data: the exact phase data promoted to order 12."""
+    """Phase data promoted to order 12, as the oracle's tail data is."""
     return dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
 
 
@@ -205,7 +205,7 @@ def test_l_functionals_share_one_power_table(data, monkeypatch):
 def test_cut_h_powers_formed_again_for_a_larger_j(monkeypatch):
     # a perturbed h is not cubic, so its powers are cut at order 2(mu + j)
     # and formed again, deeper, when apply_L is asked a larger j
-    pdata, deeper_first = _perturbed_data(1, 6, 0.7, 5), _perturbed_data(1, 6, 0.7, 5)
+    pdata, deeper_first = _deep(_perturbed_data(1, 0.7, 5)), _deep(_perturbed_data(1, 0.7, 5))
     v = random_jet(spawn_rng(6, "cut-h-powers"), NV, 4, BASE)
     counts = _count_products(monkeypatch)
     apply_L(pdata, 1, v)
@@ -231,10 +231,10 @@ def test_oracle_sweep_owns_the_tail_functionals(data):
 
 
 def test_warm_apply_L_forms_no_jet_product(data, monkeypatch):
-    pdata = _perturbed_data(1, 6, 0.7, 5)
+    pdata = _deep(_perturbed_data(1, 0.7, 5))
     rng = spawn_rng(4, "warm-apply-L")
     v, w = (random_jet(rng, NV, 4, BASE) for _ in range(2))
-    cases = [(d, j) for d in (data, pdata) for j in (1, 2)]
+    cases = [(d, j) for d in (_deep(data), pdata) for j in (1, 2)]
     for d, j in cases:
         apply_L(d, j, v)
     want = [reference_apply_L(d, j, w) for d, j in cases]
@@ -259,7 +259,7 @@ def test_expansion_zero_amplitude(data):
 
 def test_expansion_perturbed_consistency():
     # gamma_0 = kappa = lambda(u) sigma^l must reproduce -(pi^{n+1}) R
-    base = heisenberg_chart(1, 6)
+    base = heisenberg_chart(1)
     r_val = 0.7
     q, table = random_perturbation(1, r_val, seed=5)
     pch = perturbed_chart(base, r_val, q, table)
@@ -286,7 +286,7 @@ def test_mu2_case_analysis_vanishes(data):
 @pytest.mark.parametrize("n", [1, 2])
 def test_mu2_values_match_nested_partials(n):
     # a random cubic-and-higher h, so that no term vanishes
-    data = build_phase_data(heisenberg_chart(n, 6))
+    data = build_phase_data(heisenberg_chart(n))
     nv = data.num_vars
     h = random_jet(spawn_rng(n, "mu2-h"), nv, 6, (0.0,) * nv)
     data = dataclasses.replace(data, h=h - h.truncated(2).with_order(6))
@@ -316,8 +316,8 @@ def test_gradient_must_vanish():
 
     from crkernel.errors import ChartError
 
-    chart = heisenberg_chart(1, 6)
-    tilt = Jet.displacement(0, 6, 6, (0.0,) * 6).scale(0.1)
+    chart = heisenberg_chart(1)
+    tilt = Jet.displacement(0, 6, chart.phase.order, (0.0,) * 6).scale(0.1)
     broken = chart.phase + tilt
     fake = dataclasses.replace(chart, phase=broken)
     with pytest.raises(ChartError):
@@ -344,7 +344,7 @@ def test_oracle_rejects_bad_inputs(data):
         oracle_sweep(data, 2, cutoff_radius=2.5)
     with pytest.raises(OracleFitError):
         oracle_sweep(data, 2, nodes_per_axis=(32, 32, 64, 64))
-    base = heisenberg_chart(1, 6)
+    base = heisenberg_chart(1)
     q, table = random_perturbation(1, 0.3, seed=1)
     pdata = build_phase_data(perturbed_chart(base, 0.3, q, table))
     with pytest.raises(OracleFitError):
@@ -467,7 +467,7 @@ def test_oracle_does_not_import_numpy_polynomial():
         "from crkernel.charts import heisenberg_chart\n"
         "from crkernel.jets import Jet\n"
         "from crkernel.stationary import build_phase_data, numeric_expansion_oracle, oracle_sweep\n"
-        "sweep = oracle_sweep(build_phase_data(heisenberg_chart(1, 6)), 2, t_samples=(60.0, 65.0, 70.0, 75.0))\n"
+        "sweep = oracle_sweep(build_phase_data(heisenberg_chart(1)), 2, t_samples=(60.0, 65.0, 70.0, 75.0))\n"
         "numeric_expansion_oracle(sweep, Jet(4, 2, (0.0,) * 4, {(0, 0, 0, 0): 1.0, (1, 1, 0, 0): 0.5}))\n"
         "print('numpy.polynomial' in sys.modules)"
     )
@@ -503,7 +503,7 @@ def _brute_force_moments(phase, amp_order, t, radius, nodes):
 
 def test_separable_moments_match_tensor_grid(data):
     # the exact phase plus a pure-s term and a u_1 s^2 term
-    extra = Jet(NV, 6, BASE, {(0, 0, 0, 2): 0.2j, (1, 0, 0, 2): 0.1})
+    extra = Jet(NV, data.psi0.order, BASE, {(0, 0, 0, 2): 0.2j, (1, 0, 0, 2): 0.1})
     phase = data.psi0 + extra
     nodes = (12, 12, 16, 16)
     got = oscillatory_monomial_moments(phase, 2, 30.0, 1.4, nodes)
@@ -515,6 +515,6 @@ def test_separable_moments_match_tensor_grid(data):
 
 
 def test_moments_reject_coupled_inner_variables(data):
-    coupled = data.psi0 + Jet(NV, 6, BASE, {(1, 1, 0, 0): 0.1})
+    coupled = data.psi0 + Jet(NV, data.psi0.order, BASE, {(1, 1, 0, 0): 0.1})
     with pytest.raises(OracleFitError, match="couples"):
         oscillatory_monomial_moments(coupled, 2, 30.0, 1.4, (12, 12, 16, 16))

@@ -32,7 +32,7 @@ BASE = xi_base(N)
 
 @pytest.fixture(scope="module")
 def chart():
-    return heisenberg_chart(1, 6)
+    return heisenberg_chart(1)
 
 
 def disp(i, order=4, nv=NV, base=BASE):
@@ -399,11 +399,11 @@ def _random_fields(tag, count):
 
 
 def test_p_operator_geometric_does_not_depend_on_earlier_fields():
-    used = heisenberg_chart(1, 6)
+    used = heisenberg_chart(1)
     first, second, last = _random_fields("p-order", 3)
     p_operator_geometric(used, first)
     p_operator_geometric(used, second)
-    assert p_operator_geometric(used, last) == p_operator_geometric(heisenberg_chart(1, 6), last)
+    assert p_operator_geometric(used, last) == p_operator_geometric(heisenberg_chart(1), last)
 
 
 def test_p_operator_coframe_products_match_linear_solves(chart):
@@ -434,7 +434,7 @@ def test_p_geometry_solves_the_frame_once_per_call(monkeypatch):
         return levi_frame(chart, order)
 
     monkeypatch.setattr(symbols, "levi_frame", counted)
-    fresh = heisenberg_chart(1, 6)
+    fresh = heisenberg_chart(1)
     fields = _random_fields("p-once", 3) + [F.with_order(6) for F in _random_fields("p-once-6", 2)]
     for F in fields:
         p_operator_geometric(fresh, F)

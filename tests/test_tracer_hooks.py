@@ -4,9 +4,11 @@ feeds ``parse_config`` the documents of its workloads.
 ``perfbench/tracer.py`` and ``perfbench/workloads.py`` are read here, never
 edited: a rename in ``src/`` that drops one of the tracer's names, or a
 parse-time rule that refuses a workload's document, would otherwise only
-show when a benchmark run fails.
+show when a benchmark run fails.  The workloads' reports are pinned too, so a
+change that moves one of their bytes shows here.
 """
 
+import hashlib
 import importlib
 import importlib.util
 from pathlib import Path
@@ -52,6 +54,24 @@ def test_workload_documents_parse(workload):
     workloads = load_perfbench("workloads")
     for seed in (0, 1, 77):
         parse_config(workloads.WORKLOADS[workload](seed))
+
+
+#: sha256 of the timings-off report of each benchmark workload document
+WORKLOAD_REPORT_SHA256 = {
+    ("routes", 11): "5353bb9301ce34928daddf859bfe1af736c741d362c886aeda39815f7996714a",
+    ("routes", 12): "acd42240bf894df9a2e9bd010d773efe543539780553591c71921d1be0fc165a",
+    ("routes", 7001): "d3769f93a0d9ea1726fa6c238872473faa2f8a57aa6c32e8367bd9e03e73ca13",
+    ("quadrature", 7): "6ae6e29294679bf70e0b8634a410c47bdc4c0ade855cc810e19a6bb5857d4ee6",
+}
+
+
+@pytest.mark.parametrize("workload, seed", sorted(WORKLOAD_REPORT_SHA256))
+def test_workload_reports_are_pinned(workload, seed):
+    from crkernel.harness import emit_report, run_scenarios
+
+    doc = load_perfbench("workloads").WORKLOADS[workload](seed)
+    blob = emit_report(run_scenarios(parse_config(doc), timings=False))
+    assert hashlib.sha256(blob).hexdigest() == WORKLOAD_REPORT_SHA256[(workload, seed)]
 
 
 def test_traced_products_accept_a_batch():
