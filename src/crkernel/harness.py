@@ -49,8 +49,8 @@ from .stationary import (
     PhaseCriticalData,
     build_phase_data,
     expansion_coeffs,
-    mu2_vanishing_values,
     numeric_expansion_oracle,
+    oracle_cutoff_radius,
     oracle_nodes,
     oracle_sweep,
     oracle_t_samples,
@@ -58,7 +58,6 @@ from .stationary import (
 from .symbols import (
     SYMBOL_ORDER,
     ClassicalSymbol,
-    euler_check,
     identity_symbol,
     invert_map,
     make_multiplication_symbol,
@@ -169,7 +168,7 @@ def _number(value, where: str) -> float:
     return float(value)
 
 
-def _check_applicability(where: str, scenario: Scenario, nodes: Optional[list]) -> None:
+def _check_applicability(where: str, scenario: Scenario, oracle: dict) -> None:
     """Reject a scenario that one of its checks cannot apply to, or that
     sets a field none of its checks reads, by the CHECK_SPECS table."""
     chart, symbol = scenario.chart, scenario.symbol
@@ -189,19 +188,24 @@ def _check_applicability(where: str, scenario: Scenario, nodes: Optional[list]) 
         low, high = spec.n_range
         if chart.n < low or (high is not None and chart.n > high):
             raise ConfigError(f"{where}: {c} does not apply at n = {chart.n}")
-        if spec.oracle and nodes is not None:
-            try:
-                oracle_nodes(nodes, 2 * chart.n + 2)
-            except OracleFitError as exc:
-                raise ConfigError(f"{where}: config.oracle.nodes_per_axis: {exc}") from exc
+        if spec.oracle:  # the validators the oracle applies again when it runs
+            for key, validate in (
+                ("t_samples", oracle_t_samples),
+                ("nodes_per_axis", lambda nodes: oracle_nodes(nodes, 2 * chart.n + 2)),
+                ("cutoff_radius", oracle_cutoff_radius),
+            ):
+                try:
+                    validate(oracle.get(key))
+                except OracleFitError as exc:
+                    raise ConfigError(f"{where}: config.oracle.{key}: {exc}") from exc
 
 
 def parse_config(doc: dict) -> dict:
     """Validate a parsed config document; returns a normalized copy.
 
-    Types and shapes, the oracle's t samples and node counts, every check
-    that cannot apply to its scenario and every field no check reads are
-    checked here; the oracle's cutoff radius is checked when it runs.
+    Types and shapes, every check that cannot apply to its scenario, every
+    field no check reads and the oracle options of a config that reads them
+    are checked here.
     """
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
@@ -218,11 +222,6 @@ def parse_config(doc: dict) -> dict:
         raise ConfigError("config.oracle.t_samples: must be a list of numbers")
     for t in t_samples:
         _number(t, "config.oracle.t_samples[]")
-    if "t_samples" in oracle:
-        try:
-            oracle_t_samples(t_samples)
-        except OracleFitError as exc:
-            raise ConfigError(f"config.oracle.t_samples: {exc}") from exc
     nodes = oracle.get("nodes_per_axis")
     if nodes is not None and not (isinstance(nodes, list) and all(map(_is_int, nodes))):
         raise ConfigError("config.oracle.nodes_per_axis: must be a list of integers")
@@ -305,7 +304,7 @@ def parse_config(doc: dict) -> dict:
             rtol=rtol,
             params=dict(params),
         )
-        _check_applicability(where, scenario, nodes)
+        _check_applicability(where, scenario, oracle)
         scenarios.append(scenario)
     if oracle and not any(CHECK_SPECS[c].oracle for scen in scenarios for c in scen.checks):
         raise ConfigError("config.oracle: no check of the config reads the oracle options")
@@ -356,6 +355,10 @@ class RunCache:
         return self.phase_data[spec]
 
 
+#: order of a scenario's symbol: the b0 and b1 checks read e_0 to degree 2
+SCENARIO_SYMBOL_ORDER = 2
+
+
 class CheckContext:
     """Resolved chart, symbol and seeds for one scenario run."""
 
@@ -378,14 +381,14 @@ class CheckContext:
             spec = self.scenario.symbol
             d = 2 * self.n + 1
             if spec.kind == "identity":
-                self._symbol = identity_symbol(self.n)
+                self._symbol = identity_symbol(self.n, order=SCENARIO_SYMBOL_ORDER)
             elif spec.kind == "multiplication":
                 rng = spawn_rng(self.seed, "mult-f", self.scenario.name, spec.seed)
-                f = random_jet(rng, d, SYMBOL_ORDER, (0.0,) * d, decay=0.5)
+                f = random_jet(rng, d, SCENARIO_SYMBOL_ORDER, (0.0,) * d, decay=0.5)
                 self._symbol = make_multiplication_symbol(f)
             else:
                 self._symbol = random_classical_symbol(
-                    self.n, spec.order_m, spec.num_components, seed=spec.seed, homogeneous=True
+                    self.n, spec.order_m, spec.num_components, seed=spec.seed, order=SCENARIO_SYMBOL_ORDER
                 )
         return self._symbol
 
@@ -499,11 +502,7 @@ def check_composition_two_routes(ctx: CheckContext):
 def check_projector_idempotence(ctx: CheckContext):
     A = szego_amplitude(ctx.chart)
     sp0, sp1 = compose_amplitudes_sp(A, A, ctx.chart, phase_data=ctx.phase_data)
-    pairs = [
-        (sp0, A.leading.constant_term()),
-        (sp1, A.subleading),
-    ]
-    return _worst(pairs)
+    return _worst([(sp0, A.leading.constant_term()), (sp1, A.subleading)])
 
 
 def _diffeo_draw(ctx: CheckContext, k: int):
@@ -598,73 +597,40 @@ def _derivative_by_values(f: Jet, axis: int, k: int) -> complex:
     return complex(math.factorial(k) * coeffs[k])
 
 
-def check_euler_homogeneity(ctx: CheckContext):
+def check_expansion_exact(ctx: CheckContext):
+    """``expansion_coeffs`` against the closed form on the exact phase
+    Psi0 = s u_{2n} + i (1 + s/2)|u'|^2, s = sigma - 1, u' = (u_0..u_{2n-1}).
+
+    For gamma of degree <= 2 with Taylor coefficients gamma_alpha, the Gaussian moments in u'
+    (odd ones vanish, u_a^2 gives 1 / (2t(1 + s/2))), (1 + s/2)^{-n} = 1 - n s/2 + ... and
+    int int e^{itsu} f ds du ~ (2 pi / t) sum_k (i/t)^k / k! d_s^k d_u^k f(0, 0) give
+        c0 = 2 pi^{n+1} gamma(0),
+        c1 = pi^{n+1} (sum_{a<2n} gamma_{u_a^2} + 2i gamma_{s u_{2n}} - i n gamma_{u_{2n}} + 2 g1),
+    read with ``Jet.coefficient``, not through the derivative reader behind the Hessian.
+    """
+    n, nv = ctx.n, 2 * ctx.n + 2
+    u, s, scale = 2 * n, nv - 1, math.pi ** (n + 1)
+
+    def coeff(gamma, *variables):
+        return gamma.coefficient(tuple(map(variables.count, range(nv))))
+
     pairs = []
     for k in range(10):
-        rng = ctx.rng("euler", k)
-        m = float(rng.choice([-1.0, 0.0, 0.5, 1.0]))
-        sym = random_classical_symbol(ctx.n, m, 2, seed=int(rng.integers(1 << 30)), homogeneous=True)
-        for j, comp in enumerate(sym.components):
-            pairs.append((euler_check(comp, m - j), 0.0))
-    return _worst(pairs)
-
-
-def check_princ_symb_id(ctx: CheckContext):
-    """m T e_0 = d^2_{x_{2n} xi_{2n}} e_0 at the base covector, homogeneous e_0."""
-    d = 2 * ctx.n + 1
-    nv = 2 * d
-    pairs = []
-    for k in range(10):
-        rng = ctx.rng("princ-symb", k)
-        m = float(rng.choice([-1.0, 0.5, 1.0, 2.0]))
-        sym = random_classical_symbol(ctx.n, m, 1, seed=int(rng.integers(1 << 30)), homogeneous=True)
-        e0 = sym.components[0]
-        lhs = m * (-e0.derivative_at(d - 1))
-        rhs = e0.derivative_at(d - 1, nv - 1)
-        pairs.append((lhs, rhs))
-    return _worst(pairs)
-
-
-def check_hessian_display(ctx: CheckContext):
-    n = ctx.n
-    data = ctx.phase_data
-    nv = 2 * n + 2
-    pairs = []
-    for a in range(nv):
-        for b in range(nv):
-            want = 0.0 + 0.0j
-            if a == b and a < 2 * n:
-                want = 2.0j
-            elif {a, b} == {nv - 2, nv - 1}:
-                want = 1.0
-            pairs.append((data.hessian[a, b], want))
-    det_want = 1.0 / (4.0 * math.pi ** (2 * n + 2))
-    pairs.append((data.det_normalized, det_want))
-    q = data.q.coeffs  # the inverse-Hessian form by exponent of xi
-    for j in range(2 * n):
-        pairs.append((q.get(tuple(2 * (k == j) for k in range(nv)), 0.0), 0.5j))
-    pairs.append((q.get((0,) * (nv - 2) + (1, 1), 0.0), -2.0))
-    pairs.append((q.get((1, 1) + (0,) * (nv - 2), 0.0), 0.0))
+        rng = ctx.rng("expansion-exact", k)
+        gamma = random_jet(rng, nv, 2, (0.0,) * nv, decay=0.6)
+        g1 = complex(*rng.standard_normal(2))
+        squares = sum(coeff(gamma, a, a) for a in range(2 * n))
+        c1 = squares + 2j * coeff(gamma, s, u) - 1j * n * coeff(gamma, u) + 2.0 * g1
+        pairs += zip(expansion_coeffs(ctx.phase_data, gamma, g1), (2.0 * scale * gamma.constant_term(), scale * c1))
     return _worst(pairs)
 
 
 def check_quadrature_leading(ctx: CheckContext):
-    pairs = [(fit[0], ref[0]) for fit, ref in ctx.quadrature_fit()]
-    return _worst(pairs)
+    return _worst([(fit[0], ref[0]) for fit, ref in ctx.quadrature_fit()])
 
 
 def check_quadrature_subleading(ctx: CheckContext):
-    pairs = [(fit[1], ref[1]) for fit, ref in ctx.quadrature_fit()]
-    return _worst(pairs)
-
-
-def check_mu2_vanishing(ctx: CheckContext):
-    nv = 2 * ctx.n + 2
-    rng = ctx.rng("mu2")
-    gamma0 = random_jet(rng, nv, 2, (0.0,) * nv, decay=0.6)
-    vals = mu2_vanishing_values(ctx.phase_data, gamma0)
-    pairs = [(v, 0.0) for v in vals.values()]
-    return _worst(pairs)
+    return _worst([(fit[1], ref[1]) for fit, ref in ctx.quadrature_fit()])
 
 
 @dataclass(frozen=True)
@@ -699,16 +665,13 @@ CHECK_SPECS: Dict[str, CheckSpec] = {
     "p_operator_routes": CheckSpec(check_p_operator_routes, chart_models=("heisenberg",), params=("num_fields",)),
     "christoffel_table": CheckSpec(check_christoffel_table),
     "kohn_point_formula": CheckSpec(check_kohn_point_formula),
-    "euler_homogeneity": CheckSpec(check_euler_homogeneity, chart_models=()),
-    "princ_symb_id": CheckSpec(check_princ_symb_id, chart_models=()),
-    "hessian_display": CheckSpec(check_hessian_display),
+    "expansion_exact": CheckSpec(check_expansion_exact, chart_models=("heisenberg",)),
     "quadrature_leading": CheckSpec(
         check_quadrature_leading, n_range=ORACLE_N_RANGE, params=("num_amplitudes",), oracle=True
     ),
     "quadrature_subleading": CheckSpec(
         check_quadrature_subleading, n_range=ORACLE_N_RANGE, params=("num_amplitudes",), oracle=True
     ),
-    "mu2_vanishing": CheckSpec(check_mu2_vanishing),
 }
 
 #: check id -> function; ``run_scenarios`` looks each check up here when it runs it
@@ -829,7 +792,7 @@ def default_config_doc() -> dict:
         {
             "name": "geometry-tables",
             "chart": {"model": "heisenberg", "n": 1},
-            "checks": ["christoffel_table", "kohn_point_formula", "euler_homogeneity", "princ_symb_id"],
+            "checks": ["christoffel_table", "kohn_point_formula"],
             "tolerances": {"absolute": 1e-10, "relative": 0.0},
         },
         {
@@ -849,12 +812,6 @@ def default_config_doc() -> dict:
             "chart": {"model": "heisenberg", "n": 1},
             "checks": ["subprincipal_invariance"],
             "tolerances": {"absolute": 1e-10, "relative": 0.0},
-        },
-        {
-            "name": "expansion-engine",
-            "chart": {"model": "heisenberg", "n": 1},
-            "checks": ["hessian_display", "mu2_vanishing"],
-            "tolerances": {"absolute": 1e-12, "relative": 0.0},
         },
         {
             "name": "identity-symbol",
@@ -892,6 +849,15 @@ def default_config_doc() -> dict:
             "params": {"num_amplitudes": 5},
         },
     ]
+    for n in range(1, 6):
+        scenarios.append(
+            {
+                "name": f"expansion-exact-n{n}",
+                "chart": {"model": "heisenberg", "n": n},
+                "checks": ["expansion_exact"],
+                "tolerances": {"absolute": 0.0, "relative": 1e-12},
+            }
+        )
     for k in range(10):
         scenarios.append(
             {

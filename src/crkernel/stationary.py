@@ -28,7 +28,6 @@ critical point is the jet base point.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -218,32 +217,6 @@ def expansion_coeffs(data: PhaseCriticalData, gamma0: Jet, g1: complex = 0.0 + 0
     ]
 
 
-def mu2_vanishing_values(data: PhaseCriticalData, gamma0: Jet) -> Dict[str, complex]:
-    """The mu = 2 case-analysis terms for H_2 = h^2 gamma0, at the critical point:
-    d_s^k d_u^k Lap^{3-k} H_2 for k = 3, 2, 1, 0, with u = u_{2n+1}, s = sigma - 1
-    and the Laplacian over the first 2n slots.
-
-    All four must vanish on the exact Heisenberg data.
-    """
-    hw = data.h.with_order(6)
-    H2 = hw * hw * gamma0.with_order(6)
-
-    ds_du = (data.num_vars - 1, data.num_vars - 2)
-
-    def value(k: int) -> complex:
-        total = 0.0 + 0.0j
-        for heads in itertools.product(range(2 * data.n), repeat=3 - k):
-            total += H2.derivative_at(*heads, *heads, *(ds_du * k))
-        return total
-
-    return {
-        "dsdu_cubed": value(3),
-        "lap_dsdu_sq": value(2),
-        "lap2_dsdu": value(1),
-        "lap3": value(0),
-    }
-
-
 # -- quadrature oracle ------------------------------------------------------------------
 
 
@@ -381,6 +354,14 @@ def oracle_nodes(nodes_per_axis: Optional[Sequence[int]], num_vars: int) -> Tupl
     return nodes
 
 
+def oracle_cutoff_radius(radius: Optional[float]) -> float:
+    """The box radius as a float (1.4 for None); OracleFitError outside (0, 2)."""
+    r = 1.4 if radius is None else float(radius)
+    if not 0 < r < 2.0:
+        raise OracleFitError("cutoff radius must lie in (0, 2) to keep Im(phase) >= 0")
+    return r
+
+
 def oracle_t_samples(t_samples: Optional[Sequence[float]]) -> List[float]:
     """The fit samples as floats (ORACLE_T_SAMPLES for None); raises
     OracleFitError unless there are at least 4, all in [20, 80]."""
@@ -408,7 +389,7 @@ def oracle_sweep(
     data: PhaseCriticalData,
     order: int,
     t_samples: Optional[Sequence[float]] = None,
-    cutoff_radius: float = 1.4,
+    cutoff_radius: Optional[float] = None,
     nodes_per_axis: Optional[Sequence[int]] = None,
 ) -> OracleSweep:
     """One oscillatory_monomial_moments vector per t sample for amplitudes of
@@ -429,8 +410,7 @@ def oracle_sweep(
     if not data.exact_heisenberg:
         raise OracleFitError("quadrature oracle supports the exact Heisenberg phase only")
     ts = oracle_t_samples(t_samples)
-    if not 0 < cutoff_radius < 2.0:
-        raise OracleFitError("cutoff radius must lie in (0, 2) to keep Im(phase) >= 0")
+    cutoff_radius = oracle_cutoff_radius(cutoff_radius)
     nv = data.num_vars
     nodes_per_axis = oracle_nodes(nodes_per_axis, nv)
     chi = {(0,) * nv: 1.0}

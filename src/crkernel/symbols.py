@@ -21,8 +21,8 @@ from .jets import Jet, Substitution, random_jet
 from .rng import spawn_rng
 
 
-#: jet order of every symbol the harness builds or draws; the draws' seed
-#: streams depend on it, and each consumer truncates to the degree it reads
+#: default jet order of a symbol, kept by the subprincipal-invariance draws,
+#: whose seed streams depend on it; each consumer truncates to what it reads
 SYMBOL_ORDER = 6
 
 
@@ -70,9 +70,9 @@ def promote_x_jet(f: Jet, base_2d: Sequence[complex], order: int) -> Jet:
     return f.with_order(order).reindex(2 * f.num_vars, range(f.num_vars), base_2d)
 
 
-def identity_symbol(n: int) -> ClassicalSymbol:
+def identity_symbol(n: int, order: int = SYMBOL_ORDER) -> ClassicalSymbol:
     d = 2 * n + 1
-    e0 = Jet.constant(2 * d, SYMBOL_ORDER, xi_base(n), 1.0)
+    e0 = Jet.constant(2 * d, order, xi_base(n), 1.0)
     return ClassicalSymbol(order_m=0.0, components=(e0,), homogeneous=True)
 
 
@@ -141,17 +141,18 @@ def random_classical_symbol(
     num_components: int,
     seed: int,
     homogeneous: bool = True,
+    order: int = SYMBOL_ORDER,
 ) -> ClassicalSymbol:
-    """Reproducible pseudo-random classical symbol at ``SYMBOL_ORDER``."""
+    """Reproducible pseudo-random classical symbol at ``order``; a lower order's draw is a prefix."""
     d = 2 * n + 1
     comps: List[Jet] = []
     for j in range(num_components):
         rng = spawn_rng(seed, "symbol", n, j, repr(order_m), homogeneous)
         if homogeneous:
-            slice_jet = random_jet(rng, d + 2 * n, SYMBOL_ORDER, (0.0,) * (d + 2 * n), decay=0.4)
+            slice_jet = random_jet(rng, d + 2 * n, order, (0.0,) * (d + 2 * n), decay=0.4)
             comps.append(homogeneity_extend(slice_jet, order_m - j))
         else:
-            comps.append(random_jet(rng, 2 * d, SYMBOL_ORDER, xi_base(n), decay=0.4))
+            comps.append(random_jet(rng, 2 * d, order, xi_base(n), decay=0.4))
     return ClassicalSymbol(order_m=order_m, components=tuple(comps), homogeneous=homogeneous)
 
 

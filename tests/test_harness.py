@@ -27,7 +27,7 @@ def small_config(**overrides):
             {
                 "name": "geo",
                 "chart": {"model": "heisenberg", "n": 1},
-                "checks": ["christoffel_table", "princ_symb_id"],
+                "checks": ["christoffel_table", "kohn_point_formula"],
                 "tolerances": {"absolute": 1e-10, "relative": 0.0},
             }
         ],
@@ -116,6 +116,8 @@ def test_tolerances_must_be_positive():
         (("scenarios", 0, "name"), "a,b"),  # CSV cells are written unquoted
         (("scenarios", 0, "name"), "a\nb"),
         (("scenarios", 0, "name"), '"q"'),
+        (("oracle", "cutoff_radius"), 0.0),  # the box must keep Im(phase) >= 0
+        (("oracle", "cutoff_radius"), 2.0),
     ],
 )
 def test_malformed_values_rejected(path, value):
@@ -196,7 +198,7 @@ def test_symbol_no_check_reads_rejected():
 def test_chart_fields_no_check_reads_rejected(chart, match):
     doc = small_config()
     doc["scenarios"][0]["chart"] = chart
-    doc["scenarios"][0]["checks"] = ["subprincipal_invariance", "euler_homogeneity", "princ_symb_id"]
+    doc["scenarios"][0]["checks"] = ["subprincipal_invariance"]
     with pytest.raises(ConfigError, match=match):
         parse_config(doc)
     doc["scenarios"][0]["chart"] = {"model": "heisenberg", "n": 1}  # an explicit exact model is fine
@@ -231,7 +233,7 @@ def test_quadrature_rejected_outside_the_oracle_dimensions(check):
 
 def test_oracle_options_no_check_reads_rejected():
     doc = small_config(oracle={"nodes_per_axis": [], "cutoff_radius": 7.0})
-    doc["scenarios"][0]["checks"] = ["hessian_display"]
+    doc["scenarios"][0]["checks"] = ["expansion_exact"]
     with pytest.raises(ConfigError, match="config.oracle: no check of the config reads"):
         parse_config(doc)
     doc["oracle"] = {}
@@ -424,9 +426,9 @@ def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
         "scenarios": [
             _scenario("leading", flat, ["quadrature_leading"], **quadrature),
             _scenario("subleading", flat, ["quadrature_subleading"], **quadrature),
-            _scenario("flat", flat, ["hessian_display", "christoffel_table"]),
-            _scenario("curved-a", curved, ["mu2_vanishing"]),
-            _scenario("curved-b", curved, ["hessian_display"]),
+            _scenario("flat", flat, ["expansion_exact", "christoffel_table"]),
+            _scenario("curved-a", curved, ["projector_idempotence"]),
+            _scenario("curved-b", curved, ["composition_two_routes"], params={"num_pairs": 1}),
         ],
     }
     config = parse_config(doc)
@@ -467,6 +469,24 @@ def test_quadrature_amplitudes_share_one_moment_table_per_t_sample(monkeypatch):
     assert all(r.passed for r in reports[0].records)
     # five amplitudes: one fit each, one moment table per t sample for all of them
     assert calls == {"numeric_expansion_oracle": 5, "oscillatory_monomial_moments": len(t_samples)}
+
+
+def test_b1_scenarios_run_at_n4_and_n5():
+    # scenario symbols are drawn at the degree the b1 routes read; drawn at
+    # SYMBOL_ORDER, an n = 5 symbol jet has too many monomials to index
+    scenarios = [
+        {
+            "name": f"{kind}-n{n}",
+            "chart": {"n": n},
+            "symbol": {"kind": kind, "seed": 5},
+            "checks": ["b0_leading", "b1_two_routes"],
+            "tolerances": {"absolute": 1e-12, "relative": 1e-9},
+        }
+        for n in (4, 5)
+        for kind in SYMBOL_KINDS
+    ]
+    reports = run_scenarios(parse_config({"scenarios": scenarios}), timings=False)
+    assert len(reports) == 6 and all(r.all_passed for r in reports)
 
 
 def test_homogeneous_record_does_not_depend_on_earlier_scenarios():
@@ -520,6 +540,13 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     nested.write_text("[" * 100_000 + "]" * 100_000)
     assert cli.main(["--config", str(nested)]) == 2
     assert "nests too deeply" in capsys.readouterr().err
+    wide = {
+        "oracle": {"cutoff_radius": 3.0},
+        "scenarios": [_scenario("quad", {"n": 1}, ["quadrature_leading"], params={"num_amplitudes": 1})],
+    }
+    assert cli.main(["--config", write_config(tmp_path, wide)]) == 2
+    err = capsys.readouterr().err
+    assert "config.oracle.cutoff_radius: cutoff radius must lie in (0, 2) to keep Im(phase) >= 0" in err
 
 
 def test_cli_unwritable_out_exits_two(tmp_path, capsys):
@@ -541,13 +568,13 @@ def test_cli_strict_failure_exit_one(tmp_path, capsys):
 
 
 def test_cli_numerical_error_exit_three(tmp_path, capsys):
+    # the oracle refuses a perturbed chart only when it runs
     doc = {
         "seed": 0,
-        "oracle": {"cutoff_radius": 3.0},
         "scenarios": [
             {
                 "name": "quad",
-                "chart": {"model": "heisenberg", "n": 1},
+                "chart": {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 3},
                 "checks": ["quadrature_leading"],
                 "tolerances": {"absolute": 0.0, "relative": 1e-2},
                 "params": {"num_amplitudes": 1},
@@ -557,7 +584,7 @@ def test_cli_numerical_error_exit_three(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert cli.main(["--config", path]) == 3
     err = capsys.readouterr().err
-    assert "numerical error: cutoff radius must lie in (0, 2) to keep Im(phase) >= 0" in err
+    assert "numerical error: quadrature oracle supports the exact Heisenberg phase only" in err
 
 
 def test_broken_branch_invariant_is_a_numerical_error(tmp_path, monkeypatch, capsys):
@@ -620,7 +647,7 @@ def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
 
 #: sha256 of ``verify --no-timings`` on the default suite.  A change that moves
 #: rounding on purpose updates it and reports the moved values in CHANGES.md.
-DEFAULT_SUITE_SHA256 = "6c610450fc027d8d00dc386c92777d38fbfffa674c77f76454b190828636c1a9"
+DEFAULT_SUITE_SHA256 = "1430d5da76ff3d1c7eaf24e9d4f75013067b846116888bbfd1f3afacbed71e83"
 
 
 def test_default_suite_report_bytes_are_pinned(tmp_path, capsys):

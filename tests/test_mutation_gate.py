@@ -13,11 +13,14 @@ Each frame mutant breaks the Levi frame's coframe in every module that holds
 the patched name, and the geometry-table and P-operator scenarios must fail a
 record for it.  Each reader mutant breaks ``Jet.derivative_at``, which every
 route reads its base-point derivatives through, and the scenarios whose
-reference route never calls it (the Hessian display, the Kohn oracle, the
+reference route never calls it (the exact expansion, the Kohn oracle, the
 geometric P route, the quadrature oracle) must fail a record for it, so a
 reader fault that both b1 routes share cannot hide.  Reader mutants touch
 second derivatives only: a wrong first derivative breaks a chart invariant
-before any record exists.
+before any record exists.  The expansion mutant scales L_1 by n, which is
+invisible at n = 1, and the exact-expansion scenarios at n = 1..5 must fail a
+record for it.  Every filter must match at least one scenario, so a renamed
+scenario cannot drop out of a gate unnoticed.
 """
 
 import dataclasses
@@ -26,6 +29,7 @@ import numpy as np
 
 import crkernel.charts as charts
 import crkernel.pipeline as pipeline
+import crkernel.stationary as stationary
 import crkernel.symbols as symbols
 from crkernel.harness import default_config, run_scenarios
 from crkernel.jets import Jet
@@ -103,7 +107,7 @@ FRAME_MUTANTS = {
 
 
 #: the scenarios whose reference route reads no derivative through the jet reader
-READER_FILTERS = ("expansion-engine", "geometry-tables*", "cotangent-operators", "quadrature-oracle*")
+READER_FILTERS = ("expansion-exact*", "geometry-tables*", "cotangent-operators", "quadrature-oracle*")
 
 
 def _second_derivative_mutant(pure, scale):
@@ -128,15 +132,25 @@ READER_MUTANTS = {
 }
 
 
+#: the exact-expansion scenarios at n = 1..5
+EXPANSION_FILTERS = ("expansion-exact*",)
+
+
+def _scaled_by_n(fn):
+    return lambda data, j, v: fn(data, j, v) * data.n
+
+
+#: mutant label -> (name patched in crkernel.stationary, mutant of the original)
+EXPANSION_MUTANTS = {"apply_L scaled by n": ("apply_L", _scaled_by_n)}
+
+
 def _failed_records(config, filters):
-    records = [
-        r
-        for pattern in filters
-        for report in run_scenarios(config, name_filter=pattern, timings=False)
-        for r in report.records
-    ]
-    assert records
-    return sum(not r.passed for r in records)
+    failed = 0
+    for pattern in filters:
+        records = [r for report in run_scenarios(config, name_filter=pattern, timings=False) for r in report.records]
+        assert records, f"filter {pattern!r} matches no scenario"
+        failed += sum(not r.passed for r in records)
+    return failed
 
 
 def _escaped(monkeypatch, mutants, modules, filters):
@@ -168,3 +182,7 @@ def test_every_frame_mutant_fails_a_record(monkeypatch):
 
 def test_every_reader_mutant_fails_a_record(monkeypatch):
     assert _escaped(monkeypatch, READER_MUTANTS, (Jet,), READER_FILTERS) == []
+
+
+def test_every_expansion_mutant_fails_a_record(monkeypatch):
+    assert _escaped(monkeypatch, EXPANSION_MUTANTS, (stationary,), EXPANSION_FILTERS) == []

@@ -19,7 +19,6 @@ from crkernel.stationary import (
     apply_L,
     build_phase_data,
     expansion_coeffs,
-    mu2_vanishing_values,
     WIDTH_FRACTION,
     numeric_expansion_oracle,
     oracle_sweep,
@@ -273,41 +272,6 @@ def test_expansion_perturbed_consistency():
     got = expansion_coeffs(pdata, kappa)
     assert got[1] == pytest.approx(-math.pi**2 * r_val, abs=1e-12)
     assert 1j * apply_L(pdata, 1, kappa) == pytest.approx(-0.5j * r_val, abs=1e-13)
-
-
-def test_mu2_case_analysis_vanishes(data):
-    rng = spawn_rng(2, "mu2")
-    gamma0 = random_jet(rng, NV, 2, BASE)
-    vals = mu2_vanishing_values(data, gamma0)
-    for name, v in vals.items():
-        assert abs(v) < 1e-12, name
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_mu2_values_match_nested_partials(n):
-    # a random cubic-and-higher h, so that no term vanishes
-    data = build_phase_data(heisenberg_chart(n))
-    nv = data.num_vars
-    h = random_jet(spawn_rng(n, "mu2-h"), nv, 6, (0.0,) * nv)
-    data = dataclasses.replace(data, h=h - h.truncated(2).with_order(6))
-    gamma0 = random_jet(spawn_rng(n, "mu2-gamma0"), nv, 6, (0.0,) * nv)
-    H2 = data.h * data.h * gamma0
-
-    def lap(g):
-        out = Jet.zero(nv, g.order - 2, g.base_point)
-        for a in range(2 * n):
-            out = out + g.partial(a).partial(a)
-        return out
-
-    got = mu2_vanishing_values(data, gamma0)
-    for name, k in (("dsdu_cubed", 3), ("lap_dsdu_sq", 2), ("lap2_dsdu", 1), ("lap3", 0)):
-        g = H2
-        for _ in range(k):
-            g = g.partial(nv - 1).partial(nv - 2)
-        for _ in range(3 - k):
-            g = lap(g)
-        want = g.constant_term()
-        assert want != 0 and abs(got[name] - want) <= 1e-12 * abs(want), name
 
 
 def test_gradient_must_vanish():

@@ -64,6 +64,16 @@ def test_random_symbol_deterministic():
         assert max_coeff_difference(ca, cb) == 0.0
 
 
+@pytest.mark.parametrize("homogeneous", [True, False])
+def test_random_symbol_at_a_lower_order_is_a_prefix(homogeneous):
+    # scenario symbols are drawn at order 2 and must keep the values of the draw at 6
+    low = random_classical_symbol(N, 0.5, 2, seed=9, homogeneous=homogeneous, order=2)
+    high = random_classical_symbol(N, 0.5, 2, seed=9, homogeneous=homogeneous)
+    for cl, ch in zip(low.components, high.components):
+        assert cl.order == 2 and np.array_equal(cl.vector, ch.truncated(2).vector)
+    assert identity_symbol(N, order=2).components[0].order == 2
+
+
 def test_random_symbol_single_component_pads_zero():
     sym = random_classical_symbol(N, 1.0, 1, seed=2)
     assert len(sym.components) == 1
@@ -110,9 +120,10 @@ def test_extend_point_sample_oracle():
 
 
 def test_extend_euler_residual_by_construction():
-    sym = random_classical_symbol(N, 0.5, 2, seed=7)
-    assert euler_check(sym.components[0], 0.5) < 1e-12
-    assert euler_check(sym.components[1], -0.5) < 1e-12
+    for m in (-1.0, 0.0, 0.5, 1.0):
+        sym = random_classical_symbol(N, m, 2, seed=7)
+        for j, component in enumerate(sym.components):
+            assert euler_check(component, m - j) < 1e-12, (m, j)
 
 
 def test_euler_witness_inhomogeneous():
