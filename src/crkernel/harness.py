@@ -186,7 +186,7 @@ def _check_applicability(where: str, scenario: Scenario, oracle: dict) -> None:
         if spec.chart_models and chart.model not in spec.chart_models:
             raise ConfigError(f"{where}: {c} applies to {list(spec.chart_models)} charts only")
         low, high = spec.n_range
-        if chart.n < low or (high is not None and chart.n > high):
+        if not low <= chart.n <= high:
             raise ConfigError(f"{where}: {c} does not apply at n = {chart.n}")
         if spec.oracle:  # the validators the oracle applies again when it runs
             for key, validate in (
@@ -639,15 +639,16 @@ class CheckSpec:
 
     ``symbol`` is "required" or "unread".  ``chart_models`` is empty for a
     check that never builds the chart (it reads only ``n``).  ``n_range`` is
-    (low, high), high None for no bound, and ``oracle`` says whether the
-    check reads the ``oracle`` options.
+    (low, high): n = 6 puts the chart's phase jet at (26, 4), and n = 5 an
+    order-6 symbol draw at (22, 6), past the jet index's 2^62 key cap.
+    ``oracle`` says whether the check reads the ``oracle`` options.
     """
 
     fn: Callable[[CheckContext], Tuple[complex, complex]]
     symbol: str = "unread"
     symbol_kinds: Tuple[str, ...] = SYMBOL_KINDS
     chart_models: Tuple[str, ...] = CHART_MODELS
-    n_range: Tuple[int, Optional[int]] = (1, None)
+    n_range: Tuple[int, int] = (1, 5)
     params: Tuple[str, ...] = ()
     oracle: bool = False
 
@@ -661,7 +662,9 @@ CHECK_SPECS: Dict[str, CheckSpec] = {
     "b1_reference": CheckSpec(check_b1_reference, symbol="required", symbol_kinds=("identity", "multiplication")),
     "composition_two_routes": CheckSpec(check_composition_two_routes, params=("num_pairs",)),
     "projector_idempotence": CheckSpec(check_projector_idempotence),
-    "subprincipal_invariance": CheckSpec(check_subprincipal_invariance, chart_models=(), params=("num_diffeos",)),
+    "subprincipal_invariance": CheckSpec(
+        check_subprincipal_invariance, chart_models=(), n_range=(1, 4), params=("num_diffeos",)
+    ),
     "p_operator_routes": CheckSpec(check_p_operator_routes, chart_models=("heisenberg",), params=("num_fields",)),
     "christoffel_table": CheckSpec(check_christoffel_table),
     "kohn_point_formula": CheckSpec(check_kohn_point_formula),

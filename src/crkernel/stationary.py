@@ -19,7 +19,8 @@ contractions of the powers of h; one table of powers serves K_1..K_j, and
 the phase data keeps the functionals of the largest j asked so far.  A
 quadrature oracle (separable Gauss sums on Gauss-Legendre nodes found by
 Newton's method) cross-checks the formal coefficients on the exact
-Heisenberg phase, and its sweep owns the L_2..L_4 functionals of its tail.
+Heisenberg phase; it subtracts its tail with the closed-form coefficients of
+that phase, so it reads none of the L_j code.
 
 Jets here live in the variables (u_1..u_{2n+1}, sigma-1) based at 0, so the
 critical point is the jet base point.
@@ -27,7 +28,6 @@ critical point is the jet base point.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -289,8 +289,9 @@ def oscillatory_monomial_moments(
         sum_k w_k chi(s_k) e^{i t psi_s(s_k)} s_k^{alpha_s} prod_a M_a[k, alpha_a],
         M_a[k, p] = sum_j w_j chi(v_j) e^{i t psi_a(v_j, s_k)} v_j^p,
 
-    in a fixed summation order, so the results are deterministic.
-    nodes_per_axis holds one count per variable, as oracle_nodes checks.
+    in a fixed summation order, so the results are deterministic; M_a is
+    formed once per distinct pair of psi_a and node count.  nodes_per_axis
+    holds one count per variable, as oracle_nodes checks.
     """
     d = phase.num_vars
     # terms[a] holds (power of v_a, power of s, coefficient); terms[-1] is psi_s
@@ -311,14 +312,16 @@ def oscillatory_monomial_moments(
     psi_s = sum(c * s**ps for _, ps, c in terms[-1])
     s_factor = ws * np.exp(1j * t * psi_s - (s / width) ** CUTOFF_DEGREE)
     s_moments = s_factor[:, None] * s[:, None] ** powers
-    inner_moments = []  # M_a as (s node, power) arrays
-    for a in range(d - 1):
-        v, wv = _gauss_nodes(int(nodes_per_axis[a]), cutoff_radius)
+    keys = [(tuple(terms[a]), int(nodes_per_axis[a])) for a in range(d - 1)]
+    distinct = {}  # M_a as (s node, power) arrays, once per distinct (terms, nodes) axis
+    for axis_terms, num in dict.fromkeys(keys):
+        v, wv = _gauss_nodes(num, cutoff_radius)
         psi = np.zeros((len(s), len(v)), dtype=complex)
-        for pv, ps, c in terms[a]:
+        for pv, ps, c in axis_terms:
             psi += c * np.outer(s**ps, v**pv)
         f = wv * np.exp(1j * t * psi - (v / width) ** CUTOFF_DEGREE)
-        inner_moments.append(np.stack([np.sum(f * v**p, axis=1) for p in powers], axis=1))
+        distinct[axis_terms, num] = np.stack([np.sum(f * v**p, axis=1) for p in powers], axis=1)
+    inner_moments = [distinct[key] for key in keys]
 
     indices = iter_multi_indices(d, amp_order)
     out = np.empty(len(indices), dtype=complex)
@@ -373,12 +376,35 @@ def oracle_t_samples(t_samples: Optional[Sequence[float]]) -> List[float]:
     return ts
 
 
+def exact_coefficients(gamma: Jet, n: int, top: int) -> List[complex]:
+    """[c_0..c_top], c_k the coefficient of t^{-n-k} in I(t) for the polynomial
+    amplitude gamma on the exact phase Psi0 = s u_{2n} + i (1 + s/2)|u'|^2,
+    s = sigma - 1, u' = (u_0..u_{2n-1}).
+
+    The Gaussian moments in u' (Gamma((a_i + 1)/2) (t(1 + s/2))^{-(a_i + 1)/2}
+    for even a_i, 0 for odd), int int e^{itsu} f ~ (2 pi / t) sum_k (i/t)^k / k!
+    d_s^k d_u^k f(0, 0) on f = u^c s^e (1 + s/2)^{-p}, and the prefactor t give
+    a monomial u'^a u_{2n}^c s^e with even a_i and c >= e the one term
+        2 pi prod_i Gamma((a_i + 1)/2) i^c c! binom(-p, c - e) 2^{e-c},  p = n + |a|/2,
+    at k = |a|/2 + c, and any other monomial none.
+    """
+    out = [0j] * (top + 1)
+    for idx, coeff in gamma.graded_items():
+        a, c, e = idx[: 2 * n], idx[2 * n], idx[2 * n + 1]
+        half, m = sum(a) // 2, c - e
+        if half + c > top or m < 0 or any(x % 2 for x in a):
+            continue
+        gauss = math.prod(math.gamma((x + 1) / 2) for x in a)
+        binom = (-1) ** m * math.comb(n + half + m - 1, m)  # binom(-p, m)
+        out[half + c] += coeff * 2 * math.pi * gauss * 1j**c * math.factorial(c) * binom * 2.0**-m
+    return out
+
+
 @dataclass(frozen=True)
 class OracleSweep:
     """What the quadrature oracle shares between amplitudes on one exact phase."""
 
     data: PhaseCriticalData
-    tail: Tuple[np.ndarray, ...]  # K_2..K_4 of the phase data promoted to order 12
     cutoff: Jet              # the cutoff's jet 1 - sum_a (v_a / w)^8
     t: np.ndarray
     moments: Tuple[np.ndarray, ...]  # one moment vector per t sample
@@ -393,17 +419,15 @@ def oracle_sweep(
     nodes_per_axis: Optional[Sequence[int]] = None,
 ) -> OracleSweep:
     """One oscillatory_monomial_moments vector per t sample for amplitudes of
-    order <= ``order``, and the L_2..L_4 functionals of the tail that
-    numeric_expansion_oracle subtracts.
+    order <= ``order``, and the cutoff's jet; forms no jet product.
 
     Restricted to the exact Heisenberg phase with n = 1 (no cutoff guidance
-    exists for perturbed phases; the exact phase is also what makes the jet
-    promotion behind the tail subtraction exact).  The box may extend below
-    sigma = 0 (radius up to 2): the integrand is the same polynomial data,
-    Im(Psi0) >= 0 holds for sigma > -1, and the only critical point inside is
-    (0, 1), so the expansion coefficients are unchanged while the flat cutoff
-    profile gains enough width to keep its contamination below the fit
-    tolerances.
+    exists for perturbed phases; the exact phase is also what gives the tail
+    subtraction its closed form).  The box may extend below sigma = 0 (radius
+    up to 2): the integrand is the same polynomial data, Im(Psi0) >= 0 holds
+    for sigma > -1, and the only critical point inside is (0, 1), so the
+    expansion coefficients are unchanged while the flat cutoff profile gains
+    enough width to keep its contamination below the fit tolerances.
     """
     if not ORACLE_N_RANGE[0] <= data.n <= ORACLE_N_RANGE[1]:
         raise OracleFitError(f"quadrature oracle supports {ORACLE_N_RANGE[0]} <= n <= {ORACLE_N_RANGE[1]} only")
@@ -417,10 +441,8 @@ def oracle_sweep(
     for a in range(nv):
         idx = tuple(CUTOFF_DEGREE if k == a else 0 for k in range(nv))
         chi[idx] = -((WIDTH_FRACTION * cutoff_radius) ** -CUTOFF_DEGREE)
-    deep = dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
     return OracleSweep(
         data=data,
-        tail=tuple(_l_functionals(deep, 4)[1:]),
         cutoff=Jet(nv, CUTOFF_DEGREE, (0.0,) * nv, chi),
         t=np.array(ts),
         moments=tuple(
@@ -438,10 +460,10 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
     amplitude's coefficients with the sweep's separable Gauss moments (a
     moment does not depend on the sweep's order, so the fit is the same for
     any sweep that covers the amplitude).  It subtracts the exactly known
-    third to fifth expansion orders (the sweep's L_2..L_4 functionals, which
-    the coefficient pipelines never use, applied to the amplitude times the
-    cutoff's jet), then fits c0 t^{-n} + c1 t^{-n-1} by t^2-weighted least
-    squares and returns (c0, c1), or (0, 0) where all integrals vanish.  Psi0 must
+    third to fifth expansion orders (c_2..c_4 of exact_coefficients for the
+    amplitude times the cutoff's jet, which read none of the L_j code), then
+    fits c0 t^{-n} + c1 t^{-n-1} by t^2-weighted least squares and returns
+    (c0, c1), or (0, 0) where all integrals vanish.  Psi0 must
     not couple two of the u variables, which holds on the exact model:
     Psi0 = s u_3 + i (1 + s/2)(u_1^2 + u_2^2), s = sigma - 1.
     """
@@ -460,15 +482,13 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
         return 0.0 + 0.0j, 0.0 + 0.0j
     tarr = sweep.t
 
-    # Subtract the exactly known t^{-3}..t^{-5} tail before fitting: the exact
-    # model phase is a cubic polynomial, so promoting its jets is exact and
-    # the higher L_j orders of the cutoff-corrected amplitude are available.
-    # The first two orders stay untouched (the cutoff is flat to degree 8),
-    # so the fit below still measures c0 and c1 independently of them.
+    # Subtract the exactly known t^{-3}..t^{-5} tail of the cutoff-corrected
+    # amplitude before fitting.  The first two orders stay untouched (the
+    # cutoff is flat to degree 8), so the fit below still measures c0 and c1
+    # independently of them.
     amp_eff = amplitude.with_order(CUTOFF_DEGREE) * sweep.cutoff
     tail = np.zeros_like(values)
-    for k, functional in enumerate(sweep.tail, start=2):
-        ck = complex(functional @ amp_eff.vector[: functional.size]) / sweep.data.sqrt_det
+    for k, ck in enumerate(exact_coefficients(amp_eff, sweep.data.n, 4)[2:], start=2):
         tail = tail + ck * tarr ** (-1.0 - k)
     corrected = values - tail
 

@@ -549,6 +549,15 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     assert "config.oracle.cutoff_radius: cutoff radius must lie in (0, 2) to keep Im(phase) >= 0" in err
 
 
+@pytest.mark.parametrize("check,n", [("expansion_exact", 6), ("subprincipal_invariance", 5)])
+def test_cli_rejects_dimensions_beyond_the_jet_index_cap(tmp_path, capsys, check, n):
+    # the n = 6 phase jet (26, 4) and the n = 5 order-6 symbol draw (22, 6)
+    # would fail only when run, with exit 3
+    doc = {"scenarios": [_scenario("capped", {"n": n}, [check])]}
+    assert cli.main(["--config", write_config(tmp_path, doc)]) == 2
+    assert f"{check} does not apply at n = {n}" in capsys.readouterr().err
+
+
 def test_cli_unwritable_out_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, small_config())
     out = tmp_path / "missing" / "r.json"
@@ -705,7 +714,7 @@ def render_check_table():
             symbol += " (" + ", ".join(spec.symbol_kinds) + ")"
         models = ", ".join(spec.chart_models) or "not built"
         low, high = spec.n_range
-        n = f"≥ {low}" if high is None else (str(low) if low == high else f"{low}–{high}")
+        n = str(low) if low == high else f"{low}–{high}"
         params = ", ".join(f"`{p}`" for p in spec.params) or "—"
         rows.append(f"| `{check_id}` | {symbol} | {models} | {n} | {params} |")
     return rows

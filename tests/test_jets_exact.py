@@ -6,13 +6,14 @@ and imaginary parts, with no rounding and no pruning, at the shapes
 (num_vars, order) the pipeline uses: (3, 6) for x-space jets, (6, 4) for
 (x, y) and (u, sigma) jets, (4, 2) for the amplitude-order (u, sigma) jets
 of compositions and the b1 pipeline, (6, 3) for the P operator's (x, xi)
-jets (these two make most of the products of a two-route check), and
-(4, 12) for the quadrature tail, where the operands are sparse; (6, 6)
-symbol jets also meet a sparse operand times a dense one.
+jets (these two make most of the products of a two-route check), (4, 8)
+for the quadrature oracle's amplitude times its cutoff, and (4, 12) for the
+engine's L_4 functional, where the operands are sparse; at (4, 8) and
+(6, 6) a sparse operand also meets a dense one.
 Below ``PRODUCT_TABLE_ROWS`` a product reads the cached whole-shape table,
-above it (at (6, 6) and (4, 12)) the rows of the operands' nonzeros.  The
-homogeneous extension of symbol data is checked against its definition at
-(6, 6) and (10, 4).
+above it (at (4, 8), (6, 6) and (4, 12)) the rows of the operands'
+nonzeros.  The homogeneous extension of symbol data is checked against its
+definition at (6, 6) and (10, 4).
 """
 
 import random
@@ -27,7 +28,7 @@ from crkernel.symbols import homogeneity_extend, xi_base
 #: Every series step rounds; the deviations seen here stay below 6e-16.
 REL_TOL = 1e-12
 
-SHAPES = ((3, 6), (6, 4), (4, 2), (6, 3), (4, 12))
+SHAPES = ((3, 6), (6, 4), (4, 2), (6, 3), (4, 8), (4, 12))
 
 
 class GaussRational:
@@ -171,8 +172,8 @@ def assert_matches(jet, exact):
 
 
 def operand_terms(num_vars, order):
-    """Sparse operands at (4, 12), dense ones elsewhere."""
-    return 12 if (num_vars, order) == (4, 12) else None
+    """Sparse operands at (4, 8) and (4, 12), dense ones elsewhere."""
+    return 12 if (num_vars, order) in ((4, 8), (4, 12)) else None
 
 
 #: constant term of series operands, in the right half plane

@@ -18,6 +18,7 @@ from crkernel.stationary import (
     _l_functionals,
     apply_L,
     build_phase_data,
+    exact_coefficients,
     expansion_coeffs,
     WIDTH_FRACTION,
     numeric_expansion_oracle,
@@ -137,8 +138,8 @@ REFERENCE_CASES = {
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_apply_L_matches_nested_partials(data, case):
     js, amp_order = REFERENCE_CASES[case]
-    if case == "deep-exact-n1":  # the tail data of the quadrature oracle
-        pdata = dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
+    if case == "deep-exact-n1":  # deep enough for K_1..K_4
+        pdata = _deep(data)
     elif case == "perturbed-n1":
         pdata = _deep(_perturbed_data(1, 0.7, 5))
     elif case == "exact-n2":
@@ -183,12 +184,12 @@ def _count_products(monkeypatch):
 
 
 def _deep(data):
-    """Phase data promoted to order 12, as the oracle's tail data is."""
+    """Phase data promoted to order 12, deep enough for apply_L up to j = 4."""
     return dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
 
 
 def test_l_functionals_share_one_power_table(data, monkeypatch):
-    # the oracle's tail data: h is cubic, so h^mu is complete at order 3 mu,
+    # the exact phase: h is cubic, so h^mu is complete at order 3 mu,
     # never cut, and one table of powers serves every j
     deep = _deep(data)
     built = {top: _l_functionals(deep, top) for top in (1, 2, 3, 4)}
@@ -221,12 +222,25 @@ def test_cut_h_powers_formed_again_for_a_larger_j(monkeypatch):
     assert np.array_equal(_l_functionals(pdata, 1)[0], pdata._functionals[0])
 
 
-def test_oracle_sweep_owns_the_tail_functionals(data):
-    sweep = oracle_sweep(data, 2, t_samples=FAST_T)
-    tail = _l_functionals(_deep(data), 4)[1:]
-    assert len(sweep.tail) == 3
-    for got, want in zip(sweep.tail, tail):
-        assert np.array_equal(got, want)
+@pytest.mark.parametrize("n", [1, 2])
+def test_exact_coefficients_match_the_engine_functionals(n):
+    # the oracle's closed-form tail against K_1..K_4 of the exact phase at order 12
+    pdata = _deep(build_phase_data(heisenberg_chart(n)))
+    functionals = _l_functionals(pdata, 4)
+    nv = pdata.num_vars
+    for k in range(2):
+        gamma = random_jet(spawn_rng(k, "exact-coefficients", n), nv, 8, (0.0,) * nv)
+        want = [gamma.constant_term()] + [complex(f @ gamma.vector[: f.size]) for f in functionals]
+        got = exact_coefficients(gamma, n, 4)
+        assert len(got) == 5
+        for g, w in zip(got, want):
+            assert abs(g - w / pdata.sqrt_det) <= 1e-13 * abs(w / pdata.sqrt_det), (n, k)
+
+
+def test_oracle_sweep_forms_no_jet_product(data, monkeypatch):
+    counts = _count_products(monkeypatch)
+    oracle_sweep(data, 2, t_samples=FAST_T)
+    assert counts["mul"] == 0
 
 
 def test_warm_apply_L_forms_no_jet_product(data, monkeypatch):
