@@ -6,21 +6,20 @@ expansion coefficients come from the inverse-Hessian operator
 
     <Psi0''(0,1)^{-1} D, D>,   D = -i (d_u, d_sigma),
 
-through the L_j operators
+through the operator
 
-    L_j v = i^{-j} sum_{mu=0}^{2j} <.,.>^{mu+j} (h^mu v)(0,1)
-                                   / (mu! (mu+j)! 2^{mu+j}),
+    L_1 v = i^{-1} sum_{mu=0}^{2} <.,.>^{mu+1} (h^mu v)(0,1)
+                                   / (mu! (mu+1)! 2^{mu+1}),
 
-where h is the cubic-and-higher remainder of Psi0 (Hoermander, The Analysis
-of Linear PDO I, Thm 7.7.5).  L_j is linear in v and, because h starts at
-degree 3, reads only v's coefficients of degree <= 2j, so it is applied as
-one dot product with a coefficient functional K_j, built from Gaussian
-contractions of the powers of h; one table of powers serves K_1..K_j, and
-the phase data keeps the functionals of the largest j asked so far.  A
+where h is the cubic-and-higher remainder of Psi0 (the j = 1 operator of
+Hoermander, The Analysis of Linear PDO I, Thm 7.7.5).  L_1 is linear in v
+and, because h starts at degree 3, reads only v's coefficients of degree
+<= 2, so it is applied as one dot product with a coefficient functional K_1,
+built with the phase data from Gaussian contractions of h and h^2.  A
 quadrature oracle (separable Gauss sums on Gauss-Legendre nodes found by
 Newton's method) cross-checks the formal coefficients on the exact
 Heisenberg phase; it subtracts its tail with the closed-form coefficients of
-that phase, so it reads none of the L_j code.
+that phase, so it reads none of the L_1 code.
 
 Jets here live in the variables (u_1..u_{2n+1}, sigma-1) based at 0, so the
 critical point is the jet base point.
@@ -29,7 +28,7 @@ critical point is the jet base point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -45,7 +44,7 @@ CRITICAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class PhaseCriticalData:
-    """Everything the L_j operators need about Psi0 at its critical point."""
+    """Everything the L_1 operator needs about Psi0 at its critical point."""
 
     n: int
     psi0: Jet
@@ -55,8 +54,7 @@ class PhaseCriticalData:
     sqrt_det: complex         # branch-checked square root of det_normalized
     q: Jet                    # q(xi) = <Psi0''^{-1} xi, xi>, the symbol of <Psi0''^{-1} D, D>
     exact_heisenberg: bool
-    #: [K_1..K_j] of _l_functionals for the largest j asked of ``apply_L`` so far
-    _functionals: List = field(init=False, repr=False, compare=False, default_factory=list)
+    l1: np.ndarray            # K_1 of _l1_functional, with L_1 v = <K_1, v>
 
     @property
     def num_vars(self) -> int:
@@ -107,6 +105,7 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
             val = -hess_inv[a, b] if a == b else -2.0 * hess_inv[a, b]
             if abs(val) > 1e-15:
                 table[tuple((k == a) + (k == b) for k in range(nv))] = complex(val)
+    q = Jet(nv, 2, base, table)
     return PhaseCriticalData(
         n=chart.n,
         psi0=psi0,
@@ -114,13 +113,14 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
         h=h,
         det_normalized=det_norm,
         sqrt_det=complex(root),
-        q=Jet(nv, 2, base, table),
+        q=q,
         exact_heisenberg=chart.is_exact_heisenberg,
+        l1=_l1_functional(q, h),
     )
 
 
-def _contraction_weights(data: PhaseCriticalData, count: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """[(positions, w_m) for m = 1..count] for the phase data's quadratic form q.
+def _contraction_weights(q: Jet, count: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """[(positions, w_m) for m = 1..count] for the inverse-Hessian form q.
 
     (<Psi0''^{-1} D, D>^m x^alpha)(0) vanishes unless |alpha| = 2m, and then
     equals w_m[alpha] = alpha! [xi^alpha] q^m; positions are those of the
@@ -130,77 +130,59 @@ def _contraction_weights(data: PhaseCriticalData, count: int) -> List[Tuple[np.n
     factorials = np.array([math.factorial(k) for k in range(2 * count + 1)], dtype=float)
     weights, power = [], None
     for m in range(1, count + 1):
-        qm = data.q.with_order(2 * m)
+        qm = q.with_order(2 * m)
         power = qm if power is None else power.with_order(2 * m) * qm
         exps = power.basis.exponents[power.support]
         weights.append((power.support, power.vector[power.support] * factorials[exps].prod(axis=1)))
     return weights
 
 
-def _l_functionals(data: PhaseCriticalData, top: int) -> List[np.ndarray]:
-    """[K_1..K_top], K_j over the monomials of degree <= 2j with L_j v = <K_j, v>:
+def _l1_functional(q: Jet, h: Jet) -> np.ndarray:
+    """K_1 over the monomials of degree <= 2, with L_1 v = <K_1, v>:
 
-        K_j[alpha] = i^{-j} sum_{mu=0}^{2j} sum_{|alpha| + |beta| = 2(mu + j)}
-                     (h^mu)_beta w_{mu+j}[alpha + beta] / (mu! (mu+j)! 2^{mu+j}),
+        K_1[alpha] = i^{-1} sum_{mu=0}^{2} sum_{|alpha| + |beta| = 2(mu + 1)}
+                     (h^mu)_beta w_{mu+1}[alpha + beta] / (mu! (mu+1)! 2^{mu+1}),
 
-    w_m the weights of _contraction_weights.  L_j reads h^mu up to degree
-    2(mu + j), and h^mu, a polynomial of degree mu e (e the top degree of
-    h), has nothing above mu e; so h^mu is formed from h^{mu-1} at order
-    min(2(mu + top), mu e), which is exact for every j <= top because h
-    starts at degree 3, and one table of powers serves every K_j.  Per j and
-    mu, one product-table gather pairs the support of h^mu with the degree
-    <= 2j block and one bincount sums the terms.
+    w_m the weights of _contraction_weights for q.  L_1 reads h^mu up to
+    degree 2(mu + 1): h to degree 4, the chart order, and h^2 to degree 6,
+    where only h's cubic part enters, so h^2 is formed at order 6.  Per mu,
+    one product-table gather pairs the support of h^mu with the degree <= 2
+    block and one bincount sums the terms.
     """
-    weights = _contraction_weights(data, 3 * top)
-    top_degree = int(data.h.basis.degrees[data.h.support[-1]])
-    powers = [Jet.constant(data.num_vars, 0, data.h.base_point, 1.0)]
-    for mu in range(1, 2 * top + 1):
-        order = min(2 * (mu + top), mu * top_degree)
-        h = data.h.with_order(order)
-        powers.append(h if mu == 1 else powers[-1].with_order(order) * h)
-    basis = Jet.zero(data.num_vars, 6 * top, data.h.base_point).basis  # covers degree 2(mu + j)
-    functionals = []
-    for j in range(1, top + 1):
-        size = basis.size(2 * j)
-        block = np.arange(size)
-        functional = np.zeros(size, dtype=complex)
-        for mu in range(2 * j + 1):
-            m = mu + j
-            positions = powers[mu].support
-            first = positions[: np.searchsorted(positions, basis.size(2 * m))]
-            beta, alpha, k = basis.pairs(first, block, 2 * m)
-            w_positions, w = weights[m - 1]
-            at = np.minimum(np.searchsorted(w_positions, k), w_positions.size - 1)
-            hit = w_positions[at] == k  # the weights live on degree 2m exactly
-            terms = powers[mu].vector[beta[hit]] * w[at[hit]]
-            sums = _scatter_sum(alpha[hit], terms.real, terms.imag, size)
-            functional += sums / (math.factorial(mu) * math.factorial(m) * 2**m)
-        functional *= (1j) ** (-j)
-        functionals.append(functional)
-    return functionals
+    weights = _contraction_weights(q, 3)
+    h6 = h.with_order(6)
+    powers = [Jet.constant(h.num_vars, 0, h.base_point, 1.0), h, h6 * h6]
+    basis = h6.basis  # covers degree 2(mu + 1)
+    size = basis.size(2)
+    block = np.arange(size)
+    functional = np.zeros(size, dtype=complex)
+    for mu, power in enumerate(powers):
+        m = mu + 1
+        positions = power.support
+        first = positions[: np.searchsorted(positions, basis.size(2 * m))]
+        beta, alpha, k = basis.pairs(first, block, 2 * m)
+        w_positions, w = weights[mu]
+        at = np.minimum(np.searchsorted(w_positions, k), w_positions.size - 1)
+        hit = w_positions[at] == k  # the weights live on degree 2m exactly
+        terms = power.vector[beta[hit]] * w[at[hit]]
+        sums = _scatter_sum(alpha[hit], terms.real, terms.imag, size)
+        functional += sums / (math.factorial(mu) * math.factorial(m) * 2**m)
+    functional *= (1j) ** (-1)
+    return functional
 
 
-def apply_L(data: PhaseCriticalData, j: int, v: Jet) -> complex:
-    """(L_j v) at the critical point for the stored phase.
+def apply_L(data: PhaseCriticalData, v: Jet) -> complex:
+    """(L_1 v) at the critical point for the stored phase.
 
-    v is treated as an exact polynomial.  L_j v is the dot product of v's
-    coefficients of degree <= 2j with the functional K_j of _l_functionals.
-    The functionals are kept on the phase data and built again, up to j,
-    only when j exceeds every j asked before; a warm call forms no jet
-    product.
+    v is treated as an exact polynomial.  L_1 v is the dot product of v's
+    coefficients of degree <= 2 with the functional K_1 built with the phase
+    data, so a call forms no jet product.
     """
-    if j < 1:
-        raise ValueError("apply_L needs j >= 1")
     if v.num_vars != data.num_vars:
         raise OrderShortfallError("v must be a jet in (u, sigma-1)")
-    if v.order < 2 * j:
-        raise OrderShortfallError(f"apply_L: v order {v.order} < {2 * j}")
-    if data.h.order < 2 * j + 2:
-        raise OrderShortfallError(f"apply_L: phase order {data.h.order} < {2 * j + 2}")
-    if len(data._functionals) < j:
-        data._functionals[:] = _l_functionals(data, j)
-    functional = data._functionals[j - 1]
-    return complex(functional @ v.vector[: functional.size])
+    if v.order < 2:
+        raise OrderShortfallError(f"apply_L: v order {v.order} < 2")
+    return complex(data.l1 @ v.vector[: data.l1.size])
 
 
 def expansion_coeffs(data: PhaseCriticalData, gamma0: Jet, g1: complex = 0.0 + 0.0j) -> List[complex]:
@@ -213,7 +195,7 @@ def expansion_coeffs(data: PhaseCriticalData, gamma0: Jet, g1: complex = 0.0 + 0
     """
     return [
         gamma0.constant_term() / data.sqrt_det,
-        (g1 + apply_L(data, 1, gamma0)) / data.sqrt_det,
+        (g1 + apply_L(data, gamma0)) / data.sqrt_det,
     ]
 
 
@@ -461,7 +443,7 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
     moment does not depend on the sweep's order, so the fit is the same for
     any sweep that covers the amplitude).  It subtracts the exactly known
     third to fifth expansion orders (c_2..c_4 of exact_coefficients for the
-    amplitude times the cutoff's jet, which read none of the L_j code), then
+    amplitude times the cutoff's jet, which read none of the L_1 code), then
     fits c0 t^{-n} + c1 t^{-n-1} by t^2-weighted least squares and returns
     (c0, c1), or (0, 0) where all integrals vanish.  Psi0 must
     not couple two of the u variables, which holds on the exact model:

@@ -6,10 +6,11 @@ and imaginary parts, with no rounding and no pruning, at the shapes
 (num_vars, order) the pipeline uses: (3, 6) for x-space jets, (6, 4) for
 (x, y) and (u, sigma) jets, (4, 2) for the amplitude-order (u, sigma) jets
 of compositions and the b1 pipeline, (6, 3) for the P operator's (x, xi)
-jets (these two make most of the products of a two-route check), (4, 8)
-for the quadrature oracle's amplitude times its cutoff, and (4, 12) for the
-engine's L_4 functional, where the operands are sparse; at (4, 8) and
-(6, 6) a sparse operand also meets a dense one.
+jets (these two make most of the products of a two-route check), (4, 6)
+for the q^3 and h^2 products of the engine's K_1 functional at n = 1, and
+(4, 8) for the quadrature oracle's amplitude times its cutoff.  (4, 12)
+keeps sparse operands far above ``PRODUCT_TABLE_ROWS`` covered; at (4, 8)
+and (6, 6) a sparse operand also meets a dense one.
 Below ``PRODUCT_TABLE_ROWS`` a product reads the cached whole-shape table,
 above it (at (4, 8), (6, 6) and (4, 12)) the rows of the operands'
 nonzeros.  The homogeneous extension of symbol data is checked against its
@@ -28,7 +29,7 @@ from crkernel.symbols import homogeneity_extend, xi_base
 #: Every series step rounds; the deviations seen here stay below 6e-16.
 REL_TOL = 1e-12
 
-SHAPES = ((3, 6), (6, 4), (4, 2), (6, 3), (4, 8), (4, 12))
+SHAPES = ((3, 6), (6, 4), (4, 2), (6, 3), (4, 6), (4, 8), (4, 12))
 
 
 class GaussRational:

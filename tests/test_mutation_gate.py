@@ -137,7 +137,7 @@ EXPANSION_FILTERS = ("expansion-exact*",)
 
 
 def _scaled_by_n(fn):
-    return lambda data, j, v: fn(data, j, v) * data.n
+    return lambda data, v: fn(data, v) * data.n
 
 
 #: mutant label -> (name patched in crkernel.stationary, mutant of the original)

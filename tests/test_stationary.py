@@ -15,7 +15,7 @@ from crkernel.rng import spawn_rng
 from crkernel.stationary import (
     _contraction_weights,
     _gauss_nodes,
-    _l_functionals,
+    _l1_functional,
     apply_L,
     build_phase_data,
     exact_coefficients,
@@ -71,22 +71,19 @@ def test_inverse_hessian_table(data):
 
 def test_apply_L_constant_vanishes(data):
     one = Jet.constant(NV, 2, BASE, 1.0)
-    assert apply_L(data, 1, one) == 0.0
+    assert apply_L(data, one) == 0.0
 
 
 def test_apply_L_single_pathway(data):
     # v = (sigma - 1) u_{2n+1}: only the -2 d_u d_sigma pathway fires
     v = Jet(NV, 2, BASE, {(0, 0, 1, 1): 1.0})
-    assert apply_L(data, 1, v) == pytest.approx(1j)
+    assert apply_L(data, v) == pytest.approx(1j)
 
 
 def test_apply_L_order_requirements(data):
     v = Jet.constant(NV, 1, BASE, 1.0)
-    with pytest.raises(OrderShortfallError):
-        apply_L(data, 1, v)
-    v4 = Jet.constant(NV, 4, BASE, 1.0)
-    with pytest.raises(OrderShortfallError, match="phase order 4 < 6"):
-        apply_L(data, 2, v4)
+    with pytest.raises(OrderShortfallError, match="v order 1 < 2"):
+        apply_L(data, v)
 
 
 def test_apply_L_linear(data):
@@ -94,8 +91,8 @@ def test_apply_L_linear(data):
     v = random_jet(rng, NV, 2, BASE)
     w = random_jet(rng, NV, 2, BASE)
     a, b = 1.3 - 0.2j, -0.4 + 2.1j
-    lhs = apply_L(data, 1, v.scale(a) + w.scale(b))
-    rhs = a * apply_L(data, 1, v) + b * apply_L(data, 1, w)
+    lhs = apply_L(data, v.scale(a) + w.scale(b))
+    rhs = a * apply_L(data, v) + b * apply_L(data, w)
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -126,39 +123,51 @@ def _perturbed_data(n, r_val, seed):
     return build_phase_data(perturbed_chart(heisenberg_chart(n), r_val, q, table))
 
 
-#: L_j orders and amplitude order checked per phase case
+def _with_more_cubic_terms(data):
+    """The phase data with 0.3 u_0^3 - 0.2i u_2^2 (sigma - 1) added to h and K_1 built again.
+
+    Every chart's h has the exact cubic part, whose square contracts to zero
+    in K_1; these terms give K_1's mu = 2 term a value.
+    """
+    h = data.h + Jet(NV, data.h.order, BASE, {(3, 0, 0, 0): 0.3, (0, 0, 2, 1): -0.2j})
+    return dataclasses.replace(data, h=h, l1=_l1_functional(data.q, h))
+
+
+#: amplitude order checked per phase case
 REFERENCE_CASES = {
-    "deep-exact-n1": ((1, 2, 3, 4), 8),
-    "perturbed-n1": ((1, 2), 6),
-    "exact-n2": ((1,), 4),
-    "perturbed-n2": ((1,), 4),
+    "deep-exact-n1": 8,
+    "perturbed-n1": 6,
+    "exact-n2": 4,
+    "perturbed-n2": 4,
+    "mu2-n1": 4,
 }
 
 
 @pytest.mark.parametrize("case", REFERENCE_CASES)
 def test_apply_L_matches_nested_partials(data, case):
-    js, amp_order = REFERENCE_CASES[case]
-    if case == "deep-exact-n1":  # deep enough for K_1..K_4
+    amp_order = REFERENCE_CASES[case]
+    if case == "deep-exact-n1":  # h promoted to order 12 over K_1 built at order 4
         pdata = _deep(data)
     elif case == "perturbed-n1":
-        pdata = _deep(_perturbed_data(1, 0.7, 5))
+        pdata = _perturbed_data(1, 0.7, 5)
     elif case == "exact-n2":
         pdata = build_phase_data(heisenberg_chart(2))
-    else:
+    elif case == "perturbed-n2":
         pdata = _perturbed_data(2, -0.3, 2)
+    else:
+        pdata = _with_more_cubic_terms(data)
     nv = pdata.num_vars
     for k in range(2):
         v = random_jet(spawn_rng(k, "apply-L-reference", case), nv, amp_order, (0.0,) * nv)
-        for j in js:
-            want = reference_apply_L(pdata, j, v)
-            assert abs(apply_L(pdata, j, v) - want) <= 1e-13 * abs(want), (case, j)
+        want = reference_apply_L(pdata, 1, v)
+        assert abs(apply_L(pdata, v) - want) <= 1e-13 * abs(want), (case, k)
 
 
 def test_contraction_weights_exact(data):
     # w_m[alpha] = alpha! [xi^alpha] q^m against exact Gaussian-rational powers of q
     q = {idx: GaussRational(c.real, c.imag) for idx, c in data.q.graded_items()}  # floats convert exactly
     power = {(0,) * NV: GaussRational(1)}
-    for m, (positions, weights) in enumerate(_contraction_weights(data, 6), start=1):
+    for m, (positions, weights) in enumerate(_contraction_weights(data.q, 6), start=1):
         power = exact_mul(power, q, 2 * m)
         exps = [tuple(row) for row in Jet.zero(NV, 2 * m, BASE).basis.exponents[positions].tolist()]
         want = {}
@@ -184,53 +193,19 @@ def _count_products(monkeypatch):
 
 
 def _deep(data):
-    """Phase data promoted to order 12, deep enough for apply_L up to j = 4."""
+    """Phase data promoted to order 12, deep enough for reference_apply_L up to j = 4."""
     return dataclasses.replace(data, psi0=data.psi0.with_order(12), h=data.h.with_order(12))
-
-
-def test_l_functionals_share_one_power_table(data, monkeypatch):
-    # the exact phase: h is cubic, so h^mu is complete at order 3 mu,
-    # never cut, and one table of powers serves every j
-    deep = _deep(data)
-    built = {top: _l_functionals(deep, top) for top in (1, 2, 3, 4)}
-    for top, functionals in built.items():
-        assert len(functionals) == top
-        for j, functional in enumerate(functionals, start=1):
-            assert np.array_equal(functional, built[j][j - 1]), (top, j)
-    counts = _count_products(monkeypatch)
-    _l_functionals(deep, 4)
-    assert counts["mul"] == 11 + 7  # q^2..q^12 and h^2..h^8, each formed once
-
-
-def test_cut_h_powers_formed_again_for_a_larger_j(monkeypatch):
-    # a perturbed h is not cubic, so its powers are cut at order 2(mu + j)
-    # and formed again, deeper, when apply_L is asked a larger j
-    pdata, deeper_first = _deep(_perturbed_data(1, 0.7, 5)), _deep(_perturbed_data(1, 0.7, 5))
-    v = random_jet(spawn_rng(6, "cut-h-powers"), NV, 4, BASE)
-    counts = _count_products(monkeypatch)
-    apply_L(pdata, 1, v)
-    assert counts["mul"] == 2 + 1  # q^2..q^3 and h^2 for j = 1
-    apply_L(pdata, 2, v)
-    assert counts["mul"] == 3 + 5 + 3  # then q^2..q^6 and h^2..h^4 at the depth of j = 2
-    counts["mul"] = 0
-    apply_L(deeper_first, 2, v)
-    apply_L(deeper_first, 1, v)
-    assert counts["mul"] == 5 + 3
-    assert len(pdata._functionals) == len(deeper_first._functionals) == 2
-    for got, want in zip(pdata._functionals, deeper_first._functionals):
-        assert np.array_equal(got, want)
-    assert np.array_equal(_l_functionals(pdata, 1)[0], pdata._functionals[0])
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_exact_coefficients_match_the_engine_functionals(n):
-    # the oracle's closed-form tail against K_1..K_4 of the exact phase at order 12
+    # the oracle's closed-form tail against L_1..L_4 by nested partials on
+    # the exact phase at order 12
     pdata = _deep(build_phase_data(heisenberg_chart(n)))
-    functionals = _l_functionals(pdata, 4)
     nv = pdata.num_vars
     for k in range(2):
         gamma = random_jet(spawn_rng(k, "exact-coefficients", n), nv, 8, (0.0,) * nv)
-        want = [gamma.constant_term()] + [complex(f @ gamma.vector[: f.size]) for f in functionals]
+        want = [gamma.constant_term()] + [reference_apply_L(pdata, j, gamma) for j in range(1, 5)]
         got = exact_coefficients(gamma, n, 4)
         assert len(got) == 5
         for g, w in zip(got, want):
@@ -243,16 +218,12 @@ def test_oracle_sweep_forms_no_jet_product(data, monkeypatch):
     assert counts["mul"] == 0
 
 
-def test_warm_apply_L_forms_no_jet_product(data, monkeypatch):
-    pdata = _deep(_perturbed_data(1, 0.7, 5))
-    rng = spawn_rng(4, "warm-apply-L")
-    v, w = (random_jet(rng, NV, 4, BASE) for _ in range(2))
-    cases = [(d, j) for d in (_deep(data), pdata) for j in (1, 2)]
-    for d, j in cases:
-        apply_L(d, j, v)
-    want = [reference_apply_L(d, j, w) for d, j in cases]
+def test_apply_L_forms_no_jet_product(data, monkeypatch):
+    phases = (data, _perturbed_data(1, 0.7, 5))
+    v = random_jet(spawn_rng(4, "apply-L-no-product"), NV, 4, BASE)
+    want = [reference_apply_L(d, 1, v) for d in phases]
     counts = _count_products(monkeypatch)
-    got = [apply_L(d, j, w) for d, j in cases]
+    got = [apply_L(d, v) for d in phases]
     assert counts["mul"] == 0
     for g, r in zip(got, want):
         assert abs(g - r) <= 1e-13 * abs(r)
@@ -285,7 +256,7 @@ def test_expansion_perturbed_consistency():
     kappa = lam * sigma  # l = n = 1
     got = expansion_coeffs(pdata, kappa)
     assert got[1] == pytest.approx(-math.pi**2 * r_val, abs=1e-12)
-    assert 1j * apply_L(pdata, 1, kappa) == pytest.approx(-0.5j * r_val, abs=1e-13)
+    assert 1j * apply_L(pdata, kappa) == pytest.approx(-0.5j * r_val, abs=1e-13)
 
 
 def test_gradient_must_vanish():
@@ -384,11 +355,9 @@ def test_oracle_one_moment_sweep_per_t_sample(data, monkeypatch):
     assert orders == [3] * len(FAST_T)  # one table per t, at the largest order, none per fit
 
 
-#: jet products of one sweep and five fits of order-2 amplitudes: the powers
-#: of the inverse-Hessian form up to the 12th (11), the powers of h up to
-#: the 8th (7) for the L_2..L_4 functionals, and one cutoff product per
-#: amplitude; a warm apply_L forms none
-ORACLE_PRODUCTS = 11 + 7 + 5 * 1
+#: jet products of one sweep and five fits of order-2 amplitudes: one cutoff
+#: product per amplitude (the sweep and the closed-form tail form none)
+ORACLE_PRODUCTS = 5
 
 
 def test_oracle_work_guard(data, monkeypatch):
@@ -410,7 +379,7 @@ def test_oracle_work_guard(data, monkeypatch):
     for amp in amps:
         numeric_expansion_oracle(sweep, amp)
     assert counts["partial"] == 0
-    assert counts["mul"] <= ORACLE_PRODUCTS
+    assert counts["mul"] == ORACLE_PRODUCTS
 
 
 def test_gaussian_quadrature_reference():
