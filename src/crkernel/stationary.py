@@ -16,10 +16,10 @@ Hoermander, The Analysis of Linear PDO I, Thm 7.7.5).  L_1 is linear in v
 and, because h starts at degree 3, reads only v's coefficients of degree
 <= 2, so it is applied as one dot product with a coefficient functional K_1,
 built with the phase data from Gaussian contractions of h and h^2.  A
-quadrature oracle (separable Gauss sums on Gauss-Legendre nodes found by
-Newton's method) cross-checks the formal coefficients on the exact
-Heisenberg phase; it subtracts its tail with the closed-form coefficients of
-that phase, so it reads none of the L_1 code.
+quadrature oracle (Gaussian and Fourier Gauss sums on the positive half of
+Gauss-Legendre rules found by Newton's method) cross-checks the formal
+coefficients on the exact Heisenberg phase; it subtracts its tail with the
+closed-form coefficients of that phase, so it reads none of the L_1 code.
 
 Jets here live in the variables (u_1..u_{2n+1}, sigma-1) based at 0, so the
 critical point is the jet base point.
@@ -263,47 +263,47 @@ def oscillatory_monomial_moments(
     the first four expansion coefficients, and at |v_a| = r it has decayed
     below double precision, so the box edge introduces no oscillation.
 
-    The last variable s is the outer one.  The phase must split as
-    psi_s(s) + sum_a psi_a(v_a, s) over the inner variables v_a; a monomial
-    coupling two inner variables raises OracleFitError.  Each moment is then
-    a sum over the Gauss nodes s_k of products of 1-D Gauss sums,
-
-        sum_k w_k chi(s_k) e^{i t psi_s(s_k)} s_k^{alpha_s} prod_a M_a[k, alpha_a],
-        M_a[k, p] = sum_j w_j chi(v_j) e^{i t psi_a(v_j, s_k)} v_j^p,
-
-    in a fixed summation order, so the results are deterministic; M_a is
-    formed once per distinct pair of psi_a and node count.  nodes_per_axis
-    holds one count per variable, as oracle_nodes checks.
+    The phase must be Psi0 = s u_{2n} + i (1 + s/2)|u'|^2 in (u', u_{2n}, s),
+    coefficient for coefficient (else OracleFitError).  A moment is then
+    sum_k w_k chi(s_k) s_k^{alpha_s} prod_{a<2n} G[k, alpha_a] F[k, alpha_{2n}]
+    over the Gauss nodes s_k, with the Gaussian-axis and Fourier-axis moments
+    G[k, p] = sum_j w_j chi(v_j) e^{-t (1 + s_k/2) v_j^2} v_j^p and
+    F[k, p] = sum_j w_j chi(v_j) e^{i t s_k v_j} v_j^p.  The rule is mirror-
+    symmetric, so both fold onto its nodes v_j >= 0, an odd rule's node at 0
+    counted once: G is 0 for odd p, and F sums cos(t s_k v_j) for even p and
+    i sin(t s_k v_j) for odd p, in real arithmetic.  G is formed once per
+    node count.  nodes_per_axis holds one count per variable.
     """
-    d = phase.num_vars
-    # terms[a] holds (power of v_a, power of s, coefficient); terms[-1] is psi_s
-    terms: List[List[Tuple[int, int, complex]]] = [[] for _ in range(d)]
-    for idx, c in phase.graded_items():
-        inner = [a for a in range(d - 1) if idx[a]]
-        if len(inner) > 1:
-            raise OracleFitError(
-                f"phase monomial {idx} couples two inner variables; "
-                "the quadrature oracle needs a separable phase"
-            )
-        a = inner[0] if inner else d - 1
-        terms[a].append((idx[a] if inner else 0, idx[-1], c))
+    d, n = phase.num_vars, (phase.num_vars - 2) // 2
+    # Psi0's coefficients: i 2^{-e} at u_a^2 s^e for a < 2n, and 1 at s u_{2n}
+    psi0 = {(0,) * a + (2,) + (0,) * (2 * n - a) + (e,): 1j / 2**e for a in range(2 * n) for e in (0, 1)}
+    psi0[(0,) * 2 * n + (1, 1)] = 1.0
+    if any(phase.base_point) or dict(phase.graded_items()) != psi0:
+        raise OracleFitError("quadrature oracle supports the exact phase s u_{2n} + i (1 + s/2)|u'|^2 only")
 
     width = WIDTH_FRACTION * cutoff_radius
-    powers = np.arange(amp_order + 1)
+    powers = range(amp_order + 1)
+
+    def half_rule(num: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The nodes v_j >= 0 of the num-point rule, weighted 2 w_j chi(v_j) (w_j chi(v_j) at 0)."""
+        x, w = _gauss_nodes(num, cutoff_radius)
+        v = x[num // 2 :]
+        return v, np.where(v > 0, 2.0, 1.0) * w[num // 2 :] * np.exp(-(v / width) ** CUTOFF_DEGREE)
+
     s, ws = _gauss_nodes(int(nodes_per_axis[-1]), cutoff_radius)
-    psi_s = sum(c * s**ps for _, ps, c in terms[-1])
-    s_factor = ws * np.exp(1j * t * psi_s - (s / width) ** CUTOFF_DEGREE)
-    s_moments = s_factor[:, None] * s[:, None] ** powers
-    keys = [(tuple(terms[a]), int(nodes_per_axis[a])) for a in range(d - 1)]
-    distinct = {}  # M_a as (s node, power) arrays, once per distinct (terms, nodes) axis
-    for axis_terms, num in dict.fromkeys(keys):
-        v, wv = _gauss_nodes(num, cutoff_radius)
-        psi = np.zeros((len(s), len(v)), dtype=complex)
-        for pv, ps, c in axis_terms:
-            psi += c * np.outer(s**ps, v**pv)
-        f = wv * np.exp(1j * t * psi - (v / width) ** CUTOFF_DEGREE)
-        distinct[axis_terms, num] = np.stack([np.sum(f * v**p, axis=1) for p in powers], axis=1)
-    inner_moments = [distinct[key] for key in keys]
+    s_moments = (ws * np.exp(-(s / width) ** CUTOFF_DEGREE))[:, None] * s[:, None] ** np.arange(amp_order + 1)
+    gaussian = {}  # G as an (s node, power) array, once per node count
+    for num in dict.fromkeys(int(k) for k in nodes_per_axis[: 2 * n]):
+        v, wv = half_rule(num)
+        f = wv * np.exp(-t * (1.0 + s / 2)[:, None] * v**2)
+        gaussian[num] = np.stack([np.zeros(len(s)) if p % 2 else np.sum(f * v**p, axis=1) for p in powers], axis=1)
+    v, wv = half_rule(int(nodes_per_axis[2 * n]))
+    tsv = t * s[:, None] * v
+    cos, sin = wv * np.cos(tsv), wv * np.sin(tsv)
+    fourier = np.empty((len(s), amp_order + 1), dtype=complex)
+    for p in powers:
+        fourier[:, p] = 1j * np.sum(sin * v**p, axis=1) if p % 2 else np.sum(cos * v**p, axis=1)
+    inner_moments = [gaussian[int(k)] for k in nodes_per_axis[: 2 * n]] + [fourier]
 
     indices = iter_multi_indices(d, amp_order)
     out = np.empty(len(indices), dtype=complex)
@@ -404,12 +404,12 @@ def oracle_sweep(
     order <= ``order``, and the cutoff's jet; forms no jet product.
 
     Restricted to the exact Heisenberg phase with n = 1 (no cutoff guidance
-    exists for perturbed phases; the exact phase is also what gives the tail
-    subtraction its closed form).  The box may extend below sigma = 0 (radius
-    up to 2): the integrand is the same polynomial data, Im(Psi0) >= 0 holds
-    for sigma > -1, and the only critical point inside is (0, 1), so the
-    expansion coefficients are unchanged while the flat cutoff profile gains
-    enough width to keep its contamination below the fit tolerances.
+    exists for perturbed phases; the exact phase also gives the tail its closed
+    form and the moments their Gaussian and Fourier axes).  The box may reach
+    below sigma = 0 (radius up to 2): the integrand is the same polynomial data,
+    Im(Psi0) >= 0 holds for sigma > -1, and the only critical point inside is
+    (0, 1), so the expansion coefficients are unchanged while the flat cutoff
+    profile gains the width to keep its contamination below the fit tolerances.
     """
     if not ORACLE_N_RANGE[0] <= data.n <= ORACLE_N_RANGE[1]:
         raise OracleFitError(f"quadrature oracle supports {ORACLE_N_RANGE[0]} <= n <= {ORACLE_N_RANGE[1]} only")
@@ -439,15 +439,14 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
 
     Evaluates I(t) = t * int exp(i t Psi0) amplitude * chi d(u, sigma) over
     [-r, r]^{2n+2}, with the product cutoff chi, by contracting the
-    amplitude's coefficients with the sweep's separable Gauss moments (a
+    amplitude's coefficients with the sweep's folded Gauss moments (a
     moment does not depend on the sweep's order, so the fit is the same for
     any sweep that covers the amplitude).  It subtracts the exactly known
     third to fifth expansion orders (c_2..c_4 of exact_coefficients for the
     amplitude times the cutoff's jet, which read none of the L_1 code), then
     fits c0 t^{-n} + c1 t^{-n-1} by t^2-weighted least squares and returns
-    (c0, c1), or (0, 0) where all integrals vanish.  Psi0 must
-    not couple two of the u variables, which holds on the exact model:
-    Psi0 = s u_3 + i (1 + s/2)(u_1^2 + u_2^2), s = sigma - 1.
+    (c0, c1), or (0, 0) where all integrals vanish.  Psi0 is the exact
+    phase s u_3 + i (1 + s/2)(u_1^2 + u_2^2), s = sigma - 1.
     """
     if amplitude.num_vars != sweep.data.num_vars:
         raise OrderShortfallError("phase and amplitude must share variables")

@@ -19,8 +19,11 @@ reader fault that both b1 routes share cannot hide.  Reader mutants touch
 second derivatives only: a wrong first derivative breaks a chart invariant
 before any record exists.  The expansion mutant scales L_1 by n, which is
 invisible at n = 1, and the exact-expansion scenarios at n = 1..5 must fail a
-record for it.  Every filter must match at least one scenario, so a renamed
-scenario cannot drop out of a gate unnoticed.
+record for it.  Each oracle mutant breaks the quadrature moments that the
+oracle fits, conjugated (the sign of the Fourier axis) or halved (the factor 2
+of the mirror fold), and the quadrature scenarios must fail a record for it.
+Every filter must match at least one scenario, so a renamed scenario cannot
+drop out of a gate unnoticed.
 """
 
 import dataclasses
@@ -144,6 +147,17 @@ def _scaled_by_n(fn):
 EXPANSION_MUTANTS = {"apply_L scaled by n": ("apply_L", _scaled_by_n)}
 
 
+#: the quadrature-oracle scenarios, leading and subleading
+ORACLE_FILTERS = ("quadrature-oracle*",)
+
+
+#: mutant label -> (name patched in crkernel.stationary, mutant of the original)
+ORACLE_MUTANTS = {
+    "moments conjugated": ("oscillatory_monomial_moments", lambda fn: lambda *args: np.conj(fn(*args))),
+    "moments halved": ("oscillatory_monomial_moments", lambda fn: lambda *args: 0.5 * fn(*args)),
+}
+
+
 def _failed_records(config, filters):
     failed = 0
     for pattern in filters:
@@ -186,3 +200,7 @@ def test_every_reader_mutant_fails_a_record(monkeypatch):
 
 def test_every_expansion_mutant_fails_a_record(monkeypatch):
     assert _escaped(monkeypatch, EXPANSION_MUTANTS, (stationary,), EXPANSION_FILTERS) == []
+
+
+def test_every_oracle_mutant_fails_a_record(monkeypatch):
+    assert _escaped(monkeypatch, ORACLE_MUTANTS, (stationary,), ORACLE_FILTERS) == []

@@ -382,14 +382,14 @@ def test_oracle_work_guard(data, monkeypatch):
     assert counts["mul"] == ORACLE_PRODUCTS
 
 
-def test_gaussian_quadrature_reference():
-    # pure Gaussian phase, no sigma coupling: matches (pi/t) c to 0.1%
-    phase = Jet(2, 4, (0.0, 0.0), {(2, 0): 1j, (0, 2): 1j})
-    c = 1.3 - 0.4j
-    for t in (20.0, 35.0, 50.0):
-        got = c * oscillatory_monomial_moments(phase, 0, t, 1.4, (64, 64))[0]  # the moment of (0, 0)
-        want = math.pi / t * c
-        assert abs(got - want) / abs(want) < 1e-3
+def test_gaussian_quadrature_reference(data):
+    # t times the constant moment on Psi0 against the exact expansion of the
+    # cutoff's jet through c_4, to 0.1%
+    sweep = oracle_sweep(data, 0, t_samples=(20.0, 35.0, 50.0, 65.0))
+    coeffs = exact_coefficients(sweep.cutoff, 1, 4)
+    for t, moments in zip(sweep.t.tolist(), sweep.moments):
+        want = sum(c * t ** (-1.0 - k) for k, c in enumerate(coeffs))
+        assert abs(t * moments[0] - want) / abs(want) < 1e-3
 
 
 @pytest.mark.parametrize("num", [48, 160])
@@ -449,19 +449,30 @@ def _brute_force_moments(phase, amp_order, t, radius, nodes):
 
 
 def test_separable_moments_match_tensor_grid(data):
-    # the exact phase plus a pure-s term and a u_1 s^2 term
-    extra = Jet(NV, data.psi0.order, BASE, {(0, 0, 0, 2): 0.2j, (1, 0, 0, 2): 0.1})
-    phase = data.psi0 + extra
-    nodes = (12, 12, 16, 16)
-    got = oscillatory_monomial_moments(phase, 2, 30.0, 1.4, nodes)
-    want = _brute_force_moments(phase, 2, 30.0, 1.4, nodes)  # in the basis order
-    assert got.shape == (len(want),)
-    scale = max(abs(v) for v in want.values())
-    for g, (idx, w) in zip(got.tolist(), want.items()):
-        assert abs(g - w) <= 1e-12 * scale, idx
+    # the folded half-rule sums against the full grid, on even rules and on odd
+    # rules, whose node at 0 the fold must count once
+    for nodes in ((12, 12, 16, 16), (13, 13, 17, 17)):
+        got = oscillatory_monomial_moments(data.psi0, 2, 30.0, 1.4, nodes)
+        want = _brute_force_moments(data.psi0, 2, 30.0, 1.4, nodes)  # in the basis order
+        assert got.shape == (len(want),)
+        scale = max(abs(v) for v in want.values())
+        for g, (idx, w) in zip(got.tolist(), want.items()):
+            assert abs(g - w) <= 1e-12 * scale, (nodes, idx)
 
 
-def test_moments_reject_coupled_inner_variables(data):
+def test_moments_odd_in_a_gaussian_variable_vanish(data):
+    got = oscillatory_monomial_moments(data.psi0, 3, 30.0, 1.4, (48, 49, 160, 160))
+    for idx, m in zip(iter_multi_indices(NV, 3), got.tolist()):
+        if idx[0] % 2 or idx[1] % 2:
+            assert m == 0j, idx
+        else:
+            assert m != 0j, idx
+
+
+def test_moments_refuse_any_phase_but_psi0(data):
     coupled = data.psi0 + Jet(NV, data.psi0.order, BASE, {(1, 1, 0, 0): 0.1})
-    with pytest.raises(OracleFitError, match="couples"):
-        oscillatory_monomial_moments(coupled, 2, 30.0, 1.4, (12, 12, 16, 16))
+    q, table = random_perturbation(1, 0.3, seed=1)
+    perturbed = build_phase_data(perturbed_chart(heisenberg_chart(1), 0.3, q, table)).psi0
+    for phase in (coupled, perturbed):
+        with pytest.raises(OracleFitError, match="exact phase"):
+            oscillatory_monomial_moments(phase, 2, 30.0, 1.4, (12, 12, 16, 16))

@@ -61,7 +61,7 @@ WORKLOAD_REPORT_SHA256 = {
     ("routes", 11): "5353bb9301ce34928daddf859bfe1af736c741d362c886aeda39815f7996714a",
     ("routes", 12): "acd42240bf894df9a2e9bd010d773efe543539780553591c71921d1be0fc165a",
     ("routes", 7001): "d3769f93a0d9ea1726fa6c238872473faa2f8a57aa6c32e8367bd9e03e73ca13",
-    ("quadrature", 7): "6ae6e29294679bf70e0b8634a410c47bdc4c0ade855cc810e19a6bb5857d4ee6",
+    ("quadrature", 7): "ead8da5efe0d27aaf8b6025ef88380ac74ed06c64a1a1f3777e1c12589be6752",
 }
 
 
