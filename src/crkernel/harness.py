@@ -43,7 +43,7 @@ from .pipeline import (
     toeplitz_b1_closed_form,
     toeplitz_b1_pipeline,
 )
-from .rng import spawn_rng
+from .rng import Stream, spawn_rng
 from .stationary import (
     ORACLE_N_RANGE,
     PhaseCriticalData,
@@ -405,7 +405,7 @@ class CheckContext:
             )
         return self._b1_pipeline
 
-    def rng(self, *labels) -> np.random.Generator:
+    def rng(self, *labels) -> Stream:
         return spawn_rng(self.seed, self.scenario.name, *labels)
 
     def param(self, key: str, default: int) -> int:

@@ -53,7 +53,6 @@ class PhaseCriticalData:
     det_normalized: complex   # det(Psi0''(0,1) / (2 pi i))
     sqrt_det: complex         # branch-checked square root of det_normalized
     q: Jet                    # q(xi) = <Psi0''^{-1} xi, xi>, the symbol of <Psi0''^{-1} D, D>
-    exact_heisenberg: bool
     l1: np.ndarray            # K_1 of _l1_functional, with L_1 v = <K_1, v>
 
     @property
@@ -114,7 +113,6 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
         det_normalized=det_norm,
         sqrt_det=complex(root),
         q=q,
-        exact_heisenberg=chart.is_exact_heisenberg,
         l1=_l1_functional(q, h),
     )
 
@@ -403,18 +401,16 @@ def oracle_sweep(
     """One oscillatory_monomial_moments vector per t sample for amplitudes of
     order <= ``order``, and the cutoff's jet; forms no jet product.
 
-    Restricted to the exact Heisenberg phase with n = 1 (no cutoff guidance
-    exists for perturbed phases; the exact phase also gives the tail its closed
-    form and the moments their Gaussian and Fourier axes).  The box may reach
-    below sigma = 0 (radius up to 2): the integrand is the same polynomial data,
-    Im(Psi0) >= 0 holds for sigma > -1, and the only critical point inside is
-    (0, 1), so the expansion coefficients are unchanged while the flat cutoff
+    Restricted to n = 1 and, by the moments, to the exact phase (no cutoff
+    guidance exists for perturbed phases; the exact phase also gives the tail its
+    closed form and the moments their Gaussian and Fourier axes).  The box may
+    reach below sigma = 0 (radius up to 2): the integrand is the same polynomial
+    data, Im(Psi0) >= 0 holds for sigma > -1, and the only critical point inside
+    is (0, 1), so the expansion coefficients are unchanged while the flat cutoff
     profile gains the width to keep its contamination below the fit tolerances.
     """
     if not ORACLE_N_RANGE[0] <= data.n <= ORACLE_N_RANGE[1]:
         raise OracleFitError(f"quadrature oracle supports {ORACLE_N_RANGE[0]} <= n <= {ORACLE_N_RANGE[1]} only")
-    if not data.exact_heisenberg:
-        raise OracleFitError("quadrature oracle supports the exact Heisenberg phase only")
     ts = oracle_t_samples(t_samples)
     cutoff_radius = oracle_cutoff_radius(cutoff_radius)
     nv = data.num_vars

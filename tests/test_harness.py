@@ -577,7 +577,7 @@ def test_cli_strict_failure_exit_one(tmp_path, capsys):
 
 
 def test_cli_numerical_error_exit_three(tmp_path, capsys):
-    # the oracle refuses a perturbed chart only when it runs
+    # the oracle's moment sweep refuses a perturbed chart's phase only when it runs
     doc = {
         "seed": 0,
         "scenarios": [
@@ -593,7 +593,7 @@ def test_cli_numerical_error_exit_three(tmp_path, capsys):
     path = write_config(tmp_path, doc)
     assert cli.main(["--config", path]) == 3
     err = capsys.readouterr().err
-    assert "numerical error: quadrature oracle supports the exact Heisenberg phase only" in err
+    assert "numerical error: quadrature oracle supports the exact phase s u_{2n} + i (1 + s/2)|u'|^2 only" in err
 
 
 def test_broken_branch_invariant_is_a_numerical_error(tmp_path, monkeypatch, capsys):
@@ -618,16 +618,23 @@ def test_broken_branch_invariant_is_a_numerical_error(tmp_path, monkeypatch, cap
     assert "numerical error: determinant square root does not lie in the right half plane" in err
 
 
-def test_cli_kit_error_exit_three(tmp_path, capsys):
-    # the curvature identity cannot be met to tolerance at this r_synth; the
+def test_cli_kit_error_exit_three(tmp_path, monkeypatch, capsys):
+    # channels calibrated for curvature R + 1 on a chart of curvature R miss the
+    # consistency identity by |(i/2)(R - (R + 1))| = 0.5 whatever they draw; the
     # chart's ChartError is not a NumericalError but must still exit 3
+    import crkernel.harness as harness
+    from crkernel.charts import CONSISTENCY_TOL, random_perturbation
+
+    monkeypatch.setattr(harness, "random_perturbation", lambda n, r, seed: random_perturbation(n, r + 1.0, seed))
     doc = small_config()
     scen = doc["scenarios"][0]
-    scen["chart"] = {"model": "perturbed", "n": 1, "r_synth": 1e9, "seed": 1}
+    scen["chart"] = {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 1}
     scen["symbol"] = {"kind": "identity"}
     scen["checks"] = ["b0_leading"]
     assert cli.main(["--config", write_config(tmp_path, doc)]) == 3
-    assert "kit error: ChartError: curvature consistency identity violated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "kit error: ChartError: curvature consistency identity violated (residual 5.000e-01)" in err
+    assert float(re.search(r"residual ([^)]+)\)", err).group(1)) > 1e9 * CONSISTENCY_TOL
 
 
 def test_cli_filter_and_csv(tmp_path, capsys):
@@ -656,7 +663,7 @@ def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
 
 #: sha256 of ``verify --no-timings`` on the default suite.  A change that moves
 #: rounding on purpose updates it and reports the moved values in CHANGES.md.
-DEFAULT_SUITE_SHA256 = "fcbd9c7d1c573a6d1ea42bfdae23d28729005e14521521dbf6739a30034e8653"
+DEFAULT_SUITE_SHA256 = "3f8567126a7dffcda6f87b2363175273d670754604b8d576f687983e861e7eb7"
 
 
 def test_default_suite_report_bytes_are_pinned(tmp_path, capsys):

@@ -58,10 +58,10 @@ def test_workload_documents_parse(workload):
 
 #: sha256 of the timings-off report of each benchmark workload document
 WORKLOAD_REPORT_SHA256 = {
-    ("routes", 11): "5353bb9301ce34928daddf859bfe1af736c741d362c886aeda39815f7996714a",
-    ("routes", 12): "acd42240bf894df9a2e9bd010d773efe543539780553591c71921d1be0fc165a",
-    ("routes", 7001): "d3769f93a0d9ea1726fa6c238872473faa2f8a57aa6c32e8367bd9e03e73ca13",
-    ("quadrature", 7): "ead8da5efe0d27aaf8b6025ef88380ac74ed06c64a1a1f3777e1c12589be6752",
+    ("routes", 11): "98f6c906ce1c481945ec4114c6dcfd67e204346a8573decef7881114cf72919b",
+    ("routes", 12): "efc620c03536b4b1bc9d4350661c4e3c000da32f98a6ceeca328aff5463a0c0c",
+    ("routes", 7001): "69ad7e4b04a5ba5dd3d0e4f60218bc6ef3bb3d8edc13f3e46b55d696cce906cd",
+    ("quadrature", 7): "b760cb0a26fce1cac1732bfbfdbb80d469e86dde89f6d7df163a778f961eba68",
 }
 
 
