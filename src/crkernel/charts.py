@@ -293,7 +293,7 @@ def perturbed_chart(
     lap2_h1 = quartic_channel_value(table, n)
     lap_lam = density_channel_value(Q, n)
     resid = -lap2_h1 / 32.0 + 0.25j * lap_lam + 0.5j * R_synth
-    if abs(resid) > CONSISTENCY_TOL:
+    if not abs(resid) <= CONSISTENCY_TOL:  # a NaN residual fails too
         raise ChartError(
             f"curvature consistency identity violated (residual {abs(resid):.3e}): "
             "-(1/32) Lap^2 h1(0) + (i/4) Lap lambda(0) must equal -(i/2) R"

@@ -45,9 +45,9 @@ from .pipeline import (
 )
 from .rng import Stream, spawn_rng
 from .stationary import (
-    ORACLE_N_RANGE,
     PhaseCriticalData,
     build_phase_data,
+    exact_coefficients,
     expansion_coeffs,
     numeric_expansion_oracle,
     oracle_cutoff_radius,
@@ -598,30 +598,16 @@ def _derivative_by_values(f: Jet, axis: int, k: int) -> complex:
 
 
 def check_expansion_exact(ctx: CheckContext):
-    """``expansion_coeffs`` against the closed form on the exact phase
-    Psi0 = s u_{2n} + i (1 + s/2)|u'|^2, s = sigma - 1, u' = (u_0..u_{2n-1}).
-
-    For gamma of degree <= 2 with Taylor coefficients gamma_alpha, the Gaussian moments in u'
-    (odd ones vanish, u_a^2 gives 1 / (2t(1 + s/2))), (1 + s/2)^{-n} = 1 - n s/2 + ... and
-    int int e^{itsu} f ds du ~ (2 pi / t) sum_k (i/t)^k / k! d_s^k d_u^k f(0, 0) give
-        c0 = 2 pi^{n+1} gamma(0),
-        c1 = pi^{n+1} (sum_{a<2n} gamma_{u_a^2} + 2i gamma_{s u_{2n}} - i n gamma_{u_{2n}} + 2 g1),
-    read with ``Jet.coefficient``, not through the derivative reader behind the Hessian.
-    """
-    n, nv = ctx.n, 2 * ctx.n + 2
-    u, s, scale = 2 * n, nv - 1, math.pi ** (n + 1)
-
-    def coeff(gamma, *variables):
-        return gamma.coefficient(tuple(map(variables.count, range(nv))))
-
+    """``expansion_coeffs`` against ``exact_coefficients`` on the exact phase;
+    the t^{p-1} amplitude term g1 adds g1 c0 / gamma(0) = 2 pi^{n+1} g1 to c1."""
+    nv = 2 * ctx.n + 2
     pairs = []
     for k in range(10):
         rng = ctx.rng("expansion-exact", k)
         gamma = random_jet(rng, nv, 2, (0.0,) * nv, decay=0.6)
         g1 = complex(*rng.standard_normal(2))
-        squares = sum(coeff(gamma, a, a) for a in range(2 * n))
-        c1 = squares + 2j * coeff(gamma, s, u) - 1j * n * coeff(gamma, u) + 2.0 * g1
-        pairs += zip(expansion_coeffs(ctx.phase_data, gamma, g1), (2.0 * scale * gamma.constant_term(), scale * c1))
+        c0, c1 = exact_coefficients(gamma, ctx.n, 1)
+        pairs += zip(expansion_coeffs(ctx.phase_data, gamma, g1), (c0, c1 + 2.0 * math.pi ** (ctx.n + 1) * g1))
     return _worst(pairs)
 
 
@@ -669,12 +655,8 @@ CHECK_SPECS: Dict[str, CheckSpec] = {
     "christoffel_table": CheckSpec(check_christoffel_table),
     "kohn_point_formula": CheckSpec(check_kohn_point_formula),
     "expansion_exact": CheckSpec(check_expansion_exact, chart_models=("heisenberg",)),
-    "quadrature_leading": CheckSpec(
-        check_quadrature_leading, n_range=ORACLE_N_RANGE, params=("num_amplitudes",), oracle=True
-    ),
-    "quadrature_subleading": CheckSpec(
-        check_quadrature_subleading, n_range=ORACLE_N_RANGE, params=("num_amplitudes",), oracle=True
-    ),
+    "quadrature_leading": CheckSpec(check_quadrature_leading, params=("num_amplitudes",), oracle=True),
+    "quadrature_subleading": CheckSpec(check_quadrature_subleading, params=("num_amplitudes",), oracle=True),
 }
 
 #: check id -> function; ``run_scenarios`` looks each check up here when it runs it
@@ -837,20 +819,6 @@ def default_config_doc() -> dict:
             "tolerances": {"absolute": 0.0, "relative": 1e-10},
             "params": {"num_pairs": 25},
         },
-        {
-            "name": "quadrature-oracle",
-            "chart": {"model": "heisenberg", "n": 1},
-            "checks": ["quadrature_leading"],
-            "tolerances": {"absolute": 0.0, "relative": 1e-2},
-            "params": {"num_amplitudes": 5},
-        },
-        {
-            "name": "quadrature-oracle-subleading",
-            "chart": {"model": "heisenberg", "n": 1},
-            "checks": ["quadrature_subleading"],
-            "tolerances": {"absolute": 0.0, "relative": 5e-2},
-            "params": {"num_amplitudes": 5},
-        },
     ]
     for n in range(1, 6):
         scenarios.append(
@@ -861,6 +829,20 @@ def default_config_doc() -> dict:
                 "tolerances": {"absolute": 0.0, "relative": 1e-12},
             }
         )
+        suffix = "" if n == 1 else f"-n{n}"
+        for name, check, rtol in (
+            ("quadrature-oracle", "quadrature_leading", 1e-2),
+            ("quadrature-oracle-subleading", "quadrature_subleading", 5e-2),
+        ):
+            scenarios.append(
+                {
+                    "name": name + suffix,
+                    "chart": {"model": "heisenberg", "n": n},
+                    "checks": [check],
+                    "tolerances": {"absolute": 0.0, "relative": rtol},
+                    "params": {"num_amplitudes": 5},
+                }
+            )
     for k in range(10):
         scenarios.append(
             {

@@ -313,9 +313,6 @@ def oscillatory_monomial_moments(
     return out
 
 
-#: the CR dimensions (low, high) the quadrature oracle handles
-ORACLE_N_RANGE = (1, 1)
-
 #: default fit samples; the cutoff contamination decays fast over this window
 ORACLE_T_SAMPLES = (40.0, 45.0, 50.0, 55.0, 60.0, 65.0, 70.0, 75.0, 80.0)
 
@@ -401,16 +398,14 @@ def oracle_sweep(
     """One oscillatory_monomial_moments vector per t sample for amplitudes of
     order <= ``order``, and the cutoff's jet; forms no jet product.
 
-    Restricted to n = 1 and, by the moments, to the exact phase (no cutoff
-    guidance exists for perturbed phases; the exact phase also gives the tail its
-    closed form and the moments their Gaussian and Fourier axes).  The box may
+    Restricted by the moments to the exact phase (no cutoff guidance exists
+    for perturbed phases; the exact phase also gives the tail its closed form
+    and the moments their Gaussian and Fourier axes).  The box may
     reach below sigma = 0 (radius up to 2): the integrand is the same polynomial
     data, Im(Psi0) >= 0 holds for sigma > -1, and the only critical point inside
     is (0, 1), so the expansion coefficients are unchanged while the flat cutoff
     profile gains the width to keep its contamination below the fit tolerances.
     """
-    if not ORACLE_N_RANGE[0] <= data.n <= ORACLE_N_RANGE[1]:
-        raise OracleFitError(f"quadrature oracle supports {ORACLE_N_RANGE[0]} <= n <= {ORACLE_N_RANGE[1]} only")
     ts = oracle_t_samples(t_samples)
     cutoff_radius = oracle_cutoff_radius(cutoff_radius)
     nv = data.num_vars
@@ -440,9 +435,9 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
     any sweep that covers the amplitude).  It subtracts the exactly known
     third to fifth expansion orders (c_2..c_4 of exact_coefficients for the
     amplitude times the cutoff's jet, which read none of the L_1 code), then
-    fits c0 t^{-n} + c1 t^{-n-1} by t^2-weighted least squares and returns
-    (c0, c1), or (0, 0) where all integrals vanish.  Psi0 is the exact
-    phase s u_3 + i (1 + s/2)(u_1^2 + u_2^2), s = sigma - 1.
+    fits c0 t^{-n} + c1 t^{-n-1} by t^{n+1}-weighted least squares and
+    returns (c0, c1), or (0, 0) where all integrals vanish.  Psi0 is the
+    exact phase s u_{2n} + i (1 + s/2)|u'|^2, s = sigma - 1.
     """
     if amplitude.num_vars != sweep.data.num_vars:
         raise OrderShortfallError("phase and amplitude must share variables")
@@ -457,20 +452,20 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
         values[col] = t * total
     if float(np.max(np.abs(values))) == 0.0:
         return 0.0 + 0.0j, 0.0 + 0.0j
-    tarr = sweep.t
+    tarr, n = sweep.t, sweep.data.n
 
-    # Subtract the exactly known t^{-3}..t^{-5} tail of the cutoff-corrected
+    # Subtract the exactly known t^{-n-2}..t^{-n-4} tail of the cutoff-corrected
     # amplitude before fitting.  The first two orders stay untouched (the
     # cutoff is flat to degree 8), so the fit below still measures c0 and c1
     # independently of them.
     amp_eff = amplitude.with_order(CUTOFF_DEGREE) * sweep.cutoff
     tail = np.zeros_like(values)
-    for k, ck in enumerate(exact_coefficients(amp_eff, sweep.data.n, 4)[2:], start=2):
-        tail = tail + ck * tarr ** (-1.0 - k)
+    for k, ck in enumerate(exact_coefficients(amp_eff, n, 4)[2:], start=2):
+        tail = tail + ck * tarr ** (-n - k)
     corrected = values - tail
 
-    weight = tarr**2
-    basis = np.column_stack([tarr**-1.0, tarr**-2.0]).astype(complex)
+    weight = tarr ** (n + 1)
+    basis = np.column_stack([tarr**-n, tarr ** (-n - 1)]).astype(complex)
     coeffs, *_ = np.linalg.lstsq(basis * weight[:, None], corrected * weight, rcond=None)
     resid = float(
         np.linalg.norm((basis @ coeffs - corrected) * weight)

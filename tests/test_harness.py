@@ -221,14 +221,13 @@ def test_params_key_no_check_reads_rejected():
 
 @pytest.mark.parametrize("check", ["quadrature_leading", "quadrature_subleading"])
 def test_quadrature_rejected_outside_the_oracle_dimensions(check):
-    from crkernel.stationary import ORACLE_N_RANGE
-
-    assert CHECK_SPECS[check].n_range is ORACLE_N_RANGE
     doc = small_config()
-    doc["scenarios"][0]["chart"] = {"model": "heisenberg", "n": 2}
+    doc["scenarios"][0]["chart"] = {"model": "heisenberg", "n": 6}
     doc["scenarios"][0]["checks"] = [check]
-    with pytest.raises(ConfigError, match=f"{check} does not apply at n = 2"):
+    with pytest.raises(ConfigError, match=f"{check} does not apply at n = 6"):
         parse_config(doc)
+    doc["scenarios"][0]["chart"]["n"] = 2
+    parse_config(doc)
 
 
 def test_oracle_options_no_check_reads_rejected():
@@ -500,12 +499,12 @@ def test_homogeneous_record_does_not_depend_on_earlier_scenarios():
 def test_default_config_covers_every_check_kind():
     cfg = default_config()
     seen = {c for s in cfg["scenarios"] for c in s.checks}
-    from crkernel.harness import CHECKS
-
-    missing = set(CHECKS) - seen - {"b1_reference"}
-    assert "b1_two_routes" in seen
-    assert "quadrature_leading" in seen
-    assert not missing - {"b1_reference"}
+    assert set(CHECK_SPECS) <= seen
+    # the rows that witness the dimension constants run at every n they allow
+    for check in ("quadrature_leading", "quadrature_subleading", "expansion_exact"):
+        low, high = CHECK_SPECS[check].n_range
+        ns = {s.chart.n for s in cfg["scenarios"] if check in s.checks}
+        assert ns == set(range(low, high + 1)), check
 
 
 # -- CLI ------------------------------------------------------------------------------------
@@ -637,6 +636,20 @@ def test_cli_kit_error_exit_three(tmp_path, monkeypatch, capsys):
     assert float(re.search(r"residual ([^)]+)\)", err).group(1)) > 1e9 * CONSISTENCY_TOL
 
 
+def test_cli_nan_consistency_residual_exit_three(tmp_path, capsys):
+    # r_synth = 1e308 overflows the quartic channel to a NaN residual, which
+    # must fail the consistency identity rather than slip past the comparison
+    doc = small_config()
+    scen = doc["scenarios"][0]
+    scen["chart"] = {"model": "perturbed", "n": 1, "r_synth": 1e308, "seed": 1}
+    scen["symbol"] = {"kind": "identity"}
+    scen["checks"] = ["b0_leading", "b1_two_routes"]
+    assert cli.main(["--config", write_config(tmp_path, doc), "--no-timings"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "kit error: ChartError: curvature consistency identity violated (residual nan)" in captured.err
+
+
 def test_cli_filter_and_csv(tmp_path, capsys):
     path = write_config(tmp_path, small_config())
     code = cli.main(["--config", path, "--format", "csv", "--filter", "geo", "--no-timings"])
@@ -663,7 +676,7 @@ def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
 
 #: sha256 of ``verify --no-timings`` on the default suite.  A change that moves
 #: rounding on purpose updates it and reports the moved values in CHANGES.md.
-DEFAULT_SUITE_SHA256 = "3f8567126a7dffcda6f87b2363175273d670754604b8d576f687983e861e7eb7"
+DEFAULT_SUITE_SHA256 = "3c236180ef2e696abfe877d70532a52c573f246841c034f1af08d1816f7e27a1"
 
 
 def test_default_suite_report_bytes_are_pinned(tmp_path, capsys):

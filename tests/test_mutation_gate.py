@@ -18,19 +18,26 @@ geometric P route, the quadrature oracle) must fail a record for it, so a
 reader fault that both b1 routes share cannot hide.  Reader mutants touch
 second derivatives only: a wrong first derivative breaks a chart invariant
 before any record exists.  The expansion mutant scales L_1 by n, which is
-invisible at n = 1, and the exact-expansion scenarios at n = 1..5 must fail a
-record for it.  Each oracle mutant breaks the quadrature moments that the
-oracle fits, conjugated (the sign of the Fourier axis) or halved (the factor 2
-of the mirror fold), and the quadrature scenarios must fail a record for it.
-Every filter must match at least one scenario, so a renamed scenario cannot
-drop out of a gate unnoticed.
+invisible at n = 1; the exact-expansion scenarios at n = 1..5 must fail a
+record for it, and so must the subleading quadrature scenario at each
+n = 2..5 on its own, since the oracle reads none of the L_1 code.  The
+closed-form mutant turns the exact phase's (1 + s/2)^{-n} into (1 + s/2)^{-1}
+in the ``exact_coefficients`` that ``crkernel.harness`` reads, which is
+invisible at n = 1, and the exact-expansion scenario at each n = 2..5 must
+fail a record for it.  Each oracle mutant breaks the quadrature moments that
+the oracle fits, conjugated (the sign of the Fourier axis) or halved (the
+factor 2 of the mirror fold), and the quadrature scenarios must fail a record
+for it.  Every filter must match at least one scenario, so a renamed scenario
+cannot drop out of a gate unnoticed.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 
 import crkernel.charts as charts
+import crkernel.harness as harness
 import crkernel.pipeline as pipeline
 import crkernel.stationary as stationary
 import crkernel.symbols as symbols
@@ -146,6 +153,32 @@ def _scaled_by_n(fn):
 #: mutant label -> (name patched in crkernel.stationary, mutant of the original)
 EXPANSION_MUTANTS = {"apply_L scaled by n": ("apply_L", _scaled_by_n)}
 
+#: the scenarios at n = 2..5 whose dimension constants n = 1 cannot tell apart
+ORACLE_N_FILTERS = tuple(f"quadrature-oracle-subleading-n{n}" for n in range(2, 6))
+EXACT_N_FILTERS = tuple(f"expansion-exact-n{n}" for n in range(2, 6))
+
+
+def _source_mutant(old, new):
+    """Recompile a module-level function with one piece of its source replaced."""
+
+    def mutate(fn):
+        source = inspect.getsource(fn)
+        assert source.count(old) == 1, f"{fn.__name__} lacks {old!r}"
+        namespace = dict(fn.__globals__)
+        exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"), namespace)
+        return namespace[fn.__name__]
+
+    return mutate
+
+
+#: mutant label -> (name patched in crkernel.harness, mutant of the original)
+EXACT_MUTANTS = {
+    "exact_coefficients (1 + s/2)^{-n} -> (1 + s/2)^{-1}": (
+        "exact_coefficients",
+        _source_mutant("math.comb(n + half + m - 1, m)", "math.comb(half + m, m)"),
+    ),
+}
+
 
 #: the quadrature-oracle scenarios, leading and subleading
 ORACLE_FILTERS = ("quadrature-oracle*",)
@@ -200,6 +233,16 @@ def test_every_reader_mutant_fails_a_record(monkeypatch):
 
 def test_every_expansion_mutant_fails_a_record(monkeypatch):
     assert _escaped(monkeypatch, EXPANSION_MUTANTS, (stationary,), EXPANSION_FILTERS) == []
+
+
+def test_expansion_mutant_fails_the_oracle_alone_at_every_n(monkeypatch):
+    for pattern in ORACLE_N_FILTERS:
+        assert _escaped(monkeypatch, EXPANSION_MUTANTS, (stationary,), (pattern,)) == [], pattern
+
+
+def test_every_exact_mutant_fails_a_record_at_every_n(monkeypatch):
+    for pattern in EXACT_N_FILTERS:
+        assert _escaped(monkeypatch, EXACT_MUTANTS, (harness,), (pattern,)) == [], pattern
 
 
 def test_every_oracle_mutant_fails_a_record(monkeypatch):
