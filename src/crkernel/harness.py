@@ -36,6 +36,7 @@ from .charts import (
 from .errors import ConfigError, OracleFitError
 from .jets import Jet, random_jet
 from .pipeline import (
+    KernelAmplitude,
     compose_amplitudes_closed,
     compose_amplitudes_sp,
     random_amplitude,
@@ -484,19 +485,20 @@ def check_b1_reference(ctx: CheckContext):
 
 
 def check_composition_two_routes(ctx: CheckContext):
-    pairs = []
-    count = ctx.param("num_pairs", 5)
-    for k in range(count):
+    """Both routes on every drawn pair at once: the pairs are stacked, and
+    each route is called once and returns one value per pair."""
+    drawn = []
+    for k in range(ctx.param("num_pairs", 5)):
         rng = ctx.rng("composition", k)
         la = float(rng.uniform(-1.0, 2.0))
         lc = float(rng.uniform(-1.0, 2.0))
         A = random_amplitude(ctx.n, la, seed=int(rng.integers(1 << 30)))
-        C = random_amplitude(ctx.n, lc, seed=int(rng.integers(1 << 30)))
-        sp0, sp1 = compose_amplitudes_sp(A, C, ctx.chart, phase_data=ctx.phase_data)
-        c0, c1 = compose_amplitudes_closed(A, C, ctx.chart)
-        pairs.append((sp0, c0))
-        pairs.append((sp1, c1))
-    return _worst(pairs)
+        drawn.append((A, random_amplitude(ctx.n, lc, seed=int(rng.integers(1 << 30)))))
+    A, C = (KernelAmplitude.stack(column) for column in zip(*drawn))
+    sp0, sp1 = compose_amplitudes_sp(A, C, ctx.chart, phase_data=ctx.phase_data)
+    c0, c1 = compose_amplitudes_closed(A, C, ctx.chart)
+    rows = zip(sp0.tolist(), c0.tolist(), sp1.tolist(), c1.tolist())
+    return _worst([pair for row in rows for pair in (row[:2], row[2:])])
 
 
 def check_projector_idempotence(ctx: CheckContext):

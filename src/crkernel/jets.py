@@ -11,12 +11,16 @@ Conventions:
     per num_vars serves every order;
   * the basis tables (exponents, sorted monomial keys, degree offsets,
     partial-derivative gathers, graded predecessors, product tables) are
-    built with numpy on first use; importing this module builds none;
+    built with numpy on first use; importing this module builds none.  One
+    multi-index's position is one lookup in a dict that grows to the order
+    asked of it;
   * a product gathers one cached table of every monomial pair of its shape,
-    C(2v+k, k) rows at (v, k), up to PRODUCT_TABLE_ROWS rows; above that it
-    pairs the operands' nonzeros, as sparse powers at (4, 24) want.  Zero
-    terms move no bit: a sum starts at +0 and adding +-0 is exact;
-  * ``reindex`` caches its source and destination positions per variable map;
+    C(2v+k, k) rows at (v, k), up to PRODUCT_TABLE_ROWS rows; above that, or
+    when the operands' nonzero counts multiply to under a quarter of the
+    table, it pairs the operands' nonzeros.  Zero terms move no bit: a sum
+    starts at +0 and adding +-0 is exact;
+  * ``reindex`` caches its source and destination positions per variable
+    map, and moves every row of a batch with one ``bincount``;
   * ``coeffs`` (a dict of the nonzero entries) and ``graded_items`` are read
     from the vector on demand, in graded order, so downstream reports are
     byte-stable;
@@ -41,8 +45,9 @@ Conventions:
     single product.  ``support`` is the union of the rows' nonzeros;
     ``constant_term``, ``coefficient``, ``derivative_at`` and the values
     of ``graded_items`` / ``coeffs`` are per-row arrays, +0 for zero.
-    Composition, ``reindex``, ``eval_many`` and the series methods take
-    single jets only.  Single jets keep their own code path.
+    Composition substitutes into every row of a batch (its inner jets are
+    single); ``eval_many`` and the series methods take single jets only.
+    Single jets keep their own code path.
 """
 
 from __future__ import annotations
@@ -97,36 +102,46 @@ class _Basis:
         self.keys = keys[rank]
         self.degrees = self.exponents.sum(axis=1)
         #: degree_start[d] = number of monomials of degree < d
-        self.degree_start = np.searchsorted(self.degrees, np.arange(order + 2))
+        self.degree_start = self.degrees.searchsorted(np.arange(order + 2))
+        self._sizes = self.degree_start.tolist()
+        #: multi-index -> position, over the monomials of degree <= _indexed
+        self._index: Dict[MultiIndex, int] = {}
+        self._indexed = -1
 
     def size(self, order: int) -> int:
         """Number of monomials of degree <= order."""
-        return int(self.degree_start[order + 1])
+        return self._sizes[order + 1]
 
     def locate(self, exponents: np.ndarray) -> np.ndarray:
         """Positions of rows of exponents, each of degree <= order."""
-        return np.searchsorted(self.keys, exponents @ self.key_weights)
+        return self.keys.searchsorted(exponents @ self.key_weights)
 
     def position(self, idx: Sequence[int], order: int):
         """Position of one multi-index if it has degree <= order, else None;
-        a key of the wrong length or with a negative entry raises."""
+        a key of the wrong length or with a negative entry raises.  One
+        lookup in the index, which grows to ``order`` on first need."""
+        if order > self._indexed:
+            start, stop = len(self._index), self._sizes[order + 1]
+            self._index.update(zip(map(tuple, self.exponents[start:stop].tolist()), range(start, stop)))
+            self._indexed = order
+        p = self._index.get(tuple(idx))
+        if p is not None:
+            return p if p < self._sizes[order + 1] else None
         if len(idx) != self.num_vars:
             raise CompatibilityError(f"multi-index {tuple(idx)} has wrong length")
         if min(idx) < 0:
             raise CompatibilityError(f"multi-index {tuple(idx)} has a negative entry")
-        key = sum(a * int(w) for a, w in zip(idx, self.key_weights))
-        p = int(np.searchsorted(self.keys, key))
-        return p if p < self.size(order) and self.keys[p] == key else None
+        return None
 
     def pairs(self, first: np.ndarray, second: np.ndarray, order: int):
         """Rows (i, j, k) of the product table at ``order`` with i in ``first``
         and j in ``second`` (both ascending): per i, every j of degree
         <= order - deg i, in order, and k the position of monomial i times j."""
-        counts = np.searchsorted(second, self.degree_start[order + 1 - self.degrees[first]])
-        ends = np.cumsum(counts)
-        i = np.repeat(first, counts)
-        j = second[np.arange(ends[-1]) - np.repeat(ends - counts, counts)]
-        return i, j, np.searchsorted(self.keys, self.keys[i] + self.keys[j])
+        counts = second.searchsorted(self.degree_start[order + 1 - self.degrees[first]])
+        ends = counts.cumsum()
+        i = first.repeat(counts)
+        j = second[np.arange(ends[-1]) - (ends - counts).repeat(counts)]
+        return i, j, self.keys.searchsorted(self.keys[i] + self.keys[j])
 
     def products(self, order: int):
         """``pairs`` of every monomial pair at ``order`` (cached per shape), or None above the cap."""
@@ -139,19 +154,16 @@ class _Basis:
 
     @functools.cached_property
     def predecessors(self):
-        """Per monomial, its last variable k and the position of the monomial / dx_k."""
+        """Per monomial (lists), its last variable k and the position of the monomial / dx_k."""
         last = self.num_vars - 1 - np.argmax(self.exponents[:, ::-1] != 0, axis=1)
-        return last, np.searchsorted(self.keys, self.keys - self.key_weights[last])
+        return last.tolist(), self.keys.searchsorted(self.keys - self.key_weights[last]).tolist()
 
     @functools.cached_property
     def partials(self):
         """Per variable v, the gather of d/dx_v: over the basis up to order - 1,
         d/dx_v of a vector is vector[source] * (exponents[:, v] + 1)."""
         size = self.degree_start[self.order]
-        return [
-            np.searchsorted(self.keys, self.keys[:size] + self.key_weights[v])
-            for v in range(self.num_vars)
-        ]
+        return [self.keys.searchsorted(self.keys[:size] + self.key_weights[v]) for v in range(self.num_vars)]
 
 
 #: the basis per num_vars; built on first use
@@ -181,16 +193,16 @@ def _cmul_parts(x, y):
 
 
 def _scatter_sum(k: np.ndarray, re: np.ndarray, im: np.ndarray, size: int) -> np.ndarray:
-    """Vector whose entry p sums the (re, im) terms with k == p, in input order."""
+    """Vector whose entry p sums the (re, im) terms with k == p, in input order;
+    of (rows, terms) arrays, one such vector per row, by one ``bincount`` over
+    row-offset positions (k is shared by the rows or given per row)."""
+    if re.ndim == 2:
+        k = (k + size * np.arange(len(re))[:, None]).ravel()
+        return _scatter_sum(k, re.ravel(), im.ravel(), len(re) * size).reshape(len(re), size)
     out = np.empty(size, dtype=complex)
     out.real = np.bincount(k, re, size)
     out.imag = np.bincount(k, im, size)
     return out
-
-
-def _nonzero_counts(vector: np.ndarray):
-    """The number of nonzero entries of a vector, or of each row of a batch."""
-    return np.count_nonzero(vector) if vector.ndim == 1 else np.count_nonzero(vector, axis=1)
 
 
 def _entry(value) -> complex:
@@ -224,41 +236,31 @@ class Jet:
         self, num_vars: int, order: int, base_point: Sequence[complex], coeffs: Dict[MultiIndex, complex]
     ):
         zero = Jet.zero(num_vars, order, base_point)  # checks the shape
-        kept, values = [], []
+        basis, vector = zero.basis, np.zeros(zero.vector.size, dtype=complex)
         for idx, c in coeffs.items():
-            idx = tuple(int(a) for a in idx)
-            if len(idx) != num_vars:
-                raise CompatibilityError(f"multi-index {idx} has wrong length")
-            if any(a < 0 for a in idx):
-                raise CompatibilityError(f"multi-index {idx} has a negative entry")
-            if sum(idx) <= order:
-                kept.append(idx)
-                values.append(complex(c))
-        vector = np.zeros(zero.vector.size, dtype=complex)
-        if kept:
-            np.add.at(vector, zero.basis.locate(np.array(kept, dtype=np.int64)), values)
-        self._init(zero.basis, order, zero.base_point, vector)
-
-    def _init(self, basis, order, base_point, vector) -> None:
+            p = basis.position(tuple(map(int, idx)), order)
+            if p is not None:
+                vector[p] += complex(c)
         vector.flags.writeable = False
-        self.num_vars = basis.num_vars
-        self.order = order
-        self.base_point = base_point
-        self.vector = vector
-        self.basis = basis
-        self._support = None
-        self._graded = None
-        self._coeffs = None
+        self.num_vars, self.order, self.base_point, self.vector = num_vars, order, zero.base_point, vector
+        self.basis, self._support, self._graded, self._coeffs = basis, None, None, None
 
     @classmethod
     def _from_vector(cls, basis, order, base_point, vector) -> "Jet":
         """Internal fast path: the vector is trusted and owned by the new jet."""
+        vector.flags.writeable = False
         out = object.__new__(cls)
-        out._init(basis, order, base_point, vector)
+        out.num_vars, out.order, out.base_point, out.vector = basis.num_vars, order, base_point, vector
+        out.basis, out._support, out._graded, out._coeffs = basis, None, None, None
         return out
 
     def _like(self, vector, order=None) -> "Jet":
-        return Jet._from_vector(self.basis, self.order if order is None else order, self.base_point, vector)
+        """``_from_vector`` with this jet's basis, base point and (unless given) order."""
+        vector.flags.writeable = False
+        out = object.__new__(Jet)
+        out.num_vars, out.base_point, out.vector, out.basis = self.num_vars, self.base_point, vector, self.basis
+        out.order, out._support, out._graded, out._coeffs = self.order if order is None else order, None, None, None
+        return out
 
     # -- construction helpers -------------------------------------------------
 
@@ -271,7 +273,7 @@ class Jet:
             raise CompatibilityError("jet order must be non-negative")
         if len(base_point) != num_vars:
             raise CompatibilityError("base point length != num_vars")
-        basis, base_point = _basis(num_vars, order), tuple(complex(v) for v in base_point)
+        basis, base_point = _basis(num_vars, order), tuple(map(complex, base_point))
         vector = np.zeros(basis.size(order), dtype=complex)
         vector[position] += value
         return Jet._from_vector(basis, order, base_point, vector)
@@ -326,7 +328,7 @@ class Jet:
         a batch, the positions nonzero in some row."""
         if self._support is None:
             nonzero = self.vector if self.vector.ndim == 1 else self.vector.any(axis=0)
-            self._support = np.flatnonzero(nonzero)
+            self._support = nonzero.nonzero()[0]
         return self._support
 
     def graded_items(self) -> Tuple[Tuple[MultiIndex, complex], ...]:
@@ -366,9 +368,9 @@ class Jet:
     def derivative_at(self, *variables: int) -> complex:
         """d/dx_{v1} ... d/dx_{vk} at the base point (a repeated variable is a higher power): the
         coefficient times prod alpha_i!; of a batch, per row, each scaled with Python's complex product."""
-        if not all(0 <= v < self.num_vars for v in variables):
+        idx = tuple(map(variables.count, range(self.num_vars)))
+        if sum(idx) != len(variables):
             raise CompatibilityError(f"derivative_at: bad variable index in {variables}")
-        idx = tuple(variables.count(v) for v in range(self.num_vars))
         coeff, fac = self.coefficient(idx), float(math.prod(map(math.factorial, idx)))
         if self.vector.ndim == 2:
             return np.array([c * fac for c in coeff.tolist()], dtype=complex)
@@ -464,14 +466,20 @@ class Jet:
     def _mul_jet(self, other: "Jet") -> "Jet":
         """Gather the product-table rows (the cached whole table, or the rows
         pairing the nonzeros of the operands), multiply, and sum per product
-        monomial, in graded order of the sparser operand's terms."""
+        monomial, in graded order of the sparser operand's terms.  The pairs
+        are taken when there is no table or when the operands' nonzero counts
+        multiply to under a quarter of its rows; either way the nonzero terms
+        and their order are the same."""
         self._require_compatible(other, "mul")
         if self.vector.ndim + other.vector.ndim > 2:
             return self._mul_rows(other)
         left, right = (other, self) if self.support.size > other.support.size else (self, other)
         if left.support.size == 0:
             return self._like(np.zeros(self.vector.size, dtype=complex))
-        i, j, k = self.basis.products(self.order) or self.basis.pairs(left.support, right.support, self.order)
+        table = self.basis.products(self.order)
+        if table is None or 4 * left.support.size * right.support.size < table[0].size:
+            table = self.basis.pairs(left.support, right.support, self.order)
+        i, j, k = table
         re, im = _cmul_parts(left.vector[i], right.vector[j])
         return self._like(_scatter_sum(k, re, im, self.vector.size))
 
@@ -484,11 +492,11 @@ class Jet:
         supports; the extra terms are +-0 and move no bit."""
         a, b = self.vector, other.vector
         rows, size = (len(a) if a.ndim == 2 else len(b)), a.shape[-1]
-        flips = _nonzero_counts(a) > _nonzero_counts(b)
+        flips = np.count_nonzero(a, axis=-1) > np.count_nonzero(b, axis=-1)
         flipped = np.count_nonzero(flips)
         table = self.basis.products(self.order)
         if table is None:
-            first, second = (np.flatnonzero(v if v.ndim == 1 else v.any(axis=0)) for v in (a, b))
+            first, second = [(v if v.ndim == 1 else v.any(axis=0)).nonzero()[0] for v in (a, b)]
             if not (first.size and second.size):
                 return self._like(np.zeros((rows, size), dtype=complex))
         gathered = []
@@ -501,10 +509,8 @@ class Jet:
         if len(gathered) == 1:
             k, re, im = gathered[0]
         else:
-            k, re, im = (np.where(flips[:, None], on_flip, kept) for kept, on_flip in zip(*gathered))
-        k = k + size * np.arange(rows)[:, None]
-        vector = _scatter_sum(k.ravel(), re.ravel(), im.ravel(), rows * size).reshape(rows, size)
-        return self._like(vector)
+            k, re, im = [np.where(flips[:, None], on_flip, kept) for kept, on_flip in zip(*gathered)]
+        return self._like(_scatter_sum(k, re, im, size))
 
     def shift_constant(self, c: complex) -> "Jet":
         vector = self.vector.copy()
@@ -534,7 +540,7 @@ class Jet:
         return Jet._from_vector(
             self.basis,
             self.order,
-            tuple(v.conjugate() for v in self.base_point),
+            tuple(map(complex.conjugate, self.base_point)),
             self.vector.conj(),
         )
 
@@ -560,13 +566,13 @@ class Jet:
         share a target.  A target's base value must equal the base value of
         each variable moved to it.  The result keeps this jet's order.  This
         is ``compose`` with coordinate and zero inner jets, made by moving
-        exponents instead of multiplying.
+        exponents instead of multiplying.  A batch moves every row with one
+        ``bincount`` over row offsets.
         """
-        self._require_single("reindex")
         targets = tuple(targets)
         if len(targets) != self.num_vars:
             raise CompatibilityError(f"reindex: {len(targets)} targets for {self.num_vars} variables")
-        base_point = tuple(complex(v) for v in base_point)
+        base_point = tuple(map(complex, base_point))
         if len(base_point) != num_vars:
             raise CompatibilityError("reindex: base point length != num_vars")
         for k, t in enumerate(targets):
@@ -583,13 +589,13 @@ class Jet:
         key = (self.num_vars, num_vars, targets, self.order)
         if key not in _REINDEX_MAPS:
             rows = [num_vars if t is None else t for t in targets]  # a pinned variable's row is zero
-            exps = self.basis.exponents[: self.vector.size]
+            exps = self.basis.exponents[: self.vector.shape[-1]]
             moved = exps @ np.eye(num_vars + 1, dtype=np.int64)[rows, :num_vars]
             # a pinned displacement is zero: keep the monomials whose degree moves whole
-            source = np.flatnonzero(moved.sum(axis=1) == exps.sum(axis=1))
+            source = (moved.sum(axis=1) == exps.sum(axis=1)).nonzero()[0]
             _REINDEX_MAPS[key] = source, basis.locate(moved[source])
         source, dest = _REINDEX_MAPS[key]
-        c = self.vector[source]
+        c = self.vector[..., source]
         vector = _scatter_sum(dest, c.real, c.imag, basis.size(self.order))
         return Jet._from_vector(basis, self.order, base_point, vector)
 
@@ -670,8 +676,11 @@ class Substitution:
     ``apply(outer)`` equals ``outer.compose(inner)`` bit for bit.  The table of
     monomial powers of the inner displacements fills lazily and is shared by
     every outer jet the substitution is applied to; an entry depends only on
-    its multi-index, so reuse changes no value.  Maps that only rename or pin
-    variables need no powers: use ``Jet.reindex``.
+    its multi-index, so reuse changes no value.  The table is a prefix of the
+    basis, extended by one batch product per degree whose rows are graded
+    predecessors' powers times one displacement each, bit for bit those
+    single products.  Maps that only rename or pin variables need no powers:
+    use ``Jet.reindex``.
     """
 
     def __init__(self, inner: Sequence[Jet]):
@@ -687,7 +696,7 @@ class Substitution:
         self.order = first.order
         self.base_point = first.base_point
         self._size = first.vector.size
-        self._constants = tuple(g.constant_term() for g in inner)
+        self._constants = tuple(map(Jet.constant_term, inner))
         self._scale = max([g.max_abs() for g in inner] + [1.0])
         deltas: List[Jet] = []
         for g in inner:
@@ -695,12 +704,13 @@ class Substitution:
             stripped[0] = 0.0
             deltas.append(g._like(stripped))
         self._deltas = deltas
-        #: powers of the inner displacements by outer basis position (the same at every order)
-        self._powers: Dict[int, Jet] = {0: Jet.constant(self.num_vars, self.order, self.base_point, 1.0)}
+        #: power vectors of the inner displacements by outer basis position, and their (support, values)
+        self._powers: List[np.ndarray] = [Jet.constant(self.num_vars, self.order, self.base_point, 1.0).vector]
+        self._terms: List[Tuple[np.ndarray, np.ndarray]] = [(np.zeros(1, dtype=np.intp), np.ones(1, complex))]
 
     def apply(self, outer: Jet) -> Jet:
-        """``outer`` with ``inner[k]`` substituted for its k-th variable."""
-        outer._require_single("compose")
+        """``outer`` with ``inner[k]`` substituted for its k-th variable; of a
+        batch, each row's (the union support's extra terms are +-0)."""
         if self.num_inner != outer.num_vars:
             raise CenteringError(
                 f"compose: {self.num_inner} inner jets for {outer.num_vars} outer variables"
@@ -715,24 +725,31 @@ class Substitution:
         # outer monomials of degree > order cannot contribute below truncation
         cut = basis.size(min(order, outer.order))
         support = outer.support
-        support = support[: np.searchsorted(support, cut)]
+        support = support[: support.searchsorted(cut)]
         if not support.size:
-            return self._deltas[0]._like(np.zeros(size, dtype=complex))
-        powers = [self._power(p, basis) for p in support.tolist()]
-        k = np.concatenate([q.support for q in powers])
-        c = np.repeat(outer.vector[support], [q.support.size for q in powers])
-        re, im = _cmul_parts(c, np.concatenate([q.vector[q.support] for q in powers]))
-        return self._deltas[0]._like(_scatter_sum(k, re, im, size))
+            return self._deltas[0]._like(np.zeros(outer.vector.shape[:-1] + (size,), dtype=complex))
+        positions = support.tolist()
+        if positions[-1] >= len(self._powers):
+            self._add_powers(positions[-1], basis)
+        supports, values = zip(*map(self._terms.__getitem__, positions))
+        c = outer.vector[..., support].repeat(list(map(len, supports)), axis=-1)
+        re, im = _cmul_parts(c, np.concatenate(values))
+        return self._deltas[0]._like(_scatter_sum(np.concatenate(supports), re, im, size))
 
-    def _power(self, p: int, basis: _Basis) -> Jet:
-        """prod_k deltas[k]**e[k] for the monomial e at position p of
-        ``basis``, memoized along graded predecessors."""
-        hit = self._powers.get(p)
-        if hit is None:
-            k, pred = (int(a[p]) for a in basis.predecessors)
-            delta = self._deltas[k]
-            hit = self._powers[p] = delta if pred == 0 else self._power(pred, basis) * delta
-        return hit
+    def _add_powers(self, top: int, basis: _Basis) -> None:
+        """Extend the table to prod_k deltas[k]**e[k] for every monomial e of
+        ``basis`` up to position ``top``, one degree at a time: a degree-1
+        power is a delta, and the powers of a higher degree are the rows of one
+        batch product of their graded predecessors' powers and deltas."""
+        (last, preds), start = basis.predecessors, len(self._powers)
+        for degree in range(basis.degrees[start], basis.degrees[top] + 1):
+            group = range(max(start, basis.degree_start[degree]), min(top + 1, basis.degree_start[degree + 1]))
+            rows = [self._deltas[last[p]].vector for p in group]
+            if degree > 1:
+                like = self._deltas[0]._like
+                rows = (like(np.stack([self._powers[preds[p]] for p in group])) * like(np.stack(rows))).vector
+            self._powers.extend(rows)
+            self._terms.extend([(row.nonzero()[0], row[row != 0]) for row in rows])
 
 
 def max_coeff_difference(a: Jet, b: Jet) -> float:

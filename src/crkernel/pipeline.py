@@ -20,7 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .charts import (
     CRModelChart,
@@ -29,7 +31,7 @@ from .charts import (
     tw_scalar_curvature,
 )
 from .errors import SymbolError
-from .jets import Jet, Substitution, random_jet
+from .jets import Jet, Substitution
 from .rng import spawn_rng
 from .stationary import PhaseCriticalData, build_phase_data, expansion_coeffs
 from .symbols import ClassicalSymbol, p_operator_canonical, subprincipal_symbol
@@ -44,7 +46,8 @@ class KernelAmplitude:
     """Classical amplitude b(x,y,t) ~ b_0(x,y) t^{top_power} + b_1 t^{top_power - 1}
     + ...: the leading coefficient as a jet independent of the last y
     variable, and the subleading one by its value at (0, 0), all that the
-    diagonal formulas read of it."""
+    diagonal formulas read of it.  A stack (``KernelAmplitude.stack``) holds
+    a batch leading jet and per-row arrays of top_power and subleading."""
 
     top_power: float
     leading: Jet
@@ -58,6 +61,17 @@ class KernelAmplitude:
             raise SymbolError("amplitude depends on the last y variable")
         if b0.order != AMPLITUDE_ORDER:
             raise SymbolError(f"amplitude jets have order {AMPLITUDE_ORDER}, not {b0.order}")
+
+    @staticmethod
+    def stack(amplitudes: Sequence["KernelAmplitude"]) -> "KernelAmplitude":
+        """The amplitude whose row r is ``amplitudes[r]``."""
+        top, leading, sub = zip(*[(a.top_power, a.leading, a.subleading) for a in amplitudes])
+        return KernelAmplitude(np.array(top), Jet.stack(leading), np.array(sub, dtype=complex))
+
+
+def _rows(value) -> list:
+    """The per-row Python values of a stack's array, or [value] of a single value."""
+    return np.atleast_1d(value).tolist()
 
 
 def _xy_base(d: int) -> Tuple[complex, ...]:
@@ -126,13 +140,19 @@ def _to_us_space(jet_xy: Jet, d: int, slot: str) -> Jet:
     return jet_xy.reindex(d + 1, targets, (0.0,) * (d + 1))
 
 
-def _sigma_power(ell: float, d: int) -> Jet:
+def _sigma_power(ell, d: int) -> Jet:
     """sigma**ell in (u, sigma - 1): binom(ell, k) at (sigma - 1)**k, by the
-    recursion pow_real uses, so the values equal (1 + dsigma).pow_real(ell)."""
-    binom = [1.0 + 0.0j]
-    for k in range(1, AMPLITUDE_ORDER + 1):
-        binom.append(binom[-1] * (ell - k + 1) / k)
-    return Jet(d + 1, AMPLITUDE_ORDER, (0.0,) * (d + 1), {(0,) * d + (k,): b for k, b in enumerate(binom)})
+    recursion pow_real uses, so the values equal (1 + dsigma).pow_real(ell);
+    a batch with one row per exponent if ``ell`` is an array."""
+    zero, binoms = Jet.zero(d + 1, AMPLITUDE_ORDER, (0.0,) * (d + 1)), []
+    for e in _rows(ell):
+        binoms.append([1.0 + 0.0j])
+        for k in range(1, AMPLITUDE_ORDER + 1):
+            binoms[-1].append(binoms[-1][-1] * (e - k + 1) / k)
+    where = [zero.basis.position((0,) * d + (k,), AMPLITUDE_ORDER) for k in range(AMPLITUDE_ORDER + 1)]
+    vector = np.zeros((len(binoms), zero.vector.size), dtype=complex)
+    vector[:, where] += binoms  # +0 + binom, as Jet(dict) stores it
+    return zero._like(vector if np.ndim(ell) else vector[0])
 
 
 def compose_amplitudes_sp(
@@ -146,7 +166,8 @@ def compose_amplitudes_sp(
     Builds gamma_0(u, sigma) = A_0(0,u) C_0(u,0) lambda(u) sigma^l and the
     value gamma_1(0, 1) = (A_0 C_1 + A_1 C_0) lambda at the base point, runs
     the expansion engine, and returns the composed coefficients (already
-    normalized by the Hessian determinant root).
+    normalized by the Hessian determinant root).  Two stacks of one row
+    count give per-row arrays, each row bit for bit its own pair's values.
     """
     d = chart.dim
     data = build_phase_data(chart) if phase_data is None else phase_data
@@ -156,8 +177,12 @@ def compose_amplitudes_sp(
     lam = chart.volume_density.truncated(AMPLITUDE_ORDER).reindex(d + 1, range(d), (0.0,) * (d + 1))
 
     gamma0 = a0_u * c0_u * lam * _sigma_power(A.top_power, d)
-    g1 = (a0_u.constant_term() * C.subleading + A.subleading * c0_u.constant_term()) * lam.constant_term()
-    return tuple(expansion_coeffs(data, gamma0, g1))
+    lam0 = lam.constant_term()
+    g1 = [
+        (a0 * c1 + a1 * c0) * lam0
+        for a0, c1, a1, c0 in zip(*map(_rows, (a0_u.constant_term(), C.subleading, A.subleading, c0_u.constant_term())))
+    ]
+    return tuple(expansion_coeffs(data, gamma0, g1 if gamma0.rows else g1[0]))
 
 
 def compose_amplitudes_closed(
@@ -167,34 +192,34 @@ def compose_amplitudes_closed(
 
     C_0(0,0) = 2 pi^{n+1} A_0 B_0 and the eight-term second coefficient
     combining R, the two Kohn Laplacians, the Reeb derivative weighted by
-    2i(n - l), and the horizontal gradient pairing.
+    2i(n - l), and the horizontal gradient pairing.  Two stacks of one row
+    count give per-row arrays: the operators read every row at once, and
+    each row's products are Python's complex products, as for a single pair.
     """
     n = chart.n
     d = chart.dim
-    ell = A.top_power
     r0 = tw_scalar_curvature(chart)
     pi_pow = math.pi ** (n + 1)
 
     u, pinned = list(range(d)), [None] * d
     a0 = A.leading.reindex(d, pinned + u, (0.0,) * d)  # A_0(0, u)
     b0 = C.leading.reindex(d, u + pinned, (0.0,) * d)  # B_0(u, 0)
-    a0v, a1v = a0.constant_term(), A.subleading
-    b0v, b1v = b0.constant_term(), C.subleading
-
-    grad_pair = 0.0 + 0.0j
-    for j in range(2 * n):
-        grad_pair += a0.derivative_at(j) * b0.derivative_at(j)
-
-    c0 = 2.0 * pi_pow * a0v * b0v
-    c1 = pi_pow * (
-        -a0v * b0v * r0
-        + 2.0 * (a0v * b1v + a1v * b0v)
-        - a0v * kohn_laplacian_at0(chart, b0)
-        - b0v * kohn_laplacian_at0(chart, a0)
-        + 2j * (n - ell) * a0v * reeb_derivative_at0(chart, b0)
-        + grad_pair
+    per_row = zip(
+        *map(_rows, (a0.constant_term(), A.subleading, b0.constant_term(), C.subleading, A.top_power)),
+        *map(_rows, (kohn_laplacian_at0(chart, b0), kohn_laplacian_at0(chart, a0), reeb_derivative_at0(chart, b0))),
+        zip(*[zip(_rows(a0.derivative_at(j)), _rows(b0.derivative_at(j))) for j in range(2 * n)]),
     )
-    return c0, c1
+    c0, c1 = [], []
+    for a0v, a1v, b0v, b1v, ell, box_b, box_a, reeb_b, grads in per_row:
+        grad_pair = 0.0 + 0.0j
+        for grad_a, grad_b in grads:
+            grad_pair += grad_a * grad_b
+        c0.append(2.0 * pi_pow * a0v * b0v)
+        c1.append(pi_pow * (
+            -a0v * b0v * r0 + 2.0 * (a0v * b1v + a1v * b0v) - a0v * box_b - b0v * box_a
+            + 2j * (n - ell) * a0v * reeb_b + grad_pair
+        ))
+    return (c0[0], c1[0]) if a0.rows is None else (np.array(c0), np.array(c1))
 
 
 def _e0_on_contact_graph(E: ClassicalSymbol, chart: CRModelChart) -> Jet:
@@ -246,11 +271,20 @@ def toeplitz_b1_pipeline(
 
 
 def random_amplitude(n: int, top_power: float, seed: int) -> KernelAmplitude:
-    """Seeded y-independent amplitude for cross-route checks; the subleading
-    value is the constant term of a second draw of the leading's shape."""
+    """Seeded y-independent amplitude for cross-route checks.
+
+    The leading jet is ``random_jet(rng, 2d, AMPLITUDE_ORDER, 0, decay=0.5)``
+    and the subleading value the constant term of a second such draw; the
+    stream is read once, since normal k reads words 2k and 2k + 1, and the
+    second draw's constant term is the pair after the first draw's."""
     d = 2 * n + 1
     nv = 2 * d
-    rng = spawn_rng(seed, "amplitude", n, repr(top_power))
-    b0, b1 = (random_jet(rng, nv, AMPLITUDE_ORDER, _xy_base(d), decay=0.5) for _ in range(2))
-    b0 = b0.reindex(nv, [*range(nv - 1), None], _xy_base(d))  # y_last pinned at 0
-    return KernelAmplitude(top_power=top_power, leading=b0, subleading=b1.constant_term())
+    zero = Jet.zero(nv, AMPLITUDE_ORDER, _xy_base(d))
+    size = zero.vector.size
+    draws = spawn_rng(seed, "amplitude", n, repr(top_power)).standard_normal((size + 1, 2))
+    mags = np.array([0.5**k for k in range(AMPLITUDE_ORDER + 1)])[zero.basis.degrees[:size]]
+    vector = np.zeros(size, dtype=complex)
+    vector.real, vector.imag = draws[:size, 0] * mags, draws[:size, 1] * mags
+    b0 = zero._like(vector).reindex(nv, [*range(nv - 1), None], _xy_base(d))  # y_last pinned at 0
+    subleading = complex(*draws[size]) if draws[size].any() else 0.0 + 0.0j
+    return KernelAmplitude(top_power=top_power, leading=b0, subleading=subleading)

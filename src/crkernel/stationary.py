@@ -174,13 +174,16 @@ def apply_L(data: PhaseCriticalData, v: Jet) -> complex:
 
     v is treated as an exact polynomial.  L_1 v is the dot product of v's
     coefficients of degree <= 2 with the functional K_1 built with the phase
-    data, so a call forms no jet product.
+    data, so a call forms no jet product.  Of a batch, the per-row array of
+    1-D dots, each rounded as a single jet's.
     """
     if v.num_vars != data.num_vars:
         raise OrderShortfallError("v must be a jet in (u, sigma-1)")
     if v.order < 2:
         raise OrderShortfallError(f"apply_L: v order {v.order} < 2")
-    return complex(data.l1 @ v.vector[: data.l1.size])
+    if v.rows is None:
+        return complex(data.l1 @ v.vector[: data.l1.size])
+    return np.array([data.l1 @ row for row in v.vector[:, : data.l1.size]])
 
 
 def expansion_coeffs(data: PhaseCriticalData, gamma0: Jet, g1: complex = 0.0 + 0.0j) -> List[complex]:
@@ -190,11 +193,14 @@ def expansion_coeffs(data: PhaseCriticalData, gamma0: Jet, g1: complex = 0.0 + 0
     the coefficients of t^{p-n} and t^{p-n-1}:
         c0 = gamma0(0,1) / sqrt(det(Psi''/2 pi i)),
         c1 = (g1 + L_1 gamma0(0,1)) / sqrt(det(Psi''/2 pi i)).
+    Of a batch gamma0 with one g1 per row, per-row arrays, each row divided
+    as Python divides a single row's complex values.
     """
-    return [
-        gamma0.constant_term() / data.sqrt_det,
-        (g1 + apply_L(data, gamma0)) / data.sqrt_det,
-    ]
+    c0, l1, root = gamma0.constant_term(), apply_L(data, gamma0), data.sqrt_det
+    if gamma0.rows is None:
+        return [c0 / root, (g1 + l1) / root]
+    g1 = np.asarray(g1, dtype=complex).tolist()
+    return [np.array([c / root for c in c0.tolist()]), np.array([(g + v) / root for g, v in zip(g1, l1.tolist())])]
 
 
 # -- quadrature oracle ------------------------------------------------------------------

@@ -220,11 +220,10 @@ def invert_map(kappa: Sequence[Jet]) -> List[Jet]:
         for j in range(d):
             lin = lin + coords[j].scale(complex(jac[c, j]))
         nonlin.append(kappa[c].shift_constant(-kappa[c].constant_term()) - lin)
-    psi = lin_solve(coords)
+    psi, nonlin = lin_solve(coords), Jet.stack(nonlin)
     for _ in range(order):
-        at_psi = Substitution(psi)
-        nl_at = [at_psi.apply(nonlin[j]) for j in range(d)]
-        psi = lin_solve([coords[j] - nl_at[j] for j in range(d)])
+        nl_at = Substitution(psi).apply(nonlin).vector
+        psi = lin_solve([coords[j] - coords[j]._like(nl_at[j]) for j in range(d)])
     return psi
 
 
@@ -277,7 +276,11 @@ def transform_symbol_under_diffeo(
     component picks up the half-Hessian correction
     -(i/2) sum_{j,k} d^2_{xi_j xi_k} e_0 * <d^2_{jk} kappa, eta>.
     ``inverse`` is invert_map(kappa) at order >= the components' order - 2;
-    it is truncated to that order.
+    it is truncated to that order.  Both orders of a mixed pair of partials
+    scale a coefficient by the same two integers, which round alike when one
+    is a power of two or both are equal, so below degree 6 (components of
+    order <= 7) the (j, k) and (k, j) terms are equal bit for bit: each is
+    formed once, for j <= k, and added again at (k, j).
     """
     e0 = sym.components[0]
     nv = e0.num_vars
@@ -295,39 +298,46 @@ def transform_symbol_under_diffeo(
     eta0 = np.linalg.solve(jac0.T, old_xi)
     new_base = tuple(0.0 for _ in range(d)) + tuple(complex(v) for v in eta0)
 
+    # every x-jet read here (dx_i, d_j kappa_c, d_j d_k kappa_c for j <= k) moved to the (y, eta)
+    # space in one batch, and each kappa_c term times eta_c in one batch product
+    dk = [[g.with_order(work + 1).partial(j).with_order(work) for g in kappa] for j in range(d)]
+    d2k = {(j, k): [g.with_order(work + 2).partial(j).partial(k).with_order(work) for g in kappa]
+           for j in range(d) for k in range(j, d)}
+    x_jets = [Jet.displacement(i, d, work, (0.0,) * d) for i in range(d)] + sum(dk + list(d2k.values()), [])
     at_psi = Substitution(_inverse_at(inverse, work))  # x(y), jets in y
-
-    def on_new_space(f_x: Jet) -> Jet:
-        """f(x(y)) promoted to the (y, eta) space."""
-        f_y = at_psi.apply(f_x.with_order(work))
-        return promote_x_jet(f_y, new_base, work)
-
+    moved = promote_x_jet(at_psi.apply(Jet.stack(x_jets)), new_base, work).vector
     eta_coords = [Jet.coordinate(d + c, nv, work, new_base) for c in range(d)]
-    inner_x = [on_new_space(Jet.displacement(i, d, work, (0.0,) * d)) for i in range(d)]
+    paired = eta_coords[0]._like(moved[d:]) * Jet.stack(eta_coords * (len(x_jets) // d - 1))
+    inner_x = [eta_coords[0]._like(row) for row in moved[:d]]
+    paired = iter([eta_coords[0]._like(row) for row in paired.vector])
     inner_xi = []
     for j in range(d):
         acc = Jet.zero(nv, work, new_base)
         for c in range(d):
-            dkc = kappa[c].with_order(work + 1).partial(j).with_order(work)
-            acc = acc + on_new_space(dkc) * eta_coords[c]
+            acc = acc + next(paired)
         inner_xi.append(acc)
+    d2k = {key: [(g, next(paired)) for g in jets] for key, jets in d2k.items()}
     at_inner = Substitution(inner_x + inner_xi)
 
     ek0 = at_inner.apply(e0.truncated(work).with_order(work))
     ek1 = at_inner.apply(sym.component(1).truncated(work))
+    terms = {}  # (j, k) -> the half-Hessian term, or None where it vanishes
     for j in range(d):
         for k in range(d):
-            hess = e0.partial(d + j).partial(d + k).truncated(work)
-            if not hess.support.size:
-                continue
-            pairing = Jet.zero(nv, work, new_base)
-            for c in range(d):
-                d2k = kappa[c].with_order(work + 2).partial(j).partial(k).with_order(work)
-                if not d2k.support.size:
-                    continue
-                pairing = pairing + on_new_space(d2k) * eta_coords[c]
-            if pairing.support.size:
-                ek1 = ek1 + (-0.5j) * (at_inner.apply(hess) * pairing)
+            if k < j:
+                term = terms[k, j]
+            else:
+                term = terms[j, k] = None
+                hess = e0.partial(d + j).partial(d + k).truncated(work)
+                if hess.support.size:
+                    pairing = Jet.zero(nv, work, new_base)
+                    for g, moved_times_eta in d2k[j, k]:
+                        if g.support.size:
+                            pairing = pairing + moved_times_eta
+                    if pairing.support.size:
+                        term = terms[j, k] = (-0.5j) * (at_inner.apply(hess) * pairing)
+            if term is not None:
+                ek1 = ek1 + term
     standard = new_base == xi_base((d - 1) // 2)
     return ClassicalSymbol(
         order_m=sym.order_m,

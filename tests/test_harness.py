@@ -747,3 +747,23 @@ def test_readme_check_table_is_rendered_from_check_specs():
     start = lines.index(want[0])
     end = lines.index("", start)
     assert lines[start:end] == want, "README check table is stale; it should read:\n" + "\n".join(want)
+
+
+@pytest.mark.parametrize("num_pairs", [1, 4, 9])
+def test_composition_check_calls_each_route_once(monkeypatch, num_pairs):
+    # work guard: the drawn pairs are stacked, so one check calls each route once
+    import crkernel.harness as harness
+
+    calls = []
+    for name in ("compose_amplitudes_sp", "compose_amplitudes_closed"):
+
+        def counting(*args, _name=name, _original=getattr(harness, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, counting)
+    curved = {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 3}
+    doc = {"scenarios": [_scenario("pairs", curved, ["composition_two_routes"], params={"num_pairs": num_pairs})]}
+    (report,) = run_scenarios(parse_config(doc), timings=False)
+    assert report.all_passed
+    assert sorted(calls) == ["compose_amplitudes_closed", "compose_amplitudes_sp"]

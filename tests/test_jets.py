@@ -190,6 +190,25 @@ def test_substitution_reuse_is_exact(case):
         assert sub.apply(outer).coeffs == outer.compose(inner).coeffs
 
 
+@pytest.mark.parametrize("num_vars,order", [(3, 2), (6, 2), (3, 4)])
+def test_substitution_powers_equal_the_single_products(num_vars, order):
+    # the table's batch rows are the graded predecessor chains of single products
+    rng = spawn_rng(26, "powers", num_vars, order)
+    base = (0.0,) * num_vars
+    inner = [random_jet(rng, num_vars, order, base, min_degree=1) for _ in range(num_vars - 1)]
+    inner.append(Jet.displacement(0, num_vars, order, base) + Jet.displacement(1, num_vars, order, base).scale(-0.5))
+    sub = Substitution(inner)
+    outer = random_jet(rng, num_vars, order, base)
+    sub.apply(outer.truncated(1).with_order(order))  # fills a prefix, then the rest
+    sub.apply(outer)
+    last, preds = outer.basis.predecessors
+    powers = [Jet.constant(num_vars, order, base, 1.0)]
+    for p in range(1, outer.vector.size):
+        delta = sub._deltas[last[p]]
+        powers.append(delta if preds[p] == 0 else powers[preds[p]] * delta)
+    assert [q.vector.tobytes() for q in powers] == [v.tobytes() for v in sub._powers]
+
+
 def test_substitution_centering_checked_per_outer():
     sub = Substitution([x_jet(order=2)])
     sub.apply(Jet(1, 2, (0.0,), {(1,): 1}))
@@ -422,6 +441,15 @@ def sparse_product(a, b):
     return _scatter_sum(k, re, im, a.vector.size)
 
 
+def table_product(a, b):
+    """Reference product over every row of the shape's cached table, the
+    sparser operand (self on a tie) on the left."""
+    left, right = (b, a) if a.support.size > b.support.size else (a, b)
+    i, j, k = a.basis.products(a.order)
+    re, im = _cmul_parts(left.vector[i], right.vector[j])
+    return _scatter_sum(k, re, im, a.vector.size)
+
+
 def with_negative_zeros(jet, rng):
     """``jet`` with about a third of its entries replaced by -0.0 - 0.0j."""
     vector = jet.vector.copy()
@@ -456,7 +484,37 @@ def test_product_table_matches_sparse_pairs(num_vars, order):
         (dense, zero),
         (zero, sparse),
     ]:
-        assert (a * b).vector.tobytes() == sparse_product(a, b).tobytes()
+        assert (a * b).vector.tobytes() == sparse_product(a, b).tobytes() == table_product(a, b).tobytes()
+
+
+def test_sparse_operands_take_the_pairs_below_the_table(monkeypatch):
+    # nonzero counts multiplying to under a quarter of the table's rows take the pairs
+    base = (0.0,) * 6
+    dx = [Jet.displacement(k, 6, 4, base) for k in range(6)]
+    sparse = (dx[3] - dx[0]) * dx[1]
+    dense = random_jet(spawn_rng(15, "dense-operand"), 6, 4, base)
+    pairs, calls = _Basis.pairs, []
+    monkeypatch.setattr(_Basis, "pairs", lambda self, *args: calls.append(args) or pairs(self, *args))
+    for a, b, paired in [(sparse, dx[2], True), (dense, dx[2], True), (dense, dense, False)]:
+        calls.clear()
+        assert (a * b).vector.tobytes() == table_product(a, b).tobytes()
+        assert bool(calls) == paired
+
+
+@pytest.mark.parametrize("num_vars,order", [(3, 6), (4, 8), (6, 4)])
+def test_position_index_agrees_with_locate(num_vars, order):
+    basis = _Basis(num_vars, order + 2)
+    exps = basis.exponents[: basis.size(order)]
+    assert [basis.position(e, order) for e in exps.tolist()] == basis.locate(exps).tolist()
+    assert basis.locate(exps).tolist() == list(range(len(exps)))
+    # an index grown to ``order`` still reads higher monomials as absent at a lower order
+    above = basis.exponents[basis.size(order - 1) : basis.size(order)].tolist()
+    assert all(basis.position(e, order - 1) is None for e in above)
+    assert all(basis.position(e, order + 1) is None for e in basis.exponents[basis.size(order + 1) :].tolist())
+    with pytest.raises(CompatibilityError, match="wrong length"):
+        basis.position((0,) * (num_vars + 1), order)
+    with pytest.raises(CompatibilityError, match="negative entry"):
+        basis.position((-1,) + (0,) * (num_vars - 1), order)
 
 
 def test_large_shape_caches_no_table():
@@ -591,6 +649,34 @@ def test_batch_readers_give_per_row_arrays_and_read_zero_as_positive_zero():
     assert list(stacked.coeffs) == [idx for idx, _ in items]
 
 
+@pytest.mark.parametrize(
+    "targets,num_vars", [([1, 0], 2), ([None, 0], 1), ([0, 0], 1), ([2, None], 3), ([None, None], 2)]
+)
+def test_batch_reindex_equals_the_per_row_reindex(targets, num_vars):
+    rng = spawn_rng(25, "batch-reindex", num_vars)
+    base = (0.0,) * 2
+    rows = [random_jet(rng, 2, 4, base), Jet.zero(2, 4, base).scale(-1.0)]
+    rows.append(with_negative_zeros(random_jet(rng, 2, 4, base), rng))
+    batch = Jet.stack(rows).reindex(num_vars, targets, (0.0,) * num_vars)
+    assert batch.rows == len(rows)
+    for r, jet in enumerate(rows):
+        assert batch.vector[r].tobytes() == jet.reindex(num_vars, targets, (0.0,) * num_vars).vector.tobytes()
+
+
+def test_batch_substitution_equals_the_per_row_substitution():
+    rng = spawn_rng(27, "batch-substitution")
+    base = (0.0,) * 3
+    inner = [random_jet(rng, 3, 4, base, min_degree=1) for _ in range(3)]
+    rows = [random_jet(rng, 3, 4, base), Jet.zero(3, 4, base).scale(-1.0), Jet.displacement(1, 3, 4, base)]
+    rows.append(with_negative_zeros(random_jet(rng, 3, 4, base), rng))
+    for order in (4, 2):  # a lower outer order reads a prefix of the table
+        outer = [g.truncated(order) for g in rows]
+        batch = Substitution(inner).apply(Jet.stack(outer))
+        assert batch.rows == len(outer)
+        for r, g in enumerate(outer):
+            assert batch.vector[r].tobytes() == Substitution(inner).apply(g).vector.tobytes()
+
+
 def test_batch_rejects_mismatched_rows_and_unbatched_operations():
     base = (0.0,) * 2
     a = random_jet(spawn_rng(24, "reject"), 2, 3, base)
@@ -603,10 +689,7 @@ def test_batch_rejects_mismatched_rows_and_unbatched_operations():
         lambda: Jet.stack([]),
         lambda: Jet.stack([two, a]),
         lambda: Jet.stack([a, a.truncated(2)]),
-        lambda: two.compose(inner),
         lambda: Substitution([Jet.stack(inner[:1] * 2), inner[1]]),
-        lambda: Substitution(inner).apply(two),
-        lambda: two.reindex(2, [1, 0], base),
         lambda: two.eval_many(np.zeros((1, 2))),
         two.invert,
         lambda: two.pow_real(0.5),

@@ -9,6 +9,10 @@ n-dependent mutants (R -> nR, the Kohn term's -i n T -> -i T, pi^{n+1} ->
 pi^{2n}) are invisible at n = 1 and wait for n = 2 scenarios in the default
 suite.  The Kohn and Reeb mutants must also fail a record of the
 composition scenarios, whose closed formula reads the same two operators.
+The composition check calls each route once on its stacked pairs, so a row
+mutant rolls the closed route's per-pair values by one, patched in
+``crkernel.pipeline`` and in ``crkernel.harness``, which holds the name, and
+the composition scenarios must fail a record for it.
 Each frame mutant breaks the Levi frame's coframe in every module that holds
 the patched name, and the geometry-table and P-operator scenarios must fail a
 record for it.  Each reader mutant breaks ``Jet.derivative_at``, which every
@@ -79,6 +83,14 @@ MUTANTS = {
 #: the composition scenarios on the exact and a perturbed chart
 COMPOSITION_FILTERS = ("composition-cross-route*",)
 COMPOSITION_MUTANTS = {label: MUTANTS[label] for label in ("kohn_laplacian_at0", "reeb_derivative_at0")}
+
+
+def _rolled_rows(fn):
+    return lambda *args, **kwargs: tuple(np.roll(values, 1) for values in fn(*args, **kwargs))
+
+
+#: mutant label -> (name patched in crkernel.pipeline and crkernel.harness, mutant of the original)
+ROW_MUTANTS = {"compose_amplitudes_closed rows rolled by one": ("compose_amplitudes_closed", _rolled_rows)}
 
 
 #: the Christoffel tables at n = 1 and 2, and the P operator's two routes
@@ -221,6 +233,10 @@ def test_every_mutant_fails_a_record(monkeypatch):
 
 def test_every_composition_mutant_fails_a_record(monkeypatch):
     assert _escaped(monkeypatch, COMPOSITION_MUTANTS, (pipeline,), COMPOSITION_FILTERS) == []
+
+
+def test_every_row_mutant_fails_a_composition_record(monkeypatch):
+    assert _escaped(monkeypatch, ROW_MUTANTS, (pipeline, harness), COMPOSITION_FILTERS) == []
 
 
 def test_every_frame_mutant_fails_a_record(monkeypatch):

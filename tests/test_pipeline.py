@@ -211,6 +211,44 @@ def test_compose_routes_agree_random(chart, curved):
     assert worst < 1e-10
 
 
+def _bits(values):
+    return [(complex(v).real.hex(), complex(v).imag.hex()) for v in values]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("model", ["heisenberg", "perturbed"])
+def test_stacked_composition_rows_equal_the_single_pair_calls(n, model):
+    ch = heisenberg_chart(n)
+    if model == "perturbed":
+        ch = perturbed_chart(ch, 0.7, *random_perturbation(n, 0.7, seed=17))
+    data = build_phase_data(ch)
+    pairs = []
+    for k in range(5):
+        rng = spawn_rng(k, "stacked-pair", n)
+        la, lc = float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2))
+        pairs.append((random_amplitude(n, la, seed=800 + k), random_amplitude(n, lc, seed=900 + k)))
+    A, C = (KernelAmplitude.stack(column) for column in zip(*pairs))
+    sp0, sp1 = compose_amplitudes_sp(A, C, ch, phase_data=data)
+    c0, c1 = compose_amplitudes_closed(A, C, ch)
+    for r, (a, c) in enumerate(pairs):
+        assert _bits(compose_amplitudes_sp(a, c, ch, phase_data=data)) == _bits((sp0[r], sp1[r]))
+        assert _bits(compose_amplitudes_closed(a, c, ch)) == _bits((c0[r], c1[r]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_random_amplitude_reads_the_two_draws_of_the_leading_shape(n):
+    # one read of the stream equals the leading draw followed by a second draw's constant term
+    d = 2 * n + 1
+    base = (0.0,) * (2 * d)
+    for seed in range(100):
+        top_power = 0.25 * (seed % 7) - 0.5
+        rng = spawn_rng(seed, "amplitude", n, repr(top_power))
+        b0, b1 = (random_jet(rng, 2 * d, AMPLITUDE_ORDER, base, decay=0.5) for _ in range(2))
+        A = random_amplitude(n, top_power, seed)
+        assert A.leading.vector.tobytes() == b0.reindex(2 * d, [*range(2 * d - 1), None], base).vector.tobytes()
+        assert _bits([A.subleading]) == _bits([b1.constant_term()])
+
+
 def test_compose_constant_flat_case(chart):
     # constant leading coefficients, zero subleading, flat curvature: c1 = 0
     base = (0.0,) * 6

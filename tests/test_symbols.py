@@ -327,6 +327,27 @@ def test_transform_singular_jacobian_rejected():
         transform_symbol_under_diffeo(sym, kappa, ident)
 
 
+@pytest.mark.parametrize("order", [4, 6])
+def test_half_hessian_inputs_are_symmetric_bit_for_bit(order):
+    # the transport forms its (j, k) term once and adds it again at (k, j): both
+    # inputs of the term, d_xi_j d_xi_k e_0 and d_j d_k kappa, are symmetric bytewise
+    # at the work orders order - 2 of the subprincipal check (4) and of SYMBOL_ORDER (6)
+    work = order - 2
+    for k in range(5):
+        rng = spawn_rng(k, "half-hessian", order)
+        e0 = random_classical_symbol(N, 0.7, 2, seed=300 + k, homogeneous=False, order=order).components[0]
+        kappa = _random_cubic_diffeo(rng, order=order)
+        for a in range(D):
+            for b in range(a + 1, D):
+                ab = e0.partial(D + a).partial(D + b).truncated(work)
+                ba = e0.partial(D + b).partial(D + a).truncated(work)
+                assert ab.vector.tobytes() == ba.vector.tobytes()
+                for g in kappa:
+                    ab = g.with_order(work + 2).partial(a).partial(b).with_order(work)
+                    ba = g.with_order(work + 2).partial(b).partial(a).with_order(work)
+                    assert ab.vector.tobytes() == ba.vector.tobytes()
+
+
 def test_subprincipal_invariance_under_diffeos():
     # the transformation-law conclusion itself, checked numerically
     worst = 0.0
