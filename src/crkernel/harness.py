@@ -18,7 +18,7 @@ import fnmatch
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -41,6 +41,7 @@ from .pipeline import (
     compose_amplitudes_sp,
     random_amplitude,
     szego_amplitude,
+    szego_norm,
     toeplitz_b1_closed_form,
     toeplitz_b1_pipeline,
 )
@@ -134,6 +135,7 @@ _TOL_KEYS = frozenset({"absolute", "relative"})
 _ORACLE_KEYS = frozenset({"t_samples", "cutoff_radius", "nodes_per_axis"})
 
 CHART_MODELS = ("heisenberg", "perturbed")
+CR_DIMENSIONS = range(1, 6)  # the n of every check; ``parse_config`` says why n stops at 5
 SYMBOL_KINDS = ("identity", "multiplication", "random-homogeneous")
 
 
@@ -186,9 +188,6 @@ def _check_applicability(where: str, scenario: Scenario, oracle: dict) -> None:
             raise ConfigError(f"{where}: {c} applies to {list(spec.symbol_kinds)} symbols only")
         if spec.chart_models and chart.model not in spec.chart_models:
             raise ConfigError(f"{where}: {c} applies to {list(spec.chart_models)} charts only")
-        low, high = spec.n_range
-        if not low <= chart.n <= high:
-            raise ConfigError(f"{where}: {c} does not apply at n = {chart.n}")
         if spec.oracle:  # the validators the oracle applies again when it runs
             for key, validate in (
                 ("t_samples", oracle_t_samples),
@@ -259,6 +258,9 @@ def parse_config(doc: dict) -> dict:
             r_synth=_number(chart_raw.get("r_synth", 0.0), f"{where}.chart.r_synth"),
             seed=_integer(chart_raw, "seed", 0, 0, f"{where}.chart"),
         )
+        if chart.n not in CR_DIMENSIONS:
+            raise ConfigError(f"{where}.chart.n: must be at most {CR_DIMENSIONS[-1]}; at n = 6 the (x, y) "
+                              "and (x, xi) jets are (26, 4), past the jet index's 2^62 key cap")
 
         symbol = None
         if "symbol" in raw:
@@ -461,8 +463,7 @@ def _worst(pairs: Sequence[Tuple[complex, complex]]) -> Tuple[complex, complex]:
 
 def check_b0_leading(ctx: CheckContext):
     b0, _ = ctx.b1_pipeline
-    want = ctx.symbol.components[0].constant_term() / (2.0 * math.pi ** (ctx.n + 1))
-    return b0, want
+    return b0, ctx.symbol.components[0].constant_term() / szego_norm(ctx.n)
 
 
 def check_b1_two_routes(ctx: CheckContext):
@@ -478,10 +479,8 @@ def check_b1_reference(ctx: CheckContext):
     e0 = ctx.symbol.components[0]
     # f(x) = e_0(x, xi) with the xi slots pinned at the base covector
     f = e0.reindex(d, [*range(d), *[None] * d], (0.0,) * d)
-    want = (
-        tw_scalar_curvature(ctx.chart) * f.constant_term() - kohn_laplacian_at0(ctx.chart, f)
-    ) / (4.0 * math.pi ** (ctx.n + 1))
-    return b1, want
+    want = tw_scalar_curvature(ctx.chart) * f.constant_term() - kohn_laplacian_at0(ctx.chart, f)
+    return b1, want / (2.0 * szego_norm(ctx.n))
 
 
 def check_composition_two_routes(ctx: CheckContext):
@@ -508,14 +507,14 @@ def check_projector_idempotence(ctx: CheckContext):
 
 
 def _diffeo_draw(ctx: CheckContext, k: int):
-    """(symbol, density, s, kappa) of the k-th subprincipal-invariance draw,
-    at ``SYMBOL_ORDER``."""
+    """(symbol, density, s, kappa) of the k-th subprincipal-invariance draw: the
+    symbol at order 4, the order the check reads, the rest at ``SYMBOL_ORDER``."""
     d = 2 * ctx.n + 1
     order = SYMBOL_ORDER
     rng = ctx.rng("diffeo", k)
     sym = random_classical_symbol(
         ctx.n, float(rng.uniform(-1, 1)), 2,
-        seed=int(rng.integers(1 << 30)), homogeneous=False,
+        seed=int(rng.integers(1 << 30)), homogeneous=False, order=4,
     )
     lam = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.4, min_degree=1).scale(0.5).exp()
     s_val = float(rng.uniform(0.5, 2.0))
@@ -530,12 +529,10 @@ def check_subprincipal_invariance(ctx: CheckContext):
     pairs = []
     for k in range(ctx.param("num_diffeos", 20)):
         sym, lam, s_val, kappa = _diffeo_draw(ctx, k)
-        # the compared values are constant terms, and a degree never reads a
-        # higher one: the symbol and kappa stay at order 4 (the transform's two
-        # derivative levels and its d^2 kappa term), the density drops to order
-        # 1 (the subprincipal value reads degree 1), and kappa is inverted at
-        # order 2, all that either transform reads of the inverse
-        sym = replace(sym, components=tuple(c.truncated(4) for c in sym.components))
+        # the compared values are constant terms, and a degree never reads a higher one:
+        # kappa drops to the symbol's order 4 (the transform's two derivative levels and
+        # its d^2 kappa term), the density to order 1 (the subprincipal value reads degree
+        # 1), and kappa is inverted at order 2, all that either transform reads of the inverse
         lam, kappa = lam.truncated(1), [c.truncated(4) for c in kappa]
         psi = invert_map([c.truncated(2) for c in kappa])
         tsym = transform_symbol_under_diffeo(sym, kappa, psi)
@@ -626,17 +623,15 @@ class CheckSpec:
     """One check: its function and what it reads of a scenario.
 
     ``symbol`` is "required" or "unread".  ``chart_models`` is empty for a
-    check that never builds the chart (it reads only ``n``).  ``n_range`` is
-    (low, high): n = 6 puts the chart's phase jet at (26, 4), and n = 5 an
-    order-6 symbol draw at (22, 6), past the jet index's 2^62 key cap.
-    ``oracle`` says whether the check reads the ``oracle`` options.
+    check that never builds the chart (it reads only ``n``, which every check
+    accepts in ``CR_DIMENSIONS``).  ``oracle`` says whether the check reads
+    the ``oracle`` options.
     """
 
     fn: Callable[[CheckContext], Tuple[complex, complex]]
     symbol: str = "unread"
     symbol_kinds: Tuple[str, ...] = SYMBOL_KINDS
     chart_models: Tuple[str, ...] = CHART_MODELS
-    n_range: Tuple[int, int] = (1, 5)
     params: Tuple[str, ...] = ()
     oracle: bool = False
 
@@ -650,9 +645,7 @@ CHECK_SPECS: Dict[str, CheckSpec] = {
     "b1_reference": CheckSpec(check_b1_reference, symbol="required", symbol_kinds=("identity", "multiplication")),
     "composition_two_routes": CheckSpec(check_composition_two_routes, params=("num_pairs",)),
     "projector_idempotence": CheckSpec(check_projector_idempotence),
-    "subprincipal_invariance": CheckSpec(
-        check_subprincipal_invariance, chart_models=(), n_range=(1, 4), params=("num_diffeos",)
-    ),
+    "subprincipal_invariance": CheckSpec(check_subprincipal_invariance, chart_models=(), params=("num_diffeos",)),
     "p_operator_routes": CheckSpec(check_p_operator_routes, chart_models=("heisenberg",), params=("num_fields",)),
     "christoffel_table": CheckSpec(check_christoffel_table),
     "kohn_point_formula": CheckSpec(check_kohn_point_formula),
@@ -822,7 +815,7 @@ def default_config_doc() -> dict:
             "params": {"num_pairs": 25},
         },
     ]
-    for n in range(1, 6):
+    for n in CR_DIMENSIONS:
         scenarios.append(
             {
                 "name": f"expansion-exact-n{n}",

@@ -78,14 +78,18 @@ def _xy_base(d: int) -> Tuple[complex, ...]:
     return (0.0,) * (2 * d)
 
 
+def szego_norm(n: int) -> float:
+    """2 pi^{n+1}, the Szego projector's normalisation in CR dimension n."""
+    return 2.0 * math.pi ** (n + 1)
+
+
 def szego_amplitude(chart: CRModelChart) -> KernelAmplitude:
     """Projector amplitude for the model charts: A_0 = 1/(2 pi^{n+1}) exactly,
     A_1(0,0) = R(0)/(4 pi^{n+1}), higher coefficients zero."""
     n, d = chart.n, chart.dim
-    base = _xy_base(d)
-    norm = 1.0 / (2.0 * math.pi ** (n + 1))
-    a0 = Jet.constant(2 * d, AMPLITUDE_ORDER, base, norm)
-    a1 = complex(tw_scalar_curvature(chart) / (4.0 * math.pi ** (n + 1)))
+    norm = szego_norm(n)
+    a0 = Jet.constant(2 * d, AMPLITUDE_ORDER, _xy_base(d), 1.0 / norm)
+    a1 = complex(tw_scalar_curvature(chart) / (2.0 * norm))
     return KernelAmplitude(top_power=float(n), leading=a0, subleading=a1)
 
 
@@ -199,7 +203,7 @@ def compose_amplitudes_closed(
     n = chart.n
     d = chart.dim
     r0 = tw_scalar_curvature(chart)
-    pi_pow = math.pi ** (n + 1)
+    norm = szego_norm(n)
 
     u, pinned = list(range(d)), [None] * d
     a0 = A.leading.reindex(d, pinned + u, (0.0,) * d)  # A_0(0, u)
@@ -214,8 +218,8 @@ def compose_amplitudes_closed(
         grad_pair = 0.0 + 0.0j
         for grad_a, grad_b in grads:
             grad_pair += grad_a * grad_b
-        c0.append(2.0 * pi_pow * a0v * b0v)
-        c1.append(pi_pow * (
+        c0.append(norm * a0v * b0v)
+        c1.append(norm / 2.0 * (
             -a0v * b0v * r0 + 2.0 * (a0v * b1v + a1v * b0v) - a0v * box_b - b0v * box_a
             + 2j * (n - ell) * a0v * reeb_b + grad_pair
         ))
@@ -240,8 +244,7 @@ def toeplitz_b1_closed_form(E: ClassicalSymbol, chart: CRModelChart) -> Tuple[co
     """
     if not E.homogeneous:
         raise SymbolError("closed form requires a homogeneous-flagged symbol")
-    n = chart.n
-    pi_pow = math.pi ** (n + 1)
+    norm = szego_norm(chart.n)
 
     script_e0 = _e0_on_contact_graph(E, chart)
     e0v = script_e0.constant_term()
@@ -251,10 +254,8 @@ def toeplitz_b1_closed_form(E: ClassicalSymbol, chart: CRModelChart) -> Tuple[co
     p_e0 = p_operator_canonical(E.components[0])
     esub = subprincipal_symbol(E, chart.volume_density, 1.0)
 
-    b0 = e0v / (2.0 * pi_pow)
-    b1 = (
-        r0 * e0v - box_e0 + p_e0 + 2.0 * esub - 1j * E.order_m * reeb_e0
-    ) / (4.0 * pi_pow)
+    b0 = e0v / norm
+    b1 = (r0 * e0v - box_e0 + p_e0 + 2.0 * esub - 1j * E.order_m * reeb_e0) / (2.0 * norm)
     return b0, b1
 
 

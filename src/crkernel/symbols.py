@@ -11,6 +11,7 @@ truncation order by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -21,8 +22,8 @@ from .jets import Jet, Substitution, random_jet
 from .rng import spawn_rng
 
 
-#: default jet order of a symbol, kept by the subprincipal-invariance draws,
-#: whose seed streams depend on it; each consumer truncates to what it reads
+#: default jet order of a symbol; the subprincipal-invariance density and map
+#: draws keep it, because they share one seed stream with the draws after them
 SYMBOL_ORDER = 6
 
 
@@ -228,17 +229,20 @@ def invert_map(kappa: Sequence[Jet]) -> List[Jet]:
 
 
 def jet_matrix_determinant(mat: Sequence[Sequence[Jet]]) -> Jet:
-    """Determinant of a small square matrix of jets (Laplace expansion)."""
-    m = len(mat)
-    if m == 1:
-        return mat[0][0]
-    first = mat[0][0]
-    acc = Jet.zero(first.num_vars, first.order, first.base_point)
-    for c in range(m):
-        minor = [[mat[r][cc] for cc in range(m) if cc != c] for r in range(1, m)]
-        term = mat[0][c] * jet_matrix_determinant(minor)
-        acc = acc + term if c % 2 == 0 else acc - term
-    return acc
+    """Determinant of a small square matrix of jets by Laplace expansion along
+    the first row, each minor (the last k rows on k columns) formed once from
+    the smaller ones: an m x m matrix takes m 2^(m-1) - m products, not about m!."""
+    m, first = len(mat), mat[0][0]
+    zero = Jet.zero(first.num_vars, first.order, first.base_point)
+    minors = {(c,): mat[m - 1][c] for c in range(m)}
+    for k in range(2, m + 1):
+        for cols in combinations(range(m), k):
+            acc = zero
+            for i, c in enumerate(cols):
+                term = mat[m - k][c] * minors[cols[:i] + cols[i + 1 :]]
+                acc = acc + term if i % 2 == 0 else acc - term
+            minors[cols] = acc
+    return minors[tuple(range(m))]
 
 
 def _inverse_at(inverse: Sequence[Jet], order: int) -> List[Jet]:

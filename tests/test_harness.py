@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from crkernel.errors import ConfigError, OracleFitError
 from crkernel.harness import (
     CHECK_SPECS,
+    CR_DIMENSIONS,
     SYMBOL_KINDS,
     default_config,
     default_config_doc,
@@ -219,12 +223,16 @@ def test_params_key_no_check_reads_rejected():
         parse_config(doc)
 
 
+#: the one dimension rule's message, for a chart at n = 6
+N_CAP_MESSAGE = "chart.n: must be at most 5; at n = 6 the (x, y) and (x, xi) jets are (26, 4), past the jet index's"
+
+
 @pytest.mark.parametrize("check", ["quadrature_leading", "quadrature_subleading"])
 def test_quadrature_rejected_outside_the_oracle_dimensions(check):
     doc = small_config()
     doc["scenarios"][0]["chart"] = {"model": "heisenberg", "n": 6}
     doc["scenarios"][0]["checks"] = [check]
-    with pytest.raises(ConfigError, match=f"{check} does not apply at n = 6"):
+    with pytest.raises(ConfigError, match=re.escape(N_CAP_MESSAGE)):
         parse_config(doc)
     doc["scenarios"][0]["chart"]["n"] = 2
     parse_config(doc)
@@ -348,7 +356,13 @@ def test_subprincipal_invariance_inverts_each_diffeo_once(monkeypatch):
 
 def test_subprincipal_invariance_at_order_4_equals_the_draws_at_order_6():
     from crkernel.harness import CheckContext, RunCache, _diffeo_draw, _worst, check_subprincipal_invariance
-    from crkernel.symbols import invert_map, subprincipal_symbol, transform_density, transform_symbol_under_diffeo
+    from crkernel.symbols import (
+        invert_map,
+        random_classical_symbol,
+        subprincipal_symbol,
+        transform_density,
+        transform_symbol_under_diffeo,
+    )
 
     doc = small_config()
     doc["scenarios"][0]["checks"] = ["subprincipal_invariance"]
@@ -356,8 +370,14 @@ def test_subprincipal_invariance_at_order_4_equals_the_draws_at_order_6():
     ctx = CheckContext(parse_config(doc)["scenarios"][0], 0, {}, RunCache())
     pairs = []
     for k in range(4):
-        sym, lam, s_val, kappa = _diffeo_draw(ctx, k)
-        assert lam.order == kappa[0].order == sym.components[0].order == 6
+        sym4, lam, s_val, kappa = _diffeo_draw(ctx, k)
+        assert lam.order == kappa[0].order == 6 and sym4.components[0].order == 4
+        # the order-6 symbol from the same seed: its order-4 prefix is the draw
+        rng = ctx.rng("diffeo", k)
+        order_m, seed = float(rng.uniform(-1, 1)), int(rng.integers(1 << 30))
+        sym = random_classical_symbol(ctx.n, order_m, 2, seed=seed, homogeneous=False, order=6)
+        for c4, c6 in zip(sym4.components, sym.components):
+            assert c4.vector.tobytes() == c6.truncated(4).vector.tobytes()
         psi = invert_map(kappa)
         tsym = transform_symbol_under_diffeo(sym, kappa, psi)
         tlam = transform_density(lam, kappa, s_val, psi)
@@ -500,11 +520,35 @@ def test_default_config_covers_every_check_kind():
     cfg = default_config()
     seen = {c for s in cfg["scenarios"] for c in s.checks}
     assert set(CHECK_SPECS) <= seen
-    # the rows that witness the dimension constants run at every n they allow
+    # the rows that witness the dimension constants run at every n
     for check in ("quadrature_leading", "quadrature_subleading", "expansion_exact"):
-        low, high = CHECK_SPECS[check].n_range
         ns = {s.chart.n for s in cfg["scenarios"] if check in s.checks}
-        assert ns == set(range(low, high + 1)), check
+        assert ns == set(CR_DIMENSIONS), check
+
+
+def test_subprincipal_invariance_runs_at_n5():
+    tolerances = {"absolute": 1e-10, "relative": 0.0}
+    scenario = _scenario("n5", {"n": 5}, ["subprincipal_invariance"], tolerances=tolerances, params={"num_diffeos": 1})
+    (report,) = run_scenarios(parse_config({"scenarios": [scenario]}), timings=False)
+    assert report.all_passed
+
+
+def test_subprincipal_draws_grow_no_basis_past_the_chart_order():
+    # a fresh interpreter runs a two-route scenario, whose chart builds the (6, 4)
+    # basis, then an n = 1 invariance check, as a routes run does; an order-6
+    # symbol draw after the chart grew the 6-variable basis to order 8
+    doc = {"seed": 7, "scenarios": [
+        _homogeneous_scenario("two-route", 0.5, 1),
+        _scenario("subprincipal", {"n": 1}, ["subprincipal_invariance"], params={"num_diffeos": 1}),
+    ]}
+    code = (
+        "import json, sys, crkernel.jets as jets; from crkernel.harness import parse_config, run_scenarios; "
+        "run_scenarios(parse_config(json.loads(sys.argv[1]))); print(jets._BASES[6].order)"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    args = [sys.executable, "-c", code, json.dumps(doc)]
+    out = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+    assert int(out.stdout) <= 6
 
 
 # -- CLI ------------------------------------------------------------------------------------
@@ -548,13 +592,13 @@ def test_cli_config_error_exit_two(tmp_path, capsys):
     assert "config.oracle.cutoff_radius: cutoff radius must lie in (0, 2) to keep Im(phase) >= 0" in err
 
 
-@pytest.mark.parametrize("check,n", [("expansion_exact", 6), ("subprincipal_invariance", 5)])
+@pytest.mark.parametrize("check,n", [(check, 6) for check in CHECK_SPECS])
 def test_cli_rejects_dimensions_beyond_the_jet_index_cap(tmp_path, capsys, check, n):
-    # the n = 6 phase jet (26, 4) and the n = 5 order-6 symbol draw (22, 6)
-    # would fail only when run, with exit 3
+    # every check meets the one rule on chart.n before its own rules: a phase
+    # or symbol jet at (26, 4) would fail only when run, with exit 3
     doc = {"scenarios": [_scenario("capped", {"n": n}, [check])]}
     assert cli.main(["--config", write_config(tmp_path, doc)]) == 2
-    assert f"{check} does not apply at n = {n}" in capsys.readouterr().err
+    assert N_CAP_MESSAGE in capsys.readouterr().err
 
 
 def test_cli_unwritable_out_exits_two(tmp_path, capsys):
@@ -679,12 +723,39 @@ def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
 DEFAULT_SUITE_SHA256 = "3c236180ef2e696abfe877d70532a52c573f246841c034f1af08d1816f7e27a1"
 
 
-def test_default_suite_report_bytes_are_pinned(tmp_path, capsys):
+#: sha256 of every (A, B) pair the default suite's checks compare, not only each
+#: record's worst: one "A.real A.imag B.real B.imag" line per pair at 17 digits
+DEFAULT_SUITE_PAIRS_SHA256 = "77d2e76e6d62ed1251d94761925ff3359b92c80809b14440209d9eab8f9e4793"
+
+
+def test_default_suite_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     # in-process, after other tests have filled the jet caches: a record must not
     # depend on what ran before it
+    import crkernel.harness as harness
+
+    pairs = []
+
+    def recording(candidates, _worst=harness._worst):
+        candidates = list(candidates)
+        pairs.extend(candidates)
+        return _worst(candidates)
+
+    def recorded(fn):  # a check that calls no _worst compares one pair
+        def check(ctx):
+            pairs.append(fn(ctx))
+            return pairs[-1]
+
+        return check
+
+    monkeypatch.setattr(harness, "_worst", recording)
+    for check_id, fn in list(harness.CHECKS.items()):
+        monkeypatch.setitem(harness.CHECKS, check_id, recorded(fn))
     out = tmp_path / "report.json"
     assert cli.main(["--out", str(out), "--no-timings"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SUITE_SHA256
+    text = "".join(f"{a.real:.17g} {a.imag:.17g} {b.real:.17g} {b.imag:.17g}\n" for a, b in
+                   (map(complex, pair) for pair in pairs))
+    assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SUITE_PAIRS_SHA256, len(pairs)
 
 
 def test_cli_overrides_go_through_parse_config(tmp_path, capsys):
@@ -725,18 +796,16 @@ def test_quadrature_memo_is_keyed_by_chart():
 def render_check_table():
     """The README's check table, rendered from CHECK_SPECS."""
     rows = [
-        "| check | symbol | chart models | n | params |",
-        "|---|---|---|---|---|",
+        "| check | symbol | chart models | params |",
+        "|---|---|---|---|",
     ]
     for check_id, spec in CHECK_SPECS.items():
         symbol = "—" if spec.symbol == "unread" else spec.symbol
         if spec.symbol != "unread" and spec.symbol_kinds != SYMBOL_KINDS:
             symbol += " (" + ", ".join(spec.symbol_kinds) + ")"
         models = ", ".join(spec.chart_models) or "not built"
-        low, high = spec.n_range
-        n = str(low) if low == high else f"{low}–{high}"
         params = ", ".join(f"`{p}`" for p in spec.params) or "—"
-        rows.append(f"| `{check_id}` | {symbol} | {models} | {n} | {params} |")
+        rows.append(f"| `{check_id}` | {symbol} | {models} | {params} |")
     return rows
 
 

@@ -13,6 +13,7 @@ from crkernel.symbols import (
     homogeneity_extend,
     identity_symbol,
     invert_map,
+    jet_matrix_determinant,
     make_multiplication_symbol,
     p_operator_canonical,
     p_operator_geometric,
@@ -317,6 +318,52 @@ def test_transform_density_reads_kappa_above_the_density_order():
     got = transform_density(lam.truncated(4), kappa, 1.5, psi)
     want = transform_density(lam, kappa, 1.5, psi).truncated(4)
     assert max_coeff_difference(got, want) <= 1e-14 * max(want.max_abs(), 1.0)
+
+
+def _laplace_determinant(mat):
+    """Reference: Laplace expansion along the first row, every minor formed again."""
+    m = len(mat)
+    if m == 1:
+        return mat[0][0]
+    first = mat[0][0]
+    acc = Jet.zero(first.num_vars, first.order, first.base_point)
+    for c in range(m):
+        minor = [[mat[r][cc] for cc in range(m) if cc != c] for r in range(1, m)]
+        term = mat[0][c] * _laplace_determinant(minor)
+        acc = acc + term if c % 2 == 0 else acc - term
+    return acc
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_determinant_equals_the_plain_laplace_recursion_bit_for_bit(m):
+    rng = spawn_rng(m, "determinant")
+    mat = [[random_jet(rng, D, 2, (0.0,) * D) for _ in range(m)] for _ in range(m)]
+    assert jet_matrix_determinant(mat).vector.tobytes() == _laplace_determinant(mat).vector.tobytes()
+
+
+def test_determinant_of_constants_matches_numpy():
+    rng = spawn_rng(0, "determinant-constants")
+    for m in range(1, 8):
+        a = rng.standard_normal((m, m))
+        mat = [[Jet.constant(D, 1, (0.0,) * D, a[r, c]) for c in range(m)] for r in range(m)]
+        want = np.linalg.det(a)
+        assert abs(jet_matrix_determinant(mat).constant_term() - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_determinant_forms_each_minor_once(monkeypatch):
+    # work guard: each of the C(9, k) minors takes k products, where the plain
+    # recursion makes about 9! of them
+    calls = []
+    product = Jet._mul_jet
+
+    def counting(self, other):
+        calls.append(1)
+        return product(self, other)
+
+    monkeypatch.setattr(Jet, "_mul_jet", counting)
+    rng = spawn_rng(9, "determinant-work")
+    jet_matrix_determinant([[random_jet(rng, D, 1, (0.0,) * D) for _ in range(9)] for _ in range(9)])
+    assert len(calls) <= 9 * 2**8
 
 
 def test_transform_singular_jacobian_rejected():
