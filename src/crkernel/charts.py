@@ -13,7 +13,9 @@ value by the consistency identity
 
 where Lap sums second derivatives over the first 2n coordinates.  That
 identity is validated at construction and is what makes the two coefficient
-routes downstream agree on perturbed charts.
+routes downstream agree on perturbed charts.  The quartic is a table of
+monomial coefficients, its products of linear forms expanded exactly, and
+Lap^2 h1(0) is read from the table's entries; neither forms a jet product.
 
 Index conventions (0-based throughout):
   * x-space jets have 2n+1 variables, base 0; the distinguished coordinate is
@@ -243,17 +245,17 @@ def heisenberg_chart(n: int) -> CRModelChart:
 
 
 def quartic_channel_value(phase_quartic: Dict[MultiIndex, complex], n: int) -> complex:
-    """Lap^2 [psi(0,u) + psi(u,0)](0) for a quartic perturbation table."""
+    """Lap^2 [psi(0,u) + psi(u,0)](0) for a quartic perturbation table, read from
+    its pure-y and pure-x u_a^2 u_b^2 entries y and x: per (a, b), (+0 + y) + (+0 + x),
+    as the two restrictions' jets hold it, times the derivative's 2! 2! (4! if a = b)."""
     d = 2 * n + 1
-    nv = 2 * d
-    order = 4
-    psi = Jet(nv, order, (0,) * nv, dict(phase_quartic))
-    u, zero = list(range(d)), [None] * d
-    s = psi.reindex(d, zero + u, (0.0,) * d) + psi.reindex(d, u + zero, (0.0,) * d)
     total = 0.0 + 0.0j
     for a in range(2 * n):
         for b in range(2 * n):
-            total += s.derivative_at(a, a, b, b)
+            u = tuple((k == a) * 2 + (k == b) * 2 for k in range(d))
+            y, x = (complex(phase_quartic.get(idx, 0.0)) for idx in ((0,) * d + u, u + (0,) * d))
+            s = complex(0.0 + y.real, 0.0 + y.imag) + complex(0.0 + x.real, 0.0 + x.imag)
+            total += s * (24.0 if a == b else 4.0)
     return total
 
 
@@ -336,6 +338,9 @@ def random_perturbation(
     Curvature is split randomly between the density channel and the phase
     channel; extra diagonal-vanishing quartic terms are added for variety and
     the last quartic coefficient is calibrated to land the identity exactly.
+    Each quartic term, a product of four linear forms with +-1 coefficients,
+    is expanded exactly over its monomials, and the identity is read from the
+    table (``quartic_channel_value``).
     """
     rng = spawn_rng(seed, "perturbation", n, repr(R_synth))
     d = 2 * n + 1
@@ -349,31 +354,40 @@ def random_perturbation(
     for a in range(2 * n):
         Q[a, a] += shift
 
-    dx = [Jet.displacement(k, nv, 4, (0.0,) * nv) for k in range(nv)]
-    diff = [dx[d + a] - dx[a] for a in range(2 * n)]  # y_a - x_a
+    diff = [((d + a, 1), (a, -1)) for a in range(2 * n)]  # y_a - x_a as (variable, sign) terms
+
+    def expand(forms) -> List[Tuple[MultiIndex, complex]]:
+        """The nonzero monomial coefficients of a product of linear forms, in graded order."""
+        coeffs: Dict[MultiIndex, int] = {(0,) * nv: 1}
+        for form in forms:
+            product: Dict[MultiIndex, int] = {}
+            for idx, c in coeffs.items():
+                for var, sign in form:
+                    key = idx[:var] + (idx[var] + 1,) + idx[var + 1 :]
+                    product[key] = product.get(key, 0) + c * sign
+            coeffs = product
+        return [(idx, complex(c)) for idx, c in sorted(coeffs.items()) if c]
 
     table: Dict[MultiIndex, complex] = {}
     for _ in range(4):
-        a = int(rng.integers(0, 2 * n))
-        term = diff[a]
+        forms = [diff[int(rng.integers(0, 2 * n))]]
         for _ in range(3):
             kind = rng.integers(0, 3)
             if kind == 0:
-                term = term * diff[int(rng.integers(0, 2 * n))]
+                forms.append(diff[int(rng.integers(0, 2 * n))])
             elif kind == 1:
-                term = term * dx[int(rng.integers(0, d))]          # any x
+                forms.append(((int(rng.integers(0, d)), 1),))          # any x
             else:
-                term = term * dx[d + int(rng.integers(0, 2 * n))]  # y'
+                forms.append(((d + int(rng.integers(0, 2 * n)), 1),))  # y'
         coeff = 0.2 * (rng.standard_normal() + 1j * rng.standard_normal())
-        for idx, c in term.graded_items():
+        for idx, c in expand(forms):
             table[idx] = table.get(idx, 0.0) + coeff * c
 
     current = quartic_channel_value(table, n)
     target = 16j * (1.0 - weight) * R_synth
-    cal = (diff[0] * diff[0]) * (diff[0] * diff[0])
     # Lap^2 of 2 c u_0^4 at 0 is 48 c
     ccal = (target - current) / 48.0
-    for idx, c in cal.graded_items():
+    for idx, c in expand([diff[0]] * 4):
         table[idx] = table.get(idx, 0.0) + ccal * c
     table = {idx: c for idx, c in table.items() if c != 0}
     return Q, table

@@ -36,7 +36,6 @@ from .charts import (
 from .errors import ConfigError, OracleFitError
 from .jets import Jet, random_jet
 from .pipeline import (
-    KernelAmplitude,
     compose_amplitudes_closed,
     compose_amplitudes_sp,
     random_amplitude,
@@ -47,6 +46,7 @@ from .pipeline import (
 )
 from .rng import Stream, spawn_rng
 from .stationary import (
+    HessianAlgebra,
     PhaseCriticalData,
     build_phase_data,
     exact_coefficients,
@@ -334,12 +334,14 @@ def read_config_doc(path: str):
 
 class RunCache:
     """Charts, phase data and quadrature fits built during one ``run_scenarios``
-    call, keyed by chart spec; scenarios on one chart share them, and nothing
-    outlives the run."""
+    call, keyed by chart spec, and Hessian algebras keyed by Hessian; scenarios
+    on one chart, and charts of one Hessian, share them, and nothing outlives
+    the run."""
 
     def __init__(self):
         self.charts: Dict[ChartSpec, CRModelChart] = {}
         self.phase_data: Dict[ChartSpec, PhaseCriticalData] = {}
+        self.hessian_algebras: Dict[bytes, HessianAlgebra] = {}
         self.quadrature: Dict[Tuple[ChartSpec, int], list] = {}
 
     def chart(self, spec: ChartSpec) -> CRModelChart:
@@ -354,7 +356,7 @@ class RunCache:
 
     def phase(self, spec: ChartSpec) -> PhaseCriticalData:
         if spec not in self.phase_data:
-            self.phase_data[spec] = build_phase_data(self.chart(spec))
+            self.phase_data[spec] = build_phase_data(self.chart(spec), self.hessian_algebras)
         return self.phase_data[spec]
 
 
@@ -484,16 +486,14 @@ def check_b1_reference(ctx: CheckContext):
 
 
 def check_composition_two_routes(ctx: CheckContext):
-    """Both routes on every drawn pair at once: the pairs are stacked, and
-    each route is called once and returns one value per pair."""
-    drawn = []
-    for k in range(ctx.param("num_pairs", 5)):
-        rng = ctx.rng("composition", k)
-        la = float(rng.uniform(-1.0, 2.0))
-        lc = float(rng.uniform(-1.0, 2.0))
-        A = random_amplitude(ctx.n, la, seed=int(rng.integers(1 << 30)))
-        drawn.append((A, random_amplitude(ctx.n, lc, seed=int(rng.integers(1 << 30)))))
-    A, C = (KernelAmplitude.stack(column) for column in zip(*drawn))
+    """Both routes on every drawn pair at once: each pair draws its two top
+    powers and two seeds, the A and the C amplitudes are drawn as two stacks,
+    and each route is called once and returns one value per pair."""
+    draws = []  # per pair: the A and C top powers, then their seeds
+    for rng in (ctx.rng("composition", k) for k in range(ctx.param("num_pairs", 5))):
+        draws.append([float(rng.uniform(-1.0, 2.0)) for _ in "AC"] + [int(rng.integers(1 << 30)) for _ in "AC"])
+    la, lc, seed_a, seed_c = map(list, zip(*draws))
+    A, C = random_amplitude(ctx.n, la, seed_a), random_amplitude(ctx.n, lc, seed_c)
     sp0, sp1 = compose_amplitudes_sp(A, C, ctx.chart, phase_data=ctx.phase_data)
     c0, c1 = compose_amplitudes_closed(A, C, ctx.chart)
     rows = zip(sp0.tolist(), c0.tolist(), sp1.tolist(), c1.tolist())
@@ -508,7 +508,9 @@ def check_projector_idempotence(ctx: CheckContext):
 
 def _diffeo_draw(ctx: CheckContext, k: int):
     """(symbol, density, s, kappa) of the k-th subprincipal-invariance draw: the
-    symbol at order 4, the order the check reads, the rest at ``SYMBOL_ORDER``."""
+    symbol at order 4 and the density at order 1, the orders the check reads
+    (the density is drawn at ``SYMBOL_ORDER`` and exponentiated after its
+    truncation), and kappa at ``SYMBOL_ORDER``."""
     d = 2 * ctx.n + 1
     order = SYMBOL_ORDER
     rng = ctx.rng("diffeo", k)
@@ -516,7 +518,7 @@ def _diffeo_draw(ctx: CheckContext, k: int):
         ctx.n, float(rng.uniform(-1, 1)), 2,
         seed=int(rng.integers(1 << 30)), homogeneous=False, order=4,
     )
-    lam = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.4, min_degree=1).scale(0.5).exp()
+    lam = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.4, min_degree=1).scale(0.5).truncated(1).exp()
     s_val = float(rng.uniform(0.5, 2.0))
     kappa = []
     for c in range(d):
@@ -531,9 +533,10 @@ def check_subprincipal_invariance(ctx: CheckContext):
         sym, lam, s_val, kappa = _diffeo_draw(ctx, k)
         # the compared values are constant terms, and a degree never reads a higher one:
         # kappa drops to the symbol's order 4 (the transform's two derivative levels and
-        # its d^2 kappa term), the density to order 1 (the subprincipal value reads degree
-        # 1), and kappa is inverted at order 2, all that either transform reads of the inverse
-        lam, kappa = lam.truncated(1), [c.truncated(4) for c in kappa]
+        # its d^2 kappa term), the density is drawn at order 1 (the subprincipal value
+        # reads degree 1), and kappa is inverted at order 2, all that either transform
+        # reads of the inverse
+        kappa = [c.truncated(4) for c in kappa]
         psi = invert_map([c.truncated(2) for c in kappa])
         tsym = transform_symbol_under_diffeo(sym, kappa, psi)
         tlam = transform_density(lam, kappa, s_val, psi)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -46,8 +46,8 @@ class KernelAmplitude:
     """Classical amplitude b(x,y,t) ~ b_0(x,y) t^{top_power} + b_1 t^{top_power - 1}
     + ...: the leading coefficient as a jet independent of the last y
     variable, and the subleading one by its value at (0, 0), all that the
-    diagonal formulas read of it.  A stack (``KernelAmplitude.stack``) holds
-    a batch leading jet and per-row arrays of top_power and subleading."""
+    diagonal formulas read of it.  A stack (``random_amplitude`` of lists)
+    holds a batch leading jet and per-row arrays of top_power and subleading."""
 
     top_power: float
     leading: Jet
@@ -61,12 +61,6 @@ class KernelAmplitude:
             raise SymbolError("amplitude depends on the last y variable")
         if b0.order != AMPLITUDE_ORDER:
             raise SymbolError(f"amplitude jets have order {AMPLITUDE_ORDER}, not {b0.order}")
-
-    @staticmethod
-    def stack(amplitudes: Sequence["KernelAmplitude"]) -> "KernelAmplitude":
-        """The amplitude whose row r is ``amplitudes[r]``."""
-        top, leading, sub = zip(*[(a.top_power, a.leading, a.subleading) for a in amplitudes])
-        return KernelAmplitude(np.array(top), Jet.stack(leading), np.array(sub, dtype=complex))
 
 
 def _rows(value) -> list:
@@ -271,8 +265,10 @@ def toeplitz_b1_pipeline(
     return compose_amplitudes_sp(A, C, chart, phase_data=phase_data)
 
 
-def random_amplitude(n: int, top_power: float, seed: int) -> KernelAmplitude:
-    """Seeded y-independent amplitude for cross-route checks.
+def random_amplitude(n: int, top_power, seed) -> KernelAmplitude:
+    """Seeded y-independent amplitude for cross-route checks; of equal-length
+    lists of top powers and seeds, the stack whose row r is, bit for bit, the
+    amplitude of ``top_power[r]`` and ``seed[r]``.
 
     The leading jet is ``random_jet(rng, 2d, AMPLITUDE_ORDER, 0, decay=0.5)``
     and the subleading value the constant term of a second such draw; the
@@ -282,10 +278,13 @@ def random_amplitude(n: int, top_power: float, seed: int) -> KernelAmplitude:
     nv = 2 * d
     zero = Jet.zero(nv, AMPLITUDE_ORDER, _xy_base(d))
     size = zero.vector.size
-    draws = spawn_rng(seed, "amplitude", n, repr(top_power)).standard_normal((size + 1, 2))
+    streams = [spawn_rng(s, "amplitude", n, repr(t)) for t, s in zip(_rows(top_power), _rows(seed))]
+    draws = np.array([rng.standard_normal((size + 1, 2)) for rng in streams])
     mags = np.array([0.5**k for k in range(AMPLITUDE_ORDER + 1)])[zero.basis.degrees[:size]]
-    vector = np.zeros(size, dtype=complex)
-    vector.real, vector.imag = draws[:size, 0] * mags, draws[:size, 1] * mags
+    vector = np.zeros((len(draws), size), dtype=complex)
+    vector.real, vector.imag = draws[:, :size, 0] * mags, draws[:, :size, 1] * mags
     b0 = zero._like(vector).reindex(nv, [*range(nv - 1), None], _xy_base(d))  # y_last pinned at 0
-    subleading = complex(*draws[size]) if draws[size].any() else 0.0 + 0.0j
-    return KernelAmplitude(top_power=top_power, leading=b0, subleading=subleading)
+    subleading = [complex(*row) if row.any() else 0.0 + 0.0j for row in draws[:, size]]
+    if np.ndim(seed):
+        return KernelAmplitude(np.array(top_power), b0, np.array(subleading, dtype=complex))
+    return KernelAmplitude(top_power=top_power, leading=b0._like(b0.vector[0]), subleading=subleading[0])

@@ -60,8 +60,46 @@ class PhaseCriticalData:
         return 2 * self.n + 2
 
 
-def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
-    """Assemble Psi0(u, sigma) = sigma Phi(0, u) + Phi(u, 0) and its Hessian data."""
+@dataclass(frozen=True)
+class HessianAlgebra:
+    """What the L_1 operator reads of Psi0 through its Hessian alone."""
+
+    det_normalized: complex
+    sqrt_det: complex
+    q: Jet
+    weights: List[Tuple[np.ndarray, np.ndarray]]  # _contraction_weights(q, 3)
+
+
+def hessian_algebra(hess: np.ndarray) -> HessianAlgebra:
+    """The inverse (precision-checked), the branch-checked determinant root,
+    q and q's contraction weights of a phase Hessian."""
+    nv = len(hess)
+    try:
+        hess_inv = np.linalg.inv(hess)
+    except np.linalg.LinAlgError as exc:
+        raise HessianError("phase Hessian at the critical point is singular") from exc
+    if np.max(np.abs(hess @ hess_inv - np.eye(nv))) > 1e-12:
+        raise HessianError("phase Hessian inversion lost precision")
+
+    det_norm = complex(np.linalg.det(hess / (2j * math.pi)))
+    root = np.sqrt(det_norm)
+    if root.real <= 0:
+        raise BranchError("determinant square root does not lie in the right half plane")
+
+    table: Dict[Tuple[int, ...], complex] = {}
+    for a in range(nv):
+        for b in range(a, nv):
+            val = -hess_inv[a, b] if a == b else -2.0 * hess_inv[a, b]
+            if abs(val) > 1e-15:
+                table[tuple((k == a) + (k == b) for k in range(nv))] = complex(val)
+    q = Jet(nv, 2, (0.0,) * nv, table)
+    return HessianAlgebra(det_normalized=det_norm, sqrt_det=complex(root), q=q, weights=_contraction_weights(q, 3))
+
+
+def build_phase_data(chart: CRModelChart, algebras: Optional[Dict[bytes, HessianAlgebra]] = None) -> PhaseCriticalData:
+    """Assemble Psi0(u, sigma) = sigma Phi(0, u) + Phi(u, 0) and its Hessian data; the
+    Hessian algebra is taken from, or added to, ``algebras`` (keyed by the Hessian's
+    bytes), so charts of one Hessian share one."""
     d = chart.dim
     nv = d + 1
     order = CHART_ORDER
@@ -84,36 +122,13 @@ def build_phase_data(chart: CRModelChart) -> PhaseCriticalData:
     for a in range(nv):
         for b in range(a, nv):
             hess[a, b] = hess[b, a] = psi0.derivative_at(a, b)
-    try:
-        hess_inv = np.linalg.inv(hess)
-    except np.linalg.LinAlgError as exc:
-        raise HessianError("phase Hessian at the critical point is singular") from exc
-    if np.max(np.abs(hess @ hess_inv - np.eye(nv))) > 1e-12:
-        raise HessianError("phase Hessian inversion lost precision")
+    algebras = {} if algebras is None else algebras
+    algebra = algebras.get(hess.tobytes()) or hessian_algebra(hess)
+    algebras[hess.tobytes()] = algebra
 
     h = psi0 - psi0.truncated(2).with_order(order)  # the cubic-and-higher remainder
-
-    det_norm = complex(np.linalg.det(hess / (2j * math.pi)))
-    root = np.sqrt(det_norm)
-    if root.real <= 0:
-        raise BranchError("determinant square root does not lie in the right half plane")
-
-    table: Dict[Tuple[int, ...], complex] = {}
-    for a in range(nv):
-        for b in range(a, nv):
-            val = -hess_inv[a, b] if a == b else -2.0 * hess_inv[a, b]
-            if abs(val) > 1e-15:
-                table[tuple((k == a) + (k == b) for k in range(nv))] = complex(val)
-    q = Jet(nv, 2, base, table)
     return PhaseCriticalData(
-        n=chart.n,
-        psi0=psi0,
-        hessian=hess,
-        h=h,
-        det_normalized=det_norm,
-        sqrt_det=complex(root),
-        q=q,
-        l1=_l1_functional(q, h),
+        chart.n, psi0, hess, h, algebra.det_normalized, algebra.sqrt_det, algebra.q, _l1_functional(algebra.weights, h)
     )
 
 
@@ -135,19 +150,18 @@ def _contraction_weights(q: Jet, count: int) -> List[Tuple[np.ndarray, np.ndarra
     return weights
 
 
-def _l1_functional(q: Jet, h: Jet) -> np.ndarray:
+def _l1_functional(weights: List[Tuple[np.ndarray, np.ndarray]], h: Jet) -> np.ndarray:
     """K_1 over the monomials of degree <= 2, with L_1 v = <K_1, v>:
 
         K_1[alpha] = i^{-1} sum_{mu=0}^{2} sum_{|alpha| + |beta| = 2(mu + 1)}
                      (h^mu)_beta w_{mu+1}[alpha + beta] / (mu! (mu+1)! 2^{mu+1}),
 
-    w_m the weights of _contraction_weights for q.  L_1 reads h^mu up to
-    degree 2(mu + 1): h to degree 4, the chart order, and h^2 to degree 6,
+    w_m = weights[m - 1] of _contraction_weights(q, 3).  L_1 reads h^mu up
+    to degree 2(mu + 1): h to degree 4, the chart order, and h^2 to degree 6,
     where only h's cubic part enters, so h^2 is formed at order 6.  Per mu,
     one product-table gather pairs the support of h^mu with the degree <= 2
     block and one bincount sums the terms.
     """
-    weights = _contraction_weights(q, 3)
     h6 = h.with_order(6)
     powers = [Jet.constant(h.num_vars, 0, h.base_point, 1.0), h, h6 * h6]
     basis = h6.basis  # covers degree 2(mu + 1)

@@ -233,9 +233,8 @@ def test_perturbed_density_channel(chart):
     assert pch.volume_density.coefficient((2, 0, 0)) == pytest.approx(-0.35)
 
 
-def test_perturbed_phase_channel(chart):
-    # oracle: with a flat density the identity forces Lap^2 h1(0) = 16 i R
-    R = 0.7
+def _calibrated_table(R):
+    """c (x_0 - y_0)^4 with c = i R / 3, whose channel value is 16 i R."""
     c = 1j * R / 3.0
     table = {}
     for k in range(5):
@@ -243,6 +242,13 @@ def test_perturbed_phase_channel(chart):
         idx[3] = k
         idx[0] = 4 - k
         table[tuple(idx)] = c * math.comb(4, k) * ((-1.0) ** (4 - k))
+    return table
+
+
+def test_perturbed_phase_channel(chart):
+    # oracle: with a flat density the identity forces Lap^2 h1(0) = 16 i R
+    R = 0.7
+    table = _calibrated_table(R)
     assert quartic_channel_value(table, 1) == pytest.approx(16j * R)
     pch = perturbed_chart(chart, R, None, table)
     assert tw_scalar_curvature(pch) == R
@@ -257,6 +263,43 @@ def test_perturbed_phase_holds_its_whole_quartic(n, r_synth, seed):
     assert table and all(sum(idx) == 4 for idx in table)
     assert (pch.phase - base.phase).coeffs == table
     assert tw_scalar_curvature(pch) == r_synth
+
+
+def _jet_channel_value(table, n):
+    """Lap^2 [psi(0,u) + psi(u,0)](0) through the jets: the table as a jet,
+    its two restrictions, and the derivative reader."""
+    d = 2 * n + 1
+    psi = Jet(2 * d, 4, (0,) * (2 * d), dict(table))
+    u, zero = list(range(d)), [None] * d
+    s = psi.reindex(d, zero + u, (0.0,) * d) + psi.reindex(d, u + zero, (0.0,) * d)
+    total = 0.0 + 0.0j
+    for a in range(2 * n):
+        for b in range(2 * n):
+            total += s.derivative_at(a, a, b, b)
+    return total
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_quartic_channel_value_equals_the_jet_reading(n):
+    # bit for bit, on seeded tables (the last overflows to a NaN value), on the
+    # calibrated table, and on pure-x and pure-y entries that cancel or are -0
+    tables = [random_perturbation(n, r, seed)[1] for seed, r in ((3, 0.3), (4, -0.7), (5, 1.1), (6, 0.0), (1, 1e308))]
+    if n == 1:
+        u = (2, 2, 0)
+        tables += [_calibrated_table(0.7), {u + (0,) * 3: 0.25 - 1j, (0,) * 3 + u: -0.25 + 1j, (4, 0, 0, 0, 0, 0): -0.0j}]
+    for table in tables:
+        got, want = quartic_channel_value(table, n), _jet_channel_value(table, n)
+        assert (got.real.hex(), got.imag.hex()) == (want.real.hex(), want.imag.hex())
+
+
+def test_perturbation_forms_no_jet_product(monkeypatch):
+    products = []
+    mul = Jet._mul_jet
+    monkeypatch.setattr(Jet, "_mul_jet", lambda self, other: products.append(1) or mul(self, other))
+    for n in (1, 3):
+        _, table = random_perturbation(n, 0.7, seed=3)
+        quartic_channel_value(table, n)
+    assert products == []
 
 
 def test_perturbed_rejects_y_last_in_quartic(chart):

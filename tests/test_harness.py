@@ -371,7 +371,7 @@ def test_subprincipal_invariance_at_order_4_equals_the_draws_at_order_6():
     pairs = []
     for k in range(4):
         sym4, lam, s_val, kappa = _diffeo_draw(ctx, k)
-        assert lam.order == kappa[0].order == 6 and sym4.components[0].order == 4
+        assert lam.order == 1 and kappa[0].order == 6 and sym4.components[0].order == 4
         # the order-6 symbol from the same seed: its order-4 prefix is the draw
         rng = ctx.rng("diffeo", k)
         order_m, seed = float(rng.uniform(-1, 1)), int(rng.integers(1 << 30))
@@ -426,16 +426,17 @@ def _scenario(name, chart, checks, **extra):
 
 def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
     import crkernel.harness as harness
+    import crkernel.stationary as stationary
 
     calls = []
     names = ("heisenberg_chart", "perturbed_chart", "build_phase_data", "oracle_sweep", "numeric_expansion_oracle")
-    for name in names:
+    for module, name in [(harness, name) for name in names] + [(stationary, "hessian_algebra")]:
 
-        def counting(*args, _name=name, _original=getattr(harness, name), **kwargs):
+        def counting(*args, _name=name, _original=getattr(module, name), **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(harness, name, counting)
+        monkeypatch.setattr(module, name, counting)
     flat = {"model": "heisenberg", "n": 1}
     curved = {"model": "perturbed", "n": 1, "r_synth": 0.7, "seed": 3}
     quadrature = {"params": {"num_amplitudes": 1}}
@@ -451,11 +452,13 @@ def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
         ],
     }
     config = parse_config(doc)
-    # the exact chart also serves as the perturbed chart's base
+    # the exact chart also serves as the perturbed chart's base, and the
+    # perturbed chart's quartic leaves the exact chart's Hessian algebra
     once = {
         "heisenberg_chart": 1,
         "perturbed_chart": 1,
         "build_phase_data": 2,
+        "hessian_algebra": 1,
         "oracle_sweep": 1,
         "numeric_expansion_oracle": 1,
     }
@@ -464,6 +467,124 @@ def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
     second = run_scenarios(config, timings=False)  # a new run builds everything again
     assert Counter(calls) == {name: 2 * count for name, count in once.items()}
     assert emit_report(first) == emit_report(second)
+
+
+class _Recording:
+    """A module whose attributes are the module's, but for the given overrides."""
+
+    def __init__(self, module, **overrides):
+        self._module = module
+        self.__dict__.update(overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._module, name)
+
+
+@pytest.fixture(scope="module")
+def default_run():
+    """The run cache of a default-suite run, and the size of every matrix
+    ``crkernel.stationary`` inverted during the run."""
+    import numpy as np
+
+    import crkernel.harness as harness
+    import crkernel.stationary as stationary
+
+    caches, inverted = [], []
+
+    class RecordingCache(harness.RunCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    linalg = _Recording(np.linalg, inv=lambda a: inverted.append(len(a)) or np.linalg.inv(a))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "RunCache", RecordingCache)
+        m.setattr(stationary, "np", _Recording(np, linalg=linalg))
+        reports = run_scenarios(default_config(), timings=False)
+    assert all(rep.all_passed for rep in reports)
+    (cache,) = caches
+    return cache, inverted
+
+
+def _field_bits(value):
+    import numpy as np
+
+    from crkernel.jets import Jet
+
+    if isinstance(value, Jet):
+        return value.num_vars, value.order, value.base_point, value.vector.tobytes()
+    if isinstance(value, np.ndarray):
+        return value.shape, value.tobytes()
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    return value
+
+
+def test_run_phase_data_equals_a_fresh_build_per_chart(default_run):
+    # charts of one n share the exact chart's Hessian algebra, and every field
+    # equals the one build_phase_data forms for the chart alone
+    import dataclasses
+
+    from crkernel.harness import ChartSpec, RunCache
+    from crkernel.stationary import build_phase_data
+
+    cache, _ = default_run
+    assert {spec.n for spec in cache.phase_data} == set(CR_DIMENSIONS)
+    assert any(spec.model == "perturbed" for spec in cache.phase_data)
+    for spec, data in cache.phase_data.items():
+        fresh = build_phase_data(RunCache().chart(spec))
+        for field in dataclasses.fields(data):
+            got, want = getattr(data, field.name), getattr(fresh, field.name)
+            assert _field_bits(got) == _field_bits(want), (spec, field.name)
+        assert data.q is cache.phase_data[ChartSpec(n=spec.n)].q
+
+
+def test_default_suite_inverts_one_hessian_per_n(default_run):
+    _, inverted = default_run
+    assert sorted(inverted) == [2 * n + 2 for n in CR_DIMENSIONS]
+
+
+def test_hessian_algebra_is_formed_per_call_outside_a_run(monkeypatch):
+    # no cache outlives a call or a run: a module-level one would hide a
+    # patched numpy (test_broken_branch_invariant_is_a_numerical_error) and
+    # the mutation gate's in-process mutants
+    import crkernel.stationary as stationary
+    from crkernel.charts import heisenberg_chart
+
+    formed = []
+    original = stationary.hessian_algebra
+    monkeypatch.setattr(stationary, "hessian_algebra", lambda hess: formed.append(len(hess)) or original(hess))
+    chart = heisenberg_chart(1)
+    stationary.build_phase_data(chart)
+    stationary.build_phase_data(chart)
+    assert formed == [4, 4]
+
+
+def test_composition_draws_each_amplitude_batch_with_one_reindex(monkeypatch):
+    import crkernel.harness as harness
+    from crkernel.jets import Jet
+
+    per_draw, inside = [], []
+    draw, reindex = harness.random_amplitude, Jet.reindex
+
+    def drawing(n, top_power, seed):
+        inside.append(0)
+        out = draw(n, top_power, seed)
+        per_draw.append((out.leading.rows, inside.pop()))
+        return out
+
+    def counting(self, *args):
+        if inside:
+            inside[-1] += 1
+        return reindex(self, *args)
+
+    monkeypatch.setattr(harness, "random_amplitude", drawing)
+    monkeypatch.setattr(Jet, "reindex", counting)
+    doc = small_config()
+    doc["scenarios"][0]["checks"] = ["composition_two_routes"]
+    doc["scenarios"][0]["params"] = {"num_pairs": 5}
+    assert run_scenarios(parse_config(doc), timings=False)[0].all_passed
+    assert per_draw == [(5, 1), (5, 1)]  # the A batch and the C batch
 
 
 def test_quadrature_amplitudes_share_one_moment_table_per_t_sample(monkeypatch):

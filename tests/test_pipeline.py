@@ -222,12 +222,10 @@ def test_stacked_composition_rows_equal_the_single_pair_calls(n, model):
     if model == "perturbed":
         ch = perturbed_chart(ch, 0.7, *random_perturbation(n, 0.7, seed=17))
     data = build_phase_data(ch)
-    pairs = []
-    for k in range(5):
-        rng = spawn_rng(k, "stacked-pair", n)
-        la, lc = float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2))
-        pairs.append((random_amplitude(n, la, seed=800 + k), random_amplitude(n, lc, seed=900 + k)))
-    A, C = (KernelAmplitude.stack(column) for column in zip(*pairs))
+    draws = [(float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2))) for rng in (spawn_rng(k, "stacked-pair", n) for k in range(5))]
+    la, lc = map(list, zip(*draws))
+    A, C = random_amplitude(n, la, [800 + k for k in range(5)]), random_amplitude(n, lc, [900 + k for k in range(5)])
+    pairs = [(random_amplitude(n, la[k], seed=800 + k), random_amplitude(n, lc[k], seed=900 + k)) for k in range(5)]
     sp0, sp1 = compose_amplitudes_sp(A, C, ch, phase_data=data)
     c0, c1 = compose_amplitudes_closed(A, C, ch)
     for r, (a, c) in enumerate(pairs):
@@ -247,6 +245,21 @@ def test_random_amplitude_reads_the_two_draws_of_the_leading_shape(n):
         A = random_amplitude(n, top_power, seed)
         assert A.leading.vector.tobytes() == b0.reindex(2 * d, [*range(2 * d - 1), None], base).vector.tobytes()
         assert _bits([A.subleading]) == _bits([b1.constant_term()])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_each_row_of_an_amplitude_batch_is_its_single_draw(n):
+    rng = spawn_rng(n, "amplitude-batch")
+    tops = [float(rng.uniform(-1, 2)) for _ in range(7)]
+    seeds = [int(rng.integers(1 << 30)) for _ in range(7)]
+    for rows in (1, 7):
+        batch = random_amplitude(n, tops[:rows], seeds[:rows])
+        assert batch.leading.rows == rows
+        for r in range(rows):
+            single = random_amplitude(n, tops[r], seeds[r])
+            assert single.leading.rows is None and single.top_power == batch.top_power[r] == tops[r]
+            assert single.leading.vector.tobytes() == batch.leading.vector[r].tobytes()
+            assert _bits([single.subleading]) == _bits([batch.subleading[r]])
 
 
 def test_compose_constant_flat_case(chart):

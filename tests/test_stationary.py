@@ -130,7 +130,7 @@ def _with_more_cubic_terms(data):
     in K_1; these terms give K_1's mu = 2 term a value.
     """
     h = data.h + Jet(NV, data.h.order, BASE, {(3, 0, 0, 0): 0.3, (0, 0, 2, 1): -0.2j})
-    return dataclasses.replace(data, h=h, l1=_l1_functional(data.q, h))
+    return dataclasses.replace(data, h=h, l1=_l1_functional(_contraction_weights(data.q, 3), h))
 
 
 #: amplitude order checked per phase case
