@@ -608,7 +608,7 @@ def check_expansion_exact(ctx: CheckContext):
         rng = ctx.rng("expansion-exact", k)
         gamma = random_jet(rng, nv, 2, (0.0,) * nv, decay=0.6)
         g1 = complex(*rng.standard_normal(2))
-        c0, c1 = exact_coefficients(gamma, ctx.n, 1)
+        c0, c1 = exact_coefficients(gamma.graded_items(), ctx.n, 1)
         pairs += zip(expansion_coeffs(ctx.phase_data, gamma, g1), (c0, c1 + 2.0 * math.pi ** (ctx.n + 1) * g1))
     return _worst(pairs)
 

@@ -11,9 +11,9 @@ Conventions:
     per num_vars serves every order;
   * the basis tables (exponents, sorted monomial keys, degree offsets,
     partial-derivative gathers, graded predecessors, product tables) are
-    built with numpy on first use; importing this module builds none.  One
-    multi-index's position is one lookup in a dict that grows to the order
-    asked of it;
+    built with numpy on first use, at the order asked; importing this module
+    builds none.  One multi-index's position is one lookup in a dict that
+    grows to the degree of the multi-index asked;
   * a product gathers one cached table of every monomial pair of its shape,
     C(2v+k, k) rows at (v, k), up to PRODUCT_TABLE_ROWS rows; above that, or
     when the operands' nonzero counts multiply to under a quarter of the
@@ -119,19 +119,23 @@ class _Basis:
     def position(self, idx: Sequence[int], order: int):
         """Position of one multi-index if it has degree <= order, else None;
         a key of the wrong length or with a negative entry raises.  One
-        lookup in the index, which grows to ``order`` on first need."""
-        if order > self._indexed:
-            start, stop = len(self._index), self._sizes[order + 1]
-            self._index.update(zip(map(tuple, self.exponents[start:stop].tolist()), range(start, stop)))
-            self._indexed = order
-        p = self._index.get(tuple(idx))
+        lookup in the index; a miss grows it to the degree of ``idx``, never
+        past ``order``."""
+        idx = tuple(idx)
+        p = self._index.get(idx)
         if p is not None:
             return p if p < self._sizes[order + 1] else None
         if len(idx) != self.num_vars:
-            raise CompatibilityError(f"multi-index {tuple(idx)} has wrong length")
+            raise CompatibilityError(f"multi-index {idx} has wrong length")
         if min(idx) < 0:
-            raise CompatibilityError(f"multi-index {tuple(idx)} has a negative entry")
-        return None
+            raise CompatibilityError(f"multi-index {idx} has a negative entry")
+        degree = int(sum(idx))
+        if not self._indexed < degree <= order:
+            return None
+        start, stop = len(self._index), self._sizes[degree + 1]
+        self._index.update(zip(map(tuple, self.exponents[start:stop].tolist()), range(start, stop)))
+        self._indexed = degree
+        return self._index.get(idx)
 
     def pairs(self, first: np.ndarray, second: np.ndarray, order: int):
         """Rows (i, j, k) of the product table at ``order`` with i in ``first``
@@ -177,12 +181,10 @@ _REINDEX_MAPS: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
 
 def _basis(num_vars: int, order: int) -> _Basis:
-    """The cached basis in num_vars variables, rebuilt at twice its order (or
-    at ``order``, if higher) when ``order`` exceeds it."""
+    """The cached basis in num_vars variables, rebuilt at ``order`` when that exceeds its own."""
     basis = _BASES.get(num_vars)
     if basis is None or basis.order < order:
-        grown = order if basis is None else max(order, 2 * basis.order)
-        basis = _BASES[num_vars] = _Basis(num_vars, grown)
+        basis = _BASES[num_vars] = _Basis(num_vars, order)
     return basis
 
 

@@ -18,8 +18,10 @@ and, because h starts at degree 3, reads only v's coefficients of degree
 built with the phase data from Gaussian contractions of h and h^2.  A
 quadrature oracle (Gaussian and Fourier Gauss sums on the positive half of
 Gauss-Legendre rules found by Newton's method) cross-checks the formal
-coefficients on the exact Heisenberg phase; it subtracts its tail with the
-closed-form coefficients of that phase, so it reads none of the L_1 code.
+coefficients on the exact Heisenberg phase, its Fourier axis summed at the
+s nodes >= 0 and mirrored; it subtracts its tail with the closed-form
+coefficients of that phase, fed the amplitude's terms and the cutoff's
+degree-8 terms without a jet product, so it reads none of the L_1 code.
 
 Jets here live in the variables (u_1..u_{2n+1}, sigma-1) based at 0, so the
 critical point is the jet base point.
@@ -30,13 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .charts import CHART_ORDER, CRModelChart
 from .errors import BranchError, ChartError, HessianError, OracleFitError, OrderShortfallError
-from .jets import Jet, _scatter_sum, iter_multi_indices
+from .jets import Jet, _basis, _scatter_sum
 
 #: gradient tolerance for accepting (0, 1) as the critical point
 CRITICAL_TOL = 1e-12
@@ -289,8 +291,13 @@ def oscillatory_monomial_moments(
     F[k, p] = sum_j w_j chi(v_j) e^{i t s_k v_j} v_j^p.  The rule is mirror-
     symmetric, so both fold onto its nodes v_j >= 0, an odd rule's node at 0
     counted once: G is 0 for odd p, and F sums cos(t s_k v_j) for even p and
-    i sin(t s_k v_j) for odd p, in real arithmetic.  G is formed once per
-    node count.  nodes_per_axis holds one count per variable.
+    i sin(t s_k v_j) for odd p, in real arithmetic.  The s rule is mirror-
+    symmetric too, so F is summed at the nodes s_k >= 0 only (an odd rule's
+    s_k = 0 among them) and its rows at -s_k are those rows, negated for odd
+    p before the factor i.  G is formed once per node count.  The moments
+    are one gather of these tables per factor, multiplied in the order
+    s, u', u_{2n} and summed over the s nodes per monomial.  nodes_per_axis
+    holds one count per variable.
     """
     d, n = phase.num_vars, (phase.num_vars - 2) // 2
     # Psi0's coefficients: i 2^{-e} at u_a^2 s^e for a < 2n, and 1 at s u_{2n}
@@ -316,21 +323,22 @@ def oscillatory_monomial_moments(
         f = wv * np.exp(-t * (1.0 + s / 2)[:, None] * v**2)
         gaussian[num] = np.stack([np.zeros(len(s)) if p % 2 else np.sum(f * v**p, axis=1) for p in powers], axis=1)
     v, wv = half_rule(int(nodes_per_axis[2 * n]))
-    tsv = t * s[:, None] * v
+    tsv = t * s[len(s) // 2 :, None] * v  # the nodes s_k >= 0; the rows s_k < 0 mirror them
     cos, sin = wv * np.cos(tsv), wv * np.sin(tsv)
     fourier = np.empty((len(s), amp_order + 1), dtype=complex)
     for p in powers:
-        fourier[:, p] = 1j * np.sum(sin * v**p, axis=1) if p % 2 else np.sum(cos * v**p, axis=1)
+        half = np.sum((sin if p % 2 else cos) * v**p, axis=1)
+        mirror = -half[::-1] if p % 2 else half[::-1]
+        column = np.concatenate([mirror[: len(s) // 2], half])
+        fourier[:, p] = 1j * column if p % 2 else column
     inner_moments = [gaussian[int(k)] for k in nodes_per_axis[: 2 * n]] + [fourier]
 
-    indices = iter_multi_indices(d, amp_order)
-    out = np.empty(len(indices), dtype=complex)
-    for p, idx in enumerate(indices):
-        col = s_moments[:, idx[-1]]
-        for a, m in enumerate(inner_moments):
-            col = col * m[:, idx[a]]
-        out[p] = np.sum(col)
-    return out
+    basis = _basis(d, amp_order)
+    exps = basis.exponents[: basis.size(amp_order)]
+    terms = s_moments.T[exps[:, -1]]  # (monomial, s node), multiplied in factor order
+    for a, m in enumerate(inner_moments):
+        terms = terms * m.T[exps[:, a]]
+    return terms.sum(axis=1)
 
 
 #: default fit samples; the cutoff contamination decays fast over this window
@@ -373,10 +381,11 @@ def oracle_t_samples(t_samples: Optional[Sequence[float]]) -> List[float]:
     return ts
 
 
-def exact_coefficients(gamma: Jet, n: int, top: int) -> List[complex]:
+def exact_coefficients(terms: Iterable[Tuple[Tuple[int, ...], complex]], n: int, top: int) -> List[complex]:
     """[c_0..c_top], c_k the coefficient of t^{-n-k} in I(t) for the polynomial
-    amplitude gamma on the exact phase Psi0 = s u_{2n} + i (1 + s/2)|u'|^2,
-    s = sigma - 1, u' = (u_0..u_{2n-1}).
+    amplitude with the (multi-index, coefficient) ``terms`` (a jet's
+    ``graded_items``), summed in their order, on the exact phase
+    Psi0 = s u_{2n} + i (1 + s/2)|u'|^2, s = sigma - 1, u' = (u_0..u_{2n-1}).
 
     The Gaussian moments in u' (Gamma((a_i + 1)/2) (t(1 + s/2))^{-(a_i + 1)/2}
     for even a_i, 0 for odd), int int e^{itsu} f ~ (2 pi / t) sum_k (i/t)^k / k!
@@ -386,7 +395,7 @@ def exact_coefficients(gamma: Jet, n: int, top: int) -> List[complex]:
     at k = |a|/2 + c, and any other monomial none.
     """
     out = [0j] * (top + 1)
-    for idx, coeff in gamma.graded_items():
+    for idx, coeff in terms:
         a, c, e = idx[: 2 * n], idx[2 * n], idx[2 * n + 1]
         half, m = sum(a) // 2, c - e
         if half + c > top or m < 0 or any(x % 2 for x in a):
@@ -402,7 +411,7 @@ class OracleSweep:
     """What the quadrature oracle shares between amplitudes on one exact phase."""
 
     data: PhaseCriticalData
-    cutoff: Jet              # the cutoff's jet 1 - sum_a (v_a / w)^8
+    chi: complex             # chi_a = -w^{-8}, the cutoff's jet being 1 + sum_a chi_a v_a^8
     t: np.ndarray
     moments: Tuple[np.ndarray, ...]  # one moment vector per t sample
     order: int               # the largest amplitude order the moment vectors cover
@@ -416,7 +425,8 @@ def oracle_sweep(
     nodes_per_axis: Optional[Sequence[int]] = None,
 ) -> OracleSweep:
     """One oscillatory_monomial_moments vector per t sample for amplitudes of
-    order <= ``order``, and the cutoff's jet; forms no jet product.
+    order <= ``order``, and the cutoff's degree-8 coefficient; forms no jet
+    product.
 
     Restricted by the moments to the exact phase (no cutoff guidance exists
     for perturbed phases; the exact phase also gives the tail its closed form
@@ -430,13 +440,9 @@ def oracle_sweep(
     cutoff_radius = oracle_cutoff_radius(cutoff_radius)
     nv = data.num_vars
     nodes_per_axis = oracle_nodes(nodes_per_axis, nv)
-    chi = {(0,) * nv: 1.0}
-    for a in range(nv):
-        idx = tuple(CUTOFF_DEGREE if k == a else 0 for k in range(nv))
-        chi[idx] = -((WIDTH_FRACTION * cutoff_radius) ** -CUTOFF_DEGREE)
     return OracleSweep(
         data=data,
-        cutoff=Jet(nv, CUTOFF_DEGREE, (0.0,) * nv, chi),
+        chi=complex(-((WIDTH_FRACTION * cutoff_radius) ** -CUTOFF_DEGREE)),
         t=np.array(ts),
         moments=tuple(
             oscillatory_monomial_moments(data.psi0, order, t, cutoff_radius, nodes_per_axis) for t in ts
@@ -454,10 +460,11 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
     moment does not depend on the sweep's order, so the fit is the same for
     any sweep that covers the amplitude).  It subtracts the exactly known
     third to fifth expansion orders (c_2..c_4 of exact_coefficients for the
-    amplitude times the cutoff's jet, which read none of the L_1 code), then
-    fits c0 t^{-n} + c1 t^{-n-1} by t^{n+1}-weighted least squares and
-    returns (c0, c1), or (0, 0) where all integrals vanish.  Psi0 is the
-    exact phase s u_{2n} + i (1 + s/2)|u'|^2, s = sigma - 1.
+    amplitude times the cutoff's jet, read from the amplitude's terms and
+    c_0 chi_a without forming that product, and reading none of the L_1
+    code), then fits c0 t^{-n} + c1 t^{-n-1} by t^{n+1}-weighted least
+    squares and returns (c0, c1), or (0, 0) where all integrals vanish.
+    Psi0 is the exact phase s u_{2n} + i (1 + s/2)|u'|^2, s = sigma - 1.
     """
     if amplitude.num_vars != sweep.data.num_vars:
         raise OrderShortfallError("phase and amplitude must share variables")
@@ -474,13 +481,16 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
         return 0.0 + 0.0j, 0.0 + 0.0j
     tarr, n = sweep.t, sweep.data.n
 
-    # Subtract the exactly known t^{-n-2}..t^{-n-4} tail of the cutoff-corrected
-    # amplitude before fitting.  The first two orders stay untouched (the
-    # cutoff is flat to degree 8), so the fit below still measures c0 and c1
-    # independently of them.
-    amp_eff = amplitude.with_order(CUTOFF_DEGREE) * sweep.cutoff
+    # Subtract the exactly known t^{-n-2}..t^{-n-4} tail of the amplitude times
+    # the cutoff's jet before fitting.  Of that product's terms beyond the
+    # amplitude's own, c_4 reads only c_0 chi_a v_a^8, so those follow the
+    # amplitude's terms, in graded order (a from 2n+1 down to 0).  The first
+    # two orders stay untouched (the cutoff is flat to degree 8), so the fit
+    # below still measures c0 and c1 independently of them.
+    c0, nv = amplitude.constant_term(), amplitude.num_vars
+    cutoff = [((0,) * a + (CUTOFF_DEGREE,) + (0,) * (nv - 1 - a), c0 * sweep.chi) for a in reversed(range(nv))]
     tail = np.zeros_like(values)
-    for k, ck in enumerate(exact_coefficients(amp_eff, n, 4)[2:], start=2):
+    for k, ck in enumerate(exact_coefficients(amplitude.graded_items() + tuple(cutoff), n, 4)[2:], start=2):
         tail = tail + ck * tarr ** (-n - k)
     corrected = values - tail
 

@@ -672,6 +672,23 @@ def test_subprincipal_draws_grow_no_basis_past_the_chart_order():
     assert int(out.stdout) <= 6
 
 
+def test_default_suite_grows_no_table_past_what_it_reads():
+    # a fresh interpreter runs the default suite and records every basis it
+    # builds: none above order 6 (the contraction weights' q^3), and none
+    # indexed above degree 4 (the chart order)
+    code = (
+        "import crkernel.jets as jets; from crkernel.harness import default_config, run_scenarios; "
+        "built, init = [], jets._Basis.__init__; "
+        "jets._Basis.__init__ = lambda self, *args: built.append(self) or init(self, *args); "
+        "run_scenarios(default_config(), timings=False); "
+        "print(max(b.order for b in built), max(b._indexed for b in built))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    order, indexed = map(int, out.stdout.split())
+    assert order <= 6 and indexed <= 4
+
+
 # -- CLI ------------------------------------------------------------------------------------
 
 

@@ -517,6 +517,26 @@ def test_position_index_agrees_with_locate(num_vars, order):
         basis.position((-1,) + (0,) * (num_vars - 1), order)
 
 
+@pytest.mark.parametrize("num_vars,order", [(6, 4), (4, 8)])
+def test_position_index_grows_to_the_degree_asked(num_vars, order):
+    # lookups in shuffled order, at every order, against a fully grown index
+    full = {tuple(e): p for p, e in enumerate(_Basis(num_vars, order).exponents.tolist())}
+    basis = _Basis(num_vars, order)
+    shuffle = np.argsort(spawn_rng(16, "index-order", num_vars).random(len(full)))
+    keys = [tuple(e) for e in basis.exponents[shuffle].tolist()]
+    asked = -1
+    for k, idx in enumerate(keys):
+        at = k % (order + 1)
+        want = full[idx] if sum(idx) <= at else None
+        assert basis.position(idx, at) == want, (idx, at)
+        asked = max(asked, sum(idx) if sum(idx) <= at else -1)
+        assert basis._indexed == asked  # never past the largest degree looked up within its order
+    with pytest.raises(CompatibilityError, match="wrong length"):
+        basis.position((0,) * (num_vars - 1), order)
+    with pytest.raises(CompatibilityError, match="negative entry"):
+        basis.position((0,) * (num_vars - 1) + (-1,), order)
+
+
 def test_large_shape_caches_no_table():
     rng = spawn_rng(14, "no-table")
     base = (0.0,) * 4

@@ -8,7 +8,7 @@ and imaginary parts, with no rounding and no pruning, at the shapes
 of compositions and the b1 pipeline, (6, 3) for the P operator's (x, xi)
 jets (these two make most of the products of a two-route check), (4, 6)
 for the q^3 and h^2 products of the engine's K_1 functional at n = 1, and
-(4, 8) for the quadrature oracle's amplitude times its cutoff.  (4, 12)
+(4, 8), the reference tests' amplitude times the oracle's cutoff.  (4, 12)
 keeps sparse operands far above ``PRODUCT_TABLE_ROWS`` covered; at (4, 8)
 and (6, 6) a sparse operand also meets a dense one.
 Below ``PRODUCT_TABLE_ROWS`` a product reads the cached whole-shape table,

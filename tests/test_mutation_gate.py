@@ -31,20 +31,26 @@ invisible at n = 1, and the exact-expansion scenario at each n = 2..5 must
 fail a record for it.  Each oracle mutant breaks the quadrature moments that
 the oracle fits, conjugated (the sign of the Fourier axis) or halved (the
 factor 2 of the mirror fold), and the quadrature scenarios must fail a record
-for it.  Every filter must match at least one scenario, so a renamed scenario
-cannot drop out of a gate unnoticed.
+for it.  Each fit mutant breaks the moments so far that no power law fits
+them: the s-fold mutant drops the minus sign of the Fourier axis's odd powers
+on the mirrored rows s < 0 (a fit residual of 1.8e-3 against 1e-3), and the
+quadrature scenarios must raise ``OracleFitError`` for it.  Every filter must
+match at least one scenario, so a renamed scenario cannot drop out of a gate
+unnoticed.
 """
 
 import dataclasses
 import inspect
 
 import numpy as np
+import pytest
 
 import crkernel.charts as charts
 import crkernel.harness as harness
 import crkernel.pipeline as pipeline
 import crkernel.stationary as stationary
 import crkernel.symbols as symbols
+from crkernel.errors import OracleFitError
 from crkernel.harness import default_config, run_scenarios
 from crkernel.jets import Jet
 
@@ -203,6 +209,15 @@ ORACLE_MUTANTS = {
 }
 
 
+#: mutant label -> (name patched in crkernel.stationary, mutant of the original)
+FIT_MUTANTS = {
+    "s fold keeps the sign of the mirrored odd rows": (
+        "oscillatory_monomial_moments",
+        _source_mutant("-half[::-1] if p % 2", "half[::-1] if p % 2"),
+    ),
+}
+
+
 def _failed_records(config, filters):
     failed = 0
     for pattern in filters:
@@ -263,3 +278,12 @@ def test_every_exact_mutant_fails_a_record_at_every_n(monkeypatch):
 
 def test_every_oracle_mutant_fails_a_record(monkeypatch):
     assert _escaped(monkeypatch, ORACLE_MUTANTS, (stationary,), ORACLE_FILTERS) == []
+
+
+def test_every_fit_mutant_breaks_the_oracle_fit(monkeypatch):
+    config = default_config()
+    for name, mutate in FIT_MUTANTS.values():
+        with monkeypatch.context() as m:
+            m.setattr(stationary, name, mutate(getattr(stationary, name)))
+            with pytest.raises(OracleFitError, match="power-law fit residual"):
+                _failed_records(config, ORACLE_FILTERS)

@@ -13,6 +13,7 @@ from crkernel.errors import OracleFitError, OrderShortfallError
 from crkernel.jets import Jet, iter_multi_indices, random_jet
 from crkernel.rng import spawn_rng
 from crkernel.stationary import (
+    CUTOFF_DEGREE,
     _contraction_weights,
     _gauss_nodes,
     _l1_functional,
@@ -200,14 +201,16 @@ def _deep(data):
 @pytest.mark.parametrize("n", [1, 2])
 def test_exact_coefficients_match_the_engine_functionals(n):
     # the oracle's closed-form tail against L_1..L_4 by nested partials on
-    # the exact phase at order 12
+    # the exact phase at order 12; at n = 2 through L_3, since L_4's reference
+    # builds the (6, 24) basis (c_4's n-dependence is covered by the Gaussian
+    # quadrature references at n = 2..5)
     pdata = _deep(build_phase_data(heisenberg_chart(n)))
-    nv = pdata.num_vars
+    nv, top = pdata.num_vars, 4 if n == 1 else 3
     for k in range(2):
         gamma = random_jet(spawn_rng(k, "exact-coefficients", n), nv, 8, (0.0,) * nv)
-        want = [gamma.constant_term()] + [reference_apply_L(pdata, j, gamma) for j in range(1, 5)]
-        got = exact_coefficients(gamma, n, 4)
-        assert len(got) == 5
+        want = [gamma.constant_term()] + [reference_apply_L(pdata, j, gamma) for j in range(1, top + 1)]
+        got = exact_coefficients(gamma.graded_items(), n, top)
+        assert len(got) == top + 1
         for g, w in zip(got, want):
             assert abs(g - w / pdata.sqrt_det) <= 1e-13 * abs(w / pdata.sqrt_det), (n, k)
 
@@ -355,9 +358,9 @@ def test_oracle_one_moment_sweep_per_t_sample(data, monkeypatch):
     assert orders == [3] * len(FAST_T)  # one table per t, at the largest order, none per fit
 
 
-#: jet products of one sweep and five fits of order-2 amplitudes: one cutoff
-#: product per amplitude (the sweep and the closed-form tail form none)
-ORACLE_PRODUCTS = 5
+#: jet products of one sweep and five fits of order-2 amplitudes (the sweep
+#: forms none, and the closed-form tail reads the cutoff's terms without one)
+ORACLE_PRODUCTS = 0
 
 
 def test_oracle_work_guard(data, monkeypatch):
@@ -382,11 +385,20 @@ def test_oracle_work_guard(data, monkeypatch):
     assert counts["mul"] == ORACLE_PRODUCTS
 
 
+def _cutoff_jet(n, radius=1.4):
+    """The oracle's product cutoff to degree 8: 1 - sum_a (v_a / w)^8."""
+    nv, chi = 2 * n + 2, -((WIDTH_FRACTION * radius) ** -CUTOFF_DEGREE)
+    terms = {(0,) * nv: 1.0}
+    for a in range(nv):
+        terms[tuple(CUTOFF_DEGREE if k == a else 0 for k in range(nv))] = chi
+    return Jet(nv, CUTOFF_DEGREE, (0.0,) * nv, terms)
+
+
 def test_gaussian_quadrature_reference(data):
     # t times the constant moment on Psi0 against the exact expansion of the
     # cutoff's jet through c_4, to 0.1%
     sweep = oracle_sweep(data, 0, t_samples=(20.0, 35.0, 50.0, 65.0))
-    coeffs = exact_coefficients(sweep.cutoff, 1, 4)
+    coeffs = exact_coefficients(_cutoff_jet(1).graded_items(), 1, 4)
     for t, moments in zip(sweep.t.tolist(), sweep.moments):
         want = sum(c * t ** (-1.0 - k) for k, c in enumerate(coeffs))
         assert abs(t * moments[0] - want) / abs(want) < 1e-3
@@ -396,7 +408,7 @@ def test_gaussian_quadrature_reference(data):
 def test_gaussian_quadrature_reference_beyond_n1(n):
     # the same on the 2n Gaussian axes, where the deviation measures about n * 7e-7
     sweep = oracle_sweep(build_phase_data(heisenberg_chart(n)), 0, t_samples=FAST_T)
-    coeffs = exact_coefficients(sweep.cutoff, n, 4)
+    coeffs = exact_coefficients(_cutoff_jet(n).graded_items(), n, 4)
     for t, moments in zip(sweep.t.tolist(), sweep.moments):
         want = sum(c * t ** (-n - k) for k, c in enumerate(coeffs))
         assert abs(t * moments[0] - want) / abs(want) < 1e-5
@@ -486,3 +498,81 @@ def test_moments_refuse_any_phase_but_psi0(data):
     for phase in (coupled, perturbed):
         with pytest.raises(OracleFitError, match="exact phase"):
             oscillatory_monomial_moments(phase, 2, 30.0, 1.4, (12, 12, 16, 16))
+
+
+def _full_grid_moments(amp_order, t, radius, nodes):
+    """oscillatory_monomial_moments with the Fourier axis summed at every s node
+    and one product column per monomial: the sweep before its s fold."""
+    n = (len(nodes) - 2) // 2
+    width = WIDTH_FRACTION * radius
+    powers = range(amp_order + 1)
+
+    def half_rule(num):
+        x, w = _gauss_nodes(num, radius)
+        v = x[num // 2 :]
+        return v, np.where(v > 0, 2.0, 1.0) * w[num // 2 :] * np.exp(-(v / width) ** CUTOFF_DEGREE)
+
+    s, ws = _gauss_nodes(nodes[-1], radius)
+    s_moments = (ws * np.exp(-(s / width) ** CUTOFF_DEGREE))[:, None] * s[:, None] ** np.arange(amp_order + 1)
+    inner = []
+    for num in nodes[: 2 * n]:
+        v, wv = half_rule(num)
+        f = wv * np.exp(-t * (1.0 + s / 2)[:, None] * v**2)
+        inner.append(np.stack([np.zeros(len(s)) if p % 2 else np.sum(f * v**p, axis=1) for p in powers], axis=1))
+    v, wv = half_rule(nodes[2 * n])
+    tsv = t * s[:, None] * v
+    cos, sin = wv * np.cos(tsv), wv * np.sin(tsv)
+    fourier = np.empty((len(s), amp_order + 1), dtype=complex)
+    for p in powers:
+        fourier[:, p] = 1j * np.sum(sin * v**p, axis=1) if p % 2 else np.sum(cos * v**p, axis=1)
+    inner.append(fourier)
+    indices = iter_multi_indices(len(nodes), amp_order)
+    out = np.empty(len(indices), dtype=complex)
+    for p, idx in enumerate(indices):
+        col = s_moments[:, idx[-1]]
+        for a, m in enumerate(inner):
+            col = col * m[:, idx[a]]
+        out[p] = np.sum(col)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_folded_sweep_equals_the_full_grid_bit_for_bit(n):
+    # even and odd rule sizes on the s axis (an odd one has its node at 0) and on the others
+    phase = build_phase_data(heisenberg_chart(n)).psi0
+    grids = [(48,) * (2 * n) + (96, 160), (49,) * (2 * n) + (97, 161), (48,) * (2 * n) + (97, 161)]
+    for nodes in grids:
+        for amp_order in range(4):
+            for t in (40.0, 60.0, 80.0):
+                got = oscillatory_monomial_moments(phase, amp_order, t, 1.4, nodes)
+                want = _full_grid_moments(amp_order, t, 1.4, nodes)
+                assert got.tobytes() == want.tobytes(), (nodes, amp_order, t)
+
+
+def _constant_term_set(amp, value):
+    vector = amp.vector.copy()
+    vector[0] = value
+    return amp._like(vector)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_oracle_tail_equals_the_cutoff_product_bit_for_bit(n, monkeypatch):
+    # the tail the oracle subtracts against the closed form of the amplitude
+    # times the cutoff's jet at order 8, on seeded amplitudes with a zero, a
+    # -0 and a signed-zero-part constant term among them
+    import crkernel.stationary as stationary
+
+    tails = []
+    exact = stationary.exact_coefficients
+    monkeypatch.setattr(stationary, "exact_coefficients", lambda *args: tails.append(exact(*args)) or tails[-1])
+    nv = 2 * n + 2
+    amps = [
+        random_jet(spawn_rng(k, "oracle-tail", n), nv, k % 3, (0.0,) * nv, decay=0.6) for k in range(6)
+    ]
+    amps += [_constant_term_set(amps[2], c) for c in (0j, complex(-0.0, -0.0), complex(-1.5, -0.0))]
+    sweep = oracle_sweep(build_phase_data(heisenberg_chart(n)), 2, t_samples=FAST_T)
+    cutoff = _cutoff_jet(n)
+    for amp in amps:
+        numeric_expansion_oracle(sweep, amp)
+        want = exact((amp.with_order(CUTOFF_DEGREE) * cutoff).graded_items(), n, 4)
+        assert np.array(tails.pop()).tobytes() == np.array(want).tobytes()
