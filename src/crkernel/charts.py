@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ChartError, OrderShortfallError
-from .jets import Jet, MultiIndex
+from .jets import Jet, MultiIndex, batch_products, linear_combinations
 from .rng import spawn_rng
 
 SQRT2 = math.sqrt(2.0)
@@ -170,16 +170,12 @@ def _check_phase(phi: Jet, n: int, exact: bool) -> None:
             raise ChartError(f"phase: d_x phi(0,0) != -omega_0(0) at slot {b}")
         if abs(phi.derivative_at(d + b) - omega0[b]) > INVARIANT_TOL:
             raise ChartError(f"phase: d_y phi(0,0) != +omega_0(0) at slot {b}")
-    # prepared form: the last y variable appears only as the exact linear term
+    # prepared form: the last y variable appears only as the linear term, whose
+    # coefficient, d_y phi(0,0) at slot 2n, is checked above
     last = nv - 1
-    for idx, c in phi.coeffs.items():
-        if idx[last] == 0:
-            continue
-        is_linear = idx[last] == 1 and sum(idx) == 1
-        if not is_linear:
+    for idx in phi.coeffs:
+        if idx[last] and (idx[last] != 1 or sum(idx) != 1):
             raise ChartError("phase: not linear in the last y variable")
-        if abs(c - 1.0) > INVARIANT_TOL:
-            raise ChartError("phase: linear y_{2n} coefficient is not 1")
     # quartic normal form: deviation from the exact model starts at degree 4
     delta = phi - heisenberg_phase_jet(n)
     if any(sum(idx) < 4 for idx in delta.coeffs):
@@ -195,12 +191,6 @@ def _check_chart(chart: CRModelChart) -> None:
     resid = pairing.shift_constant(1.0).truncated(CHART_ORDER - 1)
     if resid.max_abs() > INVARIANT_TOL:
         raise ChartError("omega_0(T) != -1 as a jet identity")
-    lam = chart.volume_density
-    if abs(lam.constant_term() - 1.0) > INVARIANT_TOL:
-        raise ChartError("lambda(0) != 1")
-    for b in range(d):
-        if abs(lam.derivative_at(b)) > INVARIANT_TOL:
-            raise ChartError("grad lambda(0) != 0")
     # contact form: constant part dx_{2n}, linear part the Heisenberg normal form
     model = contact_form_jets(chart.n)
     for b in range(d):
@@ -219,6 +209,17 @@ def _check_chart(chart: CRModelChart) -> None:
                 want = -1j * SQRT2 / 2
             if abs(got - want) > INVARIANT_TOL:
                 raise ChartError(f"frame Z_{j} has wrong value at 0")
+    _check_density_and_phase(chart)
+
+
+def _check_density_and_phase(chart: CRModelChart) -> None:
+    """The checks of the fields a perturbed chart does not share with its base."""
+    lam = chart.volume_density
+    if abs(lam.constant_term() - 1.0) > INVARIANT_TOL:
+        raise ChartError("lambda(0) != 1")
+    for b in range(chart.dim):
+        if abs(lam.derivative_at(b)) > INVARIANT_TOL:
+            raise ChartError("grad lambda(0) != 0")
     _check_phase(chart.phase, chart.n, chart.is_exact_heisenberg)
 
 
@@ -276,7 +277,8 @@ def perturbed_chart(
     lambda gains the quadratic form x^T Q x / 2, the phase gains the given
     quartic in (x, y'), and the curvature consistency identity tying both
     channels to R_synth is validated; violation raises ChartError.  Both
-    are built at CHART_ORDER, which holds the whole quartic.
+    are built at CHART_ORDER, which holds the whole quartic.  Only they are
+    validated: the contact form, frame and Reeb field are the base chart's.
     """
     if not base.is_exact_heisenberg:
         raise ChartError("perturbed_chart requires the exact Heisenberg base chart")
@@ -326,7 +328,7 @@ def perturbed_chart(
         phase=phi,
         is_exact_heisenberg=False,
     )
-    _check_chart(chart)
+    _check_density_and_phase(chart)
     return chart
 
 
@@ -427,24 +429,22 @@ def reeb_derivative_at0(chart: CRModelChart, f: Jet) -> complex:
 def _solve_jet_linear(amat: Sequence[Sequence[Jet]], rhs: Sequence[Jet]) -> List[Jet]:
     """Solve A(x) v(x) = rhs(x) at jet level (A(0) invertible): each pass fixes
     one more degree, and a pass that returns its input bit for bit (bytes, so
-    that -0.0 -> +0.0 is a change) ends the solve, as every later pass would."""
+    that -0.0 -> +0.0 is a change) ends the solve, as every later pass would.
+    Right-hand sides may be batches, one system per row.  A pass forms its
+    products as one batch, none with an empty-support factor, and scales by
+    no zero of A(0)^-1 (the ``jets`` zero-term rule)."""
     m = len(rhs)
     order = rhs[0].order
     a0 = np.array([[amat[r][c].constant_term() for c in range(m)] for r in range(m)])
     a0inv = np.linalg.inv(a0)
     nil = [[amat[r][c].shift_constant(-a0[r, c]) for c in range(m)] for r in range(m)]
-    sol = [Jet.zero(rhs[0].num_vars, order, rhs[0].base_point) for _ in range(m)]
+    sol = [rhs[0]._like(np.zeros_like(rhs[0].vector))] * m
     for _ in range(order + 1):
         resid = list(rhs)
-        for r in range(m):
-            for c in range(m):
-                resid[r] = resid[r] - nil[r][c] * sol[c]
-        new_sol = []
-        for r in range(m):
-            acc = Jet.zero(rhs[0].num_vars, order, rhs[0].base_point)
-            for c in range(m):
-                acc = acc + resid[c].scale(complex(a0inv[r, c]))
-            new_sol.append(acc)
+        live = [(r, c) for r in range(m) for c in range(m) if nil[r][c].support.size and sol[c].support.size]
+        for (r, c), product in zip(live, batch_products([(nil[r][c], sol[c]) for r, c in live])):
+            resid[r] = resid[r] - product
+        new_sol = linear_combinations(a0inv, resid)
         if all(new.vector.tobytes() == old.vector.tobytes() for new, old in zip(new_sol, sol)):
             break
         sol = new_sol
@@ -465,8 +465,10 @@ def levi_frame(chart: CRModelChart, order: int) -> Tuple[List[List[Jet]], List[L
         frame.append([(z + z.conjugate()).scale(1 / SQRT2) for z in zj])
         frame.append([((1j * z) + (1j * z).conjugate()).scale(1 / SQRT2) for z in zj])
     frame.append([-1.0 * chart.reeb[b].with_order(order) for b in range(d)])
-    eye = [[Jet.constant(d, order, (0.0,) * d, float(r == a)) for r in range(d)] for a in range(d)]
-    return frame, [_solve_jet_linear(frame, rhs) for rhs in eye]
+    eye = np.zeros((d, d, frame[0][0].vector.size), dtype=complex)
+    eye[range(d), range(d), 0] = 1.0  # row a of right-hand side r is the constant delta_{ar}
+    coframe = _solve_jet_linear(frame, [frame[0][0]._like(rows) for rows in eye])
+    return frame, [[w._like(w.vector[a]) for w in coframe] for a in range(d)]
 
 
 def christoffel_symbols(
@@ -478,18 +480,19 @@ def christoffel_symbols(
     X, 0-based indices."""
     d, first = len(frame), frame[0][0]
     out_order = max(first.order - 1, 0)
-    lifted = {}  # nabla_{d/dx_j} d/dx_l = sum_a d_j(W[a][l]) X_a, over d/dx_k
-    for j in range(d):
-        for l in range(d):
-            comps = [Jet.zero(first.num_vars, out_order, first.base_point) for _ in range(d)]
-            for a in range(d):
-                der = coframe[a][l].partial(j)
-                if not der.support.size:
-                    continue
-                for k in range(d):
-                    comps[k] = comps[k] + der * frame[a][k].truncated(out_order)
-            lifted[(j, l)] = comps
-    return {(j, k, l): -1.0 * lifted[(j, l)][k] for j in range(d) for k in range(d) for l in range(d)}
+    zero = Jet.zero(first.num_vars, out_order, first.base_point)
+    low = [[f.truncated(out_order) for f in row] for row in frame]
+    flat = Jet.stack([w for row in coframe for w in row])  # row a d + l is W[a][l]
+    ders = [flat.partial(j).vector for j in range(d)]
+    # nabla_{d/dx_j} d/dx_l = sum_a d_j(W[a][l]) X_a, over d/dx_k: one batch product, zero terms skipped
+    terms = [((j, l, k), zero._like(ders[j][a * d + l]), low[a][k]) for j in range(d) for l in range(d)
+             for a in range(d) if ders[j][a * d + l].any() for k in range(d) if low[a][k].support.size]
+    lifted = {}
+    for (slot, _, _), product in zip(terms, batch_products([t[1:] for t in terms])):
+        lifted[slot] = lifted.get(slot, zero) + product
+    minus_zero = -1.0 * zero  # the negated empty sum, which holds only +0
+    negated = lambda g: -1.0 * g if g.support.size else minus_zero
+    return {(j, k, l): negated(lifted.get((j, l, k), zero)) for j in range(d) for k in range(d) for l in range(d)}
 
 
 def christoffel_at(chart: CRModelChart) -> Dict[Tuple[int, int, int], Jet]:

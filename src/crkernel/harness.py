@@ -510,7 +510,8 @@ def _diffeo_draw(ctx: CheckContext, k: int):
     """(symbol, density, s, kappa) of the k-th subprincipal-invariance draw: the
     symbol at order 4 and the density at order 1, the orders the check reads
     (the density is drawn at ``SYMBOL_ORDER`` and exponentiated after its
-    truncation), and kappa at ``SYMBOL_ORDER``."""
+    truncation), and kappa at ``SYMBOL_ORDER``, its d bumps drawn as one
+    batch of successive draws from the shared stream."""
     d = 2 * ctx.n + 1
     order = SYMBOL_ORDER
     rng = ctx.rng("diffeo", k)
@@ -520,11 +521,10 @@ def _diffeo_draw(ctx: CheckContext, k: int):
     )
     lam = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.4, min_degree=1).scale(0.5).truncated(1).exp()
     s_val = float(rng.uniform(0.5, 2.0))
-    kappa = []
-    for c in range(d):
-        bump = random_jet(rng, d, order, (0.0,) * d, real=True, decay=0.3, min_degree=2)
-        kappa.append(Jet.displacement(c, d, order, (0.0,) * d) + bump.truncated(3).with_order(order).scale(0.3))
-    return sym, lam, s_val, kappa
+    bumps = random_jet([rng] * d, d, order, (0.0,) * d, real=True, decay=0.3, min_degree=2)
+    kappa = Jet.stack([Jet.displacement(c, d, order, (0.0,) * d) for c in range(d)])
+    kappa = kappa + bumps.truncated(3).with_order(order).scale(0.3)
+    return sym, lam, s_val, [kappa._like(row) for row in kappa.vector]
 
 
 def check_subprincipal_invariance(ctx: CheckContext):
@@ -551,7 +551,7 @@ def check_p_operator_routes(ctx: CheckContext):
     nv = 2 * (2 * ctx.n + 1)
     draws = range(ctx.param("num_fields", 20))
     # both routes read the fields' second derivatives at most
-    fields = Jet.stack(random_jet(ctx.rng("hamiltonian", k), nv, 2, base, decay=0.5) for k in draws)
+    fields = random_jet([ctx.rng("hamiltonian", k) for k in draws], nv, 2, base, decay=0.5)
     geometric = p_operator_geometric(ctx.chart, fields).tolist()
     return _worst(list(zip(geometric, p_operator_canonical(fields).tolist())))
 

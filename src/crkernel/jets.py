@@ -17,8 +17,9 @@ Conventions:
   * a product gathers one cached table of every monomial pair of its shape,
     C(2v+k, k) rows at (v, k), up to PRODUCT_TABLE_ROWS rows; above that, or
     when the operands' nonzero counts multiply to under a quarter of the
-    table, it pairs the operands' nonzeros.  Zero terms move no bit: a sum
-    starts at +0 and adding +-0 is exact;
+    table, it pairs the operands' nonzeros.  Zero terms move no bit (the
+    zero-term rule): a sum starts at +0, never holds -0, and adding +-0 is
+    exact, so a caller may skip a product with an empty-support factor;
   * ``reindex`` caches its source and destination positions per variable
     map, and moves every row of a batch with one ``bincount``;
   * ``coeffs`` (a dict of the nonzero entries) and ``graded_items`` are read
@@ -39,7 +40,7 @@ Conventions:
     ``truncated``, ``with_order``, ``partial`` and products act row-wise
     and broadcast a single jet against a batch; batches of different row
     counts do not mix.  A batch product gathers the table rows a single
-    product gathers (above the cap, the pairs of the rows' union supports),
+    product gathers (or, when sparse, the pairs of the rows' union supports),
     orients each row by that row's sparser operand (self on a tie) and sums
     every row with one ``bincount``, so each row is bit for bit its own
     single product.  ``support`` is the union of the rows' nonzeros;
@@ -59,6 +60,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import BranchError, CenteringError, CompatibilityError
+from .rng import standard_normals
 
 MultiIndex = Tuple[int, ...]
 
@@ -490,17 +492,20 @@ class Jet:
         own single product, oriented by its own sparser operand (where rows
         disagree, both orientations are gathered and each row picks its own),
         and one ``bincount`` over row-offset positions sums every row in its
-        own term order.  Above the cap the pairs come from the rows' union
-        supports; the extra terms are +-0 and move no bit."""
+        own term order.  The pairs of the rows' union supports replace the
+        table above the cap, or where the single product's rule, spread over
+        the rows (the pairs are built once, then gathered per row), prefers
+        them; the extra terms are +-0 and move no bit."""
         a, b = self.vector, other.vector
         rows, size = (len(a) if a.ndim == 2 else len(b)), a.shape[-1]
         flips = np.count_nonzero(a, axis=-1) > np.count_nonzero(b, axis=-1)
         flipped = np.count_nonzero(flips)
+        first, second = [(v if v.ndim == 1 else v.any(axis=0)).nonzero()[0] for v in (a, b)]
+        if not (first.size and second.size):
+            return self._like(np.zeros((rows, size), dtype=complex))
         table = self.basis.products(self.order)
-        if table is None:
-            first, second = [(v if v.ndim == 1 else v.any(axis=0)).nonzero()[0] for v in (a, b)]
-            if not (first.size and second.size):
-                return self._like(np.zeros((rows, size), dtype=complex))
+        if table is not None and (rows + 3) * first.size * second.size < rows * table[0].size:
+            table = None
         gathered = []
         for flip in (False, True):
             if flipped == (0 if flip else rows):  # no row takes this orientation
@@ -754,6 +759,33 @@ class Substitution:
             self._terms.extend([(row.nonzero()[0], row[row != 0]) for row in rows])
 
 
+def batch_products(pairs: Sequence[Tuple[Jet, Jet]]) -> List[Jet]:
+    """``[a * b for a, b in pairs]`` as one batch product, each bit for bit its
+    own product (a batch row is its single product).  Every operand has one
+    shape and base point and is single or a batch of one common row count."""
+    if not pairs:
+        return []
+    first, batch = pairs[0][0], {g.rows for pair in pairs for g in pair} - {None}
+    if len(batch) > 1:
+        raise CompatibilityError(f"batch_products: batches of {sorted(batch)} rows")
+    count = max(batch, default=1)
+    sides = np.empty((2, len(pairs), count, first.vector.shape[-1]), dtype=complex)
+    for i, pair in enumerate(pairs):
+        for side, g in enumerate(pair):
+            first._require_compatible(g, "batch_products")
+            sides[side, i] = g.vector  # a single jet fills every row
+    left, right = (first._like(v.reshape(-1, v.shape[-1])) for v in sides)
+    out = (left * right).vector.reshape(len(pairs), count, -1)
+    return [first._like(v if batch else v[0]) for v in out]
+
+
+def linear_combinations(mat: np.ndarray, jets: Sequence[Jet]) -> List[Jet]:
+    """``sum_c mat[r, c] * jets[c]`` for each row r, summed from +0 in column
+    order; a zero entry scales no term (the zero-term rule)."""
+    zero = jets[0]._like(np.zeros_like(jets[0].vector))
+    return [sum((jets[c].scale(complex(v)) for c, v in enumerate(row.tolist()) if v), zero) for row in mat]
+
+
 def max_coeff_difference(a: Jet, b: Jet) -> float:
     """Largest coefficient deviation between two compatible jets."""
     a._require_compatible(b, "difference")
@@ -772,23 +804,19 @@ def random_jet(
     """Dense random jet with per-degree geometric damping of magnitudes.
 
     Normals are drawn per monomial in graded order (real, then imaginary
-    part, unless ``real``).
-    """
+    part, unless ``real``).  Of a list of streams, the batch whose row r is,
+    bit for bit, the draw from ``rng[r]`` (a stream listed twice draws twice),
+    by one Box-Muller pass after every word is read."""
+    streams = rng if isinstance(rng, (list, tuple)) else [rng]
     zero = Jet.zero(num_vars, order, base_point)
     size = zero.vector.size
-    first = int(zero.basis.degree_start[min(max(min_degree, 0), order + 1)])
+    first = zero.basis._sizes[min(max(min_degree, 0), order + 1)]
     mags = np.array([decay**d for d in range(order + 1)])[zero.basis.degrees[first:size]]
-    vector = np.zeros(size, dtype=complex)
-    if real:
-        vector.real[first:] = rng.standard_normal(size - first) * mags
-    else:
-        draws = rng.standard_normal((size - first, 2))
-        vector.real[first:] = draws[:, 0] * mags
-        vector.imag[first:] = draws[:, 1] * mags
-    return zero._like(vector)
+    draws = standard_normals(streams, (size - first) * (1 if real else 2)).reshape(len(streams), size - first, -1)
+    draws = draws * mags[:, None]
+    vector = np.zeros((len(streams), size), dtype=complex)
+    vector.real[:, first:] = draws[..., 0]
+    if not real:
+        vector.imag[:, first:] = draws[..., 1]
+    return zero._like(vector if streams is rng else vector[0])
 
-
-def iter_multi_indices(num_vars: int, order: int) -> Tuple[MultiIndex, ...]:
-    """All exponent tuples with total degree <= order, in graded lex order."""
-    basis = _basis(num_vars, order)
-    return tuple(map(tuple, basis.exponents[: basis.size(order)].tolist()))

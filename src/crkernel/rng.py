@@ -36,8 +36,7 @@ class Stream:
     def standard_normal(self, size=None):
         """Box-Muller on one word pair per normal, so normal k reads words 2k and 2k + 1."""
         shape = () if size is None else size if isinstance(size, tuple) else (size,)
-        u = self.random(shape + (2,))
-        z = np.sqrt(-2.0 * np.log(1.0 - u[..., 0])) * np.cos(2 * np.pi * u[..., 1])
+        z = standard_normals([self], math.prod(shape)).reshape(shape)
         return float(z) if size is None else z
 
     def uniform(self, low: float, high: float) -> float:
@@ -47,6 +46,15 @@ class Stream:
         """A draw from [low, high), or [0, low), by multiply-shift of one word."""
         low, high = (0, low) if high is None else (low, high)
         return low + (int.from_bytes(self._read(1), "little") * (high - low) >> 64)
+
+
+def standard_normals(streams, count: int) -> np.ndarray:
+    """Row r holds ``count`` normals of ``streams[r]``, the words read stream by
+    stream in list order (a stream listed twice draws twice), then turned into
+    normals by one Box-Muller pass over every row."""
+    u = np.frombuffer(b"".join([s._read(2 * count) for s in streams]), "<u8")
+    u = ((u >> 11) * 2.0**-53).reshape(-1, 2)
+    return (np.sqrt(-2.0 * np.log(1.0 - u[:, 0])) * np.cos(2 * np.pi * u[:, 1])).reshape(len(streams), count)
 
 
 def spawn_rng(seed: int, *labels: object) -> Stream:

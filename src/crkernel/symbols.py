@@ -18,7 +18,7 @@ import numpy as np
 
 from .charts import CRModelChart, christoffel_symbols, levi_frame
 from .errors import BranchError, ChartError, OrderShortfallError, SymbolError
-from .jets import Jet, Substitution, random_jet
+from .jets import Jet, Substitution, batch_products, linear_combinations, random_jet
 from .rng import spawn_rng
 
 
@@ -193,7 +193,8 @@ def subprincipal_symbol(sym: ClassicalSymbol, density: Jet, s: float) -> complex
 
 
 def invert_map(kappa: Sequence[Jet]) -> List[Jet]:
-    """Inverse of a jet map fixing 0 with invertible Jacobian."""
+    """Inverse of a jet map fixing 0 with invertible Jacobian; no zero entry of
+    kappa'(0) or its inverse scales a term (the ``jets`` zero-term rule)."""
     d = len(kappa)
     order = kappa[0].order
     base = kappa[0].base_point
@@ -204,45 +205,37 @@ def invert_map(kappa: Sequence[Jet]) -> List[Jet]:
     if abs(np.linalg.det(jac)) < 1e-12:
         raise SymbolError("invert_map: singular Jacobian at 0")
     ainv = np.linalg.inv(jac)
-
-    def lin_solve(vecs: List[Jet]) -> List[Jet]:
-        out = []
-        for c in range(d):
-            acc = Jet.zero(d, order, base)
-            for j in range(d):
-                acc = acc + vecs[j].scale(complex(ainv[c, j]))
-            out.append(acc)
-        return out
-
     coords = [Jet.displacement(i, d, order, base) for i in range(d)]
-    nonlin = []
-    for c in range(d):
-        lin = Jet.zero(d, order, base)
-        for j in range(d):
-            lin = lin + coords[j].scale(complex(jac[c, j]))
-        nonlin.append(kappa[c].shift_constant(-kappa[c].constant_term()) - lin)
-    psi, nonlin = lin_solve(coords), Jet.stack(nonlin)
+    lin = linear_combinations(jac, coords)
+    nonlin = Jet.stack([kappa[c].shift_constant(-kappa[c].constant_term()) - lin[c] for c in range(d)])
+    psi = linear_combinations(ainv, coords)
     for _ in range(order):
         nl_at = Substitution(psi).apply(nonlin).vector
-        psi = lin_solve([coords[j] - coords[j]._like(nl_at[j]) for j in range(d)])
+        psi = linear_combinations(ainv, [coords[j] - coords[j]._like(nl_at[j]) for j in range(d)])
     return psi
 
 
 def jet_matrix_determinant(mat: Sequence[Sequence[Jet]]) -> Jet:
     """Determinant of a small square matrix of jets by Laplace expansion along
     the first row, each minor (the last k rows on k columns) formed once from
-    the smaller ones: an m x m matrix takes m 2^(m-1) - m products, not about m!."""
+    the smaller ones: an m x m matrix takes m 2^(m-1) - m product rows, not about
+    m!, one batch product per minor size, each minor adding its signed rows from +0."""
     m, first = len(mat), mat[0][0]
-    zero = Jet.zero(first.num_vars, first.order, first.base_point)
-    minors = {(c,): mat[m - 1][c] for c in range(m)}
+    rank = np.zeros(1 << m, dtype=np.intp)  # column set (as a bit mask) -> its minor's row
+    rank[1 << np.arange(m)] = np.arange(m)
+    minors = np.stack([g.vector for g in mat[m - 1]])
     for k in range(2, m + 1):
-        for cols in combinations(range(m), k):
-            acc = zero
-            for i, c in enumerate(cols):
-                term = mat[m - k][c] * minors[cols[:i] + cols[i + 1 :]]
-                acc = acc + term if i % 2 == 0 else acc - term
-            minors[cols] = acc
-    return minors[tuple(range(m))]
+        cols = np.array(list(combinations(range(m), k)))
+        bits = 1 << cols
+        below = rank[bits.sum(axis=1, keepdims=True) - bits]  # the minor without each column
+        top = np.stack([g.vector for g in mat[m - k]])
+        terms = first._like(top[cols.ravel()]) * first._like(minors[below.ravel()])
+        terms = terms.vector.reshape(len(cols), k, -1)
+        minors = np.zeros_like(terms[:, 0])
+        for i in range(k):
+            minors = minors + terms[:, i] if i % 2 == 0 else minors - terms[:, i]
+        rank[bits.sum(axis=1)] = np.arange(len(cols))
+    return first._like(minors[0])
 
 
 def _inverse_at(inverse: Sequence[Jet], order: int) -> List[Jet]:
@@ -261,8 +254,9 @@ def transform_density(density: Jet, kappa: Sequence[Jet], s: float, inverse: Seq
     d = len(kappa)
     order = density.order
     psi = _inverse_at(inverse, order)
-    jac = [[kappa[c].with_order(order + 1).partial(j) for j in range(d)] for c in range(d)]
-    det = jet_matrix_determinant(jac)
+    kap = Jet.stack([g.with_order(order + 1) for g in kappa])
+    columns = [kap.partial(j) for j in range(d)]
+    det = jet_matrix_determinant([[col._like(col.vector[c]) for col in columns] for c in range(d)])
     det0 = det.constant_term()
     if abs(det0.imag) > 1e-12 or det0.real == 0:
         raise SymbolError("transform_density: need a real nonvanishing Jacobian determinant")
@@ -285,6 +279,10 @@ def transform_symbol_under_diffeo(
     is a power of two or both are equal, so below degree 6 (components of
     order <= 7) the (j, k) and (k, j) terms are equal bit for bit: each is
     formed once, for j <= k, and added again at (k, j).
+
+    Batches, each row bit for bit its single jet: one stack of kappa gives its partials,
+    one substitution moves every x-jet, one more e_0, e_1 and the nonzero half-Hessians,
+    and their terms are one batch product, added to e_1 in (j, k) order.
     """
     e0 = sym.components[0]
     nv = e0.num_vars
@@ -302,50 +300,41 @@ def transform_symbol_under_diffeo(
     eta0 = np.linalg.solve(jac0.T, old_xi)
     new_base = tuple(0.0 for _ in range(d)) + tuple(complex(v) for v in eta0)
 
-    # every x-jet read here (dx_i, d_j kappa_c, d_j d_k kappa_c for j <= k) moved to the (y, eta)
-    # space in one batch, and each kappa_c term times eta_c in one batch product
-    dk = [[g.with_order(work + 1).partial(j).with_order(work) for g in kappa] for j in range(d)]
-    d2k = {(j, k): [g.with_order(work + 2).partial(j).partial(k).with_order(work) for g in kappa]
-           for j in range(d) for k in range(j, d)}
-    x_jets = [Jet.displacement(i, d, work, (0.0,) * d) for i in range(d)] + sum(dk + list(d2k.values()), [])
+    # every x-jet read here, as rows: dx_i, d_j kappa_c (j-major), d_j d_k kappa_c (j <= k)
+    kap = Jet.stack([g.with_order(work + 2) for g in kappa])
+    dk = [kap.partial(j) for j in range(d)]
+    pairs = [(j, k) for j in range(d) for k in range(j, d)]
+    disp = Jet.stack([Jet.displacement(i, d, work, (0.0,) * d) for i in range(d)])
+    rows = [disp] + [g.truncated(work) for g in dk] + [dk[j].partial(k) for j, k in pairs]
     at_psi = Substitution(_inverse_at(inverse, work))  # x(y), jets in y
-    moved = promote_x_jet(at_psi.apply(Jet.stack(x_jets)), new_base, work).vector
-    eta_coords = [Jet.coordinate(d + c, nv, work, new_base) for c in range(d)]
-    paired = eta_coords[0]._like(moved[d:]) * Jet.stack(eta_coords * (len(x_jets) // d - 1))
-    inner_x = [eta_coords[0]._like(row) for row in moved[:d]]
-    paired = iter([eta_coords[0]._like(row) for row in paired.vector])
-    inner_xi = []
-    for j in range(d):
-        acc = Jet.zero(nv, work, new_base)
-        for c in range(d):
-            acc = acc + next(paired)
-        inner_xi.append(acc)
-    d2k = {key: [(g, next(paired)) for g in jets] for key, jets in d2k.items()}
-    at_inner = Substitution(inner_x + inner_xi)
+    moved = at_psi.apply(disp._like(np.concatenate([g.vector for g in rows])))
+    moved = promote_x_jet(moved, new_base, work).vector
+    # each kappa_c term times eta_c, summed over c: inner_xi (first d rows), then the pairings
+    eta = np.stack([Jet.coordinate(d + c, nv, work, new_base).vector for c in range(d)])
+    like = Jet.zero(nv, work, new_base)._like
+    paired = (like(moved[d:]) * like(np.tile(eta, (len(moved) // d - 1, 1)))).vector
+    sums = np.zeros_like(paired[::d])
+    for c in range(d):
+        sums = sums + paired[c::d]
+    at_inner = Substitution([like(row) for row in moved[:d]] + [like(row) for row in sums[:d]])
 
-    ek0 = at_inner.apply(e0.truncated(work).with_order(work))
-    ek1 = at_inner.apply(sym.component(1).truncated(work))
-    terms = {}  # (j, k) -> the half-Hessian term, or None where it vanishes
+    e0_xi = [e0.partial(d + j) for j in range(d)]
+    hess = [e0_xi[j].partial(d + k).truncated(work) for j, k in pairs]
+    live = [i for i, h in enumerate(hess) if h.support.size and sums[d + i].any()]
+    stack = [e0.truncated(work), sym.component(1).truncated(work)] + [hess[i] for i in live]
+    moved = at_inner.apply(Jet.stack(stack)).vector
+    terms = (-0.5j) * (like(moved[2:]) * like(sums[d:][live]))
+    terms = dict(zip([pairs[i] for i in live], terms.vector))
+    ek1 = moved[1]
     for j in range(d):
         for k in range(d):
-            if k < j:
-                term = terms[k, j]
-            else:
-                term = terms[j, k] = None
-                hess = e0.partial(d + j).partial(d + k).truncated(work)
-                if hess.support.size:
-                    pairing = Jet.zero(nv, work, new_base)
-                    for g, moved_times_eta in d2k[j, k]:
-                        if g.support.size:
-                            pairing = pairing + moved_times_eta
-                    if pairing.support.size:
-                        term = terms[j, k] = (-0.5j) * (at_inner.apply(hess) * pairing)
+            term = terms.get((j, k) if j <= k else (k, j))
             if term is not None:
                 ek1 = ek1 + term
     standard = new_base == xi_base((d - 1) // 2)
     return ClassicalSymbol(
         order_m=sym.order_m,
-        components=(ek0, ek1),
+        components=(like(moved[0]), like(ek1)),
         homogeneous=False,
         at_standard_base=standard,
     )
@@ -399,29 +388,35 @@ def _p_geometry(chart: CRModelChart, base: Tuple[complex, ...]):
     W = (X^T)^{-1}, and hor_xi[r][l], the d/dxi_l coefficients of the
     horizontal lift of X_r (its d/dx_l coefficients are X[r][l]).  All come
     from one ``levi_frame`` solve at order 2 (Gamma needs one derivative of
-    W), truncated to order 1 and lifted.
+    W), truncated to order 1 and lifted as one batch.
     """
     w = 1
     d = chart.dim
     nv = 2 * d
     xi_jets = [Jet.coordinate(d + k, nv, w, base) for k in range(d)]
     frame, coframe = levi_frame(chart, w + 1)
-    gam_xi = {
-        (j, k, l): xi_jets[k] * promote_x_jet(g, base, w)
-        for (j, k, l), g in christoffel_symbols(frame, coframe).items()
-        if g.support.size
-    }
-    frame_p = [[promote_x_jet(f, base, w) for f in row] for row in frame]
-    coframe = [[promote_x_jet(f, base, w) for f in row] for row in coframe]
+    gammas = {key: g for key, g in christoffel_symbols(frame, coframe).items() if g.support.size}
+    flat = [f for row in frame + coframe for f in row] + list(gammas.values())
+    lifted = promote_x_jet(Jet.stack([f.with_order(w) for f in flat]), base, w)
+    lifted = [lifted._like(row) for row in lifted.vector]
+    frame_p, coframe = ([lifted[(s + r) * d : (s + r + 1) * d] for r in range(d)] for s in (0, d))
+    gam_xi = [(xi_jets[k], g) for (_, k, _), g in zip(gammas, lifted[2 * d * d :])]
+    gam_xi = dict(zip(gammas, batch_products(gam_xi)))
 
     # horizontal lift coefficients: X_r^Hor = sum_l X[r][l] d/dx_l^Hor
-    hor_xi = []
-    for r in range(d):
-        vs = [Jet.zero(nv, w, base) for _ in range(d)]
-        for (j, k, l), gx in gam_xi.items():
-            vs[l] = vs[l] - frame_p[r][j] * gx
-        hor_xi.append(vs)
+    terms = [(r, l, frame_p[r][j], gx) for r in range(d) for (j, _, l), gx in gam_xi.items()]
+    terms = [t for t in terms if t[2].support.size]
+    hor_xi = [[Jet.zero(nv, w, base)] * d for _ in range(d)]
+    for (r, l, _, _), product in zip(terms, batch_products([t[2:] for t in terms])):
+        hor_xi[r][l] = hor_xi[r][l] - product
     return gam_xi, frame_p, coframe, hor_xi
+
+
+def _add_products(out: List[Jet], terms) -> List[Jet]:
+    """out[slot] + a * b for each (slot, a, b) of ``terms`` in order, as one ``batch_products``."""
+    for (slot, _, _), product in zip(terms, batch_products([(a, b) for _, a, b in terms])):
+        out[slot] = out[slot] + product
+    return out
 
 
 def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
@@ -433,7 +428,9 @@ def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
     the base point reads the fields' degree-1 coefficients, so the fields
     are formed at order 1 from F truncated to order 2.  A stacked batch of
     fields (``Jet.stack``) gives the per-row array, each row bit for bit
-    its field's own value.
+    its field's own value.  Each of the three stages below is one batch
+    product with no empty-support frame, coframe or lift entry (the ``jets``
+    zero-term rule); a product never holds -0, so +0 + p is p.
     """
     if not chart.is_exact_heisenberg:
         raise ChartError("p_operator_geometric supports only the exact Heisenberg chart")
@@ -446,46 +443,35 @@ def p_operator_geometric(chart: CRModelChart, F: Jet) -> complex:
     base = F.base_point
     w = 1
     gam_xi, frame_p, coframe, hor_xi = _p_geometry(chart, base)
+    zero = Jet.zero(nv, w, base)
 
     comps = hamiltonian_vector_field(F.truncated(2))
     a = comps[:d]
-    b = comps[d:]
 
-    # vertical remainder after subtracting the horizontal lift of the pushdown
-    bhat = list(b)
-    for (j, k, l), gx in gam_xi.items():
-        bhat[l] = bhat[l] + a[j] * gx
+    # vertical remainder after subtracting the horizontal lift of the pushdown (bhat),
+    # and the pushdown split over the real frame, sum_r alpha_r X_r = sum_l a_l d/dx_l
+    terms = [(l, a[j], gx) for (j, k, l), gx in gam_xi.items()]
+    terms += [(d + r, coframe[r][l], a[l]) for r in range(d) for l in range(d) if coframe[r][l].support.size]
+    bhat = _add_products(comps[d:] + [zero] * d, terms)  # bhat_l, then alpha_r at slot d + r
+    alpha = bhat[d:]
+    # vertical part over the coframe, sum_r beta_r omega^r = sum_l bhat_l dxi_l
+    terms = [(r, frame_p[r][l], bhat[l]) for r in range(d) for l in range(d)]
+    beta = _add_products([zero] * d, [t for t in terms if t[1].support.size])
 
-    # pushdown split over the real frame, sum_r alpha_r X_r = sum_l a_l d/dx_l,
-    # and vertical part over the coframe, sum_r beta_r omega^r = sum_l bhat_l dxi_l
-    alpha = [_jet_dot(coframe[r], a) for r in range(d)]
-    beta = [_jet_dot(frame_p[r], bhat) for r in range(d)]
-
-    out_x = [Jet.zero(nv, w, base) for _ in range(d)]
-    out_xi = [Jet.zero(nv, w, base) for _ in range(d)]
-
-    # J on the horizontal Levi part: X_{2j} -> X_{2j+1}, X_{2j+1} -> -X_{2j}
+    # J on the horizontal Levi part: X_{2j} -> X_{2j+1}, X_{2j+1} -> -X_{2j}, into the
+    # d/dx_l (slot l) and d/dxi_l (slot d + l) components
+    terms = []
     for j in range(n):
         for coeff, target in ((alpha[2 * j], 2 * j + 1), (-1.0 * alpha[2 * j + 1], 2 * j)):
             for l in range(d):
-                out_x[l] = out_x[l] + coeff * frame_p[target][l]
-                out_xi[l] = out_xi[l] + coeff * hor_xi[target][l]
-
+                terms += [(l, coeff, frame_p[target][l]), (d + l, coeff, hor_xi[target][l])]
     # minus J on the vertical Levi part: omega^{2j} -> omega^{2j+1}, omega^{2j+1} -> -omega^{2j}
     for j in range(n):
         for coeff, target in ((beta[2 * j], 2 * j + 1), (-1.0 * beta[2 * j + 1], 2 * j)):
-            for l in range(d):
-                out_xi[l] = out_xi[l] + coeff * coframe[target][l]
+            terms += [(d + l, coeff, coframe[target][l]) for l in range(d)]
+    out = _add_products([zero] * (2 * d), [t for t in terms if t[2].support.size])
 
-    value = divergence(out_x + out_xi).constant_term()
+    value = divergence(out).constant_term()
     if F.rows is None:
         return -0.5 * value
     return np.array([-0.5 * v for v in value.tolist()], dtype=complex)  # rounded as a single F's
-
-
-def _jet_dot(row: Sequence[Jet], vec: Sequence[Jet]) -> Jet:
-    """sum_l row[l] * vec[l]."""
-    acc = row[0] * vec[0]
-    for r, v in zip(row[1:], vec[1:]):
-        acc = acc + r * v
-    return acc

@@ -9,6 +9,7 @@ from crkernel.charts import (
     ChartError,
     _check_chart,
     _solve_jet_linear,
+    christoffel_symbols,
     density_channel_value,
     heisenberg_chart,
     christoffel_at,
@@ -134,6 +135,148 @@ def test_jet_solve_on_a_dense_system():
         for c in range(d):
             resid = resid + amat[r][c] * v[c]
         assert resid.max_abs() < 1e-12
+
+
+def _solve_row_by_row(amat, rhs):
+    """Reference: the jet solve for one right-hand side with every product and
+    scaling formed, zero operands included."""
+    m, order = len(rhs), rhs[0].order
+    a0 = np.array([[amat[r][c].constant_term() for c in range(m)] for r in range(m)])
+    a0inv = np.linalg.inv(a0)
+    nil = [[amat[r][c].shift_constant(-a0[r, c]) for c in range(m)] for r in range(m)]
+    sol = [Jet.zero(rhs[0].num_vars, order, rhs[0].base_point) for _ in range(m)]
+    for _ in range(order + 1):
+        resid = list(rhs)
+        for r in range(m):
+            for c in range(m):
+                resid[r] = resid[r] - nil[r][c] * sol[c]
+        new_sol = []
+        for r in range(m):
+            acc = Jet.zero(rhs[0].num_vars, order, rhs[0].base_point)
+            for c in range(m):
+                acc = acc + resid[c].scale(complex(a0inv[r, c]))
+            new_sol.append(acc)
+        if all(new.vector.tobytes() == old.vector.tobytes() for new, old in zip(new_sol, sol)):
+            break
+        sol = new_sol
+    return sol
+
+
+def _dense_system(n, order):
+    rng = spawn_rng(n, order, "dense-system")
+    d, base = 2 * n + 1, (0.0,) * (2 * n + 1)
+    amat = [[random_jet(rng, d, order, base, 0.5).shift_constant(4.0 * (r == c)) for c in range(d)] for r in range(d)]
+    return amat, [[random_jet(rng, d, order, base, 0.5) for _ in range(d)] for _ in range(3)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, CHART_ORDER])
+def test_jet_solve_equals_the_row_by_row_solve_bit_for_bit(n, order):
+    # on the Heisenberg frame (mostly empty entries, A(0) = I) and on dense systems,
+    # one right-hand side at a time and as one batch of right-hand sides
+    frame, coframe = levi_frame(heisenberg_chart(n), order)
+    d = len(frame)
+    eye = [[Jet.constant(d, order, (0.0,) * d, float(r == a)) for r in range(d)] for a in range(d)]
+    for a, rhs in enumerate(eye):
+        want = _solve_row_by_row(frame, rhs)
+        assert [w.vector.tobytes() for w in coframe[a]] == [w.vector.tobytes() for w in want]
+        assert [w.vector.tobytes() for w in _solve_jet_linear(frame, rhs)] == [w.vector.tobytes() for w in want]
+    amat, systems = _dense_system(n, order)
+    wants = [_solve_row_by_row(amat, rhs) for rhs in systems]
+    for rhs, want in zip(systems, wants):
+        assert [v.vector.tobytes() for v in _solve_jet_linear(amat, rhs)] == [w.vector.tobytes() for w in want]
+    batch = _solve_jet_linear(amat, [Jet.stack(col) for col in zip(*systems)])
+    for k, want in enumerate(wants):
+        assert [v.vector[k].tobytes() for v in batch] == [w.vector.tobytes() for w in want]
+
+
+def _christoffel_term_by_term(frame, coframe):
+    """Reference: every partial, product and negation formed, empty ones included."""
+    d, first = len(frame), frame[0][0]
+    out_order = max(first.order - 1, 0)
+    lifted = {}
+    for j in range(d):
+        for l in range(d):
+            comps = [Jet.zero(first.num_vars, out_order, first.base_point) for _ in range(d)]
+            for a in range(d):
+                der = coframe[a][l].partial(j)
+                for k in range(d):
+                    comps[k] = comps[k] + der * frame[a][k].truncated(out_order)
+            lifted[(j, l)] = comps
+    return {(j, k, l): -1.0 * lifted[(j, l)][k] for j in range(d) for k in range(d) for l in range(d)}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("order", [2, CHART_ORDER])
+def test_christoffel_symbols_equal_the_term_by_term_sums_bit_for_bit(n, order):
+    frame, coframe = levi_frame(heisenberg_chart(n), order)
+    got, want = christoffel_symbols(frame, coframe), _christoffel_term_by_term(frame, coframe)
+    assert list(got) == list(want)
+    assert all(got[key].vector.tobytes() == want[key].vector.tobytes() for key in want)
+
+
+def test_levi_frame_forms_no_product_with_an_empty_operand(monkeypatch):
+    chart = heisenberg_chart(1)
+    empty = []
+    mul = Jet._mul_jet
+    monkeypatch.setattr(
+        Jet, "_mul_jet", lambda a, b: empty.append(not (a.support.size and b.support.size)) or mul(a, b)
+    )
+    levi_frame(chart, 2)
+    assert empty and not any(empty)
+
+
+def _tampered(chart, field, value):
+    return dataclasses.replace(chart, **{field: value})
+
+
+def _chart_faults(chart):
+    """(tampered chart, ChartError message) for each message ``_check_chart`` raises."""
+    d, nv, order = chart.dim, 2 * chart.dim, CHART_ORDER
+    x = lambda i, k=d: Jet.displacement(i, k, order, (0.0,) * k)
+    const = lambda c, k=d: Jet.constant(k, order, (0.0,) * k, c)
+    contact, frame = list(chart.contact_form), [list(row) for row in chart.frame]
+    contact[0] = contact[0] + x(0)
+    frame[0][0] = const(1.0)
+    reeb = list(chart.reeb)
+    reeb[d - 1] = const(-2.0)
+    phi = chart.phase
+    u = x(0, nv) - x(d, nv)
+    big = (u * u * u * u).scale(1e4)  # vanishes on the diagonal and raises the phase scale
+    return [
+        (_tampered(chart, "reeb", tuple(reeb)), "omega_0"),
+        (_tampered(chart, "contact_form", tuple(contact)), "contact form deviates"),
+        (_tampered(chart, "frame", tuple(map(tuple, frame))), "frame Z_0 has wrong value"),
+        (_tampered(chart, "volume_density", const(2.0)), r"lambda\(0\) != 1"),
+        (_tampered(chart, "volume_density", const(1.0) + x(1)), "grad lambda"),
+        (_tampered(chart, "phase", const(0.0, d)), "expected 6 variables"),
+        (_tampered(chart, "phase", phi + x(0, nv) * x(1, nv)), "diagonal"),
+        (_tampered(chart, "phase", phi + u), "d_x phi"),
+        (_tampered(chart, "phase", phi + big + x(d, nv).scale(5e-9)), "d_y phi"),
+        (_tampered(chart, "phase", phi + x(nv - 1, nv) * u), "not linear in the last y"),
+        (_tampered(chart, "phase", phi + u * u), "below degree 4"),
+    ]
+
+
+def test_each_chart_check_message_raises(chart):
+    for tampered, message in _chart_faults(chart):
+        with pytest.raises(ChartError, match=message):
+            _check_chart(tampered)
+
+
+def test_perturbed_chart_validates_only_what_it_adds(monkeypatch):
+    import crkernel.charts as charts
+
+    base = heisenberg_chart(1)
+    q, table = random_perturbation(1, 0.7, seed=3)
+    built = []
+    monkeypatch.setattr(charts, "contact_form_jets", lambda n: built.append(n))
+    pch = perturbed_chart(base, 0.7, q, table)
+    assert built == []  # the contact form, frame and Reeb field are the base chart's
+    assert pch.contact_form is base.contact_form and pch.frame is base.frame and pch.reeb is base.reeb
+    # its own phase is still checked: i x_0^2 x_1^2 meets the identity at R = 1/2 but not the diagonal
+    with pytest.raises(ChartError, match="diagonal"):
+        perturbed_chart(base, 0.5, None, {(2, 2, 0, 0, 0, 0): 1j})
 
 
 def test_scalar_curvature_flat_models(chart):

@@ -18,11 +18,13 @@ from crkernel.jets import (
     _Basis,
     _cmul_parts,
     _scatter_sum,
-    iter_multi_indices,
+    batch_products,
+    linear_combinations,
     max_coeff_difference,
     random_jet,
 )
 from crkernel.rng import spawn_rng
+from test_jets_exact import multi_indices
 
 
 def x_jet(order=2, nvars=1):
@@ -349,7 +351,7 @@ def test_derivative_at_rejects_a_variable_outside_the_range(variables):
 
 def test_derivative_at_is_the_coefficient_times_the_factorials():
     a = random_jet(spawn_rng(25, "derivative-at"), 3, 4, (0.5, 0.0, -1.0))
-    for idx in iter_multi_indices(3, 4):
+    for idx in multi_indices(3, 4):
         variables = [v for v, e in enumerate(idx) for _ in range(e)]
         want = a.coefficient(idx) * float(math.prod(map(math.factorial, idx)))
         assert a.derivative_at(*variables) == want
@@ -585,6 +587,43 @@ def test_random_jet_draws_in_graded_order():
         assert got.coeffs == want
 
 
+@pytest.mark.parametrize("num_vars,order", [(3, 6), (6, 2), (11, 4)])
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("min_degree", [0, 1, 2])
+def test_random_jet_over_streams_stacks_the_single_draws(num_vars, order, real, min_degree):
+    # row r is the draw from stream r; a stream listed twice gives two successive draws
+    base = (0.0,) * num_vars
+    draw = lambda rng: random_jet(rng, num_vars, order, base, 0.3, real, min_degree)
+    keys = [(k, num_vars, order, real, min_degree) for k in range(4)]
+    shared = spawn_rng(99, *keys[0])
+    stack = draw([spawn_rng(5, *key) for key in keys] + [shared] * 3)
+    want = [draw(spawn_rng(5, *key)) for key in keys]
+    shared = spawn_rng(99, *keys[0])
+    want += [draw(shared) for _ in range(3)]
+    assert stack.rows == len(want) and stack.order == order and stack.base_point == want[0].base_point
+    for r, w in enumerate(want):
+        assert stack.vector[r].tobytes() == w.vector.tobytes(), r
+    assert draw([spawn_rng(5, *keys[1])]).vector.tobytes() == want[1].vector[None].tobytes()
+
+
+def test_a_field_stack_is_drawn_with_one_box_muller_pass(monkeypatch):
+    import crkernel.jets as jets
+    from crkernel.harness import parse_config, run_scenarios
+
+    passes = []
+    normals = jets.standard_normals
+    monkeypatch.setattr(
+        jets, "standard_normals", lambda streams, count: passes.append((len(streams), count)) or normals(streams, count)
+    )
+    doc = {"seed": 4, "scenarios": [{
+        "name": "p", "chart": {"model": "heisenberg", "n": 1}, "checks": ["p_operator_routes"],
+        "tolerances": {"absolute": 1e-12, "relative": 0.0}, "params": {"num_fields": 40},
+    }]}
+    (report,) = run_scenarios(parse_config(doc), timings=False)
+    assert report.records[0].passed
+    assert passes == [(40, 28 * 2)]  # 40 fields, 28 monomials of (6, 2), a real and an imaginary part each
+
+
 # -- batches: a leading row axis, each row bit for bit its own single jet -------------------
 
 
@@ -610,16 +649,48 @@ def test_batch_products_equal_the_single_products_row_by_row(num_vars, order):
     table = rows[0].basis.products(order)
     assert (table is None) == (order == 12)
     stacked, stacked_others = Jet.stack(rows), Jet.stack(others)
+    h = Jet.displacement(1, num_vars, order, (0.0,) * num_vars)
+    sparse = [h, rows[1].scale(-1.0), rows[3], h * h]  # sparser and denser than rows[1]
     for got, want in [
         (stacked * single, [r * single for r in rows]),
         (single * stacked, [single * r for r in rows]),
         (stacked * rows[1], [r * rows[1] for r in rows]),
         (stacked * stacked_others, [r * o for r, o in zip(rows, others)]),
         (stacked_others * stacked, [o * r for r, o in zip(rows, others)]),
+        # sparse rows below the cap pair their union supports, oriented row by row
+        (Jet.stack(sparse) * rows[1], [r * rows[1] for r in sparse]),
+        (rows[1] * Jet.stack(sparse), [rows[1] * r for r in sparse]),
     ]:
         assert got.rows == len(rows)
         for r, w in enumerate(want):
             assert got.vector[r].tobytes() == w.vector.tobytes(), r
+
+
+@pytest.mark.parametrize("num_vars,order", [(3, 4), (4, 12)])
+def test_batch_products_equal_the_products_one_by_one(num_vars, order):
+    rows = batch_rows(num_vars, order, "many-left")
+    others = batch_rows(num_vars, order, "many-right")
+    stacked = Jet.stack(rows)
+    for pairs in ([(a, b) for a in rows for b in others], [(stacked, b) for b in others] + [(rows[1], stacked)]):
+        got = batch_products(pairs)
+        assert len(got) == len(pairs)
+        for g, (a, b) in zip(got, pairs):
+            want = a * b
+            assert g.rows == want.rows and g.vector.tobytes() == want.vector.tobytes()
+    assert batch_products([]) == []
+    with pytest.raises(CompatibilityError, match="batches of"):
+        batch_products([(stacked, rows[0]), (Jet.stack(rows[:2]), rows[0])])
+
+
+def test_linear_combinations_sum_the_nonzero_scalings_in_column_order():
+    # the reference scales by every entry, zeros included; rows hold -0 entries
+    jets = batch_rows(3, 4, "combinations")
+    mat = np.array([[0.5, 0.0, -2.0, 1.0], [-0.0, 0.0, 0.0, 0.0], [1j, 3.0, 0.0, -0.25]])
+    for r, got in enumerate(linear_combinations(mat, jets)):
+        want = Jet.zero(3, 4, (0.0,) * 3)
+        for c in range(4):
+            want = want + jets[c].scale(complex(mat[r, c]))
+        assert got.vector.tobytes() == want.vector.tobytes(), r
 
 
 def test_batch_row_wise_operations_broadcast_a_single_jet():

@@ -22,8 +22,15 @@ from fractions import Fraction
 
 import pytest
 
-from crkernel.jets import Jet, iter_multi_indices
+from crkernel.jets import Jet, _basis
 from crkernel.symbols import homogeneity_extend, xi_base
+
+
+def multi_indices(num_vars, order):
+    """Every exponent tuple of total degree <= order, in the jets' graded-lex order."""
+    basis = _basis(num_vars, order)
+    return list(map(tuple, basis.exponents[: basis.size(order)].tolist()))
+
 
 #: allowed coefficient deviation, relative to the largest exact coefficient.
 #: Every series step rounds; the deviations seen here stay below 6e-16.
@@ -88,7 +95,7 @@ def exact_invert(a, num_vars, order):
     inv_c = a[zero].reciprocal()
     rest = [(idx, c) for idx, c in a.items() if idx != zero]
     b = {zero: inv_c}
-    for idx in iter_multi_indices(num_vars, order):
+    for idx in multi_indices(num_vars, order):
         if idx == zero:
             continue
         acc = GaussRational(0)
@@ -139,7 +146,7 @@ def random_exact(rng, num_vars, order, terms=None, constant=None):
     """Dense (terms=None) or ``terms``-sparse exact jet; sparse terms draw
     their degree uniformly from 1..order.  ``constant`` pins the constant term."""
     by_degree = [[] for _ in range(order + 1)]
-    for idx in iter_multi_indices(num_vars, order):
+    for idx in multi_indices(num_vars, order):
         by_degree[sum(idx)].append(idx)
     if terms is None:
         indices = [idx for level in by_degree[1:] for idx in level]
@@ -154,9 +161,9 @@ def random_inner(rng, num_vars, order):
     """A centred inner jet: two linear terms and one of degree 2 or 3."""
     out = {}
     for _ in range(2):
-        out[rng.choice(list(iter_multi_indices(num_vars, 1))[1:])] = dyadic(rng, 0)
+        out[rng.choice(list(multi_indices(num_vars, 1))[1:])] = dyadic(rng, 0)
     deg = min(rng.randint(2, 3), order)
-    out[rng.choice([i for i in iter_multi_indices(num_vars, deg) if sum(i) == deg])] = dyadic(rng, deg)
+    out[rng.choice([i for i in multi_indices(num_vars, deg) if sum(i) == deg])] = dyadic(rng, deg)
     return out
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from crkernel.charts import heisenberg_chart, perturbed_chart, random_perturbation
 from crkernel.errors import OracleFitError, OrderShortfallError
-from crkernel.jets import Jet, iter_multi_indices, random_jet
+from crkernel.jets import Jet, random_jet
 from crkernel.rng import spawn_rng
 from crkernel.stationary import (
     CUTOFF_DEGREE,
@@ -26,7 +26,7 @@ from crkernel.stationary import (
     oracle_sweep,
     oscillatory_monomial_moments,
 )
-from test_jets_exact import GaussRational, exact_mul
+from test_jets_exact import GaussRational, exact_mul, multi_indices
 
 NV = 4
 BASE = (0.0,) * NV
@@ -462,7 +462,7 @@ def _brute_force_moments(phase, amp_order, t, radius, nodes):
         psi += term
     core = weight * np.exp(1j * t * psi)
     out = {}
-    for idx in iter_multi_indices(len(nodes), amp_order):
+    for idx in multi_indices(len(nodes), amp_order):
         mono = core
         for g, p in zip(grids, idx):
             mono = mono * g**p
@@ -484,7 +484,7 @@ def test_separable_moments_match_tensor_grid(data):
 
 def test_moments_odd_in_a_gaussian_variable_vanish(data):
     got = oscillatory_monomial_moments(data.psi0, 3, 30.0, 1.4, (48, 49, 160, 160))
-    for idx, m in zip(iter_multi_indices(NV, 3), got.tolist()):
+    for idx, m in zip(multi_indices(NV, 3), got.tolist()):
         if idx[0] % 2 or idx[1] % 2:
             assert m == 0j, idx
         else:
@@ -526,7 +526,7 @@ def _full_grid_moments(amp_order, t, radius, nodes):
     for p in powers:
         fourier[:, p] = 1j * np.sum(sin * v**p, axis=1) if p % 2 else np.sum(cos * v**p, axis=1)
     inner.append(fourier)
-    indices = iter_multi_indices(len(nodes), amp_order)
+    indices = multi_indices(len(nodes), amp_order)
     out = np.empty(len(indices), dtype=complex)
     for p, idx in enumerate(indices):
         col = s_moments[:, idx[-1]]

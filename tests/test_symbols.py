@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from crkernel.charts import heisenberg_chart, perturbed_chart, random_perturbation
 from crkernel.errors import BranchError, ChartError, SymbolError
-from crkernel.jets import Jet, max_coeff_difference, random_jet
+from crkernel.jets import Jet, Substitution, max_coeff_difference, random_jet
 from crkernel.rng import spawn_rng
 from crkernel.symbols import (
     ClassicalSymbol,
@@ -351,19 +353,20 @@ def test_determinant_of_constants_matches_numpy():
 
 
 def test_determinant_forms_each_minor_once(monkeypatch):
-    # work guard: each of the C(9, k) minors takes k products, where the plain
-    # recursion makes about 9! of them
-    calls = []
+    # work guard: each of the C(9, k) minors takes k product rows (a batch of r rows
+    # counts r), m 2^(m-1) - m in all, where the plain recursion makes about 9! products
+    rows = []
     product = Jet._mul_jet
 
     def counting(self, other):
-        calls.append(1)
+        rows.append(max(self.rows or 1, other.rows or 1))
         return product(self, other)
 
     monkeypatch.setattr(Jet, "_mul_jet", counting)
     rng = spawn_rng(9, "determinant-work")
     jet_matrix_determinant([[random_jet(rng, D, 1, (0.0,) * D) for _ in range(9)] for _ in range(9)])
-    assert len(calls) <= 9 * 2**8
+    assert sum(rows) <= 9 * 2**8 - 9
+    assert len(rows) == 8  # one batch product per minor size 2..9
 
 
 def test_transform_singular_jacobian_rejected():
@@ -393,6 +396,175 @@ def test_half_hessian_inputs_are_symmetric_bit_for_bit(order):
                     ab = g.with_order(work + 2).partial(a).partial(b).with_order(work)
                     ba = g.with_order(work + 2).partial(b).partial(a).with_order(work)
                     assert ab.vector.tobytes() == ba.vector.tobytes()
+
+
+# -- batched transport against the row-by-row references ------------------------------------
+
+
+def _invert_map_row_by_row(kappa):
+    """Reference: ``invert_map`` with every linear term formed, zero entries included."""
+    d, order, base = len(kappa), kappa[0].order, kappa[0].base_point
+    jac = np.array([[kappa[c].derivative_at(j) for j in range(d)] for c in range(d)])
+    ainv = np.linalg.inv(jac)
+
+    def lin_solve(vecs):
+        out = []
+        for c in range(d):
+            acc = Jet.zero(d, order, base)
+            for j in range(d):
+                acc = acc + vecs[j].scale(complex(ainv[c, j]))
+            out.append(acc)
+        return out
+
+    coords = [Jet.displacement(i, d, order, base) for i in range(d)]
+    nonlin = []
+    for c in range(d):
+        lin = Jet.zero(d, order, base)
+        for j in range(d):
+            lin = lin + coords[j].scale(complex(jac[c, j]))
+        nonlin.append(kappa[c].shift_constant(-kappa[c].constant_term()) - lin)
+    psi = lin_solve(coords)
+    for _ in range(order):
+        psi = lin_solve([coords[j] - g.compose(psi) for j, g in enumerate(nonlin)])
+    return psi
+
+
+def _determinant_minor_by_minor(mat):
+    """Reference: the Laplace expansion with each minor formed once, one product at a time."""
+    m, first = len(mat), mat[0][0]
+    zero = Jet.zero(first.num_vars, first.order, first.base_point)
+    minors = {(c,): mat[m - 1][c] for c in range(m)}
+    for k in range(2, m + 1):
+        for cols in itertools.combinations(range(m), k):
+            acc = zero
+            for i, c in enumerate(cols):
+                term = mat[m - k][c] * minors[cols[:i] + cols[i + 1 :]]
+                acc = acc + term if i % 2 == 0 else acc - term
+            minors[cols] = acc
+    return minors[tuple(range(m))]
+
+
+def _transform_row_by_row(sym, kappa, inverse):
+    """Reference: the transport with one partial, substitution and product per jet."""
+    e0 = sym.components[0]
+    nv = e0.num_vars
+    d = nv // 2
+    work = e0.order - 2
+    jac0 = np.array([[kappa[c].derivative_at(j) for j in range(d)] for c in range(d)])
+    eta0 = np.linalg.solve(jac0.T, np.array(e0.base_point[d:]))
+    new_base = tuple(0.0 for _ in range(d)) + tuple(complex(v) for v in eta0)
+    at_psi = Substitution([g.truncated(work) for g in inverse])
+
+    def moved(x_jet):
+        return promote_x_jet(at_psi.apply(x_jet), new_base, work)
+
+    eta = [Jet.coordinate(d + c, nv, work, new_base) for c in range(d)]
+    inner_x = [moved(Jet.displacement(i, d, work, (0.0,) * d)) for i in range(d)]
+    inner_xi = []
+    for j in range(d):
+        acc = Jet.zero(nv, work, new_base)
+        for c in range(d):
+            acc = acc + moved(kappa[c].with_order(work + 1).partial(j).with_order(work)) * eta[c]
+        inner_xi.append(acc)
+    at_inner = Substitution(inner_x + inner_xi)
+    ek0 = at_inner.apply(e0.truncated(work))
+    ek1 = at_inner.apply(sym.component(1).truncated(work))
+    for j in range(d):
+        for k in range(d):
+            hess = e0.partial(d + j).partial(d + k).truncated(work)
+            pairing = Jet.zero(nv, work, new_base)
+            for c in range(d):
+                g = kappa[c].with_order(work + 2).partial(j).partial(k).with_order(work)
+                if g.support.size:
+                    pairing = pairing + moved(g) * eta[c]
+            if hess.support.size and pairing.support.size:
+                ek1 = ek1 + (-0.5j) * (at_inner.apply(hess) * pairing)
+    return ek0, ek1
+
+
+def _diffeo(n, rng, order, shear=0.0):
+    """A random map fixing 0 in 2n+1 variables: identity plus cubic bumps, its
+    linear part sheared by ``shear`` (kappa'(0) = I at 0)."""
+    d = 2 * n + 1
+    bumps = random_jet([rng] * d, d, order, (0.0,) * d, real=True, decay=0.3, min_degree=2)
+    kappa = []
+    for c in range(d):
+        g = Jet.displacement(c, d, order, (0.0,) * d) + bumps._like(bumps.vector[c]).truncated(3).with_order(order)
+        kappa.append(g + Jet.displacement((c + 1) % d, d, order, (0.0,) * d).scale(shear))
+    return kappa
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_invert_map_equals_the_row_by_row_inverse_bit_for_bit(n):
+    for k, (order, shear) in enumerate(((2, 0.0), (2, 0.3), (4 if n < 3 else 2, -0.2))):
+        kappa = _diffeo(n, spawn_rng(k, "invert-rows", n), order, shear)
+        got, want = invert_map(kappa), _invert_map_row_by_row(kappa)
+        assert [g.vector.tobytes() for g in got] == [w.vector.tobytes() for w in want], (order, shear)
+
+
+@pytest.mark.parametrize("m", range(3, 12))
+def test_determinant_equals_the_minor_by_minor_expansion_bit_for_bit(m):
+    # order-1 entries in m variables, as the Jacobians of the density transport
+    rng = spawn_rng(m, "determinant-levels")
+    mat = [[random_jet(rng, m, 1, (0.0,) * m) for _ in range(m)] for _ in range(m)]
+    mat[0][1] = Jet.zero(m, 1, (0.0,) * m)  # an empty entry
+    got = jet_matrix_determinant(mat)
+    assert got.vector.tobytes() == _determinant_minor_by_minor(mat).vector.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transform_equals_the_row_by_row_transport_bit_for_bit(n):
+    d = 2 * n + 1
+    for k in range(6):
+        rng = spawn_rng(k, "transport-rows", n)
+        order = 6 if k == 5 and n == 1 else 4  # the subprincipal check's order, and SYMBOL_ORDER
+        sym = random_classical_symbol(n, float(rng.uniform(-1, 1)), 2, seed=k, homogeneous=False, order=order)
+        kappa = _diffeo(n, rng, order, shear=0.2 if k == 4 else 0.0)
+        psi = invert_map([g.truncated(order - 2) for g in kappa])
+        got = transform_symbol_under_diffeo(sym, kappa, psi)
+        want = _transform_row_by_row(sym, kappa, psi)
+        assert [c.vector.tobytes() for c in got.components] == [w.vector.tobytes() for w in want], k
+        assert got.components[0].num_vars == 2 * d
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_transport_substitutes_its_half_hessians_once(monkeypatch, n):
+    # one substitution moves every x-jet, one more every component and half-Hessian
+    applied = []
+    apply = Substitution.apply
+    monkeypatch.setattr(Substitution, "apply", lambda self, outer: applied.append(outer.rows) or apply(self, outer))
+    rng = spawn_rng(n, "transport-work")
+    sym = random_classical_symbol(n, 0.3, 2, seed=7, homogeneous=False, order=4)
+    kappa = _diffeo(n, rng, 4)
+    psi = _invert_map_row_by_row([g.truncated(2) for g in kappa])
+    applied.clear()
+    transform_symbol_under_diffeo(sym, kappa, psi)
+    d = 2 * n + 1
+    assert len(applied) == 2
+    assert applied[1] == 2 + d * (d + 1) // 2  # e_0, e_1 and every (j <= k) half-Hessian, all nonzero here
+
+
+#: sha256 of every (transported, direct) subprincipal pair at n = 1..5, master
+#: seed 0, four diffeomorphisms each, one "A.real A.imag B.real B.imag" line per pair
+TRANSPORTED_PAIRS_SHA256 = "d99724bf51a636a4748e96b77c76c085d337ede57e4c3134ab8c0b8100b5fd2c"
+
+
+def test_transported_pairs_at_every_dimension_are_pinned(monkeypatch):
+    import hashlib
+
+    import crkernel.harness as harness
+
+    pairs = []
+    monkeypatch.setattr(harness, "_worst", lambda candidates: pairs.extend(candidates) or (0j, 0j))
+    doc = {"seed": 0, "scenarios": [{
+        "name": f"transport-n{n}", "chart": {"model": "heisenberg", "n": n},
+        "checks": ["subprincipal_invariance"], "tolerances": {"absolute": 1e-10, "relative": 0.0},
+        "params": {"num_diffeos": 4},
+    } for n in range(1, 6)]}
+    harness.run_scenarios(harness.parse_config(doc), timings=False)
+    text = "".join(f"{a.real:.17g} {a.imag:.17g} {b.real:.17g} {b.imag:.17g}\n" for a, b in pairs)
+    assert len(pairs) == 20
+    assert hashlib.sha256(text.encode()).hexdigest() == TRANSPORTED_PAIRS_SHA256
 
 
 def test_subprincipal_invariance_under_diffeos():
@@ -487,7 +659,7 @@ def test_p_operator_geometric_does_not_depend_on_earlier_fields():
 
 def test_p_operator_coframe_products_match_linear_solves(chart):
     from crkernel.charts import _solve_jet_linear
-    from crkernel.symbols import _jet_dot, _p_geometry
+    from crkernel.symbols import _p_geometry
 
     gam_xi, frame_p, coframe, _ = _p_geometry(chart, BASE)
     for F in _random_fields("p-coframe", 5):
@@ -500,6 +672,14 @@ def test_p_operator_coframe_products_match_linear_solves(chart):
         for r in range(D):
             assert max_coeff_difference(_jet_dot(coframe[r], a), alpha[r]) < 1e-14
             assert max_coeff_difference(_jet_dot(frame_p[r], bhat), beta[r]) < 1e-14
+
+
+def _jet_dot(row, vec):
+    """sum_l row[l] * vec[l], one product at a time, empty entries included."""
+    acc = row[0] * vec[0]
+    for r, v in zip(row[1:], vec[1:]):
+        acc = acc + r * v
+    return acc
 
 
 def test_p_geometry_solves_the_frame_once_per_call(monkeypatch):
@@ -525,7 +705,6 @@ def _p_operator_at_order(chart, F, w):
     """P(F) with the fields, the lifted frames and the connection all formed
     at order w = F.order - 1, the order of F's Hamiltonian field."""
     from crkernel.charts import christoffel_symbols, levi_frame
-    from crkernel.symbols import _jet_dot
 
     n, d, base = chart.n, chart.dim, F.base_point
     nv = 2 * d
