@@ -34,7 +34,7 @@ from .charts import (
     tw_scalar_curvature,
 )
 from .errors import ConfigError, OracleFitError
-from .jets import Jet, random_jet
+from .jets import Jet, Substitution, random_jet
 from .pipeline import (
     compose_amplitudes_closed,
     compose_amplitudes_sp,
@@ -334,14 +334,15 @@ def read_config_doc(path: str):
 
 class RunCache:
     """Charts, phase data and quadrature fits built during one ``run_scenarios``
-    call, keyed by chart spec, and Hessian algebras keyed by Hessian; scenarios
-    on one chart, and charts of one Hessian, share them, and nothing outlives
-    the run."""
+    call, keyed by chart spec, Hessian algebras keyed by Hessian and the b1
+    routes' chart maps (``Substitution``s) keyed by bytes; scenarios on one
+    chart, and charts of one Hessian or map, share them; nothing outlives the run."""
 
     def __init__(self):
         self.charts: Dict[ChartSpec, CRModelChart] = {}
         self.phase_data: Dict[ChartSpec, PhaseCriticalData] = {}
         self.hessian_algebras: Dict[bytes, HessianAlgebra] = {}
+        self.substitutions: Dict[tuple, Substitution] = {}
         self.quadrature: Dict[Tuple[ChartSpec, int], list] = {}
 
     def chart(self, spec: ChartSpec) -> CRModelChart:
@@ -405,9 +406,7 @@ class CheckContext:
     def b1_pipeline(self) -> Tuple[complex, complex]:
         """(b0, b1) by the stationary-phase route, computed once per scenario."""
         if self._b1_pipeline is None:
-            self._b1_pipeline = toeplitz_b1_pipeline(
-                self.symbol, self.chart, phase_data=self.phase_data
-            )
+            self._b1_pipeline = toeplitz_b1_pipeline(self.symbol, self.chart, self.phase_data, self.cache.substitutions)
         return self._b1_pipeline
 
     def rng(self, *labels) -> Stream:
@@ -470,7 +469,7 @@ def check_b0_leading(ctx: CheckContext):
 
 def check_b1_two_routes(ctx: CheckContext):
     _, b1 = ctx.b1_pipeline
-    _, c1 = toeplitz_b1_closed_form(ctx.symbol, ctx.chart)
+    _, c1 = toeplitz_b1_closed_form(ctx.symbol, ctx.chart, ctx.cache.substitutions)
     return b1, c1
 
 

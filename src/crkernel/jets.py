@@ -160,9 +160,9 @@ class _Basis:
 
     @functools.cached_property
     def predecessors(self):
-        """Per monomial (lists), its last variable k and the position of the monomial / dx_k."""
+        """Per monomial, its last variable k and the position of the monomial / dx_k."""
         last = self.num_vars - 1 - np.argmax(self.exponents[:, ::-1] != 0, axis=1)
-        return last.tolist(), self.keys.searchsorted(self.keys - self.key_weights[last]).tolist()
+        return last, self.keys.searchsorted(self.keys - self.key_weights[last])
 
     @functools.cached_property
     def partials(self):
@@ -683,11 +683,12 @@ class Substitution:
     ``apply(outer)`` equals ``outer.compose(inner)`` bit for bit.  The table of
     monomial powers of the inner displacements fills lazily and is shared by
     every outer jet the substitution is applied to; an entry depends only on
-    its multi-index, so reuse changes no value.  The table is a prefix of the
-    basis, extended by one batch product per degree whose rows are graded
-    predecessors' powers times one displacement each, bit for bit those
-    single products.  Maps that only rename or pin variables need no powers:
-    use ``Jet.reindex``.
+    its multi-index, so reuse changes no value.  The table is a 2-D array over
+    a prefix of the basis, extended by one batch product per degree whose rows
+    are graded predecessors' powers times one displacement each, bit for bit
+    those single products; row p's nonzero terms are flat (destination, value)
+    arrays at ``_offsets[p]:_offsets[p + 1]``.  Maps that only rename or pin
+    variables need no powers: use ``Jet.reindex``.
     """
 
     def __init__(self, inner: Sequence[Jet]):
@@ -699,25 +700,21 @@ class Substitution:
             g._require_single("compose inner")
             first._require_compatible(g, "compose inner")
         self.num_inner = len(inner)
-        self.num_vars = first.num_vars
         self.order = first.order
-        self.base_point = first.base_point
-        self._size = first.vector.size
+        self._like = first._like
         self._constants = tuple(map(Jet.constant_term, inner))
         self._scale = max([g.max_abs() for g in inner] + [1.0])
-        deltas: List[Jet] = []
-        for g in inner:
-            stripped = g.vector.copy()
-            stripped[0] = 0.0
-            deltas.append(g._like(stripped))
-        self._deltas = deltas
-        #: power vectors of the inner displacements by outer basis position, and their (support, values)
-        self._powers: List[np.ndarray] = [Jet.constant(self.num_vars, self.order, self.base_point, 1.0).vector]
-        self._terms: List[Tuple[np.ndarray, np.ndarray]] = [(np.zeros(1, dtype=np.intp), np.ones(1, complex))]
+        #: the inner displacements, one row per inner jet
+        self._deltas = np.stack([g.vector for g in inner])
+        self._deltas[:, 0] = 0.0
+        #: power vectors of the inner displacements by outer basis position, and their nonzero terms
+        self._powers = Jet.constant(first.num_vars, self.order, first.base_point, 1.0).vector[None]
+        self._dest, self._values, self._offsets = np.zeros(1, dtype=np.intp), np.ones(1, complex), np.arange(2)
 
     def apply(self, outer: Jet) -> Jet:
         """``outer`` with ``inner[k]`` substituted for its k-th variable; of a
-        batch, each row's (the union support's extra terms are +-0)."""
+        batch, each row's (the union support's extra terms are +-0).  The
+        terms run by outer position, then by destination."""
         if self.num_inner != outer.num_vars:
             raise CenteringError(
                 f"compose: {self.num_inner} inner jets for {outer.num_vars} outer variables"
@@ -728,20 +725,20 @@ class Substitution:
                     f"compose: inner jet {k} has constant term {c0} "
                     f"but outer base is {outer.base_point[k]}"
                 )
-        order, size, basis = self.order, self._size, outer.basis
+        size = self._powers.shape[1]
         # outer monomials of degree > order cannot contribute below truncation
-        cut = basis.size(min(order, outer.order))
         support = outer.support
-        support = support[: support.searchsorted(cut)]
+        support = support[: support.searchsorted(outer.basis.size(min(self.order, outer.order)))]
         if not support.size:
-            return self._deltas[0]._like(np.zeros(outer.vector.shape[:-1] + (size,), dtype=complex))
-        positions = support.tolist()
-        if positions[-1] >= len(self._powers):
-            self._add_powers(positions[-1], basis)
-        supports, values = zip(*map(self._terms.__getitem__, positions))
-        c = outer.vector[..., support].repeat(list(map(len, supports)), axis=-1)
-        re, im = _cmul_parts(c, np.concatenate(values))
-        return self._deltas[0]._like(_scatter_sum(np.concatenate(supports), re, im, size))
+            return self._like(np.zeros(outer.vector.shape[:-1] + (size,), dtype=complex))
+        if support[-1] >= len(self._powers):
+            self._add_powers(support[-1], outer.basis)
+        starts = self._offsets[support]
+        counts = self._offsets[support + 1] - starts
+        ends = counts.cumsum()
+        terms = np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
+        re, im = _cmul_parts(outer.vector[..., support].repeat(counts, axis=-1), self._values[terms])
+        return self._like(_scatter_sum(self._dest[terms], re, im, size))
 
     def _add_powers(self, top: int, basis: _Basis) -> None:
         """Extend the table to prod_k deltas[k]**e[k] for every monomial e of
@@ -750,13 +747,16 @@ class Substitution:
         batch product of their graded predecessors' powers and deltas."""
         (last, preds), start = basis.predecessors, len(self._powers)
         for degree in range(basis.degrees[start], basis.degrees[top] + 1):
-            group = range(max(start, basis.degree_start[degree]), min(top + 1, basis.degree_start[degree + 1]))
-            rows = [self._deltas[last[p]].vector for p in group]
+            group = np.arange(max(start, basis.degree_start[degree]), min(top + 1, basis.degree_start[degree + 1]))
+            block = self._deltas[last[group]]
             if degree > 1:
-                like = self._deltas[0]._like
-                rows = (like(np.stack([self._powers[preds[p]] for p in group])) * like(np.stack(rows))).vector
-            self._powers.extend(rows)
-            self._terms.extend([(row.nonzero()[0], row[row != 0]) for row in rows])
+                block = (self._like(self._powers[preds[group]]) * self._like(block)).vector
+            rows, dest = block.nonzero()
+            counts = np.bincount(rows, minlength=len(block))
+            self._powers = np.concatenate([self._powers, block])
+            self._dest = np.concatenate([self._dest, dest])
+            self._values = np.concatenate([self._values, block[rows, dest]])
+            self._offsets = np.concatenate([self._offsets, self._offsets[-1] + counts.cumsum()])
 
 
 def batch_products(pairs: Sequence[Tuple[Jet, Jet]]) -> List[Jet]:

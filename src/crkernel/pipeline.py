@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -90,29 +90,39 @@ def szego_amplitude(chart: CRModelChart) -> KernelAmplitude:
 def _phase_gradient_inner(chart: CRModelChart) -> List[Jet]:
     """Inner map (x, Phi'_x(x, y)) as jets in (x, y), centered at (0, -omega_0(0))."""
     d = chart.dim
-    nv = 2 * d
-    base = _xy_base(d)
-    phi = chart.phase
-    inner = [Jet.coordinate(i, nv, AMPLITUDE_ORDER, base) for i in range(d)]
-    for j in range(d):
-        inner.append(phi.partial(j).truncated(AMPLITUDE_ORDER))
-    return inner
+    inner = [Jet.coordinate(i, 2 * d, AMPLITUDE_ORDER, _xy_base(d)) for i in range(d)]
+    return inner + [chart.phase.partial(j).truncated(AMPLITUDE_ORDER) for j in range(d)]
 
 
-def qe_amplitude(E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart) -> KernelAmplitude:
+def _prepared(inner: List[Jet], substitutions: Optional[Dict[tuple, Substitution]]) -> Substitution:
+    """The ``Substitution`` of ``inner``, taken from or added to ``substitutions`` when given:
+    keyed by the map's shape, base point and coefficient bytes, so only byte-equal maps share one."""
+    if substitutions is None:
+        return Substitution(inner)
+    g = inner[0]
+    key = (g.num_vars, g.order, np.array(g.base_point).tobytes(), b"".join(h.vector.tobytes() for h in inner))
+    substitutions[key] = substitutions.get(key) or Substitution(inner)
+    return substitutions[key]
+
+
+def qe_amplitude(
+    E: ClassicalSymbol, A: KernelAmplitude, chart: CRModelChart,
+    substitutions: Optional[Dict[tuple, Substitution]] = None,
+) -> KernelAmplitude:
     """Amplitude of the symbol-times-projector composition.
 
     C_0 = e_0(x, Phi'_x) A_0 as a jet.  C_1(0, 0) collects the subleading
     symbol, the xi-Hessian contraction against the phase Hessian, and the
     first-order term against the gradient of A_0, each from values at the
-    base point, where Phi'_x(0, 0) is the symbols' base covector.
+    base point, where Phi'_x(0, 0) is the symbols' base covector.  The map
+    (x, Phi'_x) is prepared once per ``substitutions`` memo when one is given.
     """
     d = chart.dim
     phi = chart.phase
     e0 = E.components[0]
     a0v = A.leading.constant_term()
 
-    e0_at = Substitution(_phase_gradient_inner(chart)).apply(e0)
+    e0_at = _prepared(_phase_gradient_inner(chart), substitutions).apply(e0)
     c0 = e0_at * A.leading
     c1 = e0_at.constant_term() * A.subleading + E.component(1).constant_term() * a0v
     for j in range(d):
@@ -220,27 +230,31 @@ def compose_amplitudes_closed(
     return (c0[0], c1[0]) if a0.rows is None else (np.array(c0), np.array(c1))
 
 
-def _e0_on_contact_graph(E: ClassicalSymbol, chart: CRModelChart) -> Jet:
+def _e0_on_contact_graph(
+    E: ClassicalSymbol, chart: CRModelChart, substitutions: Optional[Dict[tuple, Substitution]]
+) -> Jet:
     """The principal symbol along x -> (x, -omega_0(x)) as a jet in x, at
     order 2, all the Kohn Laplacian and the Reeb derivative read."""
     d = chart.dim
-    order = 2
-    inner = [Jet.coordinate(i, d, order, (0.0,) * d) for i in range(d)]
-    inner += [(-1.0) * chart.contact_form[b].truncated(order) for b in range(d)]
-    return E.components[0].compose(inner)
+    inner = [Jet.coordinate(i, d, 2, (0.0,) * d) for i in range(d)]
+    inner += [(-1.0) * chart.contact_form[b].truncated(2) for b in range(d)]
+    return _prepared(inner, substitutions).apply(E.components[0])
 
 
-def toeplitz_b1_closed_form(E: ClassicalSymbol, chart: CRModelChart) -> Tuple[complex, complex]:
+def toeplitz_b1_closed_form(
+    E: ClassicalSymbol, chart: CRModelChart, substitutions: Optional[Dict[tuple, Substitution]] = None
+) -> Tuple[complex, complex]:
     """Closed-form first two Toeplitz coefficients at the base point.
 
     b_0 = E_0(0) / (2 pi^{n+1}) and 4 pi^{n+1} b_1 = R E_0 - box_b E_0
-    + P(e_0) + 2 e_sub - i m T E_0, all evaluated at (0, -omega_0(0)).
+    + P(e_0) + 2 e_sub - i m T E_0, all evaluated at (0, -omega_0(0)).  The
+    map (x, -omega_0(x)) is prepared once per ``substitutions`` memo if given.
     """
     if not E.homogeneous:
         raise SymbolError("closed form requires a homogeneous-flagged symbol")
     norm = szego_norm(chart.n)
 
-    script_e0 = _e0_on_contact_graph(E, chart)
+    script_e0 = _e0_on_contact_graph(E, chart, substitutions)
     e0v = script_e0.constant_term()
     r0 = tw_scalar_curvature(chart)
     box_e0 = kohn_laplacian_at0(chart, script_e0)
@@ -257,11 +271,12 @@ def toeplitz_b1_pipeline(
     E: ClassicalSymbol,
     chart: CRModelChart,
     phase_data: Optional[PhaseCriticalData] = None,
+    substitutions: Optional[Dict[tuple, Substitution]] = None,
 ) -> Tuple[complex, complex]:
     """Stationary-phase route: projector amplitude -> symbol composition ->
     amplitude composition.  Must agree with toeplitz_b1_closed_form."""
     A = szego_amplitude(chart)
-    C = qe_amplitude(E, A, chart)
+    C = qe_amplitude(E, A, chart, substitutions)
     return compose_amplitudes_sp(A, C, chart, phase_data=phase_data)
 
 

@@ -482,28 +482,36 @@ class _Recording:
 
 @pytest.fixture(scope="module")
 def default_run():
-    """The run cache of a default-suite run, and the size of every matrix
-    ``crkernel.stationary`` inverted during the run."""
+    """The run cache of a default-suite run, the size of every matrix
+    ``crkernel.stationary`` inverted during the run, and every ``Substitution``
+    ``crkernel.pipeline`` built."""
     import numpy as np
 
     import crkernel.harness as harness
+    import crkernel.pipeline as pipeline
     import crkernel.stationary as stationary
 
-    caches, inverted = [], []
+    caches, inverted, built = [], [], []
 
     class RecordingCache(harness.RunCache):
         def __init__(self):
             super().__init__()
             caches.append(self)
 
+    class RecordingSubstitution(pipeline.Substitution):
+        def __init__(self, inner):
+            super().__init__(inner)
+            built.append(self)
+
     linalg = _Recording(np.linalg, inv=lambda a: inverted.append(len(a)) or np.linalg.inv(a))
     with pytest.MonkeyPatch.context() as m:
         m.setattr(harness, "RunCache", RecordingCache)
         m.setattr(stationary, "np", _Recording(np, linalg=linalg))
+        m.setattr(pipeline, "Substitution", RecordingSubstitution)
         reports = run_scenarios(default_config(), timings=False)
     assert all(rep.all_passed for rep in reports)
     (cache,) = caches
-    return cache, inverted
+    return cache, inverted, built
 
 
 def _field_bits(value):
@@ -528,7 +536,7 @@ def test_run_phase_data_equals_a_fresh_build_per_chart(default_run):
     from crkernel.harness import ChartSpec, RunCache
     from crkernel.stationary import build_phase_data
 
-    cache, _ = default_run
+    cache, _, _ = default_run
     assert {spec.n for spec in cache.phase_data} == set(CR_DIMENSIONS)
     assert any(spec.model == "perturbed" for spec in cache.phase_data)
     for spec, data in cache.phase_data.items():
@@ -540,8 +548,19 @@ def test_run_phase_data_equals_a_fresh_build_per_chart(default_run):
 
 
 def test_default_suite_inverts_one_hessian_per_n(default_run):
-    _, inverted = default_run
+    _, inverted, _ = default_run
     assert sorted(inverted) == [2 * n + 2 for n in CR_DIMENSIONS]
+
+
+def test_default_suite_prepares_each_chart_map_once(default_run):
+    # every chart of one n gives byte-equal phase-gradient and contact-graph
+    # maps (a perturbed phase leaves the normal form from degree 4, and a
+    # perturbed chart keeps its base chart's contact form), so the two-route
+    # scenarios, all at n = 1, build one Substitution of each
+    cache, _, built = default_run
+    assert len(cache.substitutions) == 2
+    assert sorted(map(id, built)) == sorted(map(id, cache.substitutions.values()))
+    assert sorted((sub.num_inner, sub._powers.shape[1]) for sub in built) == [(6, 10), (6, 28)]
 
 
 def test_hessian_algebra_is_formed_per_call_outside_a_run(monkeypatch):

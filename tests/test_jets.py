@@ -192,23 +192,79 @@ def test_substitution_reuse_is_exact(case):
         assert sub.apply(outer).coeffs == outer.compose(inner).coeffs
 
 
+def _power_chain(inner, basis, size):
+    """Each basis monomial's power of the inner displacements, up to position
+    ``size``, as its graded predecessor's power times one displacement."""
+    deltas = [g - Jet.constant(g.num_vars, g.order, g.base_point, g.constant_term()) for g in inner]
+    last, preds = basis.predecessors
+    powers = [Jet.constant(inner[0].num_vars, inner[0].order, inner[0].base_point, 1.0)]
+    for p in range(1, size):
+        delta = deltas[last[p]]
+        powers.append(delta if preds[p] == 0 else powers[preds[p]] * delta)
+    return powers
+
+
+def _substituted_term_by_term(powers, outer):
+    """sum_p outer[p] * powers[p], one Python complex product and sum per
+    nonzero term, by outer position, then by destination, from +0."""
+    out = [0j] * powers[0].vector.size
+    for p in outer.support[: len(powers)].tolist():
+        c = complex(outer.vector[p])
+        for q in powers[p].vector.nonzero()[0].tolist():
+            out[q] += c * complex(powers[p].vector[q])
+    return np.array(out)
+
+
 @pytest.mark.parametrize("num_vars,order", [(3, 2), (6, 2), (3, 4)])
 def test_substitution_powers_equal_the_single_products(num_vars, order):
-    # the table's batch rows are the graded predecessor chains of single products
+    # the flat table's rows are the graded predecessor chains of single
+    # products, filled as a prefix and then extended, and each row's slice of
+    # the term arrays is its nonzeros in ascending destination
     rng = spawn_rng(26, "powers", num_vars, order)
     base = (0.0,) * num_vars
-    inner = [random_jet(rng, num_vars, order, base, min_degree=1) for _ in range(num_vars - 1)]
+    inner = [random_jet(rng, num_vars, order, base, min_degree=1) for _ in range(num_vars - 2)]
     inner.append(Jet.displacement(0, num_vars, order, base) + Jet.displacement(1, num_vars, order, base).scale(-0.5))
+    inner.append(Jet.constant(num_vars, order, base, 0.0))  # an identically zero displacement
     sub = Substitution(inner)
     outer = random_jet(rng, num_vars, order, base)
     sub.apply(outer.truncated(1).with_order(order))  # fills a prefix, then the rest
+    assert len(sub._powers) == num_vars + 1
     sub.apply(outer)
-    last, preds = outer.basis.predecessors
-    powers = [Jet.constant(num_vars, order, base, 1.0)]
-    for p in range(1, outer.vector.size):
-        delta = sub._deltas[last[p]]
-        powers.append(delta if preds[p] == 0 else powers[preds[p]] * delta)
+    powers = _power_chain(inner, outer.basis, outer.vector.size)
     assert [q.vector.tobytes() for q in powers] == [v.tobytes() for v in sub._powers]
+    assert sub._offsets.tolist()[:2] == [0, 1] and len(sub._offsets) == len(powers) + 1
+    for p, q in enumerate(powers):
+        dest = q.vector.nonzero()[0]
+        terms = slice(sub._offsets[p], sub._offsets[p + 1])
+        assert sub._dest[terms].tolist() == dest.tolist()
+        assert sub._values[terms].tobytes() == q.vector[dest].tobytes()
+    # the zero displacement's powers (variable 0 in the last slot) hold no terms
+    assert any(sub._offsets[p] == sub._offsets[p + 1] for p in range(1, len(powers)))
+
+
+def test_substitution_gathers_each_supported_position_s_terms():
+    # outer supports that skip positions, read positions whose powers hold
+    # no terms, are empty or are batches: each gathers exactly the terms of
+    # its own positions, in order
+    rng = spawn_rng(28, "offsets")
+    base = (0.0,) * 3
+    inner = [random_jet(rng, 3, 3, base, min_degree=1), Jet.constant(3, 3, base, 0.0)]
+    inner.append(Jet.displacement(2, 3, 3, base) + random_jet(rng, 3, 3, base, min_degree=2))
+    dense = random_jet(rng, 3, 3, base)
+    skipping = dense._like(np.where(np.arange(dense.vector.size) % 3 == 1, dense.vector, 0))
+    on_zero_powers = Jet(3, 3, base, {(0, 1, 0): 2.0, (1, 2, 0): -1.5j, (0, 0, 2): 0.25})
+    cases = [skipping, on_zero_powers, Jet.zero(3, 3, base), dense]
+    sub = Substitution(inner)
+    powers = _power_chain(inner, dense.basis, dense.vector.size)
+    for outer in cases + [dense.truncated(2)]:
+        got = sub.apply(outer)
+        assert got.vector.tobytes() == _substituted_term_by_term(powers, outer).tobytes()
+    assert not sub.apply(Jet(3, 3, base, {(0, 2, 1): 1.0})).vector.any()
+    batch = sub.apply(Jet.stack(cases))
+    for r, outer in enumerate(cases):
+        assert batch.vector[r].tobytes() == _substituted_term_by_term(powers, outer).tobytes()
+    empty = Substitution(inner).apply(Jet.stack([Jet.zero(3, 3, base)] * 2))
+    assert empty.vector.shape == (2, dense.vector.size) and not empty.vector.any()
 
 
 def test_substitution_centering_checked_per_outer():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from crkernel.charts import (
@@ -346,6 +347,34 @@ def test_pipeline_identity_in_higher_dimension():
     pb = toeplitz_b1_pipeline(E2, chart2)
     cb = toeplitz_b1_closed_form(E2, chart2)
     assert abs(pb[1] - cb[1]) < 1e-9 * (1 + abs(cb[1]))
+
+
+def test_chart_maps_are_shared_only_when_byte_equal(chart):
+    # a hit needs the same bytes: a map whose one coefficient differs in its
+    # last bit gets its own entry
+    from crkernel.pipeline import _prepared
+
+    inner = _phase_gradient_inner(chart)
+    vector = inner[-1].vector.copy()
+    vector.view(np.int64)[2 * inner[-1].support[-1]] ^= 1  # the real part's last bit
+    nudged = inner[:-1] + [inner[-1]._like(vector)]
+    memo = {}
+    first = _prepared(inner, memo)
+    assert _prepared(_phase_gradient_inner(chart), memo) is first
+    assert _prepared(nudged, memo) is not first
+    assert len(memo) == 2
+    assert _prepared(inner, None) is not first
+
+
+def test_shared_chart_maps_give_the_values_of_fresh_ones(chart, curved):
+    # one memo across the exact and a perturbed chart, against a fresh map per call
+    memo = {}
+    for seed, ch in ((3, chart), (4, curved), (3, curved)):
+        E = random_classical_symbol(1, 0.5, 2, seed=seed)
+        shared = toeplitz_b1_pipeline(E, ch, substitutions=memo) + toeplitz_b1_closed_form(E, ch, memo)
+        fresh = toeplitz_b1_pipeline(E, ch) + toeplitz_b1_closed_form(E, ch)
+        assert [repr(v) for v in shared] == [repr(v) for v in fresh]
+    assert len(memo) == 2
 
 
 def test_closed_form_requires_homogeneous_flag(chart):
