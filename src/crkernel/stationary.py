@@ -17,7 +17,7 @@ and, because h starts at degree 3, reads only v's coefficients of degree
 <= 2, so it is applied as one dot product with a coefficient functional K_1,
 built with the phase data from Gaussian contractions of h and h^2.  A
 quadrature oracle (Gaussian and Fourier Gauss sums on the positive half of
-Gauss-Legendre rules found by Newton's method) cross-checks the formal
+Gauss-Legendre rules from the Fourier series of P_N) cross-checks the formal
 coefficients on the exact Heisenberg phase, its Fourier axis summed at the
 s nodes >= 0 and mirrored; it subtracts its tail with the closed-form
 coefficients of that phase, fed the amplitude's terms and the cutoff's
@@ -227,37 +227,45 @@ NEWTON_CAP = 100
 NEWTON_TOL = 1e-15
 
 
-def _legendre(num: int, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """P_num(x) and P_num'(x) by the three-term recurrence."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(2, num + 1):
-        xp = x * p1
-        p0, p1 = p1, xp + (k - 1) / k * (xp - p0)
-    return p1, num * (p0 - x * p1) / ((1.0 - x) * (1.0 + x))
-
-
-@lru_cache(maxsize=32)
 def _gauss_nodes(num: int, radius: float) -> Tuple[np.ndarray, np.ndarray]:
     """The num-point Gauss-Legendre rule on [-radius, radius], nodes ascending.
 
-    Newton's method on the Legendre three-term recurrence from
-    x_k = cos(pi (k - 1/4) / (num + 1/2)), stopped once every step is below
-    NEWTON_TOL (at most NEWTON_CAP steps); weights 2 / ((1 - x^2) P_num'(x)^2)
-    with P_num' taken before the last step, which moves it by a relative
-    2 x step / (1 - x^2) at most.  The rule is made exactly symmetric by
-    averaging it with its mirror image.
+    Newton's method in psi = pi/2 - theta on the Fourier series P_num(sin psi)
+    = sum_m c_m trig(m psi), m = num, num - 2, ..., c_m = 2 a_k a_{num-k} (-1)^{floor(m/2)}
+    (halved at m = 0), a_k = binom(2k, k) / 4^k, trig cos for even num and sin for odd
+    (Swarztrauber, SIAM J. Sci. Comput. 24 (2002) 945), finds the nodes x = sin psi > 0
+    from psi = pi/2 - pi (k - 1/4) / (num + 1/2), stopped once every step is below
+    NEWTON_TOL (at most NEWTON_CAP steps).  e^{i m psi} is the product of
+    e^{i k hi} (1 + i k (psi - hi)) over two tables of about sqrt(num / 2) k each,
+    hi being psi rounded so that every k hi is exact: P carries no rounding of
+    its large arguments, and the rule costs O(num^1.5) exponentials per step.
+    The weights are 2 / (dP/dpsi)^2, dP/dpsi taken before the last step.  The
+    rule is mirrored onto x < 0; an odd rule's middle node is exactly 0.
     """
-    x = np.cos(np.pi * (np.arange(num, 0, -1) - 0.25) / (num + 0.5))
+    a, binom = np.empty(num + 1), 1
+    for j in range(num + 1):  # binom = binom(2j, j), exact
+        a[j], binom = binom / 4**j, binom * (4 * j + 2) // (j + 1)
+    m = np.arange(num, -1, -2)
+    c = np.where(m == 0, 1.0, 2.0) * a[(num - m) // 2] * a[(num + m) // 2] * np.where(m // 2 % 2, -1.0, 1.0)
+    psi = np.pi / 2 - np.pi * (np.arange(1, (num + 3) // 2) - 0.25) / (num + 0.5)
+    psi[num // 2 :] = 0.0  # an odd rule's middle node
+    b = math.isqrt(num // 2) + 1  # m = kq + kr, kq = num - 2 b q and kr = -2 r for r < b
+    kq, kr = num - 2 * b * np.arange(num // 2 // b + 1)[:, None], -2 * np.arange(b)
     for _ in range(NEWTON_CAP):
-        p, dp = _legendre(num, x)
+        hi = np.round(psi * 2.0**40) / 2.0**40  # k hi is exact for |k| < 2^12
+        h, d = hi[:, None, None], (psi - hi)[:, None, None]
+        z = np.exp(1j * h * kq) * (1 + 1j * kq * d) * (np.exp(1j * h * kr) * (1 + 1j * kr * d))  # e^{i m psi}
+        z = z.reshape(len(psi), -1)[:, : num // 2 + 1]
+        trig, dtrig = (z.real, -z.imag) if num % 2 == 0 else (z.imag, z.real)  # trig(m psi), d/d(m psi)
+        p, dp = np.sum(trig * c, axis=1), np.sum(dtrig * (m * c), axis=1)
         step = p / dp
-        x = x - step
+        psi = psi - step
         if float(np.max(np.abs(step))) < NEWTON_TOL:
             break
     else:
         raise OracleFitError(f"Gauss-Legendre nodes for {num} points did not converge")
-    w = 2.0 / ((1.0 - x) * (1.0 + x) * dp**2)
-    x, w = (x - x[::-1]) / 2, (w + w[::-1]) / 2
+    x, w = np.sin(psi), 2.0 / dp**2
+    x, w = np.concatenate([-x[: num // 2], x[::-1]]), np.concatenate([w[: num // 2], w[::-1]])
     return x * radius, w * radius
 
 
@@ -266,6 +274,16 @@ WIDTH_FRACTION = 0.63
 
 #: degree at which the cutoff profile first deviates from 1
 CUTOFF_DEGREE = 8
+
+
+@lru_cache(maxsize=32)
+def _cutoff_rule(num: int, radius: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The num-point rule on [-radius, radius] weighted by the cutoff profile chi:
+    its nodes x with w chi(x), then its nodes v >= 0 with 2 w chi(v) (w chi(0) at 0)."""
+    x, w = _gauss_nodes(num, radius)
+    wx = w * np.exp(-(x / (WIDTH_FRACTION * radius)) ** CUTOFF_DEGREE)
+    v = x[num // 2 :]
+    return x, wx, v, np.where(v > 0, 2.0, 1.0) * wx[num // 2 :]
 
 
 def oscillatory_monomial_moments(
@@ -294,10 +312,10 @@ def oscillatory_monomial_moments(
     i sin(t s_k v_j) for odd p, in real arithmetic.  The s rule is mirror-
     symmetric too, so F is summed at the nodes s_k >= 0 only (an odd rule's
     s_k = 0 among them) and its rows at -s_k are those rows, negated for odd
-    p before the factor i.  G is formed once per node count.  The moments
-    are one gather of these tables per factor, multiplied in the order
-    s, u', u_{2n} and summed over the s nodes per monomial.  nodes_per_axis
-    holds one count per variable.
+    p before the factor i.  The cutoff-weighted rules are formed once per node
+    count and r (_cutoff_rule), G once per node count, and the moments are one
+    gather of these tables per factor, multiplied in the order s, u', u_{2n} and
+    summed over the s nodes per monomial.  nodes_per_axis holds one count per variable.
     """
     d, n = phase.num_vars, (phase.num_vars - 2) // 2
     # Psi0's coefficients: i 2^{-e} at u_a^2 s^e for a < 2n, and 1 at s u_{2n}
@@ -306,23 +324,15 @@ def oscillatory_monomial_moments(
     if any(phase.base_point) or dict(phase.graded_items()) != psi0:
         raise OracleFitError("quadrature oracle supports the exact phase s u_{2n} + i (1 + s/2)|u'|^2 only")
 
-    width = WIDTH_FRACTION * cutoff_radius
     powers = range(amp_order + 1)
-
-    def half_rule(num: int) -> Tuple[np.ndarray, np.ndarray]:
-        """The nodes v_j >= 0 of the num-point rule, weighted 2 w_j chi(v_j) (w_j chi(v_j) at 0)."""
-        x, w = _gauss_nodes(num, cutoff_radius)
-        v = x[num // 2 :]
-        return v, np.where(v > 0, 2.0, 1.0) * w[num // 2 :] * np.exp(-(v / width) ** CUTOFF_DEGREE)
-
-    s, ws = _gauss_nodes(int(nodes_per_axis[-1]), cutoff_radius)
-    s_moments = (ws * np.exp(-(s / width) ** CUTOFF_DEGREE))[:, None] * s[:, None] ** np.arange(amp_order + 1)
+    s, ws, _, _ = _cutoff_rule(int(nodes_per_axis[-1]), cutoff_radius)
+    s_moments = ws[:, None] * s[:, None] ** np.arange(amp_order + 1)
     gaussian = {}  # G as an (s node, power) array, once per node count
     for num in dict.fromkeys(int(k) for k in nodes_per_axis[: 2 * n]):
-        v, wv = half_rule(num)
+        _, _, v, wv = _cutoff_rule(num, cutoff_radius)
         f = wv * np.exp(-t * (1.0 + s / 2)[:, None] * v**2)
         gaussian[num] = np.stack([np.zeros(len(s)) if p % 2 else np.sum(f * v**p, axis=1) for p in powers], axis=1)
-    v, wv = half_rule(int(nodes_per_axis[2 * n]))
+    _, _, v, wv = _cutoff_rule(int(nodes_per_axis[2 * n]), cutoff_radius)
     tsv = t * s[len(s) // 2 :, None] * v  # the nodes s_k >= 0; the rows s_k < 0 mirror them
     cos, sin = wv * np.cos(tsv), wv * np.sin(tsv)
     fourier = np.empty((len(s), amp_order + 1), dtype=complex)
@@ -462,9 +472,9 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
     third to fifth expansion orders (c_2..c_4 of exact_coefficients for the
     amplitude times the cutoff's jet, read from the amplitude's terms and
     c_0 chi_a without forming that product, and reading none of the L_1
-    code), then fits c0 t^{-n} + c1 t^{-n-1} by t^{n+1}-weighted least
-    squares and returns (c0, c1), or (0, 0) where all integrals vanish.
-    Psi0 is the exact phase s u_{2n} + i (1 + s/2)|u'|^2, s = sigma - 1.
+    code), then fits c0 t^{-n} + c1 t^{-n-1} by t^{n+1}-weighted least squares in
+    closed form (no LAPACK) and returns (c0, c1), or (0, 0) where all integrals
+    vanish.  Psi0 is the exact phase s u_{2n} + i (1 + s/2)|u'|^2, s = sigma - 1.
     """
     if amplitude.num_vars != sweep.data.num_vars:
         raise OrderShortfallError("phase and amplitude must share variables")
@@ -494,16 +504,16 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
         tail = tail + ck * tarr ** (-n - k)
     corrected = values - tail
 
+    # the weighted fit is the least-squares line y = t^{n+1} I(t) ~ c0 t + c1: Gram-Schmidt of t against 1
     weight = tarr ** (n + 1)
-    basis = np.column_stack([tarr**-n, tarr ** (-n - 1)]).astype(complex)
-    coeffs, *_ = np.linalg.lstsq(basis * weight[:, None], corrected * weight, rcond=None)
-    resid = float(
-        np.linalg.norm((basis @ coeffs - corrected) * weight)
-        / max(np.linalg.norm(values * weight), 1e-300)
-    )
+    y, dt = corrected * weight, tarr - np.mean(tarr)
+    c0 = np.sum(dt * y) / np.sum(dt * dt)
+    c1 = np.mean(y - c0 * tarr)
+    norms = [np.sqrt(np.sum(np.abs(z) ** 2)) for z in (c0 * tarr + c1 - y, values * weight)]
+    resid = float(norms[0] / max(norms[1], 1e-300))
     if resid > ORACLE_RESIDUAL_TOL:
         raise OracleFitError(
             f"power-law fit residual {resid:.2e} exceeds {ORACLE_RESIDUAL_TOL:.2e}; "
             "increase the t range or the grid resolution"
         )
-    return complex(coeffs[0]), complex(coeffs[1])
+    return complex(c0), complex(c1)

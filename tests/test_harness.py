@@ -877,12 +877,12 @@ def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
 
 #: sha256 of ``verify --no-timings`` on the default suite.  A change that moves
 #: rounding on purpose updates it and reports the moved values in CHANGES.md.
-DEFAULT_SUITE_SHA256 = "3c236180ef2e696abfe877d70532a52c573f246841c034f1af08d1816f7e27a1"
+DEFAULT_SUITE_SHA256 = "7670acbbdae7d66821321faa814a3b1065715be1cb2b3c790808528b5d6341d3"
 
 
 #: sha256 of every (A, B) pair the default suite's checks compare, not only each
 #: record's worst: one "A.real A.imag B.real B.imag" line per pair at 17 digits
-DEFAULT_SUITE_PAIRS_SHA256 = "77d2e76e6d62ed1251d94761925ff3359b92c80809b14440209d9eab8f9e4793"
+DEFAULT_SUITE_PAIRS_SHA256 = "19a5c980006261628dad3458797899f0f8c181d70444b5274176e45629cec5f0"
 
 
 def test_default_suite_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
@@ -913,6 +913,44 @@ def test_default_suite_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     text = "".join(f"{a.real:.17g} {a.imag:.17g} {b.real:.17g} {b.imag:.17g}\n" for a, b in
                    (map(complex, pair) for pair in pairs))
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SUITE_PAIRS_SHA256, len(pairs)
+
+
+def _avx512_targets():
+    """The AVX-512 targets that numpy dispatches to on this CPU."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [t for t in __cpu_dispatch__ if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__.get(t)]
+
+
+def test_default_suite_without_avx512_kernels(tmp_path):
+    # numpy's AVX-512 exp, sin and cos may round otherwise than its AVX2 ones.
+    # Only the quadrature oracle reads them (its nodes and moments), so every
+    # other record keeps its bytes, and the oracle's values move by rounding only.
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches no AVX-512 kernels on this CPU")
+    out = tmp_path / "report.json"
+    assert cli.main(["--out", str(out), "--no-timings"]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), NPY_DISABLE_CPU_FEATURES=" ".join(targets))
+    child = subprocess.run(
+        [sys.executable, "-m", "crkernel.cli", "--no-timings"], env=env, capture_output=True, check=True
+    )
+    here, there = json.loads(out.read_bytes())["reports"], json.loads(child.stdout)["reports"]
+    assert [r["scenario"] for r in here] == [r["scenario"] for r in there]
+    quadrature = 0
+    for mine, theirs in zip(here, there):
+        for a, b in zip(mine["records"], theirs["records"], strict=True):
+            if a["check_id"] not in ("quadrature_leading", "quadrature_subleading"):
+                assert a == b, mine["scenario"]
+                continue
+            quadrature += 1
+            assert a["passed"] and b["passed"]
+            for key in ("route_a", "route_b"):
+                assert abs(complex(a[key]) - complex(b[key])) <= 1e-11 * abs(complex(a[key])), mine["scenario"]
+    assert quadrature == 10
 
 
 def test_cli_overrides_go_through_parse_config(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, localcontext
 from pathlib import Path
 
 import numpy as np
@@ -321,13 +322,17 @@ def _seeded_amplitudes(count, order=2):
     ]
 
 
-def test_oracle_shared_sweep_equals_single_fits(data):
-    # the harness's five seeded amplitudes, then mixed orders and a zero amplitude
-    amps = _seeded_amplitudes(5) + [
+def _mixed_amplitudes():
+    """The harness's five seeded amplitudes, then mixed orders and a zero amplitude."""
+    return _seeded_amplitudes(5) + [
         _seeded_amplitudes(1, order=4)[0],
         Jet.zero(NV, 2, BASE),
         Jet.constant(NV, 0, BASE, 0.3 - 0.1j),
     ]
+
+
+def test_oracle_shared_sweep_equals_single_fits(data):
+    amps = _mixed_amplitudes()
     sweep = oracle_sweep(data, 4, t_samples=FAST_T)
     shared = [numeric_expansion_oracle(sweep, a) for a in amps]
     alone = [numeric_expansion_oracle(oracle_sweep(data, a.order, t_samples=FAST_T), a) for a in amps]
@@ -338,6 +343,59 @@ def test_oracle_shared_sweep_equals_single_fits(data):
             ref0, ref1 = expansion_coeffs(data, amp.with_order(max(amp.order, 2)))
             assert abs(c0 - ref0) < 1e-2 * abs(ref0)
             assert abs(c1 - ref1) < 5e-2 * (1.0 + abs(ref1))
+
+
+def _least_squares_fit(sweep, amp):
+    """numeric_expansion_oracle with numpy's least squares for its fit: the same
+    integrals, in the same order, less the same tail (the closed form of the
+    amplitude times the cutoff's jet)."""
+    n, t = sweep.data.n, sweep.t
+    values = np.zeros(len(t), dtype=complex)
+    for col, (tt, moments) in enumerate(zip(t.tolist(), sweep.moments)):
+        total = 0j
+        for c, m in zip(amp.vector[amp.support].tolist(), moments[amp.support].tolist()):
+            total += c * m
+        values[col] = tt * total
+    if not np.any(values):
+        return 0j, 0j
+    coeffs = exact_coefficients((amp.with_order(CUTOFF_DEGREE) * _cutoff_jet(n)).graded_items(), n, 4)
+    tail = sum(ck * t ** (-n - k) for k, ck in enumerate(coeffs) if k >= 2)
+    weight = t ** (n + 1)
+    basis = np.column_stack([t**-n, t ** (-n - 1)]).astype(complex)
+    fit, *_ = np.linalg.lstsq(basis * weight[:, None], (values - tail) * weight, rcond=None)
+    return complex(fit[0]), complex(fit[1])
+
+
+def test_closed_form_fit_equals_least_squares(data):
+    # relative to the larger coefficient: a constant amplitude's c1 is fit noise
+    sweep = oracle_sweep(data, 4, t_samples=FAST_T)
+    for amp in _mixed_amplitudes():
+        got, want = numeric_expansion_oracle(sweep, amp), _least_squares_fit(sweep, amp)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-12 * max(map(abs, want)), (got, want)
+
+
+def test_oracle_runs_without_linalg(data, monkeypatch):
+    # nodes, cutoff rules, moments and fits call no np.linalg function
+    import crkernel.stationary as stationary
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    stationary._cutoff_rule.cache_clear()
+    sweep = oracle_sweep(data, 2)
+    fits = [numeric_expansion_oracle(sweep, amp) for amp in _seeded_amplitudes(5)]
+    assert len(fits) == 5 and all(c0 != 0 for c0, _ in fits)
+
+
+def test_oracle_fit_refuses_what_no_power_law_fits(data):
+    sweep = oracle_sweep(data, 2, t_samples=FAST_T)
+    alternating = dataclasses.replace(sweep, moments=tuple(m * (-1.0) ** k for k, m in enumerate(sweep.moments)))
+    with pytest.raises(OracleFitError, match=r"power-law fit residual \S+ exceeds 1\.00e-03; increase the t range"):
+        numeric_expansion_oracle(alternating, _seeded_amplitudes(1)[0])
 
 
 def test_oracle_one_moment_sweep_per_t_sample(data, monkeypatch):
@@ -414,7 +472,7 @@ def test_gaussian_quadrature_reference_beyond_n1(n):
         assert abs(t * moments[0] - want) / abs(want) < 1e-5
 
 
-@pytest.mark.parametrize("num", [48, 160])
+@pytest.mark.parametrize("num", [48, 49, 160])
 def test_gauss_nodes_integrate_polynomials_exactly(num):
     x, w = _gauss_nodes(num, 1.0)
     assert np.all(np.diff(x) > 0)
@@ -427,6 +485,43 @@ def test_gauss_nodes_integrate_polynomials_exactly(num):
     assert np.all(np.abs(w - ref_w) <= 1e-10 * ref_w)
     xr, wr = _gauss_nodes(num, 1.4)
     assert np.array_equal(xr, x * 1.4) and np.array_equal(wr, w * 1.4)
+
+
+def _legendre_40_digits(num, x):
+    """P_num(x) and P_num'(x) by the three-term recurrence in the ambient decimal context."""
+    p0, p1 = Decimal(1), x
+    for k in range(2, num + 1):
+        p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+    return p1, num * (x * p1 - p0) / (x * x - 1)
+
+
+@pytest.mark.parametrize("num", [48, 49, 160])
+def test_gauss_nodes_match_a_40_digit_reference(num):
+    # Newton's method on the recurrence at 40 digits, started from the float
+    # nodes, gives each node and weight to far below double precision
+    x, w = _gauss_nodes(num, 1.0)
+    with localcontext() as ctx:
+        ctx.prec = 40
+        for xf, wf in zip(x.tolist(), w.tolist()):
+            node = Decimal(xf)
+            for _ in range(3):
+                p, dp = _legendre_40_digits(num, node)
+                node -= p / dp
+            _, dp = _legendre_40_digits(num, node)
+            weight = 2 / ((1 - node * node) * dp * dp)
+            assert abs(Decimal(xf) - node) <= Decimal("1.2e-16"), (xf, node)
+            assert abs(Decimal(wf) - weight) <= Decimal("1e-13") * weight, (xf, wf, weight)
+
+
+def test_gauss_nodes_raise_when_newton_does_not_converge(monkeypatch):
+    import crkernel.stationary as stationary
+
+    monkeypatch.setattr(stationary, "NEWTON_TOL", 0.0)
+    stationary._cutoff_rule.cache_clear()
+    with pytest.raises(OracleFitError, match="Gauss-Legendre nodes for 48 points did not converge"):
+        _gauss_nodes(48, 1.0)
+    with pytest.raises(OracleFitError, match="did not converge"):
+        oracle_sweep(build_phase_data(heisenberg_chart(1)), 2, t_samples=FAST_T)
 
 
 def test_oracle_does_not_import_numpy_polynomial():

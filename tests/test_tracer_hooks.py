@@ -61,7 +61,7 @@ WORKLOAD_REPORT_SHA256 = {
     ("routes", 11): "98f6c906ce1c481945ec4114c6dcfd67e204346a8573decef7881114cf72919b",
     ("routes", 12): "efc620c03536b4b1bc9d4350661c4e3c000da32f98a6ceeca328aff5463a0c0c",
     ("routes", 7001): "69ad7e4b04a5ba5dd3d0e4f60218bc6ef3bb3d8edc13f3e46b55d696cce906cd",
-    ("quadrature", 7): "b760cb0a26fce1cac1732bfbfdbb80d469e86dde89f6d7df163a778f961eba68",
+    ("quadrature", 7): "4d8cf5007d8ebfc6a5f70653d379924ea4a63775a3e48dba5036d15cb3a15e2b",
 }
 
 
