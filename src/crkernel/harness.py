@@ -705,21 +705,21 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.17g}{z.imag:+.17g}j"
 
 
-#: the report fields of a check record: (name, text form, parser of the text)
+#: the report fields of a check record: (name, text form)
 _RECORD_FIELDS = (
-    ("check_id", str, str),
-    ("route_a", _fmt_complex, complex),
-    ("route_b", _fmt_complex, complex),
-    ("abs_deviation", _fmt_float, float),
-    ("rel_deviation", _fmt_float, float),
-    ("tolerance", _fmt_float, float),
-    ("passed", bool, bool),
-    ("wall_time_s", _fmt_float, float),
+    ("check_id", str),
+    ("route_a", _fmt_complex),
+    ("route_b", _fmt_complex),
+    ("abs_deviation", _fmt_float),
+    ("rel_deviation", _fmt_float),
+    ("tolerance", _fmt_float),
+    ("passed", bool),
+    ("wall_time_s", _fmt_float),
 )
 
 
 def _record_doc(r: CheckRecord) -> dict:
-    return {name: fmt(getattr(r, name)) for name, fmt, _ in _RECORD_FIELDS}
+    return {name: fmt(getattr(r, name)) for name, fmt in _RECORD_FIELDS}
 
 
 def emit_report(reports: Sequence[ExpansionReport], fmt: str = "structured") -> bytes:
@@ -741,28 +741,13 @@ def emit_report(reports: Sequence[ExpansionReport], fmt: str = "structured") -> 
         text = json.dumps({"reports": payload}, indent=2, sort_keys=False)
         return (text + "\n").encode("utf-8")
     if fmt == "csv":
-        lines = [",".join(["scenario"] + [name for name, _, _ in _RECORD_FIELDS])]
+        lines = [",".join(["scenario"] + [name for name, _ in _RECORD_FIELDS])]
         for rep in reports:
             for r in rep.records:
                 cells = [json.dumps(v) if isinstance(v, bool) else v for v in _record_doc(r).values()]
                 lines.append(",".join([rep.scenario] + cells))
         return ("\n".join(lines) + "\n").encode("utf-8")
     raise ConfigError(f"unknown report format {fmt!r} (expected 'structured' or 'csv')")
-
-
-def parse_structured_report(blob: bytes) -> List[dict]:
-    """Parse the structured format back into plain dicts with complex values."""
-    doc = json.loads(blob.decode("utf-8"))
-    return [
-        {
-            "scenario": rep["scenario"],
-            "environment": rep["environment"],
-            "records": [
-                {name: parse(r[name]) for name, _, parse in _RECORD_FIELDS} for r in rep["records"]
-            ],
-        }
-        for rep in doc["reports"]
-    ]
 
 
 # -- built-in configuration ---------------------------------------------------------------------

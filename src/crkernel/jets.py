@@ -16,18 +16,17 @@ Conventions:
     grows to the degree of the multi-index asked;
   * a product gathers one cached table of every monomial pair of its shape,
     C(2v+k, k) rows at (v, k), up to PRODUCT_TABLE_ROWS rows; above that, or
-    when the operands' nonzero counts multiply to under a quarter of the
-    table, it pairs the operands' nonzeros.  Zero terms move no bit (the
-    zero-term rule): a sum starts at +0, never holds -0, and adding +-0 is
-    exact, so a caller may skip a product with an empty-support factor;
+    when the operands are sparse, it pairs their nonzeros.  It rounds each
+    term as Python's complex product does and sums the terms of one
+    coefficient in graded order of the sparser operand, so results do not
+    depend on numpy's vector kernels.  Zero terms move no bit (the zero-term
+    rule): a sum starts at +0, never holds -0, and adding +-0 is exact, so a
+    caller may skip a product with an empty-support factor;
   * ``reindex`` caches its source and destination positions per variable
     map, and moves every row of a batch with one ``bincount``;
   * ``coeffs`` (a dict of the nonzero entries) and ``graded_items`` are read
     from the vector on demand, in graded order, so downstream reports are
     byte-stable;
-  * products round each term as Python's complex product does and sum the
-    terms of one coefficient in graded order of the sparser operand, so
-    results do not depend on numpy's vector kernels;
   * binary arithmetic demands equal num_vars, base_point and order, never
     coercing silently; callers align orders explicitly with ``truncated`` /
     ``with_order``;
@@ -39,16 +38,13 @@ Conventions:
     together (vector forward mode).  +, -, ``scale``, ``shift_constant``,
     ``truncated``, ``with_order``, ``partial`` and products act row-wise
     and broadcast a single jet against a batch; batches of different row
-    counts do not mix.  A batch product gathers the table rows a single
-    product gathers (or, when sparse, the pairs of the rows' union supports),
-    orients each row by that row's sparser operand (self on a tie) and sums
-    every row with one ``bincount``, so each row is bit for bit its own
-    single product.  ``support`` is the union of the rows' nonzeros;
+    counts do not mix.  A product has one code path, in which a single jet
+    is the one-row case, so each row of a batch product is bit for bit its
+    own single product.  ``support`` is the union of the rows' nonzeros;
     ``constant_term``, ``coefficient``, ``derivative_at`` and the values
     of ``graded_items`` / ``coeffs`` are per-row arrays, +0 for zero.
     Composition substitutes into every row of a batch (its inner jets are
     single); ``eval_many`` and the series methods take single jets only.
-    Single jets keep their own code path.
 """
 
 from __future__ import annotations
@@ -335,6 +331,10 @@ class Jet:
             self._support = nonzero.nonzero()[0]
         return self._support
 
+    def _nonzeros(self):
+        """Nonzero entries per row of a batch; of a single jet, its support's size."""
+        return self.support.size if self.vector.ndim == 1 else np.count_nonzero(self.vector, axis=-1)
+
     def graded_items(self) -> Tuple[Tuple[MultiIndex, complex], ...]:
         """Nonzero coefficients in degree-graded lexicographic order (cached);
         of a batch, the per-row values (an array, +0 for zero) at each
@@ -421,9 +421,7 @@ class Jet:
         """Drop coefficients of total degree above ``order``."""
         if order >= self.order:
             return self if order == self.order else self.with_order(order)
-        if self.vector.ndim == 2:
-            return self._like(self.vector[:, : self.basis.size(order)], order)
-        return self._like(self.vector[: self.basis.size(order)], order)
+        return self._like(self.vector[..., : self.basis.size(order)], order)
 
     def with_order(self, order: int) -> "Jet":
         """Reinterpret as a jet of the given order.
@@ -431,9 +429,7 @@ class Jet:
         Raising the order treats the jet as an exact polynomial (absent high
         coefficients are zero); lowering it truncates.
         """
-        if order == self.order:
-            return self
-        if order < self.order:
+        if order <= self.order:
             return self.truncated(order)
         basis = _basis(self.num_vars, order)
         vector = np.zeros(self.vector.shape[:-1] + (basis.size(order),), dtype=complex)
@@ -469,40 +465,22 @@ class Jet:
 
     def _mul_jet(self, other: "Jet") -> "Jet":
         """Gather the product-table rows (the cached whole table, or the rows
-        pairing the nonzeros of the operands), multiply, and sum per product
-        monomial, in graded order of the sparser operand's terms.  The pairs
-        are taken when there is no table or when the operands' nonzero counts
-        multiply to under a quarter of its rows; either way the nonzero terms
-        and their order are the same."""
+        pairing the operands' supports), multiply, and sum per product
+        monomial; a single jet is the one-row case, broadcast against a batch.
+        Each row sums in graded order of its own sparser operand (self on a
+        tie); where rows disagree, both orientations are gathered and each row
+        picks its own.  The pairs of the rows' union supports replace the
+        table above the cap, or when (rows + 3) times their count is under
+        rows times the table's rows (at one row, under a quarter): they are
+        built once and gathered per row, and their extra terms are +-0."""
         self._require_compatible(other, "mul")
-        if self.vector.ndim + other.vector.ndim > 2:
-            return self._mul_rows(other)
-        left, right = (other, self) if self.support.size > other.support.size else (self, other)
-        if left.support.size == 0:
-            return self._like(np.zeros(self.vector.size, dtype=complex))
-        table = self.basis.products(self.order)
-        if table is None or 4 * left.support.size * right.support.size < table[0].size:
-            table = self.basis.pairs(left.support, right.support, self.order)
-        i, j, k = table
-        re, im = _cmul_parts(left.vector[i], right.vector[j])
-        return self._like(_scatter_sum(k, re, im, self.vector.size))
-
-    def _mul_rows(self, other: "Jet") -> "Jet":
-        """``_mul_jet`` with a batch operand.  Each row gathers the terms of its
-        own single product, oriented by its own sparser operand (where rows
-        disagree, both orientations are gathered and each row picks its own),
-        and one ``bincount`` over row-offset positions sums every row in its
-        own term order.  The pairs of the rows' union supports replace the
-        table above the cap, or where the single product's rule, spread over
-        the rows (the pairs are built once, then gathered per row), prefers
-        them; the extra terms are +-0 and move no bit."""
         a, b = self.vector, other.vector
-        rows, size = (len(a) if a.ndim == 2 else len(b)), a.shape[-1]
-        flips = np.count_nonzero(a, axis=-1) > np.count_nonzero(b, axis=-1)
+        lead = a.shape[:-1] or b.shape[:-1]  # (rows,) with a batch operand, else ()
+        rows, flips = math.prod(lead), self._nonzeros() > other._nonzeros()
         flipped = np.count_nonzero(flips)
-        first, second = [(v if v.ndim == 1 else v.any(axis=0)).nonzero()[0] for v in (a, b)]
+        first, second = self.support, other.support
         if not (first.size and second.size):
-            return self._like(np.zeros((rows, size), dtype=complex))
+            return self._like(np.zeros(lead + a.shape[-1:], dtype=complex))
         table = self.basis.products(self.order)
         if table is not None and (rows + 3) * first.size * second.size < rows * table[0].size:
             table = None
@@ -512,19 +490,16 @@ class Jet:
                 continue
             left, right = (b, a) if flip else (a, b)
             i, j, k = table or self.basis.pairs(*((second, first) if flip else (first, second)), self.order)
-            gathered.append((k, *_cmul_parts(left[..., i], right[..., j])))
+            gathered.append((k, *_cmul_parts(left.take(i, -1), right.take(j, -1))))
         if len(gathered) == 1:
             k, re, im = gathered[0]
         else:
             k, re, im = [np.where(flips[:, None], on_flip, kept) for kept, on_flip in zip(*gathered)]
-        return self._like(_scatter_sum(k, re, im, size))
+        return self._like(_scatter_sum(k, re, im, a.shape[-1]))
 
     def shift_constant(self, c: complex) -> "Jet":
         vector = self.vector.copy()
-        if vector.ndim == 2:
-            vector[:, 0] += complex(c)
-        else:
-            vector[0] += complex(c)
+        vector[..., 0] += complex(c)
         return self._like(vector)
 
     # -- calculus -----------------------------------------------------------------
@@ -538,9 +513,7 @@ class Jet:
         size = self.basis.size(self.order - 1)
         source = self.basis.partials[var_index][:size]
         factor = self.basis.exponents[:size, var_index] + 1
-        if self.vector.ndim == 2:
-            return self._like(self.vector[:, source] * factor, self.order - 1)
-        return self._like(self.vector[source] * factor, self.order - 1)
+        return self._like(self.vector.take(source, -1) * factor, self.order - 1)
 
     def conjugate(self) -> "Jet":
         """Coefficient-wise conjugate (valid when the variables are real)."""

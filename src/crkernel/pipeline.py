@@ -141,13 +141,6 @@ def qe_amplitude(
     return KernelAmplitude(top_power=A.top_power + E.order_m, leading=c0, subleading=c1)
 
 
-def _to_us_space(jet_xy: Jet, d: int, slot: str) -> Jet:
-    """Restrict an (x, y) jet to (0, u) or (u, 0) as a jet in (u, sigma-1)."""
-    u, zero = list(range(d)), [None] * d
-    targets = zero + u if slot == "y" else u + zero
-    return jet_xy.reindex(d + 1, targets, (0.0,) * (d + 1))
-
-
 def _sigma_power(ell, d: int) -> Jet:
     """sigma**ell in (u, sigma - 1): binom(ell, k) at (sigma - 1)**k, by the
     recursion pow_real uses, so the values equal (1 + dsigma).pow_real(ell);
@@ -180,9 +173,10 @@ def compose_amplitudes_sp(
     d = chart.dim
     data = build_phase_data(chart) if phase_data is None else phase_data
 
-    a0_u = _to_us_space(A.leading, d, "y")
-    c0_u = _to_us_space(C.leading, d, "x")
-    lam = chart.volume_density.truncated(AMPLITUDE_ORDER).reindex(d + 1, range(d), (0.0,) * (d + 1))
+    u, pinned, base = list(range(d)), [None] * d, (0.0,) * (d + 1)
+    a0_u = A.leading.reindex(d + 1, pinned + u, base)  # A_0(0, u)
+    c0_u = C.leading.reindex(d + 1, u + pinned, base)  # C_0(u, 0)
+    lam = chart.volume_density.truncated(AMPLITUDE_ORDER).reindex(d + 1, u, base)
 
     gamma0 = a0_u * c0_u * lam * _sigma_power(A.top_power, d)
     lam0 = lam.constant_term()

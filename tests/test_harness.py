@@ -18,7 +18,6 @@ from crkernel.harness import (
     default_config_doc,
     emit_report,
     parse_config,
-    parse_structured_report,
     run_scenarios,
 )
 from crkernel import cli
@@ -269,17 +268,24 @@ def test_reports_deterministic_and_filterable():
 
 
 def test_structured_round_trip_bit_exact():
-    cfg = parse_config(small_config())
-    reports = run_scenarios(cfg, timings=False)
-    blob = emit_report(reports, "structured")
-    parsed = parse_structured_report(blob)
-    assert parsed[0]["scenario"] == "geo"
-    for rec, orig in zip(parsed[0]["records"], reports[0].records):
-        assert rec["route_a"] == orig.route_a
-        assert rec["route_b"] == orig.route_b
-        assert rec["abs_deviation"] == orig.abs_deviation
-        assert rec["tolerance"] == orig.tolerance
-        assert rec["passed"] == orig.passed
+    # json, complex and float read every field of the structured report back bit for bit
+    def bits(value):
+        if isinstance(value, complex):
+            return value.real.hex(), value.imag.hex()
+        return value.hex() if isinstance(value, float) else value
+
+    scenarios = small_config()["scenarios"] + [_homogeneous_scenario("homogeneous", 0.5, 11)]
+    reports = run_scenarios(parse_config(small_config(scenarios=scenarios)), timings=False)
+    docs = json.loads(emit_report(reports, "structured"))["reports"]
+    assert [doc["scenario"] for doc in docs] == ["geo", "homogeneous"]
+    read = {"route_a": complex, "route_b": complex, "abs_deviation": float, "rel_deviation": float,
+            "tolerance": float, "wall_time_s": float}
+    for doc, report in zip(docs, reports):
+        assert len(doc["records"]) == len(report.records)
+        for rec, orig in zip(doc["records"], report.records):
+            assert list(rec) == list(vars(orig))
+            for name, text in rec.items():
+                assert bits(read.get(name, lambda v: v)(text)) == bits(getattr(orig, name)), name
 
 
 def test_csv_header_and_rows():
@@ -654,6 +660,17 @@ def test_homogeneous_record_does_not_depend_on_earlier_scenarios():
     first = _homogeneous_scenario("first", -1.0, 4)
     after = run_scenarios(parse_config(small_config(scenarios=[first, last])), timings=False)
     assert emit_report(after[1:]) == emit_report(alone)
+    # so does every default-suite record: each scenario run alone, and the
+    # suite in reverse order, give the full run's bytes
+    config = default_config()
+    full = run_scenarios(config, timings=False)
+    scenarios = sorted(config["scenarios"], key=lambda s: s.name)
+    assert [rep.scenario for rep in full] == [s.name for s in scenarios]
+    for scenario, report in zip(scenarios, full):
+        alone = run_scenarios(dict(config, scenarios=[scenario]), timings=False)
+        assert emit_report(alone) == emit_report([report]), scenario.name
+    backwards = run_scenarios(dict(config, scenarios=config["scenarios"][::-1]), timings=False)
+    assert emit_report(backwards) == emit_report(full)
 
 
 def test_default_config_covers_every_check_kind():

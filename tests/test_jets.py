@@ -519,6 +519,61 @@ def with_negative_zeros(jet, rng):
 ROUTES_SHAPES = [(3, 2), (3, 4), (3, 6), (4, 2), (4, 4), (4, 6), (6, 2), (6, 3), (6, 4)]
 
 
+def python_product(a, b):
+    """Reference product in Python's complex arithmetic, independent of the
+    product tables: per row, each coefficient sums from +0 the products of
+    nonzero terms, in graded order of the sparser operand's terms (nonzeros
+    counted on ``.vector``; self on a tie), then of the other's."""
+    exps = multi_indices(a.num_vars, a.order)
+    degrees = [sum(e) for e in exps]
+    # mixed radix order + 1: the factors' keys of a product of degree <= order add without carry
+    keys = [sum(x * (a.order + 1) ** v for v, x in enumerate(e)) for e in exps]
+    where = dict(zip(keys, range(len(keys))))
+    room = [degrees.count(d) for d in range(a.order + 1)]
+    room = [sum(room[: a.order + 1 - d]) for d in range(a.order + 1)]  # positions of degree <= order - d
+
+    def one(x, y):
+        if np.count_nonzero(x) > np.count_nonzero(y):
+            x, y = y, x
+        x, y, out = x.tolist(), y.tolist(), [0j] * len(exps)
+        for p, u in enumerate(x):
+            for q in range(room[degrees[p]] if u else 0):
+                if y[q]:
+                    k = where[keys[p] + keys[q]]
+                    out[k] = out[k] + u * y[q]
+        return out
+
+    x, y = np.broadcast_arrays(a.vector, b.vector)
+    rows = [one(u, v) for u, v in zip(x.reshape(-1, len(exps)), y.reshape(-1, len(exps)))]
+    return np.array(rows, dtype=complex).reshape(x.shape)
+
+
+@pytest.mark.parametrize("num_vars,order", [*ROUTES_SHAPES, (4, 8), (4, 12)])
+def test_products_round_as_the_python_reference(num_vars, order):
+    # single and batch operands, both orientations and ties, -0 entries and
+    # empty supports, at every table shape and at two shapes above the cap
+    rng = spawn_rng(17, "python-product", num_vars, order)
+    base = (0.0,) * num_vars
+    dx = [Jet.displacement(k, num_vars, order, base) for k in range(num_vars)]
+    dense, other = random_jet(rng, num_vars, order, base), random_jet(rng, num_vars, order, base)
+    h, g = dx[0] + dx[-1].scale(0.5j), dx[-1] - dx[1].scale(0.25)
+    sparse = h * h + Jet.constant(num_vars, order, base, 1.5 - 0.5j)
+    tied = g * g + Jet.constant(num_vars, order, base, -2.0)  # as many nonzeros as sparse, elsewhere
+    signed = with_negative_zeros(dense, rng)
+    zero = Jet.zero(num_vars, order, base).scale(-1.0)  # real parts -0
+    assert sparse.support.size == tied.support.size and sparse != tied
+    assert (dense.basis.products(order) is None) == (order >= 8)
+    stacked = Jet.stack([dense, sparse, signed, zero, tied])
+    mixed = Jet.stack([sparse, dense, tied, other, sparse])  # rows disagree on orientation
+    pairs = [(dense, sparse), (sparse, dense), (dense, other), (sparse, tied), (tied, sparse),
+             (signed, sparse), (other, signed), (dense, zero), (zero, sparse), (zero, zero),
+             (stacked, dense), (sparse, stacked), (stacked, mixed), (mixed, stacked)]
+    for a, b in pairs:
+        got = a * b
+        assert got.rows == (a.rows or b.rows)
+        assert got.vector.tobytes() == python_product(a, b).tobytes()
+
+
 @pytest.mark.parametrize("num_vars,order", ROUTES_SHAPES)
 def test_product_table_matches_sparse_pairs(num_vars, order):
     rng = spawn_rng(13, "product-table", num_vars, order)

@@ -17,7 +17,6 @@ from crkernel.pipeline import (
     KernelAmplitude,
     _phase_gradient_inner,
     _sigma_power,
-    _to_us_space,
     compose_amplitudes_closed,
     compose_amplitudes_sp,
     qe_amplitude,
@@ -162,7 +161,8 @@ def test_compose_gamma1_value_equals_the_jet_level_gamma1_bit_for_bit(chart, cur
         A = random_amplitude(1, 0.75, seed=50 + k)
         C = random_amplitude(1, -0.5, seed=60 + k)
         d, order = ch.dim, AMPLITUDE_ORDER
-        a0_u, c0_u = _to_us_space(A.leading, d, "y"), _to_us_space(C.leading, d, "x")
+        u, pinned, base = list(range(d)), [None] * d, (0.0,) * (d + 1)
+        a0_u, c0_u = A.leading.reindex(d + 1, pinned + u, base), C.leading.reindex(d + 1, u + pinned, base)
         a1_u, c1_u = (Jet.constant(d + 1, order, (0.0,) * (d + 1), v) for v in (A.subleading, C.subleading))
         lam = ch.volume_density.truncated(order).reindex(d + 1, range(d), (0.0,) * (d + 1))
         sig_l, sig_lm1 = _sigma_power(A.top_power, d), _sigma_power(A.top_power - 1.0, d)
