@@ -21,14 +21,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ._version import __version__
 from .charts import (
+    CHART_ORDER,
     CRModelChart,
     christoffel_at,
     heisenberg_chart,
     kohn_laplacian_at0,
+    levi_frame,
     perturbed_chart,
     random_perturbation,
     tw_scalar_curvature,
@@ -556,46 +556,42 @@ def check_p_operator_routes(ctx: CheckContext):
 
 
 def check_christoffel_table(ctx: CheckContext):
-    n = ctx.n
-    d = 2 * n + 1
-    gammas = christoffel_at(ctx.chart)
+    """The Levi frame X is parallel: d_j X_a^l(0) - sum_k X_a^k(0) Gamma^k_{jl}(0)
+    against 0 for every (a, j, l), with Gamma^k_{jl} the (j, l, k) entry of
+    ``christoffel_at``."""
+    d = ctx.chart.dim
+    gammas = {slot: g.constant_term() for slot, g in christoffel_at(ctx.chart).items()}
+    frame, _ = levi_frame(ctx.chart, CHART_ORDER)
     pairs = []
-    for j in range(d):
-        for k in range(d):
+    for row in frame:
+        at0 = [x.constant_term() for x in row]
+        for j in range(d):
             for l in range(d):
-                want = 0.0
-                if k == 2 * n and j % 2 == 1 and l == j - 1:
-                    want = -1.0
-                elif k == 2 * n and j % 2 == 0 and j + 1 < d and l == j + 1:
-                    want = 1.0
-                pairs.append((gammas[(j, k, l)].constant_term(), want))
+                moved = sum(at0[k] * gammas[(j, l, k)] for k in range(d))
+                pairs.append((row[l].derivative_at(j) - moved, 0.0))
     return _worst(pairs)
 
 
+def _apply_field(field: Sequence[Jet], g: Jet) -> Jet:
+    """sum_b c_b d_b g for the vector field sum_b c_b d/dx_b, one order below g."""
+    low = g.order - 1
+    terms = (c.truncated(low) * g.partial(b) for b, c in enumerate(field))
+    return sum(terms, Jet.zero(g.num_vars, low, g.base_point))
+
+
 def check_kohn_point_formula(ctx: CheckContext):
-    """Kohn values against an independent evaluation-based derivative oracle."""
+    """Kohn values against the definition -sum_j (Z_j (Zbar_j f))(0), with Z_j
+    the chart's frame and Zbar_j its conjugate."""
     d = 2 * ctx.n + 1
     pairs = []
     for k in range(10):
         rng = ctx.rng("kohn", k)
         f = random_jet(rng, d, 4, (0.0,) * d, decay=0.5)
-        got = kohn_laplacian_at0(ctx.chart, f)
-        # oracle: univariate restrictions fitted from point values
         want = 0.0 + 0.0j
-        for j in range(2 * ctx.n):
-            want += -0.5 * _derivative_by_values(f, j, 2)
-        want += -1j * ctx.n * _derivative_by_values(f, d - 1, 1)
-        pairs.append((got, want))
+        for z in ctx.chart.frame:
+            want -= _apply_field(z, _apply_field([c.conjugate() for c in z], f)).constant_term()
+        pairs.append((kohn_laplacian_at0(ctx.chart, f), want))
     return _worst(pairs)
-
-
-def _derivative_by_values(f: Jet, axis: int, k: int) -> complex:
-    """d^k f / dx_axis^k (0) from a polynomial fitted to values along the axis."""
-    ts = np.linspace(-0.5, 0.5, f.order + 1)
-    pts = np.zeros((len(ts), f.num_vars), dtype=complex)
-    pts[:, axis] = ts
-    coeffs = np.polynomial.polynomial.polyfit(ts, f.eval_many(pts), f.order)
-    return complex(math.factorial(k) * coeffs[k])
 
 
 def check_expansion_exact(ctx: CheckContext):

@@ -575,7 +575,7 @@ class Jet:
             source = (moved.sum(axis=1) == exps.sum(axis=1)).nonzero()[0]
             _REINDEX_MAPS[key] = source, basis.locate(moved[source])
         source, dest = _REINDEX_MAPS[key]
-        c = self.vector[..., source]
+        c = self.vector.take(source, -1)
         vector = _scatter_sum(dest, c.real, c.imag, basis.size(self.order))
         return Jet._from_vector(basis, self.order, base_point, vector)
 
@@ -710,7 +710,7 @@ class Substitution:
         counts = self._offsets[support + 1] - starts
         ends = counts.cumsum()
         terms = np.arange(ends[-1]) + (starts - ends + counts).repeat(counts)
-        re, im = _cmul_parts(outer.vector[..., support].repeat(counts, axis=-1), self._values[terms])
+        re, im = _cmul_parts(outer.vector.take(support, -1).repeat(counts, axis=-1), self._values[terms])
         return self._like(_scatter_sum(self._dest[terms], re, im, size))
 
     def _add_powers(self, top: int, basis: _Basis) -> None:

@@ -319,6 +319,22 @@ def test_multiplication_reference_check_runs():
     assert reports[0].all_passed
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "chart", [{"model": "heisenberg"}, {"model": "perturbed", "r_synth": 0.7, "seed": 3}], ids=["exact", "perturbed"]
+)
+def test_geometry_rows_hold_by_definition(chart, n):
+    # the Kohn row compares the point formula with -sum_j Z_j Zbar_j through the
+    # chart's frame, the Christoffel row the symbols with the parallel Levi frame:
+    # definitions that hold on any chart, to rounding
+    doc = small_config()
+    doc["scenarios"][0]["chart"] = dict(chart, n=n)
+    (report,) = run_scenarios(parse_config(doc), timings=False)
+    deviations = {r.check_id: r.abs_deviation for r in report.records}
+    assert sorted(deviations) == ["christoffel_table", "kohn_point_formula"]
+    assert max(deviations.values()) <= 1e-14, deviations
+
+
 def test_pipeline_runs_once_per_scenario(monkeypatch):
     import crkernel.harness as harness
 
@@ -894,12 +910,12 @@ def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
 
 #: sha256 of ``verify --no-timings`` on the default suite.  A change that moves
 #: rounding on purpose updates it and reports the moved values in CHANGES.md.
-DEFAULT_SUITE_SHA256 = "7670acbbdae7d66821321faa814a3b1065715be1cb2b3c790808528b5d6341d3"
+DEFAULT_SUITE_SHA256 = "93670e27b060144c22d492cbb867dc889b823c03b33d81f65b3e6f723935037f"
 
 
 #: sha256 of every (A, B) pair the default suite's checks compare, not only each
 #: record's worst: one "A.real A.imag B.real B.imag" line per pair at 17 digits
-DEFAULT_SUITE_PAIRS_SHA256 = "19a5c980006261628dad3458797899f0f8c181d70444b5274176e45629cec5f0"
+DEFAULT_SUITE_PAIRS_SHA256 = "e402281b2058ed8e426e9bca696cf0b6d277a517fd321636d8b0db30e3214e8b"
 
 
 def test_default_suite_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
@@ -932,13 +948,19 @@ def test_default_suite_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SUITE_PAIRS_SHA256, len(pairs)
 
 
-def _avx512_targets():
-    """The AVX-512 targets that numpy dispatches to on this CPU."""
+def _cpu_dispatch():
+    """numpy's dispatch targets and the features of this CPU."""
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
         from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-    return [t for t in __cpu_dispatch__ if (t == "X86_V4" or t.startswith("AVX512")) and __cpu_features__.get(t)]
+    return __cpu_dispatch__, __cpu_features__
+
+
+def _avx512_targets():
+    """The AVX-512 targets that numpy dispatches to on this CPU."""
+    dispatch, features = _cpu_dispatch()
+    return [t for t in dispatch if (t == "X86_V4" or t.startswith("AVX512")) and features.get(t)]
 
 
 def test_default_suite_without_avx512_kernels(tmp_path):
@@ -968,6 +990,27 @@ def test_default_suite_without_avx512_kernels(tmp_path):
             for key in ("route_a", "route_b"):
                 assert abs(complex(a[key]) - complex(b[key])) <= 1e-11 * abs(complex(a[key])), mine["scenario"]
     assert quadrature == 10
+
+
+def test_default_suite_under_sandybridge_blas_kernels(tmp_path):
+    # OPENBLAS_CORETYPE=Sandybridge makes OpenBLAS run the AVX kernels of an
+    # older core in place of the ones it picks for this CPU.  No record reads a
+    # BLAS result that they round otherwise, so every record keeps its bytes.
+    # (The Prescott kernels still move the four records that pass through
+    # stationary.hessian_algebra's np.linalg.inv and det.)
+    if not _cpu_dispatch()[1].get("AVX"):
+        pytest.skip("this CPU cannot run OpenBLAS's Sandybridge kernels")
+    out = tmp_path / "report.json"
+    assert cli.main(["--out", str(out), "--no-timings"]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_CORETYPE="Sandybridge")
+    child = subprocess.run(
+        [sys.executable, "-m", "crkernel.cli", "--no-timings"], env=env, capture_output=True, check=True
+    )
+    here, there = json.loads(out.read_bytes())["reports"], json.loads(child.stdout)["reports"]
+    for mine, theirs in zip(here, there, strict=True):
+        assert mine == theirs, mine["scenario"]
+    assert child.stdout == out.read_bytes()
 
 
 def test_cli_overrides_go_through_parse_config(tmp_path, capsys):

@@ -15,13 +15,18 @@ mutant rolls the closed route's per-pair values by one, patched in
 the composition scenarios must fail a record for it.
 Each frame mutant breaks the Levi frame's coframe in every module that holds
 the patched name, and the geometry-table and P-operator scenarios must fail a
-record for it.  Each reader mutant breaks ``Jet.derivative_at``, which every
-route reads its base-point derivatives through, and the scenarios whose
-reference route never calls it (the exact expansion, the Kohn oracle, the
-geometric P route, the quadrature oracle) must fail a record for it, so a
-reader fault that both b1 routes share cannot hide.  Reader mutants touch
-second derivatives only: a wrong first derivative breaks a chart invariant
-before any record exists.  The expansion mutant scales L_1 by n, which is
+record for it.  The frame-model mutant scales the d/dx_{2n} coefficient of
+every Z_j that ``charts.frame_jets`` builds.  The Christoffel row's
+parallel-frame identity holds for any frame, so the Kohn row, which compares
+the Kohn point formula with -sum_j Z_j Zbar_j through the chart's frame, must
+fail a geometry-table record for it.  Each reader mutant breaks
+``Jet.derivative_at``, which every route reads its base-point derivatives
+through, and the scenarios whose reference route never calls it (the exact
+expansion, the frame-built Kohn Laplacian, the geometric P route, the
+quadrature oracle) must fail a record for it, so a reader fault that both b1
+routes share cannot hide.  Reader mutants touch second derivatives only: a
+wrong first derivative breaks a chart invariant before any record exists.
+The expansion mutant scales L_1 by n, which is
 invisible at n = 1; the exact-expansion scenarios at n = 1..5 must fail a
 record for it, and so must the subleading quadrature scenario at each
 n = 2..5 on its own, since the oracle reads none of the L_1 code.  The
@@ -132,6 +137,17 @@ FRAME_MUTANTS = {
     "levi_frame coframe": ("levi_frame", _scaled_coframe),
     "_solve_jet_linear one pass": ("_solve_jet_linear", _one_pass_solve),
 }
+
+
+def _scaled_contact_direction(fn):
+    return lambda n: tuple(row[:-1] + (row[-1].scale(FACTOR),) for row in fn(n))
+
+
+#: mutant label -> (name patched in crkernel.charts, mutant of the original)
+FRAME_MODEL_MUTANTS = {"frame_jets d/dx_{2n} coefficients scaled": ("frame_jets", _scaled_contact_direction)}
+
+#: the Christoffel and Kohn rows at n = 1 and 2
+GEOMETRY_FILTERS = ("geometry-tables*",)
 
 
 #: the scenarios whose reference route reads no derivative through the jet reader
@@ -256,6 +272,10 @@ def test_every_row_mutant_fails_a_composition_record(monkeypatch):
 
 def test_every_frame_mutant_fails_a_record(monkeypatch):
     assert _escaped(monkeypatch, FRAME_MUTANTS, (charts, symbols), FRAME_FILTERS) == []
+
+
+def test_every_frame_model_mutant_fails_a_geometry_record(monkeypatch):
+    assert _escaped(monkeypatch, FRAME_MODEL_MUTANTS, (charts,), GEOMETRY_FILTERS) == []
 
 
 def test_every_reader_mutant_fails_a_record(monkeypatch):
