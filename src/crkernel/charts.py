@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ChartError, OrderShortfallError
-from .jets import Jet, MultiIndex, batch_products, linear_combinations
+from .jets import Jet, MultiIndex, batch_products, gauss_solve, linear_combinations
 from .rng import spawn_rng
 
 SQRT2 = math.sqrt(2.0)
@@ -436,7 +436,9 @@ def _solve_jet_linear(amat: Sequence[Sequence[Jet]], rhs: Sequence[Jet]) -> List
     m = len(rhs)
     order = rhs[0].order
     a0 = np.array([[amat[r][c].constant_term() for c in range(m)] for r in range(m)])
-    a0inv = np.linalg.inv(a0)
+    a0inv, _ = gauss_solve(a0)
+    if a0inv is None:
+        raise ChartError("jet solve: A(0) is singular")
     nil = [[amat[r][c].shift_constant(-a0[r, c]) for c in range(m)] for r in range(m)]
     sol = [rhs[0]._like(np.zeros_like(rhs[0].vector))] * m
     for _ in range(order + 1):

@@ -192,6 +192,31 @@ def _cmul_parts(x, y):
     return x.real * y.real - x.imag * y.imag, x.real * y.imag + x.imag * y.real
 
 
+def gauss_solve(a, rhs=None):
+    """(a^-1 rhs, det a), a^-1 itself without rhs, by Gaussian elimination with partial pivoting in Python complex
+    scalars, one order of operations on every CPU (no LAPACK): the pivot is the first row of largest |a_ik|, a zero
+    multiplier or entry updates nothing, det is the signed product of the pivots, and a zero pivot gives (None, 0j)."""
+    m, det = len(a), 1.0 + 0.0j
+    b = np.eye(m) if rhs is None else np.asarray(rhs)
+    rows = [list(map(complex, r + s)) for r, s in zip(np.asarray(a).tolist(), b.reshape(m, -1).tolist())]
+    for k in range(m):
+        p = max(range(k, m), key=lambda i: abs(rows[i][k]))
+        if not rows[p][k]:
+            return None, 0.0j
+        rows[k], rows[p], det = rows[p], rows[k], det if p == k else -det
+        det *= rows[k][k]
+        for i in range(k + 1, m):
+            f = rows[i][k] / rows[k][k]
+            if f:
+                rows[i][k + 1 :] = [x - f * y if y else x for x, y in zip(rows[i][k + 1 :], rows[k][k + 1 :])]
+    for i in reversed(range(m)):  # back substitution, x_j in place of row j's right-hand side
+        for j in range(i + 1, m):
+            if rows[i][j]:
+                rows[i][m:] = [s - rows[i][j] * t if t else s for s, t in zip(rows[i][m:], rows[j][m:])]
+        rows[i][m:] = [s / rows[i][i] for s in rows[i][m:]]
+    return np.array([r[m:] for r in rows]).reshape(b.shape), det
+
+
 def _scatter_sum(k: np.ndarray, re: np.ndarray, im: np.ndarray, size: int) -> np.ndarray:
     """Vector whose entry p sums the (re, im) terms with k == p, in input order;
     of (rows, terms) arrays, one such vector per row, by one ``bincount`` over

@@ -38,7 +38,7 @@ import numpy as np
 
 from .charts import CHART_ORDER, CRModelChart
 from .errors import BranchError, ChartError, HessianError, OracleFitError, OrderShortfallError
-from .jets import Jet, _basis, _scatter_sum
+from .jets import Jet, _basis, _scatter_sum, gauss_solve
 
 #: gradient tolerance for accepting (0, 1) as the critical point
 CRITICAL_TOL = 1e-12
@@ -76,14 +76,13 @@ def hessian_algebra(hess: np.ndarray) -> HessianAlgebra:
     """The inverse (precision-checked), the branch-checked determinant root,
     q and q's contraction weights of a phase Hessian."""
     nv = len(hess)
-    try:
-        hess_inv = np.linalg.inv(hess)
-    except np.linalg.LinAlgError as exc:
-        raise HessianError("phase Hessian at the critical point is singular") from exc
-    if np.max(np.abs(hess @ hess_inv - np.eye(nv))) > 1e-12:
+    hess_inv, det = gauss_solve(hess)
+    if hess_inv is None:
+        raise HessianError("phase Hessian at the critical point is singular")
+    if np.max(np.abs((hess[:, :, None] * hess_inv).sum(axis=1) - np.eye(nv))) > 1e-12:
         raise HessianError("phase Hessian inversion lost precision")
 
-    det_norm = complex(np.linalg.det(hess / (2j * math.pi)))
+    det_norm = det / ((2j * math.pi) ** nv).real  # (2 pi i)^nv, real as nv is even
     root = np.sqrt(det_norm)
     if root.real <= 0:
         raise BranchError("determinant square root does not lie in the right half plane")

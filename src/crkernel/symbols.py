@@ -18,7 +18,7 @@ import numpy as np
 
 from .charts import CRModelChart, christoffel_symbols, levi_frame
 from .errors import BranchError, ChartError, OrderShortfallError, SymbolError
-from .jets import Jet, Substitution, batch_products, linear_combinations, random_jet
+from .jets import Jet, Substitution, batch_products, gauss_solve, linear_combinations, random_jet
 from .rng import spawn_rng
 
 
@@ -202,9 +202,9 @@ def invert_map(kappa: Sequence[Jet]) -> List[Jet]:
         if abs(comp.constant_term()) > 1e-12:
             raise SymbolError("invert_map: map must fix the origin")
     jac = np.array([[kappa[c].derivative_at(j) for j in range(d)] for c in range(d)])
-    if abs(np.linalg.det(jac)) < 1e-12:
+    ainv, det = gauss_solve(jac)
+    if abs(det) < 1e-12:
         raise SymbolError("invert_map: singular Jacobian at 0")
-    ainv = np.linalg.inv(jac)
     coords = [Jet.displacement(i, d, order, base) for i in range(d)]
     lin = linear_combinations(jac, coords)
     nonlin = Jet.stack([kappa[c].shift_constant(-kappa[c].constant_term()) - lin[c] for c in range(d)])
@@ -294,10 +294,9 @@ def transform_symbol_under_diffeo(
     work = e0.order - 2
 
     jac0 = np.array([[kappa[c].derivative_at(j) for j in range(d)] for c in range(d)])
-    if abs(np.linalg.det(jac0)) < 1e-12:
+    eta0, det = gauss_solve(jac0.T, e0.base_point[d:])
+    if abs(det) < 1e-12:
         raise SymbolError("transform: singular Jacobian at 0")
-    old_xi = np.array(e0.base_point[d:])
-    eta0 = np.linalg.solve(jac0.T, old_xi)
     new_base = tuple(0.0 for _ in range(d)) + tuple(complex(v) for v in eta0)
 
     # every x-jet read here, as rows: dx_i, d_j kappa_c (j-major), d_j d_k kappa_c (j <= k)

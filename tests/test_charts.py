@@ -22,7 +22,7 @@ from crkernel.charts import (
     tw_scalar_curvature,
 )
 from crkernel.errors import OrderShortfallError
-from crkernel.jets import Jet, max_coeff_difference, random_jet
+from crkernel.jets import Jet, gauss_solve, max_coeff_difference, random_jet
 from crkernel.rng import spawn_rng
 
 
@@ -137,12 +137,21 @@ def test_jet_solve_on_a_dense_system():
         assert resid.max_abs() < 1e-12
 
 
+def test_jet_solve_refuses_a_singular_leading_matrix():
+    # A(0) with a zero column: the elimination meets a zero pivot
+    d, order, base = 2, 3, (0.0,) * 2
+    x0 = Jet.displacement(0, d, order, base)
+    amat = [[x0, Jet.constant(d, order, base, 1.0)], [x0 * x0, Jet.constant(d, order, base, 2.0)]]
+    with pytest.raises(ChartError, match="A\\(0\\) is singular"):
+        _solve_jet_linear(amat, [Jet.constant(d, order, base, 1.0)] * d)
+
+
 def _solve_row_by_row(amat, rhs):
     """Reference: the jet solve for one right-hand side with every product and
     scaling formed, zero operands included."""
     m, order = len(rhs), rhs[0].order
     a0 = np.array([[amat[r][c].constant_term() for c in range(m)] for r in range(m)])
-    a0inv = np.linalg.inv(a0)
+    a0inv, _ = gauss_solve(a0)
     nil = [[amat[r][c].shift_constant(-a0[r, c]) for c in range(m)] for r in range(m)]
     sol = [Jet.zero(rhs[0].num_vars, order, rhs[0].base_point) for _ in range(m)]
     for _ in range(order + 1):

@@ -491,24 +491,11 @@ def test_run_cache_builds_each_chart_once_per_run(monkeypatch):
     assert emit_report(first) == emit_report(second)
 
 
-class _Recording:
-    """A module whose attributes are the module's, but for the given overrides."""
-
-    def __init__(self, module, **overrides):
-        self._module = module
-        self.__dict__.update(overrides)
-
-    def __getattr__(self, name):
-        return getattr(self._module, name)
-
-
 @pytest.fixture(scope="module")
 def default_run():
     """The run cache of a default-suite run, the size of every matrix
     ``crkernel.stationary`` inverted during the run, and every ``Substitution``
     ``crkernel.pipeline`` built."""
-    import numpy as np
-
     import crkernel.harness as harness
     import crkernel.pipeline as pipeline
     import crkernel.stationary as stationary
@@ -525,10 +512,10 @@ def default_run():
             super().__init__(inner)
             built.append(self)
 
-    linalg = _Recording(np.linalg, inv=lambda a: inverted.append(len(a)) or np.linalg.inv(a))
+    solve = stationary.gauss_solve
     with pytest.MonkeyPatch.context() as m:
         m.setattr(harness, "RunCache", RecordingCache)
-        m.setattr(stationary, "np", _Recording(np, linalg=linalg))
+        m.setattr(stationary, "gauss_solve", lambda a, rhs=None: inverted.append(len(a)) or solve(a, rhs))
         m.setattr(pipeline, "Substitution", RecordingSubstitution)
         reports = run_scenarios(default_config(), timings=False)
     assert all(rep.all_passed for rep in reports)
@@ -910,41 +897,50 @@ def test_cli_seed_and_jet_order_overrides(tmp_path, capsys):
 
 #: sha256 of ``verify --no-timings`` on the default suite.  A change that moves
 #: rounding on purpose updates it and reports the moved values in CHANGES.md.
-DEFAULT_SUITE_SHA256 = "93670e27b060144c22d492cbb867dc889b823c03b33d81f65b3e6f723935037f"
+DEFAULT_SUITE_SHA256 = "f11cdf9a95f53f5cd5770bb1a5d080b07c8e812a8d43f623478d7a76c1096593"
 
 
 #: sha256 of every (A, B) pair the default suite's checks compare, not only each
 #: record's worst: one "A.real A.imag B.real B.imag" line per pair at 17 digits
-DEFAULT_SUITE_PAIRS_SHA256 = "e402281b2058ed8e426e9bca696cf0b6d277a517fd321636d8b0db30e3214e8b"
+DEFAULT_SUITE_PAIRS_SHA256 = "a4ec4966f7cfe95b92a2e6394ba9e79d55a08073912b042c5d73b389a0ad1a78"
 
 
-def test_default_suite_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
-    # in-process, after other tests have filled the jet caches: a record must not
-    # depend on what ran before it
+def _record_pairs(monkeypatch):
+    """[((scenario, check_id), (A, B))] of every pair the checks compare from now
+    on, in order: each ``_worst`` candidate, then the check's result (a check
+    that calls no ``_worst`` compares that one pair)."""
     import crkernel.harness as harness
 
-    pairs = []
+    pairs, key = [], [None]
 
     def recording(candidates, _worst=harness._worst):
         candidates = list(candidates)
-        pairs.extend(candidates)
+        pairs.extend((key[0], pair) for pair in candidates)
         return _worst(candidates)
 
-    def recorded(fn):  # a check that calls no _worst compares one pair
+    def recorded(check_id, fn):
         def check(ctx):
-            pairs.append(fn(ctx))
-            return pairs[-1]
+            key[0] = (ctx.scenario.name, check_id)
+            pairs.append((key[0], fn(ctx)))
+            return pairs[-1][1]
 
         return check
 
     monkeypatch.setattr(harness, "_worst", recording)
     for check_id, fn in list(harness.CHECKS.items()):
-        monkeypatch.setitem(harness.CHECKS, check_id, recorded(fn))
+        monkeypatch.setitem(harness.CHECKS, check_id, recorded(check_id, fn))
+    return pairs
+
+
+def test_default_suite_report_bytes_are_pinned(tmp_path, capsys, monkeypatch):
+    # in-process, after other tests have filled the jet caches: a record must not
+    # depend on what ran before it
+    pairs = _record_pairs(monkeypatch)
     out = tmp_path / "report.json"
     assert cli.main(["--out", str(out), "--no-timings"]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DEFAULT_SUITE_SHA256
     text = "".join(f"{a.real:.17g} {a.imag:.17g} {b.real:.17g} {b.imag:.17g}\n" for a, b in
-                   (map(complex, pair) for pair in pairs))
+                   (map(complex, pair) for _, pair in pairs))
     assert hashlib.sha256(text.encode()).hexdigest() == DEFAULT_SUITE_PAIRS_SHA256, len(pairs)
 
 
@@ -996,8 +992,7 @@ def test_default_suite_under_sandybridge_blas_kernels(tmp_path):
     # OPENBLAS_CORETYPE=Sandybridge makes OpenBLAS run the AVX kernels of an
     # older core in place of the ones it picks for this CPU.  No record reads a
     # BLAS result that they round otherwise, so every record keeps its bytes.
-    # (The Prescott kernels still move the four records that pass through
-    # stationary.hessian_algebra's np.linalg.inv and det.)
+    # (The Prescott kernels still move the records of PRESCOTT_MOVED.)
     if not _cpu_dispatch()[1].get("AVX"):
         pytest.skip("this CPU cannot run OpenBLAS's Sandybridge kernels")
     out = tmp_path / "report.json"
@@ -1011,6 +1006,71 @@ def test_default_suite_under_sandybridge_blas_kernels(tmp_path):
     for mine, theirs in zip(here, there, strict=True):
         assert mine == theirs, mine["scenario"]
     assert child.stdout == out.read_bytes()
+
+
+#: scenarios whose records may move under OpenBLAS's Prescott kernels: they read
+#: apply_L's level-1 BLAS dot ``data.l1 @ v``, whose summation order the kernels set
+PRESCOTT_MOVED = {"expansion-exact-n5", "quadrature-oracle-subleading-n3", "quadrature-oracle-subleading-n5"}
+
+
+def test_default_suite_under_prescott_blas_kernels(tmp_path, monkeypatch):
+    # OPENBLAS_CORETYPE=Prescott runs the SSE3 kernels of a much older core.  No
+    # record reads LAPACK, so every record keeps its bytes but those of
+    # PRESCOTT_MOVED.  A moved record still passes, and reports a pair (its worst
+    # pair may switch) that this run compared too, within 1e-12 relative.
+    if not _cpu_dispatch()[1].get("SSE3"):
+        pytest.skip("this CPU cannot run OpenBLAS's Prescott kernels")
+    pairs = _record_pairs(monkeypatch)
+    out = tmp_path / "report.json"
+    assert cli.main(["--out", str(out), "--no-timings"]) == 0
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_CORETYPE="Prescott")
+    child = subprocess.run(
+        [sys.executable, "-m", "crkernel.cli", "--no-timings"], env=env, capture_output=True, check=True
+    )
+    here, there = json.loads(out.read_bytes())["reports"], json.loads(child.stdout)["reports"]
+    for mine, theirs in zip(here, there, strict=True):
+        assert mine["scenario"] == theirs["scenario"]
+        for a, b in zip(mine["records"], theirs["records"], strict=True):
+            if a == b:
+                continue
+            assert mine["scenario"] in PRESCOTT_MOVED, (mine["scenario"], a["check_id"])
+            assert a["check_id"] == b["check_id"] and a["passed"] and b["passed"]
+            got = complex(b["route_a"]), complex(b["route_b"])
+            compared = [pair for key, pair in pairs if key == (mine["scenario"], a["check_id"])]
+            assert any(all(abs(g - complex(w)) <= 1e-12 * abs(complex(w)) for g, w in zip(got, pair))
+                       for pair in compared), (mine["scenario"], got)
+
+
+def _workload_documents():
+    """The benchmark's ``routes`` and ``quadrature`` documents at seed 0, from
+    ``perfbench/workloads.py`` (read, never edited)."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [workloads.WORKLOADS[name](0) for name in ("routes", "quadrature")]
+
+
+def test_verdicts_call_no_linalg(monkeypatch):
+    # the default suite and both benchmark workloads reach their verdicts with
+    # every np.linalg function refusing, the oracle's cached cutoff rules formed
+    # again under the guard: no record depends on LAPACK's kernels
+    import numpy as np
+
+    import crkernel.stationary as stationary
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    stationary._cutoff_rule.cache_clear()
+    for config in [default_config()] + [parse_config(doc) for doc in _workload_documents()]:
+        assert all(rep.all_passed for rep in run_scenarios(config, timings=False))
 
 
 def test_cli_overrides_go_through_parse_config(tmp_path, capsys):

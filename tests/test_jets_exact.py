@@ -11,6 +11,8 @@ for the q^3 and h^2 products of the engine's K_1 functional at n = 1, and
 (4, 8), the reference tests' amplitude times the oracle's cutoff.  (4, 12)
 keeps sparse operands far above ``PRODUCT_TABLE_ROWS`` covered; at (4, 8)
 and (6, 6) a sparse operand also meets a dense one.
+The small dense solver ``gauss_solve`` is checked against an exact
+elimination at the sizes 1-12 of the pipeline's Jacobians and Hessians.
 Below ``PRODUCT_TABLE_ROWS`` a product reads the cached whole-shape table,
 above it (at (4, 8), (6, 6) and (4, 12)) the rows of the operands'
 nonzeros.  The homogeneous extension of symbol data is checked against its
@@ -20,9 +22,11 @@ definition at (6, 6) and (10, 4).
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from crkernel.jets import Jet, _basis
+from crkernel.jets import Jet, _basis, gauss_solve
+from crkernel.rng import spawn_rng
 from crkernel.symbols import homogeneity_extend, xi_base
 
 
@@ -331,3 +335,56 @@ def test_homogeneity_extend_matches_definition(monkeypatch, n, order, p):
     got = homogeneity_extend(to_jet(data, slice_vars, order), float(p))
     assert (got.num_vars, got.order, got.base_point) == (num_vars, order, xi_base(n))
     assert_matches(got, want)
+
+
+# -- the small dense solver ------------------------------------------------------------------
+
+
+def exact_solve(a, b):
+    """(a^-1 b, det a) by Gauss-Jordan elimination on GaussRational rows."""
+    m = len(a)
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
+    det = GaussRational(1)
+    for k in range(m):
+        p = next(i for i in range(k, m) if rows[i][k].re or rows[i][k].im)
+        if p != k:
+            rows[k], rows[p], det = rows[p], rows[k], -det
+        det = det * rows[k][k]
+        inv = rows[k][k].reciprocal()
+        rows[k] = [v * inv for v in rows[k]]
+        for i in range(m):
+            if i != k and (rows[i][k].re or rows[i][k].im):
+                f = -rows[i][k]
+                rows[i] = [v + f * w for v, w in zip(rows[i], rows[k])]
+    return [r[m:] for r in rows], det
+
+
+def to_exact(values):
+    """Exact GaussRational rows of a complex (or real) array."""
+    return [[GaussRational(Fraction(v.real), Fraction(v.imag)) for v in row] for row in np.atleast_2d(values).tolist()]
+
+
+def solver_operand(size, kind):
+    """A seeded size x size matrix and two right-hand sides: real normals, or
+    Gaussian rationals k/8 + i l/8 with |k|, |l| <= 8."""
+    rng = spawn_rng(size, kind, "gauss-solve")
+    if kind == "real":
+        return rng.standard_normal((size, size + 2))
+    return np.array([[complex(rng.integers(-8, 9), rng.integers(-8, 9)) / 8 for _ in range(size + 2)] for _ in range(size)])
+
+
+@pytest.mark.parametrize("kind", ("real", "gaussian-rational"))
+@pytest.mark.parametrize("size", range(1, 13))
+def test_gauss_solve_matches_exact_elimination(size, kind):
+    # the inverse, two right-hand sides at once, one as a vector, and the determinant
+    full = solver_operand(size, kind)
+    a, rhs = full[:, :size], full[:, size:]
+    want_inv, want_det = exact_solve(to_exact(a), to_exact(np.eye(size)))
+    want_x, _ = exact_solve(to_exact(a), to_exact(rhs))
+    for got, want in ((gauss_solve(a)[0], want_inv), (gauss_solve(a, rhs)[0], want_x)):
+        want = np.array([[complex(v) for v in row] for row in want])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= REL_TOL * np.max(np.abs(want))
+    got_x, got_det = gauss_solve(a, rhs[:, 0])
+    assert got_x.shape == (size,) and np.array_equal(got_x, gauss_solve(a, rhs)[0][:, 0])
+    assert abs(got_det - complex(want_det)) <= REL_TOL * abs(complex(want_det))

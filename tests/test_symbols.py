@@ -5,7 +5,7 @@ import pytest
 
 from crkernel.charts import heisenberg_chart, perturbed_chart, random_perturbation
 from crkernel.errors import BranchError, ChartError, SymbolError
-from crkernel.jets import Jet, Substitution, max_coeff_difference, random_jet
+from crkernel.jets import Jet, Substitution, gauss_solve, max_coeff_difference, random_jet
 from crkernel.rng import spawn_rng
 from crkernel.symbols import (
     ClassicalSymbol,
@@ -405,7 +405,7 @@ def _invert_map_row_by_row(kappa):
     """Reference: ``invert_map`` with every linear term formed, zero entries included."""
     d, order, base = len(kappa), kappa[0].order, kappa[0].base_point
     jac = np.array([[kappa[c].derivative_at(j) for j in range(d)] for c in range(d)])
-    ainv = np.linalg.inv(jac)
+    ainv, _ = gauss_solve(jac)
 
     def lin_solve(vecs):
         out = []
@@ -451,7 +451,7 @@ def _transform_row_by_row(sym, kappa, inverse):
     d = nv // 2
     work = e0.order - 2
     jac0 = np.array([[kappa[c].derivative_at(j) for j in range(d)] for c in range(d)])
-    eta0 = np.linalg.solve(jac0.T, np.array(e0.base_point[d:]))
+    eta0, _ = gauss_solve(jac0.T, e0.base_point[d:])
     new_base = tuple(0.0 for _ in range(d)) + tuple(complex(v) for v in eta0)
     at_psi = Substitution([g.truncated(work) for g in inverse])
 

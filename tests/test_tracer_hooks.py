@@ -58,10 +58,10 @@ def test_workload_documents_parse(workload):
 
 #: sha256 of the timings-off report of each benchmark workload document
 WORKLOAD_REPORT_SHA256 = {
-    ("routes", 11): "98f6c906ce1c481945ec4114c6dcfd67e204346a8573decef7881114cf72919b",
-    ("routes", 12): "efc620c03536b4b1bc9d4350661c4e3c000da32f98a6ceeca328aff5463a0c0c",
-    ("routes", 7001): "69ad7e4b04a5ba5dd3d0e4f60218bc6ef3bb3d8edc13f3e46b55d696cce906cd",
-    ("quadrature", 7): "4d8cf5007d8ebfc6a5f70653d379924ea4a63775a3e48dba5036d15cb3a15e2b",
+    ("routes", 11): "46bfcf85eaa0e09ff397113706d711011f62d5726d1bb301b31738a1a25ca75b",
+    ("routes", 12): "284741d8813879c97936920882dc21201ff012799ecdebd6f3b42ae4c1e77302",
+    ("routes", 7001): "1e91958e0bcf3144086065cc3a0e1d3f7d874e34b8c2bf82aec581484455299b",
+    ("quadrature", 7): "63b1ed736e8c140095e7cbe27891a0777aa118ca4b91f557def673fa5e7de44d",
 }
 
 
