@@ -25,7 +25,7 @@ from ._version import __version__
 from .charts import (
     CHART_ORDER,
     CRModelChart,
-    christoffel_at,
+    christoffel_symbols,
     heisenberg_chart,
     kohn_laplacian_at0,
     levi_frame,
@@ -558,10 +558,10 @@ def check_p_operator_routes(ctx: CheckContext):
 def check_christoffel_table(ctx: CheckContext):
     """The Levi frame X is parallel: d_j X_a^l(0) - sum_k X_a^k(0) Gamma^k_{jl}(0)
     against 0 for every (a, j, l), with Gamma^k_{jl} the (j, l, k) entry of
-    ``christoffel_at``."""
+    ``christoffel_symbols`` of that frame."""
     d = ctx.chart.dim
-    gammas = {slot: g.constant_term() for slot, g in christoffel_at(ctx.chart).items()}
-    frame, _ = levi_frame(ctx.chart, CHART_ORDER)
+    frame, coframe = levi_frame(ctx.chart, CHART_ORDER)
+    gammas = {slot: g.constant_term() for slot, g in christoffel_symbols(frame, coframe).items()}
     pairs = []
     for row in frame:
         at0 = [x.constant_term() for x in row]

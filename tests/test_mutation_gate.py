@@ -24,8 +24,9 @@ fail a geometry-table record for it.  Each reader mutant breaks
 through, and the scenarios whose reference route never calls it (the exact
 expansion, the frame-built Kohn Laplacian, the geometric P route, the
 quadrature oracle) must fail a record for it, so a reader fault that both b1
-routes share cannot hide.  Reader mutants touch second derivatives only: a
-wrong first derivative breaks a chart invariant before any record exists.
+routes share cannot hide.  The reader mutants scale first derivatives or
+second ones; charts are built without reading a derivative, so a wrong first
+derivative reaches the records like any other.
 The expansion mutant scales L_1 by n, which is
 invisible at n = 1; the exact-expansion scenarios at n = 1..5 must fail a
 record for it, and so must the subleading quadrature scenario at each
@@ -169,10 +170,21 @@ def _second_derivative_mutant(pure, scale):
     return mutate
 
 
+def _first_derivative_mutant(fn):
+    """Scale the reader's first derivatives d_v."""
+
+    def mutant(self, *variables):
+        value = fn(self, *variables)
+        return value * FACTOR if len(variables) == 1 else value
+
+    return mutant
+
+
 #: mutant label -> (name patched on Jet, mutant of the original)
 READER_MUTANTS = {
     "pure second derivatives lose their 2!": ("derivative_at", _second_derivative_mutant(True, 0.5)),
     "mixed second derivatives scaled": ("derivative_at", _second_derivative_mutant(False, FACTOR)),
+    "first derivatives scaled": ("derivative_at", _first_derivative_mutant),
 }
 
 
