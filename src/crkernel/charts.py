@@ -197,7 +197,7 @@ def perturbed_chart(
         raise ChartError("perturbed_chart requires the exact Heisenberg base chart")
     n, d = base.n, base.dim
     Q = np.zeros((d, d)) if lambda_quadratic is None else np.asarray(lambda_quadratic, dtype=float)
-    if Q.shape != (d, d) or not np.allclose(Q, Q.T, atol=1e-13):
+    if Q.shape != (d, d) or not np.all(np.abs(Q - Q.T) <= 1e-13):
         raise ChartError("lambda_quadratic must be a symmetric (2n+1) x (2n+1) matrix")
     table = dict(phase_quartic or {})
     nv = 2 * d

@@ -9,7 +9,7 @@ Conventions:
     <= order in degree-graded lexicographic order; a lower order's basis is a
     prefix of a higher order's, so truncation is a slice and one cached basis
     per num_vars serves every order;
-  * the basis tables (exponents, sorted monomial keys, degree offsets,
+  * the basis tables (exponents, ascending monomial keys, degree offsets,
     partial-derivative gathers, graded predecessors, product tables) are
     built with numpy on first use, at the order asked; importing this module
     builds none.  One multi-index's position is one lookup in a dict that
@@ -76,9 +76,10 @@ class _Basis:
     ``size(o)`` monomials, and a monomial's position never depends on o.  A
     monomial's key is degree * R**num_vars plus its exponents read as
     mixed-radix digits (radix R = order + 1, first variable most
-    significant).  Sorted keys are the graded-lex order, and the key is
-    linear in the exponents, so a product monomial's key is the sum of its
-    factors' keys; positions are found by binary search over the keys.
+    significant).  Ascending keys are the graded-lex order, which the table
+    is built in without a sort, and the key is linear in the exponents, so a
+    product monomial's key is the sum of its factors' keys; positions are
+    found by binary search over the keys.
     """
 
     def __init__(self, num_vars: int, order: int):
@@ -87,18 +88,24 @@ class _Basis:
             raise CompatibilityError(f"jet shape ({num_vars}, {order}) is too large to index")
         self.num_vars = num_vars
         self.order = order
-        exps = np.zeros((1, 0), dtype=np.int64)
+        degrees, digits, parents = np.zeros(1, dtype=np.int64), [], []
         for _ in range(num_vars):  # append one exponent column, within the degree budget
-            room = order + 1 - exps.sum(axis=1)
-            rows = np.repeat(np.arange(len(exps)), room)
-            digit = np.arange(len(rows)) - np.repeat(np.cumsum(room) - room, room)
-            exps = np.column_stack([exps[rows], digit])
+            room = order + 1 - degrees
+            parent = np.repeat(np.arange(len(degrees)), room)
+            digit = np.arange(len(parent)) - np.repeat(np.cumsum(room) - room, room)
+            degrees = degrees[parent] + digit
+            digits.append(digit)
+            parents.append(parent)
+        # the rows are in lex order, first variable most significant: within one
+        # degree that is key order, so a stable partition by degree is graded-lex
+        row = np.concatenate([(degrees == g).nonzero()[0] for g in range(order + 1)])
+        self.degrees = degrees[row]
+        self.exponents = np.empty((len(row), num_vars), dtype=np.int64)
+        for var in range(num_vars - 1, -1, -1):
+            self.exponents[:, var] = digits[var][row]
+            row = parents[var][row]
         self.key_weights = radix**num_vars + radix ** np.arange(num_vars - 1, -1, -1, dtype=np.int64)
-        keys = exps @ self.key_weights
-        rank = np.argsort(keys)
-        self.exponents = exps[rank]
-        self.keys = keys[rank]
-        self.degrees = self.exponents.sum(axis=1)
+        self.keys = self.exponents @ self.key_weights
         #: degree_start[d] = number of monomials of degree < d
         self.degree_start = self.degrees.searchsorted(np.arange(order + 2))
         self._sizes = self.degree_start.tolist()

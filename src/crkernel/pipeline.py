@@ -32,7 +32,7 @@ from .charts import (
 )
 from .errors import SymbolError
 from .jets import Jet, Substitution
-from .rng import spawn_rng
+from .rng import spawn_rng, standard_normals
 from .stationary import PhaseCriticalData, build_phase_data, expansion_coeffs
 from .symbols import ClassicalSymbol, p_operator_canonical, subprincipal_symbol
 
@@ -282,13 +282,14 @@ def random_amplitude(n: int, top_power, seed) -> KernelAmplitude:
     The leading jet is ``random_jet(rng, 2d, AMPLITUDE_ORDER, 0, decay=0.5)``
     and the subleading value the constant term of a second such draw; the
     stream is read once, since normal k reads words 2k and 2k + 1, and the
-    second draw's constant term is the pair after the first draw's."""
+    second draw's constant term is the pair after the first draw's.  Every
+    stream's normals come from one Box-Muller pass."""
     d = 2 * n + 1
     nv = 2 * d
     zero = Jet.zero(nv, AMPLITUDE_ORDER, _xy_base(d))
     size = zero.vector.size
     streams = [spawn_rng(s, "amplitude", n, repr(t)) for t, s in zip(_rows(top_power), _rows(seed))]
-    draws = np.array([rng.standard_normal((size + 1, 2)) for rng in streams])
+    draws = standard_normals(streams, 2 * (size + 1)).reshape(len(streams), size + 1, 2)
     mags = np.array([0.5**k for k in range(AMPLITUDE_ORDER + 1)])[zero.basis.degrees[:size]]
     vector = np.zeros((len(draws), size), dtype=complex)
     vector.real, vector.imag = draws[:, :size, 0] * mags, draws[:, :size, 1] * mags

@@ -391,6 +391,23 @@ def test_perturbed_requires_consistency(chart):
         perturbed_chart(chart, 0.7, bad, {})
 
 
+def test_perturbed_rejects_an_asymmetric_quadratic(chart):
+    # the symmetry bound is absolute: a relative tolerance would accept an
+    # asymmetry of 1e-7, and the density would read only the upper triangle
+    d = chart.dim
+    q = np.zeros((d, d))
+    q[0, 0] = q[1, 1] = -0.7
+    q[0, 1] = 0.5
+    q[1, 0] = q[0, 1] + 1e-7
+    with pytest.raises(ChartError, match="symmetric"):
+        perturbed_chart(chart, 0.7, q, {})
+    q[1, 0] = q[0, 1]
+    perturbed_chart(chart, 0.7, q, {})
+    q[2, 2] = np.nan
+    with pytest.raises(ChartError, match="symmetric"):
+        perturbed_chart(chart, 0.7, q, {})
+
+
 def test_perturbed_density_channel(chart):
     # oracle: substitute into the consistency identity with Lap^2 h1 = 0:
     # (i/4) Lap lambda(0) = -(i/2) R forces Lap lambda(0) = -2R

@@ -614,6 +614,36 @@ def test_sparse_operands_take_the_pairs_below_the_table(monkeypatch):
         assert bool(calls) == paired
 
 
+def _sorted_basis(num_vars, order):
+    """Exponents and keys built the sorting way: one exponent column appended
+    per variable within the degree budget, then the rows sorted by key."""
+    exps = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(num_vars):
+        room = order + 1 - exps.sum(axis=1)
+        rows = np.repeat(np.arange(len(exps)), room)
+        digit = np.arange(len(rows)) - np.repeat(np.cumsum(room) - room, room)
+        exps = np.column_stack([exps[rows], digit])
+    radix = order + 1
+    keys = exps @ (radix**num_vars + radix ** np.arange(num_vars - 1, -1, -1, dtype=np.int64))
+    rank = np.argsort(keys)
+    return exps[rank], keys[rank]
+
+
+def test_basis_tables_match_the_sorted_construction():
+    # every shape of up to 22 variables (the 4n + 2 of n = 5) and order 6 that
+    # the key fits, byte for byte against a table sorted by key
+    shapes = [(v, o) for v in range(1, 23) for o in range(7) if (o + 1) ** (v + 1) < 2**62]
+    assert len(shapes) == 153
+    for num_vars, order in shapes:
+        basis = _Basis(num_vars, order)
+        exps, keys = _sorted_basis(num_vars, order)
+        degrees = exps.sum(axis=1)
+        for got, want in [(basis.exponents, exps), (basis.keys, keys), (basis.degrees, degrees)]:
+            assert got.dtype == want.dtype and np.array_equal(got, want), (num_vars, order)
+        assert (basis.keys[1:] > basis.keys[:-1]).all()
+        assert basis.degree_start.tolist() == degrees.searchsorted(np.arange(order + 2)).tolist()
+
+
 @pytest.mark.parametrize("num_vars,order", [(3, 6), (4, 8), (6, 4)])
 def test_position_index_agrees_with_locate(num_vars, order):
     basis = _Basis(num_vars, order + 2)

@@ -11,12 +11,17 @@ change that moves one of their bytes shows here.
 import hashlib
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from crkernel.harness import parse_config
 from crkernel.jets import Jet
+from test_harness import _cpu_dispatch
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -72,6 +77,35 @@ def test_workload_reports_are_pinned(workload, seed):
     doc = load_perfbench("workloads").WORKLOADS[workload](seed)
     blob = emit_report(run_scenarios(parse_config(doc), timings=False))
     assert hashlib.sha256(blob).hexdigest() == WORKLOAD_REPORT_SHA256[(workload, seed)]
+
+
+#: prints the timings-off report digest of each (workload, seed) in argv[2],
+#: from the workload documents of the file in argv[1]
+_WORKLOAD_DIGESTS = """
+import hashlib, importlib.util, json, sys
+from crkernel.harness import emit_report, parse_config, run_scenarios
+spec = importlib.util.spec_from_file_location("perfbench_workloads", sys.argv[1])
+workloads = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+for workload, seed in json.loads(sys.argv[2]):
+    doc = workloads.WORKLOADS[workload](seed)
+    print(hashlib.sha256(emit_report(run_scenarios(parse_config(doc), timings=False))).hexdigest())
+"""
+
+
+@pytest.mark.parametrize("coretype, feature", [("Prescott", "SSE3"), ("Sandybridge", "AVX")])
+def test_workload_reports_are_pinned_under_other_blas_kernels(coretype, feature):
+    # OPENBLAS_CORETYPE makes OpenBLAS run the kernels of an older core in place
+    # of the ones it picks for this CPU; no workload record reads a BLAS result
+    # that they round otherwise, so every pinned report keeps its bytes
+    if not _cpu_dispatch()[1].get(feature):
+        pytest.skip(f"this CPU cannot run OpenBLAS's {coretype} kernels")
+    pins = sorted(WORKLOAD_REPORT_SHA256)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_CORETYPE=coretype)
+    args = [sys.executable, "-c", _WORKLOAD_DIGESTS, str(PERFBENCH / "workloads.py"), json.dumps(pins)]
+    child = subprocess.run(args, env=env, capture_output=True, text=True, check=True)
+    assert child.stdout.split() == [WORKLOAD_REPORT_SHA256[pin] for pin in pins]
 
 
 def test_traced_products_accept_a_batch():
