@@ -600,9 +600,11 @@ class Jet:
         basis = _basis(num_vars, self.order)
         key = (self.num_vars, num_vars, targets, self.order)
         if key not in _REINDEX_MAPS:
-            rows = [num_vars if t is None else t for t in targets]  # a pinned variable's row is zero
             exps = self.basis.exponents[: self.vector.shape[-1]]
-            moved = exps @ np.eye(num_vars + 1, dtype=np.int64)[rows, :num_vars]
+            moved = np.zeros((len(exps), num_vars), dtype=np.int64)
+            for k, t in enumerate(targets):  # a pinned variable adds nothing
+                if t is not None:
+                    moved[:, t] += exps[:, k]
             # a pinned displacement is zero: keep the monomials whose degree moves whole
             source = (moved.sum(axis=1) == exps.sum(axis=1)).nonzero()[0]
             _REINDEX_MAPS[key] = source, basis.locate(moved[source])

@@ -16,11 +16,11 @@ Hoermander, The Analysis of Linear PDO I, Thm 7.7.5).  L_1 is linear in v
 and, because h starts at degree 3, reads only v's coefficients of degree
 <= 2, so it is applied as one dot product with a coefficient functional K_1,
 built with the phase data from Gaussian contractions of h and h^2.  A
-quadrature oracle (Gaussian and Fourier Gauss sums on the positive half of
-Gauss-Legendre rules from the Fourier series of P_N) cross-checks the formal
-coefficients on the exact Heisenberg phase, its Fourier axis summed at the
-s nodes >= 0 and mirrored; it subtracts its tail with the closed-form
-coefficients of that phase, fed the amplitude's terms and the cutoff's
+quadrature oracle (Gaussian and Fourier sums on the positive half of trapezoidal rules,
+which converge geometrically as the cutoff is below 1e-17 at the box edge, Trefethen &
+Weideman 2014) cross-checks the formal coefficients on the exact Heisenberg phase, its
+Fourier axis summed at the s nodes >= 0 and mirrored; it subtracts its tail with the
+closed-form coefficients of that phase, fed the amplitude's terms and the cutoff's
 degree-8 terms without a jet product, so it reads none of the L_1 code.
 
 Jets here live in the variables (u_1..u_{2n+1}, sigma-1) based at 0, so the
@@ -221,53 +221,6 @@ def expansion_coeffs(data: PhaseCriticalData, gamma0: Jet, g1: complex = 0.0 + 0
 # -- quadrature oracle ------------------------------------------------------------------
 
 
-#: Newton steps allowed per Gauss-Legendre rule, and the step size that ends them
-NEWTON_CAP = 100
-NEWTON_TOL = 1e-15
-
-
-def _gauss_nodes(num: int, radius: float) -> Tuple[np.ndarray, np.ndarray]:
-    """The num-point Gauss-Legendre rule on [-radius, radius], nodes ascending.
-
-    Newton's method in psi = pi/2 - theta on the Fourier series P_num(sin psi)
-    = sum_m c_m trig(m psi), m = num, num - 2, ..., c_m = 2 a_k a_{num-k} (-1)^{floor(m/2)}
-    (halved at m = 0), a_k = binom(2k, k) / 4^k, trig cos for even num and sin for odd
-    (Swarztrauber, SIAM J. Sci. Comput. 24 (2002) 945), finds the nodes x = sin psi > 0
-    from psi = pi/2 - pi (k - 1/4) / (num + 1/2), stopped once every step is below
-    NEWTON_TOL (at most NEWTON_CAP steps).  e^{i m psi} is the product of
-    e^{i k hi} (1 + i k (psi - hi)) over two tables of about sqrt(num / 2) k each,
-    hi being psi rounded so that every k hi is exact: P carries no rounding of
-    its large arguments, and the rule costs O(num^1.5) exponentials per step.
-    The weights are 2 / (dP/dpsi)^2, dP/dpsi taken before the last step.  The
-    rule is mirrored onto x < 0; an odd rule's middle node is exactly 0.
-    """
-    a, binom = np.empty(num + 1), 1
-    for j in range(num + 1):  # binom = binom(2j, j), exact
-        a[j], binom = binom / 4**j, binom * (4 * j + 2) // (j + 1)
-    m = np.arange(num, -1, -2)
-    c = np.where(m == 0, 1.0, 2.0) * a[(num - m) // 2] * a[(num + m) // 2] * np.where(m // 2 % 2, -1.0, 1.0)
-    psi = np.pi / 2 - np.pi * (np.arange(1, (num + 3) // 2) - 0.25) / (num + 0.5)
-    psi[num // 2 :] = 0.0  # an odd rule's middle node
-    b = math.isqrt(num // 2) + 1  # m = kq + kr, kq = num - 2 b q and kr = -2 r for r < b
-    kq, kr = num - 2 * b * np.arange(num // 2 // b + 1)[:, None], -2 * np.arange(b)
-    for _ in range(NEWTON_CAP):
-        hi = np.round(psi * 2.0**40) / 2.0**40  # k hi is exact for |k| < 2^12
-        h, d = hi[:, None, None], (psi - hi)[:, None, None]
-        z = np.exp(1j * h * kq) * (1 + 1j * kq * d) * (np.exp(1j * h * kr) * (1 + 1j * kr * d))  # e^{i m psi}
-        z = z.reshape(len(psi), -1)[:, : num // 2 + 1]
-        trig, dtrig = (z.real, -z.imag) if num % 2 == 0 else (z.imag, z.real)  # trig(m psi), d/d(m psi)
-        p, dp = np.sum(trig * c, axis=1), np.sum(dtrig * (m * c), axis=1)
-        step = p / dp
-        psi = psi - step
-        if float(np.max(np.abs(step))) < NEWTON_TOL:
-            break
-    else:
-        raise OracleFitError(f"Gauss-Legendre nodes for {num} points did not converge")
-    x, w = np.sin(psi), 2.0 / dp**2
-    x, w = np.concatenate([-x[: num // 2], x[::-1]]), np.concatenate([w[: num // 2], w[::-1]])
-    return x * radius, w * radius
-
-
 #: cutoff profile width as a fraction of the cutoff radius
 WIDTH_FRACTION = 0.63
 
@@ -277,10 +230,15 @@ CUTOFF_DEGREE = 8
 
 @lru_cache(maxsize=32)
 def _cutoff_rule(num: int, radius: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The num-point rule on [-radius, radius] weighted by the cutoff profile chi:
-    its nodes x with w chi(x), then its nodes v >= 0 with 2 w chi(v) (w chi(0) at 0)."""
-    x, w = _gauss_nodes(num, radius)
-    wx = w * np.exp(-(x / (WIDTH_FRACTION * radius)) ** CUTOFF_DEGREE)
+    """The num-point trapezoidal rule on [-radius, radius] (nodes (j - (num - 1)/2) h,
+    h = 2 radius / (num - 1), weights h and h/2 at the ends), mirror-symmetric bit for
+    bit, times the cutoff chi of |x|: its nodes x with w chi(x), then its nodes v >= 0
+    with 2 w chi(v) (w chi(0) at an odd rule's exact 0).  As chi < 1e-17 at +-radius,
+    the rule converges geometrically (Trefethen & Weideman, SIAM Rev. 56 (2014) 385)."""
+    j, h = np.arange(num), 2.0 * radius / (num - 1)
+    x = (j - (num - 1) / 2) * h
+    w = np.where(j % (num - 1), h, h / 2)
+    wx = w * np.exp(-(np.abs(x) / (WIDTH_FRACTION * radius)) ** CUTOFF_DEGREE)
     v = x[num // 2 :]
     return x, wx, v, np.where(v > 0, 2.0, 1.0) * wx[num // 2 :]
 
@@ -303,7 +261,7 @@ def oscillatory_monomial_moments(
     The phase must be Psi0 = s u_{2n} + i (1 + s/2)|u'|^2 in (u', u_{2n}, s),
     coefficient for coefficient (else OracleFitError).  A moment is then
     sum_k w_k chi(s_k) s_k^{alpha_s} prod_{a<2n} G[k, alpha_a] F[k, alpha_{2n}]
-    over the Gauss nodes s_k, with the Gaussian-axis and Fourier-axis moments
+    over the trapezoidal nodes s_k, with the Gaussian-axis and Fourier-axis moments
     G[k, p] = sum_j w_j chi(v_j) e^{-t (1 + s_k/2) v_j^2} v_j^p and
     F[k, p] = sum_j w_j chi(v_j) e^{i t s_k v_j} v_j^p.  The rule is mirror-
     symmetric, so both fold onto its nodes v_j >= 0, an odd rule's node at 0
@@ -358,7 +316,7 @@ ORACLE_RESIDUAL_TOL = 1e-3
 
 
 def oracle_nodes(nodes_per_axis: Optional[Sequence[int]], num_vars: int) -> Tuple[int, ...]:
-    """The Gauss nodes per variable as ints (48 per inner variable and 160 for
+    """The trapezoidal nodes per variable as ints (48 per inner variable and 160 for
     the last two for None); raises OracleFitError unless there is one count
     per variable and each is at least 48."""
     if nodes_per_axis is None:
@@ -465,7 +423,7 @@ def numeric_expansion_oracle(sweep: OracleSweep, amplitude: Jet) -> Tuple[comple
 
     Evaluates I(t) = t * int exp(i t Psi0) amplitude * chi d(u, sigma) over
     [-r, r]^{2n+2}, with the product cutoff chi, by contracting the
-    amplitude's coefficients with the sweep's folded Gauss moments (a
+    amplitude's coefficients with the sweep's folded trapezoidal moments (a
     moment does not depend on the sweep's order, so the fit is the same for
     any sweep that covers the amplitude).  It subtracts the exactly known
     third to fifth expansion orders (c_2..c_4 of exact_coefficients for the

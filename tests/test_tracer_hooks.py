@@ -66,7 +66,7 @@ WORKLOAD_REPORT_SHA256 = {
     ("routes", 11): "46bfcf85eaa0e09ff397113706d711011f62d5726d1bb301b31738a1a25ca75b",
     ("routes", 12): "284741d8813879c97936920882dc21201ff012799ecdebd6f3b42ae4c1e77302",
     ("routes", 7001): "1e91958e0bcf3144086065cc3a0e1d3f7d874e34b8c2bf82aec581484455299b",
-    ("quadrature", 7): "63b1ed736e8c140095e7cbe27891a0777aa118ca4b91f557def673fa5e7de44d",
+    ("quadrature", 7): "aab3501c2cfa100fe9e437dc9777911aa3ab407edda150742d8109f20ec5ffc9",
 }
 
 
